@@ -558,4 +558,41 @@ func BenchmarkMachineRefresh(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineNew measures building the paper's test system: wiring
+// every subsystem and parking all 128 threads in C2, which Batch folds into
+// one refresh.
+func BenchmarkMachineNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewSystem()
+	}
+}
+
+// BenchmarkSMUControlTick measures one millisecond of a FIRESTARTER-loaded
+// system held at the EDC limit: one control tick of the SMU per package
+// (which reads the refresh cache) plus the cap change and refresh it
+// triggers.
+func BenchmarkSMUControlTick(b *testing.B) {
+	sys := NewSystem()
+	if err := sys.SetAllFrequenciesMHz(2500); err != nil {
+		b.Fatal(err)
+	}
+	sys.Machine().Batch(func() {
+		for cpu := 0; cpu < sys.NumCPUs(); cpu++ {
+			if err := sys.Run(cpu, "firestarter"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	sys.AdvanceMillis(300)
+	if !sys.Machine().SMU.Throttling(0) {
+		b.Fatal("FIRESTARTER load is not EDC-throttled")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.AdvanceMillis(1)
+	}
+}
+
 var _ = sim.Millisecond

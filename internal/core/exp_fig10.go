@@ -66,9 +66,11 @@ func hammingStudy(o Options, k workload.Kernel, blocks int) (*hammingDist, error
 	trim := 60 * sim.Millisecond
 	for b := 0; b < blocks; b++ {
 		w := weights[rng.Intn(3)]
-		for _, t := range threads {
-			m.SetHammingWeight(t, w)
-		}
+		m.Batch(func() {
+			for _, t := range threads {
+				m.SetHammingWeight(t, w)
+			}
+		})
 		pa.Reset()
 		start := m.Eng.Now()
 		e0c := m.RAPL.CoreEnergyJoules(0)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zen2ee/internal/cstate"
+	"zen2ee/internal/machine"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/workload"
 )
@@ -169,20 +170,16 @@ func runSec6B(o Options) (*Result, error) {
 
 	// Disable the second hardware thread of each core on package 0 — the
 	// administrator "optimization" the paper warns against.
-	for c := 0; c < 32; c++ {
-		if err := m.SetOnline(m.Top.Cores[c].Threads[1], false); err != nil {
-			return nil, err
-		}
+	if err := setSiblingsOnline(m, false); err != nil {
+		return nil, err
 	}
 	m.Eng.RunFor(10 * sim.Millisecond)
 	offline := m.SystemWatts()
 	r.addRow("32 sibling threads offline", fmtW(offline))
 
 	// Re-online: only this fixes the power level.
-	for c := 0; c < 32; c++ {
-		if err := m.SetOnline(m.Top.Cores[c].Threads[1], true); err != nil {
-			return nil, err
-		}
+	if err := setSiblingsOnline(m, true); err != nil {
+		return nil, err
 	}
 	m.Eng.RunFor(10 * sim.Millisecond)
 	restored := m.SystemWatts()
@@ -199,6 +196,18 @@ func runSec6B(o Options) (*Result, error) {
 	r.compare("explicit re-onlining restores deep sleep", "W", 99.1, restored, 0.005)
 	r.note("we would strongly discourage disabling hardware threads on AMD Rome: system power is increased to the C1 level as long as threads are offline")
 	return r, nil
+}
+
+// setSiblingsOnline flips the second hardware thread of every package-0
+// core online or offline in one batched refresh.
+func setSiblingsOnline(m *machine.Machine, online bool) error {
+	var err error
+	m.Batch(func() {
+		for c := 0; c < 32 && err == nil; c++ {
+			err = m.SetOnline(m.Top.Cores[c].Threads[1], online)
+		}
+	})
+	return err
 }
 
 func runSec6ACPI(o Options) (*Result, error) {

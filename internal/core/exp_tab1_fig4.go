@@ -37,14 +37,20 @@ func ccxMixedSetup(o Options, measured workload.Kernel, setMHz, othersMHz int) (
 	if _, err := m.StartKernel(0, measured, 0); err != nil {
 		return nil, err
 	}
-	for c := 1; c < 4; c++ {
-		th := m.Top.Cores[c].Threads[0]
-		if err := m.SetThreadFrequencyMHz(th, othersMHz); err != nil {
-			return nil, err
+	var err error
+	m.Batch(func() {
+		for c := 1; c < 4; c++ {
+			th := m.Top.Cores[c].Threads[0]
+			if err = m.SetThreadFrequencyMHz(th, othersMHz); err != nil {
+				return
+			}
+			if _, err = m.StartKernel(th, workload.Busywait, 0); err != nil {
+				return
+			}
 		}
-		if _, err := m.StartKernel(th, workload.Busywait, 0); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	m.Eng.RunFor(20 * sim.Millisecond)
 	waitTransitionsSettled(m, 10*sim.Millisecond)

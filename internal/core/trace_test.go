@@ -190,12 +190,15 @@ func TestObserveShardHook(t *testing.T) {
 func TestTracedRunStaysDeterministic(t *testing.T) {
 	exps := []Experiment{fakeSharded("sh-a", 6), okExp("mono")}
 	configs := []Config{{Scale: 1, Seed: 7}, {Scale: 2, Seed: 7}}
-	run := func(tr *obs.Trace) map[int]*Result {
-		out := map[int]*Result{}
+	// Keyed by (config index, result index): configs complete in any order,
+	// so nothing about the key may depend on what was delivered before.
+	type key struct{ config, result int }
+	run := func(tr *obs.Trace) map[key]*Result {
+		out := map[key]*Result{}
 		err := runSweep(exps, configs, RunConfig{Workers: 4, Trace: tr},
 			func(i int, cr ConfigResult, err error) {
-				for _, r := range cr.Results {
-					out[i*100+len(out)] = r
+				for j, r := range cr.Results {
+					out[key{i, j}] = r
 				}
 			}, nil)
 		if err != nil {
@@ -211,7 +214,7 @@ func TestTracedRunStaysDeterministic(t *testing.T) {
 	for k, r := range plain {
 		tr := traced[k]
 		if tr == nil || tr.ID != r.ID || fmt.Sprint(tr.Metrics) != fmt.Sprint(r.Metrics) {
-			t.Fatalf("traced run diverged at %d: %+v vs %+v", k, r, tr)
+			t.Fatalf("traced run diverged at %+v: %+v vs %+v", k, r, tr)
 		}
 	}
 }

@@ -107,6 +107,8 @@ type Machine struct {
 
 	trafficGBs float64
 	inRefresh  bool
+	// inBatch defers refresh until the enclosing Batch returns.
+	inBatch bool
 
 	// Incremental-refresh state. Per-core derived values (power-model
 	// inputs, RAPL estimates) and per-thread counter rates are cached across
@@ -118,6 +120,7 @@ type Machine struct {
 	dirtyAll   bool
 	dirtyCores []bool
 	inputsBuf  []power.CoreInput
+	effBuf     []float64 // effective MHz of active cores (0 when idle)
 	raplWBuf   []float64
 	pkgWBuf    []float64
 	thrCyc     []float64
@@ -143,6 +146,7 @@ func New(cfg Config) *Machine {
 		dirtyAll:   true,
 		dirtyCores: make([]bool, top.NumCores()),
 		inputsBuf:  make([]power.CoreInput, top.NumCores()),
+		effBuf:     make([]float64, top.NumCores()),
 		raplWBuf:   make([]float64, top.NumCores()),
 		pkgWBuf:    make([]float64, len(top.Packages)),
 		thrCyc:     make([]float64, top.NumThreads()),
@@ -174,11 +178,37 @@ func New(cfg Config) *Machine {
 	m.SMU = smu.New(eng, top, cfg.SMU, m.DVFS, (*activitySource)(m))
 
 	// Idle system: every thread parks in the deepest C-state.
-	for t := 0; t < top.NumThreads(); t++ {
-		m.CStates.EnterIdle(soc.ThreadID(t), cstate.C2)
+	m.Batch(func() {
+		for t := 0; t < top.NumThreads(); t++ {
+			m.CStates.EnterIdle(soc.ThreadID(t), cstate.C2)
+		}
+	})
+	return m
+}
+
+// Batch runs f, which must not advance simulated time, and folds every
+// state change it makes into a single refresh when it returns. Skipping
+// the intermediate refreshes is exact: at one instant each of them would
+// fold zero elapsed time into every integrator, so only the last one's
+// rates matter. Inside f, observables derived by refresh (SystemWatts, the
+// RAPL power inputs, the SMU's activity readings) still show the state
+// from before the batch. Nested batches join the outermost one. Batch
+// panics if the engine clock moves while f runs.
+func (m *Machine) Batch(f func()) {
+	if m.inBatch {
+		f()
+		return
+	}
+	start := m.Eng.Now()
+	m.inBatch = true
+	func() {
+		defer func() { m.inBatch = false }()
+		f()
+	}()
+	if now := m.Eng.Now(); now != start {
+		panic(fmt.Sprintf("machine: simulated time moved inside Batch (%v -> %v)", start, now))
 	}
 	m.refresh()
-	return m
 }
 
 func (m *Machine) wirePerfMSRs(nominalMHz float64) {
@@ -222,13 +252,14 @@ func (m *Machine) StartKernel(t soc.ThreadID, k workload.Kernel, weight float64)
 		return 0, fmt.Errorf("machine: thread %d is offline", t)
 	}
 	lat := sim.Duration(0)
-	if m.CStates.EffectiveState(t) != cstate.C0 {
-		core := m.Top.Threads[t].Core
-		lat = m.CStates.Wake(t, m.DVFS.EffectiveMHz(core), false)
-	}
-	m.runs[t] = threadRun{active: true, kernel: k, weight: weight}
-	m.markThreadDirty(t)
-	m.refresh()
+	m.Batch(func() {
+		if m.CStates.EffectiveState(t) != cstate.C0 {
+			core := m.Top.Threads[t].Core
+			lat = m.CStates.Wake(t, m.DVFS.EffectiveMHz(core), false)
+		}
+		m.runs[t] = threadRun{active: true, kernel: k, weight: weight}
+		m.markThreadDirty(t)
+	})
 	return lat, nil
 }
 
@@ -244,10 +275,11 @@ func (m *Machine) SetHammingWeight(t soc.ThreadID, weight float64) {
 // StopKernel idles a thread; the cpuidle governor picks the deepest enabled
 // C-state.
 func (m *Machine) StopKernel(t soc.ThreadID) {
-	m.runs[t] = threadRun{}
-	m.markThreadDirty(t)
-	m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
-	m.refresh()
+	m.Batch(func() {
+		m.runs[t] = threadRun{}
+		m.markThreadDirty(t)
+		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
+	})
 }
 
 // Running reports whether the thread is executing a kernel.
@@ -275,17 +307,19 @@ func (m *Machine) SetAllFrequenciesMHz(mhz int) error {
 // SetOnline flips a thread's sysfs online state. Offlining stops any
 // running kernel; under the §VI-B anomaly the thread is then elevated to C1.
 func (m *Machine) SetOnline(t soc.ThreadID, online bool) error {
-	if !online {
-		m.runs[t] = threadRun{}
-		m.markThreadDirty(t)
-		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
-	}
-	if err := m.Top.SetOnline(t, online); err != nil {
-		return err
-	}
-	m.CStates.NotifyOnlineChanged()
-	m.refresh()
-	return nil
+	var err error
+	m.Batch(func() {
+		if !online {
+			m.runs[t] = threadRun{}
+			m.markThreadDirty(t)
+			m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
+		}
+		if err = m.Top.SetOnline(t, online); err != nil {
+			return
+		}
+		m.CStates.NotifyOnlineChanged()
+	})
+	return err
 }
 
 // SetCStateEnabled toggles a sysfs C-state disable file and re-applies the
@@ -295,10 +329,11 @@ func (m *Machine) SetCStateEnabled(t soc.ThreadID, s cstate.State, enabled bool)
 	if err := m.CStates.SetEnabled(t, s, enabled); err != nil {
 		return err
 	}
-	if !m.runs[t].active && m.Top.Online(t) {
-		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
-	}
-	m.refresh()
+	m.Batch(func() {
+		if !m.runs[t].active && m.Top.Online(t) {
+			m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
+		}
+	})
 	return nil
 }
 
@@ -395,23 +430,23 @@ func (m *Machine) markThreadDirty(t soc.ThreadID) {
 
 func (m *Machine) markAllDirty() { m.dirtyAll = true }
 
-// deriveCore computes a core's power-model input and its RAPL-model power
-// estimate (before model noise) from current state — the expensive per-core
-// step of refresh.
-func (m *Machine) deriveCore(core soc.CoreID, raplCfg rapl.Config) (power.CoreInput, float64) {
-	ci := power.CoreInput{
+// deriveCore computes a core's power-model input into ci and returns its
+// RAPL-model power estimate (before model noise) and effective frequency
+// (0 when no thread is active) — the expensive per-core step of refresh.
+func (m *Machine) deriveCore(core soc.CoreID, raplCfg rapl.Config, ci *power.CoreInput) (raplW, effMHz float64) {
+	*ci = power.CoreInput{
 		State:         m.CStates.CoreState(core),
 		ActiveThreads: m.CStates.ActiveThreads(core),
 	}
 	if ci.ActiveThreads > 0 {
-		eff := m.DVFS.EffectiveMHz(core)
-		ci.GHz = eff / 1000
-		ci.Volts = m.DVFS.VoltageAt(eff)
-		ci.Kernel, ci.HammingWeight = m.coreKernel(core)
+		effMHz = m.DVFS.EffectiveMHz(core)
+		ci.GHz = effMHz / 1000
+		ci.Volts = m.DVFS.VoltageAt(effMHz)
+		k, weight := m.coreKernel(core)
+		ci.Kernel, ci.HammingWeight = *k, weight
 	}
 	// RAPL: per-core activity-event estimate. The toggle (operand) component
 	// is deliberately absent — that is the paper's central RAPL finding.
-	var w float64
 	switch {
 	case ci.ActiveThreads > 0:
 		smt := 1.0
@@ -419,25 +454,24 @@ func (m *Machine) deriveCore(core soc.CoreID, raplCfg rapl.Config) (power.CoreIn
 			smt += ci.Kernel.SMTFactor
 		}
 		dyn := ci.Kernel.DynWatts * ci.GHz * ci.Volts * ci.Volts * smt
-		w = ci.Kernel.RAPLWeight*dyn + raplCfg.CoreC0Static
+		raplW = ci.Kernel.RAPLWeight*dyn + raplCfg.CoreC0Static
 	case ci.State == cstate.C1:
-		w = raplCfg.CoreC1Static
+		raplW = raplCfg.CoreC1Static
 	default:
-		w = raplCfg.CoreC2Static
+		raplW = raplCfg.CoreC2Static
 	}
-	return ci, w
+	return raplW, effMHz
 }
 
 // deriveThread computes a thread's performance-counter rates (cycles,
-// instructions and mperf reference cycles per second).
-func (m *Machine) deriveThread(id soc.ThreadID) (cyc, ins, mpf float64) {
-	if m.CStates.EffectiveState(id) == cstate.C0 && m.Top.Online(id) {
-		core := m.Top.Threads[id].Core
-		effMHz := m.DVFS.EffectiveMHz(core)
+// instructions and mperf reference cycles per second) from its core's
+// derived input and effective frequency.
+func (m *Machine) deriveThread(id soc.ThreadID, ci *power.CoreInput, effMHz float64) (cyc, ins, mpf float64) {
+	if m.CStates.EffectiveState(id) == cstate.C0 {
 		cyc = effMHz * 1e6
 		mpf = float64(m.cfg.SoC.NominalMHz) * 1e6
 		if m.runs[id].active {
-			n := m.CStates.ActiveThreads(core)
+			n := ci.ActiveThreads
 			ins = m.runs[id].kernel.IPC(n) / float64(n) * effMHz * 1e6
 		}
 	}
@@ -450,8 +484,8 @@ func (m *Machine) deriveThread(id soc.ThreadID) (cyc, ins, mpf float64) {
 // always run in full, in a fixed order, so their floating-point results are
 // bit-identical whether a core's values were recomputed or cached.
 func (m *Machine) refresh() {
-	if m.inRefresh {
-		return // guard against hook re-entry
+	if m.inRefresh || m.inBatch {
+		return // hook re-entry, or deferred to the end of a Batch
 	}
 	m.inRefresh = true
 	defer func() { m.inRefresh = false }()
@@ -468,10 +502,10 @@ func (m *Machine) refresh() {
 		if !m.dirtyAll && !m.dirtyCores[c] {
 			continue
 		}
-		core := soc.CoreID(c)
-		inputs[c], m.raplWBuf[c] = m.deriveCore(core, raplCfg)
+		ci := &inputs[c]
+		m.raplWBuf[c], m.effBuf[c] = m.deriveCore(soc.CoreID(c), raplCfg, ci)
 		for _, t := range m.Top.Cores[c].Threads {
-			m.thrCyc[t], m.thrIns[t], m.thrMpf[t] = m.deriveThread(t)
+			m.thrCyc[t], m.thrIns[t], m.thrMpf[t] = m.deriveThread(t, ci, m.effBuf[c])
 		}
 	}
 	m.verifyRefresh(raplCfg)
@@ -489,7 +523,7 @@ func (m *Machine) refresh() {
 		for _, ccxID := range ccd.CCXs {
 			hit := false
 			for _, core := range m.Top.CCXs[ccxID].Cores {
-				ci := inputs[core]
+				ci := &inputs[core]
 				if ci.ActiveThreads > 0 && ci.Kernel.MemGBs > 0 {
 					demand += ci.Kernel.MemGBs * ci.GHz / nominalGHz
 					nCores++
@@ -553,47 +587,54 @@ func (m *Machine) refresh() {
 // coreKernel picks the kernel and operand weight representing a core: the
 // kernel of its first active running thread; the weight is the maximum over
 // active threads.
-func (m *Machine) coreKernel(core soc.CoreID) (workload.Kernel, float64) {
-	var k workload.Kernel
+func (m *Machine) coreKernel(core soc.CoreID) (*workload.Kernel, float64) {
+	var k *workload.Kernel
 	var weight float64
-	found := false
 	for _, t := range m.Top.Cores[core].Threads {
 		if m.CStates.EffectiveState(t) == cstate.C0 && m.runs[t].active {
-			if !found {
-				k = m.runs[t].kernel
-				found = true
+			if k == nil {
+				k = &m.runs[t].kernel
 			}
 			if m.runs[t].weight > weight {
 				weight = m.runs[t].weight
 			}
 		}
 	}
-	if !found {
+	if k == nil {
 		// Active (C0) but not running a kernel: a pause-like OS idle loop
 		// (POLL) — occurs only transiently.
-		k = workload.Poll
+		k = &workload.Poll
 	}
 	return k, weight
 }
 
 // activitySource adapts Machine to smu.ActivitySource: the SMU monitors the
 // machine's own activity and power model (its internal estimate), not the
-// external reference meter.
+// external reference meter. It answers from the per-core state the last
+// refresh derived, so a control tick re-derives nothing; `-tags simcheck`
+// builds re-derive on every read and panic on a stale answer.
 type activitySource Machine
 
 func (a *activitySource) CoreCurrentAmps(core soc.CoreID) float64 {
 	m := (*Machine)(a)
-	n := m.CStates.ActiveThreads(core)
-	if n == 0 {
+	m.checkActivityRead(core)
+	ci := &m.inputsBuf[core]
+	if ci.ActiveThreads == 0 {
 		return 0
 	}
-	k, _ := m.coreKernel(core)
-	eff := m.DVFS.EffectiveMHz(core)
-	return k.EDCWeight(n) * (eff / 1000) * m.DVFS.VoltageAt(eff)
+	return ci.Kernel.EDCWeight(ci.ActiveThreads) * ci.GHz * ci.Volts
 }
 
 func (a *activitySource) CoreActive(core soc.CoreID) bool {
-	return (*Machine)(a).CStates.ActiveThreads(core) > 0
+	m := (*Machine)(a)
+	m.checkActivityRead(core)
+	return m.inputsBuf[core].ActiveThreads > 0
+}
+
+func (a *activitySource) CoreEffectiveMHz(core soc.CoreID) float64 {
+	m := (*Machine)(a)
+	m.checkActivityRead(core)
+	return m.effBuf[core]
 }
 
 func (a *activitySource) PackageWatts(pkg soc.PackageID) float64 {

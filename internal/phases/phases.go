@@ -86,13 +86,13 @@ func (r *Runner) enterPhase() {
 	if p.Kernel.Name == "" {
 		r.idleAll()
 	} else {
-		for _, t := range r.Threads {
-			if _, err := r.M.StartKernel(t, p.Kernel, p.Weight); err != nil {
+		r.M.Batch(func() {
+			for _, t := range r.Threads {
 				// Offline threads drop out of the pattern silently; the
 				// pattern must survive topology changes mid-run.
-				continue
+				_, _ = r.M.StartKernel(t, p.Kernel, p.Weight)
 			}
-		}
+		})
 	}
 	r.M.Eng.Schedule(p.Duration, func() {
 		r.idx++
@@ -105,7 +105,9 @@ func (r *Runner) enterPhase() {
 }
 
 func (r *Runner) idleAll() {
-	for _, t := range r.Threads {
-		r.M.StopKernel(t)
-	}
+	r.M.Batch(func() {
+		for _, t := range r.Threads {
+			r.M.StopKernel(t)
+		}
+	})
 }

@@ -96,7 +96,7 @@ func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
 func (m *Model) Config() Config { return m.cfg }
 
 // CoreWatts returns one core's contribution.
-func (m *Model) CoreWatts(c CoreInput) float64 {
+func (m *Model) CoreWatts(c *CoreInput) float64 {
 	switch {
 	case c.ActiveThreads > 0:
 		return m.activeCoreWatts(c)
@@ -107,8 +107,8 @@ func (m *Model) CoreWatts(c CoreInput) float64 {
 	}
 }
 
-func (m *Model) activeCoreWatts(c CoreInput) float64 {
-	k := c.Kernel
+func (m *Model) activeCoreWatts(c *CoreInput) float64 {
+	k := &c.Kernel
 	smt := 1.0
 	if c.ActiveThreads > 1 {
 		smt += k.SMTFactor
@@ -122,8 +122,8 @@ func (m *Model) activeCoreWatts(c CoreInput) float64 {
 
 // toggleWatts is the operand-data-dependent component (§VII-B): scaled from
 // the kernel's calibration point at nominal frequency/voltage.
-func (m *Model) toggleWatts(c CoreInput) float64 {
-	k := c.Kernel
+func (m *Model) toggleWatts(c *CoreInput) float64 {
+	k := &c.Kernel
 	if k.ToggleWatts == 0 || c.HammingWeight == 0 {
 		return 0
 	}
@@ -139,8 +139,8 @@ func (m *Model) SystemWatts(in Input) float64 {
 		return p
 	}
 	p += in.IOD.ActiveWatts()
-	for _, c := range in.Cores {
-		p += m.CoreWatts(c)
+	for i := range in.Cores {
+		p += m.CoreWatts(&in.Cores[i])
 	}
 	p += iodie.TrafficWatts(in.DRAMTrafficGBs)
 	return p
@@ -150,9 +150,9 @@ func (m *Model) SystemWatts(in Input) float64 {
 // cores — the quantity the RAPL model estimates from activity events.
 func (m *Model) PackageDynWatts(cores []CoreInput) float64 {
 	var p float64
-	for _, c := range cores {
-		if c.ActiveThreads > 0 {
-			p += m.activeCoreWatts(c)
+	for i := range cores {
+		if cores[i].ActiveThreads > 0 {
+			p += m.activeCoreWatts(&cores[i])
 		}
 	}
 	return p

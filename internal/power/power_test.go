@@ -285,7 +285,7 @@ func TestPackageDynWatts(t *testing.T) {
 		{State: cstate.C2},
 	}
 	got := m.PackageDynWatts(cores)
-	want := m.CoreWatts(cores[0])
+	want := m.CoreWatts(&cores[0])
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("PackageDynWatts = %v, want %v (idle cores excluded)", got, want)
 	}

@@ -136,6 +136,9 @@ type job struct {
 	// and immutable after, so they need no lock.
 	owner *tenant.Tenant
 	class tenant.Class
+	// order stamps the job's live entry in Server.jobOrder; guarded by
+	// Server.mu, not mu.
+	order uint64
 
 	mu       sync.Mutex
 	state    State

@@ -224,9 +224,15 @@ type Server struct {
 	// everything that runs in this process.
 	coord *dist.Coordinator
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	jobOrder []string // insertion order, for JobHistory eviction
+	mu   sync.Mutex
+	jobs map[string]*job
+	// jobOrder is the JobHistory eviction order, least recently submitted
+	// first. Each submission answered by a job (insert or cache hit)
+	// appends a fresh entry stamped with the next orderSeq and restamps
+	// the job, so a refresh is O(1); older entries of the same job go stale
+	// (their seq no longer matches job.order) and are dropped lazily.
+	jobOrder []orderEntry
+	orderSeq uint64
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -399,6 +405,9 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 		} else {
 			s.metrics.add(&s.metrics.jobsDeduped, 1)
 		}
+		// The requester will GET this job next: make it the youngest in the
+		// eviction order so inserts racing that GET evict older jobs first.
+		s.touchLocked(j)
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, s.statusOf(j, true))
 		return
@@ -448,34 +457,61 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 	writeJSON(w, http.StatusAccepted, s.statusOf(j, false))
 }
 
-// insertLocked records a job and evicts the oldest finished jobs beyond
-// JobHistory. Callers hold s.mu.
+// orderEntry is one position in the JobHistory eviction order; it is live
+// while seq matches the job's current order stamp.
+type orderEntry struct {
+	id  string
+	seq uint64
+}
+
+// liveLocked returns the job an order entry still stands for. Callers hold
+// s.mu.
+func (s *Server) liveLocked(e orderEntry) (*job, bool) {
+	j, ok := s.jobs[e.id]
+	if !ok || j.order != e.seq {
+		return nil, false
+	}
+	return j, true
+}
+
+// insertLocked records a job as the youngest in the eviction order and
+// evicts the oldest finished jobs beyond JobHistory. A retry of a failed
+// spec reuses the content address; the new job's stamp leaves the old
+// job's entry stale. Callers hold s.mu.
 func (s *Server) insertLocked(j *job) {
-	if _, replacing := s.jobs[j.id]; replacing {
-		// A retry of a failed spec reuses the content address: drop the
-		// old order entry so the id appears exactly once and the new job
-		// takes its place at the young end of the eviction order.
-		for i, id := range s.jobOrder {
-			if id == j.id {
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				break
-			}
-		}
-	}
 	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
-	if len(s.jobs) <= s.cfg.JobHistory {
-		return
+	s.touchLocked(j)
+}
+
+// touchLocked moves j to the young end of the eviction order in O(1), then
+// prunes when the table is over JobHistory or stale entries outnumber live
+// ones (which keeps jobOrder O(jobs) under a stream of hits). Callers hold
+// s.mu.
+func (s *Server) touchLocked(j *job) {
+	s.orderSeq++
+	j.order = s.orderSeq
+	s.jobOrder = append(s.jobOrder, orderEntry{id: j.id, seq: j.order})
+	if len(s.jobs) > s.cfg.JobHistory || len(s.jobOrder) > 2*len(s.jobs)+16 {
+		s.pruneLocked(j)
 	}
+}
+
+// pruneLocked drops stale order entries and, oldest first, evicts finished
+// jobs other than keep until the table fits JobHistory. Callers hold s.mu.
+func (s *Server) pruneLocked(keep *job) {
 	kept := s.jobOrder[:0]
-	for _, id := range s.jobOrder {
-		old, ok := s.jobs[id]
-		if ok && len(s.jobs) > s.cfg.JobHistory && old.currentState().terminal() && old != j {
-			delete(s.jobs, id)
+	for _, e := range s.jobOrder {
+		old, ok := s.liveLocked(e)
+		if !ok {
 			continue
 		}
-		kept = append(kept, id)
+		if len(s.jobs) > s.cfg.JobHistory && old != keep && old.currentState().terminal() {
+			delete(s.jobs, e.id)
+			continue
+		}
+		kept = append(kept, e)
 	}
+	clear(s.jobOrder[len(kept):])
 	s.jobOrder = kept
 }
 
@@ -488,15 +524,16 @@ func (s *Server) lookup(r *http.Request) (*job, bool) {
 	return j, ok
 }
 
-// handleJobs lists active and recent jobs, newest first, without embedded
+// handleJobs lists active and recent jobs, most recently submitted first (a
+// cache-hit resubmission counts as a submission), without embedded
 // result payloads — the address book for jobs whose id the client lost
 // (before this endpoint, a job was only reachable if the submit response
 // had been saved). Cached tells a reader which entries never simulated.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	out := make([]Status, 0, len(s.jobOrder))
+	out := make([]Status, 0, len(s.jobs))
 	for i := len(s.jobOrder) - 1; i >= 0; i-- {
-		if j, ok := s.jobs[s.jobOrder[i]]; ok {
+		if j, ok := s.liveLocked(s.jobOrder[i]); ok {
 			out = append(out, s.statusOf(j, false))
 		}
 	}

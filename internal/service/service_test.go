@@ -601,17 +601,18 @@ func TestFailedJobsRetryAndReportViaSSE(t *testing.T) {
 		t.Fatalf("runner called %d times, want 2", calls.Load())
 	}
 	// The retry reuses the content address; the eviction order must hold
-	// the id exactly once or repeated retries would leak order entries.
+	// one live entry for the id, or the job would be listed or evicted
+	// twice.
 	srv.mu.Lock()
 	seen := 0
-	for _, id := range srv.jobOrder {
-		if id == st.ID {
+	for _, e := range srv.jobOrder {
+		if _, live := srv.liveLocked(e); live && e.id == st.ID {
 			seen++
 		}
 	}
 	srv.mu.Unlock()
 	if seen != 1 {
-		t.Fatalf("job id appears %d times in the eviction order, want 1", seen)
+		t.Fatalf("job id has %d live entries in the eviction order, want 1", seen)
 	}
 }
 
@@ -712,4 +713,71 @@ func TestMetricsRendersSortedExperiments(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestCacheHitRefreshesEvictionOrder: a submission answered by an existing
+// job makes that job the youngest in the JobHistory eviction order, so the
+// client's GET after its POST finds it even when other submissions insert
+// jobs in between.
+func TestCacheHitRefreshesEvictionOrder(t *testing.T) {
+	_, ts := newTestServer(t, Config{JobHistory: 8})
+	spec := func(seed int) string { return fmt.Sprintf(`{"ids":["fig1"],"seed":%d}`, seed) }
+
+	// Sequential: fill the table, hit the oldest job, insert one more.
+	ids := map[int]string{}
+	for seed := 1; seed <= 8; seed++ {
+		st, _ := postJob(t, ts, spec(seed))
+		waitState(t, ts, st.ID)
+		ids[seed] = st.ID
+	}
+	if st, code := postJob(t, ts, spec(1)); code != http.StatusOK || st.ID != ids[1] {
+		t.Fatalf("resubmit: code %d id %s, want 200 with %s", code, st.ID, ids[1])
+	}
+	st9, _ := postJob(t, ts, spec(9))
+	waitState(t, ts, st9.ID)
+	if _, code := getBody(t, ts.URL+"/v1/jobs/"+ids[1]); code != http.StatusOK {
+		t.Fatalf("cache-hit job evicted by the next insert: GET returned %d", code)
+	}
+	if _, code := getBody(t, ts.URL+"/v1/jobs/"+ids[2]); code != http.StatusNotFound {
+		t.Fatalf("least recently submitted job still present: GET returned %d, want 404", code)
+	}
+
+	// Concurrent: two closed-loop clients mixing hits on a hot set with
+	// cold inserts; every GET right after a POST must find the job.
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				seed := 1 + i%3
+				if i%4 == 3 {
+					seed = 1000 + 100*c + i
+				}
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec(seed)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var st Status
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err != nil || (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted) {
+					t.Errorf("POST seed %d: code %d err %v", seed, resp.StatusCode, err)
+					return
+				}
+				get, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				get.Body.Close()
+				if get.StatusCode != http.StatusOK {
+					t.Errorf("GET after POST (seed %d): %d, want 200", seed, get.StatusCode)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

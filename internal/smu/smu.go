@@ -23,13 +23,18 @@ import (
 )
 
 // ActivitySource supplies the monitors' inputs. The machine layer
-// implements it from kernel descriptors and effective frequencies.
+// implements it from the per-core state its last refresh derived (kernel
+// descriptors and effective frequencies), so a control tick re-derives
+// nothing.
 type ActivitySource interface {
 	// CoreCurrentAmps returns the core's present current draw as seen by
 	// the EDC activity monitor.
 	CoreCurrentAmps(core soc.CoreID) float64
 	// CoreActive reports whether the core has any thread in C0.
 	CoreActive(core soc.CoreID) bool
+	// CoreEffectiveMHz returns an active core's effective clock, as the
+	// activity monitor last observed it.
+	CoreEffectiveMHz(core soc.CoreID) float64
 	// PackageWatts returns the package's present power estimate for the
 	// PPT loop.
 	PackageWatts(pkg soc.PackageID) float64
@@ -161,7 +166,7 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 		}
 		anyActive = true
 		amps += m.src.CoreCurrentAmps(core)
-		if f := m.ctl.EffectiveMHz(core); f > maxApplied {
+		if f := m.src.CoreEffectiveMHz(core); f > maxApplied {
 			maxApplied = f
 		}
 	}

@@ -33,6 +33,8 @@ func (s *fakeSource) CoreCurrentAmps(core soc.CoreID) float64 {
 
 func (s *fakeSource) CoreActive(core soc.CoreID) bool { return s.threads[core] > 0 }
 
+func (s *fakeSource) CoreEffectiveMHz(core soc.CoreID) float64 { return s.ctl.EffectiveMHz(core) }
+
 func (s *fakeSource) PackageWatts(soc.PackageID) float64 { return s.watts }
 
 func setup(kernel workload.Kernel, threadsPerCore int) (*sim.Engine, *soc.Topology, *dvfs.Controller, *Manager, *fakeSource) {
