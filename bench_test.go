@@ -543,8 +543,10 @@ func BenchmarkAblationIntelBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineRefresh measures the cost of the machine's state
-// recomputation — the simulator's hot path.
+// BenchmarkMachineRefresh measures advancing a steady, unthrottled,
+// all-busy system by 100 µs. Nothing changes, so no refresh runs: an op is
+// the engine plus, every tenth op, one SMU control tick on an unchanged
+// machine (BenchmarkMachineRefreshDirty times a refresh).
 func BenchmarkMachineRefresh(b *testing.B) {
 	sys := NewSystem()
 	sys.SetAllFrequenciesMHz(2500)
@@ -555,6 +557,25 @@ func BenchmarkMachineRefresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.AdvanceMicros(100)
+	}
+}
+
+// BenchmarkMachineRefreshDirty measures one incremental refresh: each op
+// changes the operand weight of one running thread, which marks its CCX
+// dirty and refreshes the machine once.
+func BenchmarkMachineRefreshDirty(b *testing.B) {
+	sys := NewSystem()
+	sys.SetAllFrequenciesMHz(2500)
+	for cpu := 0; cpu < sys.NumCPUs(); cpu++ {
+		sys.RunWeighted(cpu, "vxorps", 0.5)
+	}
+	sys.AdvanceMillis(50)
+	m := sys.Machine()
+	weights := [2]float64{0.25, 0.75}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.SetHammingWeight(0, weights[i&1])
 	}
 }
 

@@ -350,25 +350,12 @@ func (c *Controller) completeTransition(core soc.CoreID) {
 	}
 }
 
-// SetCapMHz applies an SMU frequency cap (EDC/thermal throttling) to a core.
-// Caps act immediately (clock stretching / duty cycling, no P-state change).
-func (c *Controller) SetCapMHz(core soc.CoreID, mhz float64) {
-	cs := &c.cores[core]
-	if mhz <= 0 {
-		mhz = math.Inf(1)
-	}
-	if cs.capMHz == mhz {
-		return
-	}
-	c.notifyBefore()
-	cs.capMHz = mhz
-	c.markDirty(core)
-	c.notifyAfter()
-}
-
-// SetCapsMHz applies one SMU cap to many cores with a single notification
-// pair — the SMU adjusts whole packages at once, and per-core notifications
-// would trigger a full system refresh per core (O(n²) per control tick).
+// SetCapsMHz applies one SMU frequency cap (EDC/PPT throttling) to many
+// cores with a single notification pair; mhz <= 0 uncaps. Caps act
+// immediately (clock stretching / duty cycling, no P-state change). The
+// SMU adjusts whole packages at once, and per-core notifications would
+// trigger a full system refresh per core (O(n²) per control tick). The SMU
+// is the only caller.
 func (c *Controller) SetCapsMHz(cores []soc.CoreID, mhz float64) {
 	if mhz <= 0 {
 		mhz = math.Inf(1)
@@ -393,12 +380,16 @@ func (c *Controller) SetCapsMHz(cores []soc.CoreID, mhz float64) {
 	c.notifyAfter()
 }
 
-// SetBoostsMHz applies one boost grant to many cores (single notification).
+// SetBoostsMHz applies one Core Performance Boost grant from the SMU to
+// many cores with a single notification pair: while a core sits in P-state
+// 0, its clock may exceed the nominal frequency up to the grant (in 25 MHz
+// steps, per AMD's Precision Boost description). The grant remains subject
+// to EDC/PPT caps. The SMU is the only caller.
 func (c *Controller) SetBoostsMHz(cores []soc.CoreID, mhz float64) {
 	if mhz < 0 {
 		mhz = 0
 	}
-	mhz = float64(int(mhz/25)) * 25
+	mhz = float64(int(mhz/25)) * 25 // quantize to Precision Boost steps
 	dirty := false
 	for _, core := range cores {
 		if c.cores[core].boostMHz != mhz {
@@ -416,25 +407,6 @@ func (c *Controller) SetBoostsMHz(cores []soc.CoreID, mhz float64) {
 			c.markDirty(core)
 		}
 	}
-	c.notifyAfter()
-}
-
-// SetBoostMHz applies a Core Performance Boost grant from the SMU: while
-// the core sits in P-state 0, its clock may exceed the nominal frequency up
-// to the grant (in 25 MHz steps, per AMD's Precision Boost description).
-// The grant remains subject to EDC/PPT caps.
-func (c *Controller) SetBoostMHz(core soc.CoreID, mhz float64) {
-	cs := &c.cores[core]
-	if mhz < 0 {
-		mhz = 0
-	}
-	mhz = float64(int(mhz/25)) * 25 // quantize to Precision Boost steps
-	if cs.boostMHz == mhz {
-		return
-	}
-	c.notifyBefore()
-	cs.boostMHz = mhz
-	c.markDirty(core)
 	c.notifyAfter()
 }
 

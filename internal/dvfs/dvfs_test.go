@@ -317,14 +317,14 @@ func TestSMUCap(t *testing.T) {
 	c.SetActiveThreads(0, 1)
 	c.Request(0, 0)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
-	c.SetCapMHz(0, 2025)
+	c.SetCapsMHz([]soc.CoreID{0}, 2025)
 	if got := c.EffectiveMHz(0); got != 2025 {
 		t.Fatalf("capped effective = %v, want 2025", got)
 	}
 	if got := c.AppliedPState(0); got != 0 {
 		t.Fatalf("cap changed P-state to %d", got)
 	}
-	c.SetCapMHz(0, 0) // uncap
+	c.SetCapsMHz([]soc.CoreID{0}, 0) // uncap
 	if got := c.EffectiveMHz(0); got != 2500 {
 		t.Fatalf("uncapped effective = %v", got)
 	}
@@ -353,7 +353,7 @@ func TestBoostGrant(t *testing.T) {
 	c.Request(0, 0)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
 	// Grant quantizes to 25 MHz steps and only applies in P-state 0.
-	c.SetBoostMHz(0, 3344)
+	c.SetBoostsMHz([]soc.CoreID{0}, 3344)
 	if got := c.EffectiveMHz(0); got != 3325 {
 		t.Fatalf("boosted effective = %v, want 3325 (quantized)", got)
 	}
@@ -361,11 +361,11 @@ func TestBoostGrant(t *testing.T) {
 		t.Fatalf("uncapped = %v", got)
 	}
 	// A cap still wins over the boost grant.
-	c.SetCapMHz(0, 2100)
+	c.SetCapsMHz([]soc.CoreID{0}, 2100)
 	if got := c.EffectiveMHz(0); got != 2100 {
 		t.Fatalf("capped boosted = %v", got)
 	}
-	c.SetCapMHz(0, 0)
+	c.SetCapsMHz([]soc.CoreID{0}, 0)
 	// Dropping to a lower P-state disables the boost grant.
 	c.Request(0, 1)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))

@@ -109,6 +109,10 @@ type Machine struct {
 	inRefresh  bool
 	// inBatch defers refresh until the enclosing Batch returns.
 	inBatch bool
+	// epoch counts completed refreshes. Everything the SMU reads is
+	// derived or notified through refresh, so an unchanged epoch means
+	// unchanged activity readings (smu.ActivitySource.Epoch).
+	epoch uint64
 
 	// Incremental-refresh state. Per-core derived values (power-model
 	// inputs, RAPL estimates) and per-thread counter rates are cached across
@@ -513,6 +517,7 @@ func (m *Machine) refresh() {
 	for c := range m.dirtyCores {
 		m.dirtyCores[c] = false
 	}
+	m.epoch++
 
 	// Memory traffic per CCD, capped by the Fig. 5a response surface.
 	m.trafficGBs = 0
@@ -614,6 +619,8 @@ func (m *Machine) coreKernel(core soc.CoreID) (*workload.Kernel, float64) {
 // refresh derived, so a control tick re-derives nothing; `-tags simcheck`
 // builds re-derive on every read and panic on a stale answer.
 type activitySource Machine
+
+func (a *activitySource) Epoch() uint64 { return a.epoch }
 
 func (a *activitySource) CoreCurrentAmps(core soc.CoreID) float64 {
 	m := (*Machine)(a)

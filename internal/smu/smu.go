@@ -12,6 +12,15 @@
 // A package power-tracking (PPT) loop against the TDP is implemented as
 // well; on the paper's workloads it never engages (RAPL reports 170 W
 // against a 180 W TDP), which the integration tests verify.
+//
+// Both loops run every millisecond, but the machine rarely changes between
+// two ticks. The manager caches each package's monitor (noise-free current,
+// fastest effective clock, release threshold) under the ActivitySource's
+// epoch and recomputes it only when the epoch moves. It writes a cap to
+// the DVFS controller only when the cap changes; the manager is the only
+// writer of caps and boost grants. Without boost, a tick on an unchanged
+// machine thus costs one noise draw, one package-power read and a few
+// compares.
 package smu
 
 import (
@@ -26,7 +35,19 @@ import (
 // implements it from the per-core state its last refresh derived (kernel
 // descriptors and effective frequencies), so a control tick re-derives
 // nothing.
+//
+// Epoch contract: the core readings (CoreActive, CoreCurrentAmps,
+// CoreEffectiveMHz) and the controller state the manager reads directly
+// (dvfs.Controller.UncappedMHz) change only when Epoch changes. The
+// manager therefore recomputes its per-package monitor only when the epoch
+// has moved since the last tick; PackageWatts, which drifts with time, is
+// read on every tick.
 type ActivitySource interface {
+	// Epoch returns a counter that moves whenever any core reading or the
+	// controller's applied P-states or boost grants may have changed. The
+	// machine layer bumps it once per completed refresh, and every
+	// controller mutation ends in a refresh.
+	Epoch() uint64
 	// CoreCurrentAmps returns the core's present current draw as seen by
 	// the EDC activity monitor.
 	CoreCurrentAmps(core soc.CoreID) float64
@@ -104,6 +125,22 @@ type Manager struct {
 	pkgCores  [][]soc.CoreID
 	activeBuf []soc.CoreID
 	idleBuf   []soc.CoreID
+	// monitors holds each package's activity reading as of one source
+	// epoch; monitorMisses counts how often one was recomputed.
+	monitors      []monitor
+	monitorMisses uint64
+}
+
+// monitor is a package's noise-free activity reading: total current and
+// fastest effective clock over its active cores, and the release threshold
+// (fastest uncapped frequency, at least the boost ceiling). It is valid
+// while the source's epoch equals epoch.
+type monitor struct {
+	epoch      uint64
+	amps       float64
+	maxApplied float64
+	release    float64
+	anyActive  bool
 }
 
 // New creates a manager and starts its control ticker.
@@ -121,6 +158,11 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, ctl *dvfs.Controller, s
 	for _, core := range top.Cores {
 		pkg := top.PackageOfCore(core.ID)
 		m.pkgCores[pkg] = append(m.pkgCores[pkg], core.ID)
+	}
+	// Start one epoch behind the source, so the first tick measures.
+	m.monitors = make([]monitor, len(top.Packages))
+	for p := range m.monitors {
+		m.monitors[p].epoch = src.Epoch() - 1
 	}
 	m.ticker = eng.NewTicker(cfg.ControlPeriod, cfg.ControlPeriod/2, m.tick)
 	return m
@@ -157,46 +199,22 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 
 	// Monitor: noisy package current and power readings.
 	noise := 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
-	var amps float64
-	maxApplied := 0.0
-	anyActive := false
-	for _, core := range m.pkgCores[pkg] {
-		if !m.src.CoreActive(core) {
-			continue
-		}
-		anyActive = true
-		amps += m.src.CoreCurrentAmps(core)
-		if f := m.src.CoreEffectiveMHz(core); f > maxApplied {
-			maxApplied = f
-		}
-	}
-	amps *= noise
+	mon := m.monitorFor(pkg)
+	amps := mon.amps * noise
 	watts := m.src.PackageWatts(pkg) * noise
-
-	// The release threshold: caps at or above the fastest requested
-	// (uncapped) frequency are moot.
-	release := m.cfg.BoostMHz
-	for _, core := range m.pkgCores[pkg] {
-		if !m.src.CoreActive(core) {
-			continue
-		}
-		if f := m.ctl.UncappedMHz(core); f > release {
-			release = f
-		}
-	}
 
 	cap := m.capMHz[pkg]
 	overEDC := amps > m.cfg.EDCAmps
 	overPPT := m.cfg.TDPWatts > 0 && watts > m.cfg.TDPWatts
 
 	switch {
-	case !anyActive:
+	case !mon.anyActive:
 		// Nothing to throttle; release the cap.
 		cap = math.Inf(1)
 	case overEDC || overPPT:
 		base := cap
 		if math.IsInf(base, 1) {
-			base = maxApplied
+			base = mon.maxApplied
 		}
 		// Proportional response: far above the limit (e.g. load onset at
 		// full clock) the manager drops several 25 MHz steps per period, so
@@ -227,7 +245,7 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 			projected := amps * m.projectionRatio(cap, next)
 			if projected <= m.cfg.EDCAmps {
 				cap = next
-				if cap >= release {
+				if cap >= mon.release {
 					cap = math.Inf(1)
 				}
 			} else {
@@ -235,8 +253,49 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 			}
 		}
 	}
-	m.capMHz[pkg] = cap
-	m.applyCap(pkg, cap)
+	// The manager is the only writer of caps, always package-wide, and the
+	// controller starts every core at +Inf like capMHz; an unchanged cap is
+	// therefore already applied.
+	if cap != m.capMHz[pkg] {
+		m.capMHz[pkg] = cap
+		m.applyCap(pkg, cap)
+	}
+}
+
+// monitorFor returns the package's activity reading, recomputing it only
+// when the source's epoch has moved since it was cached.
+func (m *Manager) monitorFor(pkg soc.PackageID) *monitor {
+	mon := &m.monitors[pkg]
+	if e := m.src.Epoch(); mon.epoch != e {
+		*mon = m.measure(pkg)
+		mon.epoch = e
+		m.monitorMisses++
+	}
+	m.checkMonitor(pkg, mon)
+	return mon
+}
+
+// measure reads the package's activity from the source. Core order and
+// float operations are fixed, so the result is bit-identical however often
+// it is recomputed.
+func (m *Manager) measure(pkg soc.PackageID) monitor {
+	// The release threshold: caps at or above the fastest requested
+	// (uncapped) frequency are moot.
+	mon := monitor{release: m.cfg.BoostMHz}
+	for _, core := range m.pkgCores[pkg] {
+		if !m.src.CoreActive(core) {
+			continue
+		}
+		mon.anyActive = true
+		mon.amps += m.src.CoreCurrentAmps(core)
+		if f := m.src.CoreEffectiveMHz(core); f > mon.maxApplied {
+			mon.maxApplied = f
+		}
+		if f := m.ctl.UncappedMHz(core); f > mon.release {
+			mon.release = f
+		}
+	}
+	return mon
 }
 
 // projectionRatio estimates the current scaling from frequency f0 to f1
