@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"zen2ee/internal/core"
-	"zen2ee/internal/intelmodel"
 	"zen2ee/internal/report"
 	"zen2ee/internal/service"
 	"zen2ee/internal/sim"
@@ -38,12 +37,8 @@ func runArtifact(b *testing.B, id string, metrics map[string]string) {
 	b.Helper()
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		e, err := core.ByID(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last, err = e.Run(benchOptions(i))
-		if err != nil {
+		var err error
+		if last, err = core.RunOne(id, benchOptions(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,12 +159,12 @@ func BenchmarkExt7742Throttling(b *testing.B) {
 // --- Scheduler ---
 
 // BenchmarkRunAllSerial and BenchmarkRunAllParallel measure the full-suite
-// wall time through the serial runner and the worker-pool scheduler. The
+// wall time through the scheduler on one worker and on every CPU. The
 // experiments are independent simulations, so the parallel run should scale
 // to ≥2× on 4+ cores (compare ns/op between the two).
 func BenchmarkRunAllSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunAll(core.Options{Scale: 0.1, Seed: 1}); err != nil {
+		if _, err := core.RunIDsConfig(nil, core.Options{Scale: 0.1, Seed: 1}, core.RunConfig{Workers: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,25 +174,20 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	workers := runtime.NumCPU()
 	b.ReportMetric(float64(workers), "workers")
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunAllParallel(core.Options{Scale: 0.1, Seed: 1}, workers); err != nil {
+		if _, err := core.RunIDsConfig(nil, core.Options{Scale: 0.1, Seed: 1}, core.RunConfig{Workers: workers}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFig7Monolithic and BenchmarkFig7Sharded measure the tentpole of
-// the shard redesign on its headline case: fig7's C-state enumeration
-// sweep run serially on one goroutine versus fanned shard-by-shard across
-// the worker pool. Both compute byte-identical results; compare ns/op for
-// the intra-experiment speedup (visible on multi-core runners; this dev
-// container has a single CPU).
+// BenchmarkFig7Monolithic and BenchmarkFig7Sharded measure intra-experiment
+// sharding on its headline case: fig7's C-state enumeration sweep run by
+// core.RunOne on one worker versus fanned shard-by-shard across a pool of
+// every CPU. Both compute byte-identical results; compare ns/op for the
+// intra-experiment speedup (visible on multi-core runners only).
 func BenchmarkFig7Monolithic(b *testing.B) {
-	e, err := core.ByID("fig7")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(core.Options{Scale: 1, Seed: 1}); err != nil {
+		if _, err := core.RunOne("fig7", core.Options{Scale: 1, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +197,7 @@ func BenchmarkFig7Sharded(b *testing.B) {
 	workers := runtime.NumCPU()
 	b.ReportMetric(float64(workers), "workers")
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunIDs([]string{"fig7"}, core.Options{Scale: 1, Seed: 1}, workers, nil); err != nil {
+		if _, err := core.RunIDsConfig([]string{"fig7"}, core.Options{Scale: 1, Seed: 1}, core.RunConfig{Workers: workers}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +229,7 @@ func BenchmarkSweepBatchedVsSequential(b *testing.B) {
 		b.ReportMetric(float64(workers), "workers")
 		for i := 0; i < b.N; i++ {
 			for _, c := range configs {
-				if _, err := core.RunIDs(ids, c, workers, nil); err != nil {
+				if _, err := core.RunIDsConfig(ids, c, core.RunConfig{Workers: workers}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -476,19 +466,19 @@ func BenchmarkAblationCCXCoupling(b *testing.B) {
 	}
 }
 
+// haswellRAPLErrorRel is the relative error of Haswell's measured RAPL
+// against AC power: the residual once one function maps RAPL domains
+// (package plus DRAM) to system power.
+const haswellRAPLErrorRel = 0.01
+
 // BenchmarkAblationRAPLMeasured contrasts AMD's modeled RAPL with a
 // Haswell-style measured RAPL: on the measured baseline a single function
 // maps domain power to AC power; on Zen 2 the memory workloads break any
 // such function (the Fig. 9 finding).
 func BenchmarkAblationRAPLMeasured(b *testing.B) {
-	intel := intelmodel.HaswellRAPL()
 	var spreadAMD, spreadIntel float64
 	for i := 0; i < b.N; i++ {
-		e, err := core.ByID("fig9")
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := e.Run(benchOptions(i))
+		r, err := core.RunOne("fig9", benchOptions(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -508,7 +498,7 @@ func BenchmarkAblationRAPLMeasured(b *testing.B) {
 		spreadAMD = maxR - minR
 		// Intel baseline: a measured RAPL covering DRAM reproduces AC
 		// through one function; residual spread is the instrument error.
-		spreadIntel = 2 * intel.MeasurementErrorRel
+		spreadIntel = 2 * haswellRAPLErrorRel
 	}
 	b.ReportMetric(spreadAMD, "ratio-spread/amd")
 	b.ReportMetric(spreadIntel, "ratio-spread/intel")
@@ -517,10 +507,13 @@ func BenchmarkAblationRAPLMeasured(b *testing.B) {
 	}
 }
 
+// skylakeWattsPerActiveCore is the system power each additional active
+// (pause-looping) core adds on a Skylake-SP node, about 10× Rome's ~0.33 W.
+const skylakeWattsPerActiveCore = 3.5
+
 // BenchmarkAblationIntelBaseline contrasts the per-active-core idle cost:
 // ~0.33 W on Rome vs ~3.5 W on Skylake-SP (about 10×).
 func BenchmarkAblationIntelBaseline(b *testing.B) {
-	skl := intelmodel.SkylakeIdle()
 	var amdSlope float64
 	for i := 0; i < b.N; i++ {
 		sys := NewSystem(WithSeed(uint64(i + 1)))
@@ -535,7 +528,7 @@ func BenchmarkAblationIntelBaseline(b *testing.B) {
 		sys.AdvanceMillis(5)
 		amdSlope = (sys.PowerWatts() - p1) / 16
 	}
-	intelSlope := skl.SystemWatts(2) - skl.SystemWatts(1)
+	intelSlope := skylakeWattsPerActiveCore
 	b.ReportMetric(amdSlope, "W/amdcore")
 	b.ReportMetric(intelSlope, "W/intelcore")
 	if intelSlope < 8*amdSlope {

@@ -386,11 +386,6 @@ func (f experimentFlags) withProfiles(body func() error) error {
 	return err
 }
 
-// runSuite fans the full suite out across the requested workers.
-func runSuite(f experimentFlags) ([]*core.Result, error) {
-	return core.RunAllParallelProgress(f.opts, f.parallel, printProgress)
-}
-
 // withCoordinator wires distributed execution into a run when
 // -listen-workers is set: it serves the worker protocol on the given
 // address, optionally waits for -min-workers registrations, and rewires
@@ -775,7 +770,7 @@ func genExperiments(args []string) error {
 		return fmt.Errorf("gen-experiments takes no positional arguments")
 	}
 	return f.withProfiles(func() error {
-		results, err := runSuite(f)
+		results, err := core.RunIDsConfig(nil, f.opts, core.RunConfig{Workers: f.parallel}, printProgress)
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,11 @@
 package zen2ee
 
 // The cross-worker-count determinism matrix: the scheduling-model contract
-// is that sharded and monolithic execution of the same (ids, scale, seed)
-// produce byte-identical canonical JSON (report.MarshalResults) for every
-// worker count and shard interleaving. These tests pin that contract on the
-// heavy sharded experiments the redesign targets.
+// is that every worker count and shard interleaving of the same (ids,
+// scale, seed) produces byte-identical canonical JSON
+// (report.MarshalResults). These tests pin that contract on the heavy
+// sharded experiments; internal/core pins the scheduler against its serial
+// reference.
 
 import (
 	"bytes"
@@ -18,7 +19,7 @@ import (
 // given worker count and returns the canonical JSON document.
 func marshalSet(t *testing.T, ids []string, o core.Options, workers int) []byte {
 	t.Helper()
-	results, err := core.RunIDs(ids, o, workers, nil)
+	results, err := core.RunIDsConfig(ids, o, core.RunConfig{Workers: workers}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,29 +28,6 @@ func marshalSet(t *testing.T, ids []string, o core.Options, workers int) []byte 
 		t.Fatal(err)
 	}
 	return b
-}
-
-func TestFig7DeterminismMatrix(t *testing.T) {
-	o := core.Options{Scale: 2, Seed: 1}
-	ids := []string{"fig7"}
-
-	// Monolithic reference: RunOne executes the synthesized serial plan on
-	// one goroutine.
-	mono, err := core.RunOne("fig7", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := report.MarshalResults([]*core.Result{mono}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		got := marshalSet(t, ids, o, workers)
-		if !bytes.Equal(got, want) {
-			t.Errorf("fig7 with %d workers produced different canonical JSON than the monolithic run", workers)
-		}
-	}
 }
 
 func TestShardedSuiteDeterminismAcrossWorkers(t *testing.T) {

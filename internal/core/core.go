@@ -129,10 +129,10 @@ type Result struct {
 	// Comparisons drive EXPERIMENTS.md and the integration tests.
 	Comparisons []Comparison `json:"comparisons,omitempty"`
 
-	// Elapsed is the wall-clock time the experiment took when it was run
-	// through RunAll/RunAllParallel (zero for direct Experiment.Run calls).
-	// It is the one nondeterministic field; report.MarshalResults clears it
-	// so canonical JSON documents are byte-identical across runs.
+	// Elapsed is the wall-clock time from the experiment's first shard
+	// starting to its reduce finishing. It is the one nondeterministic
+	// field; report.MarshalResults clears it so canonical JSON documents
+	// are byte-identical across runs.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 }
 
@@ -245,79 +245,52 @@ type Shard struct {
 // finished successfully.
 type Reduce func(o Options, outs []any) (*Result, error)
 
-// Experiment is a registered, runnable paper artifact.
-//
-// An experiment takes one of two forms. Monolithic experiments provide Run;
-// the scheduler auto-wraps them as single-shard plans. Sharded experiments
-// provide Plan, exposing their independent units of work (fig7's sweep
-// series, fig8's wake-latency matrix cells) so the scheduler can fan the
-// shards — not just whole experiments — across its worker pool; for these,
-// register synthesizes Run as the serial plan→shards→reduce execution with
-// the same per-shard seed streams the scheduler derives, so monolithic and
-// sharded execution of the same Options compute identical Results.
+// Experiment is a registered, runnable paper artifact. Plan exposes its
+// independent units of work (fig7's sweep series, fig8's wake-latency
+// matrix cells) so the scheduler fans shards — not just whole experiments
+// — across its worker pool. Experiments with no useful decomposition are
+// one-shard plans built by whole.
 type Experiment struct {
 	ID       string
 	Title    string
 	PaperRef string
 	// Bench names the testing.B benchmark regenerating this artifact.
 	Bench string
-	// Run executes the whole experiment on the calling goroutine.
-	Run func(Options) (*Result, error)
 	// Plan decomposes the experiment into independent shards plus the
-	// reducer combining their outputs. Nil for monolithic experiments.
+	// reducer combining their outputs.
 	Plan func(Options) ([]Shard, Reduce, error)
 }
 
 var registry []Experiment
 
-func register(e Experiment) {
-	if e.Run == nil && e.Plan != nil {
-		e.Run = monolithic(e)
-	}
-	registry = append(registry, e)
-}
+func register(e Experiment) { registry = append(registry, e) }
 
-// shardSeedLabel is the DeriveSeed label for shard i of an experiment: both
-// the scheduler and the synthesized monolithic Run derive shard seeds
-// through it, which is what makes their results identical.
-func shardSeedLabel(id string, i int) string { return fmt.Sprintf("%s/shard/%d", id, i) }
-
-// monolithic synthesizes the serial Run form of a planned experiment: plan,
-// execute the shards in plan order on the calling goroutine with the same
-// per-shard derived seeds the scheduler uses, reduce.
-func monolithic(e Experiment) func(Options) (*Result, error) {
-	return func(o Options) (*Result, error) {
-		shards, reduce, err := planFor(e, o)
-		if err != nil {
-			return nil, err
-		}
-		outs := make([]any, len(shards))
-		for i, s := range shards {
-			so := o
-			so.Seed = sim.DeriveSeed(o.Seed, shardSeedLabel(e.ID, i))
-			if outs[i], err = s.Run(so); err != nil {
-				return nil, fmt.Errorf("shard %d/%d (%s): %w", i+1, len(shards), s.Label, err)
-			}
-		}
-		r, err := reduce(o, outs)
-		if err == nil && r == nil {
-			err = fmt.Errorf("reducer returned no result and no error")
-		}
-		return r, err
-	}
-}
-
-// planFor resolves an experiment to its shard plan: experiments registered
-// with Plan decompose into their own shards; monolithic experiments are
-// auto-wrapped as single-shard plans whose one shard runs Run with the
-// experiment options unchanged (their numbers predate sharding and must not
-// move).
-func planFor(e Experiment, o Options) ([]Shard, Reduce, error) {
-	if e.Plan == nil {
-		run := e.Run
-		return []Shard{{Label: e.ID, Run: func(so Options) (any, error) { return run(so) }}},
+// whole returns e with a one-shard plan that calls run, for experiments
+// that run as one indivisible simulation. The shard ignores the shard seed it is
+// handed and calls run with the plan-time experiment options: these
+// experiments predate sharding, and their numbers must not move. This is
+// the one place a shard's seed differs from its derived stream.
+func whole(e Experiment, run func(Options) (*Result, error)) Experiment {
+	e.Plan = func(o Options) ([]Shard, Reduce, error) {
+		return []Shard{{Label: e.ID, Run: func(Options) (any, error) { return run(o) }}},
 			func(_ Options, outs []any) (*Result, error) { return outs[0].(*Result), nil }, nil
 	}
+	return e
+}
+
+// shardOptions returns the options shard i of experiment id receives: its
+// own RNG stream derived from the experiment options' seed and the shard
+// index, so results are invariant to worker count and interleaving. The
+// scheduler and ExecuteShardRef both derive shard seeds here, which is what
+// makes local and remote execution identical.
+func shardOptions(id string, o Options, i int) Options {
+	o.Seed = sim.DeriveSeed(o.Seed, fmt.Sprintf("%s/shard/%d", id, i))
+	return o
+}
+
+// planFor resolves an experiment to its shard plan, rejecting plans with no
+// shards or no reducer.
+func planFor(e Experiment, o Options) ([]Shard, Reduce, error) {
 	shards, reduce, err := e.Plan(o)
 	if err != nil {
 		return nil, nil, fmt.Errorf("plan: %w", err)
@@ -359,31 +332,13 @@ func ByID(id string) (Experiment, error) {
 }
 
 // perExperiment returns the options an individual experiment receives when
-// scheduled as part of the full suite: the run seed is replaced by an
-// independent stream derived from (seed, experiment ID), so every experiment
-// draws from its own RNG stream and results are invariant to execution
-// order and worker count. RunAll and RunAllParallel share this derivation,
-// which is what makes their outputs bit-identical.
+// scheduled: the run seed is replaced by an independent stream derived from
+// (seed, experiment ID), so every experiment draws from its own RNG stream
+// and results are invariant to execution order, worker count and the
+// experiment set it runs in.
 func (o Options) perExperiment(id string) Options {
 	o.Seed = sim.DeriveSeed(o.Seed, id)
 	return o
-}
-
-// RunAll executes every experiment serially and returns results in paper
-// order, aborting on the first failure. It is the workers==1 reference for
-// RunAllParallel and produces bit-identical results.
-func RunAll(o Options) ([]*Result, error) {
-	var out []*Result
-	for _, e := range Registry() {
-		start := time.Now()
-		r, err := e.Run(o.perExperiment(e.ID))
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", e.ID, err)
-		}
-		r.Elapsed = time.Since(start)
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 func min(a, b int) int {

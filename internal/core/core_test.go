@@ -16,7 +16,7 @@ func runExp(t *testing.T, id string) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.Run(quick())
+	r, err := serialRun(e, quick())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -291,9 +291,9 @@ func TestComparisonEdgeCases(t *testing.T) {
 
 func TestRunAllSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("RunAll is covered by per-experiment tests")
+		t.Skip("the full suite is covered by per-experiment tests")
 	}
-	results, err := RunAll(Options{Scale: 0.1, Seed: 2})
+	results, err := RunIDsConfig(nil, Options{Scale: 0.1, Seed: 2}, RunConfig{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +309,11 @@ func TestRunAllSmoke(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	e, _ := ByID("fig3")
-	r1, err := e.Run(Options{Scale: 0.1, Seed: 7})
+	r1, err := serialRun(e, Options{Scale: 0.1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Run(Options{Scale: 0.1, Seed: 7})
+	r2, err := serialRun(e, Options{Scale: 0.1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,20 +21,18 @@ import (
 //     processor with more cores (EPYC 7742), where the impact is expected
 //     to be more severe.
 func init() {
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "extboost",
 		Title:    "Core Performance Boost under light and dense load",
 		PaperRef: "§V-E (observation) / extension",
 		Bench:    "BenchmarkExtBoost",
-		Run:      runExtBoost,
-	})
-	register(Experiment{
+	}, runExtBoost))
+	register(whole(Experiment{
 		ID:       "ext7742",
 		Title:    "EDC throttling severity on a 64-core EPYC 7742",
 		PaperRef: "§VIII future work / extension",
 		Bench:    "BenchmarkExt7742Throttling",
-		Run:      runExt7742,
-	})
+	}, runExt7742))
 }
 
 // boostConfig enables Core Performance Boost on the 7502 system.

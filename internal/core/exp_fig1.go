@@ -25,13 +25,12 @@ var green500 = map[string][]float64{
 }
 
 func init() {
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "fig1",
 		Title:    "Green500 power efficiency of x86 architectures",
 		PaperRef: "Fig. 1",
 		Bench:    "BenchmarkFig1Green500",
-		Run:      runFig1,
-	})
+	}, runFig1))
 }
 
 func runFig1(o Options) (*Result, error) {

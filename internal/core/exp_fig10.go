@@ -11,20 +11,18 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "fig10",
 		Title:    "Data-dependent power: vxorps operand Hamming weight",
 		PaperRef: "Fig. 10 / §VII-B",
 		Bench:    "BenchmarkFig10HammingWeight",
-		Run:      runFig10,
-	})
-	register(Experiment{
+	}, runFig10))
+	register(whole(Experiment{
 		ID:       "sec7b",
 		Title:    "Data-dependent power: shr operand Hamming weight",
 		PaperRef: "§VII-B",
 		Bench:    "BenchmarkSec7BShr",
-		Run:      runSec7B,
-	})
+	}, runSec7B))
 }
 
 // hammingStudy runs the §VII-B protocol for one kernel: instruction blocks

@@ -11,20 +11,18 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "fig3",
 		Title:    "Frequency transition delay histogram 2.2 → 1.5 GHz",
 		PaperRef: "Fig. 3",
 		Bench:    "BenchmarkFig3TransitionHistogram",
-		Run:      runFig3,
-	})
-	register(Experiment{
+	}, runFig3))
+	register(whole(Experiment{
 		ID:       "sec5b",
 		Title:    "Fast-return anomaly between 2.5 and 2.2 GHz",
 		PaperRef: "§V-B",
 		Bench:    "BenchmarkSec5BFastReturn",
-		Run:      runSec5B,
-	})
+	}, runSec5B))
 }
 
 // transitionSampler implements the refined Mazouz et al. protocol from

@@ -11,20 +11,18 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "fig5a",
 		Title:    "STREAM Triad bandwidth vs I/O-die P-state and DRAM frequency",
 		PaperRef: "Fig. 5a",
 		Bench:    "BenchmarkFig5aStreamBandwidth",
-		Run:      runFig5a,
-	})
-	register(Experiment{
+	}, runFig5a))
+	register(whole(Experiment{
 		ID:       "fig5b",
 		Title:    "Memory latency vs I/O-die P-state and DRAM frequency",
 		PaperRef: "Fig. 5b",
 		Bench:    "BenchmarkFig5bMemoryLatency",
-		Run:      runFig5b,
-	})
+	}, runFig5b))
 }
 
 // paperFig5a: [setting(P3,P2,P1,P0,auto)][dram(1467,1600)][cores(1,2,3,4,4x2CCX)].

@@ -11,13 +11,12 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "fig6",
 		Title:    "EDC frequency limitation under FIRESTARTER",
 		PaperRef: "Fig. 6 / §V-E",
 		Bench:    "BenchmarkFig6Firestarter",
-		Run:      runFig6,
-	})
+	}, runFig6))
 }
 
 // firestarterRun drives FIRESTARTER on all cores (optionally both hardware

@@ -17,20 +17,18 @@ func init() {
 		Bench:    "BenchmarkFig7IdlePowerSweep",
 		Plan:     planFig7,
 	})
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "sec6b",
 		Title:    "Offline hardware threads block package sleep",
 		PaperRef: "§VI-B",
 		Bench:    "BenchmarkSec6BOfflineAnomaly",
-		Run:      runSec6B,
-	})
-	register(Experiment{
+	}, runSec6B))
+	register(whole(Experiment{
 		ID:       "sec6acpi",
 		Title:    "ACPI-reported C-state latencies and power",
 		PaperRef: "§VI",
 		Bench:    "BenchmarkSec6ACPITable",
-		Run:      runSec6ACPI,
-	})
+	}, runSec6ACPI))
 }
 
 // fig7Dwell is the settle time between sweep steps.

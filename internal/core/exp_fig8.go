@@ -94,8 +94,8 @@ type fig8Combo struct {
 }
 
 // fig8Combos enumerates the matrix in the figure's nested order (state,
-// then frequency, then scope) — the order shards are planned in and the
-// reducer walks.
+// then frequency, then scope) — the shards' plan order, which the reducer
+// walks too.
 func fig8Combos() []fig8Combo {
 	var out []fig8Combo
 	for _, state := range []cstate.State{cstate.C1, cstate.C2} {

@@ -12,20 +12,18 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "fig9",
 		Title:    "RAPL readings vs AC reference across workloads",
 		PaperRef: "Fig. 9 / §VII-A",
 		Bench:    "BenchmarkFig9RAPLQuality",
-		Run:      runFig9,
-	})
-	register(Experiment{
+	}, runFig9))
+	register(whole(Experiment{
 		ID:       "sec7u",
 		Title:    "RAPL counter update rate",
 		PaperRef: "§VII",
 		Bench:    "BenchmarkSec7RAPLUpdateRate",
-		Run:      runSec7U,
-	})
+	}, runSec7U))
 }
 
 // fig9Point measures one workload configuration: AC reference, RAPL package

@@ -7,13 +7,12 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	register(whole(Experiment{
 		ID:       "sec5a",
 		Title:    "Idling hardware threads elevate core frequency",
 		PaperRef: "§V-A",
 		Bench:    "BenchmarkSec5AIdleSibling",
-		Run:      runSec5A,
-	})
+	}, runSec5A))
 }
 
 // runSec5A reproduces the §V-A protocol: a constant workload (while(1);)

@@ -70,7 +70,7 @@ func TestEveryExperimentResultIsJSONEncodable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite")
 	}
-	results, err := RunAllParallel(Options{Scale: 0.1, Seed: 1}, 0)
+	results, err := RunIDsConfig(nil, Options{Scale: 0.1, Seed: 1}, RunConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

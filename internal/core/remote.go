@@ -11,11 +11,7 @@
 
 package core
 
-import (
-	"fmt"
-
-	"zen2ee/internal/sim"
-)
+import "fmt"
 
 // ShardRef addresses one shard of one registered experiment under one raw
 // sweep configuration. It is the wire unit of distributed execution: two
@@ -60,10 +56,9 @@ type ShardTask struct {
 // ExecuteShardRef resolves and runs one shard in this process: the
 // worker-side half of distributed execution. It mirrors the scheduler's
 // local path operation for operation — per-experiment seed derivation,
-// plan resolution, per-shard stream derivation for planned experiments,
-// options passthrough for auto-wrapped monolithic ones, panic guarding —
-// so the output for a given ShardRef is byte-identical to what the
-// coordinating scheduler would have computed itself.
+// plan resolution, per-shard stream derivation, panic guarding — so the
+// output for a given ShardRef is byte-identical to what the coordinating
+// scheduler would have computed itself.
 func ExecuteShardRef(ref ShardRef) (any, error) {
 	e, err := ByID(ref.Exp)
 	if err != nil {
@@ -77,11 +72,7 @@ func ExecuteShardRef(ref ShardRef) (any, error) {
 	if ref.Shard < 0 || ref.Shard >= len(shards) {
 		return nil, fmt.Errorf("core: %s: shard %d out of range (plan has %d shards)", e.ID, ref.Shard, len(shards))
 	}
-	so := opts
-	if e.Plan != nil {
-		so.Seed = sim.DeriveSeed(opts.Seed, shardSeedLabel(e.ID, ref.Shard))
-	}
-	return runShardGuarded(shards[ref.Shard], so)
+	return runShardGuarded(shards[ref.Shard], shardOptions(e.ID, opts, ref.Shard))
 }
 
 // runHookGuarded converts a dispatcher panic into a shard error so a buggy

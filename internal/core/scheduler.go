@@ -1,22 +1,22 @@
 // The concurrent experiment-execution engine. The unit of scheduling is the
-// *shard*: every registered experiment resolves to a plan of independent
+// *shard*: every registered experiment is a plan of independent
 // deterministic simulations (its own machines, its own RNG streams derived
 // from the run seed) plus a reducer, so a worker pool fans shards — not
 // whole experiments — across goroutines. A single heavy experiment (fig7's
 // 128-thread sweep, fig8's wake-latency matrix) therefore spreads over the
-// whole pool instead of serializing on one worker, while monolithic
-// experiments ride along as single-shard plans. Batched sweeps (see
-// sweep.go) widen the same pool over many (Scale, Seed) configurations:
-// runSweep's merged task set over (configuration, experiment, shard)
-// triples is the one execution pipeline, and single-configuration runs are
-// its one-config special case. The pool collects whatever succeeds, joins
-// the failures into one error, and still reports results in paper order.
+// whole pool instead of serializing on one worker, while whole experiments
+// ride along as one-shard plans. Batched sweeps (see sweep.go) widen the
+// same pool over many (Scale, Seed) configurations: runSweep's merged task
+// set over (configuration, experiment, shard) triples is the one execution
+// pipeline, and single-configuration runs are its one-config special case.
+// The pool collects whatever succeeds, joins the failures into one error,
+// and still reports results in paper order.
 //
 // Determinism: shard i of experiment e draws from the stream
-// sim.DeriveSeed(expSeed, "e/shard/i") and reducers see outputs in plan
-// order, so results are byte-identical (through report.MarshalResults) for
-// every worker count and shard interleaving, and identical to the serial
-// monolithic execution of the same Options.
+// sim.DeriveSeed(expSeed, "e/shard/i") (see shardOptions; whole
+// experiments ignore it) and reducers see outputs in plan order, so results
+// are byte-identical (through report.MarshalResults) for every worker count
+// and shard interleaving.
 
 package core
 
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"zen2ee/internal/obs"
-	"zen2ee/internal/sim"
 )
 
 // Progress is one scheduler event. Two kinds share the struct:
@@ -116,28 +115,6 @@ type RunConfig struct {
 	ObserveShard func(wait, run time.Duration)
 }
 
-// RunAllParallel executes every registered experiment across a pool of
-// `workers` goroutines (runtime.NumCPU() if workers <= 0). Unlike RunAll it
-// does not abort on failure: it returns every successful Result in paper
-// order plus a joined error covering the failures, so one broken experiment
-// costs one table, not the run. Results are bit-identical to RunAll's for
-// the same Options.
-func RunAllParallel(o Options, workers int) ([]*Result, error) {
-	return RunAllParallelProgress(o, workers, nil)
-}
-
-// RunAllParallelProgress is RunAllParallel with a progress callback
-// receiving shard-level and experiment-completion events.
-//
-// Callback contract: the callback is serialized (never invoked
-// concurrently) on a dedicated emitter goroutine, decoupled from the worker
-// pool through a buffered channel sized to the run's total event count —
-// a slow consumer (a terminal printer, an SSE fan-out) delays only later
-// callbacks, never shard execution.
-func RunAllParallelProgress(o Options, workers int, progress func(Progress)) ([]*Result, error) {
-	return runSet(Registry(), o, RunConfig{Workers: workers}, progress)
-}
-
 // ResolveIDs maps a requested experiment-ID set onto the registry: the
 // returned experiments are in paper order regardless of request order, and
 // an empty request selects the whole registry. This is the canonicalization
@@ -170,17 +147,19 @@ func ResolveIDs(ids []string) ([]Experiment, error) {
 	return out, nil
 }
 
-// RunIDs executes the named experiments (all of them when ids is empty)
-// through the shard scheduler, with the same derived seeds the full-suite
-// runners use — a job over a subset reproduces exactly those sections of a
-// full run. Like RunAllParallel it returns partial results in paper order
-// plus a joined error for any failures.
-func RunIDs(ids []string, o Options, workers int, progress func(Progress)) ([]*Result, error) {
-	return RunIDsConfig(ids, o, RunConfig{Workers: workers}, progress)
-}
-
-// RunIDsConfig is RunIDs with full scheduling control (worker count plus an
-// optional external slot gate; see RunConfig).
+// RunIDsConfig executes the named experiments (all of them when ids is
+// empty) through the shard scheduler. Every experiment runs on the seed
+// stream derived from (o.Seed, its ID), so a job over a subset reproduces
+// exactly those sections of a full run. It does not abort on failure: it
+// returns every successful Result in paper order plus a joined error
+// covering the failures, so one broken experiment costs one table, not the
+// run.
+//
+// Progress contract: the callback is serialized (never invoked
+// concurrently) on a dedicated emitter goroutine, decoupled from the worker
+// pool through a buffered channel sized to the run's total event count —
+// a slow consumer (a terminal printer, an SSE fan-out) delays only later
+// callbacks, never shard execution.
 func RunIDsConfig(ids []string, o Options, cfg RunConfig, progress func(Progress)) ([]*Result, error) {
 	exps, err := ResolveIDs(ids)
 	if err != nil {
@@ -189,23 +168,19 @@ func RunIDsConfig(ids []string, o Options, cfg RunConfig, progress func(Progress
 	return runSet(exps, o, cfg, progress)
 }
 
-// RunOne executes a single experiment by ID, monolithically on the calling
-// goroutine, with the same derived per-experiment seed it receives in a
-// full-suite run — and, for planned experiments, the same per-shard derived
-// streams the scheduler uses — so a lone rerun of one experiment reproduces
-// its RunAll/RunAllParallel section exactly.
+// RunOne executes a single experiment by ID through the scheduler on one
+// worker, with the same derived seeds it receives in a full-suite run, so a
+// lone rerun of one experiment reproduces its section of the suite exactly.
 func RunOne(id string, o Options) (*Result, error) {
 	e, err := ByID(id)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	r, err := e.Run(o.perExperiment(e.ID))
+	results, err := runSet([]Experiment{e}, o, RunConfig{Workers: 1}, nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", e.ID, err)
+		return nil, err
 	}
-	r.Elapsed = time.Since(start)
-	return r, nil
+	return results[0], nil
 }
 
 // task addresses one shard of one scheduled (configuration, experiment)
@@ -230,9 +205,6 @@ type expRun struct {
 	// (the daemon) run subsets of a request's configurations, so an index
 	// would point at the wrong entry of the original request.
 	tag string
-	// planned distinguishes explicit plans (per-shard seed streams) from
-	// auto-wrapped monolithic experiments (options passed through).
-	planned bool
 
 	outs []any   // outs[i] is written only by shard i's worker
 	errs []error // errs[i] likewise
@@ -246,17 +218,6 @@ type expRun struct {
 
 	result *Result
 	err    error
-}
-
-// shardOptions returns the options shard i receives: explicit plans give
-// every shard its own RNG stream derived from the experiment seed and the
-// shard index, so results are invariant to worker count and interleaving.
-func (er *expRun) shardOptions(i int) Options {
-	o := er.opts
-	if er.planned {
-		o.Seed = sim.DeriveSeed(o.Seed, shardSeedLabel(er.exp.ID, i))
-	}
-	return o
 }
 
 // finalize runs once per experiment, on the worker completing its last
@@ -371,7 +332,7 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 		runs[ci] = make([]*expRun, len(exps))
 		cfgRemaining[ci].Store(int32(len(exps)))
 		for i, e := range exps {
-			er := &expRun{exp: e, opts: o.perExperiment(e.ID), tag: e.ID, planned: e.Plan != nil}
+			er := &expRun{exp: e, opts: o.perExperiment(e.ID), tag: e.ID}
 			if len(configs) > 1 {
 				er.tag = fmt.Sprintf("config (scale %g, seed %d): %s", o.Scale, o.Seed, e.ID)
 			}
@@ -394,7 +355,7 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 		})
 	}
 
-	// Progress decoupling (see RunAllParallelProgress): workers send into a
+	// Progress decoupling (see RunIDsConfig): workers send into a
 	// channel with room for every possible event, so emission never blocks
 	// shard execution; one emitter goroutine serializes the callback and
 	// owns the Done counter.
@@ -480,14 +441,14 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 				var err error
 				if cfg.RunShard != nil {
 					sh := er.shards[t.shard]
-					so := er.shardOptions(t.shard)
+					so := shardOptions(er.exp.ID, er.opts, t.shard)
 					out, origin, err = runHookGuarded(cfg.RunShard, ShardTask{
 						Ref:         ShardRef{Exp: er.exp.ID, Config: configs[t.config], Shard: t.shard},
 						ConfigIndex: t.config, Shards: len(er.shards), Label: sh.Label,
 						Run: func() (any, error) { return runShardGuarded(sh, so) },
 					})
 				} else {
-					out, err = runShardGuarded(er.shards[t.shard], er.shardOptions(t.shard))
+					out, err = runShardGuarded(er.shards[t.shard], shardOptions(er.exp.ID, er.opts, t.shard))
 				}
 				release()
 				elapsed := time.Since(start)

@@ -12,7 +12,7 @@ import (
 // fakeExp builds a cheap synthetic experiment for scheduler tests, so they
 // do not depend on (or pollute) the global registry.
 func fakeExp(id string, run func(Options) (*Result, error)) Experiment {
-	return Experiment{ID: id, Title: "fake " + id, PaperRef: "test", Run: run}
+	return whole(Experiment{ID: id, Title: "fake " + id, PaperRef: "test"}, run)
 }
 
 func okExp(id string) Experiment {
@@ -28,11 +28,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Skip("runs the full suite twice")
 	}
 	o := Options{Scale: 0.1, Seed: 1}
-	serial, err := RunAll(o)
-	if err != nil {
-		t.Fatal(err)
+	var serial []*Result
+	for _, e := range Registry() {
+		r, err := serialRun(e, o.perExperiment(e.ID))
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		serial = append(serial, r)
 	}
-	parallel, err := RunAllParallel(o, 8)
+	parallel, err := RunIDsConfig(nil, o, RunConfig{Workers: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func TestRunOneMatchesSuiteSection(t *testing.T) {
 	// A lone rerun of one experiment must reproduce its section of the
 	// full suite — same derived seed, same numbers.
 	o := Options{Scale: 0.1, Seed: 5}
-	suite, err := RunAllParallel(o, 4)
+	suite, err := RunIDsConfig(nil, o, RunConfig{Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func TestRunIDsMatchesSuiteSections(t *testing.T) {
 	// A job over a subset must reproduce exactly those sections of a full
 	// run: same derived seeds, same numbers, paper order.
 	o := Options{Scale: 0.1, Seed: 7}
-	subset, err := RunIDs([]string{"fig3", "fig1"}, o, 2, nil)
+	subset, err := RunIDsConfig([]string{"fig3", "fig1"}, o, RunConfig{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func TestRunIDsMatchesSuiteSections(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(r.Metrics, alone.Metrics) {
-			t.Errorf("%s: RunIDs metrics differ from RunOne:\njob   %v\nalone %v", r.ID, r.Metrics, alone.Metrics)
+			t.Errorf("%s: RunIDsConfig metrics differ from RunOne:\njob   %v\nalone %v", r.ID, r.Metrics, alone.Metrics)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -17,7 +19,7 @@ import (
 // depend on the seed each shard receives, so any deviation in seed
 // derivation or output ordering shows up in the reduced Result.
 func fakeSharded(id string, n int) Experiment {
-	e := Experiment{
+	return Experiment{
 		ID: id, Title: "fake sharded " + id, PaperRef: "test",
 		Plan: func(o Options) ([]Shard, Reduce, error) {
 			var shards []Shard
@@ -42,19 +44,38 @@ func fakeSharded(id string, n int) Experiment {
 			return shards, reduce, nil
 		},
 	}
-	e.Run = monolithic(e)
-	return e
+}
+
+// serialRun is the scheduler's serial reference: plan, execute the shards
+// in plan order on the calling goroutine with the same derived shard seeds
+// the scheduler uses, reduce. o is the experiment-level options.
+func serialRun(e Experiment, o Options) (*Result, error) {
+	shards, reduce, err := planFor(e, o)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]any, len(shards))
+	for i, s := range shards {
+		if outs[i], err = s.Run(shardOptions(e.ID, o, i)); err != nil {
+			return nil, fmt.Errorf("shard %d/%d (%s): %w", i+1, len(shards), s.Label, err)
+		}
+	}
+	r, err := reduce(o, outs)
+	if err == nil && r == nil {
+		err = errors.New("reducer returned no result and no error")
+	}
+	return r, err
 }
 
 func TestShardedMatchesMonolithicAcrossWorkers(t *testing.T) {
 	exps := []Experiment{fakeSharded("sh-a", 7), okExp("mono"), fakeSharded("sh-b", 3)}
 	o := Options{Scale: 1, Seed: 11}
 
-	// Monolithic reference: each experiment run serially via its
-	// synthesized (or native) Run with the per-experiment derived seed.
+	// Serial reference: each experiment planned, run shard by shard and
+	// reduced on the calling goroutine with the per-experiment derived seed.
 	var want []*Result
 	for _, e := range exps {
-		r, err := e.Run(o.perExperiment(e.ID))
+		r, err := serialRun(e, o.perExperiment(e.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +95,7 @@ func TestShardedMatchesMonolithicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: order differs at %d: %s vs %s", workers, i, got[i].ID, want[i].ID)
 			}
 			if !reflect.DeepEqual(got[i].Metrics, want[i].Metrics) {
-				t.Errorf("workers=%d: %s metrics differ:\nsharded    %v\nmonolithic %v",
+				t.Errorf("workers=%d: %s metrics differ:\nsharded %v\nserial   %v",
 					workers, got[i].ID, got[i].Metrics, want[i].Metrics)
 			}
 		}
@@ -84,7 +105,7 @@ func TestShardedMatchesMonolithicAcrossWorkers(t *testing.T) {
 func TestPerShardSeedsAreIndependentStreams(t *testing.T) {
 	e := fakeSharded("sh-seeds", 6)
 	o := Options{Scale: 1, Seed: 1}.perExperiment("sh-seeds")
-	r, err := e.Run(o)
+	r, err := serialRun(e, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +141,7 @@ func TestShardProgressEvents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// n shard events + 2 experiment events; monolithic experiments emit no
+	// n shard events + 2 experiment events; one-shard experiments emit no
 	// shard events.
 	shardSeen := map[int]bool{}
 	expDone := map[string]Progress{}
@@ -133,7 +154,7 @@ func TestShardProgressEvents(t *testing.T) {
 			continue
 		}
 		if p.ID != "sh-ev" {
-			t.Fatalf("shard event from monolithic experiment: %+v", p)
+			t.Fatalf("shard event from one-shard experiment: %+v", p)
 		}
 		if p.Shard < 1 || p.Shard > n || p.Shards != n {
 			t.Fatalf("shard event out of range: %+v", p)
@@ -245,12 +266,6 @@ func TestNilResultReducerBecomesError(t *testing.T) {
 	if len(results) != 1 || results[0].ID != "a" {
 		t.Fatalf("healthy experiment lost alongside nil reducer: %v", results)
 	}
-	// The synthesized monolithic path must behave identically.
-	e := nilReduce
-	e.Run = monolithic(e)
-	if _, err := e.Run(DefaultOptions()); err == nil || !strings.Contains(err.Error(), "no result") {
-		t.Fatalf("monolithic nil reducer result not converted: %v", err)
-	}
 }
 
 func TestEmptyPlanRejected(t *testing.T) {
@@ -359,5 +374,70 @@ func TestOptionsNormalizeAndValidate(t *testing.T) {
 	}
 	if n := good.Normalize(); n != good {
 		t.Errorf("Normalize changed valid options: %+v", n)
+	}
+}
+
+// canonicalJSON marshals results with the one nondeterministic field
+// (Elapsed) cleared, so equal simulations give equal bytes.
+func canonicalJSON(t *testing.T, results ...*Result) []byte {
+	t.Helper()
+	var clean []Result
+	for _, r := range results {
+		c := *r
+		c.Elapsed = 0
+		clean = append(clean, c)
+	}
+	b, err := json.Marshal(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestFig7DeterminismMatrix pins the scheduler against the serial
+// reference on the heaviest sharded experiment: every worker count
+// computes the same bytes as planning, running and reducing fig7 on one
+// goroutine.
+func TestFig7DeterminismMatrix(t *testing.T) {
+	o := Options{Scale: 2, Seed: 1}
+	e, err := ByID("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := serialRun(e, o.perExperiment(e.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonicalJSON(t, serial)
+	for _, workers := range []int{1, 2, 8} {
+		got, err := RunIDsConfig([]string{"fig7"}, o, RunConfig{Workers: workers}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(canonicalJSON(t, got...), want) {
+			t.Errorf("fig7 with %d workers differs from the serial run", workers)
+		}
+	}
+}
+
+// TestExecuteShardRefWholeMatchesRun pins the one seed exception on the
+// remote path: shard 0 of a whole experiment, executed from its wire
+// address, computes exactly the experiment's section of a scheduled run.
+func TestExecuteShardRefWholeMatchesRun(t *testing.T) {
+	cfg := Config{Scale: 0.2, Seed: 4}
+	results, err := RunIDsConfig([]string{"sec6b"}, cfg, RunConfig{Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ExecuteShardRef(ShardRef{Exp: "sec6b", Config: cfg, Shard: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := out.(*Result)
+	if !ok {
+		t.Fatalf("whole shard output is %T, want *Result", out)
+	}
+	if !bytes.Equal(canonicalJSON(t, r), canonicalJSON(t, results...)) {
+		t.Fatal("ExecuteShardRef of a whole experiment differs from its scheduled section")
 	}
 }

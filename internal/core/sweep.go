@@ -4,8 +4,8 @@
 // many (Scale, Seed) points — so the batched request, not the single
 // configuration, is the primitive: a Sweep plans one merged shard set over
 // every (configuration, experiment, shard) triple and fans it across one
-// worker pool, while single-configuration entry points (RunIDs, RunAll*)
-// are thin wrappers over a one-config sweep. Batching changes scheduling
+// worker pool, while single-configuration entry points (RunIDsConfig,
+// RunOne) are one-config sweeps. Batching changes scheduling
 // only: every per-configuration result slice is identical — byte for byte
 // through report.MarshalResults — to the standalone run of that
 // configuration.
@@ -72,8 +72,8 @@ func (s Sweep) Validate() error {
 type ConfigResult struct {
 	Config Config `json:"config"`
 	// Results are the configuration's experiment results in paper order —
-	// identical to what a standalone RunIDs call with this configuration
-	// returns.
+	// identical to what a standalone RunIDsConfig call with this
+	// configuration returns.
 	Results []*Result `json:"results"`
 }
 

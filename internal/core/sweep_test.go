@@ -79,7 +79,7 @@ func TestRunSweepMatchesStandaloneRuns(t *testing.T) {
 			if run.Config != configs[i] {
 				t.Fatalf("section %d keyed by %+v, want %+v", i, run.Config, configs[i])
 			}
-			alone, err := RunIDs(ids, run.Config, 1, nil)
+			alone, err := RunIDsConfig(ids, run.Config, RunConfig{Workers: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@ import (
 // completion order is adversarial: late shards finish first, configs
 // complete out of request order.
 func jitterSharded(id string, n int) Experiment {
-	e := Experiment{
+	return Experiment{
 		ID: id, Title: "jitter " + id, PaperRef: "test",
 		Plan: func(o Options) ([]Shard, Reduce, error) {
 			var shards []Shard
@@ -41,11 +41,9 @@ func jitterSharded(id string, n int) Experiment {
 			return shards, reduce, nil
 		},
 	}
-	e.Run = monolithic(e)
-	return e
 }
 
-// failExp is a monolithic experiment whose single shard always fails.
+// failExp is a whole experiment whose single shard always fails.
 func failExp(id string) Experiment {
 	return fakeExp(id, func(o Options) (*Result, error) {
 		return nil, fmt.Errorf("%s deliberately failed", id)

@@ -1,14 +1,12 @@
 // Batched leases and the compressed completion path: one long-poll may
-// grant up to Max tasks (capped by the coordinator's MaxLeaseBatch),
-// singular polls keep the original wire shape, flate compression is
-// negotiated at register and bounded at decode, and the worker pipeline
-// drains a batch across its slots.
+// grant up to Max tasks (capped by the coordinator's MaxLeaseBatch), flate
+// compression is negotiated at register and bounded at decode, and the
+// worker pipeline drains a batch across its slots.
 
 package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -24,7 +22,7 @@ func (w *rawWorker) leaseBatch(waitMS int64, max int) []TaskSpec {
 	w.t.Helper()
 	var resp leaseResponse
 	w.post("/dist/v1/lease", leaseRequest{WorkerID: w.id, WaitMillis: waitMS, Max: max}, &resp, http.StatusOK)
-	return resp.granted()
+	return resp.Tasks
 }
 
 func TestBatchedLeaseGrantsMultipleTasks(t *testing.T) {
@@ -83,44 +81,6 @@ func TestBatchedLeaseClampedByMaxLeaseBatch(t *testing.T) {
 		if o := waitOutcome(t, ch); o.err != nil || o.out != float64(shard) {
 			t.Fatalf("shard %d outcome = %+v", shard, o)
 		}
-	}
-}
-
-// TestSingularLeaseKeepsWireShape pins the compatibility contract: a poll
-// that never asks for a batch is answered in the singular `task` field, so
-// pre-batching workers keep decoding responses unchanged.
-func TestSingularLeaseKeepsWireShape(t *testing.T) {
-	env := newTestEnv(t, Config{})
-	w := env.register(t, "compat", 1)
-
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, nil))
-	waitFor(t, "task queued", func() bool { return env.c.PendingTasks() == 1 })
-
-	body, _ := json.Marshal(leaseRequest{WorkerID: w.id, WaitMillis: 100})
-	hres, err := http.Post(env.ts.URL+"/dist/v1/lease", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST lease: %v", err)
-	}
-	defer hres.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(hres.Body).Decode(&raw); err != nil {
-		t.Fatalf("decode lease response: %v", err)
-	}
-	if _, ok := raw["task"]; !ok {
-		t.Fatalf("singular poll response lacks the `task` field: %v", raw)
-	}
-	if _, ok := raw["tasks"]; ok {
-		t.Fatalf("singular poll response grew a `tasks` field: %v", raw)
-	}
-	var spec TaskSpec
-	if err := json.Unmarshal(raw["task"], &spec); err != nil {
-		t.Fatalf("decode task: %v", err)
-	}
-	w.complete(&spec, 7.0)
-	if o := waitOutcome(t, ch); o.err != nil || o.out != 7.0 {
-		t.Fatalf("outcome = %+v", o)
 	}
 }
 

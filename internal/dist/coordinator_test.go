@@ -106,7 +106,10 @@ func (w *rawWorker) lease(waitMS int64) *TaskSpec {
 	w.t.Helper()
 	var resp leaseResponse
 	w.post("/dist/v1/lease", leaseRequest{WorkerID: w.id, WaitMillis: waitMS}, &resp, http.StatusOK)
-	return resp.Task
+	if len(resp.Tasks) == 0 {
+		return nil
+	}
+	return &resp.Tasks[0]
 }
 
 // leaseUntil polls until a task is granted or the deadline passes.

@@ -20,8 +20,9 @@ import (
 )
 
 // testSweep is small but representative: tab1 is a 9-shard planned
-// experiment (per-shard RNG streams), sec6acpi a monolithic auto-wrapped
-// plan whose *core.Result output exercises the struct side of the codec.
+// experiment (per-shard RNG streams), sec6acpi a one-shard whole
+// experiment whose *core.Result output exercises the struct side of the
+// codec.
 func testSweep() core.Sweep {
 	return core.Sweep{
 		IDs: []string{"tab1", "sec6acpi"},
@@ -115,14 +116,15 @@ func victimWorker(base string, completions int) {
 		if post("/dist/v1/lease", leaseRequest{WorkerID: reg.WorkerID, WaitMillis: 500}, &lr) != nil {
 			return
 		}
-		if lr.Task == nil {
+		if len(lr.Tasks) == 0 {
 			continue
 		}
 		if done >= completions {
 			return // die holding this lease
 		}
-		out, execErr := core.ExecuteShardRef(lr.Task.Ref)
-		req := completeRequest{WorkerID: reg.WorkerID, TaskID: lr.Task.ID}
+		task := lr.Tasks[0]
+		out, execErr := core.ExecuteShardRef(task.Ref)
+		req := completeRequest{WorkerID: reg.WorkerID, TaskID: task.ID}
 		if execErr != nil {
 			req.Error = execErr.Error()
 		} else {

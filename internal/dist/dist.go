@@ -74,31 +74,16 @@ type registerResponse struct {
 type leaseRequest struct {
 	WorkerID   string `json:"worker_id"`
 	WaitMillis int64  `json:"wait_ms,omitempty"`
-	// Max is the largest task batch this poll accepts. 0 and 1 both mean
-	// one task, answered in the singular Task field; larger values may be
-	// answered with up to Max tasks in Tasks (capped by the coordinator's
-	// MaxLeaseBatch).
+	// Max is the largest task batch this poll accepts (0 means 1); the
+	// coordinator also caps a grant at its MaxLeaseBatch.
 	Max int `json:"max,omitempty"`
 }
 
 type leaseResponse struct {
-	// Task is the grant of a Max<=1 poll; nil on an empty poll (no work
-	// became eligible within the poll window; lease again).
-	Task *TaskSpec `json:"task,omitempty"`
-	// Tasks is the grant of a Max>1 poll: between 1 and Max tasks, leased
-	// atomically. Empty on an empty poll.
+	// Tasks is the grant: between 1 and Max tasks, leased atomically.
+	// Empty on an empty poll (no work became eligible within the poll
+	// window; lease again).
 	Tasks []TaskSpec `json:"tasks,omitempty"`
-}
-
-// granted flattens the two grant shapes into one slice.
-func (r leaseResponse) granted() []TaskSpec {
-	if len(r.Tasks) > 0 {
-		return r.Tasks
-	}
-	if r.Task != nil {
-		return []TaskSpec{*r.Task}
-	}
-	return nil
 }
 
 type completeRequest struct {

@@ -87,17 +87,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeProtoError(w, err)
 		return
 	}
-	var resp leaseResponse
-	if req.Max <= 1 {
-		// Singular polls are answered in the singular field, so a worker
-		// that never asked for a batch never has to look at Tasks.
-		if len(specs) == 1 {
-			resp.Task = &specs[0]
-		}
-	} else {
-		resp.Tasks = specs
-	}
-	writeDistJSON(w, http.StatusOK, resp)
+	writeDistJSON(w, http.StatusOK, leaseResponse{Tasks: specs})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {

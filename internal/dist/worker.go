@@ -422,7 +422,7 @@ func (w *Worker) fetchLoop(ctx context.Context, tasks chan<- TaskSpec) {
 			}
 			continue
 		}
-		for _, t := range resp.granted() {
+		for _, t := range resp.Tasks {
 			select {
 			case tasks <- t:
 			case <-ctx.Done():

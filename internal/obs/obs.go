@@ -1,8 +1,7 @@
 // Package obs is the execution-observability layer for the plan/execute/
 // reduce pipeline. The paper's §IV methodology is itself an observability
 // story — internal monitoring events merged post-mortem with out-of-band
-// recordings, which internal/trace models for the *simulated* machine.
-// This package gives the reproduction pipeline the same treatment: an
+// recordings. This package gives the reproduction pipeline the same treatment: an
 // execution Trace records one Span per scheduled (configuration,
 // experiment, shard) task — queue wait, execution window, worker
 // attribution, outcome — plus scheduler lifecycle spans (plan, reduce,

@@ -15,7 +15,7 @@ func TestMarshalResultsDeterministic(t *testing.T) {
 	// must not leak into the encoding.
 	o := core.Options{Scale: 0.2, Seed: 4}
 	run := func() []byte {
-		results, err := core.RunIDs([]string{"fig1", "sec5a"}, o, 2, nil)
+		results, err := core.RunIDsConfig([]string{"fig1", "sec5a"}, o, core.RunConfig{Workers: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestMarshalResultsDeterministic(t *testing.T) {
 }
 
 func TestMarshalResultsDoesNotMutateInput(t *testing.T) {
-	results, err := core.RunIDs([]string{"fig1"}, core.Options{Scale: 0.2, Seed: 1}, 1, nil)
+	results, err := core.RunIDsConfig([]string{"fig1"}, core.Options{Scale: 0.2, Seed: 1}, core.RunConfig{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestMarshalResultsDoesNotMutateInput(t *testing.T) {
 
 func TestWriteJSONDecodes(t *testing.T) {
 	o := core.Options{Scale: 0.2, Seed: 2}
-	results, err := core.RunIDs([]string{"fig1"}, o, 1, nil)
+	results, err := core.RunIDsConfig([]string{"fig1"}, o, core.RunConfig{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

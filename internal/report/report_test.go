@@ -10,11 +10,7 @@ import (
 
 func sampleResult(t *testing.T) *core.Result {
 	t.Helper()
-	e, err := core.ByID("sec6acpi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.Run(core.Options{Scale: 0.1, Seed: 1})
+	r, err := core.RunOne("sec6acpi", core.Options{Scale: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

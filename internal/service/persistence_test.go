@@ -88,7 +88,7 @@ func TestDiskTierResurrectsEvictedSweepSections(t *testing.T) {
 		t.Fatalf("sweep document has %d sections, want 2", len(doc.Configs))
 	}
 	for _, section := range doc.Configs {
-		results, err := core.RunIDs([]string{"fig1"}, section.Config, 1, nil)
+		results, err := core.RunIDsConfig([]string{"fig1"}, section.Config, core.RunConfig{Workers: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,7 +139,7 @@ type Config struct {
 	// memory-over-disk tiered store when started with -store-dir, which
 	// survives restarts and resurrects memory-evicted results.
 	Store store.ResultStore
-	// Runner overrides the experiment runner (tests); nil means core.RunIDs.
+	// Runner overrides the experiment runner (tests); nil means core.RunIDsConfig.
 	Runner Runner
 	// SweepRunner overrides the sweep runner (tests); nil means
 	// core.RunSweep.

@@ -177,7 +177,7 @@ func TestEndToEnd(t *testing.T) {
 	// The daemon payload must be byte-identical to what the CLI's -json
 	// mode produces for the same spec (the diffability contract).
 	opts := core.Options{Scale: 0.2, Seed: 3}
-	results, err := core.RunIDs([]string{"fig1", "sec5a"}, opts, 0, nil)
+	results, err := core.RunIDsConfig([]string{"fig1", "sec5a"}, opts, core.RunConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestLoneJobShardsAcrossExecutors(t *testing.T) {
 	// the single-worker direct computation.
 	payload, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
 	opts := core.Options{Scale: 0.5, Seed: 2}
-	results, err := core.RunIDs([]string{"fig7"}, opts, 1, nil)
+	results, err := core.RunIDsConfig([]string{"fig7"}, opts, core.RunConfig{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 	// Byte-identity per section against the standalone computation.
 	for _, section := range doc.Configs {
-		results, err := core.RunIDs([]string{"fig1", "sec5a"}, section.Config, 1, nil)
+		results, err := core.RunIDsConfig([]string{"fig1", "sec5a"}, section.Config, core.RunConfig{Workers: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

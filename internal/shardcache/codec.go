@@ -49,8 +49,8 @@ func RegisterOutputType(v any) { gob.Register(v) }
 func init() {
 	// The shard-output types of the current registry: scalar metrics
 	// (fig7's idle floor, tab1/fig4 samples), series ([]float64 sweeps,
-	// fig8's latency matrix rows), and whole Results from auto-wrapped
-	// monolithic plans — plus a few basics so simple custom experiments
+	// fig8's latency matrix rows), and whole Results from the one-shard
+	// plans of whole experiments — plus a few basics so simple custom experiments
 	// work unregistered.
 	for _, v := range []any{
 		float64(0), []float64(nil), [][]float64(nil),

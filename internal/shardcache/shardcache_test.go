@@ -21,7 +21,7 @@ import (
 )
 
 // testSweep mirrors the dist determinism suite: tab1 is a 9-shard planned
-// experiment, sec6acpi a monolithic plan whose *core.Result output
+// experiment, sec6acpi a one-shard whole plan whose *core.Result output
 // exercises the struct side of the codec. 2 configs × (9+1) = 20 shards.
 func testSweep() core.Sweep {
 	return core.Sweep{

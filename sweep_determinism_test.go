@@ -3,9 +3,9 @@ package zen2ee
 // The sweep determinism matrix: the sweep-first API's contract is that
 // batching (Scale, Seed) configurations changes scheduling, never bytes.
 // For a sweep over a scales × seeds grid, each per-config section of the
-// canonical sweep document must be byte-identical to the standalone RunIDs
+// canonical sweep document must be byte-identical to the standalone run's
 // document for that configuration, at every worker count. CI runs these
-// under -race as well (go test -race -run Sweep .), covering the merged
+// under -race as well (go test -race -short ./...), covering the merged
 // multi-config task set's synchronization.
 
 import (
@@ -53,7 +53,7 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, refs[i]) {
-				t.Errorf("workers %d: sweep section for scale %g seed %d differs from the standalone RunIDs document",
+				t.Errorf("workers %d: sweep section for scale %g seed %d differs from the standalone document",
 					workers, configs[i].Scale, configs[i].Seed)
 			}
 		}
@@ -62,7 +62,7 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 
 // TestSweepPublicAPI exercises the root-package re-exports end to end: a
 // Grid-built Sweep through RunSweep, with sections matching standalone
-// RunExperimentSet runs.
+// RunExperiment runs.
 func TestSweepPublicAPI(t *testing.T) {
 	sw := Sweep{IDs: []string{"fig1"}, Configs: Grid([]float64{0.2}, []uint64{1, 2})}
 	sr, err := RunSweep(sw, RunConfig{Workers: 2}, nil)
@@ -73,11 +73,11 @@ func TestSweepPublicAPI(t *testing.T) {
 		t.Fatalf("%d sections, want 2", len(sr.Runs))
 	}
 	for _, run := range sr.Runs {
-		alone, err := RunExperimentSet([]string{"fig1"}, run.Config, 1, nil)
+		alone, err := RunExperiment("fig1", run.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := report.MarshalResults(alone, run.Config)
+		want, err := report.MarshalResults([]*Result{alone}, run.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestSweepPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("config %+v: sweep section differs from RunExperimentSet bytes", run.Config)
+			t.Errorf("config %+v: sweep section differs from RunExperiment bytes", run.Config)
 		}
 	}
 }

@@ -350,13 +350,11 @@ type Options = core.Options
 // Result re-exports the experiment result type.
 type Result = core.Result
 
-// Experiment re-exports the registered experiment descriptor. An experiment
-// is either monolithic (Run) or sharded (Plan): sharded experiments expose
-// their independent units of work — fig7's sweep series, fig8's
-// wake-latency matrix cells, the tab1/fig4 frequency grids — so the
-// scheduler fans shards, not whole experiments, across its worker pool. For
-// sharded experiments Run is synthesized as the serial plan execution, and
-// both forms compute identical Results for the same Options.
+// Experiment re-exports the registered experiment descriptor. Every
+// experiment is a Plan: its independent units of work — fig7's sweep
+// series, fig8's wake-latency matrix cells, the tab1/fig4 frequency grids —
+// are shards the scheduler fans across its worker pool. Experiments that
+// run as one indivisible simulation are one-shard plans.
 type Experiment = core.Experiment
 
 // Shard re-exports one independent unit of work within a sharded
@@ -380,15 +378,13 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // Experiments lists every registered paper artifact in paper order.
 func Experiments() []Experiment { return core.Registry() }
 
-// RunExperiment executes one paper artifact by ID (e.g. "fig3", "tab1"),
-// with the same derived per-experiment seed the suite runners use, so a
-// lone rerun reproduces that experiment's section of the full suite.
+// RunExperiment executes one paper artifact by ID (e.g. "fig3", "tab1") on
+// one worker, with the same derived per-experiment seed a full run uses, so
+// a lone rerun reproduces that experiment's section of the full suite. For
+// many experiments or many configurations, run a Sweep.
 func RunExperiment(id string, o Options) (*Result, error) {
 	return core.RunOne(id, o)
 }
-
-// RunAllExperiments executes the full suite serially.
-func RunAllExperiments(o Options) ([]*Result, error) { return core.RunAll(o) }
 
 // Progress re-exports the scheduler's event type. Two kinds of event share
 // it: shard events (Shard in 1..Shards) as a sharded experiment's units of
@@ -396,37 +392,6 @@ func RunAllExperiments(o Options) ([]*Result, error) { return core.RunAll(o) }
 // ExperimentDone() true) — the events pre-shard consumers were built on.
 // Done/Total always count experiments, never shards.
 type Progress = core.Progress
-
-// RunAllExperimentsParallel executes the full suite across a pool of
-// workers goroutines (all CPUs if workers <= 0). Results are bit-identical
-// to RunAllExperiments for the same Options; failures are joined into one
-// error while the remaining results still come back.
-func RunAllExperimentsParallel(o Options, workers int) ([]*Result, error) {
-	return core.RunAllParallel(o, workers)
-}
-
-// RunAllExperimentsParallelProgress is RunAllExperimentsParallel with a
-// per-experiment completion callback (serialized, must not block).
-func RunAllExperimentsParallelProgress(o Options, workers int, progress func(Progress)) ([]*Result, error) {
-	return core.RunAllParallelProgress(o, workers, progress)
-}
-
-// RunExperimentSet executes the named experiments (all of them when ids is
-// empty) through the shard scheduler, with the same derived seeds the
-// full-suite runners use — a subset run reproduces exactly those sections
-// of a full run, byte-identically for every worker count. This is the
-// entry point the zen2eed daemon serves jobs through.
-func RunExperimentSet(ids []string, o Options, workers int, progress func(Progress)) ([]*Result, error) {
-	return core.RunIDs(ids, o, workers, progress)
-}
-
-// RunExperimentSetConfig is RunExperimentSet with full scheduling control:
-// RunConfig adds an optional Acquire gate letting an embedding service
-// bound total shard concurrency across multiple concurrent runs while a
-// lone run still spreads over the whole pool.
-func RunExperimentSetConfig(ids []string, o Options, cfg RunConfig, progress func(Progress)) ([]*Result, error) {
-	return core.RunIDsConfig(ids, o, cfg, progress)
-}
 
 // --- Sweeps: the batched (Scale, Seed) configuration grid ---
 
@@ -444,7 +409,7 @@ type ConfigResult = core.ConfigResult
 
 // SweepResult re-exports the reduction of a sweep: per-configuration
 // result sets in request order, each identical to the standalone
-// RunExperimentSet output for that configuration.
+// single-configuration run of that configuration.
 type SweepResult = core.SweepResult
 
 // Grid expands the Scales × Seeds cross-product into sweep configurations
