@@ -22,7 +22,6 @@ import (
 	"zen2ee/internal/core"
 	"zen2ee/internal/report"
 	"zen2ee/internal/service"
-	"zen2ee/internal/sim"
 )
 
 // benchOptions keeps each iteration fast while staying statistically
@@ -555,7 +554,8 @@ func BenchmarkMachineRefresh(b *testing.B) {
 
 // BenchmarkMachineRefreshDirty measures one incremental refresh: each op
 // changes the operand weight of one running thread, which marks its CCX
-// dirty and refreshes the machine once.
+// dirty, and reads the system power, which flushes that change through one
+// refresh.
 func BenchmarkMachineRefreshDirty(b *testing.B) {
 	sys := NewSystem()
 	sys.SetAllFrequenciesMHz(2500)
@@ -569,12 +569,13 @@ func BenchmarkMachineRefreshDirty(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.SetHammingWeight(0, weights[i&1])
+		m.SystemWatts()
 	}
 }
 
 // BenchmarkMachineNew measures building the paper's test system: wiring
-// every subsystem and parking all 128 threads in C2, which Batch folds into
-// one refresh.
+// every subsystem and parking all 128 threads in C2, which the machine
+// folds into one refresh.
 func BenchmarkMachineNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -591,13 +592,11 @@ func BenchmarkSMUControlTick(b *testing.B) {
 	if err := sys.SetAllFrequenciesMHz(2500); err != nil {
 		b.Fatal(err)
 	}
-	sys.Machine().Batch(func() {
-		for cpu := 0; cpu < sys.NumCPUs(); cpu++ {
-			if err := sys.Run(cpu, "firestarter"); err != nil {
-				b.Fatal(err)
-			}
+	for cpu := 0; cpu < sys.NumCPUs(); cpu++ {
+		if err := sys.Run(cpu, "firestarter"); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 	sys.AdvanceMillis(300)
 	if !sys.Machine().SMU.Throttling(0) {
 		b.Fatal("FIRESTARTER load is not EDC-throttled")
@@ -608,5 +607,3 @@ func BenchmarkSMUControlTick(b *testing.B) {
 		sys.AdvanceMillis(1)
 	}
 }
-
-var _ = sim.Millisecond

@@ -6,7 +6,6 @@ import (
 	"zen2ee/internal/machine"
 	"zen2ee/internal/measure"
 	"zen2ee/internal/sim"
-	"zen2ee/internal/soc"
 	"zen2ee/internal/workload"
 )
 
@@ -173,5 +172,3 @@ func runExt7742(o Options) (*Result, error) {
 	r.note("with twice the cores per package sharing a similar electrical envelope, all-core 256-bit FMA lands at %.2f GHz (%.0f%% of nominal) on the 7742 vs %.0f%% on the 7502 — the more severe impact the paper anticipates", f7742, 100*rel7742, 100*rel7502)
 	return r, nil
 }
-
-var _ = soc.CoreID(0)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"zen2ee/internal/machine"
 	"zen2ee/internal/measure"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
@@ -64,11 +63,9 @@ func hammingStudy(o Options, k workload.Kernel, blocks int) (*hammingDist, error
 	trim := 60 * sim.Millisecond
 	for b := 0; b < blocks; b++ {
 		w := weights[rng.Intn(3)]
-		m.Batch(func() {
-			for _, t := range threads {
-				m.SetHammingWeight(t, w)
-			}
-		})
+		for _, t := range threads {
+			m.SetHammingWeight(t, w)
+		}
 		pa.Reset()
 		start := m.Eng.Now()
 		e0c := m.RAPL.CoreEnergyJoules(0)
@@ -170,5 +167,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-var _ = machine.DefaultConfig

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"zen2ee/internal/machine"
 	"zen2ee/internal/measure"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
@@ -126,5 +125,3 @@ func runFig6(o Options) (*Result, error) {
 	r.note("the EDC manager lowers frequencies below nominal for dense 256-bit FMA code; RAPL reports %.0f W against a 180 W TDP", withSMT.RAPLPkgWatts)
 	return r, nil
 }
-
-var _ = machine.DefaultConfig

@@ -197,15 +197,14 @@ func runSec6B(o Options) (*Result, error) {
 }
 
 // setSiblingsOnline flips the second hardware thread of every package-0
-// core online or offline in one batched refresh.
+// core online or offline.
 func setSiblingsOnline(m *machine.Machine, online bool) error {
-	var err error
-	m.Batch(func() {
-		for c := 0; c < 32 && err == nil; c++ {
-			err = m.SetOnline(m.Top.Cores[c].Threads[1], online)
+	for c := 0; c < 32; c++ {
+		if err := m.SetOnline(m.Top.Cores[c].Threads[1], online); err != nil {
+			return err
 		}
-	})
-	return err
+	}
+	return nil
 }
 
 func runSec6ACPI(o Options) (*Result, error) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"zen2ee/internal/machine"
 	"zen2ee/internal/measure"
 	"zen2ee/internal/msr"
 	"zen2ee/internal/sim"
@@ -207,5 +206,3 @@ func runSec7U(o Options) (*Result, error) {
 	r.note("1 ms update rate, matching the specification for Intel processors")
 	return r, nil
 }
-
-var _ = machine.DefaultConfig

@@ -6,7 +6,6 @@ import (
 	"zen2ee/internal/machine"
 	"zen2ee/internal/osmodel"
 	"zen2ee/internal/sim"
-	"zen2ee/internal/soc"
 	"zen2ee/internal/workload"
 )
 
@@ -37,20 +36,14 @@ func ccxMixedSetup(o Options, measured workload.Kernel, setMHz, othersMHz int) (
 	if _, err := m.StartKernel(0, measured, 0); err != nil {
 		return nil, err
 	}
-	var err error
-	m.Batch(func() {
-		for c := 1; c < 4; c++ {
-			th := m.Top.Cores[c].Threads[0]
-			if err = m.SetThreadFrequencyMHz(th, othersMHz); err != nil {
-				return
-			}
-			if _, err = m.StartKernel(th, workload.Busywait, 0); err != nil {
-				return
-			}
+	for c := 1; c < 4; c++ {
+		th := m.Top.Cores[c].Threads[0]
+		if err := m.SetThreadFrequencyMHz(th, othersMHz); err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
+		if _, err := m.StartKernel(th, workload.Busywait, 0); err != nil {
+			return nil, err
+		}
 	}
 	m.Eng.RunFor(20 * sim.Millisecond)
 	waitTransitionsSettled(m, 10*sim.Millisecond)
@@ -168,5 +161,3 @@ func reduceFig4(o Options, outs []any) (*Result, error) {
 	r.note("L3 latency of a slow core improves when other cores in the CCX clock higher: the L3 frequency follows the fastest core, even as the reader's own frequency is reduced")
 	return r, nil
 }
-
-var _ = soc.CoreID(0)

@@ -72,19 +72,14 @@ func raplSumCoresWatts(m *machine.Machine, d sim.Duration) float64 {
 	return (e1 - e0) / m.Eng.Now().Sub(t0).Seconds()
 }
 
-// startOn starts a kernel on a set of threads in one batched refresh,
-// failing loudly on error.
+// startOn starts a kernel on a set of threads, failing loudly on error.
 func startOn(m *machine.Machine, k workload.Kernel, weight float64, threads ...soc.ThreadID) error {
-	var err error
-	m.Batch(func() {
-		for _, t := range threads {
-			if _, err = m.StartKernel(t, k, weight); err != nil {
-				err = fmt.Errorf("start %s on thread %d: %w", k.Name, t, err)
-				return
-			}
+	for _, t := range threads {
+		if _, err := m.StartKernel(t, k, weight); err != nil {
+			return fmt.Errorf("start %s on thread %d: %w", k.Name, t, err)
 		}
-	})
-	return err
+	}
+	return nil
 }
 
 // allThreads lists every hardware thread.

@@ -57,41 +57,51 @@ func TestE2EWorkerProcessKilledMidSweep(t *testing.T) {
 	bin := buildWorkerBinary(t)
 	want := localBaseline(t)
 
+	// Only the victim is registered when the sweep starts, so every shard
+	// waits for it: the kill below cannot miss its window however fast the
+	// shards run.
 	env := newTestEnv(t, Config{LeaseTTL: 400 * time.Millisecond, RetryBackoff: 10 * time.Millisecond})
-	spawnWorkerProcess(t, bin, env.ts.URL, "survivor", 2)
 	victim := spawnWorkerProcess(t, bin, env.ts.URL, "victim", 2)
-	waitFor(t, "both worker processes registered", func() bool { return env.c.WorkersConnected() == 2 })
-
-	// SIGKILL the victim the moment it is observed holding two leases —
-	// the closest in-test equivalent of a worker host dying. Its leases
-	// expire after the TTL and retry on the survivor.
-	killed := make(chan bool, 1)
-	go func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			for _, w := range env.c.WorkersStatus() {
-				if w.Name == "victim" && w.InflightLeases >= 2 {
-					victim.Process.Kill()
-					victim.Wait()
-					killed <- true
-					return
-				}
-			}
-			time.Sleep(time.Millisecond)
-		}
-		killed <- false
-	}()
+	waitFor(t, "victim worker process registered", func() bool { return env.c.WorkersConnected() == 1 })
 
 	h := env.c.StartRun(nil)
 	defer h.Finish()
-	sr, err := core.RunSweep(testSweep(), core.RunConfig{Workers: 6, RunShard: h.RunShard}, nil)
-	if err != nil {
-		t.Fatalf("sweep with SIGKILLed worker process: %v", err)
+	type sweepDone struct {
+		sr  *core.SweepResult
+		err error
 	}
-	if !<-killed {
-		t.Fatalf("victim was never observed holding leases; the sweep finished too fast to test the kill")
+	done := make(chan sweepDone, 1)
+	go func() {
+		sr, err := core.RunSweep(testSweep(), core.RunConfig{Workers: 6, RunShard: h.RunShard}, nil)
+		done <- sweepDone{sr, err}
+	}()
+
+	// SIGKILL the victim the moment it is observed holding a lease — the
+	// closest in-test equivalent of a worker host dying.
+	holding := func() bool {
+		for _, w := range env.c.WorkersStatus() {
+			if w.Name == "victim" && w.InflightLeases >= 1 {
+				return true
+			}
+		}
+		return false
 	}
-	got := marshalSweep(t, sr)
+	for deadline := time.Now().Add(10 * time.Second); !holding(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("victim was never observed holding leases")
+		}
+	}
+	victim.Process.Kill()
+	victim.Wait()
+
+	// The survivor joins only now: the victim's leases expire after the TTL
+	// and retry on it.
+	spawnWorkerProcess(t, bin, env.ts.URL, "survivor", 2)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("sweep with SIGKILLed worker process: %v", res.err)
+	}
+	got := marshalSweep(t, res.sr)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("sweep document after SIGKILL differs from local run (%d vs %d bytes)", len(got), len(want))
 	}

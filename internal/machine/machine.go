@@ -3,10 +3,25 @@
 // thermal model, RAPL model and per-thread performance counters — the
 // simulated counterpart of the paper's dual-socket EPYC 7502 test system.
 //
-// All state mutations funnel through refresh(), which lazily advances every
-// integrator (AC energy, RAPL energy, cycles/instructions/aperf/mperf)
-// before switching to the new rates, so counters and energies are exact for
-// piecewise-constant behaviour regardless of event granularity.
+// Every state mutation marks the machine stale, and one refresh per
+// simulated instant re-derives the rates: power, traffic, temperature, the
+// RAPL model's inputs and the per-thread counter rates. The refresh runs
+// from a flush event scheduled at the mutation's instant, which the engine
+// fires after every event already queued for that instant and before the
+// clock moves. A read of an instantaneous derived value (SystemWatts,
+// TrafficGBs, TempC, Preheat and the SMU's activity readings) flushes
+// first, so it always sees the refreshed machine. Reads of integrated
+// quantities (AC and RAPL energy, the performance counters) need no flush:
+// the rates a pending refresh installs only start at the current instant.
+//
+// Coalescing same-instant refreshes is exact: a refresh folds elapsed time
+// into every integrator, and a second refresh at the same instant would
+// fold zero time. So integrators fold at exactly the instants they would
+// if every mutation refreshed on the spot, and counters and energies are
+// exact for piecewise-constant behaviour regardless of event granularity.
+// The per-thread counters and the RAPL domains fold lazily over a log of
+// those instants, replaying the folds only when a rate changes or someone
+// reads them.
 package machine
 
 import (
@@ -101,14 +116,18 @@ type Machine struct {
 	acEnergy *sim.EnergyIntegrator
 	lastSysW float64
 
-	cycles []*sim.EnergyIntegrator // cycles/s while in C0 (== aperf)
-	instrs []*sim.EnergyIntegrator
-	mperf  []*sim.EnergyIntegrator
+	// log holds the refresh instants the per-thread counters fold at.
+	log      *sim.FoldLog
+	counters []threadCounters
+	shadow   counterShadow // eager counters, -tags simcheck only
 
 	trafficGBs float64
 	inRefresh  bool
-	// inBatch defers refresh until the enclosing Batch returns.
-	inBatch bool
+	// stale marks a mutation since the last refresh; flushQueued marks a
+	// flush event pending at the current instant.
+	stale       bool
+	flushQueued bool
+	flushEvent  func()
 	// epoch counts completed refreshes. Everything the SMU reads is
 	// derived or notified through refresh, so an unchanged epoch means
 	// unchanged activity readings (smu.ActivitySource.Epoch).
@@ -127,10 +146,31 @@ type Machine struct {
 	effBuf     []float64 // effective MHz of active cores (0 when idle)
 	raplWBuf   []float64
 	pkgWBuf    []float64
-	thrCyc     []float64
-	thrIns     []float64
-	thrMpf     []float64
+	corePkg    []soc.PackageID
+	// fedNoise is the RAPL noise factor of the last refresh's power feed.
+	// While it holds, a clean core's fed power is unchanged, so only dirty
+	// cores are re-fed.
+	fedNoise float64
 }
+
+// threadCounters are a hardware thread's performance counters, indexed by
+// counterKind. Their rates are the thread's cached derived state: a refresh
+// sets them only for threads of dirty cores.
+type threadCounters [numCounters]sim.LazyIntegrator
+
+// counterKind names one of a thread's counters.
+type counterKind int
+
+const (
+	cycles counterKind = iota // cycles/s while in C0 (== aperf)
+	instrs
+	mperf
+	numCounters
+)
+
+// foldLogCap bounds the counters' fold log; a full log catches every
+// counter up and starts over.
+const foldLogCap = 256
 
 // New builds and wires the system. All threads start idle in the deepest
 // C-state at the lowest P-state.
@@ -153,10 +193,12 @@ func New(cfg Config) *Machine {
 		effBuf:     make([]float64, top.NumCores()),
 		raplWBuf:   make([]float64, top.NumCores()),
 		pkgWBuf:    make([]float64, len(top.Packages)),
-		thrCyc:     make([]float64, top.NumThreads()),
-		thrIns:     make([]float64, top.NumThreads()),
-		thrMpf:     make([]float64, top.NumThreads()),
+		corePkg:    make([]soc.PackageID, top.NumCores()),
 	}
+	for c := range m.corePkg {
+		m.corePkg[c] = top.PackageOfCore(soc.CoreID(c))
+	}
+	m.flushEvent = m.onFlushEvent
 	m.DVFS = dvfs.New(eng, top, cfg.DVFS, regs)
 	m.CStates = cstate.New(eng, top, cfg.CState)
 	m.Power = power.NewModel(cfg.Power)
@@ -164,55 +206,58 @@ func New(cfg Config) *Machine {
 	m.RAPL = rapl.New(eng, top, cfg.RAPL, regs)
 
 	m.acEnergy = sim.NewEnergyIntegrator(eng.Now(), 0)
-	nominal := float64(cfg.SoC.NominalMHz)
-	for t := 0; t < top.NumThreads(); t++ {
-		m.cycles = append(m.cycles, sim.NewEnergyIntegrator(eng.Now(), 0))
-		m.instrs = append(m.instrs, sim.NewEnergyIntegrator(eng.Now(), 0))
-		m.mperf = append(m.mperf, sim.NewEnergyIntegrator(eng.Now(), 0))
+	m.log = sim.NewFoldLog(eng.Now(), foldLogCap, m.catchUpCounters)
+	m.counters = make([]threadCounters, top.NumThreads())
+	start := sim.NewLazyIntegrator(m.log, eng.Now())
+	for t := range m.counters {
+		m.counters[t] = threadCounters{start, start, start}
 	}
-	m.wirePerfMSRs(nominal)
+	m.shadow.init(m)
+	m.wirePerfMSRs(float64(cfg.SoC.NominalMHz))
 
 	m.CStates.OnCoreActive = func(core soc.CoreID, n int) { m.DVFS.SetActiveThreads(core, n) }
 	m.CStates.Dirty = m.markThreadDirty
 	m.CStates.DirtyAll = m.markAllDirty
-	m.CStates.AfterChange = m.refresh
+	m.CStates.AfterChange = m.changed
 	m.DVFS.Dirty = m.markCoreDirty
-	m.DVFS.AfterChange = m.refresh
+	m.DVFS.AfterChange = m.changed
+	m.RAPL.BeforeNoise = m.flush
 
 	m.SMU = smu.New(eng, top, cfg.SMU, m.DVFS, (*activitySource)(m))
 
 	// Idle system: every thread parks in the deepest C-state.
-	m.Batch(func() {
-		for t := 0; t < top.NumThreads(); t++ {
-			m.CStates.EnterIdle(soc.ThreadID(t), cstate.C2)
-		}
-	})
+	for t := 0; t < top.NumThreads(); t++ {
+		m.CStates.EnterIdle(soc.ThreadID(t), cstate.C2)
+	}
+	m.changed()
+	m.flush()
 	return m
 }
 
-// Batch runs f, which must not advance simulated time, and folds every
-// state change it makes into a single refresh when it returns. Skipping
-// the intermediate refreshes is exact: at one instant each of them would
-// fold zero elapsed time into every integrator, so only the last one's
-// rates matter. Inside f, observables derived by refresh (SystemWatts, the
-// RAPL power inputs, the SMU's activity readings) still show the state
-// from before the batch. Nested batches join the outermost one. Batch
-// panics if the engine clock moves while f runs.
-func (m *Machine) Batch(f func()) {
-	if m.inBatch {
-		f()
-		return
+// changed records a mutation: it marks the machine stale and, unless one
+// is already pending, schedules a flush event at the current instant.
+// Every mutation calls it, so each instant with a mutation gets exactly one
+// refresh.
+func (m *Machine) changed() {
+	m.stale = true
+	if !m.flushQueued {
+		m.flushQueued = true
+		m.Eng.ScheduleAt(m.Eng.Now(), m.flushEvent)
 	}
-	start := m.Eng.Now()
-	m.inBatch = true
-	func() {
-		defer func() { m.inBatch = false }()
-		f()
-	}()
-	if now := m.Eng.Now(); now != start {
-		panic(fmt.Sprintf("machine: simulated time moved inside Batch (%v -> %v)", start, now))
+}
+
+func (m *Machine) onFlushEvent() {
+	m.flushQueued = false
+	m.flush()
+}
+
+// flush runs the pending refresh, if any. Reads of instantaneous derived
+// values call it first.
+func (m *Machine) flush() {
+	if m.stale {
+		m.refresh()
 	}
-	m.refresh()
+	m.checkFlushed()
 }
 
 func (m *Machine) wirePerfMSRs(nominalMHz float64) {
@@ -220,10 +265,10 @@ func (m *Machine) wirePerfMSRs(nominalMHz float64) {
 		return uint64(m.Eng.Now().Seconds() * nominalMHz * 1e6)
 	})
 	m.Regs.HookRead(msr.APERF, func(cpu int) uint64 {
-		return uint64(m.cycles[cpu].Energy(m.Eng.Now()))
+		return uint64(m.readCounter(cpu, cycles))
 	})
 	m.Regs.HookRead(msr.MPERF, func(cpu int) uint64 {
-		return uint64(m.mperf[cpu].Energy(m.Eng.Now()))
+		return uint64(m.readCounter(cpu, mperf))
 	})
 }
 
@@ -236,13 +281,13 @@ func (m *Machine) IOD() iodie.Config { return m.iod }
 // SetIODSetting selects the I/O-die P-state (BIOS option).
 func (m *Machine) SetIODSetting(s iodie.Setting) {
 	m.iod.Setting = s
-	m.refresh()
+	m.changed()
 }
 
 // SetDRAMClock selects the DRAM frequency in MHz (BIOS option).
 func (m *Machine) SetDRAMClock(mhz int) {
 	m.iod.MemClkMHz = mhz
-	m.refresh()
+	m.changed()
 }
 
 // --- Workload control ---
@@ -256,14 +301,13 @@ func (m *Machine) StartKernel(t soc.ThreadID, k workload.Kernel, weight float64)
 		return 0, fmt.Errorf("machine: thread %d is offline", t)
 	}
 	lat := sim.Duration(0)
-	m.Batch(func() {
-		if m.CStates.EffectiveState(t) != cstate.C0 {
-			core := m.Top.Threads[t].Core
-			lat = m.CStates.Wake(t, m.DVFS.EffectiveMHz(core), false)
-		}
-		m.runs[t] = threadRun{active: true, kernel: k, weight: weight}
-		m.markThreadDirty(t)
-	})
+	if m.CStates.EffectiveState(t) != cstate.C0 {
+		core := m.Top.Threads[t].Core
+		lat = m.CStates.Wake(t, m.DVFS.EffectiveMHz(core), false)
+	}
+	m.runs[t] = threadRun{active: true, kernel: k, weight: weight}
+	m.markThreadDirty(t)
+	m.changed()
 	return lat, nil
 }
 
@@ -272,18 +316,17 @@ func (m *Machine) SetHammingWeight(t soc.ThreadID, weight float64) {
 	if m.runs[t].active {
 		m.runs[t].weight = weight
 		m.markThreadDirty(t)
-		m.refresh()
+		m.changed()
 	}
 }
 
 // StopKernel idles a thread; the cpuidle governor picks the deepest enabled
 // C-state.
 func (m *Machine) StopKernel(t soc.ThreadID) {
-	m.Batch(func() {
-		m.runs[t] = threadRun{}
-		m.markThreadDirty(t)
-		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
-	})
+	m.runs[t] = threadRun{}
+	m.markThreadDirty(t)
+	m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
+	m.changed()
 }
 
 // Running reports whether the thread is executing a kernel.
@@ -311,18 +354,16 @@ func (m *Machine) SetAllFrequenciesMHz(mhz int) error {
 // SetOnline flips a thread's sysfs online state. Offlining stops any
 // running kernel; under the §VI-B anomaly the thread is then elevated to C1.
 func (m *Machine) SetOnline(t soc.ThreadID, online bool) error {
-	var err error
-	m.Batch(func() {
-		if !online {
-			m.runs[t] = threadRun{}
-			m.markThreadDirty(t)
-			m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
-		}
-		if err = m.Top.SetOnline(t, online); err != nil {
-			return
-		}
+	if !online {
+		m.runs[t] = threadRun{}
+		m.markThreadDirty(t)
+		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
+	}
+	err := m.Top.SetOnline(t, online)
+	if err == nil {
 		m.CStates.NotifyOnlineChanged()
-	})
+	}
+	m.changed()
 	return err
 }
 
@@ -333,11 +374,10 @@ func (m *Machine) SetCStateEnabled(t soc.ThreadID, s cstate.State, enabled bool)
 	if err := m.CStates.SetEnabled(t, s, enabled); err != nil {
 		return err
 	}
-	m.Batch(func() {
-		if !m.runs[t].active && m.Top.Online(t) {
-			m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
-		}
-	})
+	if !m.runs[t].active && m.Top.Online(t) {
+		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
+	}
+	m.changed()
 	return nil
 }
 
@@ -351,23 +391,35 @@ func (m *Machine) WakeLatency(t soc.ThreadID, remote bool) sim.Duration {
 // --- Observables ---
 
 // SystemWatts returns the present true AC power.
-func (m *Machine) SystemWatts() float64 { return m.lastSysW }
+func (m *Machine) SystemWatts() float64 {
+	m.flush()
+	return m.lastSysW
+}
 
 // EnergyJoules implements measure.EnergySource: total AC energy.
 func (m *Machine) EnergyJoules(now sim.Time) float64 { return m.acEnergy.Energy(now) }
 
 // TrafficGBs returns the currently-achieved DRAM traffic.
-func (m *Machine) TrafficGBs() float64 { return m.trafficGBs }
+func (m *Machine) TrafficGBs() float64 {
+	m.flush()
+	return m.trafficGBs
+}
 
 // EffectiveMHz returns a core's effective frequency.
 func (m *Machine) EffectiveMHz(core soc.CoreID) float64 { return m.DVFS.EffectiveMHz(core) }
 
 // TempC returns the package temperature.
-func (m *Machine) TempC() float64 { return m.Thermal.TempC() }
+func (m *Machine) TempC() float64 {
+	m.flush()
+	return m.Thermal.TempC()
+}
 
 // Preheat brings the thermal model to steady state for the present power —
 // the paper's 15-minute warm-up before power-sensitive measurements.
-func (m *Machine) Preheat() { m.Thermal.Preheat(m.lastSysW) }
+func (m *Machine) Preheat() {
+	m.flush()
+	m.Thermal.Preheat(m.lastSysW)
+}
 
 // Counters is a per-thread performance-counter snapshot.
 type Counters struct {
@@ -382,11 +434,29 @@ type Counters struct {
 func (m *Machine) ReadCounters(t soc.ThreadID) Counters {
 	now := m.Eng.Now()
 	return Counters{
-		Cycles:       m.cycles[t].Energy(now),
-		Instructions: m.instrs[t].Energy(now),
-		Aperf:        m.cycles[t].Energy(now),
-		Mperf:        m.mperf[t].Energy(now),
+		Cycles:       m.readCounter(int(t), cycles),
+		Instructions: m.readCounter(int(t), instrs),
+		Aperf:        m.readCounter(int(t), cycles),
+		Mperf:        m.readCounter(int(t), mperf),
 		TSC:          now.Seconds() * float64(m.cfg.SoC.NominalMHz) * 1e6,
+	}
+}
+
+// readCounter folds one counter of thread t up to now and returns it. A
+// read folds only the counter read, exactly as an eager integrator would.
+func (m *Machine) readCounter(t int, k counterKind) float64 {
+	now := m.Eng.Now()
+	v := m.counters[t][k].Energy(m.log, now)
+	m.shadow.checkRead(m, t, k, now, v)
+	return v
+}
+
+// catchUpCounters folds every counter through the whole fold log.
+func (m *Machine) catchUpCounters() {
+	for t := range m.counters {
+		for k := range m.counters[t] {
+			m.counters[t][k].CatchUp(m.log)
+		}
 	}
 }
 
@@ -482,17 +552,16 @@ func (m *Machine) deriveThread(id soc.ThreadID, ci *power.CoreInput, effMHz floa
 	return cyc, ins, mpf
 }
 
-// refresh recomputes all rates after a state change. It is idempotent at a
-// fixed simulation time. Per-core and per-thread derivations run only for
+// refresh recomputes all rates after the mutations of one instant. It runs
+// at most once per instant: mutations only mark the machine stale (changed),
+// and the refresh runs from the instant's flush event or from the first
+// derived read (flush). Per-core and per-thread derivations run only for
 // cores marked dirty since the last refresh; the aggregation loops below
 // always run in full, in a fixed order, so their floating-point results are
 // bit-identical whether a core's values were recomputed or cached.
 func (m *Machine) refresh() {
-	if m.inRefresh || m.inBatch {
-		return // hook re-entry, or deferred to the end of a Batch
-	}
 	m.inRefresh = true
-	defer func() { m.inRefresh = false }()
+	m.stale = false
 
 	now := m.Eng.Now()
 	raplCfg := m.RAPL.Config()
@@ -501,6 +570,9 @@ func (m *Machine) refresh() {
 	// Advance the thermal model under the previous power level first.
 	m.Thermal.Advance(now, m.lastSysW)
 
+	// The counters fold at every refresh instant; a counter whose rate is
+	// unchanged replays those folds only when it is read or its rate moves.
+	m.log.Record(now)
 	inputs := m.inputsBuf
 	for c := range m.Top.Cores {
 		if !m.dirtyAll && !m.dirtyCores[c] {
@@ -509,14 +581,15 @@ func (m *Machine) refresh() {
 		ci := &inputs[c]
 		m.raplWBuf[c], m.effBuf[c] = m.deriveCore(soc.CoreID(c), raplCfg, ci)
 		for _, t := range m.Top.Cores[c].Threads {
-			m.thrCyc[t], m.thrIns[t], m.thrMpf[t] = m.deriveThread(t, ci, m.effBuf[c])
+			cyc, ins, mpf := m.deriveThread(t, ci, m.effBuf[c])
+			tc := &m.counters[t]
+			tc[cycles].SetRate(m.log, cyc)
+			tc[instrs].SetRate(m.log, ins)
+			tc[mperf].SetRate(m.log, mpf)
 		}
 	}
 	m.verifyRefresh(raplCfg)
-	m.dirtyAll = false
-	for c := range m.dirtyCores {
-		m.dirtyCores[c] = false
-	}
+	m.shadow.refresh(m, now)
 	m.epoch++
 
 	// Memory traffic per CCD, capped by the Fig. 5a response surface.
@@ -556,19 +629,22 @@ func (m *Machine) refresh() {
 	m.lastSysW = sysW
 
 	// RAPL model: the cached per-core activity-event estimates plus package
-	// uncore and temperature leakage. Every core is re-fed each refresh
-	// because leakage and model noise evolve with time even when the
-	// per-core estimate is unchanged.
+	// uncore and temperature leakage. A core's fed power changes only with
+	// its estimate or the model noise, so clean cores are re-fed only when
+	// the noise has moved; the packages are fed every refresh, since
+	// leakage follows the temperature.
 	leak := math.Max(0, raplCfg.TempLeakPerK*(m.Thermal.TempC()-raplCfg.TempRefC))
+	feedAll := m.dirtyAll || m.RAPL.NoiseFactor() != m.fedNoise
+	m.fedNoise = m.RAPL.NoiseFactor()
 	pkgW := m.pkgWBuf
 	for i := range pkgW {
 		pkgW[i] = 0
 	}
-	for c := range m.Top.Cores {
-		core := soc.CoreID(c)
-		w := m.raplWBuf[c]
-		m.RAPL.SetCorePower(core, w)
-		pkgW[m.Top.PackageOfCore(core)] += w
+	for c, w := range m.raplWBuf {
+		if feedAll || m.dirtyCores[c] {
+			m.RAPL.SetCorePower(soc.CoreID(c), w)
+		}
+		pkgW[m.corePkg[c]] += w
 	}
 	for p := range pkgW {
 		uncore := raplCfg.UncoreActive
@@ -577,16 +653,13 @@ func (m *Machine) refresh() {
 		}
 		m.RAPL.SetPackagePower(soc.PackageID(p), pkgW[p]+uncore+leak)
 	}
+	m.verifyFeed()
 
-	// Per-thread performance counters, from the cached rates. The
-	// integrators are advanced every refresh (not only on rate changes) so
-	// their piecewise accumulation folds at the same boundaries as a full
-	// recompute would.
-	for t := 0; t < m.Top.NumThreads(); t++ {
-		m.cycles[t].SetPower(now, m.thrCyc[t])
-		m.instrs[t].SetPower(now, m.thrIns[t])
-		m.mperf[t].SetPower(now, m.thrMpf[t])
+	m.dirtyAll = false
+	for c := range m.dirtyCores {
+		m.dirtyCores[c] = false
 	}
+	m.inRefresh = false
 }
 
 // coreKernel picks the kernel and operand weight representing a core: the
@@ -615,15 +688,21 @@ func (m *Machine) coreKernel(core soc.CoreID) (*workload.Kernel, float64) {
 
 // activitySource adapts Machine to smu.ActivitySource: the SMU monitors the
 // machine's own activity and power model (its internal estimate), not the
-// external reference meter. It answers from the per-core state the last
-// refresh derived, so a control tick re-derives nothing; `-tags simcheck`
-// builds re-derive on every read and panic on a stale answer.
+// external reference meter. Every method flushes a pending refresh, then
+// answers from the per-core state that refresh derived, so a control tick
+// re-derives nothing; `-tags simcheck` builds re-derive on every read and
+// panic on a stale answer.
 type activitySource Machine
 
-func (a *activitySource) Epoch() uint64 { return a.epoch }
+func (a *activitySource) Epoch() uint64 {
+	m := (*Machine)(a)
+	m.flush()
+	return m.epoch
+}
 
 func (a *activitySource) CoreCurrentAmps(core soc.CoreID) float64 {
 	m := (*Machine)(a)
+	m.flush()
 	m.checkActivityRead(core)
 	ci := &m.inputsBuf[core]
 	if ci.ActiveThreads == 0 {
@@ -634,16 +713,20 @@ func (a *activitySource) CoreCurrentAmps(core soc.CoreID) float64 {
 
 func (a *activitySource) CoreActive(core soc.CoreID) bool {
 	m := (*Machine)(a)
+	m.flush()
 	m.checkActivityRead(core)
 	return m.inputsBuf[core].ActiveThreads > 0
 }
 
 func (a *activitySource) CoreEffectiveMHz(core soc.CoreID) float64 {
 	m := (*Machine)(a)
+	m.flush()
 	m.checkActivityRead(core)
 	return m.effBuf[core]
 }
 
 func (a *activitySource) PackageWatts(pkg soc.PackageID) float64 {
-	return (*Machine)(a).RAPL.PackagePowerWatts(pkg)
+	m := (*Machine)(a)
+	m.flush()
+	return m.RAPL.PackagePowerWatts(pkg)
 }

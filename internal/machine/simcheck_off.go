@@ -4,6 +4,7 @@ package machine
 
 import (
 	"zen2ee/internal/rapl"
+	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
 
@@ -15,3 +16,19 @@ func (m *Machine) verifyRefresh(rapl.Config) {}
 // checkActivityRead is compiled out unless built with -tags simcheck, which
 // re-derives a core on every SMU activity read and rejects stale caches.
 func (m *Machine) checkActivityRead(soc.CoreID) {}
+
+// verifyFeed is compiled out unless built with -tags simcheck, which
+// checks every RAPL core domain's input against the cached estimate.
+func (m *Machine) verifyFeed() {}
+
+// checkFlushed is compiled out unless built with -tags simcheck, which
+// asserts that no refresh is pending after a flush.
+func (m *Machine) checkFlushed() {}
+
+// counterShadow is empty unless built with -tags simcheck, which keeps an
+// eagerly folded copy of every counter and checks each lazy read against it.
+type counterShadow struct{}
+
+func (counterShadow) init(*Machine)                                           {}
+func (counterShadow) refresh(*Machine, sim.Time)                              {}
+func (counterShadow) checkRead(*Machine, int, counterKind, sim.Time, float64) {}

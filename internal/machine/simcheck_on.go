@@ -4,9 +4,11 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"zen2ee/internal/power"
 	"zen2ee/internal/rapl"
+	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
 
@@ -19,27 +21,46 @@ func (m *Machine) verifyRefresh(raplCfg rapl.Config) {
 		ci, eff := m.verifyCore(soc.CoreID(c), raplCfg, "refresh")
 		for _, t := range m.Top.Cores[c].Threads {
 			cyc, ins, mpf := m.deriveThread(t, &ci, eff)
-			if cyc != m.thrCyc[t] || ins != m.thrIns[t] || mpf != m.thrMpf[t] {
+			tc := &m.counters[t]
+			if cyc != tc[cycles].Rate() || ins != tc[instrs].Rate() || mpf != tc[mperf].Rate() {
 				panic(fmt.Sprintf(
 					"simcheck: thread %d stale at %v: cached (%g, %g, %g) vs full (%g, %g, %g)",
-					t, m.Eng.Now(), m.thrCyc[t], m.thrIns[t], m.thrMpf[t], cyc, ins, mpf))
+					t, m.Eng.Now(), tc[cycles].Rate(), tc[instrs].Rate(), tc[mperf].Rate(), cyc, ins, mpf))
 			}
 		}
 	}
 }
 
 // checkActivityRead guards the SMU's reads of the refresh cache: a read
-// from inside a refresh or a Batch would see a half-updated machine, and a
-// read after a mutation that did not refresh would see a stale core. Both
+// from inside a refresh would see a half-updated machine, and a read after
+// a mutation that the read did not flush would see a stale core. Both
 // panic.
 func (m *Machine) checkActivityRead(core soc.CoreID) {
-	switch {
-	case m.inRefresh:
+	if m.inRefresh {
 		panic(fmt.Sprintf("simcheck: SMU read core %d inside refresh at %v", core, m.Eng.Now()))
-	case m.inBatch:
-		panic(fmt.Sprintf("simcheck: SMU read core %d inside Batch at %v", core, m.Eng.Now()))
 	}
+	m.checkFlushed()
 	m.verifyCore(core, m.RAPL.Config(), "SMU read")
+}
+
+// verifyFeed asserts that every RAPL core domain runs at the power a full
+// re-feed would give it: a clean core skipped by the refresh must already
+// hold its cached estimate at the current model noise.
+func (m *Machine) verifyFeed() {
+	for c, w := range m.raplWBuf {
+		core := soc.CoreID(c)
+		if want := math.Max(0, w*m.RAPL.NoiseFactor()); m.RAPL.CorePowerWatts(core) != want {
+			panic(fmt.Sprintf("simcheck: RAPL core %d fed %g W at %v, want %g W",
+				c, m.RAPL.CorePowerWatts(core), m.Eng.Now(), want))
+		}
+	}
+}
+
+// checkFlushed panics if a refresh is still pending after a flush.
+func (m *Machine) checkFlushed() {
+	if m.stale {
+		panic(fmt.Sprintf("simcheck: refresh still pending after a flush at %v", m.Eng.Now()))
+	}
 }
 
 // verifyCore re-derives a core from scratch, panics unless the cached
@@ -54,4 +75,35 @@ func (m *Machine) verifyCore(core soc.CoreID, raplCfg rapl.Config, site string) 
 			site, core, m.Eng.Now(), m.inputsBuf[core], m.raplWBuf[core], m.effBuf[core], ci, w, eff))
 	}
 	return ci, eff
+}
+
+// counterShadow keeps an eagerly folded copy of every per-thread counter:
+// each refresh folds all of them and sets their rates, the folds a lazy
+// counter must replay. Every lazy read must match its shadow bit for bit.
+type counterShadow struct {
+	eager [][numCounters]*sim.EnergyIntegrator
+}
+
+func (s *counterShadow) init(m *Machine) {
+	now := m.Eng.Now()
+	s.eager = make([][numCounters]*sim.EnergyIntegrator, len(m.counters))
+	for t := range s.eager {
+		for k := range s.eager[t] {
+			s.eager[t][k] = sim.NewEnergyIntegrator(now, 0)
+		}
+	}
+}
+
+func (s *counterShadow) refresh(m *Machine, now sim.Time) {
+	for t := range s.eager {
+		for k, ei := range s.eager[t] {
+			ei.SetPower(now, m.counters[t][k].Rate())
+		}
+	}
+}
+
+func (s *counterShadow) checkRead(m *Machine, t int, k counterKind, now sim.Time, lazy float64) {
+	if eager := s.eager[t][k].Energy(now); math.Float64bits(eager) != math.Float64bits(lazy) {
+		panic(fmt.Sprintf("simcheck: thread %d counter %d at %v: lazy %v, eager %v", t, k, now, lazy, eager))
+	}
 }

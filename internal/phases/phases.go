@@ -86,13 +86,11 @@ func (r *Runner) enterPhase() {
 	if p.Kernel.Name == "" {
 		r.idleAll()
 	} else {
-		r.M.Batch(func() {
-			for _, t := range r.Threads {
-				// Offline threads drop out of the pattern silently; the
-				// pattern must survive topology changes mid-run.
-				_, _ = r.M.StartKernel(t, p.Kernel, p.Weight)
-			}
-		})
+		for _, t := range r.Threads {
+			// Offline threads drop out of the pattern silently; the
+			// pattern must survive topology changes mid-run.
+			_, _ = r.M.StartKernel(t, p.Kernel, p.Weight)
+		}
 	}
 	r.M.Eng.Schedule(p.Duration, func() {
 		r.idx++
@@ -105,9 +103,7 @@ func (r *Runner) enterPhase() {
 }
 
 func (r *Runner) idleAll() {
-	r.M.Batch(func() {
-		for _, t := range r.Threads {
-			r.M.StopKernel(t)
-		}
-	})
+	for _, t := range r.Threads {
+		r.M.StopKernel(t)
+	}
 }

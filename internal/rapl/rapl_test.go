@@ -40,7 +40,7 @@ func TestUpdateQuantization(t *testing.T) {
 		t.Fatalf("quantized energy %v, want 0.100 (10 ms at 10 W)", got)
 	}
 	// Unquantized view keeps integrating.
-	if tj := m.cores[0].trueJoules(eng.Now()); math.Abs(tj-0.105) > 1e-9 {
+	if tj := m.trueJoules(m.coreDom(0)); math.Abs(tj-0.105) > 1e-9 {
 		t.Fatalf("true energy %v, want 0.105", tj)
 	}
 }
@@ -180,5 +180,83 @@ func TestStopHaltsNoise(t *testing.T) {
 	eng.RunFor(sim.Duration(2 * sim.Second))
 	if eng.PendingEvents() > n {
 		t.Fatal("noise ticker still scheduling after Stop")
+	}
+}
+
+// refDomain is the reference the lazy domains must reproduce: an energy
+// integrator folded at every feed instant, with its snapshot rolled to the
+// period boundary first.
+type refDomain struct {
+	ei    *sim.EnergyIntegrator
+	snapJ float64
+	snapT sim.Time
+}
+
+func (e *refDomain) roll(now sim.Time, period sim.Duration) {
+	if b := sim.Time(int64(now) / int64(period) * int64(period)); b > e.snapT {
+		e.snapJ = e.ei.Energy(b)
+		e.snapT = b
+	}
+}
+
+// TestLazyDomainsMatchEagerFolding feeds every domain at each of a random
+// sequence of instants, as the machine does, with most powers unchanged,
+// and reads random domains at random times across UpdatePeriod boundaries.
+// Every quantized and unquantized reading must match eager folding bit for
+// bit, through several fold-log compactions.
+func TestLazyDomainsMatchEagerFolding(t *testing.T) {
+	eng, top, _, m := newModel(0.01)
+	period := m.cfg.UpdatePeriod
+	rng := sim.NewRNG(3)
+	ref := make([]refDomain, len(m.doms))
+	for i := range ref {
+		ref[i].ei = sim.NewEnergyIntegrator(0, 0)
+	}
+	fed := make([]float64, len(m.doms))
+	for i := range fed {
+		fed[i] = rng.Range(0.05, 3)
+	}
+	check := func(what string, i int, want, got float64) {
+		t.Helper()
+		if math.Float64bits(want) != math.Float64bits(got) {
+			t.Fatalf("%s of domain %d at %v: lazy %v, eager %v", what, i, eng.Now(), got, want)
+		}
+	}
+	instants := 0
+	for step := 0; step < 3000; step++ {
+		eng.RunFor(rng.DurationRange(0, 700*sim.Microsecond))
+		now := eng.Now()
+		if rng.Intn(2) == 0 {
+			i := rng.Intn(len(m.doms))
+			ref[i].roll(now, period)
+			var got float64
+			if i < len(top.Cores) {
+				got = m.CoreEnergyJoules(soc.CoreID(i))
+			} else {
+				got = m.PackageEnergyJoules(soc.PackageID(i - len(top.Cores)))
+			}
+			check("quantized energy", i, ref[i].snapJ, got)
+			continue
+		}
+		instants++
+		for i := range m.doms {
+			if rng.Intn(10) == 0 {
+				fed[i] = rng.Range(0.05, 3)
+			}
+			w := math.Max(0, fed[i]*m.NoiseFactor())
+			ref[i].roll(now, period)
+			ref[i].ei.SetPower(now, w)
+			if i < len(top.Cores) {
+				m.SetCorePower(soc.CoreID(i), fed[i])
+			} else {
+				m.SetPackagePower(soc.PackageID(i-len(top.Cores)), fed[i])
+			}
+		}
+	}
+	if instants <= foldLogCap {
+		t.Fatalf("only %d feed instants; the fold log never compacted", instants)
+	}
+	for i := range m.doms {
+		check("true energy", i, ref[i].ei.Energy(eng.Now()), m.trueJoules(i))
 	}
 }

@@ -1,0 +1,61 @@
+//go:build simcheck
+
+package rapl
+
+import (
+	"fmt"
+	"math"
+
+	"zen2ee/internal/sim"
+)
+
+// domainShadow keeps an eagerly folded copy of every domain: at each new
+// instant at which power is fed, every eager domain rolls its snapshot and
+// folds there, the folds a lazy domain must replay. Every lazy read must
+// match its shadow bit for bit.
+type domainShadow struct {
+	eager []eagerDomain
+	last  sim.Time
+}
+
+type eagerDomain struct {
+	ei    *sim.EnergyIntegrator
+	snapJ float64
+	snapT sim.Time
+}
+
+func (e *eagerDomain) roll(now sim.Time, period sim.Duration) {
+	b := sim.Time(int64(now) / int64(period) * int64(period))
+	if b > e.snapT {
+		e.snapJ = e.ei.Energy(b)
+		e.snapT = b
+	}
+}
+
+func (s *domainShadow) init(m *Model) {
+	s.last = m.eng.Now()
+	s.eager = make([]eagerDomain, len(m.doms))
+	for i := range s.eager {
+		s.eager[i].ei = sim.NewEnergyIntegrator(s.last, 0)
+	}
+}
+
+func (s *domainShadow) set(m *Model, i int, w float64) {
+	now := m.eng.Now()
+	if now != s.last {
+		for j := range s.eager {
+			s.eager[j].roll(now, m.cfg.UpdatePeriod)
+			s.eager[j].ei.Advance(now)
+		}
+		s.last = now
+	}
+	s.eager[i].ei.SetPower(now, w)
+}
+
+func (s *domainShadow) checkRead(m *Model, i int, lazy float64) {
+	e := &s.eager[i]
+	e.roll(m.eng.Now(), m.cfg.UpdatePeriod)
+	if math.Float64bits(e.snapJ) != math.Float64bits(lazy) {
+		panic(fmt.Sprintf("simcheck: RAPL domain %d at %v: lazy %v J, eager %v J", i, m.eng.Now(), lazy, e.snapJ))
+	}
+}

@@ -45,8 +45,8 @@ import (
 type ActivitySource interface {
 	// Epoch returns a counter that moves whenever any core reading or the
 	// controller's applied P-states or boost grants may have changed. The
-	// machine layer bumps it once per completed refresh, and every
-	// controller mutation ends in a refresh.
+	// machine layer bumps it once per completed refresh; every controller
+	// mutation queues a refresh, which Epoch runs before answering.
 	Epoch() uint64
 	// CoreCurrentAmps returns the core's present current draw as seen by
 	// the EDC activity monitor.
