@@ -3,7 +3,8 @@
 // result cache with singleflight deduplication, live SSE progress streams,
 // and Prometheus metrics. Sweeps batch many (Scale, Seed) configurations
 // into one job, content-addressed per configuration against the same cache
-// single jobs use.
+// single jobs use; a single job is the one-configuration sweep of its spec
+// and executes on the same path.
 //
 // Usage: zen2eed [-addr :8080] [-executors N] [-queue N] [-cache N]
 // [-cache-bytes N] [-sse-keepalive D] [-log-format text|json] [-log-level L]
@@ -29,7 +30,9 @@
 // re-executes only its missing shards, and combined with -store-dir a
 // daemon killed mid-sweep resumes from its last completed shard — with
 // byte-identical results, since the cached gob payloads round-trip
-// float64 values exactly.
+// float64 values exactly. The cache lives on the serving daemon, in front
+// of local execution and the worker lease queue alike, so a memoized shard
+// is never dispatched; -shard-cache is a usage error with -worker.
 //
 // With -listen-workers the daemon also acts as a distributed shard
 // coordinator: headless worker processes started with
@@ -82,7 +85,6 @@ import (
 
 	"zen2ee/internal/dist"
 	"zen2ee/internal/service"
-	"zen2ee/internal/shardcache"
 	"zen2ee/internal/store"
 	"zen2ee/internal/tenant"
 )
@@ -103,11 +105,9 @@ type options struct {
 	tenantConfig string
 	storeDir     string
 	storeBytes   int64
-	// shardCache enables shard-output memoization: in daemon mode shard
-	// outputs land in the result store (disk-backed with -store-dir); in
-	// worker mode the worker keeps a bounded memory tier sized by
-	// -cache/-cache-bytes. leaseBatch tunes the dist protocol's batch
-	// size on whichever side this process runs.
+	// shardCache enables shard-output memoization in the result store
+	// (disk-backed with -store-dir). leaseBatch tunes the dist protocol's
+	// batch size on whichever side this process runs.
 	shardCache bool
 	leaseBatch int
 	cfg        service.Config
@@ -167,7 +167,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&o.storeBytes, "store-bytes", 0,
 		"persistent store tier byte bound, evicted LRU-first past it (0 = unbounded; needs -store-dir)")
 	fs.BoolVar(&o.shardCache, "shard-cache", false,
-		"memoize individual shard outputs by their deterministic address: warm shards skip execution, and with -store-dir an interrupted sweep resumes from its last completed shard after a restart; in -worker mode the worker keeps a bounded in-memory shard cache consulted before executing")
+		"memoize individual shard outputs by their deterministic address in the result store: warm shards skip execution (and are never leased to workers), and with -store-dir an interrupted sweep resumes from its last completed shard after a restart; serving daemon only, not -worker mode")
 	fs.IntVar(&o.leaseBatch, "lease-batch", 0,
 		"shard tasks moved per dist lease round trip: with -listen-workers, the most one worker poll may be granted (0 = the 16 default); with -worker, the batch size requested per poll (0 = the slot count)")
 	if err := fs.Parse(args); err != nil {
@@ -206,8 +206,8 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	if o.storeBytes > 0 && o.storeDir == "" {
 		return o, fmt.Errorf("-store-bytes only applies with -store-dir")
 	}
-	if o.worker != "" && (o.tenantConfig != "" || o.storeDir != "") {
-		return o, fmt.Errorf("-tenant-config and -store-dir only apply to the serving daemon, not -worker mode")
+	if o.worker != "" && (o.tenantConfig != "" || o.storeDir != "" || o.shardCache) {
+		return o, fmt.Errorf("-tenant-config, -store-dir and -shard-cache only apply to the serving daemon, not -worker mode")
 	}
 	if o.leaseBatch < 0 {
 		return o, fmt.Errorf("-lease-batch must be >= 0 (0 means the default)")
@@ -235,17 +235,10 @@ func runWorker(o options, logger *slog.Logger) error {
 			name = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
 	}
-	cfg := dist.WorkerConfig{
+	w, err := dist.NewWorker(dist.WorkerConfig{
 		Coordinator: o.worker, Name: name, Host: host, PID: os.Getpid(),
 		Slots: o.cfg.Executors, LeaseBatch: o.leaseBatch, Logger: logger,
-	}
-	if o.shardCache {
-		// Worker-side memoization is memory-only (workers are disposable);
-		// the -cache/-cache-bytes bounds, unused in worker mode otherwise,
-		// size it.
-		cfg.Cache = shardcache.New(store.NewMemory(o.cfg.CacheEntries, o.cfg.CacheBytes), "")
-	}
-	w, err := dist.NewWorker(cfg)
+	})
 	if err != nil {
 		return err
 	}

@@ -98,6 +98,8 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-sse-keepalive", "50ms"},
 		{"-log-format", "xml"},
 		{"-log-level", "loud"},
+		{"-worker", "http://127.0.0.1:1", "-shard-cache"},
+		{"-worker", "http://127.0.0.1:1", "-tenant-config", "t.json"},
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted, want error", args)

@@ -12,9 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"zen2ee/internal/shardcache"
-	"zen2ee/internal/store"
 )
 
 // leaseBatch polls once asking for up to max tasks.
@@ -215,37 +212,5 @@ func TestWorkerBatchPipelineExecutesAll(t *testing.T) {
 	}
 	if execs.Load() != 8 {
 		t.Fatalf("worker executed %d shards, want 8", execs.Load())
-	}
-}
-
-func TestWorkerShardCacheSkipsRepeatExecution(t *testing.T) {
-	env := newTestEnv(t, Config{})
-	cache := shardcache.New(store.NewMemory(16, 1<<20), "test-salt")
-	var execs atomic.Int64
-	startWorker(t, env, WorkerConfig{
-		Name: "cached", Slots: 1, Cache: cache,
-		Execute: func(ts TaskSpec) (any, error) {
-			execs.Add(1)
-			return 42.0, nil
-		},
-	})
-	waitFor(t, "worker registration", func() bool { return env.c.WorkersConnected() == 1 })
-
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	// The same shard ref dispatched twice — a re-run sweep from the
-	// worker's point of view. The second lease must be served from the
-	// worker's cache without executing.
-	for round := 0; round < 2; round++ {
-		o := waitOutcome(t, runShardAsync(h, shardTask(0, 0, nil)))
-		if o.err != nil || o.out != 42.0 || o.origin != "cached" {
-			t.Fatalf("round %d outcome = %+v", round, o)
-		}
-	}
-	if execs.Load() != 1 {
-		t.Fatalf("worker executed %d times for the same ref, want 1 (second served from cache)", execs.Load())
-	}
-	if s := cache.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want exactly 1 hit and 1 miss", s)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"zen2ee/internal/core"
-	"zen2ee/internal/shardcache"
 )
 
 // WorkerConfig configures a Worker.
@@ -54,12 +53,6 @@ type WorkerConfig struct {
 	// Execute runs one leased task. Default: core.ExecuteShardRef on the
 	// task's shard reference — the production path. Tests inject stubs.
 	Execute func(TaskSpec) (any, error)
-	// Cache, when non-nil, memoizes shard outputs by their ShardRef: the
-	// worker consults it before Execute and backfills it after, so a fleet
-	// re-running a sweep (a crashed coordinator, a repeated sweep) skips
-	// shards it already computed. zen2eed -worker -shard-cache wires a
-	// bounded memory tier here.
-	Cache *shardcache.Cache
 	// DrainTimeout bounds how long shutdown waits for in-flight shards to
 	// finish before relinquishing them via deregister (default 30s).
 	DrainTimeout time.Duration
@@ -460,24 +453,14 @@ func (w *Worker) slotLoop(ctx context.Context, slot int, tasks <-chan TaskSpec, 
 }
 
 // execute runs one task, panic-guarded: a broken shard fails its lease,
-// never the worker. The shard cache, when configured, is consulted first
-// and backfilled on success.
+// never the worker.
 func (w *Worker) execute(t TaskSpec) (out any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = nil, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	if w.cfg.Cache != nil {
-		if out, ok := w.cfg.Cache.Lookup(t.Ref); ok {
-			return out, nil
-		}
-	}
-	out, err = w.cfg.Execute(t)
-	if err == nil && w.cfg.Cache != nil {
-		w.cfg.Cache.Store(t.Ref, out)
-	}
-	return out, err
+	return w.cfg.Execute(t)
 }
 
 // complete reports a finished task, retrying transport failures a few

@@ -8,10 +8,10 @@
 // holder and then reads the cache instead of running a duplicate.
 //
 // Deadlock freedom: claims are held only while actually executing, never
-// while waiting — execute retries the claim after waiting, and
-// executeSweep waits on other holders only after releasing every claim
-// of its own — so the wait graph never contains a cycle (a holder always
-// runs to completion without blocking on another claim).
+// while waiting — execute waits on other holders only after releasing
+// every claim of its own, then retries the claims — so the wait graph
+// never contains a cycle (a holder always runs to completion without
+// blocking on another claim).
 
 package service
 

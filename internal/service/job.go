@@ -61,7 +61,7 @@ func (s Spec) canonicalize() (Spec, error) {
 	if err := validateWorkers(s.Workers); err != nil {
 		return s, err
 	}
-	ids, err := canonicalIDs(s.IDs)
+	ids, err := core.CanonicalIDs(s.IDs)
 	if err != nil {
 		return s, err
 	}
@@ -76,13 +76,6 @@ func validateWorkers(w *int) error {
 		return fmt.Errorf("workers must be >= 1 when given, got %d (omit the field for the daemon default)", *w)
 	}
 	return nil
-}
-
-// canonicalIDs resolves an experiment-ID request to its canonical form:
-// paper order, nil when it names the whole registry. Unknown and duplicate
-// IDs are errors (core.ResolveIDs rejects both).
-func canonicalIDs(req []string) ([]string, error) {
-	return core.CanonicalIDs(req)
 }
 
 // options returns the core run options the spec describes.
@@ -126,10 +119,12 @@ const (
 // job is one accepted spec working through the queue. The event log is kept
 // for the job's lifetime so late SSE subscribers replay the full stream.
 type job struct {
-	id    string // content address; also the cache key
-	kind  Kind
-	spec  Spec      // valid when kind == KindRun
-	sweep SweepSpec // valid when kind == KindSweep
+	id   string // content address; also the cache key
+	kind Kind
+	spec Spec // valid when kind == KindRun
+	// sweep is what execute runs: the request of a sweep job, the
+	// one-configuration form of spec for a run job.
+	sweep SweepSpec
 	// owner is the tenant that first submitted the spec (later identical
 	// submissions dedup onto the job without changing ownership); class
 	// is its scheduling priority. Both are set before the job is shared
@@ -167,6 +162,7 @@ type job struct {
 func newJob(spec Spec) *job {
 	return &job{
 		id: spec.key(), kind: KindRun, spec: spec, state: StateQueued,
+		sweep:   SweepSpec{IDs: spec.IDs, Configs: []core.Config{spec.options()}, Workers: spec.Workers},
 		created: time.Now(), subs: map[chan event]struct{}{},
 	}
 }

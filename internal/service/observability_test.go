@@ -13,7 +13,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"zen2ee/internal/core"
 	"zen2ee/internal/obs"
 	"zen2ee/internal/report"
 )
@@ -174,6 +176,13 @@ func TestJobTraceEndpoint(t *testing.T) {
 	if counts[obs.CatShard] != 2 || counts[obs.CatMarshal] != 1 || counts[obs.CatPlan] != 1 {
 		t.Fatalf("trace span counts %v, want 2 shard + 1 marshal + 1 plan", counts)
 	}
+	// A run job is a one-config sweep: its marshal span is configuration 0,
+	// nested in that configuration's deliver span like a sweep section's.
+	for _, e := range doc.CompleteEvents() {
+		if e.Cat == obs.CatMarshal && e.Args["config"] != 0.0 {
+			t.Fatalf("run job marshal span args %v, want config 0", e.Args)
+		}
+	}
 
 	if done.Latency == nil {
 		t.Fatal("finished job reports no latency breakdown")
@@ -217,6 +226,85 @@ func TestSweepTraceEndpoint(t *testing.T) {
 	}
 	if !marshalConfigs[0] || !marshalConfigs[1] {
 		t.Fatalf("marshal spans missing request config indices: %v", marshalConfigs)
+	}
+}
+
+// TestTraceAbsentWhenNothingExecuted: a job every configuration of which
+// was served from cache executed nothing, so it has no trace — 404, not an
+// empty document. Both in-executor cache paths are covered: a sweep whose
+// only configuration an earlier run job computed, and a run job that
+// waited on an in-flight sweep's claim and then read the sweep's section.
+func TestTraceAbsentWhenNothingExecuted(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	_, ts := newTestServer(t, Config{
+		Executors: 2,
+		// The two-config sweep parks mid-run; everything else runs freely.
+		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
+			if len(sw.Configs) > 1 {
+				started <- struct{}{}
+				<-gate
+			}
+			return core.RunSweepStream(sw, rc, onConfig, progress)
+		},
+	})
+	noTrace := func(what, id string) {
+		t.Helper()
+		if body, code := getBody(t, ts.URL+"/v1/jobs/"+id+"/trace"); code != http.StatusNotFound {
+			t.Errorf("%s: trace returned %d, want 404: %s", what, code, body)
+		}
+	}
+
+	// A fully cached sweep: the run job computes seed 3, the sweep over
+	// seeds [3] only reads it back.
+	run, _ := postJob(t, ts, `{"ids":["fig1"],"scale":0.2,"seed":3}`)
+	waitState(t, ts, run.ID)
+	if _, code := getBody(t, ts.URL+"/v1/jobs/"+run.ID+"/trace"); code != http.StatusOK {
+		t.Fatalf("executed run job: trace returned %d, want 200", code)
+	}
+	sw, code := postSweep(t, ts, `{"ids":["fig1"],"scales":[0.2],"seeds":[3]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep POST returned %d", code)
+	}
+	if final := waitState(t, ts, sw.ID); final.State != StateDone || len(final.CachedConfigs) != 1 || !final.CachedConfigs[0] {
+		t.Fatalf("fully cached sweep finished as %+v", final)
+	}
+	noTrace("fully cached sweep", sw.ID)
+
+	// A run job served after the singleflight wait: the sweep holds seed
+	// 11's claim, the run job queues behind it, and takes its section.
+	held, _ := postSweep(t, ts, `{"ids":["fig1"],"scales":[0.2],"seeds":[11,12]}`)
+	<-started
+	waiter, code := postJob(t, ts, `{"ids":["fig1"],"scale":0.2,"seed":11}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("waiting run job POST returned %d", code)
+	}
+	waitUntil(t, "the run job to reach the claim wait", func() bool {
+		body, _ := getBody(t, ts.URL+"/v1/jobs/"+waiter.ID)
+		var st Status
+		return json.Unmarshal([]byte(body), &st) == nil && st.State == StateRunning
+	})
+	time.Sleep(20 * time.Millisecond)
+	close(gate)
+	if final := waitState(t, ts, waiter.ID); final.State != StateDone || !final.Cached || final.Latency != nil {
+		t.Fatalf("waiting run job finished as %+v, want cached done with no latency", final)
+	}
+	waitState(t, ts, held.ID)
+	noTrace("run job served after the singleflight wait", waiter.ID)
+	if _, code := getBody(t, ts.URL+"/v1/jobs/"+held.ID+"/trace"); code != http.StatusOK {
+		t.Errorf("executed sweep: trace returned %d, want 200", code)
+	}
+
+	// The waiter's stream is the run-job shape with nothing executed: just
+	// the terminal event.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + waiter.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, resp.Body)
+	resp.Body.Close()
+	if len(events) != 1 || events[0].name != "done" {
+		t.Fatalf("waiting run job's SSE stream %v, want exactly one done event", events)
 	}
 }
 

@@ -20,15 +20,17 @@ import (
 	"zen2ee/internal/store"
 )
 
-// countingConfig wires counting runners into cfg and returns the counters.
+// countingConfig wires a counting runner into cfg and returns the
+// counters: one-configuration calls (run jobs) count as runs, wider calls
+// as sweep runs.
 func countingConfig(cfg Config) (Config, *atomic.Int32, *atomic.Int32) {
 	runs, sweepRuns := &atomic.Int32{}, &atomic.Int32{}
-	cfg.Runner = func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
-		runs.Add(1)
-		return core.RunIDsConfig(ids, o, rc, progress)
-	}
 	cfg.SweepRunner = func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
-		sweepRuns.Add(1)
+		if len(sw.Configs) == 1 {
+			runs.Add(1)
+		} else {
+			sweepRuns.Add(1)
+		}
 		return core.RunSweepStream(sw, rc, onConfig, progress)
 	}
 	return cfg, runs, sweepRuns

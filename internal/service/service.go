@@ -15,7 +15,9 @@
 // shards share the executor pool, and the content addressing is *per
 // configuration* — a sweep only runs the configurations no single job (or
 // earlier sweep) has computed, and everything it completes is served to
-// later single jobs from the same cache.
+// later single jobs from the same cache. A run job (POST /v1/jobs) is the
+// one-configuration sweep of its spec: both kinds execute on one path, the
+// SweepRunner, and differ only in what they report.
 //
 // Endpoints:
 //
@@ -52,19 +54,15 @@ import (
 	"zen2ee/internal/tenant"
 )
 
-// Runner executes a job's experiment set; it is core.RunIDsConfig in
-// production and injectable for tests. The RunConfig carries the daemon's
-// shared executor gate, so injected runners that forward it stay subject to
-// the pool.
-type Runner func(ids []string, o core.Options, cfg core.RunConfig, progress func(core.Progress)) ([]*core.Result, error)
-
-// SweepRunner executes the missing configurations of a sweep job as one
-// merged streaming scheduler run, delivering each configuration through
-// onConfig as it completes; core.RunSweepStream in production, injectable
-// for tests (which observe exactly which configurations the daemon did not
-// serve from cache). Implementations must honor the RunSweepStream
-// callback contract: onConfig invoked exactly once per configuration,
-// never concurrently.
+// SweepRunner executes the missing configurations of a job — a sweep, or a
+// run job's one configuration — as one merged streaming scheduler run,
+// delivering each configuration through onConfig as it completes;
+// core.RunSweepStream in production, injectable for tests (which observe
+// exactly which configurations the daemon did not serve from cache). The
+// RunConfig carries the daemon's shared executor gate, so injected runners
+// that forward it stay subject to the pool. Implementations must honor the
+// RunSweepStream callback contract: onConfig invoked exactly once per
+// configuration, never concurrently.
 type SweepRunner func(sw core.Sweep, cfg core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error
 
 // Config sizes the daemon.
@@ -139,10 +137,8 @@ type Config struct {
 	// memory-over-disk tiered store when started with -store-dir, which
 	// survives restarts and resurrects memory-evicted results.
 	Store store.ResultStore
-	// Runner overrides the experiment runner (tests); nil means core.RunIDsConfig.
-	Runner Runner
-	// SweepRunner overrides the sweep runner (tests); nil means
-	// core.RunSweep.
+	// SweepRunner overrides the runner every job executes on (tests); nil
+	// means core.RunSweepStream.
 	SweepRunner SweepRunner
 }
 
@@ -170,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Store == nil {
 		c.Store = store.NewMemory(c.CacheEntries, c.CacheBytes)
-	}
-	if c.Runner == nil {
-		c.Runner = core.RunIDsConfig
 	}
 	if c.SweepRunner == nil {
 		c.SweepRunner = core.RunSweepStream
@@ -551,7 +544,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusOf snapshots a job for the API. Done sweep jobs hold no payload of
-// their own (see executeSweep); their document is assembled from the
+// their own (see execute); their document is assembled from the
 // per-config cache entries, and omitted — never fabricated — if any
 // section has been evicted.
 func (s *Server) statusOf(j *job, includeResults bool) Status {
@@ -767,12 +760,7 @@ func (s *Server) executor() {
 			j.setRunning()
 			s.metrics.addRunning(1)
 			s.log.Info("job started", "job", shortID(j.id), "kind", j.kind, "tenant", j.owner.Name())
-			switch j.kind {
-			case KindSweep:
-				s.executeSweep(j)
-			default:
-				s.execute(j)
-			}
+			s.execute(j)
 			s.metrics.addRunning(-1)
 			// The owner's breaker sees every terminal outcome, including
 			// completions served from another executor's cache entry.
@@ -817,17 +805,6 @@ func (s *Server) acquireSlot() func() {
 	return s.gate.Acquire(s.fallback, tenant.ClassBulk)
 }
 
-// workersFor resolves a job-level worker override: the scheduler spawns
-// up to Executors workers unless the spec pins a count; actual concurrency
-// is governed by the shared slot pool either way — a lone job spreads over
-// every slot, concurrent jobs split them.
-func (s *Server) workersFor(override *int) int {
-	if override != nil {
-		return *override
-	}
-	return s.cfg.Executors
-}
-
 // runConfig assembles the scheduler configuration for one job run. Without
 // the coordinator it is the classic local shape: Acquire gates every shard
 // on the shared slot pool, billed to the job's tenant at its priority
@@ -838,12 +815,17 @@ func (s *Server) workersFor(override *int) int {
 // nil — scheduler goroutines blocked on remote completions must not hold
 // executor slots, so tenant fairness governs only the local execution
 // path — and the default worker count tracks the connected pool so a
-// remote fleet is actually kept busy. finish releases the run's
+// remote fleet is actually kept busy. Locally the scheduler spawns
+// Executors workers unless the spec pins a count; the shared slot pool
+// governs actual concurrency either way. finish releases the run's
 // coordinator state and must be called when the run ends.
-func (s *Server) runConfig(j *job, override *int, tr *obs.Trace) (cfg core.RunConfig, finish func()) {
-	cfg = core.RunConfig{Trace: tr, ObserveShard: s.metrics.observeShard}
+func (s *Server) runConfig(j *job, tr *obs.Trace) (cfg core.RunConfig, finish func()) {
+	override := j.sweep.Workers
+	cfg = core.RunConfig{Trace: tr, ObserveShard: s.metrics.observeShard, Workers: s.cfg.Executors}
+	if override != nil {
+		cfg.Workers = *override
+	}
 	if s.coord == nil {
-		cfg.Workers = s.workersFor(override)
 		cfg.Acquire = s.gate.AcquireFunc(j.owner, j.class)
 		if s.shardCache != nil {
 			// The cache probe runs under the Acquire slot like any shard
@@ -859,20 +841,18 @@ func (s *Server) runConfig(j *job, override *int, tr *obs.Trace) (cfg core.RunCo
 		// dispatch round trip, locally or remotely.
 		cfg.RunShard = s.shardCache.WrapRunShard(h.RunShard, tr)
 	}
-	if override != nil {
-		cfg.Workers = *override
-	} else {
+	if override == nil {
 		cfg.Workers = s.coord.PoolSize(s.cfg.Executors)
 	}
 	return cfg, h.Finish
 }
 
 // progressPublisher adapts core.Progress events into the job's SSE stream
-// (observing experiment latency metrics along the way). remapConfig
-// translates the scheduler's configuration index into the client's request
-// index — identity for single jobs, the missing-subset mapping for sweeps
-// — and configs is the request's total configuration count.
-func (s *Server) progressPublisher(j *job, remapConfig func(int) int, configs int) func(core.Progress) {
+// (observing experiment latency metrics along the way). mine maps the
+// scheduler's configuration index, within the claimed subset, onto the
+// client's request index, and configs is the request's total
+// configuration count.
+func (s *Server) progressPublisher(j *job, mine []int, configs int) func(core.Progress) {
 	return func(p core.Progress) {
 		if p.ExperimentDone() && p.Err == nil {
 			s.metrics.observeExperiment(p.ID, p.Elapsed)
@@ -880,12 +860,12 @@ func (s *Server) progressPublisher(j *job, remapConfig func(int) int, configs in
 			// attribute assembly entirely below Debug.
 			if s.log.Enabled(context.Background(), slog.LevelDebug) {
 				s.log.Debug("experiment done", "job", shortID(j.id), "experiment", p.ID,
-					"config", remapConfig(p.Config), "elapsed", p.Elapsed)
+					"config", mine[p.Config], "elapsed", p.Elapsed)
 			}
 		}
 		ev := progressEvent{
 			ID: p.ID, Index: p.Index, Shard: p.Shard, Shards: p.Shards,
-			Config: remapConfig(p.Config), Configs: configs,
+			Config: mine[p.Config], Configs: configs,
 			Label: p.Label, Done: p.Done, Total: p.Total,
 			ElapsedSeconds: p.Elapsed.Seconds(),
 		}
@@ -894,69 +874,6 @@ func (s *Server) progressPublisher(j *job, remapConfig func(int) int, configs in
 		}
 		j.publish("progress", ev)
 	}
-}
-
-func (s *Server) execute(j *job) {
-	// Per-configuration singleflight: a sweep may be simulating this very
-	// configuration under a different job address. Wait for the holder and
-	// take the cached payload instead of running a duplicate; claims are
-	// only held by executing jobs, so the wait always ends.
-	for {
-		wait, claimed := s.running.begin(j.id)
-		if claimed {
-			break
-		}
-		<-wait
-		if payload, ok := s.cache.Get(j.id); ok {
-			j.setDoneCached(payload)
-			s.metrics.add(&s.metrics.cacheHits, 1)
-			s.metrics.add(&s.metrics.jobsDone, 1)
-			return
-		}
-		// The holder failed; retry the claim and run it ourselves.
-	}
-	defer s.running.end(j.id)
-	if payload, ok := s.cache.Get(j.id); ok {
-		// Double-check after claiming: the previous holder may have
-		// finished between our admission-time probe and now.
-		j.setDoneCached(payload)
-		s.metrics.add(&s.metrics.cacheHits, 1)
-		s.metrics.add(&s.metrics.jobsDone, 1)
-		return
-	}
-
-	tr := s.newTrace()
-	runCfg, finishRun := s.runConfig(j, j.spec.Workers, tr)
-	runStart := time.Now()
-	results, err := s.cfg.Runner(j.spec.IDs, j.spec.options(), runCfg,
-		s.progressPublisher(j, func(ci int) int { return ci }, 1))
-	runDur := time.Since(runStart)
-	finishRun()
-	if err == nil {
-		var payload []byte
-		marshalStart := time.Now()
-		payload, err = report.MarshalResults(results, j.spec.options())
-		marshalDur := time.Since(marshalStart)
-		tr.Add(obs.Span{Cat: obs.CatMarshal, Name: "marshal", Config: -1, Worker: -1,
-			Start: tr.Offset(marshalStart), Dur: marshalDur})
-		if err == nil {
-			j.setLatency(runDur, marshalDur)
-			s.storeTrace(j, tr)
-			s.cache.Put(j.id, payload)
-			j.setDone(payload)
-			s.metrics.add(&s.metrics.jobsDone, 1)
-			s.log.Info("job done", "job", shortID(j.id), "kind", j.kind,
-				"tenant", j.owner.Name(), "run", runDur, "marshal", marshalDur)
-			return
-		}
-		err = fmt.Errorf("encoding results: %w", err)
-	}
-	j.setLatency(runDur, 0)
-	s.storeTrace(j, tr)
-	j.setFailed(err)
-	s.metrics.add(&s.metrics.jobsFailed, 1)
-	s.log.Error("job failed", "job", shortID(j.id), "kind", j.kind,
-		"tenant", j.owner.Name(), "error", err)
 }
 
 // newTrace builds the per-job execution trace recorder; nil (the disabled
@@ -970,7 +887,8 @@ func (s *Server) newTrace() *obs.Trace {
 
 // storeTrace serializes a job's trace into its Chrome trace-event document
 // before the terminal state flips, so a client that sees "done" never races
-// a still-missing trace.
+// a still-missing trace. A nil trace (nothing ran, or tracing is disabled)
+// stores nothing.
 func (s *Server) storeTrace(j *job, tr *obs.Trace) {
 	if !tr.Enabled() {
 		return
@@ -986,7 +904,7 @@ func (s *Server) storeTrace(j *job, tr *obs.Trace) {
 	j.setTrace(b)
 }
 
-// --- job state helpers (here rather than job.go: they pair with execute) ---
+// --- job state helpers (here rather than job.go: they are the executor's transitions) ---
 
 func (j *job) currentState() State {
 	j.mu.Lock()
@@ -1015,17 +933,6 @@ func (j *job) setDone(payload []byte) {
 	})
 }
 
-// setDoneCached finishes a running job with a payload another executor
-// (or an earlier run) produced — the per-configuration singleflight's hit
-// path, distinct from completeFromCache, which never left the submit
-// handler.
-func (j *job) setDoneCached(payload []byte) {
-	j.mu.Lock()
-	j.cached = true
-	j.mu.Unlock()
-	j.setDone(payload)
-}
-
 func (j *job) setFailed(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -1041,20 +948,16 @@ func (j *job) setFailed(err error) {
 	})
 }
 
-// completeFromCache marks a fresh job done with a cached payload and logs
-// the terminal event so SSE subscribers of cache-hit jobs see a stream.
+// completeFromCache marks a fresh run job done with a cached payload and
+// logs the terminal event so SSE subscribers of cache-hit jobs see a
+// stream. Sweeps never get here: nothing stores a payload under a sweep's
+// own address, so admit's store probe only ever hits for run jobs.
 func (j *job) completeFromCache(payload []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateDone
 	j.payload = payload
 	j.cached = true
-	if j.kind == KindSweep {
-		j.cachedConfigs = make([]bool, len(j.sweep.Configs))
-		for i := range j.cachedConfigs {
-			j.cachedConfigs[i] = true
-		}
-	}
 	j.started = j.created
 	j.finished = j.created
 	j.publishLocked("done", terminalEvent{ID: j.id, State: StateDone})

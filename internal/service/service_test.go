@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,6 +24,23 @@ import (
 const testSpecJSON = `{"ids":["fig1","sec5a"],"scale":0.2,"seed":3}`
 
 func intp(v int) *int { return &v }
+
+// perConfig adapts a per-configuration fake runner into a SweepRunner: the
+// fake runs each configuration in request order, every outcome is
+// delivered through onConfig, and the failures come back joined — the
+// RunSweepStream contract. A run job's sweep has one configuration, so a
+// fake sees exactly one call per executed run job.
+func perConfig(run func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error)) SweepRunner {
+	return func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
+		var errs []error
+		for i, c := range sw.Configs {
+			results, err := run(sw.IDs, c, rc, progress)
+			onConfig(i, core.ConfigResult{Config: c, Results: results}, err)
+			errs = append(errs, err)
+		}
+		return errors.Join(errs...)
+	}
+}
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -155,6 +173,10 @@ func TestEndToEnd(t *testing.T) {
 			}
 		case "done":
 			done++
+		default:
+			// A run job is a one-config sweep, but its stream keeps the
+			// run-job shape: no config-cached/config-done section events.
+			t.Errorf("run job streamed a %q event; want only progress and done", e.name)
 		}
 	}
 	if progress != 2 || done != 1 {
@@ -224,11 +246,11 @@ func TestEndToEnd(t *testing.T) {
 func TestConcurrentIdenticalRequestsRunOnce(t *testing.T) {
 	var runs atomic.Int32
 	gate := make(chan struct{})
-	cfg := Config{Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 		runs.Add(1)
 		<-gate
 		return core.RunIDsConfig(ids, o, rc, progress)
-	}}
+	})}
 	_, ts := newTestServer(t, cfg)
 
 	st1, code1 := postJob(t, ts, testSpecJSON)
@@ -273,10 +295,10 @@ func TestConcurrentIdenticalRequestsRunOnce(t *testing.T) {
 // go test -race in CI.
 func TestHammerIdenticalRequests(t *testing.T) {
 	var runs atomic.Int32
-	cfg := Config{Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 		runs.Add(1)
 		return core.RunIDsConfig(ids, o, rc, progress)
-	}}
+	})}
 	_, ts := newTestServer(t, cfg)
 
 	const clients = 16
@@ -336,7 +358,7 @@ func TestLoneJobShardsAcrossExecutors(t *testing.T) {
 	var closeOverlap sync.Once
 	cfg := Config{
 		Executors: 4,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+		SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 			inner := rc.Acquire
 			rc.Acquire = func() func() {
 				release := inner()
@@ -358,7 +380,7 @@ func TestLoneJobShardsAcrossExecutors(t *testing.T) {
 				return func() { held.Add(-1); release() }
 			}
 			return core.RunIDsConfig(ids, o, rc, progress)
-		},
+		}),
 	}
 	_, ts := newTestServer(t, cfg)
 
@@ -512,11 +534,11 @@ func TestQueueFullRejects(t *testing.T) {
 	defer close(gate)
 	started := make(chan struct{}, 8)
 	cfg := Config{QueueDepth: 1, Executors: 1,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+		SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 			started <- struct{}{}
 			<-gate
 			return core.RunIDsConfig(ids, o, rc, progress)
-		}}
+		})}
 	_, ts := newTestServer(t, cfg)
 
 	// Distinct seeds make distinct jobs. Job 1 occupies the executor, then
@@ -549,10 +571,10 @@ func TestUnknownJob(t *testing.T) {
 func TestResultBeforeDone(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	cfg := Config{Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 		<-gate
 		return core.RunIDsConfig(ids, o, rc, progress)
-	}}
+	})}
 	_, ts := newTestServer(t, cfg)
 	st, _ := postJob(t, ts, `{"ids":["fig1"]}`)
 	if _, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code != http.StatusConflict {
@@ -562,12 +584,12 @@ func TestResultBeforeDone(t *testing.T) {
 
 func TestFailedJobsRetryAndReportViaSSE(t *testing.T) {
 	var calls atomic.Int32
-	cfg := Config{Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 		if calls.Add(1) == 1 {
 			return nil, fmt.Errorf("synthetic backend failure")
 		}
 		return core.RunIDsConfig(ids, o, rc, progress)
-	}}
+	})}
 	srv, ts := newTestServer(t, cfg)
 
 	st, _ := postJob(t, ts, `{"ids":["fig1"]}`)
@@ -653,10 +675,10 @@ func TestJobHistoryEvictionFallsBackToCache(t *testing.T) {
 	// With a tiny job table, an old finished job's record is evicted, but
 	// resubmitting its spec is still a cache hit (no new simulation).
 	var runs atomic.Int32
-	cfg := Config{JobHistory: 1, Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{JobHistory: 1, SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 		runs.Add(1)
 		return core.RunIDsConfig(ids, o, rc, progress)
-	}}
+	})}
 	_, ts := newTestServer(t, cfg)
 
 	st1, _ := postJob(t, ts, `{"ids":["fig1"],"seed":1}`)

@@ -2,10 +2,12 @@
 // configurations of one experiment set into a single job. The daemon
 // content-addresses sweeps *per configuration*: before running anything it
 // checks each configuration against the same cache single jobs populate,
-// hands only the missing configurations to one merged core.RunSweep call
+// hands only the missing configurations to one merged SweepRunner call
 // (so their shards share the executor pool), and stores every completed
 // configuration back under its single-job key — a sweep warms the cache
-// for later single jobs and vice versa.
+// for later single jobs and vice versa. A single job is itself the
+// one-configuration sweep of its spec, so execute here is the executor
+// for every job.
 
 package service
 
@@ -86,7 +88,7 @@ func (s SweepSpec) canonicalize() (SweepSpec, error) {
 	if err := validateWorkers(s.Workers); err != nil {
 		return s, err
 	}
-	ids, err := canonicalIDs(s.IDs)
+	ids, err := core.CanonicalIDs(s.IDs)
 	if err != nil {
 		return s, err
 	}
@@ -123,18 +125,24 @@ type configCachedEvent struct {
 	Cached  bool `json:"cached,omitempty"`
 }
 
-// executeSweep drives a sweep job on the streaming scheduler: per-config
-// cache probe and singleflight claim, one merged RunSweepStream over the
-// configurations this job claimed — each completed configuration is
-// marshaled, cached under its single-job content address, and announced
-// over SSE the moment its last shard finishes — then a wait-and-reprobe
-// round for configurations another executor was already simulating. The
-// job stores no payload of its own: the sweep document is assembled from
-// the per-config cache entries on demand (statusOf, serveSweepResult), so
-// the daemon's memory is bounded by the sections in flight, never by the
-// sweep size.
-func (s *Server) executeSweep(j *job) {
+// execute drives a job on the streaming scheduler. Every job is a sweep —
+// a run job is the one-configuration sweep of its spec — so both kinds
+// take one path: a per-configuration cache probe and singleflight claim,
+// one merged SweepRunner call over the configurations this job claimed
+// (each completed configuration is marshaled and cached under its run-job
+// content address the moment its last shard finishes), then a
+// wait-and-reprobe round for configurations another executor was already
+// simulating. The kinds differ only in what they report: a sweep counts
+// sweep_configs_*, announces each section over SSE (config-cached,
+// config-done) and stores no payload of its own — its document is
+// assembled from the per-config cache entries on demand (statusOf,
+// serveSweepResult), so the daemon's memory is bounded by the sections in
+// flight, never by the sweep size. A run job counts a cache hit when its
+// configuration was already computed, reports Status.Cached, and keeps its
+// one section as its payload.
+func (s *Server) execute(j *job) {
 	spec := j.sweep
+	isRun := j.kind == KindRun
 	n := len(spec.Configs)
 	done := make([]bool, n)
 	cached := make([]bool, n)
@@ -142,11 +150,14 @@ func (s *Server) executeSweep(j *job) {
 	for i := range pending {
 		pending[i] = i
 	}
-	// One trace spans every round of the sweep. Known quirk: spans the core
-	// scheduler records index configurations within the claimed missing
-	// subset, while the marshal spans recorded here carry request indices —
-	// the trace args are for locating work, not joining the two numberings.
-	tr := s.newTrace()
+	var payload []byte // a run job's document; a sweep keeps none
+	// One trace spans every round, started by the first round that runs
+	// anything: a job that executed nothing has no trace. Known quirk:
+	// spans the core scheduler records index configurations within the
+	// claimed missing subset, while the marshal spans recorded here carry
+	// request indices — the trace args are for locating work, not joining
+	// the two numberings.
+	var tr *obs.Trace
 	var runDur, marshalDur time.Duration
 	for len(pending) > 0 {
 		// Classify every unresolved configuration: cached, claimed by this
@@ -155,24 +166,34 @@ func (s *Server) executeSweep(j *job) {
 		var theirs []int
 		var waits []<-chan struct{}
 		for _, i := range pending {
-			wait, claimed := s.running.begin(spec.configKey(i))
+			key := spec.configKey(i)
+			wait, claimed := s.running.begin(key)
 			if !claimed {
 				theirs = append(theirs, i)
 				waits = append(waits, wait)
 				continue
 			}
-			if _, ok := s.cache.Get(spec.configKey(i)); ok {
-				s.running.end(spec.configKey(i))
-				done[i], cached[i] = true, true
-				s.metrics.add(&s.metrics.sweepConfigsCached, 1)
-				j.publish("config-cached", configCachedEvent{Config: i, Configs: n, Cached: true})
+			p, ok := s.cache.Get(key)
+			if !ok {
+				mine = append(mine, i)
 				continue
 			}
-			mine = append(mine, i)
+			s.running.end(key)
+			done[i], cached[i] = true, true
+			if isRun {
+				payload = p
+				s.metrics.add(&s.metrics.cacheHits, 1)
+				continue
+			}
+			s.metrics.add(&s.metrics.sweepConfigsCached, 1)
+			j.publish("config-cached", configCachedEvent{Config: i, Configs: n, Cached: true})
 		}
 		j.setCachedConfigs(cached)
 
 		if len(mine) > 0 {
+			if tr == nil {
+				tr = s.newTrace()
+			}
 			missing := make([]core.Config, len(mine))
 			for k, i := range mine {
 				missing[k] = spec.Configs[i]
@@ -182,12 +203,14 @@ func (s *Server) executeSweep(j *job) {
 					s.running.end(spec.configKey(i))
 				}
 			}
-			runCfg, finishRun := s.runConfig(j, spec.Workers, tr)
-			// Remap the scheduler's index within the claimed subset onto
-			// the request's configuration list, so stream consumers see
-			// the indices they asked for. onConfig is serialized by the
-			// SweepRunner contract, so encodeErr needs no lock.
+			runCfg, finishRun := s.runConfig(j, tr)
+			// mine remaps the scheduler's index within the claimed subset
+			// onto the request's configuration list, so stream consumers
+			// see the indices they asked for. onConfig is serialized by
+			// the SweepRunner contract, so encodeErr and roundMarshal need
+			// no lock.
 			var encodeErr error
+			var roundMarshal time.Duration
 			roundStart := time.Now()
 			err := s.cfg.SweepRunner(core.Sweep{IDs: spec.IDs, Configs: missing}, runCfg,
 				func(k int, cr core.ConfigResult, cerr error) {
@@ -196,25 +219,33 @@ func (s *Server) executeSweep(j *job) {
 					}
 					i := mine[k]
 					marshalStart := time.Now()
-					payload, merr := report.MarshalResults(cr.Results, cr.Config)
-					marshalDur += time.Since(marshalStart)
+					p, merr := report.MarshalResults(cr.Results, cr.Config)
+					d := time.Since(marshalStart)
+					roundMarshal += d
 					tr.Add(obs.Span{Cat: obs.CatMarshal, Name: "marshal", Config: i, Worker: -1,
-						Start: tr.Offset(marshalStart), Dur: time.Since(marshalStart)})
+						Start: tr.Offset(marshalStart), Dur: d})
 					if merr != nil {
 						if encodeErr == nil {
 							encodeErr = fmt.Errorf("encoding config (scale %g, seed %d) results: %w", cr.Config.Scale, cr.Config.Seed, merr)
 						}
 						return
 					}
-					s.cache.Put(spec.configKey(i), payload)
+					s.cache.Put(spec.configKey(i), p)
 					done[i] = true
+					if isRun {
+						payload = p
+						return
+					}
 					s.metrics.add(&s.metrics.sweepConfigsRun, 1)
 					j.publish("config-done", configCachedEvent{Config: i, Configs: n})
 					s.log.Debug("sweep config done", "job", shortID(j.id), "config", i,
 						"scale", cr.Config.Scale, "seed", cr.Config.Seed)
 				},
-				s.progressPublisher(j, func(ci int) int { return mine[ci] }, n))
-			runDur += time.Since(roundStart)
+				s.progressPublisher(j, mine, n))
+			// Encoding happens inside the streaming run; run_seconds
+			// excludes it, marshal_seconds reports it.
+			runDur += time.Since(roundStart) - roundMarshal
+			marshalDur += roundMarshal
 			finishRun()
 			releaseMine()
 			if err == nil {
@@ -249,13 +280,9 @@ func (s *Server) executeSweep(j *job) {
 		pending = theirs
 	}
 
-	// Every section sits in the per-config cache; the job completes
-	// without a payload (no whole-document double-buffering). Sweep
-	// run_seconds includes the per-section encoding, which happens inside
-	// the streaming run; marshal_seconds still reports it separately.
 	j.setLatency(runDur, marshalDur)
 	s.storeTrace(j, tr)
-	j.setDone(nil)
+	j.setDone(payload)
 	s.metrics.add(&s.metrics.jobsDone, 1)
 	s.log.Info("job done", "job", shortID(j.id), "kind", j.kind,
 		"tenant", j.owner.Name(), "run", runDur, "marshal", marshalDur)
@@ -306,10 +333,15 @@ func (s *Server) sweepEvicted(j *job) bool {
 	return false
 }
 
-// setCachedConfigs records which configurations the sweep served from
-// cache (visible in Status.CachedConfigs while the rest still run).
+// setCachedConfigs records which configurations the job served from
+// cache: a sweep lists them in Status.CachedConfigs (visible while the
+// rest still run); a run job, one configuration, reports Status.Cached.
 func (j *job) setCachedConfigs(cached []bool) {
 	j.mu.Lock()
-	j.cachedConfigs = append([]bool(nil), cached...)
+	if j.kind == KindRun {
+		j.cached = cached[0]
+	} else {
+		j.cachedConfigs = append([]bool(nil), cached...)
+	}
 	j.mu.Unlock()
 }

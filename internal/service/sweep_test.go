@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -174,6 +175,12 @@ func TestSweepSharesCacheWithSingleJobs(t *testing.T) {
 	}
 	waitState(t, ts, stSingle.ID)
 	singlePayload, _ := getBody(t, ts.URL+"/v1/jobs/"+stSingle.ID+"/result")
+	// The single job is a one-config sweep through the same runner; what
+	// the sweeps below run is counted from this snapshot on.
+	before := len(counter.ranConfigs())
+	if before != 1 {
+		t.Fatalf("single job ran %d configs, want 1", before)
+	}
 
 	// Sweep covering the warmed config (seed 3) plus two cold ones.
 	stSweep, code := postSweep(t, ts, `{"ids":["fig1"],"scales":[0.2],"seeds":[3,4,5]}`)
@@ -190,7 +197,7 @@ func TestSweepSharesCacheWithSingleJobs(t *testing.T) {
 	}
 	// Execution-count observation: the scheduler saw only the two missing
 	// configurations, never the warmed one.
-	ran := counter.ranConfigs()
+	ran := counter.ranConfigs()[before:]
 	if len(ran) != 2 || ran[0] != (core.Config{Scale: 0.2, Seed: 4}) || ran[1] != (core.Config{Scale: 0.2, Seed: 5}) {
 		t.Fatalf("sweep ran configs %+v, want only seeds 4 and 5", ran)
 	}
@@ -233,7 +240,7 @@ func TestSweepSharesCacheWithSingleJobs(t *testing.T) {
 	if final := waitState(t, ts, stMore.ID); final.State != StateDone {
 		t.Fatalf("widened sweep finished as %+v", final)
 	}
-	ran = counter.ranConfigs()
+	ran = counter.ranConfigs()[before:]
 	if len(ran) != 3 || ran[2] != (core.Config{Scale: 0.2, Seed: 6}) {
 		t.Fatalf("widened sweep re-ran configs: %+v (want one new run for seed 6)", ran)
 	}
@@ -374,13 +381,17 @@ func TestSweepWaitsForInFlightSingleJob(t *testing.T) {
 	counter := &countingSweepRunner{}
 	cfg := Config{
 		Executors: 2,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
-			singleRuns.Add(1)
-			started <- struct{}{}
-			<-gate
-			return core.RunIDsConfig(ids, o, rc, progress)
+		// Seed 7 is the single job's configuration: it parks mid-run. Every
+		// other configuration goes through the counter.
+		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
+			if slices.ContainsFunc(sw.Configs, func(c core.Config) bool { return c.Seed == 7 }) {
+				singleRuns.Add(1)
+				started <- struct{}{}
+				<-gate
+				return core.RunSweepStream(sw, rc, onConfig, progress)
+			}
+			return counter.run(sw, rc, onConfig, progress)
 		},
-		SweepRunner: counter.run,
 	}
 	_, ts := newTestServer(t, cfg)
 
@@ -433,11 +444,13 @@ func TestSingleJobWaitsForInFlightSweep(t *testing.T) {
 	started := make(chan struct{}, 1)
 	cfg := Config{
 		Executors: 2,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
-			singleRuns.Add(1)
-			return core.RunIDsConfig(ids, o, rc, progress)
-		},
+		// A one-configuration call is the single job's; the two-config
+		// sweep parks mid-run.
 		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
+			if len(sw.Configs) == 1 {
+				singleRuns.Add(1)
+				return core.RunSweepStream(sw, rc, onConfig, progress)
+			}
 			started <- struct{}{}
 			<-gate
 			return core.RunSweepStream(sw, rc, onConfig, progress)
@@ -683,10 +696,10 @@ func TestSSEKeepalive(t *testing.T) {
 	gate := make(chan struct{})
 	cfg := Config{
 		SSEKeepAlive: 20 * time.Millisecond,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+		SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 			<-gate
 			return core.RunIDsConfig(ids, o, rc, progress)
-		},
+		}),
 	}
 	_, ts := newTestServer(t, cfg)
 

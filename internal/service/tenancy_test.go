@@ -167,11 +167,11 @@ func TestTenantQueueQuota429(t *testing.T) {
 		{Name: "batch", Key: "kb", MaxQueued: 1},
 	}})
 	cfg := Config{Executors: 1, QueueDepth: 8, Tenants: reg,
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+		SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 			started <- struct{}{}
 			<-gate
 			return core.RunIDsConfig(ids, o, rc, progress)
-		}}
+		})}
 	_, ts := newTestServer(t, cfg)
 
 	if _, resp, _ := postAuth(t, ts, "/v1/jobs", `{"ids":["fig1"],"seed":1}`, "kb"); resp.StatusCode != http.StatusAccepted {
@@ -293,8 +293,20 @@ func TestInteractiveTenantNotStarvedByBulkSweep(t *testing.T) {
 	}})
 	cfg := Config{
 		Executors: 2, Tenants: reg,
+		// A one-configuration call is the interactive run job's; the
+		// six-config sweep is the bulk one.
 		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 			inner := rc.Acquire
+			if len(sw.Configs) == 1 {
+				rc.Acquire = func() func() {
+					rel := inner()
+					mu.Lock()
+					order = append(order, "live")
+					mu.Unlock()
+					return rel
+				}
+				return core.RunSweepStream(sw, rc, onConfig, progress)
+			}
 			rc.Acquire = func() func() {
 				rel := inner()
 				mu.Lock()
@@ -307,17 +319,6 @@ func TestInteractiveTenantNotStarvedByBulkSweep(t *testing.T) {
 				return rel
 			}
 			return core.RunSweepStream(sw, rc, onConfig, progress)
-		},
-		Runner: func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
-			inner := rc.Acquire
-			rc.Acquire = func() func() {
-				rel := inner()
-				mu.Lock()
-				order = append(order, "live")
-				mu.Unlock()
-				return rel
-			}
-			return core.RunIDsConfig(ids, o, rc, progress)
 		},
 	}
 	s, ts := newTestServer(t, cfg)
