@@ -340,10 +340,3 @@ func (o Options) perExperiment(id string) Options {
 	o.Seed = sim.DeriveSeed(o.Seed, id)
 	return o
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -120,15 +120,30 @@ func waitTransitionsSettled(m *machine.Machine, bound sim.Duration) {
 }
 
 // pollUntilFrequency advances the simulation until the core's effective
-// frequency equals target (within eps), polling at the given granularity.
+// frequency equals target, polling at the given granularity.
 // Returns the elapsed time, or false if deadline passed.
+//
+// A core's frequency can only change at an event, so a poll that follows no
+// event reads what the previous poll read. The loop therefore skips to the
+// first later poll instant at or after the next queued event (or to the
+// deadline), which returns the same result and leaves the clock where
+// polling every instant would.
 func pollUntilFrequency(m *machine.Machine, core soc.CoreID, targetMHz float64, poll, deadline sim.Duration) (sim.Duration, bool) {
 	start := m.Eng.Now()
-	for m.Eng.Now().Sub(start) < deadline {
+	// Poll k runs at start + k·poll; poll last is the first at or past the
+	// deadline, where the loop gives up.
+	polls := func(d sim.Duration) int64 { return (int64(d) + int64(poll) - 1) / int64(poll) }
+	last := polls(deadline)
+	for k := int64(0); k < last; {
 		if m.EffectiveMHz(core) == targetMHz {
 			return m.Eng.Now().Sub(start), true
 		}
-		m.Eng.RunFor(poll)
+		next := last
+		if at, ok := m.Eng.NextAt(); ok {
+			next = min(last, max(k+1, polls(at.Sub(start))))
+		}
+		k = next
+		m.Eng.RunUntil(start.Add(sim.Duration(k) * poll))
 	}
 	return 0, false
 }

@@ -15,6 +15,12 @@
 //   - The §VI-B anomaly: hardware threads taken offline through sysfs are
 //     elevated to C1 (instead of parking in the deepest state), pinning the
 //     whole system at C1-level power until they are explicitly re-onlined.
+//
+// The model keeps each core's count of C0 threads up to date as states
+// change, so a mutation costs O(1): EnterIdle, Wake and SetEnabled can only
+// move the mutated thread's core, and only an online change
+// (NotifyOnlineChanged) recounts every core. Builds with `-tags simcheck`
+// check the counts against a full scan after every mutation.
 package cstate
 
 import (
@@ -103,10 +109,9 @@ type Model struct {
 	// enabled[t][s] — sysfs "disable" files; C0 cannot be disabled.
 	enabled [][NumStates]bool
 
-	// beforeBuf/afterBuf are mutate's reused active-count scratch space;
-	// bufBusy guards against re-entrant mutation (falls back to allocating).
-	beforeBuf, afterBuf []int
-	bufBusy             bool
+	// active[c] is core c's number of C0 threads, kept current by mutate.
+	active []int
+	scan   activeScan // full-scan cross-check, -tags simcheck only
 
 	// BeforeChange/AfterChange bracket any effective-state mutation so that
 	// power and performance integrators can fold in elapsed time first.
@@ -132,12 +137,12 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config) *Model {
 		cfg:       cfg,
 		requested: make([]State, top.NumThreads()),
 		enabled:   make([][NumStates]bool, top.NumThreads()),
-		beforeBuf: make([]int, top.NumCores()),
-		afterBuf:  make([]int, top.NumCores()),
+		active:    make([]int, top.NumCores()),
 	}
 	for i := range m.enabled {
 		m.enabled[i] = [NumStates]bool{true, true, true}
 	}
+	m.coreActiveCounts(m.active)
 	return m
 }
 
@@ -222,41 +227,44 @@ func (m *Model) WakeLatency(from State, coreMHz float64, remote bool) sim.Durati
 	return d
 }
 
-// mutate wraps a state change with the integrator hooks and re-derives the
-// per-core active counts. t identifies the mutated thread for the dirty
-// hooks; a negative t marks a mutation that may affect every thread.
+// mutate wraps a state change with the integrator hooks and brings the
+// per-core active counts up to date, firing OnCoreActive for each core whose
+// count moved. t identifies the mutated thread: f may change only t's state,
+// so only t's core is recounted. A negative t marks a mutation that may
+// affect every thread (an online change); every core is then recounted, in
+// core order.
 func (m *Model) mutate(t soc.ThreadID, f func()) {
 	if m.BeforeChange != nil {
 		m.BeforeChange()
 	}
-	before, after := m.beforeBuf, m.afterBuf
-	reused := !m.bufBusy && before != nil
-	if reused {
-		m.bufBusy = true
-		defer func() { m.bufBusy = false }()
-	} else {
-		before = make([]int, m.top.NumCores())
-		after = make([]int, m.top.NumCores())
-	}
-	m.coreActiveCounts(before)
 	f()
 	if t >= 0 {
 		if m.Dirty != nil {
 			m.Dirty(t)
 		}
-	} else if m.DirtyAll != nil {
-		m.DirtyAll()
-	}
-	m.coreActiveCounts(after)
-	if m.OnCoreActive != nil {
-		for core := range after {
-			if before[core] != after[core] {
-				m.OnCoreActive(soc.CoreID(core), after[core])
-			}
+		m.recount(m.top.Threads[t].Core)
+	} else {
+		if m.DirtyAll != nil {
+			m.DirtyAll()
+		}
+		for core := range m.active {
+			m.recount(soc.CoreID(core))
 		}
 	}
+	m.checkActive()
 	if m.AfterChange != nil {
 		m.AfterChange()
+	}
+}
+
+// recount re-derives one core's active count and reports a change through
+// OnCoreActive.
+func (m *Model) recount(core soc.CoreID) {
+	if n := m.ActiveThreads(core); n != m.active[core] {
+		m.active[core] = n
+		if m.OnCoreActive != nil {
+			m.OnCoreActive(core, n)
+		}
 	}
 }
 

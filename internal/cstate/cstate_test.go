@@ -300,3 +300,55 @@ func TestWakeLatencyAtFloorFrequency(t *testing.T) {
 		t.Fatalf("latency at floor = %v", d)
 	}
 }
+
+// TestOnCoreActiveNotifications pins when the kept per-core C0 counts are
+// reported: once per count change of the mutated thread's core, never for
+// a mutation that leaves the count alone, and for an online change on every
+// core whose count moved, in core order.
+func TestOnCoreActiveNotifications(t *testing.T) {
+	_, top, m := newModel()
+	type note struct {
+		core soc.CoreID
+		n    int
+	}
+	var got []note
+	m.OnCoreActive = func(c soc.CoreID, n int) { got = append(got, note{c, n}) }
+	expect := func(what string, want ...note) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: notifications %v, want %v", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: notifications %v, want %v", what, got, want)
+			}
+		}
+		got = got[:0]
+	}
+	c3 := top.Cores[3].Threads
+	m.EnterIdle(c3[0], C1)
+	expect("first thread idles", note{3, 1})
+	m.EnterIdle(c3[0], C2)
+	expect("C1 to C2")
+	if err := m.SetEnabled(c3[1], C2, false); err != nil {
+		t.Fatal(err)
+	}
+	expect("disabling C2 on a C0 thread")
+	m.EnterIdle(c3[1], C2)
+	expect("second thread idles (capped at C1)", note{3, 0})
+	m.Wake(c3[1], 2500, false)
+	expect("wake", note{3, 1})
+
+	// Offline two running threads behind the model's back: one online
+	// notification recounts every core, in core order.
+	hi, lo := top.Cores[9].Threads[1], top.Cores[5].Threads[1]
+	for _, th := range []soc.ThreadID{hi, lo} {
+		if err := top.SetOnline(th, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.NotifyOnlineChanged()
+	expect("online change", note{5, 1}, note{9, 1})
+	m.NotifyOnlineChanged()
+	expect("repeated online change")
+}

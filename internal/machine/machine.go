@@ -405,8 +405,17 @@ func (m *Machine) TrafficGBs() float64 {
 	return m.trafficGBs
 }
 
-// EffectiveMHz returns a core's effective frequency.
-func (m *Machine) EffectiveMHz(core soc.CoreID) float64 { return m.DVFS.EffectiveMHz(core) }
+// EffectiveMHz returns a core's effective frequency. An active core with
+// no refresh pending is answered from the value the last refresh derived;
+// otherwise the DVFS controller derives it. It never flushes, so reading it
+// does not move a refresh.
+func (m *Machine) EffectiveMHz(core soc.CoreID) float64 {
+	if !m.stale && !m.dirtyAll && !m.dirtyCores[core] && m.inputsBuf[core].ActiveThreads > 0 {
+		m.checkEffective(core)
+		return m.effBuf[core]
+	}
+	return m.DVFS.EffectiveMHz(core)
+}
 
 // TempC returns the package temperature.
 func (m *Machine) TempC() float64 {

@@ -414,3 +414,37 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
+
+// TestEffectiveMHzSeesPendingMutation reads a core's effective clock right
+// after a CCX sibling starts work, before the refresh that mutation queued
+// has run: the answer must already carry the Table I coupling penalty, not
+// the value the last refresh cached.
+func TestEffectiveMHzSeesPendingMutation(t *testing.T) {
+	m := newMachine()
+	sibling := m.Top.CCXs[m.Top.Cores[0].CCX].Cores[1]
+	other := m.Top.Cores[sibling].Threads[0]
+	if err := m.SetThreadFrequencyMHz(other, 2500); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.StartKernel(0, workload.Busywait, 0); err != nil {
+		t.Fatal(err)
+	}
+	settle(m, 10*sim.Millisecond)
+	if got := m.EffectiveMHz(0); got != 1500 {
+		t.Fatalf("alone in its CCX: %v MHz, want 1500", got)
+	}
+	if _, err := m.StartKernel(other, workload.Busywait, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := m.DVFS.EffectiveMHz(0)
+	if want >= 1500 {
+		t.Fatalf("a 2.5 GHz sibling leaves core 0 at %v MHz, want a coupling penalty", want)
+	}
+	if got := m.EffectiveMHz(0); got != want {
+		t.Fatalf("before the refresh: %v MHz, want %v", got, want)
+	}
+	m.flush()
+	if got := m.EffectiveMHz(0); got != want {
+		t.Fatalf("after the refresh: %v MHz, want %v", got, want)
+	}
+}

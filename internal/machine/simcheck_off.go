@@ -17,6 +17,10 @@ func (m *Machine) verifyRefresh(rapl.Config) {}
 // re-derives a core on every SMU activity read and rejects stale caches.
 func (m *Machine) checkActivityRead(soc.CoreID) {}
 
+// checkEffective is compiled out unless built with -tags simcheck, which
+// checks every cached EffectiveMHz answer against the DVFS controller.
+func (m *Machine) checkEffective(soc.CoreID) {}
+
 // verifyFeed is compiled out unless built with -tags simcheck, which
 // checks every RAPL core domain's input against the cached estimate.
 func (m *Machine) verifyFeed() {}

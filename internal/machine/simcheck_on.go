@@ -43,6 +43,15 @@ func (m *Machine) checkActivityRead(core soc.CoreID) {
 	m.verifyCore(core, m.RAPL.Config(), "SMU read")
 }
 
+// checkEffective asserts that the refresh-cached effective frequency
+// EffectiveMHz is about to return equals the controller's bit for bit.
+func (m *Machine) checkEffective(core soc.CoreID) {
+	if want := m.DVFS.EffectiveMHz(core); math.Float64bits(m.effBuf[core]) != math.Float64bits(want) {
+		panic(fmt.Sprintf("simcheck: core %d cached effective clock %g MHz at %v, controller %g MHz",
+			core, m.effBuf[core], m.Eng.Now(), want))
+	}
+}
+
 // verifyFeed asserts that every RAPL core domain runs at the power a full
 // re-feed would give it: a clean core skipped by the refresh must already
 // hold its cached estimate at the current model noise.

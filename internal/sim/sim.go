@@ -301,6 +301,15 @@ func (e *Engine) Drain(limit uint64) uint64 {
 	return n
 }
 
+// NextAt returns the time of the earliest queued event; ok is false when
+// the queue is empty.
+func (e *Engine) NextAt() (at Time, ok bool) {
+	if len(e.heap) == 0 {
+		return 0, false
+	}
+	return e.slots[e.heap[0]].at, true
+}
+
 // PendingEvents returns the number of scheduled events. Cancelled events are
 // removed from the queue immediately, so this is also the queue length.
 func (e *Engine) PendingEvents() int { return len(e.heap) }

@@ -610,3 +610,56 @@ func TestEventHeapIsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestNextAt pins the peek at the queue head: nothing on an empty queue,
+// the next live event once the head is cancelled, and a ticker's next grid
+// point after each tick reschedules it.
+func TestNextAt(t *testing.T) {
+	e := NewEngine(1)
+	if at, ok := e.NextAt(); ok {
+		t.Fatalf("empty queue: NextAt = %v, true", at)
+	}
+	head := e.Schedule(10, func() {})
+	e.Schedule(30, func() {})
+	if at, ok := e.NextAt(); !ok || at != 10 {
+		t.Fatalf("NextAt = %v, %v; want 10, true", at, ok)
+	}
+	e.Cancel(head)
+	if at, ok := e.NextAt(); !ok || at != 30 {
+		t.Fatalf("after cancelling the head: NextAt = %v, %v; want 30, true", at, ok)
+	}
+	e.RunUntil(30)
+	if at, ok := e.NextAt(); ok {
+		t.Fatalf("drained queue: NextAt = %v, true", at)
+	}
+
+	tk := e.NewTicker(100, 5, func() {})
+	for _, want := range []Time{105, 205, 305} {
+		if at, ok := e.NextAt(); !ok || at != want {
+			t.Fatalf("ticker: NextAt = %v, %v; want %v, true", at, ok, want)
+		}
+		e.RunUntil(want)
+	}
+	tk.Stop()
+	if at, ok := e.NextAt(); ok {
+		t.Fatalf("stopped ticker: NextAt = %v, true", at)
+	}
+}
+
+// TestScheduleFireAllocs enforces what BenchmarkEngineScheduleFire reports:
+// with the arena warmed up, scheduling and firing an event allocates
+// nothing.
+func TestScheduleFireAllocs(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Duration(i+1), fn)
+	}
+	e.RunFor(100)
+	if n := testing.AllocsPerRun(1000, func() {
+		e.Schedule(1, fn)
+		e.step()
+	}); n != 0 {
+		t.Fatalf("schedule+fire allocates %v times, want 0", n)
+	}
+}

@@ -65,7 +65,7 @@ const MaxIPC = 4.0
 
 // IPC returns the combined core IPC for the given number of active threads
 // (1 or 2).
-func (k Kernel) IPC(threads int) float64 {
+func (k *Kernel) IPC(threads int) float64 {
 	switch threads {
 	case 1:
 		return k.IPC1
@@ -77,7 +77,7 @@ func (k Kernel) IPC(threads int) float64 {
 }
 
 // EDCWeight returns the current-draw weight for the given thread count.
-func (k Kernel) EDCWeight(threads int) float64 {
+func (k *Kernel) EDCWeight(threads int) float64 {
 	if threads >= 2 {
 		return k.EDCWeight2
 	}
