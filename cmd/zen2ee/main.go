@@ -3,24 +3,29 @@
 //
 // Usage:
 //
-//	zen2ee list                          # list all experiments
-//	zen2ee run <id>|all [-scale S] [-seed N] [-parallel N] [-csv|-json] [-trace F] [-shard-cache DIR] [-listen-workers ADDR [-min-workers N] [-lease-batch K]]
-//	zen2ee sweep [<id>...|all] [-scales S1,S2] [-seeds N1..N2] [-parallel N] [-json] [-o F] [-trace F] [-shard-cache DIR] [-listen-workers ADDR [-min-workers N] [-lease-batch K]]
-//	zen2ee gen-experiments [-scale S] [-seed N] [-parallel N]
+//	zen2ee list                        # list all experiments
+//	zen2ee run <id>|all [flags]        # one configuration
+//	zen2ee sweep [<id>...|all] [flags] # a -scales × -seeds grid
+//	zen2ee gen-experiments [flags]     # EXPERIMENTS.md to stdout
+//	zen2ee <cmd> -h                    # the flags <cmd> takes
+//
+// Each command takes only its own flags, before or after the positional
+// arguments; everything after "--" is positional.
 //
 // Scale 1 gives quick, statistically meaningful runs; the paper's full
-// protocol corresponds to roughly -scale 25. Full-suite runs are fanned
-// out across -parallel worker goroutines (default: all CPUs); results are
+// protocol corresponds to roughly -scale 25. Runs are fanned out across
+// -parallel worker goroutines (default: all CPUs); results are
 // bit-identical to a serial run for the same seed, and per-experiment
 // progress streams to stderr.
 //
-// sweep evaluates one experiment set over the -scales × -seeds grid as a
-// single batched run: every (configuration, experiment, shard) triple
-// shares one worker pool, and each configuration's section of the output
-// is byte-identical to the standalone `zen2ee run` of that configuration.
-// Output streams section by section as configurations complete, so memory
-// is bounded by the in-flight window, not the grid; -o writes the document
-// through a temp file renamed into place only on success.
+// Every command is a sweep: run and gen-experiments evaluate one
+// configuration, sweep the -scales × -seeds grid as a single batched run in
+// which every (configuration, experiment, shard) triple shares one worker
+// pool. Each configuration's section of the sweep output is byte-identical
+// to the standalone `zen2ee run` of that configuration. Output streams
+// section by section as configurations complete, so memory is bounded by
+// the in-flight window, not the grid; -o writes the document through a
+// temp file renamed into place only on success.
 //
 // With -shard-cache DIR individual shard outputs are memoized
 // content-addressed under DIR. Re-running any spec over a warm cache skips
@@ -30,6 +35,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -50,6 +56,13 @@ import (
 	"zen2ee/internal/store"
 )
 
+// usageLines holds each experiment command's synopsis.
+var usageLines = map[string]string{
+	"run":             "zen2ee run <id>|all [flags]",
+	"sweep":           "zen2ee sweep [<id>...|all] [flags]",
+	"gen-experiments": "zen2ee gen-experiments [flags]",
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -59,93 +72,59 @@ func main() {
 	var err error
 	switch cmd {
 	case "list":
-		err = list()
+		list()
 	case "run":
-		err = run(args)
+		err = run(os.Stdout, args)
 	case "sweep":
-		err = sweep(args)
+		err = sweep(os.Stdout, args)
 	case "gen-experiments":
-		err = genExperiments(args)
+		err = genExperiments(os.Stdout, args)
 	case "help", "-h", "--help":
 		usage()
 	default:
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "zen2ee:", err)
 		os.Exit(1)
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+	fmt.Fprintf(os.Stderr, `usage:
   zen2ee list
-  zen2ee run <id>|all [-scale S] [-seed N] [-parallel N] [-csv|-json] [-trace F]
-  zen2ee sweep [<id>...|all] [-scales S1,S2] [-seeds N1..N2] [-parallel N] [-json] [-o F] [-trace F]
-  zen2ee gen-experiments [-scale S] [-seed N] [-parallel N]
+  %s
+  %s
+  %s
 
-flags (accepted before or after the positional argument):
-  -scale S     effort scale; the paper's full protocol is ≈ 25 (default 1)
-  -seed N      simulation seed (default 1)
-  -scales CSV  sweep scale axis, e.g. -scales 1,2,4 (sweep only; default 1)
-  -seeds LIST  sweep seed axis: CSV and/or ranges, e.g. -seeds 1..8 or
-               -seeds 1,5,10..12 (sweep only; default 1)
-  -parallel N  worker goroutines for full-suite runs (default: all CPUs;
-               results are identical for every N)
-  -csv         emit rows as CSV instead of aligned tables
-  -json        emit the canonical JSON document (identical bytes to what
-               the zen2eed daemon serves for the same spec)
-  -o F         sweep only: write the output to F via a temp file renamed
-               into place on success, so an interrupted run never leaves
-               a truncated document behind
-  -trace F     write a Chrome trace-event JSON of the run's execution to F
-               (one span per scheduled shard task plus scheduler lifecycle
-               spans); open it at https://ui.perfetto.dev or
-               chrome://tracing. Tracing does not change the results
-  -cpuprofile F  write a CPU profile of the command to F (like go test's
-               flag); inspect with 'go tool pprof F'
-  -memprofile F  write a post-GC heap profile of the command to F
-  -listen-workers ADDR  run/sweep only: serve the distributed worker
-               protocol on ADDR and fan shards out to remote 'zen2eed
-               -worker http://HOST:PORT' processes; local execution stays
-               the fallback and results are byte-identical to a local run
-  -min-workers N  wait until N workers have registered before starting
-               (only with -listen-workers)
-  -lease-batch K  run/sweep only: let one worker long-poll return up to K
-               shard leases at once (only with -listen-workers; 0 uses
-               the coordinator default of 16)
-  -shard-cache DIR  run/sweep only: memoize per-shard outputs content-
-               addressed under DIR; shards whose key is already cached
-               are served without executing, with byte-identical output.
-               Keys cover experiment, scale, seed, shard index, and the
-               experiment-registry version, so a registry change
-               invalidates the whole cache
+'zen2ee <cmd> -h' lists the flags <cmd> takes.
 
 sweep runs the scales × seeds cross-product of configurations as one
 batched job; each configuration's output section is byte-identical to the
-standalone run of that configuration.`)
+standalone run of that configuration.
+`, usageLines["run"], usageLines["sweep"], usageLines["gen-experiments"])
 }
 
-func list() error {
+func list() {
 	fmt.Printf("%-10s %-12s %-24s %s\n", "ID", "PAPER REF", "BENCH", "TITLE")
 	for _, e := range core.Registry() {
 		fmt.Printf("%-10s %-12s %-24s %s\n", e.ID, e.PaperRef, e.Bench, e.Title)
 	}
-	return nil
 }
 
-// experimentFlags holds the parsed flags shared by run, sweep, and
-// gen-experiments.
-type experimentFlags struct {
-	opts       core.Options
-	scales     []float64 // sweep scale axis (-scales)
-	seeds      []uint64  // sweep seed axis (-seeds)
+// cmdFlags is one command's flag set and the values it parses into.
+type cmdFlags struct {
+	cmd        string
+	fs         *flag.FlagSet
+	opts       core.Options // -scale, -seed
+	scales     []float64    // sweep scale axis (-scales)
+	seeds      []uint64     // sweep seed axis (-seeds)
 	csv        bool
 	jsonOut    bool
 	output     string // sweep destination file (-o); empty means stdout
 	trace      string // execution-trace destination file (-trace)
-	parallel   int    // worker count; 0 means runtime.NumCPU()
+	parallel   int
 	cpuprofile string
 	memprofile string
 	// listenWorkers starts a shard coordinator on this address so remote
@@ -153,126 +132,90 @@ type experimentFlags struct {
 	// minWorkers delays the run until that many have registered.
 	listenWorkers string
 	minWorkers    int
-	// shardCacheDir memoizes per-shard outputs in a content-addressed
-	// store rooted at this directory; a warm cache skips execution at
-	// shard granularity with byte-identical output (-shard-cache).
 	shardCacheDir string
-	// leaseBatch caps how many shard leases one worker long-poll may
-	// return (-lease-batch; 0 means the coordinator default).
-	leaseBatch int
-	pos        []string
 }
 
-// parseExperimentArgs scans args in a single pass, accepting flags before
-// and after positional arguments and all three spellings uniformly:
-// `-flag value`, `-flag=value`, and the boolean `-csv`. Unknown flags are a
-// usage error rather than silently becoming positional arguments.
-func parseExperimentArgs(args []string) (experimentFlags, error) {
-	f := experimentFlags{opts: core.DefaultOptions()}
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if a == "--" {
-			// Conventional end-of-flags marker: the rest is positional.
-			f.pos = append(f.pos, args[i+1:]...)
+// newFlags builds cmd's flag set. Each command registers only the flags
+// it takes, so a flag given to the wrong command is undefined.
+func newFlags(cmd string) *cmdFlags {
+	f := &cmdFlags{cmd: cmd, fs: flag.NewFlagSet(cmd, flag.ContinueOnError),
+		opts: core.DefaultOptions(), parallel: runtime.NumCPU()}
+	fs := f.fs
+	// main reports parse errors; parse prints -h's flag list itself.
+	fs.SetOutput(io.Discard)
+	if cmd == "sweep" {
+		fs.Func("scales", "scale axis as a `CSV`, e.g. 1,2,4 (default 1)", func(s string) (err error) {
+			f.scales, err = parseScaleList(s)
+			return err
+		})
+		fs.Func("seeds", "seed axis as a `LIST` of seeds and/or inclusive ranges, e.g. 1..8 or 1,5,10..12 (default 1)", func(s string) (err error) {
+			f.seeds, err = parseSeedList(s)
+			return err
+		})
+		fs.StringVar(&f.output, "o", "",
+			"write the output to `F` via a temp file renamed into place on success, so an interrupted sweep never leaves a truncated document behind (default stdout)")
+	} else {
+		fs.Float64Var(&f.opts.Scale, "scale", f.opts.Scale, "effort scale `S`; the paper's full protocol is ≈ 25")
+		fs.Func("seed", "simulation seed `N` (default 1)", func(s string) (err error) {
+			f.opts.Seed, err = strconv.ParseUint(s, 10, 64)
+			return err
+		})
+	}
+	fs.IntVar(&f.parallel, "parallel", f.parallel, "worker goroutines; results are identical for every `N`")
+	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile of the command to `F` (inspect with 'go tool pprof F')")
+	fs.StringVar(&f.memprofile, "memprofile", "", "write a post-GC heap profile of the command to `F`")
+	if cmd == "gen-experiments" {
+		return f
+	}
+	if cmd == "run" {
+		fs.BoolVar(&f.csv, "csv", false, "emit rows as CSV instead of aligned tables")
+	}
+	fs.BoolVar(&f.jsonOut, "json", false,
+		"emit the canonical JSON document: the bytes the zen2eed daemon serves for the same spec")
+	fs.StringVar(&f.trace, "trace", "",
+		"write a Chrome trace-event JSON of the run's execution to `F` (one span per scheduled shard task plus scheduler lifecycle spans; open it at https://ui.perfetto.dev or chrome://tracing). Tracing does not change the results")
+	fs.StringVar(&f.listenWorkers, "listen-workers", "",
+		"serve the distributed worker protocol on `ADDR` and fan shards out to remote 'zen2eed -worker http://HOST:PORT' processes; local execution stays the fallback and results are byte-identical to a local run")
+	fs.IntVar(&f.minWorkers, "min-workers", 0, "wait until `N` workers have registered before starting (needs -listen-workers)")
+	fs.StringVar(&f.shardCacheDir, "shard-cache", "",
+		"memoize per-shard outputs content-addressed under `DIR`; shards whose key is already cached are served without executing, with byte-identical output. Keys cover experiment, scale, seed, shard index, and the experiment-registry version, so a registry change invalidates the whole cache")
+	return f
+}
+
+// parse parses args against the command's flags and returns the
+// positional arguments. Flags may come before and after positional
+// arguments: parsing resumes after each one. Everything after "--" is
+// positional.
+func (f *cmdFlags) parse(args []string) ([]string, error) {
+	var pos []string
+	for {
+		if err := f.fs.Parse(args); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				fmt.Fprintf(os.Stderr, "usage: %s\n\nflags:\n", usageLines[f.cmd])
+				f.fs.SetOutput(os.Stderr)
+				f.fs.PrintDefaults()
+			}
+			return nil, err
+		}
+		rest := f.fs.Args()
+		if n := len(args) - len(rest); len(rest) == 0 || n > 0 && args[n-1] == "--" {
+			pos = append(pos, rest...)
 			break
 		}
-		if !strings.HasPrefix(a, "-") || a == "-" {
-			f.pos = append(f.pos, a)
-			continue
-		}
-		name := strings.TrimLeft(a, "-")
-		val, hasVal := "", false
-		if eq := strings.IndexByte(name, '='); eq >= 0 {
-			name, val, hasVal = name[:eq], name[eq+1:], true
-		}
-		takeValue := func() (string, error) {
-			if hasVal {
-				return val, nil
-			}
-			if i+1 >= len(args) {
-				return "", fmt.Errorf("needs a value")
-			}
-			i++
-			return args[i], nil
-		}
-		var err error
-		switch name {
-		case "scale":
-			var v string
-			if v, err = takeValue(); err == nil {
-				if f.opts.Scale, err = strconv.ParseFloat(v, 64); err == nil {
-					err = f.opts.Validate()
-				}
-			}
-		case "seed":
-			var v string
-			if v, err = takeValue(); err == nil {
-				f.opts.Seed, err = strconv.ParseUint(v, 10, 64)
-			}
-		case "scales":
-			var v string
-			if v, err = takeValue(); err == nil {
-				f.scales, err = parseScaleList(v)
-			}
-		case "seeds":
-			var v string
-			if v, err = takeValue(); err == nil {
-				f.seeds, err = parseSeedList(v)
-			}
-		case "parallel":
-			var v string
-			if v, err = takeValue(); err == nil {
-				f.parallel, err = strconv.Atoi(v)
-				if err == nil && f.parallel < 1 {
-					err = fmt.Errorf("must be >= 1")
-				}
-			}
-		case "o":
-			f.output, err = takeValue()
-		case "trace":
-			f.trace, err = takeValue()
-		case "cpuprofile":
-			f.cpuprofile, err = takeValue()
-		case "memprofile":
-			f.memprofile, err = takeValue()
-		case "listen-workers":
-			f.listenWorkers, err = takeValue()
-		case "shard-cache":
-			f.shardCacheDir, err = takeValue()
-		case "lease-batch":
-			var v string
-			if v, err = takeValue(); err == nil {
-				f.leaseBatch, err = strconv.Atoi(v)
-				if err == nil && f.leaseBatch < 0 {
-					err = fmt.Errorf("must be >= 0 (0 means the default)")
-				}
-			}
-		case "min-workers":
-			var v string
-			if v, err = takeValue(); err == nil {
-				f.minWorkers, err = strconv.Atoi(v)
-				if err == nil && f.minWorkers < 1 {
-					err = fmt.Errorf("must be >= 1")
-				}
-			}
-		case "csv":
-			f.csv = true
-			if hasVal {
-				f.csv, err = strconv.ParseBool(val)
-			}
-		case "json":
-			f.jsonOut = true
-			if hasVal {
-				f.jsonOut, err = strconv.ParseBool(val)
-			}
-		default:
-			return f, fmt.Errorf("unknown flag -%s (see 'zen2ee help')", name)
-		}
-		if err != nil {
-			return f, fmt.Errorf("flag -%s: %v", name, err)
-		}
+		pos, args = append(pos, rest[0]), rest[1:]
 	}
-	return f, nil
+	if err := f.opts.Validate(); err != nil {
+		return nil, fmt.Errorf("flag -scale: %v", err)
+	}
+	switch {
+	case f.parallel < 1:
+		return nil, fmt.Errorf("flag -parallel: must be >= 1")
+	case f.minWorkers < 0:
+		return nil, fmt.Errorf("flag -min-workers: must be >= 0")
+	case f.minWorkers > 0 && f.listenWorkers == "":
+		return nil, fmt.Errorf("-min-workers needs -listen-workers")
+	}
+	return pos, nil
 }
 
 // parseScaleList parses a CSV of positive scales ("1,2,4").
@@ -333,6 +276,53 @@ func parseSeedList(s string) ([]uint64, error) {
 	return out, nil
 }
 
+// run executes one configuration of one experiment, or of all of them.
+func run(w io.Writer, args []string) error {
+	f := newFlags("run")
+	ids, err := f.parse(args)
+	if err != nil {
+		return err
+	}
+	if len(ids) != 1 {
+		return fmt.Errorf("run needs exactly one experiment id (or 'all')")
+	}
+	if f.csv && f.jsonOut {
+		return fmt.Errorf("-csv and -json are mutually exclusive")
+	}
+	if ids[0] == "all" {
+		ids = nil
+	}
+	return f.execute(w, core.Sweep{IDs: ids, Configs: []core.Config{f.opts}})
+}
+
+// sweep runs the -scales × -seeds configuration grid over the named
+// experiments (all of them by default) as one batched scheduler run.
+func sweep(w io.Writer, args []string) error {
+	f := newFlags("sweep")
+	ids, err := f.parse(args)
+	if err != nil {
+		return err
+	}
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = nil
+	}
+	return f.execute(w, core.Sweep{IDs: ids, Configs: core.Grid(f.scales, f.seeds)})
+}
+
+// genExperiments runs the full suite at one configuration and writes the
+// EXPERIMENTS.md document.
+func genExperiments(w io.Writer, args []string) error {
+	f := newFlags("gen-experiments")
+	pos, err := f.parse(args)
+	if err != nil {
+		return err
+	}
+	if len(pos) != 0 {
+		return fmt.Errorf("gen-experiments takes no positional arguments")
+	}
+	return f.execute(w, core.Sweep{Configs: []core.Config{f.opts}})
+}
+
 // printProgress streams scheduler events to stderr so stdout stays
 // parseable: indented shard lines as a heavy experiment's sweep points
 // complete, and one completion line per experiment. Sweep runs prefix
@@ -355,86 +345,6 @@ func printProgress(p core.Progress) {
 		p.Done, p.Total, cfg, p.ID, p.Elapsed.Round(100*time.Microsecond), status)
 }
 
-// withProfiles brackets a command with pprof collection, mirroring `go
-// test`'s -cpuprofile/-memprofile: the CPU profile covers the command body,
-// and the heap profile is written after a final GC so it reflects live
-// allocations, not collectable garbage.
-func (f experimentFlags) withProfiles(body func() error) error {
-	if f.cpuprofile != "" {
-		g, err := os.Create(f.cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		if err := pprof.StartCPUProfile(g); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	err := body()
-	if f.memprofile != "" {
-		g, merr := os.Create(f.memprofile)
-		if merr != nil {
-			return errors.Join(err, merr)
-		}
-		defer g.Close()
-		runtime.GC()
-		if merr := pprof.WriteHeapProfile(g); merr != nil {
-			return errors.Join(err, merr)
-		}
-	}
-	return err
-}
-
-// withCoordinator wires distributed execution into a run when
-// -listen-workers is set: it serves the worker protocol on the given
-// address, optionally waits for -min-workers registrations, and rewires
-// the scheduler to dispatch shards through the coordinator's lease queue
-// (local execution remains the fallback, so a run with zero workers still
-// completes). The returned cleanup tears the listener and coordinator
-// down; it must run after the scheduler returns.
-func (f experimentFlags) withCoordinator(runCfg *core.RunConfig, tr *obs.Trace) (cleanup func(), err error) {
-	if f.listenWorkers == "" {
-		if f.minWorkers > 0 {
-			return nil, fmt.Errorf("-min-workers needs -listen-workers")
-		}
-		if f.leaseBatch > 0 {
-			return nil, fmt.Errorf("-lease-batch needs -listen-workers")
-		}
-		return func() {}, nil
-	}
-	ln, err := net.Listen("tcp", f.listenWorkers)
-	if err != nil {
-		return nil, fmt.Errorf("-listen-workers: %w", err)
-	}
-	coord := dist.NewCoordinator(dist.Config{MaxLeaseBatch: f.leaseBatch})
-	srv := &http.Server{Handler: coord.Handler()}
-	go srv.Serve(ln)
-	addr := ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "zen2ee: coordinator listening on %s (join with: zen2eed -worker http://%s)\n", addr, addr)
-	if f.minWorkers > 0 {
-		fmt.Fprintf(os.Stderr, "zen2ee: waiting for %d worker(s) to register...\n", f.minWorkers)
-		for coord.WorkersConnected() < f.minWorkers {
-			time.Sleep(25 * time.Millisecond)
-		}
-	}
-	h := coord.StartRun(tr)
-	runCfg.RunShard = h.RunShard
-	// Size the dispatch width to the whole pool — local slots plus every
-	// registered worker's — so a fleet larger than this machine's CPU
-	// count is actually kept busy. Placement does not affect results.
-	local := f.parallel
-	if local == 0 {
-		local = runtime.NumCPU()
-	}
-	runCfg.Workers = coord.PoolSize(local)
-	return func() {
-		h.Finish()
-		srv.Close()
-		coord.Close()
-	}, nil
-}
-
 // shardCacheMemEntries/Bytes bound the in-process tier fronting the
 // -shard-cache directory; the disk tier underneath is unbounded, so these
 // only trade memory for re-reads on very large sweeps.
@@ -443,140 +353,204 @@ const (
 	shardCacheMemBytes   = 128 << 20
 )
 
-// withShardCache wires shard-output memoization into a run when
-// -shard-cache is set: shard outputs are stored content-addressed under
-// the given directory (fronted by a small memory tier), and any shard
-// whose key is already present is served from the cache instead of
-// executed — byte-identical, per the engine's determinism guarantee. It
-// must wrap runCfg.RunShard after withCoordinator so cached shards skip
-// the lease queue entirely. The returned cleanup closes the store and
-// reports hit/miss counts; it must run after the scheduler returns.
-func (f experimentFlags) withShardCache(runCfg *core.RunConfig, tr *obs.Trace) (cleanup func(), err error) {
-	if f.shardCacheDir == "" {
-		return func() {}, nil
+// execute runs sw with the command's execution flags wired in and writes
+// its output to w (or to the -o file). The profiles bracket the whole
+// command, like go test's -cpuprofile/-memprofile; the heap profile is
+// written after a final GC so it reflects live allocations. Shard
+// execution is wired in a fixed order: -listen-workers dispatches shards
+// through the coordinator's lease queue (local execution stays the
+// fallback, so a run with zero workers still completes), and -shard-cache
+// wraps that, so cached shards skip the lease queue entirely.
+func (f *cmdFlags) execute(w io.Writer, sw core.Sweep) (err error) {
+	if f.memprofile != "" {
+		defer func() { err = errors.Join(err, writeHeapProfile(f.memprofile)) }()
 	}
-	disk, err := store.NewDisk(f.shardCacheDir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("-shard-cache: %w", err)
+	if f.cpuprofile != "" {
+		g, err := os.Create(f.cpuprofile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(g); err != nil {
+			g.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, g.Close())
+		}()
 	}
-	st := store.NewTiered(store.NewMemory(shardCacheMemEntries, shardCacheMemBytes), disk)
-	cache := shardcache.New(st, "")
-	runCfg.RunShard = cache.WrapRunShard(runCfg.RunShard, tr)
-	return func() {
-		s := cache.Stats()
-		fmt.Fprintf(os.Stderr, "zen2ee: shard cache: %d hit(s), %d miss(es), %d byte(s) served\n",
-			s.Hits, s.Misses, s.BytesServed)
-		st.Close()
-	}, nil
-}
-
-// rejectSweepAxes guards the single-configuration commands against the
-// sweep-only flags, so "-scales" on run fails loudly instead of silently
-// running one configuration.
-func rejectSweepAxes(cmd string, f experimentFlags) error {
-	if len(f.scales) > 0 || len(f.seeds) > 0 {
-		return fmt.Errorf("-scales/-seeds are sweep flags; %s takes -scale and -seed", cmd)
+	var tr *obs.Trace // nil records nothing and costs the scheduler nothing
+	if f.trace != "" {
+		tr = obs.New(0)
 	}
-	if f.output != "" {
-		return fmt.Errorf("-o is a sweep flag; redirect %s's stdout instead", cmd)
-	}
-	return nil
-}
-
-func run(args []string) error {
-	f, err := parseExperimentArgs(args)
-	if err != nil {
-		return err
-	}
-	if err := rejectSweepAxes("run", f); err != nil {
-		return err
-	}
-	if len(f.pos) != 1 {
-		return fmt.Errorf("run needs exactly one experiment id (or 'all')")
-	}
-	if f.csv && f.jsonOut {
-		return fmt.Errorf("-csv and -json are mutually exclusive")
-	}
-	return f.withProfiles(func() error { return runExperiments(f) })
-}
-
-func runExperiments(f experimentFlags) error {
-	tr := f.newTrace()
 	runCfg := core.RunConfig{Workers: f.parallel, Trace: tr}
-	finish, err := f.withCoordinator(&runCfg, tr)
-	if err != nil {
-		return err
-	}
-	defer finish()
-	cacheDone, err := f.withShardCache(&runCfg, tr)
-	if err != nil {
-		return err
-	}
-	defer cacheDone()
-	var results []*core.Result
-	if f.pos[0] == "all" {
-		results, err = core.RunIDsConfig(nil, f.opts, runCfg, printProgress)
+	if f.listenWorkers != "" {
+		ln, err := net.Listen("tcp", f.listenWorkers)
 		if err != nil {
-			// Partial results still print below; main reports the joined
-			// error once after them (the progress stream already flagged
-			// each failure as it happened).
-			fmt.Fprintln(os.Stderr, "zen2ee: some experiments failed, printing partial results")
+			return fmt.Errorf("-listen-workers: %w", err)
 		}
-	} else {
-		// Single experiments also go through the shard scheduler, so a
-		// heavy one (fig7, fig8) fans its sweep points across -parallel
-		// workers; results are identical to a serial run.
-		results, err = core.RunIDsConfig([]string{f.pos[0]}, f.opts, runCfg, printProgress)
-		if err != nil {
-			return errors.Join(err, f.commitTrace(tr))
-		}
-	}
-	if f.jsonOut {
-		// The canonical JSON document — byte-identical to what the zen2eed
-		// daemon serves for the same (experiment set, scale, seed), so CLI
-		// and daemon outputs are directly diffable.
-		var marshalStart time.Time
-		if tr.Enabled() {
-			marshalStart = time.Now()
-		}
-		werr := report.WriteJSON(os.Stdout, results, f.opts)
-		if tr.Enabled() {
-			tr.Add(obs.Span{Cat: obs.CatMarshal, Name: "marshal", Config: -1, Worker: -1,
-				Start: tr.Offset(marshalStart), Dur: time.Since(marshalStart)})
-		}
-		return errors.Join(err, werr, f.commitTrace(tr))
-	}
-	for _, r := range results {
-		if f.csv {
-			if werr := report.WriteCSV(os.Stdout, r); werr != nil {
-				// Keep the suite failures visible even if stdout breaks.
-				return errors.Join(err, werr, f.commitTrace(tr))
+		coord := dist.NewCoordinator(dist.Config{})
+		defer coord.Close()
+		srv := &http.Server{Handler: coord.Handler()}
+		go srv.Serve(ln)
+		defer srv.Close()
+		addr := ln.Addr().String()
+		fmt.Fprintf(os.Stderr, "zen2ee: coordinator listening on %s (join with: zen2eed -worker http://%s)\n", addr, addr)
+		if f.minWorkers > 0 {
+			fmt.Fprintf(os.Stderr, "zen2ee: waiting for %d worker(s) to register...\n", f.minWorkers)
+			for coord.WorkersConnected() < f.minWorkers {
+				time.Sleep(25 * time.Millisecond)
 			}
-		} else {
-			fmt.Println(r.Table())
 		}
+		h := coord.StartRun(tr)
+		defer h.Finish()
+		runCfg.RunShard = h.RunShard
+		// Size the dispatch width to the whole pool — local slots plus every
+		// registered worker's — so a fleet larger than this machine's CPU
+		// count is actually kept busy. Placement does not affect results.
+		runCfg.Workers = coord.PoolSize(f.parallel)
 	}
+	if f.shardCacheDir != "" {
+		disk, err := store.NewDisk(f.shardCacheDir, 0)
+		if err != nil {
+			return fmt.Errorf("-shard-cache: %w", err)
+		}
+		st := store.NewTiered(store.NewMemory(shardCacheMemEntries, shardCacheMemBytes), disk)
+		defer st.Close()
+		cache := shardcache.New(st, "")
+		runCfg.RunShard = cache.WrapRunShard(runCfg.RunShard, tr)
+		defer func() {
+			s := cache.Stats()
+			fmt.Fprintf(os.Stderr, "zen2ee: shard cache: %d hit(s), %d miss(es), %d byte(s) served\n",
+				s.Hits, s.Misses, s.BytesServed)
+		}()
+	}
+	out, commit, err := openOutput(w, f.output)
+	if err != nil {
+		return err
+	}
+	err = commit(f.stream(out, sw, runCfg))
 	return errors.Join(err, f.commitTrace(tr))
 }
 
-// newTrace builds the run's execution-trace recorder; nil (the disabled
-// recorder, costing the scheduler nothing) when -trace was not given.
-func (f experimentFlags) newTrace() *obs.Trace {
-	if f.trace == "" {
+// writeHeapProfile writes a post-GC heap profile to path.
+func writeHeapProfile(path string) error {
+	g, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	return errors.Join(pprof.WriteHeapProfile(g), g.Close())
+}
+
+// stream runs sw and writes each configuration's output to w the moment
+// it and every configuration before it have completed, so output is in
+// request order and memory stays bounded by the scheduler's in-flight
+// window, never by the grid size. A failed configuration stops the output
+// at its index — sections after a gap would read as a complete study —
+// except for `run all`, which prints every experiment that survived.
+// A -json sweep document is finalized only when every section is in.
+func (f *cmdFlags) stream(w io.Writer, sw core.Sweep, cfg core.RunConfig) error {
+	var sweepW *report.SweepWriter
+	if f.cmd == "sweep" && f.jsonOut {
+		// Validate before the writer emits the document header, so bad
+		// requests fail without partial output.
+		ids, err := core.CanonicalIDs(sw.IDs)
+		if err != nil {
+			return err
+		}
+		if err := sw.Validate(); err != nil {
+			return err
+		}
+		if sweepW, err = report.NewSweepWriter(w, ids, sw.Configs); err != nil {
+			return err
+		}
+	}
+	write := func(i int, cr core.ConfigResult) error {
+		switch {
+		case f.cmd == "gen-experiments":
+			_, err := report.WriteMarkdown(w, cr.Results, cr.Config)
+			return err
+		case f.jsonOut:
+			// The canonical JSON document — byte-identical to what the
+			// zen2eed daemon serves for the same (experiment set, scale,
+			// seed), so CLI and daemon outputs are directly diffable.
+			doc, err := marshal(cfg.Trace, i, cr)
+			if err != nil {
+				return err
+			}
+			if sweepW != nil {
+				return sweepW.WriteSection(i, doc)
+			}
+			_, err = w.Write(doc)
+			return err
+		case f.csv:
+			for _, r := range cr.Results {
+				if err := report.WriteCSV(w, r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if f.cmd == "sweep" {
+			if _, err := fmt.Fprintf(w, "==== scale %g, seed %d ====\n\n", cr.Config.Scale, cr.Config.Seed); err != nil {
+				return err
+			}
+		}
+		for _, r := range cr.Results {
+			if _, err := fmt.Fprintln(w, r.Table()); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	return obs.New(0)
+	partial := f.cmd == "run" && sw.IDs == nil
+	next, pending := 0, make(map[int]core.ConfigResult)
+	var werr error
+	err := core.RunSweepStream(sw, cfg, func(i int, cr core.ConfigResult, cfgErr error) {
+		if werr != nil || cfgErr != nil && !partial {
+			return // the failure is joined into the returned error
+		}
+		pending[i] = cr
+		for cr, ok := pending[next]; ok && werr == nil; cr, ok = pending[next] {
+			delete(pending, next)
+			werr = write(next, cr)
+			next++
+		}
+	}, printProgress)
+	if err != nil && partial {
+		// main reports the joined error once, after the partial results
+		// (the progress stream already flagged each failure as it happened).
+		fmt.Fprintln(os.Stderr, "zen2ee: some experiments failed, printing partial results")
+	}
+	if err = errors.Join(err, werr); err == nil && sweepW != nil {
+		err = sweepW.Close()
+	}
+	return err
+}
+
+// marshal renders one configuration's canonical JSON document, recording
+// the encoding as a marshal span on the run's trace.
+func marshal(tr *obs.Trace, i int, cr core.ConfigResult) ([]byte, error) {
+	if !tr.Enabled() {
+		return report.MarshalResults(cr.Results, cr.Config)
+	}
+	start := time.Now()
+	doc, err := report.MarshalResults(cr.Results, cr.Config)
+	tr.Add(obs.Span{Cat: obs.CatMarshal, Name: "marshal", Config: i, Worker: -1,
+		Start: tr.Offset(start), Dur: time.Since(start)})
+	return doc, err
 }
 
 // commitTrace writes the recorded trace to the -trace destination through
 // the same temp-file + rename path as -o. It runs even when the run itself
 // failed — a trace of a failed run is exactly when you want one — and
 // no-ops when tracing is off.
-func (f experimentFlags) commitTrace(tr *obs.Trace) error {
+func (f *cmdFlags) commitTrace(tr *obs.Trace) error {
 	if !tr.Enabled() {
 		return nil
 	}
-	out, commit, err := openOutput(f.trace)
+	out, commit, err := openOutput(nil, f.trace)
 	if err != nil {
 		return err
 	}
@@ -584,63 +558,15 @@ func (f experimentFlags) commitTrace(tr *obs.Trace) error {
 	return commit(report.WriteChromeTrace(out, spans, dropped))
 }
 
-// sweep runs the -scales × -seeds configuration grid over the named
-// experiments (all of them by default) as one batched scheduler run,
-// streaming each configuration's output as its last shard finishes —
-// memory stays bounded by the configurations in flight, never by the grid
-// size. With -o the document lands via temp-file + rename, so an
-// interrupted run leaves the target untouched instead of truncated.
-func sweep(args []string) error {
-	f, err := parseExperimentArgs(args)
-	if err != nil {
-		return err
-	}
-	if f.csv {
-		return fmt.Errorf("sweep output is per-configuration; -csv is not supported (use -json)")
-	}
-	if f.opts != core.DefaultOptions() {
-		return fmt.Errorf("-scale/-seed are single-run flags; sweep takes -scales and -seeds")
-	}
-	ids := f.pos
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = nil
-	}
-	return f.withProfiles(func() error {
-		sw := core.Sweep{IDs: ids, Configs: core.Grid(f.scales, f.seeds)}
-		tr := f.newTrace()
-		runCfg := core.RunConfig{Workers: f.parallel, Trace: tr}
-		finish, err := f.withCoordinator(&runCfg, tr)
-		if err != nil {
-			return err
-		}
-		defer finish()
-		cacheDone, err := f.withShardCache(&runCfg, tr)
-		if err != nil {
-			return err
-		}
-		defer cacheDone()
-		out, commit, err := openOutput(f.output)
-		if err != nil {
-			return err
-		}
-		if f.jsonOut {
-			err = commit(streamSweepJSON(out, sw, runCfg))
-		} else {
-			err = commit(streamSweepTables(out, sw, runCfg))
-		}
-		return errors.Join(err, f.commitTrace(tr))
-	})
-}
-
-// openOutput resolves the sweep's destination: stdout when path is empty,
+// openOutput resolves an output destination: w when path is empty,
 // otherwise a temp file in the target's directory (same filesystem, so the
 // rename is atomic). commit finalizes: on success it renames the temp over
 // the target; on any error it removes the temp and the target is never
 // touched. Stdout needs no such care — a truncated JSON document is
 // invalid, not mistakable for a complete one.
-func openOutput(path string) (io.Writer, func(error) error, error) {
+func openOutput(w io.Writer, path string) (io.Writer, func(error) error, error) {
 	if path == "" {
-		return os.Stdout, func(err error) error { return err }, nil
+		return w, func(err error) error { return err }, nil
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -663,118 +589,4 @@ func openOutput(path string) (io.Writer, func(error) error, error) {
 		return nil
 	}
 	return tmp, commit, nil
-}
-
-// streamSweepJSON emits the canonical sweep document section by section as
-// configurations complete: each per-config section carries the exact bytes
-// `zen2ee run -json` (and the zen2eed daemon) produce for that
-// configuration alone, and the whole document is byte-identical to the
-// collected report.MarshalSweep output. The SweepWriter reorders
-// out-of-completion-order sections internally, so the document is in
-// request order without the CLI ever holding more than the in-flight
-// window.
-func streamSweepJSON(w io.Writer, sw core.Sweep, cfg core.RunConfig) error {
-	// Validate before the writer emits the document header, so bad requests
-	// fail without partial output.
-	ids, err := core.CanonicalIDs(sw.IDs)
-	if err != nil {
-		return err
-	}
-	if err := sw.Validate(); err != nil {
-		return err
-	}
-	sweepW, err := report.NewSweepWriter(w, ids, sw.Configs)
-	if err != nil {
-		return err
-	}
-	tr := cfg.Trace
-	var cbErr error
-	err = core.RunSweepStream(sw, cfg, func(i int, cr core.ConfigResult, cfgErr error) {
-		if cfgErr != nil || cbErr != nil {
-			return // the config's failure is joined into the returned error
-		}
-		var marshalStart time.Time
-		if tr.Enabled() {
-			marshalStart = time.Now()
-		}
-		doc, merr := report.MarshalResults(cr.Results, cr.Config)
-		if tr.Enabled() {
-			tr.Add(obs.Span{Cat: obs.CatMarshal, Name: "marshal", Config: i, Worker: -1,
-				Start: tr.Offset(marshalStart), Dur: time.Since(marshalStart)})
-		}
-		if merr != nil {
-			cbErr = merr
-			return
-		}
-		if werr := sweepW.WriteSection(i, doc); werr != nil {
-			cbErr = werr
-		}
-	}, printProgress)
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		// Unlike run, a sweep is usually unattended (it is the batch
-		// shape); never finalize a document with missing sections.
-		return err
-	}
-	return sweepW.Close()
-}
-
-// streamSweepTables prints per-configuration tables in request order as
-// configurations complete, reordering out-of-order completions through a
-// small pending map (bounded by the scheduler's in-flight window). On a
-// failed configuration the stream stops at its index: tables after a gap
-// would read as a complete study.
-func streamSweepTables(w io.Writer, sw core.Sweep, cfg core.RunConfig) error {
-	next := 0
-	pending := make(map[int]core.ConfigResult)
-	return core.RunSweepStream(sw, cfg, func(i int, cr core.ConfigResult, cfgErr error) {
-		if cfgErr != nil {
-			return // joined into the returned error; the section stays unprinted
-		}
-		pending[i] = cr
-		for {
-			cr, ok := pending[next]
-			if !ok {
-				return
-			}
-			delete(pending, next)
-			next++
-			fmt.Fprintf(w, "==== scale %g, seed %d ====\n\n", cr.Config.Scale, cr.Config.Seed)
-			for _, r := range cr.Results {
-				fmt.Fprintln(w, r.Table())
-			}
-		}
-	}, printProgress)
-}
-
-func genExperiments(args []string) error {
-	f, err := parseExperimentArgs(args)
-	if err != nil {
-		return err
-	}
-	if err := rejectSweepAxes("gen-experiments", f); err != nil {
-		return err
-	}
-	if f.trace != "" {
-		return fmt.Errorf("-trace is a run/sweep flag; gen-experiments does not execute a traced schedule")
-	}
-	if f.listenWorkers != "" || f.minWorkers > 0 {
-		return fmt.Errorf("-listen-workers/-min-workers are run/sweep flags")
-	}
-	if f.shardCacheDir != "" || f.leaseBatch > 0 {
-		return fmt.Errorf("-shard-cache/-lease-batch are run/sweep flags")
-	}
-	if len(f.pos) != 0 {
-		return fmt.Errorf("gen-experiments takes no positional arguments")
-	}
-	return f.withProfiles(func() error {
-		results, err := core.RunIDsConfig(nil, f.opts, core.RunConfig{Workers: f.parallel}, printProgress)
-		if err != nil {
-			return err
-		}
-		_, err = report.WriteMarkdown(os.Stdout, results, f.opts)
-		return err
-	})
 }

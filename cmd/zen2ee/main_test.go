@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"zen2ee/internal/core"
@@ -14,50 +19,69 @@ import (
 )
 
 func TestParseExperimentArgs(t *testing.T) {
+	all := []string{"all"}
 	cases := []struct {
-		name string
-		args []string
-		want experimentFlags
+		name, cmd string
+		args      []string
+		want      cmdFlags // zero opts and parallel mean the defaults
+		pos       []string
 	}{
-		{"flags before positional", []string{"-scale", "2", "all"},
-			experimentFlags{opts: opts(2, 1), pos: []string{"all"}}},
-		{"flags after positional", []string{"all", "-scale=2"},
-			experimentFlags{opts: opts(2, 1), pos: []string{"all"}}},
-		{"equals and space forms mixed", []string{"-seed=9", "fig3", "-scale", "0.5"},
-			experimentFlags{opts: opts(0.5, 9), pos: []string{"fig3"}}},
-		{"boolean csv", []string{"all", "-csv"},
-			experimentFlags{opts: opts(1, 1), csv: true, pos: []string{"all"}}},
-		{"csv with explicit value", []string{"-csv=false", "all"},
-			experimentFlags{opts: opts(1, 1), pos: []string{"all"}}},
-		{"boolean json", []string{"all", "-json"},
-			experimentFlags{opts: opts(1, 1), jsonOut: true, pos: []string{"all"}}},
-		{"json with explicit value", []string{"-json=false", "all"},
-			experimentFlags{opts: opts(1, 1), pos: []string{"all"}}},
-		{"parallel", []string{"run-free", "-parallel", "4"},
-			experimentFlags{opts: opts(1, 1), parallel: 4, pos: []string{"run-free"}}},
-		{"double dash flags", []string{"--scale", "3", "all"},
-			experimentFlags{opts: opts(3, 1), pos: []string{"all"}}},
-		{"end-of-flags marker", []string{"-scale", "2", "--", "-weird-id"},
-			experimentFlags{opts: opts(2, 1), pos: []string{"-weird-id"}}},
-		{"sweep axes", []string{"-scales", "1,2,4", "-seeds", "1..3", "fig7"},
-			experimentFlags{opts: opts(1, 1), scales: []float64{1, 2, 4}, seeds: []uint64{1, 2, 3}, pos: []string{"fig7"}}},
-		{"seed list with ranges", []string{"-seeds=2,5..7,10"},
-			experimentFlags{opts: opts(1, 1), seeds: []uint64{2, 5, 6, 7, 10}}},
-		{"profiling flags", []string{"fig7", "-cpuprofile", "cpu.out", "-memprofile=mem.out"},
-			experimentFlags{opts: opts(1, 1), cpuprofile: "cpu.out", memprofile: "mem.out", pos: []string{"fig7"}}},
-		{"output file", []string{"-o", "out.json", "-json", "fig1"},
-			experimentFlags{opts: opts(1, 1), jsonOut: true, output: "out.json", pos: []string{"fig1"}}},
-		{"trace file", []string{"fig1", "-trace", "trace.json"},
-			experimentFlags{opts: opts(1, 1), trace: "trace.json", pos: []string{"fig1"}}},
+		{"flags before positional", "run", []string{"-scale", "2", "all"},
+			cmdFlags{opts: opts(2, 1)}, all},
+		{"flags after positional", "run", []string{"all", "-scale=2"},
+			cmdFlags{opts: opts(2, 1)}, all},
+		{"equals and space forms mixed", "run", []string{"-seed=9", "fig3", "-scale", "0.5"},
+			cmdFlags{opts: opts(0.5, 9)}, []string{"fig3"}},
+		{"seed is decimal", "run", []string{"-seed", "010", "all"},
+			cmdFlags{opts: opts(1, 10)}, all},
+		{"boolean csv", "run", []string{"all", "-csv"},
+			cmdFlags{csv: true}, all},
+		{"csv with explicit value", "run", []string{"-csv=false", "all"},
+			cmdFlags{}, all},
+		{"boolean json", "run", []string{"all", "-json"},
+			cmdFlags{jsonOut: true}, all},
+		{"json with explicit value", "run", []string{"-json=false", "all"},
+			cmdFlags{}, all},
+		{"parallel", "run", []string{"run-free", "-parallel", "4"},
+			cmdFlags{parallel: 4}, []string{"run-free"}},
+		{"double dash flags", "run", []string{"--scale", "3", "all"},
+			cmdFlags{opts: opts(3, 1)}, all},
+		{"end-of-flags marker", "run", []string{"-scale", "2", "--", "-weird-id"},
+			cmdFlags{opts: opts(2, 1)}, []string{"-weird-id"}},
+		{"end-of-flags marker after positional", "sweep", []string{"fig1", "--", "fig3", "-json"},
+			cmdFlags{}, []string{"fig1", "fig3", "-json"}},
+		{"sweep axes", "sweep", []string{"-scales", "1,2,4", "-seeds", "1..3", "fig7"},
+			cmdFlags{scales: []float64{1, 2, 4}, seeds: []uint64{1, 2, 3}}, []string{"fig7"}},
+		{"seed list with ranges", "sweep", []string{"-seeds=2,5..7,10"},
+			cmdFlags{seeds: []uint64{2, 5, 6, 7, 10}}, nil},
+		{"profiling flags", "run", []string{"fig7", "-cpuprofile", "cpu.out", "-memprofile=mem.out"},
+			cmdFlags{cpuprofile: "cpu.out", memprofile: "mem.out"}, []string{"fig7"}},
+		{"gen-experiments flags", "gen-experiments", []string{"-scale", "0.5", "-seed", "3", "-parallel", "2"},
+			cmdFlags{opts: opts(0.5, 3), parallel: 2}, nil},
+		{"output file", "sweep", []string{"-o", "out.json", "-json", "fig1"},
+			cmdFlags{jsonOut: true, output: "out.json"}, []string{"fig1"}},
+		{"trace file", "run", []string{"fig1", "-trace", "trace.json"},
+			cmdFlags{trace: "trace.json"}, []string{"fig1"}},
+		{"distributed execution", "sweep", []string{"-listen-workers", "127.0.0.1:0", "-min-workers", "2", "-shard-cache", "dir"},
+			cmdFlags{listenWorkers: "127.0.0.1:0", minWorkers: 2, shardCacheDir: "dir"}, nil},
 	}
 	for _, c := range cases {
-		got, err := parseExperimentArgs(c.args)
+		got := newFlags(c.cmd)
+		pos, err := got.parse(c.args)
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
+		want := c.want
+		want.cmd, want.fs = c.cmd, got.fs
+		if want.opts == (core.Options{}) {
+			want.opts = core.DefaultOptions()
+		}
+		if want.parallel == 0 {
+			want.parallel = runtime.NumCPU()
+		}
+		if !reflect.DeepEqual(*got, want) || !reflect.DeepEqual(pos, c.pos) {
+			t.Errorf("%s: got %+v %q, want %+v %q", c.name, *got, pos, want, c.pos)
 		}
 	}
 }
@@ -67,46 +91,205 @@ func opts(scale float64, seed uint64) core.Options {
 }
 
 func TestParseExperimentArgsErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bogus", "all"},                     // unknown flag must not become positional
-		{"all", "-scale"},                     // missing value
-		{"-scale", "two", "all"},              // non-numeric value
-		{"-scale", "0", "all"},                // scale must be positive (Options.Validate)
-		{"-scale", "-2", "all"},               // negative scale
-		{"-scale", "Inf", "all"},              // non-finite scale
-		{"-scale", "NaN", "all"},              // non-finite scale
-		{"-parallel", "0", "all"},             // workers below 1
-		{"-parallel", "-1", "all"},            // negative workers
-		{"-csv=maybe", "all"},                 // bad boolean
-		{"-json=maybe", "all"},                // bad boolean
-		{"-scales", "1,zero"},                 // non-numeric scale in axis
-		{"-scales", "1,-2"},                   // negative scale in axis
-		{"-seeds", "8..1"},                    // descending range
-		{"-seeds", "1..1000000"},              // range beyond the sanity bound
-		{"-seeds", "0..18446744073709551615"}, // full uint64 range must not overflow the guard
-		{"-seeds", "1..two"},                  // malformed range end
+	for _, c := range []struct {
+		cmd  string
+		args []string
+	}{
+		{"run", []string{"-bogus", "all"}},                       // unknown flag must not become positional
+		{"run", []string{"all", "-scale"}},                       // missing value
+		{"run", []string{"-scale", "two", "all"}},                // non-numeric value
+		{"run", []string{"-scale", "0", "all"}},                  // scale must be positive (Options.Validate)
+		{"run", []string{"-scale", "-2", "all"}},                 // negative scale
+		{"run", []string{"-scale", "Inf", "all"}},                // non-finite scale
+		{"gen-experiments", []string{"-scale", "NaN"}},           // non-finite scale
+		{"run", []string{"-seed", "-1", "all"}},                  // negative seed
+		{"run", []string{"-parallel", "0", "all"}},               // workers below 1
+		{"sweep", []string{"-parallel", "-1", "all"}},            // negative workers
+		{"run", []string{"-csv=maybe", "all"}},                   // bad boolean
+		{"run", []string{"-json=maybe", "all"}},                  // bad boolean
+		{"sweep", []string{"-min-workers", "2"}},                 // needs -listen-workers
+		{"run", []string{"-min-workers", "-1", "all"}},           // negative worker count
+		{"sweep", []string{"-scales", "1,zero"}},                 // non-numeric scale in axis
+		{"sweep", []string{"-scales", "1,-2"}},                   // negative scale in axis
+		{"sweep", []string{"-seeds", "8..1"}},                    // descending range
+		{"sweep", []string{"-seeds", "1..1000000"}},              // range beyond the sanity bound
+		{"sweep", []string{"-seeds", "0..18446744073709551615"}}, // full uint64 range must not overflow the guard
+		{"sweep", []string{"-seeds", "1..two"}},                  // malformed range end
+		{"sweep", []string{"-scale", "1", "fig1"}},               // -scale is run's; 1 once passed as the default
+		{"run", []string{"-scales", "1,2", "fig1"}},              // the sweep axes are sweep's
+		{"gen-experiments", []string{"-trace", "t.json"}},        // gen-experiments runs untraced
 	} {
-		if _, err := parseExperimentArgs(args); err == nil {
-			t.Errorf("args %v accepted, want error", args)
+		if _, err := newFlags(c.cmd).parse(c.args); err == nil {
+			t.Errorf("%s %v accepted, want error", c.cmd, c.args)
 		}
 	}
 }
 
+// TestSweepCommandGuards: every flag some command registers and another
+// does not is undefined on the other, so it fails loudly instead of being
+// silently reinterpreted (sweep -scale 1 once passed as the default), and
+// -h on every command prints its flags and returns flag.ErrHelp.
 func TestSweepCommandGuards(t *testing.T) {
-	// Single-run flags on sweep, sweep axes on run/gen-experiments, and
-	// csv on sweep are all loud errors, not silent reinterpretations.
+	cmds := map[string]func(io.Writer, []string) error{
+		"run": run, "sweep": sweep, "gen-experiments": genExperiments,
+	}
+	names := map[string]bool{}
+	for cmd := range cmds {
+		newFlags(cmd).fs.VisitAll(func(fl *flag.Flag) { names[fl.Name] = true })
+	}
+	rejected := 0
+	for cmd, call := range cmds {
+		fs := newFlags(cmd).fs
+		for name := range names {
+			if fs.Lookup(name) != nil {
+				continue
+			}
+			err := call(io.Discard, []string{"-" + name, "1", "fig1"})
+			if err == nil || !strings.Contains(err.Error(), "not defined: -"+name) {
+				t.Errorf("%s -%s: got %v, want an undefined-flag error", cmd, name, err)
+			}
+			rejected++
+		}
+		if err := call(io.Discard, []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s -h: got %v, want flag.ErrHelp", cmd, err)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no flag is specific to one command")
+	}
 	for name, call := range map[string]func() error{
-		"sweep -scale":           func() error { return sweep([]string{"-scale", "2", "fig1"}) },
-		"sweep -csv":             func() error { return sweep([]string{"-csv", "fig1"}) },
-		"run -scales":            func() error { return run([]string{"-scales", "1,2", "fig1"}) },
-		"run -o":                 func() error { return run([]string{"-o", "out.json", "fig1"}) },
-		"gen-experiments -seeds": func() error { return genExperiments([]string{"-seeds", "1..2"}) },
-		"gen-experiments -o":     func() error { return genExperiments([]string{"-o", "out.json"}) },
-		"gen-experiments -trace": func() error { return genExperiments([]string{"-trace", "t.json"}) },
-		"sweep duplicate ids":    func() error { return sweep([]string{"fig1", "fig1"}) },
+		"run -csv -json":      func() error { return run(io.Discard, []string{"-csv", "-json", "fig1"}) },
+		"run two ids":         func() error { return run(io.Discard, []string{"fig1", "fig3"}) },
+		"sweep duplicate ids": func() error { return sweep(io.Discard, []string{"fig1", "fig1"}) },
+		"gen-experiments id":  func() error { return genExperiments(io.Discard, []string{"fig1"}) },
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s: accepted, want error", name)
+		}
+	}
+}
+
+// TestCommandOutputBytes pins what each output mode writes: run's stdout
+// is the aligned tables, CSV or canonical JSON of the standalone result
+// set, and sweep's tables are one headed section per configuration in
+// request order.
+func TestCommandOutputBytes(t *testing.T) {
+	results := func(id string, o core.Options) []*core.Result {
+		rs, err := core.RunIDsConfig([]string{id}, o, core.RunConfig{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	tables := func(b *bytes.Buffer, rs []*core.Result) {
+		for _, r := range rs {
+			b.WriteString(r.Table() + "\n")
+		}
+	}
+	jsonDoc := func(id string, o core.Options) func(*bytes.Buffer) {
+		return func(b *bytes.Buffer) {
+			doc, err := report.MarshalResults(results(id, o), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(doc)
+		}
+	}
+	csvRows := func(id string, o core.Options) func(*bytes.Buffer) {
+		return func(b *bytes.Buffer) {
+			for _, r := range results(id, o) {
+				if err := report.WriteCSV(b, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		call func(io.Writer, []string) error
+		args []string
+		want func(*bytes.Buffer)
+	}{
+		{"run tables", run, []string{"fig1", "-scale", "0.2"},
+			func(b *bytes.Buffer) { tables(b, results("fig1", opts(0.2, 1))) }},
+		{"run fig1 json", run, []string{"fig1", "-scale", "0.2", "-seed", "2", "-json"}, jsonDoc("fig1", opts(0.2, 2))},
+		{"run fig3 json", run, []string{"fig3", "-scale", "0.2", "-seed", "2", "-json"}, jsonDoc("fig3", opts(0.2, 2))},
+		{"run fig1 csv", run, []string{"fig1", "-scale", "0.2", "-seed", "2", "-csv"}, csvRows("fig1", opts(0.2, 2))},
+		{"run fig3 csv", run, []string{"fig3", "-scale", "0.2", "-seed", "2", "-csv"}, csvRows("fig3", opts(0.2, 2))},
+		{"sweep tables", sweep, []string{"fig1", "-scales", "0.2", "-seeds", "1,2"}, func(b *bytes.Buffer) {
+			for _, o := range []core.Options{opts(0.2, 1), opts(0.2, 2)} {
+				fmt.Fprintf(b, "==== scale %g, seed %d ====\n\n", o.Scale, o.Seed)
+				tables(b, results("fig1", o))
+			}
+		}},
+	} {
+		var got, want bytes.Buffer
+		if err := c.call(&got, c.args); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		c.want(&want)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: output differs from the standalone result set's\ngot:\n%s\nwant:\n%s", c.name, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestStreamFailureOutput: a failed `run all` still prints every
+// experiment that survived, a failed single-experiment run prints nothing,
+// and a sweep's output stops at a failed configuration's gap.
+func TestStreamFailureOutput(t *testing.T) {
+	// failing fails fig1's shard in the given configuration.
+	failing := func(config int) core.RunConfig {
+		return core.RunConfig{RunShard: func(st core.ShardTask) (any, string, error) {
+			if st.Ref.Exp == "fig1" && st.ConfigIndex == config {
+				return nil, "", errors.New("injected shard failure")
+			}
+			out, err := st.Run()
+			return out, "", err
+		}}
+	}
+	o := opts(0.2, 1)
+	var survivors []string
+	for _, e := range core.Registry() {
+		if e.ID != "fig1" {
+			survivors = append(survivors, e.ID)
+		}
+	}
+	rs, err := core.RunIDsConfig(survivors, o, core.RunConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partialDoc, err := report.MarshalResults(rs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err = core.RunIDsConfig([]string{"fig1"}, o, core.RunConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstSection := fmt.Sprintf("==== scale %g, seed %d ====\n\n%s\n", o.Scale, o.Seed, rs[0].Table())
+
+	for _, c := range []struct {
+		name, cmd string
+		json      bool
+		sw        core.Sweep
+		failAt    int // the configuration whose fig1 shard fails
+		want      string
+	}{
+		{"run all", "run", true, core.Sweep{Configs: []core.Config{o}}, 0, string(partialDoc)},
+		{"run one", "run", true, core.Sweep{IDs: []string{"fig1"}, Configs: []core.Config{o}}, 0, ""},
+		{"gen-experiments", "gen-experiments", false, core.Sweep{Configs: []core.Config{o}}, 0, ""},
+		{"sweep tables", "sweep", false,
+			core.Sweep{IDs: []string{"fig1"}, Configs: []core.Config{o, opts(0.2, 2), opts(0.2, 3)}}, 1, firstSection},
+	} {
+		f := newFlags(c.cmd)
+		f.jsonOut = c.json
+		var got bytes.Buffer
+		if err := f.stream(&got, c.sw, failing(c.failAt)); err == nil {
+			t.Errorf("%s: injected failure not reported", c.name)
+		}
+		if got.String() != c.want {
+			t.Errorf("%s: wrote\n%s\nwant\n%s", c.name, got.String(), c.want)
 		}
 	}
 }
@@ -117,7 +300,7 @@ func TestSweepCommandGuards(t *testing.T) {
 func TestSweepOutputFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.json")
-	if err := sweep([]string{"fig1", "-scales", "0.2", "-seeds", "1,2", "-json", "-o", path}); err != nil {
+	if err := sweep(io.Discard, []string{"fig1", "-scales", "0.2", "-seeds", "1,2", "-json", "-o", path}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -140,7 +323,7 @@ func TestSweepOutputFileAtomic(t *testing.T) {
 
 	// A failing sweep must leave the existing document alone and clean up
 	// its temp file.
-	if err := sweep([]string{"nonexistent", "-json", "-o", path}); err == nil {
+	if err := sweep(io.Discard, []string{"nonexistent", "-json", "-o", path}); err == nil {
 		t.Fatal("sweep of an unknown id succeeded")
 	}
 	after, err := os.ReadFile(path)
@@ -165,14 +348,15 @@ func TestSweepOutputFileAtomic(t *testing.T) {
 
 // TestSweepTraceFile: `sweep -trace F` commits a Chrome trace-event
 // document that round-trips through the decoder, holds exactly one shard
-// task per (config, experiment, shard), and attributes shard work to
-// worker threads inside the configured pool.
+// task per (config, experiment, shard), attributes shard work to worker
+// threads inside the configured pool, and records one marshal span per
+// configuration.
 func TestSweepTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "sweep.json")
 	tracePath := filepath.Join(dir, "trace.json")
 	const workers = 2
-	err := sweep([]string{"fig1", "-scales", "0.2", "-seeds", "1,2",
+	err := sweep(io.Discard, []string{"fig1", "-scales", "0.2", "-seeds", "1,2",
 		"-parallel", "2", "-json", "-o", out, "-trace", tracePath})
 	if err != nil {
 		t.Fatal(err)
@@ -188,9 +372,13 @@ func TestSweepTraceFile(t *testing.T) {
 
 	shardTasks := map[string]int{}
 	configs := map[float64]bool{}
+	marshaled := map[any]int{}
 	for _, e := range doc.CompleteEvents() {
 		if e.TS < 0 || e.Dur < 0 {
 			t.Fatalf("event %q has negative timing: ts=%v dur=%v", e.Name, e.TS, e.Dur)
+		}
+		if e.Cat == obs.CatMarshal {
+			marshaled[e.Args["config"]]++
 		}
 		if e.Cat != obs.CatShard {
 			continue
@@ -215,5 +403,8 @@ func TestSweepTraceFile(t *testing.T) {
 	}
 	if len(shardTasks) == 0 {
 		t.Fatal("trace holds no shard tasks")
+	}
+	if want := map[any]int{0.0: 1, 1.0: 1}; !reflect.DeepEqual(marshaled, want) {
+		t.Errorf("marshal spans per config arg %v, want one for each of configs 0 and 1", marshaled)
 	}
 }

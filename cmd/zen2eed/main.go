@@ -8,7 +8,7 @@
 //
 // Usage: zen2eed [-addr :8080] [-executors N] [-queue N] [-cache N]
 // [-cache-bytes N] [-sse-keepalive D] [-log-format text|json] [-log-level L]
-// [-trace-bytes N] [-pprof] [-listen-workers] [-lease-ttl D] [-lease-batch K]
+// [-trace-bytes N] [-pprof] [-listen-workers] [-lease-ttl D]
 // [-tenant-config F] [-store-dir D] [-store-bytes N] [-shard-cache]
 //
 // With -tenant-config the daemon enforces multi-tenant governance: job
@@ -106,10 +106,8 @@ type options struct {
 	storeDir     string
 	storeBytes   int64
 	// shardCache enables shard-output memoization in the result store
-	// (disk-backed with -store-dir). leaseBatch tunes the dist protocol's
-	// batch size on whichever side this process runs.
+	// (disk-backed with -store-dir).
 	shardCache bool
-	leaseBatch int
 	cfg        service.Config
 }
 
@@ -168,8 +166,6 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		"persistent store tier byte bound, evicted LRU-first past it (0 = unbounded; needs -store-dir)")
 	fs.BoolVar(&o.shardCache, "shard-cache", false,
 		"memoize individual shard outputs by their deterministic address in the result store: warm shards skip execution (and are never leased to workers), and with -store-dir an interrupted sweep resumes from its last completed shard after a restart; serving daemon only, not -worker mode")
-	fs.IntVar(&o.leaseBatch, "lease-batch", 0,
-		"shard tasks moved per dist lease round trip: with -listen-workers, the most one worker poll may be granted (0 = the 16 default); with -worker, the batch size requested per poll (0 = the slot count)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -209,14 +205,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	if o.worker != "" && (o.tenantConfig != "" || o.storeDir != "" || o.shardCache) {
 		return o, fmt.Errorf("-tenant-config, -store-dir and -shard-cache only apply to the serving daemon, not -worker mode")
 	}
-	if o.leaseBatch < 0 {
-		return o, fmt.Errorf("-lease-batch must be >= 0 (0 means the default)")
-	}
-	if o.leaseBatch > 0 && o.worker == "" && !o.cfg.Dist {
-		return o, fmt.Errorf("-lease-batch only applies with -worker or -listen-workers")
-	}
 	o.cfg.ShardCache = o.shardCache
-	o.cfg.DistLeaseBatch = o.leaseBatch
 	return o, nil
 }
 
@@ -237,7 +226,7 @@ func runWorker(o options, logger *slog.Logger) error {
 	}
 	w, err := dist.NewWorker(dist.WorkerConfig{
 		Coordinator: o.worker, Name: name, Host: host, PID: os.Getpid(),
-		Slots: o.cfg.Executors, LeaseBatch: o.leaseBatch, Logger: logger,
+		Slots: o.cfg.Executors, Logger: logger,
 	})
 	if err != nil {
 		return err

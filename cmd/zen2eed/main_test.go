@@ -100,6 +100,7 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-log-level", "loud"},
 		{"-worker", "http://127.0.0.1:1", "-shard-cache"},
 		{"-worker", "http://127.0.0.1:1", "-tenant-config", "t.json"},
+		{"-listen-workers", "-lease-batch", "4"}, // the batch size is the worker's slot count, not a flag
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted, want error", args)

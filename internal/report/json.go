@@ -11,7 +11,6 @@ package report
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"sync"
 
 	"zen2ee/internal/core"
@@ -72,14 +71,4 @@ func MarshalResults(results []*core.Result, opts core.Options) ([]byte, error) {
 		return nil, err
 	}
 	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
-}
-
-// WriteJSON writes the canonical JSON document for a result set.
-func WriteJSON(w io.Writer, results []*core.Result, opts core.Options) error {
-	b, err := MarshalResults(results, opts)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }

@@ -50,18 +50,18 @@ func TestMarshalResultsDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestWriteJSONDecodes(t *testing.T) {
+func TestMarshalResultsDecodes(t *testing.T) {
 	o := core.Options{Scale: 0.2, Seed: 2}
 	results, err := core.RunIDsConfig([]string{"fig1"}, o, core.RunConfig{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, results, o); err != nil {
+	b, err := MarshalResults(results, o)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var doc JSONReport
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("document does not decode: %v", err)
 	}
 	if doc.Schema != JSONSchemaVersion {

@@ -115,9 +115,6 @@ type Config struct {
 	// 3). Both only matter when Dist is set.
 	DistLeaseTTL   time.Duration
 	DistMaxRetries int
-	// DistLeaseBatch caps how many shard tasks one worker lease poll may
-	// grant (default 16). Only matters when Dist is set.
-	DistLeaseBatch int
 	// ShardCache memoizes individual shard outputs in the result store,
 	// keyed by their deterministic core.ShardRef address: partially warm
 	// sweeps skip execution at shard granularity, and with a persistent
@@ -258,8 +255,7 @@ func New(cfg Config) *Server {
 	if cfg.Dist {
 		s.coord = dist.NewCoordinator(dist.Config{
 			LeaseTTL: cfg.DistLeaseTTL, MaxRetries: cfg.DistMaxRetries,
-			MaxLeaseBatch: cfg.DistLeaseBatch,
-			Logger:        cfg.Logger,
+			Logger: cfg.Logger,
 			// Local fallback borrows an executor slot like any other shard,
 			// so shards reclaimed from lost workers cannot oversubscribe the
 			// daemon's own simulation budget.

@@ -65,6 +65,11 @@ func (s SweepSpec) canonicalize() (SweepSpec, error) {
 		if len(s.Scales) == 0 && len(s.Seeds) == 0 {
 			return s, fmt.Errorf("a sweep needs configs or a scales/seeds grid")
 		}
+		// Bound the grid before expanding it: two axes that fit in one
+		// request body can name a cross-product of terabytes.
+		if n := max(len(s.Scales), 1) * max(len(s.Seeds), 1); n > maxSweepConfigs {
+			return s, fmt.Errorf("sweep has %d configurations, the service limit is %d", n, maxSweepConfigs)
+		}
 		s.Configs = core.Grid(s.Scales, s.Seeds)
 	}
 	s.Scales, s.Seeds = nil, nil

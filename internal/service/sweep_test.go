@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -288,6 +289,23 @@ func TestSweepConfigCap(t *testing.T) {
 	}
 	if _, err := (SweepSpec{IDs: []string{"fig1"}, Configs: configs(maxSweepConfigs + 1)}).canonicalize(); err == nil {
 		t.Fatal("sweep beyond maxSweepConfigs accepted")
+	}
+
+	// A runaway grid is rejected before it is expanded: 2048 × 2048
+	// configurations would take 64 MiB, from a request body of ~20 KiB.
+	grid := SweepSpec{Scales: make([]float64, 2048), Seeds: make([]uint64, 2048)}
+	for i := range grid.Scales {
+		grid.Scales[i], grid.Seeds[i] = float64(i+1), uint64(i+1)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := grid.canonicalize()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("2048 × 2048 grid accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("rejecting the grid allocated %d bytes; it must not be expanded first", alloc)
 	}
 }
 
