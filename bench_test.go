@@ -239,7 +239,7 @@ func BenchmarkSweepBatchedVsSequential(b *testing.B) {
 // BenchmarkSweepMemory pins the streaming sweep pipeline's memory bound:
 // peak live heap across the full stream path (scheduler → MarshalResults →
 // SweepWriter) must track the configurations in flight, not the sweep
-// size. Every completed configuration forces a GC and samples the live
+// size. Every delivered configuration forces a GC and samples the live
 // heap over the pre-run baseline; compare live-B/config across the
 // sub-benchmarks — quadrupling the config count should leave it roughly
 // flat (sublinear growth of the peak), where the old collect-everything
@@ -268,7 +268,7 @@ func BenchmarkSweepMemory(b *testing.B) {
 				// onConfig runs on a scheduler worker goroutine, so failures
 				// are carried out rather than b.Fatal'ed in place.
 				var cbErr error
-				err = core.RunSweepStream(sw, core.RunConfig{Workers: 2}, func(k int, cr core.ConfigResult, cerr error) {
+				err = core.RunSweepStream(sw, core.RunConfig{Workers: 2}, func(_ int, cr core.ConfigResult, cerr error) {
 					if cbErr != nil || cerr != nil {
 						return
 					}
@@ -277,7 +277,7 @@ func BenchmarkSweepMemory(b *testing.B) {
 						cbErr = merr
 						return
 					}
-					if werr := w.WriteSection(k, doc); werr != nil {
+					if werr := w.WriteSection(doc); werr != nil {
 						cbErr = werr
 						return
 					}

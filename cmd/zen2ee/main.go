@@ -23,9 +23,9 @@
 // which every (configuration, experiment, shard) triple shares one worker
 // pool. Each configuration's section of the sweep output is byte-identical
 // to the standalone `zen2ee run` of that configuration. Output streams
-// section by section as configurations complete, so memory is bounded by
-// the in-flight window, not the grid; -o writes the document through a
-// temp file renamed into place only on success.
+// section by section, in request order, as configurations complete, so
+// memory is bounded by the in-flight window, not the grid; -o writes the
+// document through a temp file renamed into place only on success.
 //
 // With -shard-cache DIR individual shard outputs are memoized
 // content-addressed under DIR. Re-running any spec over a warm cache skips
@@ -443,13 +443,13 @@ func writeHeapProfile(path string) error {
 	return errors.Join(pprof.WriteHeapProfile(g), g.Close())
 }
 
-// stream runs sw and writes each configuration's output to w the moment
-// it and every configuration before it have completed, so output is in
-// request order and memory stays bounded by the scheduler's in-flight
-// window, never by the grid size. A failed configuration stops the output
-// at its index — sections after a gap would read as a complete study —
-// except for `run all`, which prints every experiment that survived.
-// A -json sweep document is finalized only when every section is in.
+// stream runs sw and writes each configuration's output to w as the
+// scheduler delivers it, in request order, so memory stays bounded by the
+// scheduler's in-flight window, never by the grid size. A failed
+// configuration stops the output at its index — sections after a gap would
+// read as a complete study — except for `run all`, which prints every
+// experiment that survived. A -json sweep document is finalized only when
+// every section is in.
 func (f *cmdFlags) stream(w io.Writer, sw core.Sweep, cfg core.RunConfig) error {
 	var sweepW *report.SweepWriter
 	if f.cmd == "sweep" && f.jsonOut {
@@ -480,7 +480,7 @@ func (f *cmdFlags) stream(w io.Writer, sw core.Sweep, cfg core.RunConfig) error 
 				return err
 			}
 			if sweepW != nil {
-				return sweepW.WriteSection(i, doc)
+				return sweepW.WriteSection(doc)
 			}
 			_, err = w.Write(doc)
 			return err
@@ -505,17 +505,14 @@ func (f *cmdFlags) stream(w io.Writer, sw core.Sweep, cfg core.RunConfig) error 
 		return nil
 	}
 	partial := f.cmd == "run" && sw.IDs == nil
-	next, pending := 0, make(map[int]core.ConfigResult)
 	var werr error
+	stopped := false
 	err := core.RunSweepStream(sw, cfg, func(i int, cr core.ConfigResult, cfgErr error) {
-		if werr != nil || cfgErr != nil && !partial {
-			return // the failure is joined into the returned error
+		if cfgErr != nil && !partial {
+			stopped = true // the failure is joined into the returned error
 		}
-		pending[i] = cr
-		for cr, ok := pending[next]; ok && werr == nil; cr, ok = pending[next] {
-			delete(pending, next)
-			werr = write(next, cr)
-			next++
+		if !stopped && werr == nil {
+			werr = write(i, cr)
 		}
 	}, printProgress)
 	if err != nil && partial {

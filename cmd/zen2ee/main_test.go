@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"zen2ee/internal/core"
@@ -234,20 +235,89 @@ func TestCommandOutputBytes(t *testing.T) {
 	}
 }
 
+// configZeroLast returns a RunConfig whose configuration-0 shards wait
+// until every shard of the later configurations has run, so those
+// configurations complete first. A counting pass that executes nothing
+// sizes the wait; one worker beyond configuration 0's shards keeps a free
+// worker for the rest. failAt >= 0 fails fig1's shard in that
+// configuration.
+func configZeroLast(t *testing.T, sw core.Sweep, failAt int) core.RunConfig {
+	t.Helper()
+	first, later := 0, 0
+	counted := errors.New("counted, not run")
+	core.RunSweep(sw, core.RunConfig{Workers: 1, RunShard: func(st core.ShardTask) (any, string, error) {
+		if st.ConfigIndex == 0 {
+			first++
+		} else {
+			later++
+		}
+		return nil, "", counted
+	}}, nil)
+	var laterDone sync.WaitGroup
+	laterDone.Add(later)
+	cfg := core.RunConfig{RunShard: func(st core.ShardTask) (any, string, error) {
+		if st.ConfigIndex == 0 {
+			laterDone.Wait()
+		} else {
+			defer laterDone.Done()
+		}
+		if st.Ref.Exp == "fig1" && st.ConfigIndex == failAt {
+			return nil, "", errors.New("injected shard failure")
+		}
+		out, err := st.Run()
+		return out, "", err
+	}}
+	if later > 0 {
+		cfg.Workers = first + 1
+	}
+	return cfg
+}
+
+// TestStreamOutOfOrderCompletion: with configuration 0 completing last,
+// `sweep -json` is still the collected MarshalSweep document and the
+// table sections still come out in request order.
+func TestStreamOutOfOrderCompletion(t *testing.T) {
+	sw := core.Sweep{IDs: []string{"fig1", "tab1"}, Configs: core.Grid([]float64{0.2}, []uint64{1, 2, 3})}
+	sr, err := core.RunSweep(sw, core.RunConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := report.MarshalSweep(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantTables bytes.Buffer
+	for _, run := range sr.Runs {
+		fmt.Fprintf(&wantTables, "==== scale %g, seed %d ====\n\n", run.Config.Scale, run.Config.Seed)
+		for _, r := range run.Results {
+			wantTables.WriteString(r.Table() + "\n")
+		}
+	}
+	for _, c := range []struct {
+		name string
+		json bool
+		want []byte
+	}{
+		{"json", true, wantJSON},
+		{"tables", false, wantTables.Bytes()},
+	} {
+		f := newFlags("sweep")
+		f.jsonOut = c.json
+		var got bytes.Buffer
+		if err := f.stream(&got, sw, configZeroLast(t, sw, -1)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), c.want) {
+			t.Errorf("%s: output differs from the collected sweep's\ngot:\n%s\nwant:\n%s", c.name, got.Bytes(), c.want)
+		}
+	}
+}
+
 // TestStreamFailureOutput: a failed `run all` still prints every
 // experiment that survived, a failed single-experiment run prints nothing,
-// and a sweep's output stops at a failed configuration's gap.
+// and a sweep's output stops at a failed configuration's gap — also when
+// the failed configuration 0 completes last.
 func TestStreamFailureOutput(t *testing.T) {
-	// failing fails fig1's shard in the given configuration.
-	failing := func(config int) core.RunConfig {
-		return core.RunConfig{RunShard: func(st core.ShardTask) (any, string, error) {
-			if st.Ref.Exp == "fig1" && st.ConfigIndex == config {
-				return nil, "", errors.New("injected shard failure")
-			}
-			out, err := st.Run()
-			return out, "", err
-		}}
-	}
 	o := opts(0.2, 1)
 	var survivors []string
 	for _, e := range core.Registry() {
@@ -268,6 +338,7 @@ func TestStreamFailureOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstSection := fmt.Sprintf("==== scale %g, seed %d ====\n\n%s\n", o.Scale, o.Seed, rs[0].Table())
+	grid := core.Sweep{IDs: []string{"fig1"}, Configs: []core.Config{o, opts(0.2, 2), opts(0.2, 3)}}
 
 	for _, c := range []struct {
 		name, cmd string
@@ -279,13 +350,13 @@ func TestStreamFailureOutput(t *testing.T) {
 		{"run all", "run", true, core.Sweep{Configs: []core.Config{o}}, 0, string(partialDoc)},
 		{"run one", "run", true, core.Sweep{IDs: []string{"fig1"}, Configs: []core.Config{o}}, 0, ""},
 		{"gen-experiments", "gen-experiments", false, core.Sweep{Configs: []core.Config{o}}, 0, ""},
-		{"sweep tables", "sweep", false,
-			core.Sweep{IDs: []string{"fig1"}, Configs: []core.Config{o, opts(0.2, 2), opts(0.2, 3)}}, 1, firstSection},
+		{"sweep tables", "sweep", false, grid, 1, firstSection},
+		{"sweep tables, config 0 fails last", "sweep", false, grid, 0, ""},
 	} {
 		f := newFlags(c.cmd)
 		f.jsonOut = c.json
 		var got bytes.Buffer
-		if err := f.stream(&got, c.sw, failing(c.failAt)); err == nil {
+		if err := f.stream(&got, c.sw, configZeroLast(t, c.sw, c.failAt)); err == nil {
 			t.Errorf("%s: injected failure not reported", c.name)
 		}
 		if got.String() != c.want {

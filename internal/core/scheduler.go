@@ -264,9 +264,9 @@ func runSet(exps []Experiment, o Options, cfg RunConfig, progress func(Progress)
 // runSweep is the scheduler core: the merged task set over every
 // (configuration, experiment, shard) triple, fanned across one worker pool.
 // It operates on an explicit experiment set so tests can inject synthetic
-// experiments. Configurations are delivered through onConfig as they
-// complete (see RunSweepStream for the callback contract); the returned
-// error joins every failure across the whole sweep.
+// experiments. Configurations are delivered through onConfig in request
+// order (see RunSweepStream for the callback contract); the returned error
+// joins every failure across the whole sweep.
 //
 // Each configuration derives its experiment and shard seed streams exactly
 // as a standalone single-configuration run would, so the ConfigResult for
@@ -288,12 +288,17 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 	// Per-configuration completion: cfgRemaining[ci] counts the
 	// configuration's unfinished (experiment) pairs; the goroutine that
 	// decrements it to zero assembles the ConfigResult in paper order,
-	// records the configuration's joined error, hands the section to
-	// onConfig (serialized under onMu), and drops runs[ci] so the expRuns —
-	// and through them every Result the caller chose not to retain — become
-	// collectable while later configurations are still executing.
+	// records the configuration's joined error, and drops runs[ci] so the
+	// expRuns — and through them every Result the caller chose not to
+	// retain — become collectable while later configurations are still
+	// executing. Delivery is in request order: a configuration completing
+	// ahead of an earlier one waits in ready[ci] until every earlier one
+	// has been handed to onConfig. onMu serializes onConfig and guards
+	// ready and next.
 	cfgRemaining := make([]atomic.Int32, len(configs))
 	cfgErrs := make([]error, len(configs))
+	ready := make([]*ConfigResult, len(configs))
+	next := 0
 	var onMu sync.Mutex
 	deliver := func(ci int) {
 		ers := runs[ci]
@@ -309,23 +314,28 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 		runs[ci] = nil
 		onMu.Lock()
 		defer onMu.Unlock()
-		// The deliver span covers the consumer callback (a streaming
-		// caller's marshal-and-cache work); it is timed inside onMu so
-		// deliver spans never overlap on the scheduler track.
-		var deliverStart time.Time
-		if tr.Enabled() {
-			deliverStart = time.Now()
-		}
-		onConfig(ci, ConfigResult{Config: configs[ci], Results: out}, cfgErrs[ci])
-		if tr.Enabled() {
-			sp := obs.Span{
-				Cat: obs.CatDeliver, Name: "deliver", Config: ci, Worker: -1,
-				Start: tr.Offset(deliverStart), Dur: time.Since(deliverStart),
+		ready[ci] = &ConfigResult{Config: configs[ci], Results: out}
+		for ; next < len(configs) && ready[next] != nil; next++ {
+			cr := ready[next]
+			ready[next] = nil
+			// The deliver span covers the consumer callback (a streaming
+			// caller's marshal-and-cache work); it is timed inside onMu so
+			// deliver spans never overlap on the scheduler track.
+			var deliverStart time.Time
+			if tr.Enabled() {
+				deliverStart = time.Now()
 			}
-			if cfgErrs[ci] != nil {
-				sp.Err = cfgErrs[ci].Error()
+			onConfig(next, *cr, cfgErrs[next])
+			if tr.Enabled() {
+				sp := obs.Span{
+					Cat: obs.CatDeliver, Name: "deliver", Config: next, Worker: -1,
+					Start: tr.Offset(deliverStart), Dur: time.Since(deliverStart),
+				}
+				if cfgErrs[next] != nil {
+					sp.Err = cfgErrs[next].Error()
+				}
+				tr.Add(sp)
 			}
-			tr.Add(sp)
 		}
 	}
 	for ci, o := range configs {

@@ -89,8 +89,8 @@ type SweepResult struct {
 // ReduceConfig consumes one configuration's completed section of a
 // streaming sweep: i is the configuration's index in the request's Configs,
 // cr its results in paper order, and err the joined failure of any of its
-// experiments (cr still carries whatever succeeded). See RunSweepStream for
-// the invocation contract.
+// experiments (cr still carries whatever succeeded). Sections arrive in
+// request order; see RunSweepStream for the invocation contract.
 type ReduceConfig func(i int, cr ConfigResult, err error)
 
 // CanonicalIDs resolves a requested experiment-ID set to the canonical
@@ -115,20 +115,21 @@ func CanonicalIDs(ids []string) ([]string, error) {
 // RunSweepStream executes a batched sweep exactly as RunSweep does — one
 // merged task set over every (configuration, experiment, shard) triple,
 // fanned across the RunConfig's worker pool — but instead of accumulating
-// a SweepResult it hands each ConfigResult to onConfig the moment the
-// configuration's last (experiment, shard) task finishes, then releases
-// the scheduler's backing buffers for it. Memory is therefore proportional
-// to the configurations in flight, not to the sweep size: what the caller
-// does not retain out of cr is collectable as soon as onConfig returns.
+// a SweepResult it hands each ConfigResult to onConfig as soon as the
+// configuration and every configuration before it in the request have
+// finished, then releases the scheduler's backing buffers for it. Memory
+// is therefore proportional to the configurations in flight plus those
+// completed ahead of an unfinished earlier one, not to the sweep size:
+// what the caller does not retain out of cr is collectable as soon as
+// onConfig returns.
 //
 // Callback contract: onConfig is required, invoked exactly once per
-// configuration in completion order (not request order — consumers needing
-// request order reorder themselves; report.SweepWriter does), and is
-// serialized — never invoked concurrently. It runs on a scheduler worker
-// goroutine, so a slow callback stalls one worker; keep it cheap or hand
-// off. Per-configuration failures arrive as the callback's err (cr still
-// carries the configuration's surviving results) and are also joined into
-// the returned error alongside every other configuration's failures.
+// configuration in request order (i = 0, 1, …), and is serialized — never
+// invoked concurrently. It runs on a scheduler worker goroutine, so a slow
+// callback stalls one worker; keep it cheap or hand off. Per-configuration
+// failures arrive as the callback's err (cr still carries the
+// configuration's surviving results) and are also joined into the returned
+// error alongside every other configuration's failures.
 func RunSweepStream(sw Sweep, cfg RunConfig, onConfig ReduceConfig, progress func(Progress)) error {
 	if onConfig == nil {
 		return fmt.Errorf("core: RunSweepStream requires an onConfig callback")

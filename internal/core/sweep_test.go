@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"zen2ee/internal/sim"
 )
@@ -235,5 +237,82 @@ func TestRunSweepStreamRequiresCallback(t *testing.T) {
 	sw := Sweep{IDs: []string{"fig1"}, Configs: []Config{{Scale: 0.2, Seed: 1}}}
 	if err := RunSweepStream(sw, RunConfig{Workers: 1}, nil, nil); err == nil {
 		t.Fatal("nil onConfig accepted")
+	}
+}
+
+// TestRunSweepDeliversInRequestOrder pins request-order delivery under
+// adversarial completion: configuration 0's shards stall until every later
+// configuration has finished all its experiments, so configuration 0
+// completes last, yet onConfig still sees indices 0..n-1 in order, exactly
+// once each and never concurrently.
+func TestRunSweepDeliversInRequestOrder(t *testing.T) {
+	exps := []Experiment{jitterSharded("jit", 3), okExp("mono")}
+	configs := make([]Config, 8)
+	for i := range configs {
+		configs[i] = Config{Scale: 1, Seed: uint64(i + 1)}
+	}
+	laterDone := make(chan struct{})
+	var later sync.WaitGroup
+	later.Add((len(configs) - 1) * len(exps))
+	go func() { later.Wait(); close(laterDone) }()
+	stall := func(st ShardTask) (any, string, error) {
+		if st.ConfigIndex == 0 {
+			select {
+			case <-laterDone:
+			case <-time.After(10 * time.Second):
+				return nil, "", errors.New("later configurations never completed")
+			}
+		}
+		out, err := st.Run()
+		return out, "", err
+	}
+
+	// progress is serialized, and runSweep returns only after its last
+	// call, so completed needs no lock.
+	left := make([]int, len(configs))
+	for i := range left {
+		left[i] = len(exps)
+	}
+	var completed []int // configurations in completion order
+	progress := func(p Progress) {
+		if !p.ExperimentDone() {
+			return
+		}
+		if left[p.Config]--; left[p.Config] == 0 {
+			completed = append(completed, p.Config)
+		}
+		if p.Config > 0 {
+			later.Done()
+		}
+	}
+
+	var inFlight atomic.Int32
+	var delivered []int
+	err := runSweep(exps, configs, RunConfig{Workers: 8, RunShard: stall}, func(i int, cr ConfigResult, cerr error) {
+		if inFlight.Add(1) != 1 {
+			t.Error("onConfig invoked concurrently")
+		}
+		defer inFlight.Add(-1)
+		if cerr != nil {
+			t.Errorf("config %d delivered error: %v", i, cerr)
+		}
+		if cr.Config != configs[i] {
+			t.Errorf("config %d keyed by %+v, want %+v", i, cr.Config, configs[i])
+		}
+		delivered = append(delivered, i)
+	}, progress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(completed) != len(configs) || completed[len(completed)-1] != 0 {
+		t.Fatalf("completion order %v: configuration 0 did not complete last", completed)
+	}
+	for i, d := range delivered {
+		if d != i {
+			t.Fatalf("onConfig order %v, want request order 0..%d", delivered, len(configs)-1)
+		}
+	}
+	if len(delivered) != len(configs) {
+		t.Fatalf("onConfig delivered %d configurations, want %d", len(delivered), len(configs))
 	}
 }

@@ -1,7 +1,7 @@
 // Batched leases and the compressed completion path: one long-poll may
 // grant up to Max tasks (capped by the coordinator's MaxLeaseBatch), flate
-// compression is negotiated at register and bounded at decode, and the
-// worker pipeline drains a batch across its slots.
+// compressed outputs are bounded at decode, and the worker pipeline drains
+// a batch across its slots.
 
 package dist
 
@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"zen2ee/internal/shardcache"
 )
 
 // leaseBatch polls once asking for up to max tasks.
@@ -81,22 +83,6 @@ func TestBatchedLeaseClampedByMaxLeaseBatch(t *testing.T) {
 	}
 }
 
-func TestRegisterNegotiatesCompression(t *testing.T) {
-	env := newTestEnv(t, Config{})
-	w := &rawWorker{t: t, base: env.ts.URL}
-
-	var with registerResponse
-	w.post("/dist/v1/register", registerRequest{Name: "zip", Slots: 1, Compression: compressionFlate}, &with, http.StatusOK)
-	if with.Compression != compressionFlate {
-		t.Fatalf("register offering flate got compression %q, want %q", with.Compression, compressionFlate)
-	}
-	var without registerResponse
-	w.post("/dist/v1/register", registerRequest{Name: "plain", Slots: 1}, &without, http.StatusOK)
-	if without.Compression != "" {
-		t.Fatalf("register offering nothing got compression %q, want none", without.Compression)
-	}
-}
-
 func TestCompressedCompletionRoundTrip(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	w := env.register(t, "zipper", 1)
@@ -112,7 +98,7 @@ func TestCompressedCompletionRoundTrip(t *testing.T) {
 	for i := range big {
 		big[i] = float64(i % 7)
 	}
-	enc, err := encodeOutput(big)
+	enc, err := shardcache.EncodeOutput(big)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}

@@ -23,6 +23,7 @@ import (
 
 	"zen2ee/internal/core"
 	"zen2ee/internal/obs"
+	"zen2ee/internal/shardcache"
 )
 
 // Sentinel errors of the coordinator's state machine; the HTTP layer maps
@@ -303,17 +304,11 @@ func (c *Coordinator) register(req registerRequest) registerResponse {
 	c.workers[id] = w
 	c.log.Info("dist: worker registered", "worker", name, "id", id, "slots", slots, "host", req.Host, "pid", req.PID)
 	c.broadcastLocked()
-	resp := registerResponse{
+	return registerResponse{
 		WorkerID:        id,
 		HeartbeatMillis: (c.cfg.LeaseTTL / 4).Milliseconds(),
 		LeaseTTLMillis:  c.cfg.LeaseTTL.Milliseconds(),
 	}
-	if req.Compression == compressionFlate {
-		// Accept the one scheme the protocol knows; anything else is
-		// declined by omission and the worker sends uncompressed.
-		resp.Compression = compressionFlate
-	}
-	return resp
 }
 
 // heartbeat refreshes a worker's liveness.
@@ -470,7 +465,7 @@ func (c *Coordinator) complete(req completeRequest) (duplicate bool, err error) 
 			raw, err = decompressOutput(raw)
 		}
 		if err == nil {
-			out, err = decodeOutput(raw)
+			out, err = shardcache.DecodeOutput(raw)
 		}
 		if err != nil {
 			// An undecodable output is an execution failure of this shard (an

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"zen2ee/internal/core"
+	"zen2ee/internal/shardcache"
 )
 
 // testEnv is a coordinator served over real HTTP.
@@ -127,7 +128,7 @@ func (w *rawWorker) leaseUntil(d time.Duration) *TaskSpec {
 
 func (w *rawWorker) complete(spec *TaskSpec, out any) {
 	w.t.Helper()
-	enc, err := encodeOutput(out)
+	enc, err := shardcache.EncodeOutput(out)
 	if err != nil {
 		w.t.Fatalf("encode output: %v", err)
 	}
@@ -251,7 +252,7 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	ch := runShardAsync(h, shardTask(0, 0, nil))
 
 	spec := w.leaseUntil(5 * time.Second)
-	enc, _ := encodeOutput(7.0)
+	enc, _ := shardcache.EncodeOutput(7.0)
 	req := completeRequest{WorkerID: w.id, TaskID: spec.ID, Output: enc}
 
 	var first, second completeResponse
@@ -304,7 +305,7 @@ func TestLeaseExpiryRetriesOnSurvivor(t *testing.T) {
 
 	// The dead worker coming back to return its expired lease is rejected
 	// with stale_lease: exactly one completion ever lands.
-	enc, _ := encodeOutput(99.0)
+	enc, _ := shardcache.EncodeOutput(99.0)
 	code := dead.postCode("/dist/v1/complete",
 		completeRequest{WorkerID: dead.id, TaskID: spec.ID, Output: enc}, http.StatusGone)
 	if code != codeStaleLease {
@@ -336,7 +337,7 @@ func TestStaleLeaseAfterLocalReclaim(t *testing.T) {
 	if o.out != 3.5 || o.origin != "" || o.err != nil {
 		t.Fatalf("outcome = %+v, want local 3.5", o)
 	}
-	enc, _ := encodeOutput(99.0)
+	enc, _ := shardcache.EncodeOutput(99.0)
 	code := w.postCode("/dist/v1/complete",
 		completeRequest{WorkerID: w.id, TaskID: spec.ID, Output: enc}, http.StatusGone)
 	if code != codeStaleLease {
@@ -553,11 +554,11 @@ func TestOutputCodecRoundTrip(t *testing.T) {
 		map[string]float64{"k": 2.5},
 	}
 	for _, in := range cases {
-		enc, err := encodeOutput(in)
+		enc, err := shardcache.EncodeOutput(in)
 		if err != nil {
 			t.Fatalf("encode %T: %v", in, err)
 		}
-		out, err := decodeOutput(enc)
+		out, err := shardcache.DecodeOutput(enc)
 		if err != nil {
 			t.Fatalf("decode %T: %v", in, err)
 		}
@@ -592,7 +593,7 @@ func TestOutputCodecRoundTrip(t *testing.T) {
 
 func TestUnregisteredOutputTypeFailsShardLoudly(t *testing.T) {
 	type unregistered struct{ X int }
-	if _, err := encodeOutput(unregistered{X: 1}); err == nil {
+	if _, err := shardcache.EncodeOutput(unregistered{X: 1}); err == nil {
 		t.Fatalf("encoding an unregistered type succeeded; want an error directing to RegisterOutputType")
 	}
 }

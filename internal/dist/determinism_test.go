@@ -17,6 +17,7 @@ import (
 	"zen2ee/internal/core"
 	"zen2ee/internal/obs"
 	"zen2ee/internal/report"
+	"zen2ee/internal/shardcache"
 )
 
 // testSweep is small but representative: tab1 is a 9-shard planned
@@ -128,7 +129,7 @@ func victimWorker(base string, completions int) {
 		if execErr != nil {
 			req.Error = execErr.Error()
 		} else {
-			req.Output, _ = encodeOutput(out)
+			req.Output, _ = shardcache.EncodeOutput(out)
 		}
 		if post("/dist/v1/complete", req, nil) != nil {
 			return

@@ -14,8 +14,8 @@
 // reference — not the closure — crosses the wire, and the worker re-derives
 // the identical plan and per-shard RNG stream via core.ExecuteShardRef.
 // Outputs return as gob payloads (the internal/shardcache codec, which
-// round-trips float64 values bit-exactly), optionally flate-compressed when
-// negotiated at register; worker-measured execution windows merge into the
+// round-trips float64 values bit-exactly), flate-compressed when that
+// shrinks a large payload; worker-measured execution windows merge into the
 // coordinator's obs.Trace as CatRemote spans with worker attribution, so a
 // distributed run still renders one coherent Chrome-trace timeline.
 //
@@ -31,7 +31,6 @@ import (
 	"io"
 
 	"zen2ee/internal/core"
-	"zen2ee/internal/shardcache"
 )
 
 // TaskSpec is one leased unit of work on the wire.
@@ -44,11 +43,6 @@ type TaskSpec struct {
 	Label string `json:"label,omitempty"`
 }
 
-// compressionFlate is the one compression scheme the protocol knows; it is
-// offered by the worker at register and echoed by the coordinator when
-// accepted.
-const compressionFlate = "flate"
-
 // Wire bodies of the worker protocol under POST /dist/v1/. All requests
 // and responses are JSON; outputs travel as gob inside the JSON (base64 by
 // encoding/json's []byte rule).
@@ -57,18 +51,12 @@ type registerRequest struct {
 	Host  string `json:"host,omitempty"`
 	PID   int    `json:"pid,omitempty"`
 	Slots int    `json:"slots"`
-	// Compression offers a payload compression scheme ("flate"); the
-	// coordinator echoes it back when accepted. Empty means uncompressed.
-	Compression string `json:"compression,omitempty"`
 }
 
 type registerResponse struct {
 	WorkerID        string `json:"worker_id"`
 	HeartbeatMillis int64  `json:"heartbeat_ms"`
 	LeaseTTLMillis  int64  `json:"lease_ttl_ms"`
-	// Compression confirms the scheme the worker may apply to completion
-	// outputs; empty rejects the offer.
-	Compression string `json:"compression,omitempty"`
 }
 
 type leaseRequest struct {
@@ -92,8 +80,7 @@ type completeRequest struct {
 	// Output is the gob-encoded shard output (empty for a nil output or a
 	// failed shard), flate-compressed when Compressed is set.
 	Output []byte `json:"output,omitempty"`
-	// Compressed marks Output as flate-compressed; only workers whose
-	// register negotiated compression set it.
+	// Compressed marks Output as flate-compressed.
 	Compressed bool `json:"compressed,omitempty"`
 	// Error is the shard's failure message; empty means success.
 	Error string `json:"error,omitempty"`
@@ -135,21 +122,6 @@ const (
 	// codeDraining: the coordinator is shutting down and leases nothing.
 	codeDraining = "draining"
 )
-
-// The output codec lives in internal/shardcache so the shard-memoization
-// layer and the wire share one bit-exact encoding; these wrappers keep the
-// package-local call sites (and the public RegisterOutputType entry point)
-// stable.
-
-func encodeOutput(v any) ([]byte, error) { return shardcache.EncodeOutput(v) }
-
-func decodeOutput(b []byte) (any, error) { return shardcache.DecodeOutput(b) }
-
-// RegisterOutputType registers a shard-output concrete type with the wire
-// codec. The types every registered experiment returns today are built in;
-// an experiment introducing a new output type calls this from an init so
-// its shards can cross the wire.
-func RegisterOutputType(v any) { shardcache.RegisterOutputType(v) }
 
 // compressMinBytes is the payload size below which compression is skipped:
 // tiny gob outputs (a scalar, a short series) cost more in flate framing

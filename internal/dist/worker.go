@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"zen2ee/internal/core"
+	"zen2ee/internal/shardcache"
 )
 
 // WorkerConfig configures a Worker.
@@ -83,7 +84,6 @@ type Worker struct {
 	id        string
 	gen       uint64 // bumped by every successful (re-)registration
 	heartbeat time.Duration
-	compress  bool // coordinator accepted flate at register
 }
 
 // NewWorker validates the configuration and builds a worker.
@@ -181,7 +181,6 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 func (w *Worker) register(ctx context.Context) error {
 	req := registerRequest{
 		Name: w.cfg.Name, Host: w.cfg.Host, PID: w.cfg.PID, Slots: w.cfg.Slots,
-		Compression: compressionFlate,
 	}
 	backoff := 200 * time.Millisecond
 	for {
@@ -195,11 +194,9 @@ func (w *Worker) register(ctx context.Context) error {
 			if w.heartbeat <= 0 {
 				w.heartbeat = time.Second
 			}
-			w.compress = resp.Compression == compressionFlate
 			w.mu.Unlock()
 			w.log.Info("dist: registered with coordinator", "coordinator", w.base,
-				"worker_id", resp.WorkerID, "heartbeat", w.heartbeat,
-				"compression", resp.Compression)
+				"worker_id", resp.WorkerID, "heartbeat", w.heartbeat)
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -229,12 +226,6 @@ func (w *Worker) identity() (string, uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.id, w.gen
-}
-
-func (w *Worker) compressionNegotiated() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.compress
 }
 
 // reregister rejoins the pool after the coordinator rejected the given
@@ -476,14 +467,14 @@ func (w *Worker) complete(t TaskSpec, out any, execErr error, startDelta, dur ti
 	if execErr != nil {
 		req.Error = execErr.Error()
 	} else {
-		enc, err := encodeOutput(out)
+		enc, err := shardcache.EncodeOutput(out)
 		if err != nil {
 			// An unencodable output type fails the shard explicitly; see
-			// RegisterOutputType.
-			req.Error = fmt.Sprintf("dist: encoding shard output (%T): %v — register the type with dist.RegisterOutputType", out, err)
+			// shardcache.RegisterOutputType.
+			req.Error = fmt.Sprintf("dist: encoding shard output (%T): %v — register the type with shardcache.RegisterOutputType", out, err)
 		} else {
 			req.Output = enc
-			if w.compressionNegotiated() && len(enc) >= compressMinBytes {
+			if len(enc) >= compressMinBytes {
 				if cb, cerr := compressOutput(enc); cerr == nil && len(cb) < len(enc) {
 					req.Output, req.Compressed = cb, true
 				}

@@ -1,9 +1,15 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -242,5 +248,62 @@ func TestWorkerReregistersAfterExpiry(t *testing.T) {
 	o := waitOutcome(t, runShardAsync(h, shardTask(0, 0, nil)))
 	if o.out != 1.5 || o.origin != "lazarus" {
 		t.Fatalf("outcome = %+v, want 1.5 from re-registered lazarus", o)
+	}
+}
+
+// TestWorkerCompressesLargeOutputs: a worker flate-compresses a completion
+// payload of at least compressMinBytes that compression shrinks, sends a
+// small one plain, and both arrive as the shard's output.
+func TestWorkerCompressesLargeOutputs(t *testing.T) {
+	c := NewCoordinator(Config{})
+	inner := c.Handler()
+	var mu sync.Mutex
+	compressed := map[bool]int{} // Compressed flag → completions seen
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/dist/v1/complete" {
+			body, _ := io.ReadAll(r.Body)
+			var req completeRequest
+			if json.Unmarshal(body, &req) == nil {
+				mu.Lock()
+				compressed[req.Compressed]++
+				mu.Unlock()
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		c.Close()
+	})
+	env := &testEnv{c: c, ts: ts}
+
+	big := make([]float64, 4096)
+	for i := range big {
+		big[i] = float64(i % 7)
+	}
+	startWorker(t, env, WorkerConfig{
+		Name: "zipper", Slots: 1,
+		Execute: func(ts TaskSpec) (any, error) {
+			if ts.Ref.Shard == 0 {
+				return big, nil
+			}
+			return 1.5, nil
+		},
+	})
+	waitFor(t, "worker registration", func() bool { return env.c.WorkersConnected() == 1 })
+
+	h := env.c.StartRun(nil)
+	defer h.Finish()
+	if o := waitOutcome(t, runShardAsync(h, shardTask(0, 0, nil))); o.err != nil || !reflect.DeepEqual(o.out, big) {
+		t.Fatalf("large output outcome: err %v, output equal: %v", o.err, reflect.DeepEqual(o.out, big))
+	}
+	if o := waitOutcome(t, runShardAsync(h, shardTask(0, 1, nil))); o.err != nil || o.out != 1.5 {
+		t.Fatalf("small output outcome = %+v", o)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if compressed[true] != 1 || compressed[false] != 1 {
+		t.Fatalf("completions by Compressed flag = %v, want one compressed and one plain", compressed)
 	}
 }

@@ -1,8 +1,8 @@
 // The streaming sweep encoder. A sweep document is a fixed header, one
 // section per configuration in request order, and a fixed tail — so it can
-// be emitted incrementally as configurations complete, holding only the
-// sections that arrived ahead of an unfinished earlier one. SweepWriter is
-// that encoder: its concatenated output is byte-for-byte what
+// be emitted incrementally as a streaming sweep delivers configurations,
+// which core.RunSweepStream does in request order. SweepWriter is that
+// encoder: its concatenated output is byte-for-byte what
 // MarshalSweepSections produces for the same (ids, configs, documents),
 // a property pinned by golden tests rather than promised here. It is the
 // piece that lets the CLI and the daemon serve arbitrarily large sweeps
@@ -23,27 +23,17 @@ import (
 // canonical zero-section document.
 const sweepTail = "]\n}\n"
 
-// SweepWriter emits a canonical sweep document section by section.
-// Sections may be written in any order (a streaming sweep completes
-// configurations in scheduler order, not request order); the writer holds
-// out-of-order sections in an internal reorder window and emits them in
-// request order. Every configuration must be written exactly once before
-// Close, which refuses to terminate an incomplete document — an
-// interrupted stream therefore never yields bytes that parse as a
-// complete sweep.
+// SweepWriter emits a canonical sweep document section by section, in
+// request order: each WriteSection emits the next configuration's section.
+// Every configuration must be written exactly once before Close, which
+// refuses to terminate an incomplete document — an interrupted stream
+// therefore never yields bytes that parse as a complete sweep.
 type SweepWriter struct {
 	w       io.Writer
 	configs []core.Config
-	next    int // next request-order index to emit
-	written int // sections accepted (emitted or windowed)
-	// window holds sections that completed ahead of an unfinished earlier
-	// configuration, keyed by request index. WriteSection retains the
-	// document bytes it is handed until they emit.
-	window map[int][]byte
-	// maxPending, when positive, bounds the reorder window.
-	maxPending int
-	err        error // sticky: first failure poisons the writer
-	closed     bool
+	next    int   // request-order index of the next section
+	err     error // sticky: first failure poisons the writer
+	closed  bool
 }
 
 // NewSweepWriter starts a sweep document on w, writing the header
@@ -64,64 +54,28 @@ func NewSweepWriter(w io.Writer, ids []string, configs []core.Config) (*SweepWri
 	if _, err := w.Write(b[:len(b)-len(sweepTail)]); err != nil {
 		return nil, fmt.Errorf("report: writing sweep header: %w", err)
 	}
-	return &SweepWriter{w: w, configs: configs, window: make(map[int][]byte)}, nil
+	return &SweepWriter{w: w, configs: configs}, nil
 }
 
-// SetMaxPending bounds the reorder window: once more than n out-of-order
-// sections are buffered awaiting an earlier configuration, WriteSection
-// fails instead of accumulating. Zero (the default) means no explicit
-// bound — the window is then bounded only by the producer's completion
-// skew, which for the shard scheduler is the configurations in flight.
-func (sw *SweepWriter) SetMaxPending(n int) { sw.maxPending = n }
-
-// WriteSection hands the writer configuration i's canonical standalone
-// document (MarshalResults bytes). The writer may retain document until
-// the section emits, so callers must not mutate it afterwards.
-func (sw *SweepWriter) WriteSection(i int, document []byte) error {
+// WriteSection emits the next configuration's section from its canonical
+// standalone document (MarshalResults bytes).
+func (sw *SweepWriter) WriteSection(document []byte) error {
 	if sw.err != nil {
 		return sw.err
 	}
 	if sw.closed {
 		return sw.fail(fmt.Errorf("report: WriteSection after Close"))
 	}
-	if i < 0 || i >= len(sw.configs) {
-		return sw.fail(fmt.Errorf("report: section %d out of range (%d configs)", i, len(sw.configs)))
+	i := sw.next
+	if i >= len(sw.configs) {
+		return sw.fail(fmt.Errorf("report: section %d past the last of %d configs", i, len(sw.configs)))
 	}
 	if len(document) == 0 {
 		c := sw.configs[i]
 		return sw.fail(fmt.Errorf("report: config %d (scale %g, seed %d) has no document", i, c.Scale, c.Seed))
 	}
-	if _, dup := sw.window[i]; dup || i < sw.next {
-		return sw.fail(fmt.Errorf("report: section %d written twice", i))
-	}
-	sw.written++
-	if i != sw.next {
-		sw.window[i] = document
-		if sw.maxPending > 0 && len(sw.window) > sw.maxPending {
-			return sw.fail(fmt.Errorf("report: reorder window exceeded %d pending sections awaiting config %d", sw.maxPending, sw.next))
-		}
-		return nil
-	}
-	if err := sw.emit(i, document); err != nil {
-		return err
-	}
-	// Drain whatever the arrival of section i unblocked.
-	for {
-		doc, ok := sw.window[sw.next]
-		if !ok {
-			return nil
-		}
-		delete(sw.window, sw.next)
-		if err := sw.emit(sw.next, doc); err != nil {
-			return err
-		}
-	}
-}
-
-// emit writes section i — by construction i == sw.next — exactly as it
-// sits inside the MarshalSweepSections document: a separator, then the
-// section object indented one array-element deep.
-func (sw *SweepWriter) emit(i int, document []byte) error {
+	// The section sits inside the MarshalSweepSections document as a
+	// separator, then the section object indented one array-element deep.
 	sep := ",\n    "
 	if i == 0 {
 		sep = "\n    "

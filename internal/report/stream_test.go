@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"zen2ee/internal/core"
@@ -28,15 +27,15 @@ func sweepCase(t *testing.T, ids []string, n int) ([]core.Config, [][]byte, []by
 	return configs, documents, want
 }
 
-func streamSweep(t *testing.T, ids []string, configs []core.Config, documents [][]byte, order []int) []byte {
+func streamSweep(t *testing.T, ids []string, configs []core.Config, documents [][]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := NewSweepWriter(&buf, ids, configs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range order {
-		if err := sw.WriteSection(i, documents[i]); err != nil {
+	for i, doc := range documents {
+		if err := sw.WriteSection(doc); err != nil {
 			t.Fatalf("section %d: %v", i, err)
 		}
 	}
@@ -49,7 +48,7 @@ func streamSweep(t *testing.T, ids []string, configs []core.Config, documents []
 // TestSweepWriterGolden is the streaming byte-identity gate: for 1, 2, and
 // N configurations — with explicit IDs and with nil IDs (full registry) —
 // the concatenated SweepWriter output equals the MarshalSweepSections
-// document, for in-order, reversed, and shuffled completion orders.
+// document.
 func TestSweepWriterGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -64,34 +63,17 @@ func TestSweepWriterGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			configs, documents, want := sweepCase(t, tc.ids, tc.n)
-
-			inOrder := make([]int, tc.n)
-			reversed := make([]int, tc.n)
-			for i := range inOrder {
-				inOrder[i] = i
-				reversed[i] = tc.n - 1 - i
-			}
-			shuffled := append([]int(nil), inOrder...)
-			rand.New(rand.NewSource(42)).Shuffle(len(shuffled), func(i, j int) {
-				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-			})
-
-			for name, order := range map[string][]int{
-				"in-order": inOrder, "reversed": reversed, "shuffled": shuffled,
-			} {
-				got := streamSweep(t, tc.ids, configs, documents, order)
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s completion: streamed document differs from MarshalSweepSections:\n got %q\nwant %q", name, got, want)
-				}
+			if got := streamSweep(t, tc.ids, configs, documents); !bytes.Equal(got, want) {
+				t.Errorf("streamed document differs from MarshalSweepSections:\n got %q\nwant %q", got, want)
 			}
 		})
 	}
 }
 
 // TestSweepWriterAgainstRunSweepStream pins the byte-identity end to end:
-// sections marshaled inside a real RunSweepStream run — arriving in
-// whatever order the scheduler completes them — stream into the exact
-// MarshalSweep document of the collected RunSweep for the same request.
+// sections marshaled inside a real RunSweepStream run — which delivers
+// them in request order — stream into the exact MarshalSweep document of
+// the collected RunSweep for the same request.
 func TestSweepWriterAgainstRunSweepStream(t *testing.T) {
 	sw := core.Sweep{IDs: []string{"fig1", "sec5a"}, Configs: core.Grid([]float64{0.2}, []uint64{1, 2, 3, 4})}
 	sr, err := core.RunSweep(sw, core.RunConfig{Workers: 2}, nil)
@@ -113,7 +95,7 @@ func TestSweepWriterAgainstRunSweepStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamErr error
-	err = core.RunSweepStream(sw, core.RunConfig{Workers: 4}, func(i int, cr core.ConfigResult, cerr error) {
+	err = core.RunSweepStream(sw, core.RunConfig{Workers: 4}, func(_ int, cr core.ConfigResult, cerr error) {
 		if cerr != nil {
 			streamErr = cerr
 			return
@@ -123,7 +105,7 @@ func TestSweepWriterAgainstRunSweepStream(t *testing.T) {
 			streamErr = merr
 			return
 		}
-		if werr := w.WriteSection(i, doc); werr != nil {
+		if werr := w.WriteSection(doc); werr != nil {
 			streamErr = werr
 		}
 	}, nil)
@@ -138,9 +120,9 @@ func TestSweepWriterAgainstRunSweepStream(t *testing.T) {
 	}
 }
 
-// TestSweepWriterErrors covers the misuse surface: out-of-range and
-// duplicate sections, empty documents, premature Close, writes after
-// Close, and the sticky-error contract.
+// TestSweepWriterErrors covers the misuse surface: a section past the last
+// configuration, empty documents, premature Close, writes after Close, and
+// the sticky-error contract.
 func TestSweepWriterErrors(t *testing.T) {
 	configs, documents, _ := sweepCase(t, nil, 3)
 
@@ -152,43 +134,36 @@ func TestSweepWriterErrors(t *testing.T) {
 		}
 		return &buf, sw
 	}
+	writeAll := func(t *testing.T, sw *SweepWriter) {
+		for i, doc := range documents {
+			if err := sw.WriteSection(doc); err != nil {
+				t.Fatalf("section %d: %v", i, err)
+			}
+		}
+	}
 
 	t.Run("out-of-range", func(t *testing.T) {
 		_, sw := newWriter(t)
-		if err := sw.WriteSection(3, documents[0]); err == nil {
-			t.Fatal("out-of-range section accepted")
+		writeAll(t, sw)
+		if err := sw.WriteSection(documents[0]); err == nil {
+			t.Fatal("section past the last configuration accepted")
 		}
-		if err := sw.WriteSection(0, documents[0]); err == nil {
+		if err := sw.Close(); err == nil {
 			t.Fatal("writer not poisoned after failure")
-		}
-	})
-	t.Run("duplicate-emitted", func(t *testing.T) {
-		_, sw := newWriter(t)
-		if err := sw.WriteSection(0, documents[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.WriteSection(0, documents[0]); err == nil {
-			t.Fatal("duplicate emitted section accepted")
-		}
-	})
-	t.Run("duplicate-windowed", func(t *testing.T) {
-		_, sw := newWriter(t)
-		if err := sw.WriteSection(2, documents[2]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.WriteSection(2, documents[2]); err == nil {
-			t.Fatal("duplicate windowed section accepted")
 		}
 	})
 	t.Run("empty-document", func(t *testing.T) {
 		_, sw := newWriter(t)
-		if err := sw.WriteSection(0, nil); err == nil {
+		if err := sw.WriteSection(nil); err == nil {
 			t.Fatal("empty document accepted")
+		}
+		if err := sw.WriteSection(documents[0]); err == nil {
+			t.Fatal("writer not poisoned after failure")
 		}
 	})
 	t.Run("incomplete-close", func(t *testing.T) {
 		buf, sw := newWriter(t)
-		if err := sw.WriteSection(0, documents[0]); err != nil {
+		if err := sw.WriteSection(documents[0]); err != nil {
 			t.Fatal(err)
 		}
 		before := buf.Len()
@@ -205,43 +180,12 @@ func TestSweepWriterErrors(t *testing.T) {
 	})
 	t.Run("write-after-close", func(t *testing.T) {
 		_, sw := newWriter(t)
-		for i := range configs {
-			if err := sw.WriteSection(i, documents[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
+		writeAll(t, sw)
 		if err := sw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.WriteSection(0, documents[0]); err == nil {
+		if err := sw.WriteSection(documents[0]); err == nil {
 			t.Fatal("write after Close accepted")
 		}
 	})
-	t.Run("reorder-window-bound", func(t *testing.T) {
-		_, sw := newWriter(t)
-		sw.SetMaxPending(1)
-		if err := sw.WriteSection(1, documents[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.WriteSection(2, documents[2]); err == nil {
-			t.Fatal("reorder window bound not enforced")
-		}
-	})
-}
-
-// TestSweepWriterLargeOutOfOrder drains a bigger reorder window than any
-// scheduler skew would produce, to catch off-by-ones in the drain loop.
-func TestSweepWriterLargeOutOfOrder(t *testing.T) {
-	const n = 25
-	ids := []string{"fig1", "sec5a"}
-	configs, documents, want := sweepCase(t, ids, n)
-	// Worst case: section 0 arrives last, so every other section windows.
-	order := make([]int, 0, n)
-	for i := n - 1; i >= 0; i-- {
-		order = append(order, i)
-	}
-	got := streamSweep(t, ids, configs, documents, order)
-	if !bytes.Equal(got, want) {
-		t.Error("fully reversed completion order broke byte-identity")
-	}
 }

@@ -56,7 +56,7 @@ import (
 
 // SweepRunner executes the missing configurations of a job — a sweep, or a
 // run job's one configuration — as one merged streaming scheduler run,
-// delivering each configuration through onConfig as it completes;
+// delivering each configuration through onConfig in request order;
 // core.RunSweepStream in production, injectable for tests (which observe
 // exactly which configurations the daemon did not serve from cache). The
 // RunConfig carries the daemon's shared executor gate, so injected runners
@@ -596,8 +596,8 @@ func (s *Server) serveSweepResult(w http.ResponseWriter, j *job) {
 	if err != nil {
 		return // header write failed: the connection is gone
 	}
-	for i, doc := range sections {
-		if sw.WriteSection(i, doc) != nil {
+	for _, doc := range sections {
+		if sw.WriteSection(doc) != nil {
 			return
 		}
 	}

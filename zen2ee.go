@@ -436,12 +436,12 @@ func RunSweep(sw Sweep, cfg RunConfig, progress func(Progress)) (*SweepResult, e
 type ReduceConfig = core.ReduceConfig
 
 // RunSweepStream executes a sweep exactly as RunSweep does but hands each
-// configuration's section to onConfig the moment its last shard finishes
-// and releases the scheduler's buffers for it, so memory is proportional
-// to the configurations in flight, not the sweep size. onConfig is
-// invoked exactly once per configuration, in completion order, serialized,
-// on a scheduler worker goroutine — keep it cheap or hand off. RunSweep is
-// a collector over this entry point.
+// configuration's section to onConfig once it and every earlier
+// configuration have finished, and releases the scheduler's buffers for
+// it, so memory is proportional to the configurations in flight, not the
+// sweep size. onConfig is invoked exactly once per configuration, in
+// request order, serialized, on a scheduler worker goroutine — keep it
+// cheap or hand off. RunSweep is a collector over this entry point.
 func RunSweepStream(sw Sweep, cfg RunConfig, onConfig ReduceConfig, progress func(Progress)) error {
 	return core.RunSweepStream(sw, cfg, onConfig, progress)
 }
