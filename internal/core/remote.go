@@ -42,7 +42,7 @@ type ShardTask struct {
 	// Ref is the shard's process-independent address.
 	Ref ShardRef
 	// ConfigIndex is the configuration's position in the scheduled sweep
-	// (what locality-aware placement clusters on).
+	// (what a remote shard's trace span is attributed to).
 	ConfigIndex int
 	// Shards is the experiment's plan size under this configuration.
 	Shards int

@@ -1,5 +1,5 @@
 // Batched leases and the compressed completion path: one long-poll may
-// grant up to Max tasks (capped by the coordinator's MaxLeaseBatch), flate
+// grant up to Max tasks (capped by the coordinator's maxLeaseBatch), flate
 // compressed outputs are bounded at decode, and the worker pipeline drains
 // a batch across its slots.
 
@@ -52,24 +52,25 @@ func TestBatchedLeaseGrantsMultipleTasks(t *testing.T) {
 }
 
 func TestBatchedLeaseClampedByMaxLeaseBatch(t *testing.T) {
-	env := newTestEnv(t, Config{MaxLeaseBatch: 2})
+	env := newTestEnv(t, Config{})
 	w := env.register(t, "clamped", 8)
 
+	const tasks = maxLeaseBatch + 4
 	h := env.c.StartRun(nil)
 	defer h.Finish()
 	var chans []<-chan shardOutcome
-	for shard := 0; shard < 4; shard++ {
+	for shard := 0; shard < tasks; shard++ {
 		chans = append(chans, runShardAsync(h, shardTask(0, shard, nil)))
 	}
-	waitFor(t, "all 4 tasks queued", func() bool { return env.c.PendingTasks() == 4 })
+	waitFor(t, "all tasks queued", func() bool { return env.c.PendingTasks() == tasks })
 
 	first := w.leaseBatch(100, 100)
-	if len(first) != 2 {
-		t.Fatalf("lease with max=100 granted %d tasks, want the MaxLeaseBatch cap of 2", len(first))
+	if len(first) != maxLeaseBatch {
+		t.Fatalf("lease with max=100 granted %d tasks, want the maxLeaseBatch cap of %d", len(first), maxLeaseBatch)
 	}
 	second := w.leaseBatch(100, 100)
-	if len(second) != 2 {
-		t.Fatalf("second batch granted %d tasks, want the remaining 2", len(second))
+	if len(second) != tasks-maxLeaseBatch {
+		t.Fatalf("second batch granted %d tasks, want the remaining %d", len(second), tasks-maxLeaseBatch)
 	}
 	for _, specs := range [][]TaskSpec{first, second} {
 		for i := range specs {

@@ -51,9 +51,6 @@ type Config struct {
 	// PollWait caps how long an empty /lease long-poll is held before
 	// returning no task. Default 2s.
 	PollWait time.Duration
-	// MaxLeaseBatch caps how many tasks one lease poll may grant to a
-	// worker that asks for a batch (leaseRequest.Max). Default 16.
-	MaxLeaseBatch int
 	// Local, when non-nil, gates local-fallback execution (the zen2eed
 	// daemon wraps its executor-slot acquisition here so local fallback
 	// respects -executors). Nil runs the thunk directly.
@@ -75,14 +72,15 @@ func (c Config) withDefaults() Config {
 	if c.PollWait <= 0 {
 		c.PollWait = 2 * time.Second
 	}
-	if c.MaxLeaseBatch <= 0 {
-		c.MaxLeaseBatch = 16
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
+
+// maxLeaseBatch caps how many tasks one lease poll may grant to a worker
+// that asks for a batch (leaseRequest.Max).
+const maxLeaseBatch = 16
 
 type taskState int
 
@@ -95,9 +93,10 @@ const (
 
 // task is one shard execution moving through the coordinator.
 type task struct {
-	id          string
-	run         *RunHandle
-	spec        TaskSpec
+	id   string
+	run  *RunHandle
+	spec TaskSpec
+	// configIndex locates the task's remote trace span.
 	configIndex int
 
 	state taskState
@@ -121,14 +120,6 @@ type task struct {
 	err    error
 }
 
-// affinityKey scopes locality: a worker that already executed a shard of
-// (run, configuration) is preferred for that configuration's siblings, so
-// warm simulation state and OS caches cluster per configuration.
-type affinityKey struct {
-	run    uint64
-	config int
-}
-
 // workerState is the coordinator's record of one registered worker.
 type workerState struct {
 	id    string
@@ -142,7 +133,6 @@ type workerState struct {
 	gone       bool
 
 	leases    map[string]*task
-	served    map[affinityKey]bool
 	completed int
 	retried   int
 }
@@ -159,7 +149,7 @@ type Coordinator struct {
 	workers map[string]*workerState
 	tasks   map[string]*task
 	pending []*task
-	seq     struct{ worker, task, run uint64 }
+	seq     struct{ worker, task uint64 }
 	retries int
 	closed  bool
 
@@ -299,7 +289,7 @@ func (c *Coordinator) register(req registerRequest) registerResponse {
 	w := &workerState{
 		id: id, name: name, host: req.Host, pid: req.PID, slots: slots,
 		registered: now, lastSeen: now,
-		leases: map[string]*task{}, served: map[affinityKey]bool{},
+		leases: map[string]*task{},
 	}
 	c.workers[id] = w
 	c.log.Info("dist: worker registered", "worker", name, "id", id, "slots", slots, "host", req.Host, "pid", req.PID)
@@ -338,12 +328,10 @@ func (c *Coordinator) deregister(workerID string) {
 	c.dropWorkerLocked(w, false)
 }
 
-// lease long-polls for tasks on behalf of a worker: the first eligible
-// pending task — preferring one whose (run, configuration) the worker has
-// already served (locality) — plus, when the worker asked for a batch, up
-// to max-1 more taken in the same locked section, so one round trip can
-// fill a whole slot pool. An empty poll past the wait window returns
-// (nil, nil).
+// lease long-polls for tasks on behalf of a worker: the oldest eligible
+// pending task plus, when the worker asked for a batch, up to max-1 more
+// taken in the same locked section, so one round trip can fill a whole
+// slot pool. An empty poll past the wait window returns (nil, nil).
 func (c *Coordinator) lease(ctx context.Context, workerID string, wait time.Duration, max int) ([]TaskSpec, error) {
 	if wait <= 0 || wait > c.cfg.PollWait {
 		wait = c.cfg.PollWait
@@ -351,8 +339,8 @@ func (c *Coordinator) lease(ctx context.Context, workerID string, wait time.Dura
 	if max < 1 {
 		max = 1
 	}
-	if max > c.cfg.MaxLeaseBatch {
-		max = c.cfg.MaxLeaseBatch
+	if max > maxLeaseBatch {
+		max = maxLeaseBatch
 	}
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
@@ -392,35 +380,22 @@ func (c *Coordinator) lease(ctx context.Context, workerID string, wait time.Dura
 	}
 }
 
-// takeLocked picks the task a worker leases: the first eligible pending
-// task, upgraded to the first one with (run, configuration) affinity for
-// this worker if any is eligible. Callers hold c.mu.
+// takeLocked leases a worker the oldest eligible pending task: not pinned
+// local, not waiting out a retry backoff. Callers hold c.mu.
 func (c *Coordinator) takeLocked(w *workerState) *task {
 	now := time.Now()
-	pick := -1
 	for i, t := range c.pending {
 		if t.localOnly || t.notBefore.After(now) {
 			continue
 		}
-		if pick < 0 {
-			pick = i
-		}
-		if w.served[affinityKey{t.run.id, t.configIndex}] {
-			pick = i
-			break
-		}
+		c.pending = append(c.pending[:i], c.pending[i+1:]...)
+		t.state = stateLeased
+		t.worker = w.id
+		t.grantedAt = now
+		w.leases[t.id] = t
+		return t
 	}
-	if pick < 0 {
-		return nil
-	}
-	t := c.pending[pick]
-	c.pending = append(c.pending[:pick], c.pending[pick+1:]...)
-	t.state = stateLeased
-	t.worker = w.id
-	t.grantedAt = now
-	w.leases[t.id] = t
-	w.served[affinityKey{t.run.id, t.configIndex}] = true
-	return t
+	return nil
 }
 
 // complete lands a worker's result. Exactly one completion is ever
@@ -499,25 +474,21 @@ func (c *Coordinator) finishLocked(t *task, out any, origin string, err error) {
 }
 
 // RunHandle scopes one scheduler run (one sweep) on the coordinator: it
-// carries the run's trace for remote span merging and the identity its
-// locality affinity is keyed under. Obtain via StartRun, pass RunShard as
-// the run's core.RunConfig.RunShard, and Finish when the run completes.
+// carries the run's trace for remote span merging and owns the run's task
+// records. Obtain via StartRun, pass RunShard as the run's
+// core.RunConfig.RunShard, and Finish when the run completes.
 type RunHandle struct {
 	c     *Coordinator
-	id    uint64
 	trace *obs.Trace
 }
 
 // StartRun opens a run scope. tr may be nil (untraced run).
 func (c *Coordinator) StartRun(tr *obs.Trace) *RunHandle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq.run++
-	return &RunHandle{c: c, id: c.seq.run, trace: tr}
+	return &RunHandle{c: c, trace: tr}
 }
 
-// Finish releases the run's bookkeeping (completed task records, locality
-// affinity entries). Every RunShard call must have returned.
+// Finish releases the run's completed task records. Every RunShard call
+// must have returned.
 func (h *RunHandle) Finish() {
 	c := h.c
 	c.mu.Lock()
@@ -525,13 +496,6 @@ func (h *RunHandle) Finish() {
 	for id, t := range c.tasks {
 		if t.run == h {
 			delete(c.tasks, id)
-		}
-	}
-	for _, w := range c.workers {
-		for k := range w.served {
-			if k.run == h.id {
-				delete(w.served, k)
-			}
 		}
 	}
 }

@@ -438,41 +438,54 @@ func TestExhaustedRetriesPinLocal(t *testing.T) {
 	}
 }
 
-func TestLocalityPrefersSiblingConfig(t *testing.T) {
-	env := newTestEnv(t, Config{})
-	w := env.register(t, "warm", 1)
+// TestLeaseGrantsOldestEligibleFirst: placement is plain FIFO over the
+// eligible tasks. A worker that already served configuration 1 is still
+// granted the older configuration-0 task first, and a task waiting out its
+// retry backoff at the head of the queue is passed over for younger
+// eligible ones.
+func TestLeaseGrantsOldestEligibleFirst(t *testing.T) {
+	env := newTestEnv(t, Config{LeaseTTL: 120 * time.Millisecond, RetryBackoff: time.Minute})
+	w := env.register(t, "fifo", 1)
+	defer w.keepAlive(30 * time.Millisecond)()
 	h := env.c.StartRun(nil)
 	defer h.Finish()
 
-	// Seed affinity: the worker executes a shard of configuration 1.
+	// The worker serves a shard of configuration 1.
 	ch0 := runShardAsync(h, shardTask(1, 0, nil))
 	spec := w.leaseUntil(5 * time.Second)
-	if spec.Ref.Shard != 0 {
-		t.Fatalf("seed lease got shard %d, want 0", spec.Ref.Shard)
-	}
-	w.complete(spec, 1.0)
+	w.complete(spec, 0.0)
 	waitOutcome(t, ch0)
 
-	// Queue a configuration-0 shard first, then a configuration-1 shard.
-	// FIFO would grant config 0; locality must grant config 1.
-	chA := runShardAsync(h, shardTask(0, 1, nil))
-	waitFor(t, "first task queued", func() bool { return env.c.PendingTasks() == 1 })
-	chB := runShardAsync(h, shardTask(1, 2, nil))
-	waitFor(t, "second task queued", func() bool { return env.c.PendingTasks() == 2 })
+	// Shard 1 is lost with a worker that vanished holding it: it goes back
+	// to the queue, ineligible for a minute.
+	chLost := runShardAsync(h, shardTask(0, 1, 1.0))
+	lost := env.register(t, "lost", 1)
+	if spec := lost.leaseUntil(5 * time.Second); spec.Ref.Shard != 1 {
+		t.Fatalf("lost worker leased shard %d, want 1", spec.Ref.Shard)
+	}
+	waitFor(t, "lost worker expiry", func() bool { return env.c.RetriesTotal() == 1 })
 
-	spec = w.leaseUntil(5 * time.Second)
-	if spec.Ref.Shard != 2 {
-		t.Fatalf("affinity lease got shard %d (config %d), want shard 2 of sibling config 1",
-			spec.Ref.Shard, spec.Ref.Shard)
+	// Queue a configuration-0 shard, then a configuration-1 shard.
+	chA := runShardAsync(h, shardTask(0, 2, nil))
+	waitFor(t, "shard 2 queued", func() bool { return env.c.PendingTasks() == 2 })
+	chB := runShardAsync(h, shardTask(1, 3, nil))
+	waitFor(t, "shard 3 queued", func() bool { return env.c.PendingTasks() == 3 })
+
+	for _, want := range []int{2, 3} {
+		spec := w.leaseUntil(5 * time.Second)
+		if spec.Ref.Shard != want {
+			t.Fatalf("lease got shard %d, want %d (oldest eligible first)", spec.Ref.Shard, want)
+		}
+		w.complete(spec, float64(want))
 	}
-	w.complete(spec, 2.0)
-	spec = w.leaseUntil(5 * time.Second)
-	if spec.Ref.Shard != 1 {
-		t.Fatalf("followup lease got shard %d, want 1", spec.Ref.Shard)
-	}
-	w.complete(spec, 3.0)
 	waitOutcome(t, chA)
 	waitOutcome(t, chB)
+
+	// Draining reclaims the backed-off shard for local execution.
+	env.c.Close()
+	if o := waitOutcome(t, chLost); o.out != 1.0 || o.origin != "" {
+		t.Fatalf("backed-off shard outcome = %+v, want local 1.0", o)
+	}
 }
 
 func TestDrainingCoordinatorRejectsLeasesAndRunsLocal(t *testing.T) {

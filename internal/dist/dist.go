@@ -2,10 +2,10 @@
 // tasks across processes and hosts. It is a coordinator/worker pool over
 // plain HTTP/JSON: workers register, lease shard tasks with long polls,
 // heartbeat while executing, and return outputs plus execution timing; the
-// coordinator owns the queue, lease liveness, bounded retry with backoff on
-// worker loss, locality-aware placement, and a local-execution fallback, and
-// plugs into the scheduler purely through the core.RunConfig.RunShard hook —
-// planning, fixed-order FP reduction, and streaming delivery never leave the
+// coordinator owns the FIFO task queue, lease liveness, bounded retry with
+// backoff on worker loss, and a local-execution fallback, and plugs into
+// the scheduler purely through the core.RunConfig.RunShard hook — planning,
+// fixed-order FP reduction, and streaming delivery never leave the
 // coordinating process, so a sweep split across 1, 2, or N workers (workers
 // dying mid-sweep included) produces byte-identical sweep documents.
 //
@@ -63,7 +63,7 @@ type leaseRequest struct {
 	WorkerID   string `json:"worker_id"`
 	WaitMillis int64  `json:"wait_ms,omitempty"`
 	// Max is the largest task batch this poll accepts (0 means 1); the
-	// coordinator also caps a grant at its MaxLeaseBatch.
+	// coordinator also caps a grant at maxLeaseBatch.
 	Max int `json:"max,omitempty"`
 }
 

@@ -49,7 +49,7 @@ type WorkerConfig struct {
 	// LeaseBatch is the largest task batch one lease poll requests
 	// (default: Slots). The fetcher asks for at most the buffer space it
 	// can hold, so a worker never hoards leases it cannot start; the
-	// coordinator additionally caps grants at its MaxLeaseBatch.
+	// coordinator additionally caps grants at 16 (maxLeaseBatch).
 	LeaseBatch int
 	// Execute runs one leased task. Default: core.ExecuteShardRef on the
 	// task's shard reference — the production path. Tests inject stubs.

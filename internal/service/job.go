@@ -121,9 +121,9 @@ const (
 type job struct {
 	id   string // content address; also the cache key
 	kind Kind
-	spec Spec // valid when kind == KindRun
-	// sweep is what execute runs: the request of a sweep job, the
-	// one-configuration form of spec for a run job.
+	// sweep is what execute runs and what the job's document is read
+	// back from: the request of a sweep job, the one-configuration sweep
+	// of a run job's spec.
 	sweep SweepSpec
 	// owner is the tenant that first submitted the spec (later identical
 	// submissions dedup onto the job without changing ownership); class
@@ -140,9 +140,8 @@ type job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	payload  []byte // canonical result JSON once done
 	errMsg   string
-	cached   bool // payload came from the cache, no simulation ran
+	cached   bool // a run job's configuration came from the store, no simulation ran
 	// trace is the Chrome trace-event document of the job's execution,
 	// serialized before the terminal state flip; empty for cached jobs and
 	// when daemon tracing is disabled.
@@ -161,7 +160,7 @@ type job struct {
 
 func newJob(spec Spec) *job {
 	return &job{
-		id: spec.key(), kind: KindRun, spec: spec, state: StateQueued,
+		id: spec.key(), kind: KindRun, state: StateQueued,
 		sweep:   SweepSpec{IDs: spec.IDs, Configs: []core.Config{spec.options()}, Workers: spec.Workers},
 		created: time.Now(), subs: map[chan event]struct{}{},
 	}
@@ -297,12 +296,13 @@ type Status struct {
 	Latency *Latency `json:"latency,omitempty"`
 	Error   string   `json:"error,omitempty"`
 	// Results embeds the canonical document once done: report.JSONReport
-	// for run jobs, report.JSONSweep for sweep jobs.
+	// for run jobs, report.JSONSweep for sweep jobs. Omitted once the
+	// store has evicted any of the job's sections.
 	Results json.RawMessage `json:"results,omitempty"`
 }
 
-// status snapshots the job for the API, optionally embedding the payload.
-func (j *job) status(includeResults bool) Status {
+// status snapshots the job for the API; Server.statusOf adds the document.
+func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Status{
@@ -316,7 +316,8 @@ func (j *job) status(includeResults bool) Status {
 		st.Sweep = &sweep
 		st.CachedConfigs = append([]bool(nil), j.cachedConfigs...)
 	default:
-		st.Spec = j.spec
+		c := j.sweep.Configs[0]
+		st.Spec = Spec{IDs: j.sweep.IDs, Scale: c.Scale, Seed: c.Seed, Workers: j.sweep.Workers}
 	}
 	if !j.started.IsZero() {
 		st.StartedAt = j.started.UTC().Format(time.RFC3339Nano)
@@ -334,15 +335,12 @@ func (j *job) status(includeResults bool) Status {
 			}
 		}
 	}
-	if includeResults && j.state == StateDone {
-		st.Results = json.RawMessage(j.payload)
-	}
 	return st
 }
 
-// result returns the payload bytes once the job is done.
-func (j *job) result() ([]byte, State, string) {
+// outcome returns the job's state and, once it failed, its error.
+func (j *job) outcome() (State, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.payload, j.state, j.errMsg
+	return j.state, j.errMsg
 }

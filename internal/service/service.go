@@ -17,7 +17,8 @@
 // earlier sweep) has computed, and everything it completes is served to
 // later single jobs from the same cache. A run job (POST /v1/jobs) is the
 // one-configuration sweep of its spec: both kinds execute on one path, the
-// SweepRunner, and differ only in what they report.
+// SweepRunner, keep their documents only in the content-addressed store,
+// and differ only in what they report.
 //
 // Endpoints:
 //
@@ -78,6 +79,9 @@ type Config struct {
 	// mixed traffic every job's shards compete for the same slots.
 	Executors int
 	// CacheEntries bounds the content-addressed result cache (default 256).
+	// The cache is the only place a finished job's document lives, so
+	// this and CacheBytes bound every retained result: once a job's
+	// section is evicted, /result answers 410 and resubmitting recomputes.
 	CacheEntries int
 	// CacheBytes additionally bounds the result cache by summed payload
 	// size — entries are weighted by their marshaled length, so one
@@ -85,8 +89,9 @@ type Config struct {
 	// byte bound (the entry bound still applies).
 	CacheBytes int64
 	// JobHistory bounds the in-memory job table (default 4096); the oldest
-	// finished jobs are evicted first, and their payloads remain available
-	// through the result cache until it too evicts them.
+	// finished jobs are evicted first. A job record holds no result bytes:
+	// its document is read from the result cache, before and after the
+	// record is evicted, until the cache evicts it too.
 	JobHistory int
 	// SSEKeepAlive is the idle interval after which progress streams emit
 	// an SSE comment frame (": ping") so proxies do not drop long-running
@@ -386,7 +391,7 @@ func decodeSpec(w http.ResponseWriter, r *http.Request, into any, label string, 
 // what quotas and rates govern is admission to the run queue.
 func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn *tenant.Tenant, class tenant.Class) {
 	s.mu.Lock()
-	if j, ok := s.jobs[key]; ok && j.currentState() != StateFailed && !s.sweepEvicted(j) {
+	if j, ok := s.jobs[key]; ok && j.currentState() != StateFailed && !s.evicted(j) {
 		// Singleflight: an identical job already exists. A finished job is
 		// a cache hit; a live one absorbs this request without a new run.
 		if j.currentState() == StateDone {
@@ -401,12 +406,12 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 		writeJSON(w, http.StatusOK, s.statusOf(j, true))
 		return
 	}
-	if payload, ok := s.cache.Get(key); ok {
-		// The job record was evicted but the payload survived: materialize
+	if s.cache.Has(key) {
+		// The job record was evicted but the document survived: materialize
 		// a completed job from the store without running anything.
 		j := build()
 		j.owner, j.class = tn, class
-		j.completeFromCache(payload)
+		j.completeFromCache()
 		s.insertLocked(j)
 		s.metrics.add(&s.metrics.cacheHits, 1)
 		s.mu.Unlock()
@@ -539,19 +544,19 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statusOf(j, true))
 }
 
-// statusOf snapshots a job for the API. Done sweep jobs hold no payload of
-// their own (see execute); their document is assembled from the
-// per-config cache entries, and omitted — never fabricated — if any
-// section has been evicted.
+// statusOf snapshots a job for the API, embedding a done job's document
+// when includeResults is set. The document is read from the store (see
+// document) and omitted — never fabricated — if any section has been
+// evicted.
 func (s *Server) statusOf(j *job, includeResults bool) Status {
-	st := j.status(includeResults)
+	st := j.status()
 	if s.tenants != nil && j.owner != nil {
 		// Attribution only when tenancy is on: untenanted daemons keep the
 		// exact pre-tenancy wire shape.
 		st.Tenant = j.owner.Name()
 	}
-	if includeResults && j.kind == KindSweep && st.State == StateDone && len(st.Results) == 0 {
-		if doc, err := s.assembleSweep(j.sweep); err == nil {
+	if includeResults && st.State == StateDone {
+		if doc, err := s.document(j); err == nil {
 			st.Results = doc
 		}
 	}
@@ -564,15 +569,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	payload, state, errMsg := j.result()
+	state, errMsg := j.outcome()
 	switch state {
 	case StateDone:
-		if j.kind == KindSweep && payload == nil {
-			s.serveSweepResult(w, j)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(payload)
+		s.serveResult(w, j)
 	case StateFailed:
 		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
 	default:
@@ -580,18 +580,24 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveSweepResult streams a done sweep's document straight from its
-// per-config cache entries onto the connection — the daemon never
-// materializes the whole document. Eviction of any section is 410: the
-// job ran, the bytes are gone, and resubmitting recomputes them (admit
-// treats such a job as evicted rather than deduplicating onto it).
-func (s *Server) serveSweepResult(w http.ResponseWriter, j *job) {
+// serveResult writes a done job's document straight from its per-config
+// cache entries onto the connection: a run job's one section as stored, a
+// sweep's sections streamed through a SweepWriter — the daemon never
+// materializes a whole sweep document. Eviction of any section is 410 for
+// both kinds: the job ran, the bytes are gone, and resubmitting recomputes
+// them (admit treats such a job as evicted rather than deduplicating onto
+// it).
+func (s *Server) serveResult(w http.ResponseWriter, j *job) {
 	sections, err := s.sweepSections(j.sweep)
 	if err != nil {
-		writeError(w, http.StatusGone, "sweep results no longer cached (%v); resubmit the sweep", err)
+		writeError(w, http.StatusGone, "%s results no longer cached (%v); resubmit the %s", j.kind, err, j.kind)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	if j.kind == KindRun {
+		w.Write(sections[0])
+		return
+	}
 	sw, err := report.NewSweepWriter(w, j.sweep.IDs, j.sweep.Configs)
 	if err != nil {
 		return // header write failed: the connection is gone
@@ -918,11 +924,10 @@ func (j *job) setRunning() {
 // setDone and setFailed flip the job to its terminal state and log the
 // terminal event in one critical section (see publishLocked).
 
-func (j *job) setDone(payload []byte) {
+func (j *job) setDone() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateDone
-	j.payload = payload
 	j.finished = time.Now()
 	j.publishLocked("done", terminalEvent{
 		ID: j.id, State: StateDone, ElapsedSeconds: j.finished.Sub(j.started).Seconds(),
@@ -944,15 +949,14 @@ func (j *job) setFailed(err error) {
 	})
 }
 
-// completeFromCache marks a fresh run job done with a cached payload and
+// completeFromCache marks a fresh run job done from its stored section and
 // logs the terminal event so SSE subscribers of cache-hit jobs see a
-// stream. Sweeps never get here: nothing stores a payload under a sweep's
+// stream. Sweeps never get here: nothing stores a document under a sweep's
 // own address, so admit's store probe only ever hits for run jobs.
-func (j *job) completeFromCache(payload []byte) {
+func (j *job) completeFromCache() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateDone
-	j.payload = payload
 	j.cached = true
 	j.started = j.created
 	j.finished = j.created

@@ -137,14 +137,13 @@ type configCachedEvent struct {
 // (each completed configuration is marshaled and cached under its run-job
 // content address the moment its last shard finishes), then a
 // wait-and-reprobe round for configurations another executor was already
-// simulating. The kinds differ only in what they report: a sweep counts
-// sweep_configs_*, announces each section over SSE (config-cached,
-// config-done) and stores no payload of its own — its document is
-// assembled from the per-config cache entries on demand (statusOf,
-// serveSweepResult), so the daemon's memory is bounded by the sections in
-// flight, never by the sweep size. A run job counts a cache hit when its
-// configuration was already computed, reports Status.Cached, and keeps its
-// one section as its payload.
+// simulating. Neither kind keeps a document of its own: it is read back
+// from the per-config cache entries on demand (statusOf, serveResult), so
+// the daemon's memory is bounded by the store, never by the job table or
+// the sweep size. The kinds differ only in what they report: a sweep
+// counts sweep_configs_* and announces each section over SSE
+// (config-cached, config-done); a run job counts a cache hit when its
+// configuration was already computed and reports Status.Cached.
 func (s *Server) execute(j *job) {
 	spec := j.sweep
 	isRun := j.kind == KindRun
@@ -155,7 +154,6 @@ func (s *Server) execute(j *job) {
 	for i := range pending {
 		pending[i] = i
 	}
-	var payload []byte // a run job's document; a sweep keeps none
 	// One trace spans every round, started by the first round that runs
 	// anything: a job that executed nothing has no trace. Known quirk:
 	// spans the core scheduler records index configurations within the
@@ -178,15 +176,13 @@ func (s *Server) execute(j *job) {
 				waits = append(waits, wait)
 				continue
 			}
-			p, ok := s.cache.Get(key)
-			if !ok {
+			if !s.cache.Has(key) {
 				mine = append(mine, i)
 				continue
 			}
 			s.running.end(key)
 			done[i], cached[i] = true, true
 			if isRun {
-				payload = p
 				s.metrics.add(&s.metrics.cacheHits, 1)
 				continue
 			}
@@ -238,7 +234,6 @@ func (s *Server) execute(j *job) {
 					s.cache.Put(spec.configKey(i), p)
 					done[i] = true
 					if isRun {
-						payload = p
 						return
 					}
 					s.metrics.add(&s.metrics.sweepConfigsRun, 1)
@@ -287,15 +282,15 @@ func (s *Server) execute(j *job) {
 
 	j.setLatency(runDur, marshalDur)
 	s.storeTrace(j, tr)
-	j.setDone(payload)
+	j.setDone()
 	s.metrics.add(&s.metrics.jobsDone, 1)
 	s.log.Info("job done", "job", shortID(j.id), "kind", j.kind,
 		"tenant", j.owner.Name(), "run", runDur, "marshal", marshalDur)
 }
 
-// sweepSections collects a sweep's per-configuration payloads from the
+// sweepSections collects a job's per-configuration payloads from the
 // content-addressed cache, in request order. Any evicted section fails the
-// whole collection — a sweep document with holes would be a lie.
+// whole collection — a document with holes would be a lie.
 func (s *Server) sweepSections(spec SweepSpec) ([][]byte, error) {
 	sections := make([][]byte, len(spec.Configs))
 	for i, c := range spec.Configs {
@@ -308,26 +303,31 @@ func (s *Server) sweepSections(spec SweepSpec) ([][]byte, error) {
 	return sections, nil
 }
 
-// assembleSweep materializes the canonical sweep document from the
-// per-config cache — byte-identical to what a collected run would have
-// produced, since the sections are the exact MarshalResults payloads.
-func (s *Server) assembleSweep(spec SweepSpec) ([]byte, error) {
-	sections, err := s.sweepSections(spec)
+// document materializes a done job's canonical document from the
+// per-config cache: a run job's one section as stored, a sweep's sections
+// assembled by MarshalSweepSections — byte-identical to what a collected
+// run would have produced, since the sections are the exact MarshalResults
+// payloads.
+func (s *Server) document(j *job) ([]byte, error) {
+	sections, err := s.sweepSections(j.sweep)
 	if err != nil {
 		return nil, err
 	}
-	return report.MarshalSweepSections(spec.IDs, spec.Configs, sections)
+	if j.kind == KindRun {
+		return sections[0], nil
+	}
+	return report.MarshalSweepSections(j.sweep.IDs, j.sweep.Configs, sections)
 }
 
-// sweepEvicted reports whether a done sweep job can no longer serve its
-// document because a section fell out of the cache. admit treats such a
-// job as absent so resubmission recomputes instead of dead-ending on a
-// 410 forever. It runs while admit holds the global s.mu, so it uses the
-// store's existence probe rather than Get: probing a large finished
-// sweep must not read every payload off disk under the lock, and must
-// not promote into the memory tier sections nobody asked to read.
-func (s *Server) sweepEvicted(j *job) bool {
-	if j.kind != KindSweep || j.currentState() != StateDone {
+// evicted reports whether a done job can no longer serve its document
+// because a section fell out of the cache. admit treats such a job as
+// absent so resubmission recomputes instead of dead-ending on a 410
+// forever. It runs while admit holds the global s.mu, so it uses the
+// store's existence probe rather than Get: probing a large finished sweep
+// must not read every payload off disk under the lock, and must not
+// promote into the memory tier sections nobody asked to read.
+func (s *Server) evicted(j *job) bool {
+	if j.currentState() != StateDone {
 		return false
 	}
 	for i := range j.sweep.Configs {

@@ -512,8 +512,8 @@ func TestSingleJobWaitsForInFlightSweep(t *testing.T) {
 }
 
 // TestSweepServedByAssembly pins the no-double-buffering contract: a done
-// sweep job holds no document of its own — not in the job record, not in
-// the cache under the job id. The result endpoint streams the document
+// sweep job holds no document of its own — job records carry no result
+// bytes at all, and nothing is cached under the job id. The result endpoint streams the document
 // assembled from the per-config cache entries (byte-identical to
 // MarshalSweepSections over them), the status endpoint embeds the same
 // bytes, and each section was announced with a config-done event the
@@ -532,9 +532,6 @@ func TestSweepServedByAssembly(t *testing.T) {
 	s.mu.Lock()
 	j := s.jobs[st.ID]
 	s.mu.Unlock()
-	if payload, _, _ := j.result(); payload != nil {
-		t.Error("done sweep job holds a whole-document payload; it must be assembled on demand")
-	}
 	if _, ok := s.cache.Get(st.ID); ok {
 		t.Error("assembled sweep document cached under the job id (double-buffering)")
 	}
@@ -610,54 +607,72 @@ func TestSweepServedByAssembly(t *testing.T) {
 	}
 }
 
-// TestSweepEvictionRerun: when a done sweep's sections fall out of the
+// TestSweepEvictionRerun: when a done job's sections fall out of the
 // cache, the result endpoint answers 410 Gone, the status endpoint omits
-// (never fabricates) the document, and resubmitting the identical sweep
-// reruns it instead of deduplicating onto the hollow job.
+// (never fabricates) the document, and resubmitting the identical spec
+// reruns it instead of deduplicating onto the hollow job. Run jobs and
+// sweeps behave alike: neither keeps its document outside the cache.
 func TestSweepEvictionRerun(t *testing.T) {
-	counter := &countingSweepRunner{}
-	_, ts := newTestServer(t, Config{CacheEntries: 1, SweepRunner: counter.run})
+	for _, tc := range []struct {
+		name string
+		post func(*testing.T, *httptest.Server, string) (Status, int)
+		body string
+		// evict, when set, is a run job whose section displaces body's
+		// from the one-entry cache; a two-config sweep displaces its own.
+		evict string
+	}{
+		{"run", postJob, `{"ids":["fig1"],"scale":0.2,"seed":3}`, `{"ids":["fig1"],"scale":0.2,"seed":4}`},
+		{"sweep", postSweep, `{"ids":["fig1"],"scales":[0.2],"seeds":[3,4]}`, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counter := &countingSweepRunner{}
+			_, ts := newTestServer(t, Config{CacheEntries: 1, SweepRunner: counter.run})
 
-	const body = `{"ids":["fig1"],"scales":[0.2],"seeds":[3,4]}`
-	st, code := postSweep(t, ts, body)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /v1/sweeps returned %d", code)
-	}
-	if final := waitState(t, ts, st.ID); final.State != StateDone {
-		t.Fatalf("sweep finished as %+v", final)
-	}
-	if n := len(counter.ranConfigs()); n != 2 {
-		t.Fatalf("cold sweep ran %d configs, want 2", n)
-	}
+			st, code := tc.post(t, ts, tc.body)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit returned %d", code)
+			}
+			if final := waitState(t, ts, st.ID); final.State != StateDone {
+				t.Fatalf("job finished as %+v", final)
+			}
+			if tc.evict != "" {
+				other, code := postJob(t, ts, tc.evict)
+				if code != http.StatusAccepted {
+					t.Fatalf("evicting job submit returned %d", code)
+				}
+				waitState(t, ts, other.ID)
+			}
+			ran := len(counter.ranConfigs())
 
-	// The one-entry cache cannot hold both sections, so the document is gone.
-	resBody, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
-	if code != http.StatusGone {
-		t.Fatalf("evicted sweep result returned %d, want 410: %s", code, resBody)
-	}
-	statusBody, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("evicted sweep status returned %d", code)
-	}
-	var full Status
-	if err := json.Unmarshal([]byte(statusBody), &full); err != nil {
-		t.Fatal(err)
-	}
-	if full.State != StateDone || len(full.Results) != 0 {
-		t.Fatalf("evicted sweep status must stay done with no embedded document, got %+v", full)
-	}
+			resBody, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
+			if code != http.StatusGone {
+				t.Fatalf("evicted %s result returned %d, want 410: %s", tc.name, code, resBody)
+			}
+			statusBody, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID)
+			if code != http.StatusOK {
+				t.Fatalf("evicted %s status returned %d", tc.name, code)
+			}
+			var full Status
+			if err := json.Unmarshal([]byte(statusBody), &full); err != nil {
+				t.Fatal(err)
+			}
+			if full.State != StateDone || len(full.Results) != 0 {
+				t.Fatalf("evicted %s status must stay done with no embedded document, got %+v", tc.name, full)
+			}
 
-	// Resubmission must requeue (202, same content address), not serve the
-	// hollow job as a cache hit.
-	st2, code := postSweep(t, ts, body)
-	if code != http.StatusAccepted || st2.ID != st.ID {
-		t.Fatalf("resubmit after eviction: code %d id %s, want 202 with id %s", code, st2.ID, st.ID)
-	}
-	if final := waitState(t, ts, st2.ID); final.State != StateDone {
-		t.Fatalf("rerun finished as %+v", final)
-	}
-	if n := len(counter.ranConfigs()); n <= 2 {
-		t.Fatalf("resubmission after eviction simulated nothing (total configs run %d)", n)
+			// Resubmission must requeue (202, same content address), not
+			// serve the hollow job as a cache hit.
+			st2, code := tc.post(t, ts, tc.body)
+			if code != http.StatusAccepted || st2.ID != st.ID {
+				t.Fatalf("resubmit after eviction: code %d id %s, want 202 with id %s", code, st2.ID, st.ID)
+			}
+			if final := waitState(t, ts, st2.ID); final.State != StateDone {
+				t.Fatalf("rerun finished as %+v", final)
+			}
+			if n := len(counter.ranConfigs()); n <= ran {
+				t.Fatalf("resubmission after eviction simulated nothing (configs run %d before, %d after)", ran, n)
+			}
+		})
 	}
 }
 

@@ -13,13 +13,20 @@ package tenant
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
 
+// maxBreakerWindow bounds BreakerPolicy.Window. The breaker keeps one
+// ring slot per sample, so the bound caps what a config file can make
+// the daemon allocate per tenant.
+const maxBreakerWindow = 10000
+
 // BreakerPolicy is the circuit-breaker configuration of one tenant.
 type BreakerPolicy struct {
-	// Window is the sliding window size in samples (default 20).
+	// Window is the sliding window size in samples (default 20, at most
+	// 10000).
 	Window int `json:"window,omitempty"`
 	// MinSamples is the warm-up floor: the breaker never trips before
 	// this many outcomes are in the window (default 5).
@@ -28,7 +35,8 @@ type BreakerPolicy struct {
 	// fraction reaches it. Required.
 	FailureRatio float64 `json:"failure_ratio"`
 	// CooldownSeconds is how long an open breaker sheds load before
-	// allowing a half-open probe (default 30).
+	// allowing a half-open probe (default 30). It must be finite and fit
+	// a time.Duration (under about 292 years).
 	CooldownSeconds float64 `json:"cooldown_seconds,omitempty"`
 }
 
@@ -65,6 +73,15 @@ func NewBreaker(p BreakerPolicy) (*Breaker, error) {
 	}
 	if p.Window < 0 || p.MinSamples < 0 || p.CooldownSeconds < 0 {
 		return nil, fmt.Errorf("breaker limits must not be negative")
+	}
+	if p.Window > maxBreakerWindow {
+		return nil, fmt.Errorf("breaker window %d exceeds the maximum of %d", p.Window, maxBreakerWindow)
+	}
+	// Converting a float beyond int64 to a Duration is implementation-
+	// dependent (in practice the minimum int64: a negative cooldown, an
+	// open breaker that admits its probe at once).
+	if math.IsNaN(p.CooldownSeconds) || p.CooldownSeconds*float64(time.Second) >= math.MaxInt64 {
+		return nil, fmt.Errorf("breaker cooldown_seconds %v is not a finite duration under %v", p.CooldownSeconds, time.Duration(math.MaxInt64))
 	}
 	b := &Breaker{
 		window: p.Window, min: p.MinSamples, ratio: p.FailureRatio,

@@ -23,6 +23,7 @@ package tenant
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -436,22 +437,29 @@ func NewRegistry(cfg Config) (*Registry, error) {
 	return r, nil
 }
 
-// LoadFile reads and validates a -tenant-config JSON file. Unknown fields
-// are rejected — a typo'd limit silently defaulting to "unlimited" would
-// be a security bug.
+// LoadFile reads and validates a -tenant-config JSON file.
 func LoadFile(path string) (*Registry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("tenant: %w", err)
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
+	cfg, err := decodeConfig(f)
+	if err != nil {
 		return nil, fmt.Errorf("tenant: parsing %s: %w", path, err)
 	}
 	return NewRegistry(cfg)
+}
+
+// decodeConfig decodes a -tenant-config JSON document. Unknown fields are
+// rejected — a typo'd limit silently defaulting to "unlimited" would be a
+// security bug.
+func decodeConfig(r io.Reader) (Config, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var cfg Config
+	err := dec.Decode(&cfg)
+	return cfg, err
 }
 
 // apiKey extracts the presented key: `Authorization: Bearer <key>` wins,

@@ -80,11 +80,30 @@ func TestConfigValidation(t *testing.T) {
 		{Tenants: []Policy{{Name: "a", Key: "k", Weight: -1}}},
 		{Anonymous: &Policy{Name: "x", Key: "boom"}},
 		{Tenants: []Policy{{Name: "a", Key: "k", Breaker: &BreakerPolicy{FailureRatio: 1.5}}}},
+		// A window past the bound would allocate its ring (4e12 slots
+		// is out of memory); a cooldown past time.Duration would wrap
+		// negative and open the breaker at once.
+		{Anonymous: &Policy{Breaker: &BreakerPolicy{Window: maxBreakerWindow + 1, MinSamples: 1, FailureRatio: 0.5}}},
+		{Anonymous: &Policy{Breaker: &BreakerPolicy{Window: 4000000000000, MinSamples: 1, FailureRatio: 0.5}}},
+		{Anonymous: &Policy{Breaker: &BreakerPolicy{FailureRatio: 0.5, CooldownSeconds: 1e300}}},
+		{Anonymous: &Policy{Breaker: &BreakerPolicy{FailureRatio: 0.5, CooldownSeconds: 9.3e9}}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRegistry(cfg); err == nil {
 			t.Errorf("config %d accepted, want error", i)
 		}
+	}
+}
+
+// TestBreakerBoundsAccepted: the largest window and a cooldown just
+// inside time.Duration are valid.
+func TestBreakerBoundsAccepted(t *testing.T) {
+	b, err := NewBreaker(BreakerPolicy{Window: maxBreakerWindow, MinSamples: maxBreakerWindow, FailureRatio: 1, CooldownSeconds: 9.2e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.window != maxBreakerWindow || b.cooldown <= 0 {
+		t.Fatalf("breaker window %d cooldown %v", b.window, b.cooldown)
 	}
 }
 
