@@ -607,3 +607,35 @@ func BenchmarkSMUControlTick(b *testing.B) {
 		sys.AdvanceMillis(1)
 	}
 }
+
+// BenchmarkMachineRefreshMixed is BenchmarkSMUControlTick with no two cores
+// alike: each core's threads run FIRESTARTER at an operand weight of the
+// core's own, so the refresh derives every dirty core and shares none. It
+// bypasses the derivation sharing BenchmarkSMUControlTick exercises.
+func BenchmarkMachineRefreshMixed(b *testing.B) {
+	sys := NewSystem()
+	if err := sys.SetAllFrequenciesMHz(2500); err != nil {
+		b.Fatal(err)
+	}
+	m := sys.Machine()
+	for cpu := 0; cpu < sys.NumCPUs(); cpu++ {
+		w := float64(m.Top.Threads[cpu].Core+1) / float64(sys.NumCores())
+		if err := sys.RunWeighted(cpu, "firestarter", w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sys.AdvanceMillis(300)
+	if !m.SMU.Throttling(0) {
+		b.Fatal("FIRESTARTER load is not EDC-throttled")
+	}
+	shared := m.RefreshStats().Shared
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.AdvanceMillis(1)
+	}
+	b.StopTimer()
+	if n := m.RefreshStats().Shared - shared; n != 0 {
+		b.Fatalf("%d cores shared a derivation", n)
+	}
+}

@@ -452,9 +452,9 @@ func (c *Controller) UncappedMHz(core soc.CoreID) float64 {
 	return f
 }
 
-// appliedMHz is the P-state frequency (raised by any boost grant while in
-// P-state 0) clamped by the SMU cap.
-func (c *Controller) appliedMHz(core soc.CoreID) float64 {
+// AppliedMHz is the core's P-state frequency (raised by any boost grant
+// while in P-state 0) clamped by the SMU cap.
+func (c *Controller) AppliedMHz(core soc.CoreID) float64 {
 	cs := &c.cores[core]
 	f := float64(c.cfg.PStates[cs.current].MHz)
 	if cs.current == 0 && cs.boostMHz > f {
@@ -466,41 +466,44 @@ func (c *Controller) appliedMHz(core soc.CoreID) float64 {
 	return f
 }
 
-// L3MHz returns the CCX's L3 clock: the highest applied frequency among
-// active cores, floored at the architectural minimum.
-func (c *Controller) L3MHz(ccx soc.CCXID) float64 {
-	maxF := float64(c.cfg.L3MinMHz)
+// CCXPeakMHz returns the highest applied frequency among the CCX's active
+// cores, 0 when none is active: the L3 clock before its floor, and the
+// fastest core every active core of the CCX is coupled to.
+func (c *Controller) CCXPeakMHz(ccx soc.CCXID) float64 {
+	peak := 0.0
 	for _, core := range c.top.CoresOfCCX(ccx) {
 		if c.cores[core].activeThreads > 0 {
-			if f := c.appliedMHz(core); f > maxF {
-				maxF = f
+			if f := c.AppliedMHz(core); f > peak {
+				peak = f
 			}
 		}
 	}
-	return maxF
+	return peak
+}
+
+// L3MHz returns the CCX's L3 clock: the highest applied frequency among
+// active cores, floored at the architectural minimum.
+func (c *Controller) L3MHz(ccx soc.CCXID) float64 {
+	return math.Max(float64(c.cfg.L3MinMHz), c.CCXPeakMHz(ccx))
 }
 
 // EffectiveMHz returns the core's effective clock after the SMU cap and the
 // CCX mixed-frequency coupling penalty.
 func (c *Controller) EffectiveMHz(core soc.CoreID) float64 {
-	f := c.appliedMHz(core)
+	f := c.AppliedMHz(core)
+	if c.cores[core].activeThreads == 0 {
+		return f
+	}
+	return c.CoupledMHz(f, c.CCXPeakMHz(c.top.Cores[core].CCX))
+}
+
+// CoupledMHz is EffectiveMHz of an active core applied at f MHz in a CCX
+// whose peak (CCXPeakMHz) is peak MHz.
+func (c *Controller) CoupledMHz(f, peak float64) float64 {
 	if !c.cfg.CouplingEnabled {
 		return f
 	}
-	cs := &c.cores[core]
-	if cs.activeThreads == 0 {
-		return f
-	}
-	maxCCX := f
-	for _, other := range c.top.CoresOfCCX(c.top.Cores[core].CCX) {
-		if other == core || c.cores[other].activeThreads == 0 {
-			continue
-		}
-		if of := c.appliedMHz(other); of > maxCCX {
-			maxCCX = of
-		}
-	}
-	return f - couplingPenaltyMHz(f, maxCCX)
+	return f - couplingPenaltyMHz(f, peak)
 }
 
 // VoltageAt interpolates the rail voltage for a frequency from the P-state

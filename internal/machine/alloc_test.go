@@ -76,3 +76,28 @@ func TestStopStartKernelAllocs(t *testing.T) {
 		m.Eng.RunFor(10 * sim.Microsecond)
 	})
 }
+
+// TestMixedRefreshAllocs is TestSMUControlTickAllocs with no two cores
+// alike (each core's FIRESTARTER threads run at their own operand weight),
+// so every refresh derives its dirty cores and shares none.
+func TestMixedRefreshAllocs(t *testing.T) {
+	m := newMachine()
+	if err := m.SetAllFrequenciesMHz(2500); err != nil {
+		t.Fatal(err)
+	}
+	for th := 0; th < m.Top.NumThreads(); th++ {
+		w := float64(m.Top.Threads[th].Core+1) / float64(m.Top.NumCores())
+		if _, err := m.StartKernel(soc.ThreadID(th), workload.Firestarter, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Eng.RunFor(300 * sim.Millisecond)
+	if !m.SMU.Throttling(0) {
+		t.Fatal("FIRESTARTER load is not EDC-throttled")
+	}
+	before := m.RefreshStats()
+	requireNoAllocs(t, "a throttled millisecond with no two cores alike", func() { m.Eng.RunFor(sim.Millisecond) })
+	if d := m.RefreshStats(); d.Shared != before.Shared || d.Derived == before.Derived {
+		t.Fatalf("refresh stats went from %+v to %+v: want cores derived and none shared", before, d)
+	}
+}

@@ -1,9 +1,12 @@
 package machine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"zen2ee/internal/cstate"
+	"zen2ee/internal/power"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 	"zen2ee/internal/workload"
@@ -130,4 +133,227 @@ func TestFuzzDeterminism(t *testing.T) {
 	if e1 != e2 || p1 != p2 {
 		t.Fatalf("non-deterministic: (%v, %v) vs (%v, %v)", e1, p1, e2, p2)
 	}
+}
+
+// Script opcodes of FuzzMachineScript. Each reads its arguments from the
+// bytes after it (zero past the end of the script).
+const (
+	opStart  = iota // thread, kernel, weight: start a kernel
+	opSpec          // thread, kernel1, n1, kernel2, n2: avx-turbo's test1/n1,test2/n2
+	opStop          // thread: stop its kernel
+	opWeight        // thread, weight: set the operand weight
+	opOnline        // thread: toggle online (thread 0 stays online)
+	opCState        // thread, state and enable bits: enable or disable C1 or C2
+	opFreq          // thread, P-state, n: request a frequency on n threads
+	opRead          // read every observable at this instant
+	opRun           // d: run the engine for (d+1) × 100 µs
+	opLater         // d, op: run op from an engine event (d+1) × 1 ms from now
+	numOps
+)
+
+// maxScript bounds a script, so one run simulates at most ~2 s.
+const maxScript = 256
+
+// runScript runs a FuzzMachineScript script on a fresh machine and returns
+// every reading it took, in order. flushed runs the refresh the moment each
+// mutation is made instead of deferring it to the end of the instant.
+func runScript(script []byte, flushed bool) ([]float64, error) {
+	m := newMachine()
+	kernels := workload.All()
+	pstates := m.cfg.DVFS.PStates
+	n := m.Top.NumThreads()
+	pos := 0
+	next := func() int {
+		if pos >= len(script) {
+			return 0
+		}
+		pos++
+		return int(script[pos-1])
+	}
+	thread := func() soc.ThreadID { return soc.ThreadID(next() % n) }
+	flush := func() {
+		if flushed {
+			m.flush()
+		}
+	}
+	var out []float64
+	read := func() error {
+		out = append(out, m.SystemWatts(), m.EnergyJoules(m.Eng.Now()))
+		if err := checkDerived(m); err != nil {
+			return err
+		}
+		for p := range m.Top.Packages {
+			out = append(out, m.RAPL.PackageEnergyJoules(soc.PackageID(p)))
+		}
+		for c := range m.Top.Cores {
+			out = append(out, m.RAPL.CoreEnergyJoules(soc.CoreID(c)))
+		}
+		for t := 0; t < n; t++ {
+			cs := m.ReadCounters(soc.ThreadID(t))
+			out = append(out, cs.Aperf, cs.Mperf, cs.Instructions)
+		}
+		return nil
+	}
+	var eventErr error // the first error of an op run from an event
+	// decode reads one op and returns it as a function to run; run marks
+	// opRun, which an event may not call.
+	var decode func() (op func() error, run bool)
+	decode = func() (func() error, bool) {
+		switch next() % numOps {
+		case opStart:
+			th, k, w := thread(), kernels[next()%len(kernels)], float64(next())/255
+			return func() error {
+				// Starting a kernel on an offline thread fails in both runs alike.
+				_, _ = m.StartKernel(th, k, w)
+				flush()
+				return nil
+			}, false
+		case opSpec:
+			th := thread()
+			k1, n1 := kernels[next()%len(kernels)], next()%(n+1)
+			k2, n2 := kernels[next()%len(kernels)], next()%(n+1)
+			return func() error {
+				for i := 0; i < n1+n2; i++ {
+					k := k1
+					if i >= n1 {
+						k = k2
+					}
+					if m.Top.Online(th) {
+						if _, err := m.StartKernel(th, k, 0); err != nil {
+							return err
+						}
+						flush()
+					}
+					th = (th + 1) % soc.ThreadID(n)
+				}
+				return nil
+			}, false
+		case opStop:
+			th := thread()
+			return func() error { m.StopKernel(th); flush(); return nil }, false
+		case opWeight:
+			th, w := thread(), float64(next())/255
+			return func() error { m.SetHammingWeight(th, w); flush(); return nil }, false
+		case opOnline:
+			th := thread()
+			return func() error {
+				if th == 0 {
+					return nil
+				}
+				err := m.SetOnline(th, !m.Top.Online(th))
+				flush()
+				return err
+			}, false
+		case opCState:
+			th, a := thread(), next()
+			return func() error {
+				err := m.SetCStateEnabled(th, cstate.State(1+a%2), a&2 != 0)
+				flush()
+				return err
+			}, false
+		case opFreq:
+			th, mhz, cnt := thread(), pstates[next()%len(pstates)].MHz, next()%(n+1)
+			return func() error {
+				for i := 0; i < cnt; i++ {
+					if err := m.SetThreadFrequencyMHz((th+soc.ThreadID(i))%soc.ThreadID(n), mhz); err != nil {
+						return err
+					}
+					flush()
+				}
+				return nil
+			}, false
+		case opRead:
+			return read, false
+		case opRun:
+			d := sim.Duration(next()+1) * 100 * sim.Microsecond
+			return func() error { m.Eng.RunFor(d); return nil }, true
+		default: // opLater
+			d := sim.Duration(next()+1) * sim.Millisecond
+			op, run := decode()
+			return func() error {
+				if !run {
+					m.Eng.Schedule(d, func() {
+						if err := op(); err != nil && eventErr == nil {
+							eventErr = err
+						}
+					})
+				}
+				return nil
+			}, false
+		}
+	}
+	for pos < len(script) {
+		op, _ := decode()
+		if err := op(); err != nil {
+			return nil, fmt.Errorf("script byte %d: %v", pos, err)
+		}
+		if eventErr != nil {
+			return nil, fmt.Errorf("event before script byte %d: %v", pos, eventErr)
+		}
+	}
+	m.Eng.RunFor(sim.Millisecond)
+	if eventErr != nil {
+		return nil, fmt.Errorf("event: %v", eventErr)
+	}
+	return out, read()
+}
+
+// checkDerived re-derives every core and thread of a flushed machine from
+// scratch and reports one whose cached input, RAPL estimate, effective
+// clock or counter rates differ: a class key that missed an input, in any
+// build.
+func checkDerived(m *Machine) error {
+	for c := range m.Top.Cores {
+		core := soc.CoreID(c)
+		var ci power.CoreInput
+		w, eff := m.deriveCore(core, m.DVFS.EffectiveMHz(core), m.RAPL.Config(), &ci)
+		if ci != m.inputsBuf[c] || math.Float64bits(w) != math.Float64bits(m.raplWBuf[c]) ||
+			math.Float64bits(eff) != math.Float64bits(m.effBuf[c]) {
+			return fmt.Errorf("core %d at %v: cached (%+v, %v W, %v MHz), derived (%+v, %v W, %v MHz)",
+				c, m.Eng.Now(), m.inputsBuf[c], m.raplWBuf[c], m.effBuf[c], ci, w, eff)
+		}
+		for _, t := range m.Top.Cores[c].Threads {
+			cyc, ins, mpf := m.deriveThread(t, &ci, eff)
+			tc := &m.counters[t]
+			if cyc != tc[cycles].Rate() || ins != tc[instrs].Rate() || mpf != tc[mperf].Rate() {
+				return fmt.Errorf("thread %d at %v: cached rates (%v, %v, %v), derived (%v, %v, %v)",
+					t, m.Eng.Now(), tc[cycles].Rate(), tc[instrs].Rate(), tc[mperf].Rate(), cyc, ins, mpf)
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzMachineScript decodes bytes into a timed script of mutations (start
+// and stop kernels, different kernels on different threads, online changes,
+// C-state enables, frequency requests, operand weights), same-instant reads
+// and engine runs, and runs it twice: once with each instant's refresh
+// deferred to its end, once flushing after every mutation. The two runs
+// refresh with different dirty sets, so cores fall into different classes,
+// yet every reading (system power, AC and RAPL energies, APERF, MPERF and
+// instructions) must agree bit for bit. Under -tags simcheck every refresh
+// and lazy read is also checked against a full recompute. The seed corpus
+// is in testdata/fuzz/FuzzMachineScript.
+func FuzzMachineScript(f *testing.F) {
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > maxScript {
+			script = script[:maxScript]
+		}
+		deferred, err := runScript(script, false)
+		if err != nil {
+			t.Fatalf("deferred: %v", err)
+		}
+		flushed, err := runScript(script, true)
+		if err != nil {
+			t.Fatalf("flushed: %v", err)
+		}
+		if len(deferred) != len(flushed) {
+			t.Fatalf("%d readings deferred, %d flushed", len(deferred), len(flushed))
+		}
+		for i := range deferred {
+			if math.Float64bits(deferred[i]) != math.Float64bits(flushed[i]) {
+				t.Fatalf("reading %d: deferred %v, flushed %v", i, deferred[i], flushed[i])
+			}
+		}
+	})
 }

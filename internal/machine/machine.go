@@ -22,6 +22,24 @@
 // The per-thread counters and the RAPL domains fold lazily over a log of
 // those instants, replaying the folds only when a rate changes or someone
 // reads them.
+//
+// A refresh does one derivation per class of dirty cores, not one per
+// dirty core. A core's class key covers everything its derivation reads:
+// per thread, the effective C-state, the kernel (interned at StartKernel,
+// so equal kernels compare as one small integer) and the operand weight;
+// for a core with a thread in C0, also its applied clock (P-state, boost
+// grant and SMU cap) and its CCX's peak applied clock, which fixes the
+// coupling penalty. Floats are compared by their bits. A dirty core whose
+// key equals that of the latest derived core copies that core's power-model
+// input, RAPL estimate, effective clock and thread counter rates. The same
+// float operations on bit-equal inputs give the same bits, so sharing moves
+// no result; `-tags simcheck` builds re-derive every core after every
+// refresh. When the SMU moves a package-wide cap, every core of a package
+// running one load is one class. Counters of a sharing core that are
+// bit-identical to the derived core's before its update take the updated
+// counters whole instead of replaying the log (sim.LazyIntegrator.Same).
+// The RAPL model does likewise for domains fed equal powers in a row, and
+// it applies its noise factor itself, so a noise step re-feeds no domain.
 package machine
 
 import (
@@ -91,8 +109,7 @@ func EPYC7742Config() Config {
 
 // threadRun tracks what a hardware thread is executing.
 type threadRun struct {
-	active bool
-	kernel workload.Kernel
+	kernel int32   // 1 + index into Machine.kernels; 0 when idle
 	weight float64 // operand Hamming weight
 }
 
@@ -112,6 +129,9 @@ type Machine struct {
 	iod iodie.Config
 
 	runs []threadRun
+	// kernels holds one copy of each distinct kernel started, so threads
+	// running equal kernels share an index and a pointer.
+	kernels []*workload.Kernel
 
 	acEnergy *sim.EnergyIntegrator
 	lastSysW float64
@@ -128,10 +148,11 @@ type Machine struct {
 	stale       bool
 	flushQueued bool
 	flushEvent  func()
-	// epoch counts completed refreshes. Everything the SMU reads is
-	// derived or notified through refresh, so an unchanged epoch means
-	// unchanged activity readings (smu.ActivitySource.Epoch).
-	epoch uint64
+	// stats counts refreshes and the cores they derived or shared. Its
+	// refresh count is the SMU's epoch: everything the SMU reads is derived
+	// or notified through refresh, so an unchanged count means unchanged
+	// activity readings (smu.ActivitySource.Epoch).
+	stats RefreshStats
 
 	// Incremental-refresh state. Per-core derived values (power-model
 	// inputs, RAPL estimates) and per-thread counter rates are cached across
@@ -147,10 +168,23 @@ type Machine struct {
 	raplWBuf   []float64
 	pkgWBuf    []float64
 	corePkg    []soc.PackageID
-	// fedNoise is the RAPL noise factor of the last refresh's power feed.
-	// While it holds, a clean core's fed power is unchanged, so only dirty
-	// cores are re-fed.
-	fedNoise float64
+	// leadPre holds the counters of the refresh's latest derived core as
+	// they were before it set their rates. A core sharing its derivation
+	// whose counters are the same (sim.LazyIntegrator.Same) takes the
+	// derived core's counters whole instead of replaying its own.
+	leadPre [2]threadCounters
+}
+
+// RefreshStats counts the machine's refresh work since New. Every core a
+// refresh finds dirty is either derived or shared.
+type RefreshStats struct {
+	// Refreshes is the number of refreshes run.
+	Refreshes uint64
+	// Derived counts dirty cores derived from scratch.
+	Derived uint64
+	// Shared counts dirty cores that copied the derivation of the latest
+	// derived core, whose class key was equal.
+	Shared uint64
 }
 
 // threadCounters are a hardware thread's performance counters, indexed by
@@ -305,15 +339,37 @@ func (m *Machine) StartKernel(t soc.ThreadID, k workload.Kernel, weight float64)
 		core := m.Top.Threads[t].Core
 		lat = m.CStates.Wake(t, m.DVFS.EffectiveMHz(core), false)
 	}
-	m.runs[t] = threadRun{active: true, kernel: k, weight: weight}
+	m.runs[t] = threadRun{kernel: m.intern(k), weight: weight}
 	m.markThreadDirty(t)
 	m.changed()
 	return lat, nil
 }
 
+// intern returns 1 + the index of kernel k in m.kernels, adding a copy on
+// first use. Kernels are few, so a linear search serves.
+func (m *Machine) intern(k workload.Kernel) int32 {
+	for i, p := range m.kernels {
+		if *p == k {
+			return int32(i) + 1
+		}
+	}
+	p := new(workload.Kernel)
+	*p = k
+	m.kernels = append(m.kernels, p)
+	return int32(len(m.kernels))
+}
+
+// kernelOf returns the kernel thread t runs, nil when idle.
+func (m *Machine) kernelOf(t soc.ThreadID) *workload.Kernel {
+	if id := m.runs[t].kernel; id > 0 {
+		return m.kernels[id-1]
+	}
+	return nil
+}
+
 // SetHammingWeight changes the operand weight of a running kernel.
 func (m *Machine) SetHammingWeight(t soc.ThreadID, weight float64) {
-	if m.runs[t].active {
+	if m.runs[t].kernel != 0 {
 		m.runs[t].weight = weight
 		m.markThreadDirty(t)
 		m.changed()
@@ -330,10 +386,15 @@ func (m *Machine) StopKernel(t soc.ThreadID) {
 }
 
 // Running reports whether the thread is executing a kernel.
-func (m *Machine) Running(t soc.ThreadID) bool { return m.runs[t].active }
+func (m *Machine) Running(t soc.ThreadID) bool { return m.runs[t].kernel != 0 }
 
 // KernelOn returns the kernel a thread runs (zero Kernel when idle).
-func (m *Machine) KernelOn(t soc.ThreadID) workload.Kernel { return m.runs[t].kernel }
+func (m *Machine) KernelOn(t soc.ThreadID) workload.Kernel {
+	if k := m.kernelOf(t); k != nil {
+		return *k
+	}
+	return workload.Kernel{}
+}
 
 // SetThreadFrequencyMHz is the cpufreq userspace-governor path: pins one
 // hardware thread's requested frequency.
@@ -374,7 +435,7 @@ func (m *Machine) SetCStateEnabled(t soc.ThreadID, s cstate.State, enabled bool)
 	if err := m.CStates.SetEnabled(t, s, enabled); err != nil {
 		return err
 	}
-	if !m.runs[t].active && m.Top.Online(t) {
+	if m.runs[t].kernel == 0 && m.Top.Online(t) {
 		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
 	}
 	m.changed()
@@ -516,17 +577,17 @@ func (m *Machine) markAllDirty() { m.dirtyAll = true }
 // deriveCore computes a core's power-model input into ci and returns its
 // RAPL-model power estimate (before model noise) and effective frequency
 // (0 when no thread is active) — the expensive per-core step of refresh.
-func (m *Machine) deriveCore(core soc.CoreID, raplCfg rapl.Config, ci *power.CoreInput) (raplW, effMHz float64) {
+// activeMHz is the core's effective frequency should a thread be active.
+func (m *Machine) deriveCore(core soc.CoreID, activeMHz float64, raplCfg rapl.Config, ci *power.CoreInput) (raplW, effMHz float64) {
 	*ci = power.CoreInput{
 		State:         m.CStates.CoreState(core),
 		ActiveThreads: m.CStates.ActiveThreads(core),
 	}
 	if ci.ActiveThreads > 0 {
-		effMHz = m.DVFS.EffectiveMHz(core)
+		effMHz = activeMHz
 		ci.GHz = effMHz / 1000
 		ci.Volts = m.DVFS.VoltageAt(effMHz)
-		k, weight := m.coreKernel(core)
-		ci.Kernel, ci.HammingWeight = *k, weight
+		ci.Kernel, ci.HammingWeight = m.coreKernel(core)
 	}
 	// RAPL: per-core activity-event estimate. The toggle (operand) component
 	// is deliberately absent — that is the paper's central RAPL finding.
@@ -553,21 +614,107 @@ func (m *Machine) deriveThread(id soc.ThreadID, ci *power.CoreInput, effMHz floa
 	if m.CStates.EffectiveState(id) == cstate.C0 {
 		cyc = effMHz * 1e6
 		mpf = float64(m.cfg.SoC.NominalMHz) * 1e6
-		if m.runs[id].active {
+		if k := m.kernelOf(id); k != nil {
 			n := ci.ActiveThreads
-			ins = m.runs[id].kernel.IPC(n) / float64(n) * effMHz * 1e6
+			ins = k.IPC(n) / float64(n) * effMHz * 1e6
 		}
 	}
 	return cyc, ins, mpf
 }
 
+// coreKey is a core's class key: everything deriveCore and deriveThread
+// read of the core, with floats compared by their bits. Dirty cores with
+// equal keys derive bit-identical inputs, RAPL estimates, effective clocks
+// and thread rates.
+type coreKey struct {
+	threads [2]threadKey
+	// appliedMHz and peakMHz are the core's applied clock and its CCX's
+	// peak (dvfs.Controller.CCXPeakMHz), which fix its effective clock.
+	// Both are zero for an idle core, which reads neither.
+	appliedMHz, peakMHz uint64
+}
+
+// threadKey is one thread's part of a coreKey: its effective C-state, its
+// interned kernel (threadRun.kernel) and its operand weight.
+type threadKey struct {
+	state, kernel int32
+	weight        uint64
+}
+
+// eq is key == o, written out field by field: the compiler would compare
+// the whole struct through a runtime call, which costs more than the
+// comparison itself.
+func (k *coreKey) eq(o *coreKey) bool {
+	return k.appliedMHz == o.appliedMHz && k.peakMHz == o.peakMHz &&
+		k.threads[0] == o.threads[0] && k.threads[1] == o.threads[1]
+}
+
+// coreKey sets key to core's class key; peakMHz is its CCX's peak.
+// appliedMHz and peakMHz are left zero for an idle core.
+func (m *Machine) coreKey(key *coreKey, core soc.CoreID, peakMHz float64) {
+	active := false
+	for i, t := range m.Top.Cores[core].Threads {
+		s := m.CStates.EffectiveState(t)
+		r := &m.runs[t]
+		key.threads[i] = threadKey{state: int32(s), kernel: r.kernel, weight: math.Float64bits(r.weight)}
+		active = active || s == cstate.C0
+	}
+	key.appliedMHz, key.peakMHz = 0, 0
+	if active {
+		key.appliedMHz = math.Float64bits(m.DVFS.AppliedMHz(core))
+		key.peakMHz = math.Float64bits(peakMHz)
+	}
+}
+
+// deriveDirty derives core c and its threads' counter rates from scratch;
+// activeMHz is as for deriveCore.
+func (m *Machine) deriveDirty(c int, activeMHz float64, raplCfg rapl.Config) {
+	ci := &m.inputsBuf[c]
+	m.raplWBuf[c], m.effBuf[c] = m.deriveCore(soc.CoreID(c), activeMHz, raplCfg, ci)
+	for i, t := range m.Top.Cores[c].Threads {
+		cyc, ins, mpf := m.deriveThread(t, ci, m.effBuf[c])
+		tc := &m.counters[t]
+		m.leadPre[i] = *tc
+		tc[cycles].SetRate(m.log, cyc)
+		tc[instrs].SetRate(m.log, ins)
+		tc[mperf].SetRate(m.log, mpf)
+	}
+	m.stats.Derived++
+}
+
+// shareDirty gives core c the derivation of core lead, the latest derived
+// core, whose class key is equal: its input, RAPL estimate, effective
+// clock and, thread by thread, its counter rates. A counter in the state
+// lead's was in before its update takes lead's updated counter whole.
+func (m *Machine) shareDirty(c, lead int) {
+	m.inputsBuf[c] = m.inputsBuf[lead]
+	m.raplWBuf[c], m.effBuf[c] = m.raplWBuf[lead], m.effBuf[lead]
+	from := &m.Top.Cores[lead].Threads
+	for i, t := range m.Top.Cores[c].Threads {
+		tc, fc, pre := &m.counters[t], &m.counters[from[i]], &m.leadPre[i]
+		for k := range tc {
+			if tc[k].Same(&pre[k]) {
+				tc[k] = fc[k]
+			} else {
+				tc[k].SetRate(m.log, fc[k].Rate())
+			}
+		}
+	}
+	m.stats.Shared++
+}
+
+// RefreshStats returns the refresh counts since New.
+func (m *Machine) RefreshStats() RefreshStats { return m.stats }
+
 // refresh recomputes all rates after the mutations of one instant. It runs
 // at most once per instant: mutations only mark the machine stale (changed),
 // and the refresh runs from the instant's flush event or from the first
 // derived read (flush). Per-core and per-thread derivations run only for
-// cores marked dirty since the last refresh; the aggregation loops below
-// always run in full, in a fixed order, so their floating-point results are
-// bit-identical whether a core's values were recomputed or cached.
+// cores marked dirty since the last refresh, and once per class: a dirty
+// core whose key equals that of the latest derived core copies that core's
+// derivation. The aggregation loops below always run in full, in a fixed
+// order, so their floating-point results are bit-identical whether a
+// core's values were recomputed, shared or cached.
 func (m *Machine) refresh() {
 	m.inRefresh = true
 	m.stale = false
@@ -583,23 +730,27 @@ func (m *Machine) refresh() {
 	// unchanged replays those folds only when it is read or its rate moves.
 	m.log.Record(now)
 	inputs := m.inputsBuf
+	// lead is the latest derived core and leadKey its key.
+	var key, leadKey coreKey
+	lead, peakCCX, peak := -1, soc.CCXID(-1), 0.0
 	for c := range m.Top.Cores {
 		if !m.dirtyAll && !m.dirtyCores[c] {
 			continue
 		}
-		ci := &inputs[c]
-		m.raplWBuf[c], m.effBuf[c] = m.deriveCore(soc.CoreID(c), raplCfg, ci)
-		for _, t := range m.Top.Cores[c].Threads {
-			cyc, ins, mpf := m.deriveThread(t, ci, m.effBuf[c])
-			tc := &m.counters[t]
-			tc[cycles].SetRate(m.log, cyc)
-			tc[instrs].SetRate(m.log, ins)
-			tc[mperf].SetRate(m.log, mpf)
+		if x := m.Top.Cores[c].CCX; x != peakCCX {
+			peakCCX, peak = x, m.DVFS.CCXPeakMHz(x)
+		}
+		m.coreKey(&key, soc.CoreID(c), peak)
+		if lead >= 0 && key.eq(&leadKey) {
+			m.shareDirty(c, lead)
+		} else {
+			m.deriveDirty(c, m.DVFS.CoupledMHz(math.Float64frombits(key.appliedMHz), peak), raplCfg)
+			lead, leadKey = c, key
 		}
 	}
 	m.verifyRefresh(raplCfg)
 	m.shadow.refresh(m, now)
-	m.epoch++
+	m.stats.Refreshes++
 
 	// Memory traffic per CCD, capped by the Fig. 5a response surface.
 	m.trafficGBs = 0
@@ -639,18 +790,16 @@ func (m *Machine) refresh() {
 
 	// RAPL model: the cached per-core activity-event estimates plus package
 	// uncore and temperature leakage. A core's fed power changes only with
-	// its estimate or the model noise, so clean cores are re-fed only when
-	// the noise has moved; the packages are fed every refresh, since
-	// leakage follows the temperature.
+	// its estimate (the model applies its noise itself), so only dirty
+	// cores are fed; the packages are fed every refresh, since leakage
+	// follows the temperature.
 	leak := math.Max(0, raplCfg.TempLeakPerK*(m.Thermal.TempC()-raplCfg.TempRefC))
-	feedAll := m.dirtyAll || m.RAPL.NoiseFactor() != m.fedNoise
-	m.fedNoise = m.RAPL.NoiseFactor()
 	pkgW := m.pkgWBuf
 	for i := range pkgW {
 		pkgW[i] = 0
 	}
 	for c, w := range m.raplWBuf {
-		if feedAll || m.dirtyCores[c] {
+		if m.dirtyAll || m.dirtyCores[c] {
 			m.RAPL.SetCorePower(soc.CoreID(c), w)
 		}
 		pkgW[m.corePkg[c]] += w
@@ -678,9 +827,9 @@ func (m *Machine) coreKernel(core soc.CoreID) (*workload.Kernel, float64) {
 	var k *workload.Kernel
 	var weight float64
 	for _, t := range m.Top.Cores[core].Threads {
-		if m.CStates.EffectiveState(t) == cstate.C0 && m.runs[t].active {
+		if m.CStates.EffectiveState(t) == cstate.C0 && m.runs[t].kernel != 0 {
 			if k == nil {
-				k = &m.runs[t].kernel
+				k = m.kernelOf(t)
 			}
 			if m.runs[t].weight > weight {
 				weight = m.runs[t].weight
@@ -706,7 +855,7 @@ type activitySource Machine
 func (a *activitySource) Epoch() uint64 {
 	m := (*Machine)(a)
 	m.flush()
-	return m.epoch
+	return m.stats.Refreshes
 }
 
 func (a *activitySource) CoreCurrentAmps(core soc.CoreID) float64 {

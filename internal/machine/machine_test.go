@@ -448,3 +448,75 @@ func TestEffectiveMHzSeesPendingMutation(t *testing.T) {
 		t.Fatalf("after the refresh: %v MHz, want %v", got, want)
 	}
 }
+
+// distinctKeys counts the distinct class keys among all cores.
+func distinctKeys(m *Machine) int {
+	seen := map[coreKey]bool{}
+	var key coreKey
+	for c := range m.Top.Cores {
+		m.coreKey(&key, soc.CoreID(c), m.DVFS.CCXPeakMHz(m.Top.Cores[c].CCX))
+		seen[key] = true
+	}
+	return len(seen)
+}
+
+// TestRefreshStatsDeriveOncePerClass loads every thread with FIRESTARTER
+// under EDC throttling, where the SMU moves a package-wide cap on almost
+// every tick and dirties every core of the package: each refresh derives
+// at most one core per distinct class key and shares the rest.
+func TestRefreshStatsDeriveOncePerClass(t *testing.T) {
+	m := newMachine()
+	if err := m.SetAllFrequenciesMHz(2500); err != nil {
+		t.Fatal(err)
+	}
+	for th := 0; th < m.Top.NumThreads(); th++ {
+		if _, err := m.StartKernel(soc.ThreadID(th), workload.Firestarter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Eng.RunFor(300 * sim.Millisecond)
+	if !m.SMU.Throttling(0) {
+		t.Fatal("FIRESTARTER load is not EDC-throttled")
+	}
+	var derived, shared uint64
+	for i := 0; i < 50; i++ {
+		before := m.RefreshStats()
+		m.Eng.RunFor(sim.Millisecond)
+		d := m.RefreshStats()
+		refreshes := d.Refreshes - before.Refreshes
+		if n, limit := d.Derived-before.Derived, refreshes*uint64(distinctKeys(m)); n > limit {
+			t.Fatalf("ms %d: %d refreshes derived %d cores, want at most %d (one per distinct key)", i, refreshes, n, limit)
+		}
+		derived += d.Derived - before.Derived
+		shared += d.Shared - before.Shared
+	}
+	if shared < 10*derived {
+		t.Fatalf("derived %d cores and shared %d: want most dirty cores shared", derived, shared)
+	}
+}
+
+// TestRefreshStatsMixedCCXSharesNothing runs four different kernels on the
+// four cores of one CCX. Each change to the CCX dirties all four, and no
+// two of them can share a derivation.
+func TestRefreshStatsMixedCCXSharesNothing(t *testing.T) {
+	m := newMachine()
+	kernels := []workload.Kernel{workload.Busywait, workload.Compute, workload.VXorps, workload.MemoryRead}
+	ccx := m.Top.CCXs[0].Cores
+	for i, c := range ccx {
+		if _, err := m.StartKernel(m.Top.Cores[c].Threads[0], kernels[i], 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Eng.RunFor(10 * sim.Millisecond)
+	before := m.RefreshStats()
+	const changes = 20
+	for i := 0; i < changes; i++ {
+		m.SetHammingWeight(m.Top.Cores[ccx[0]].Threads[0], float64(i%2))
+		m.SystemWatts()
+	}
+	d := m.RefreshStats()
+	if d.Shared != before.Shared || d.Derived-before.Derived != changes*uint64(len(ccx)) || d.Refreshes-before.Refreshes != changes {
+		t.Fatalf("refresh stats went from %+v to %+v: want %d refreshes deriving %d cores each, none shared",
+			before, d, changes, len(ccx))
+	}
+}

@@ -77,7 +77,7 @@ func (m *Machine) checkFlushed() {
 // returns the fresh input and frequency.
 func (m *Machine) verifyCore(core soc.CoreID, raplCfg rapl.Config, site string) (power.CoreInput, float64) {
 	var ci power.CoreInput
-	w, eff := m.deriveCore(core, raplCfg, &ci)
+	w, eff := m.deriveCore(core, m.DVFS.EffectiveMHz(core), raplCfg, &ci)
 	if ci != m.inputsBuf[core] || w != m.raplWBuf[core] || eff != m.effBuf[core] {
 		panic(fmt.Sprintf(
 			"simcheck: %s: core %d stale at %v: cached (%+v, %g W, %g MHz) vs full (%+v, %g W, %g MHz)",

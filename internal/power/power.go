@@ -60,8 +60,10 @@ type CoreInput struct {
 	State cstate.State
 	// ActiveThreads is the number of threads in C0 (0..2).
 	ActiveThreads int
-	// Kernel is the instruction stream on the active threads.
-	Kernel workload.Kernel
+	// Kernel is the instruction stream on the active threads (nil when no
+	// thread is active). It points at a kernel the caller keeps unchanged,
+	// so copying or comparing an input never copies a Kernel.
+	Kernel *workload.Kernel
 	// GHz is the effective core clock in GHz.
 	GHz float64
 	// Volts is the core rail voltage.
@@ -108,7 +110,7 @@ func (m *Model) CoreWatts(c *CoreInput) float64 {
 }
 
 func (m *Model) activeCoreWatts(c *CoreInput) float64 {
-	k := &c.Kernel
+	k := c.Kernel
 	smt := 1.0
 	if c.ActiveThreads > 1 {
 		smt += k.SMTFactor
@@ -123,7 +125,7 @@ func (m *Model) activeCoreWatts(c *CoreInput) float64 {
 // toggleWatts is the operand-data-dependent component (§VII-B): scaled from
 // the kernel's calibration point at nominal frequency/voltage.
 func (m *Model) toggleWatts(c *CoreInput) float64 {
-	k := &c.Kernel
+	k := c.Kernel
 	if k.ToggleWatts == 0 || c.HammingWeight == 0 {
 		return 0
 	}

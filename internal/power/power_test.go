@@ -61,7 +61,7 @@ func TestActivePauseCore(t *testing.T) {
 	in := deepSleepInput(64)
 	in.DeepSleep = false
 	in.Cores[0] = CoreInput{State: cstate.C0, ActiveThreads: 1,
-		Kernel: workload.Pause, GHz: 2.5, Volts: 1.10}
+		Kernel: &workload.Pause, GHz: 2.5, Volts: 1.10}
 	p1 := m.SystemWatts(in)
 	if math.Abs(p1-180.4) > 0.4 {
 		t.Fatalf("one active pause thread: %v W, want ~180.4", p1)
@@ -83,7 +83,7 @@ func TestActivePowerFrequencyDependent(t *testing.T) {
 	in := deepSleepInput(64)
 	in.DeepSleep = false
 	in.Cores[0] = CoreInput{State: cstate.C0, ActiveThreads: 1,
-		Kernel: workload.Pause, GHz: 1.5, Volts: 0.90}
+		Kernel: &workload.Pause, GHz: 1.5, Volts: 0.90}
 	pLow := m.SystemWatts(in)
 	in.Cores[0].GHz, in.Cores[0].Volts = 2.5, 1.10
 	pHigh := m.SystemWatts(in)
@@ -110,7 +110,7 @@ func TestFirestarterCalibration(t *testing.T) {
 	smt.DeepSleep = false
 	for i := range smt.Cores {
 		smt.Cores[i] = CoreInput{State: cstate.C0, ActiveThreads: 2,
-			Kernel: workload.Firestarter, GHz: 2.03, Volts: volts(2.03)}
+			Kernel: &workload.Firestarter, GHz: 2.03, Volts: volts(2.03)}
 	}
 	smt.DRAMTrafficGBs = 0
 	if got := m.SystemWatts(smt); math.Abs(got-509) > 5 {
@@ -121,7 +121,7 @@ func TestFirestarterCalibration(t *testing.T) {
 	noSMT.DeepSleep = false
 	for i := range noSMT.Cores {
 		noSMT.Cores[i] = CoreInput{State: cstate.C0, ActiveThreads: 1,
-			Kernel: workload.Firestarter, GHz: 2.10, Volts: volts(2.10)}
+			Kernel: &workload.Firestarter, GHz: 2.10, Volts: volts(2.10)}
 	}
 	if got := m.SystemWatts(noSMT); math.Abs(got-489) > 5 {
 		t.Fatalf("FIRESTARTER no-SMT: %v W, want 489±5", got)
@@ -136,7 +136,7 @@ func TestVXorpsToggleSwing(t *testing.T) {
 		in.DeepSleep = false
 		for i := range in.Cores {
 			in.Cores[i] = CoreInput{State: cstate.C0, ActiveThreads: 2,
-				Kernel: workload.VXorps, GHz: 2.5, Volts: 1.10, HammingWeight: w}
+				Kernel: &workload.VXorps, GHz: 2.5, Volts: 1.10, HammingWeight: w}
 		}
 		return in
 	}
@@ -167,7 +167,7 @@ func TestShrToggleSwingSmall(t *testing.T) {
 		in.DeepSleep = false
 		for i := range in.Cores {
 			in.Cores[i] = CoreInput{State: cstate.C0, ActiveThreads: 2,
-				Kernel: workload.Shr, GHz: 2.5, Volts: 1.10, HammingWeight: w}
+				Kernel: &workload.Shr, GHz: 2.5, Volts: 1.10, HammingWeight: w}
 		}
 		return in
 	}
@@ -182,7 +182,7 @@ func TestMemoryTrafficPower(t *testing.T) {
 	in := deepSleepInput(64)
 	in.DeepSleep = false
 	in.Cores[0] = CoreInput{State: cstate.C0, ActiveThreads: 1,
-		Kernel: workload.MemoryRead, GHz: 2.5, Volts: 1.10}
+		Kernel: &workload.MemoryRead, GHz: 2.5, Volts: 1.10}
 	base := m.SystemWatts(in)
 	in.DRAMTrafficGBs = 20
 	withTraffic := m.SystemWatts(in)
@@ -217,7 +217,7 @@ func TestMonotoneInActiveCores(t *testing.T) {
 		k := int(n) % 64
 		for i := 0; i <= k; i++ {
 			in.Cores[i] = CoreInput{State: cstate.C0, ActiveThreads: 1,
-				Kernel: workload.Busywait, GHz: freqs[fi], Volts: volts[fi]}
+				Kernel: &workload.Busywait, GHz: freqs[fi], Volts: volts[fi]}
 		}
 		p1 := m.SystemWatts(in)
 		if k+1 < 64 {
@@ -280,7 +280,7 @@ func TestThermalMonotoneApproach(t *testing.T) {
 func TestPackageDynWatts(t *testing.T) {
 	m := NewModel(DefaultConfig())
 	cores := []CoreInput{
-		{State: cstate.C0, ActiveThreads: 1, Kernel: workload.Busywait, GHz: 2.5, Volts: 1.1},
+		{State: cstate.C0, ActiveThreads: 1, Kernel: &workload.Busywait, GHz: 2.5, Volts: 1.1},
 		{State: cstate.C1},
 		{State: cstate.C2},
 	}

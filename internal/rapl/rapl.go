@@ -66,12 +66,13 @@ func DefaultConfig() Config {
 // folded lazily over the model's FoldLog: at every logged instant t an
 // eagerly fed domain would roll its snapshot to t's period boundary (folding
 // there first if the boundary is new) and then fold to t. A domain replays
-// exactly those folds, in order, when its power changes or it is read, so
-// its readings are bit-identical to feeding it at every instant.
+// exactly those folds, in order, when its fed power changes or it is read,
+// so its readings are bit-identical to feeding it at every instant.
 type domain struct {
 	pos    uint64 // log position folded through
 	last   sim.Time
-	power  float64 // current power, W
+	fed    float64 // fed power before model noise, W
+	power  float64 // power since last: max(0, fed × the noise factor in force)
 	energy float64 // accumulated energy, J
 	snapJ  float64
 	snapT  sim.Time
@@ -93,14 +94,34 @@ func (d *domain) roll(now sim.Time, period sim.Duration) {
 	}
 }
 
-// catchUp replays the folds of every instant logged since the domain last
-// caught up.
-func (d *domain) catchUp(log *sim.FoldLog, period sim.Duration) {
-	for _, t := range log.Since(d.pos) {
-		d.roll(t, period)
-		d.fold(t)
-	}
-	d.pos = log.End()
+// same reports whether d and o are bit-identical.
+func (d *domain) same(o *domain) bool {
+	return d.pos == o.pos && d.last == o.last && d.snapT == o.snapT &&
+		math.Float64bits(d.fed) == math.Float64bits(o.fed) &&
+		math.Float64bits(d.power) == math.Float64bits(o.power) &&
+		math.Float64bits(d.energy) == math.Float64bits(o.energy) &&
+		math.Float64bits(d.snapJ) == math.Float64bits(o.snapJ)
+}
+
+// feed records the latest feed that changed a domain's fed power: the
+// domain before and after it, and everything else the result depends on.
+// Cores of one class are fed equal powers in a row, and their domains are
+// mostly in equal states; each after the first takes the result whole
+// instead of replaying the log.
+type feed struct {
+	end       uint64 // log.End()
+	moves     int    // len(Model.moves)
+	noise     uint64 // Float64bits(Model.fedNoise)
+	watts     uint64 // Float64bits of the fed power
+	pre, post domain
+}
+
+// noiseMove is a change of the noise factor in force, adopted at the
+// instant at log position pos: a domain folds there at its old power and
+// is charged factor × its fed power from then on.
+type noiseMove struct {
+	pos    uint64
+	factor float64
 }
 
 // Model is the per-system RAPL state.
@@ -118,6 +139,13 @@ type Model struct {
 	noise       float64
 	noiseTicker *sim.Ticker
 	rng         *sim.RNG
+	// fedNoise is the noise factor in force: the NoiseFactor of the latest
+	// feed. moves lists the instants in the fold log at which it changed,
+	// oldest first; a domain replaying the log re-derives its power at
+	// each, so a noise step re-feeds no domain.
+	fedNoise float64
+	moves    []noiseMove
+	lastFeed feed
 
 	units uint64
 
@@ -131,11 +159,34 @@ type Model struct {
 // up and starts over.
 const foldLogCap = 256
 
-// catchUpAll folds every domain through the whole log.
+// catchUpAll folds every domain through the whole log, which then starts
+// over without noise moves.
 func (m *Model) catchUpAll() {
 	for i := range m.doms {
-		m.doms[i].catchUp(m.log, m.cfg.UpdatePeriod)
+		m.catchUp(&m.doms[i])
 	}
+	m.moves = m.moves[:0]
+}
+
+// catchUp replays the folds of every instant logged since domain d last
+// caught up, switching its power at each noise move on the way.
+func (m *Model) catchUp(d *domain) {
+	ts := m.log.Since(d.pos)
+	if len(ts) == 0 {
+		return
+	}
+	mv := len(m.moves)
+	for mv > 0 && m.moves[mv-1].pos >= d.pos {
+		mv--
+	}
+	for j, t := range ts {
+		d.roll(t, m.cfg.UpdatePeriod)
+		d.fold(t)
+		for ; mv < len(m.moves) && m.moves[mv].pos == d.pos+uint64(j); mv++ {
+			d.power = math.Max(0, d.fed*m.moves[mv].factor)
+		}
+	}
+	d.pos = m.log.End()
 }
 
 // coreDom and pkgDom index doms.
@@ -147,8 +198,9 @@ func (m *Model) pkgDom(pkg soc.PackageID) int { return len(m.top.Cores) + int(pk
 func New(eng *sim.Engine, top *soc.Topology, cfg Config, regs *msr.File) *Model {
 	m := &Model{
 		eng: eng, top: top, cfg: cfg,
-		rng:   eng.RNG().Fork(),
-		units: msr.DefaultRAPLUnits(),
+		rng:      eng.RNG().Fork(),
+		units:    msr.DefaultRAPLUnits(),
+		fedNoise: 1,
 	}
 	now := eng.Now()
 	m.log = sim.NewFoldLog(now, foldLogCap, m.catchUpAll)
@@ -192,8 +244,9 @@ func (m *Model) Stop() {
 	}
 }
 
-// NoiseFactor is the current multiplicative model error applied to fed
-// power.
+// NoiseFactor is the current multiplicative model error. Fed power is
+// charged at the factor of the latest feed: a noise step reaches every
+// domain at the next feed of any domain.
 func (m *Model) NoiseFactor() float64 { return 1 + m.noise }
 
 // SetCorePower feeds the modeled per-core power (machine layer).
@@ -206,23 +259,52 @@ func (m *Model) SetPackagePower(pkg soc.PackageID, watts float64) {
 	m.setPower(m.pkgDom(pkg), watts)
 }
 
-// setPower logs the current instant, at which every domain folds, and
-// switches domain i to the new power after model noise. An unchanged power
-// leaves the domain's folds to its next catch-up.
+// setPower logs the current instant, at which every domain folds, adopts
+// the current noise factor, and switches domain i to the new fed power. An
+// unchanged fed power leaves the domain's folds to its next catch-up.
 func (m *Model) setPower(i int, watts float64) {
 	m.log.Record(m.eng.Now())
-	w := math.Max(0, watts*m.NoiseFactor())
-	m.shadow.set(m, i, w)
-	if d := &m.doms[i]; w != d.power {
-		d.catchUp(m.log, m.cfg.UpdatePeriod)
-		d.power = w
+	if f := m.NoiseFactor(); f != m.fedNoise {
+		m.adoptNoise(f)
 	}
+	d := &m.doms[i]
+	if watts != d.fed {
+		f := &m.lastFeed
+		end, noise, w := m.log.End(), math.Float64bits(m.fedNoise), math.Float64bits(watts)
+		if f.end == end && f.moves == len(m.moves) && f.noise == noise && f.watts == w && d.same(&f.pre) {
+			*d = f.post
+		} else {
+			f.pre = *d
+			m.catchUp(d)
+			d.fed = watts
+			d.power = math.Max(0, watts*m.fedNoise)
+			f.end, f.moves, f.noise, f.watts, f.post = end, len(m.moves), noise, w, *d
+		}
+	}
+	m.shadow.set(m, i, watts)
+}
+
+// adoptNoise puts noise factor f in force from the latest logged instant
+// on. A domain that has already folded there switches now; every other
+// domain switches when its replay reaches the instant.
+func (m *Model) adoptNoise(f float64) {
+	m.fedNoise = f
+	end := m.log.End()
+	if end > 0 { // else nothing is logged yet, and no domain replays
+		m.moves = append(m.moves, noiseMove{pos: end - 1, factor: f})
+	}
+	for i := range m.doms {
+		if d := &m.doms[i]; d.pos == end {
+			d.power = math.Max(0, d.fed*f)
+		}
+	}
+	m.shadow.adopt(m)
 }
 
 // readJoules returns domain i's boundary-quantized energy.
 func (m *Model) readJoules(i int) float64 {
 	d := &m.doms[i]
-	d.catchUp(m.log, m.cfg.UpdatePeriod)
+	m.catchUp(d)
 	d.roll(m.eng.Now(), m.cfg.UpdatePeriod)
 	m.shadow.checkRead(m, i, d.snapJ)
 	return d.snapJ
@@ -231,7 +313,7 @@ func (m *Model) readJoules(i int) float64 {
 // trueJoules returns domain i's unquantized accumulated energy (for tests).
 func (m *Model) trueJoules(i int) float64 {
 	d := &m.doms[i]
-	d.catchUp(m.log, m.cfg.UpdatePeriod)
+	m.catchUp(d)
 	d.fold(m.eng.Now())
 	return d.energy
 }
@@ -246,11 +328,15 @@ func (m *Model) PackageEnergyJoules(pkg soc.PackageID) float64 {
 	return m.readJoules(m.pkgDom(pkg))
 }
 
-// CorePowerWatts returns the model's current per-core power input.
-func (m *Model) CorePowerWatts(core soc.CoreID) float64 { return m.doms[m.coreDom(core)].power }
+// CorePowerWatts returns the power the core domain is charged now.
+func (m *Model) CorePowerWatts(core soc.CoreID) float64 { return m.powerWatts(m.coreDom(core)) }
 
-// PackagePowerWatts returns the model's current per-package power input.
-func (m *Model) PackagePowerWatts(pkg soc.PackageID) float64 { return m.doms[m.pkgDom(pkg)].power }
+// PackagePowerWatts returns the power the package domain is charged now.
+func (m *Model) PackagePowerWatts(pkg soc.PackageID) float64 { return m.powerWatts(m.pkgDom(pkg)) }
+
+// powerWatts is domain i's power at the noise factor in force, which its
+// replay may not have reached yet.
+func (m *Model) powerWatts(i int) float64 { return math.Max(0, m.doms[i].fed*m.fedNoise) }
 
 // Config returns the model constants.
 func (m *Model) Config() Config { return m.cfg }

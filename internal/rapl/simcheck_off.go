@@ -8,4 +8,5 @@ type domainShadow struct{}
 
 func (domainShadow) init(*Model)                    {}
 func (domainShadow) set(*Model, int, float64)       {}
+func (domainShadow) adopt(*Model)                   {}
 func (domainShadow) checkRead(*Model, int, float64) {}

@@ -40,7 +40,9 @@ func (s *domainShadow) init(m *Model) {
 	}
 }
 
-func (s *domainShadow) set(m *Model, i int, w float64) {
+// set feeds eager domain i fed power watts at the noise factor in force.
+func (s *domainShadow) set(m *Model, i int, watts float64) {
+	w := math.Max(0, watts*m.fedNoise)
 	now := m.eng.Now()
 	if now != s.last {
 		for j := range s.eager {
@@ -50,6 +52,14 @@ func (s *domainShadow) set(m *Model, i int, w float64) {
 		s.last = now
 	}
 	s.eager[i].ei.SetPower(now, w)
+}
+
+// adopt re-feeds every eager domain at the noise factor just put in force,
+// as a feeder re-feeding every domain after a noise step would.
+func (s *domainShadow) adopt(m *Model) {
+	for i := range m.doms {
+		s.set(m, i, m.doms[i].fed)
+	}
 }
 
 func (s *domainShadow) checkRead(m *Model, i int, lazy float64) {

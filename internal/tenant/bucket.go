@@ -7,9 +7,15 @@
 package tenant
 
 import (
+	"math"
 	"sync"
 	"time"
 )
+
+// minRateRPS is the lowest accepted rate_rps: one token per ~11.6 days.
+// The longest wait Take reports is 1/rate seconds, and a lower rate (a
+// subnormal one, say) would overflow time.Duration.
+const minRateRPS = 1e-6
 
 // Bucket is a token-bucket rate limiter. Safe for concurrent use.
 type Bucket struct {
@@ -43,6 +49,8 @@ func (b *Bucket) Take() (ok bool, retryAfter time.Duration) {
 		b.tokens--
 		return true, 0
 	}
+	// Rounded up, so the wait is never zero: a rejected client that waits
+	// it finds a token.
 	need := (1 - b.tokens) / b.rate
-	return false, time.Duration(need * float64(time.Second))
+	return false, time.Duration(math.Ceil(need * float64(time.Second)))
 }

@@ -88,7 +88,8 @@ type Policy struct {
 	Weight float64 `json:"weight,omitempty"`
 	// RateRPS and Burst form the admission token bucket: sustained
 	// submissions per second and the burst ceiling (default: burst =
-	// max(1, RateRPS)). RateRPS 0 disables rate limiting.
+	// max(1, RateRPS)). RateRPS 0 disables rate limiting; a positive
+	// RateRPS must be at least 1e-6.
 	RateRPS float64 `json:"rate_rps,omitempty"`
 	Burst   float64 `json:"burst,omitempty"`
 	// MaxInflight bounds the tenant's jobs that are queued or running;
@@ -358,6 +359,9 @@ func newTenant(p Policy) (*Tenant, error) {
 	}
 	if p.Weight < 0 || p.RateRPS < 0 || p.Burst < 0 || p.MaxInflight < 0 || p.MaxQueued < 0 {
 		return nil, fmt.Errorf("tenant %q: negative limits are invalid", p.Name)
+	}
+	if p.RateRPS > 0 && p.RateRPS < minRateRPS {
+		return nil, fmt.Errorf("tenant %q: rate_rps %v is below the minimum of %v (0 disables rate limiting)", p.Name, p.RateRPS, minRateRPS)
 	}
 	weight := p.Weight
 	if weight == 0 {

@@ -87,6 +87,10 @@ func TestConfigValidation(t *testing.T) {
 		{Anonymous: &Policy{Breaker: &BreakerPolicy{Window: 4000000000000, MinSamples: 1, FailureRatio: 0.5}}},
 		{Anonymous: &Policy{Breaker: &BreakerPolicy{FailureRatio: 0.5, CooldownSeconds: 1e300}}},
 		{Anonymous: &Policy{Breaker: &BreakerPolicy{FailureRatio: 0.5, CooldownSeconds: 9.3e9}}},
+		// A subnormal rate would make the bucket's wait overflow
+		// time.Duration.
+		{Anonymous: &Policy{RateRPS: 1e-320}},
+		{Anonymous: &Policy{RateRPS: minRateRPS / 2}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRegistry(cfg); err == nil {
