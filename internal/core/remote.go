@@ -49,7 +49,8 @@ type ShardTask struct {
 	// Label is the shard's plan label, for display and lease diagnostics.
 	Label string
 	// Run executes the shard in-process with the exact options the
-	// scheduler would have used, panic-guarded like any local shard.
+	// scheduler would have used, panic-guarded like any local shard, and
+	// holds a RunConfig.Acquire slot while it does.
 	Run func() (any, error)
 }
 

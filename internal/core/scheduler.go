@@ -83,11 +83,15 @@ type RunConfig struct {
 	// Workers is the number of scheduler goroutines fanning shards out
 	// (<= 0 means runtime.NumCPU()).
 	Workers int
-	// Acquire, when non-nil, gates every shard execution on an external
-	// worker slot: the scheduler calls Acquire before running a shard and
-	// the returned release when the shard finishes. The zen2eed daemon uses
-	// this to share one executor pool across all concurrently running jobs
-	// while letting a lone job's shards spread over the whole pool.
+	// Acquire, when non-nil, gates every shard that executes in this
+	// process on an external worker slot: the scheduler calls Acquire
+	// before running the shard and the returned release when it finishes.
+	// With RunShard set, the slot gates the task's Run thunk rather than
+	// the hook call, so a shard the hook answers without running it here
+	// (a cache hit, a remote lease) holds no slot, and every Run call holds
+	// exactly one. The zen2eed daemon uses this to share one executor pool
+	// across all concurrently running jobs while letting a lone job's
+	// shards spread over the whole pool.
 	Acquire func() (release func())
 	// RunShard, when non-nil, executes every shard task in place of the
 	// scheduler's direct Shard.Run call: the hook receives the shard's
@@ -97,9 +101,8 @@ type RunConfig struct {
 	// a distributed dispatcher (internal/dist) plugs into — planning,
 	// reduction order, delivery, and seed derivation stay with the
 	// scheduler, only the execution window moves. Calls arrive on scheduler
-	// worker goroutines and may block; Acquire is usually nil alongside it,
-	// since slot gating moves into the dispatcher's lease/local-fallback
-	// policy.
+	// worker goroutines and may block; a hook that calls the thunk returns
+	// only after the thunk has.
 	RunShard func(ShardTask) (out any, origin string, err error)
 	// Trace, when non-nil, records an obs.Span per executed (configuration,
 	// experiment, shard) task — enqueue→start queue wait, execution window,
@@ -109,7 +112,8 @@ type RunConfig struct {
 	// allocates nothing for tracing.
 	Trace *obs.Trace
 	// ObserveShard, when non-nil, receives every shard's queue wait (task
-	// enqueue to execution start, slot acquisition included) and run time.
+	// enqueue to execution start, an in-process shard's slot acquisition
+	// included) and run time.
 	// The daemon feeds its latency histograms through it; unlike Trace it
 	// retains nothing, so it stays on for every job.
 	ObserveShard func(wait, run time.Duration)
@@ -243,6 +247,17 @@ func (er *expRun) finalize() {
 	}
 	r.Elapsed = time.Since(time.Unix(0, er.startNS.Load()))
 	er.result = r
+}
+
+// noteStart records a shard's execution start: the experiment starts at
+// its earliest shard's, whatever order the shards report in.
+func (er *expRun) noteStart(at time.Time) {
+	ns := at.UnixNano()
+	for cur := er.startNS.Load(); cur == 0 || ns < cur; cur = er.startNS.Load() {
+		if er.startNS.CompareAndSwap(cur, ns) {
+			return
+		}
+	}
 }
 
 func (er *expRun) elapsed() time.Duration {
@@ -440,32 +455,48 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 			defer wg.Done()
 			for t := range tasks {
 				er := runs[t.config][t.exp]
-				release := func() {}
-				if cfg.Acquire != nil {
-					release = cfg.Acquire()
-				}
-				er.startNS.CompareAndSwap(0, time.Now().UnixNano())
-				start := time.Now()
+				sh := er.shards[t.shard]
+				so := shardOptions(er.exp.ID, er.opts, t.shard)
+				var start time.Time
 				var out any
 				var origin string
 				var err error
-				if cfg.RunShard != nil {
-					sh := er.shards[t.shard]
-					so := shardOptions(er.exp.ID, er.opts, t.shard)
+				if cfg.RunShard == nil {
+					release := func() {}
+					if cfg.Acquire != nil {
+						release = cfg.Acquire()
+					}
+					start = time.Now()
+					out, err = runShardGuarded(sh, so)
+					release()
+				} else {
+					// The slot gates the thunk, not the hook: a shard the
+					// hook answers without running it here holds no slot,
+					// and an in-process one starts when its slot is held.
+					var ranAt time.Time
+					start = time.Now()
 					out, origin, err = runHookGuarded(cfg.RunShard, ShardTask{
 						Ref:         ShardRef{Exp: er.exp.ID, Config: configs[t.config], Shard: t.shard},
 						ConfigIndex: t.config, Shards: len(er.shards), Label: sh.Label,
-						Run: func() (any, error) { return runShardGuarded(sh, so) },
+						Run: func() (any, error) {
+							if cfg.Acquire != nil {
+								defer cfg.Acquire()()
+							}
+							ranAt = time.Now()
+							return runShardGuarded(sh, so)
+						},
 					})
-				} else {
-					out, err = runShardGuarded(er.shards[t.shard], shardOptions(er.exp.ID, er.opts, t.shard))
+					if !ranAt.IsZero() {
+						start = ranAt
+					}
 				}
-				release()
+				er.noteStart(start)
 				elapsed := time.Since(start)
 				if t.enqueueNS != 0 {
 					// Observed run: queue wait is enqueue→start, which
-					// includes blocking on the Acquire slot gate — exactly
-					// the time the shard spent schedulable but not running.
+					// includes an in-process shard's blocking on the Acquire
+					// slot gate — the time it spent schedulable but not
+					// running.
 					wait := start.Sub(time.Unix(0, t.enqueueNS))
 					if cfg.ObserveShard != nil {
 						cfg.ObserveShard(wait, elapsed)
@@ -474,7 +505,7 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 						sp := obs.Span{
 							Cat: obs.CatShard, Name: er.exp.ID,
 							Config: t.config, Shard: t.shard + 1,
-							Label: er.shards[t.shard].Label, Worker: worker,
+							Label: sh.Label, Worker: worker,
 							Origin: origin,
 							Start:  tr.Offset(start), Dur: elapsed, Wait: wait,
 						}

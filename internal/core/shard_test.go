@@ -11,7 +11,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"zen2ee/internal/obs"
 	"zen2ee/internal/sim"
 )
 
@@ -351,6 +353,80 @@ func TestRunConfigAcquireGatesEveryShard(t *testing.T) {
 	}
 	if held.Load() != 0 {
 		t.Fatalf("%d slots still held after the run", held.Load())
+	}
+}
+
+// TestAcquireGatesOnlyInProcessRuns pins the slot rule with a RunShard
+// hook: Acquire gates the task's Run thunk, not the hook call. The hook
+// answers the even shards itself (as a cache hit or a remote lease would)
+// and runs the rest through st.Run, so Acquire must be called once per
+// st.Run call and never for an answered shard. An in-process shard's time
+// blocked in Acquire is queue wait, not run time, in both the trace and
+// ObserveShard.
+func TestAcquireGatesOnlyInProcessRuns(t *testing.T) {
+	const block = 30 * time.Millisecond
+	var acquires, runs, held atomic.Int32
+	var mu sync.Mutex
+	var observed []time.Duration // run times
+	tr := obs.New(0)
+	cfg := RunConfig{
+		Workers: 3,
+		Acquire: func() func() {
+			acquires.Add(1)
+			time.Sleep(block)
+			held.Add(1)
+			return func() { held.Add(-1) }
+		},
+		RunShard: func(st ShardTask) (any, string, error) {
+			if st.Ref.Exp == "sh-hook" && st.Ref.Shard%2 == 0 {
+				return 0.5, "remote", nil
+			}
+			runs.Add(1)
+			out, err := st.Run()
+			return out, "", err
+		},
+		Trace: tr,
+		ObserveShard: func(wait, run time.Duration) {
+			mu.Lock()
+			observed = append(observed, run)
+			mu.Unlock()
+		},
+	}
+	exps := []Experiment{fakeSharded("sh-hook", 6), okExp("mono")}
+	if _, err := runSet(exps, DefaultOptions(), cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := runs.Load(), int32(4); got != want {
+		t.Fatalf("hook ran %d shards in-process, want %d", got, want)
+	}
+	if got := acquires.Load(); got != runs.Load() {
+		t.Fatalf("Acquire called %d times for %d st.Run calls, want one per call", got, runs.Load())
+	}
+	if held.Load() != 0 {
+		t.Fatalf("%d slots still held after the run", held.Load())
+	}
+	if len(observed) != 7 {
+		t.Fatalf("ObserveShard saw %d shards, want 7", len(observed))
+	}
+	for _, run := range observed {
+		if run >= block {
+			t.Fatalf("observed run time %v includes the %v blocked in Acquire", run, block)
+		}
+	}
+	spans, _ := tr.Snapshot()
+	local := 0
+	for _, sp := range spans {
+		if sp.Cat != obs.CatShard || sp.Origin != "" {
+			continue
+		}
+		local++
+		if sp.Wait < block || sp.Dur >= block {
+			t.Fatalf("in-process span %s/%d: wait %v, run %v; want the %v Acquire block in the wait",
+				sp.Name, sp.Shard, sp.Wait, sp.Dur, block)
+		}
+	}
+	if local != 4 {
+		t.Fatalf("traced %d in-process shard spans, want 4", local)
 	}
 }
 

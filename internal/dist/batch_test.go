@@ -1,5 +1,5 @@
 // Batched leases and the compressed completion path: one long-poll may
-// grant up to Max tasks (capped by the coordinator's maxLeaseBatch), flate
+// grant tasks until the worker holds 2 × its registered slots, flate
 // compressed outputs are bounded at decode, and the worker pipeline drains
 // a batch across its slots.
 
@@ -16,11 +16,11 @@ import (
 	"zen2ee/internal/shardcache"
 )
 
-// leaseBatch polls once asking for up to max tasks.
-func (w *rawWorker) leaseBatch(waitMS int64, max int) []TaskSpec {
+// leaseBatch polls once and returns the whole grant.
+func (w *rawWorker) leaseBatch(waitMS int64) []TaskSpec {
 	w.t.Helper()
 	var resp leaseResponse
-	w.post("/dist/v1/lease", leaseRequest{WorkerID: w.id, WaitMillis: waitMS, Max: max}, &resp, http.StatusOK)
+	w.post("/dist/v1/lease", leaseRequest{WorkerID: w.id, WaitMillis: waitMS}, &resp, http.StatusOK)
 	return resp.Tasks
 }
 
@@ -36,7 +36,7 @@ func TestBatchedLeaseGrantsMultipleTasks(t *testing.T) {
 	}
 	waitFor(t, "all 4 tasks queued", func() bool { return env.c.PendingTasks() == 4 })
 
-	specs := w.leaseBatch(100, 8)
+	specs := w.leaseBatch(100)
 	if len(specs) != 4 {
 		t.Fatalf("batch lease granted %d tasks, want all 4", len(specs))
 	}
@@ -51,11 +51,16 @@ func TestBatchedLeaseGrantsMultipleTasks(t *testing.T) {
 	}
 }
 
-func TestBatchedLeaseClampedByMaxLeaseBatch(t *testing.T) {
+// TestLeaseGrantBoundedByTwiceSlots: grants are sized from the slots the
+// worker registered. A worker holding 2 × slots leases (its executing
+// slots plus a slot-deep buffer) is granted nothing more and waits in the
+// long-poll; each completion frees room for exactly one more task.
+func TestLeaseGrantBoundedByTwiceSlots(t *testing.T) {
 	env := newTestEnv(t, Config{})
-	w := env.register(t, "clamped", 8)
+	const slots = 3
+	w := env.register(t, "bounded", slots)
 
-	const tasks = maxLeaseBatch + 4
+	const tasks = 2*slots + 2
 	h := env.c.StartRun(nil)
 	defer h.Finish()
 	var chans []<-chan shardOutcome
@@ -64,18 +69,24 @@ func TestBatchedLeaseClampedByMaxLeaseBatch(t *testing.T) {
 	}
 	waitFor(t, "all tasks queued", func() bool { return env.c.PendingTasks() == tasks })
 
-	first := w.leaseBatch(100, 100)
-	if len(first) != maxLeaseBatch {
-		t.Fatalf("lease with max=100 granted %d tasks, want the maxLeaseBatch cap of %d", len(first), maxLeaseBatch)
+	held := w.leaseBatch(100)
+	if len(held) != 2*slots {
+		t.Fatalf("first poll granted %d tasks, want 2 × %d slots", len(held), slots)
 	}
-	second := w.leaseBatch(100, 100)
-	if len(second) != tasks-maxLeaseBatch {
-		t.Fatalf("second batch granted %d tasks, want the remaining %d", len(second), tasks-maxLeaseBatch)
+	if more := w.leaseBatch(50); len(more) != 0 {
+		t.Fatalf("poll at the 2 × slots bound granted %d more tasks, want none", len(more))
 	}
-	for _, specs := range [][]TaskSpec{first, second} {
-		for i := range specs {
-			w.complete(&specs[i], float64(specs[i].Ref.Shard))
+	for len(held) > 0 {
+		w.complete(&held[0], float64(held[0].Ref.Shard))
+		held = held[1:]
+		if env.c.PendingTasks() == 0 {
+			continue
 		}
+		next := w.leaseBatch(100)
+		if len(next) != 1 {
+			t.Fatalf("poll after one completion granted %d tasks, want 1", len(next))
+		}
+		held = append(held, next...)
 	}
 	for shard, ch := range chans {
 		if o := waitOutcome(t, ch); o.err != nil || o.out != float64(shard) {
@@ -177,7 +188,7 @@ func TestWorkerBatchPipelineExecutesAll(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	var execs atomic.Int64
 	startWorker(t, env, WorkerConfig{
-		Name: "pipeline", Slots: 2, LeaseBatch: 4,
+		Name: "pipeline", Slots: 2,
 		Execute: func(ts TaskSpec) (any, error) {
 			execs.Add(1)
 			return float64(ts.Ref.Shard) * 3, nil

@@ -56,22 +56,23 @@ func BenchmarkDistributedDispatchOverhead(b *testing.B) {
 }
 
 // BenchmarkBatchedLeaseDispatch measures per-shard dispatch overhead with
-// many shards in flight — the shape a real sweep presents — comparing
-// one-task lease polls against batched grants. With batch=1 every shard
-// pays its own lease round trip; with a batch one long-poll fans out to
-// all idle slots, so the HTTP overhead amortizes across the grant. On a
+// many shards in flight — the shape a real sweep presents — across worker
+// slot counts. The coordinator sizes each grant from the registered slots
+// (up to 2 × slots leases held), so with slots=1 a shard pays most of a
+// lease round trip, while with more slots one long-poll fans out to all
+// idle slots and the HTTP overhead amortizes across the grant. On a
 // single-core machine the ratio understates the win: fetcher, slots, and
 // posters all serialize onto one CPU, so the amortized lease traffic is
 // the only saving that shows up.
 func BenchmarkBatchedLeaseDispatch(b *testing.B) {
-	for _, batch := range []int{1, 8, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+	for _, slots := range []int{1, 8, 16} {
+		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
 			c := NewCoordinator(Config{})
 			defer c.Close()
 			ts := httptest.NewServer(c.Handler())
 			defer ts.Close()
 			w, err := NewWorker(WorkerConfig{
-				Coordinator: ts.URL, Name: "bench", Slots: 8, LeaseBatch: batch,
+				Coordinator: ts.URL, Name: "bench", Slots: slots,
 				Execute: func(TaskSpec) (any, error) { return 1.0, nil },
 			})
 			if err != nil {

@@ -51,10 +51,6 @@ type Config struct {
 	// PollWait caps how long an empty /lease long-poll is held before
 	// returning no task. Default 2s.
 	PollWait time.Duration
-	// Local, when non-nil, gates local-fallback execution (the zen2eed
-	// daemon wraps its executor-slot acquisition here so local fallback
-	// respects -executors). Nil runs the thunk directly.
-	Local func(run func() (any, error)) (any, error)
 	// Logger receives worker lifecycle and fault events; nil discards.
 	Logger *slog.Logger
 }
@@ -77,10 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// maxLeaseBatch caps how many tasks one lease poll may grant to a worker
-// that asks for a batch (leaseRequest.Max).
-const maxLeaseBatch = 16
 
 type taskState int
 
@@ -328,19 +320,16 @@ func (c *Coordinator) deregister(workerID string) {
 	c.dropWorkerLocked(w, false)
 }
 
-// lease long-polls for tasks on behalf of a worker: the oldest eligible
-// pending task plus, when the worker asked for a batch, up to max-1 more
-// taken in the same locked section, so one round trip can fill a whole
-// slot pool. An empty poll past the wait window returns (nil, nil).
-func (c *Coordinator) lease(ctx context.Context, workerID string, wait time.Duration, max int) ([]TaskSpec, error) {
+// lease long-polls for tasks on behalf of a worker. A poll grants the
+// oldest eligible pending tasks, taken in one locked section, until the
+// worker holds 2 × its registered slots: one task executing per slot plus
+// a slot-deep buffer, so one round trip can refill a whole slot pool
+// while the worker never hoards work a survivor could run. A worker
+// already holding that many waits in the long-poll for a completion. An
+// empty poll past the wait window returns (nil, nil).
+func (c *Coordinator) lease(ctx context.Context, workerID string, wait time.Duration) ([]TaskSpec, error) {
 	if wait <= 0 || wait > c.cfg.PollWait {
 		wait = c.cfg.PollWait
-	}
-	if max < 1 {
-		max = 1
-	}
-	if max > maxLeaseBatch {
-		max = maxLeaseBatch
 	}
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
@@ -356,15 +345,15 @@ func (c *Coordinator) lease(ctx context.Context, workerID string, wait time.Dura
 			c.mu.Unlock()
 			return nil, errDraining
 		}
-		if t := c.takeLocked(w); t != nil {
-			specs := []TaskSpec{t.spec}
-			for len(specs) < max {
-				more := c.takeLocked(w)
-				if more == nil {
-					break
-				}
-				specs = append(specs, more.spec)
+		var specs []TaskSpec
+		for len(w.leases) < 2*w.slots {
+			t := c.takeLocked(w)
+			if t == nil {
+				break
 			}
+			specs = append(specs, t.spec)
+		}
+		if len(specs) > 0 {
 			c.mu.Unlock()
 			return specs, nil
 		}
@@ -503,9 +492,11 @@ func (h *RunHandle) Finish() {
 // RunShard is the core.RunConfig.RunShard hook: it enqueues the shard for
 // the fleet and blocks until a result lands — executed remotely by a
 // leased worker (possibly after retries on worker loss), or claimed back
-// and run in-process when the task is local-pinned, the coordinator is
-// draining, or no live workers remain. The calling scheduler goroutine is
-// the local worker of last resort, so a run can always make progress.
+// and run in-process through the task's own Run thunk (which holds the
+// run's core.RunConfig.Acquire slot) when the task is local-pinned, the
+// coordinator is draining, or no live workers remain. The calling
+// scheduler goroutine is the local worker of last resort, so a run can
+// always make progress.
 func (h *RunHandle) RunShard(st core.ShardTask) (any, string, error) {
 	c := h.c
 	t := c.enqueue(h, st)
@@ -520,7 +511,7 @@ func (h *RunHandle) RunShard(st core.ShardTask) (any, string, error) {
 			c.unqueueLocked(t)
 			t.state = stateLocal
 			c.mu.Unlock()
-			out, err := c.runLocal(st.Run)
+			out, err := st.Run()
 			c.mu.Lock()
 			c.finishLocked(t, out, "", err)
 			c.mu.Unlock()
@@ -535,13 +526,6 @@ func (h *RunHandle) RunShard(st core.ShardTask) (any, string, error) {
 			// Safety tick: never deadlock on a missed broadcast.
 		}
 	}
-}
-
-func (c *Coordinator) runLocal(run func() (any, error)) (any, error) {
-	if c.cfg.Local != nil {
-		return c.cfg.Local(run)
-	}
-	return run()
 }
 
 func (c *Coordinator) enqueue(h *RunHandle, st core.ShardTask) *task {

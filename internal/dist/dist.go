@@ -19,9 +19,11 @@
 // coordinator's obs.Trace as CatRemote spans with worker attribution, so a
 // distributed run still renders one coherent Chrome-trace timeline.
 //
-// One lease long-poll may grant a batch of tasks (leaseRequest.Max), so a
-// worker with many slots amortizes the dispatch round trip instead of
-// paying one per shard; completions pipeline independently of execution.
+// One lease long-poll may grant a batch of tasks, sized by the coordinator
+// from the slots the worker registered: up to 2 × slots leases held (one
+// executing per slot plus a slot-deep buffer), so a worker with many
+// slots amortizes the dispatch round trip instead of paying one per shard;
+// completions pipeline independently of execution.
 package dist
 
 import (
@@ -62,15 +64,13 @@ type registerResponse struct {
 type leaseRequest struct {
 	WorkerID   string `json:"worker_id"`
 	WaitMillis int64  `json:"wait_ms,omitempty"`
-	// Max is the largest task batch this poll accepts (0 means 1); the
-	// coordinator also caps a grant at maxLeaseBatch.
-	Max int `json:"max,omitempty"`
 }
 
 type leaseResponse struct {
-	// Tasks is the grant: between 1 and Max tasks, leased atomically.
-	// Empty on an empty poll (no work became eligible within the poll
-	// window; lease again).
+	// Tasks is the grant, leased atomically: at least one task, and no
+	// more than keeps the worker within 2 × its registered slots. Empty on
+	// an empty poll (no work became eligible within the poll window, or
+	// the worker already holds its limit; lease again).
 	Tasks []TaskSpec `json:"tasks,omitempty"`
 }
 

@@ -98,7 +98,7 @@ func completeLeased(t *testing.T, body []byte) (int, shardOutcome) {
 		if time.Now().After(deadline) {
 			t.Fatal("no task leased")
 		}
-		postJSON("/dist/v1/lease", leaseRequest{WorkerID: reg.WorkerID, WaitMillis: 100, Max: 1}, &lease)
+		postJSON("/dist/v1/lease", leaseRequest{WorkerID: reg.WorkerID, WaitMillis: 100}, &lease)
 	}
 	if reg.WorkerID != fuzzWorker || lease.Tasks[0].ID != fuzzTask {
 		t.Fatalf("leased %s to %s, want %s to %s", lease.Tasks[0].ID, reg.WorkerID, fuzzTask, fuzzWorker)

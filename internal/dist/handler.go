@@ -82,7 +82,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	specs, err := c.lease(r.Context(), req.WorkerID, time.Duration(req.WaitMillis)*time.Millisecond, req.Max)
+	specs, err := c.lease(r.Context(), req.WorkerID, time.Duration(req.WaitMillis)*time.Millisecond)
 	if err != nil {
 		writeProtoError(w, err)
 		return

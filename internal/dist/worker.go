@@ -1,16 +1,17 @@
 // The worker client: what `zen2eed -worker http://coordinator:port` runs.
 // A worker registers, then drives a pipeline against the coordinator: one
-// fetcher long-polls for task batches (up to LeaseBatch per round trip),
-// N slot goroutines execute them concurrently, and completion posters
-// report results independently of execution — so neither the lease round
-// trip nor the completion round trip is paid once per shard per slot. A
-// heartbeat runs in the background for the whole lifetime (including while
-// executing — a long shard must not read as a lost worker). Shutdown is
-// graceful by construction: cancelling the run context stops new leases
-// immediately (the in-flight long-poll is cancelled), in-flight executions
-// finish and their completions flush within a drain bound, and the final
-// deregister relinquishes anything still held — leased-but-unstarted batch
-// tasks included — so the coordinator re-queues it without waiting for
+// fetcher long-polls for task batches (the coordinator sizes each grant
+// from the registered slot count), N slot goroutines execute them
+// concurrently, and completion posters report results independently of
+// execution — so neither the lease round trip nor the completion round
+// trip is paid once per shard per slot. A heartbeat runs in the
+// background for the whole lifetime (including while executing — a long
+// shard must not read as a lost worker). Shutdown is graceful by
+// construction: cancelling the run context stops new leases immediately
+// (the in-flight long-poll is cancelled), in-flight executions finish and
+// their completions flush within a drain bound, and the final deregister
+// relinquishes anything still held — leased-but-unstarted batch tasks
+// included — so the coordinator re-queues it without waiting for
 // heartbeat expiry.
 
 package dist
@@ -46,11 +47,6 @@ type WorkerConfig struct {
 	PID int
 	// Slots is the number of shards executed concurrently (default 1).
 	Slots int
-	// LeaseBatch is the largest task batch one lease poll requests
-	// (default: Slots). The fetcher asks for at most the buffer space it
-	// can hold, so a worker never hoards leases it cannot start; the
-	// coordinator additionally caps grants at 16 (maxLeaseBatch).
-	LeaseBatch int
 	// Execute runs one leased task. Default: core.ExecuteShardRef on the
 	// task's shard reference — the production path. Tests inject stubs.
 	Execute func(TaskSpec) (any, error)
@@ -94,9 +90,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
-	}
-	if cfg.LeaseBatch < 1 {
-		cfg.LeaseBatch = cfg.Slots
 	}
 	if cfg.Execute == nil {
 		cfg.Execute = func(t TaskSpec) (any, error) { return core.ExecuteShardRef(t.Ref) }
@@ -282,12 +275,13 @@ func (w *Worker) Run(ctx context.Context) error {
 	}()
 
 	// The pipeline: fetcher → tasks → slot executors → completions →
-	// posters. Both channels are buffered to the batch size so a full
-	// lease grant is absorbed without blocking the fetcher, and a slot
-	// never waits on a completion round trip before starting its next
-	// task.
-	tasks := make(chan TaskSpec, w.cfg.LeaseBatch)
-	completions := make(chan completion, w.cfg.LeaseBatch+w.cfg.Slots)
+	// posters. The coordinator grants up to 2 × Slots leases held, one
+	// executing per slot plus a Slots-deep buffer: tasks holds that buffer
+	// so a full grant is absorbed while the slots start, and completions
+	// holds every lease a worker can hold so a slot never waits on a
+	// completion round trip before starting its next task.
+	tasks := make(chan TaskSpec, w.cfg.Slots)
+	completions := make(chan completion, 2*w.cfg.Slots)
 
 	go w.fetchLoop(ctx, tasks)
 
@@ -366,22 +360,18 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}) {
 	}
 }
 
-// fetchLoop is the single lease poller: it requests up to the buffer's
-// free capacity per round trip (never less than one, never more than
-// LeaseBatch) and feeds the grants to the slot executors. New leases stop
+// fetchLoop is the single lease poller: each round trip takes whatever
+// the coordinator grants (it keeps the worker within 2 × Slots leases
+// held) and feeds the grants to the slot executors. New leases stop
 // the moment ctx is cancelled (the long-poll aborts); grants the buffer
 // still holds then are relinquished by the final deregister.
 func (w *Worker) fetchLoop(ctx context.Context, tasks chan<- TaskSpec) {
 	backoff := 100 * time.Millisecond
 	for ctx.Err() == nil {
 		id, gen := w.identity()
-		want := cap(tasks) - len(tasks)
-		if want < 1 {
-			want = 1
-		}
 		var resp leaseResponse
 		err := w.post(ctx, "/dist/v1/lease",
-			leaseRequest{WorkerID: id, WaitMillis: 2000, Max: want}, &resp)
+			leaseRequest{WorkerID: id, WaitMillis: 2000}, &resp)
 		switch {
 		case err == nil:
 			backoff = 100 * time.Millisecond

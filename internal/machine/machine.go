@@ -388,14 +388,6 @@ func (m *Machine) StopKernel(t soc.ThreadID) {
 // Running reports whether the thread is executing a kernel.
 func (m *Machine) Running(t soc.ThreadID) bool { return m.runs[t].kernel != 0 }
 
-// KernelOn returns the kernel a thread runs (zero Kernel when idle).
-func (m *Machine) KernelOn(t soc.ThreadID) workload.Kernel {
-	if k := m.kernelOf(t); k != nil {
-		return *k
-	}
-	return workload.Kernel{}
-}
-
 // SetThreadFrequencyMHz is the cpufreq userspace-governor path: pins one
 // hardware thread's requested frequency.
 func (m *Machine) SetThreadFrequencyMHz(t soc.ThreadID, mhz int) error {

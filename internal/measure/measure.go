@@ -219,17 +219,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Origin + (float64(i)+0.5)*h.BinWidth
 }
 
-// Mode returns the index of the fullest bin.
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // NonEmptySpan returns the first and last non-empty bin indices.
 func (h *Histogram) NonEmptySpan() (int, int) {
 	lo, hi := -1, -1

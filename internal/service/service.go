@@ -115,11 +115,8 @@ type Config struct {
 	// still completes every job through its own executor slots.
 	Dist bool
 	// DistLeaseTTL is how long a worker may go silent before its leases
-	// expire and re-queue (default 15s); DistMaxRetries bounds remote
-	// attempts per shard before it is pinned to local execution (default
-	// 3). Both only matter when Dist is set.
-	DistLeaseTTL   time.Duration
-	DistMaxRetries int
+	// expire and re-queue (default 15s). Only matters when Dist is set.
+	DistLeaseTTL time.Duration
 	// ShardCache memoizes individual shard outputs in the result store,
 	// keyed by their deterministic core.ShardRef address: partially warm
 	// sweeps skip execution at shard granularity, and with a persistent
@@ -203,10 +200,11 @@ type Server struct {
 	// different job addresses still run it exactly once.
 	running *inflight
 	// gate is the shared executor pool: every shard of every running job
-	// holds one slot while it executes, so Executors bounds the daemon's
-	// total simulation concurrency at shard granularity. The gate grants
-	// slots fairly across tenants (weighted, interactive class first);
-	// with a single tenant it degrades to the plain semaphore it replaced.
+	// holds one slot while it executes in this process, so Executors
+	// bounds the daemon's total simulation concurrency at shard
+	// granularity. The gate grants slots fairly across tenants (weighted,
+	// interactive class first); with a single tenant it degrades to the
+	// plain semaphore it replaced.
 	gate *tenant.Gate
 	// tenants is the API-key registry; nil means tenancy is disabled and
 	// every request maps to fallback.
@@ -214,9 +212,9 @@ type Server struct {
 	fallback *tenant.Tenant
 	// coord is the distributed shard coordinator; nil unless Config.Dist.
 	// When set, jobs dispatch shards through its lease queue and remote
-	// workers execute them — local fallback re-enters the slots pool
-	// through the coordinator's Local hook, so Executors still bounds
-	// everything that runs in this process.
+	// workers execute them. Local fallback runs the task's own thunk,
+	// which holds a gate slot billed to the job's tenant and class, so
+	// Executors still bounds everything that runs in this process.
 	coord *dist.Coordinator
 
 	mu   sync.Mutex
@@ -258,18 +256,7 @@ func New(cfg Config) *Server {
 		s.shardCache = shardcache.New(s.cache, "")
 	}
 	if cfg.Dist {
-		s.coord = dist.NewCoordinator(dist.Config{
-			LeaseTTL: cfg.DistLeaseTTL, MaxRetries: cfg.DistMaxRetries,
-			Logger: cfg.Logger,
-			// Local fallback borrows an executor slot like any other shard,
-			// so shards reclaimed from lost workers cannot oversubscribe the
-			// daemon's own simulation budget.
-			Local: func(run func() (any, error)) (any, error) {
-				release := s.acquireSlot()
-				defer release()
-				return run()
-			},
-		})
+		s.coord = dist.NewCoordinator(dist.Config{LeaseTTL: cfg.DistLeaseTTL, Logger: cfg.Logger})
 		s.mux.Handle("/dist/v1/", s.coord.Handler())
 	}
 	s.mux.HandleFunc("GET /v1/workers", s.handleWorkers)
@@ -798,55 +785,38 @@ type terminalEvent struct {
 	Error          string  `json:"error,omitempty"`
 }
 
-// acquireSlot blocks until one of the daemon's shared executor slots is
-// free and returns its release — the tenant-less entry point used by the
-// distributed coordinator's local fallback, which runs shards reclaimed
-// from lost workers. Fallback work bills the built-in tenant at bulk
-// priority so it never preempts interactive traffic.
-func (s *Server) acquireSlot() func() {
-	return s.gate.Acquire(s.fallback, tenant.ClassBulk)
-}
-
-// runConfig assembles the scheduler configuration for one job run. Without
-// the coordinator it is the classic local shape: Acquire gates every shard
-// on the shared slot pool, billed to the job's tenant at its priority
-// class — which is where weighted fair queueing and interactive-over-bulk
-// preemption actually happen, since the scheduler re-enters Acquire
-// between shards. With distribution enabled, shards dispatch through the
-// coordinator's lease queue instead (RunShard), the Acquire gate stays
-// nil — scheduler goroutines blocked on remote completions must not hold
-// executor slots, so tenant fairness governs only the local execution
-// path — and the default worker count tracks the connected pool so a
-// remote fleet is actually kept busy. Locally the scheduler spawns
-// Executors workers unless the spec pins a count; the shared slot pool
-// governs actual concurrency either way. finish releases the run's
+// runConfig assembles the scheduler configuration for one job run. Acquire
+// gates every shard that executes in this process on the shared slot pool,
+// billed to the job's tenant at its priority class — which is where
+// weighted fair queueing and interactive-over-bulk preemption happen,
+// since the scheduler re-enters Acquire between shards. One RunShard chain
+// fronts execution, in the CLI's order: the coordinator's lease queue when
+// distribution is on, then the shard cache in front of it. The scheduler
+// gates the task's thunk, not the hook, so a cache hit or a remote lease
+// holds no slot while a local fallback or cache miss holds one. With the
+// coordinator the default worker count tracks the connected pool so a
+// remote fleet is actually kept busy; locally the scheduler spawns
+// Executors workers. A spec's worker count overrides both, and the slot
+// pool governs actual concurrency either way. finish releases the run's
 // coordinator state and must be called when the run ends.
 func (s *Server) runConfig(j *job, tr *obs.Trace) (cfg core.RunConfig, finish func()) {
-	override := j.sweep.Workers
-	cfg = core.RunConfig{Trace: tr, ObserveShard: s.metrics.observeShard, Workers: s.cfg.Executors}
-	if override != nil {
-		cfg.Workers = *override
+	cfg = core.RunConfig{
+		Workers: s.cfg.Executors, Acquire: s.gate.AcquireFunc(j.owner, j.class),
+		Trace: tr, ObserveShard: s.metrics.observeShard,
 	}
-	if s.coord == nil {
-		cfg.Acquire = s.gate.AcquireFunc(j.owner, j.class)
-		if s.shardCache != nil {
-			// The cache probe runs under the Acquire slot like any shard
-			// work; a hit just releases it microseconds later.
-			cfg.RunShard = s.shardCache.WrapRunShard(nil, tr)
-		}
-		return cfg, func() {}
-	}
-	h := s.coord.StartRun(tr)
-	cfg.RunShard = h.RunShard
-	if s.shardCache != nil {
-		// Probe before the lease queue: a memoized shard never costs a
-		// dispatch round trip, locally or remotely.
-		cfg.RunShard = s.shardCache.WrapRunShard(h.RunShard, tr)
-	}
-	if override == nil {
+	finish = func() {}
+	if s.coord != nil {
+		h := s.coord.StartRun(tr)
+		cfg.RunShard, finish = h.RunShard, h.Finish
 		cfg.Workers = s.coord.PoolSize(s.cfg.Executors)
 	}
-	return cfg, h.Finish
+	if s.shardCache != nil {
+		cfg.RunShard = s.shardCache.WrapRunShard(cfg.RunShard, tr)
+	}
+	if w := j.sweep.Workers; w != nil {
+		cfg.Workers = *w
+	}
+	return cfg, finish
 }
 
 // progressPublisher adapts core.Progress events into the job's SSE stream

@@ -10,11 +10,13 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,6 +271,18 @@ func TestSubmitOversizedSpec413(t *testing.T) {
 // shards — strict class priority at shard granularity, between shards of
 // the running sweep.
 func TestInteractiveTenantNotStarvedByBulkSweep(t *testing.T) {
+	testInteractiveBeatsBulk(t, false)
+}
+
+// TestDistFallbackHonorsTenantPriority is the same acceptance test on a
+// -listen-workers daemon with no workers: every shard runs through the
+// coordinator's local fallback, which must hold a slot billed to the
+// job's tenant and class like any in-process shard.
+func TestDistFallbackHonorsTenantPriority(t *testing.T) {
+	testInteractiveBeatsBulk(t, true)
+}
+
+func testInteractiveBeatsBulk(t *testing.T, dist bool) {
 	var mu sync.Mutex
 	var order []string
 	grants := func(class string) int {
@@ -291,12 +305,29 @@ func TestInteractiveTenantNotStarvedByBulkSweep(t *testing.T) {
 		{Name: "batch", Key: "kb"},
 		{Name: "live", Key: "kl"},
 	}})
+	var fallbacks atomic.Int32
 	cfg := Config{
-		Executors: 2, Tenants: reg,
+		Executors: 2, Tenants: reg, Dist: dist,
 		// A one-configuration call is the interactive run job's; the
 		// six-config sweep is the bulk one.
 		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
 			inner := rc.Acquire
+			if inner == nil {
+				t.Error("job run config has no Acquire: its shards run outside the tenant gate")
+				return errors.New("no Acquire")
+			}
+			if dist {
+				// With no workers connected, every shard must come back
+				// from the coordinator as local fallback.
+				hook := rc.RunShard
+				rc.RunShard = func(st core.ShardTask) (any, string, error) {
+					out, origin, err := hook(st)
+					if origin == "" {
+						fallbacks.Add(1)
+					}
+					return out, origin, err
+				}
+			}
 			if len(sw.Configs) == 1 {
 				rc.Acquire = func() func() {
 					rel := inner()
@@ -365,5 +396,8 @@ func TestInteractiveTenantNotStarvedByBulkSweep(t *testing.T) {
 	}
 	if final := waitState(t, ts, sweepSt.ID); final.State != StateDone {
 		t.Fatalf("sweep finished as %+v", final)
+	}
+	if dist && fallbacks.Load() != 7 {
+		t.Fatalf("%d shards ran through the coordinator's local fallback, want all 7", fallbacks.Load())
 	}
 }

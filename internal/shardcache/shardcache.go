@@ -144,8 +144,9 @@ const OriginCache = "shard-cache"
 // cache before dispatching. next is the hook the cache fronts — a dist
 // RunHandle.RunShard, or nil for plain local execution via the task's own
 // thunk. Misses execute through next and backfill the cache on success;
-// hits skip execution, record a CatCache span on tr (which may be nil),
-// and report OriginCache as the shard's origin.
+// hits skip execution — so they hold no core.RunConfig.Acquire slot, which
+// gates only the task's thunk — record a CatCache span on tr (which may be
+// nil), and report OriginCache as the shard's origin.
 func (c *Cache) WrapRunShard(next func(core.ShardTask) (any, string, error), tr *obs.Trace) func(core.ShardTask) (any, string, error) {
 	return func(st core.ShardTask) (any, string, error) {
 		var start time.Time

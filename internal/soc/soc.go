@@ -322,8 +322,3 @@ func (t *Topology) EnumerationOrder() []ThreadID {
 
 // SameCCX reports whether two cores share a core complex (and hence an L3).
 func (t *Topology) SameCCX(a, b CoreID) bool { return t.Cores[a].CCX == t.Cores[b].CCX }
-
-// SamePackage reports whether two cores are on the same socket.
-func (t *Topology) SamePackage(a, b CoreID) bool {
-	return t.PackageOfCore(a) == t.PackageOfCore(b)
-}

@@ -367,9 +367,11 @@ type Shard = core.Shard
 // sees shard outputs in plan order regardless of completion order.
 type Reduce = core.Reduce
 
-// RunConfig re-exports the scheduler execution config: a worker count plus
-// an optional external slot gate (Acquire), which services embedding the
-// scheduler use to share one executor pool across concurrent runs.
+// RunConfig re-exports the scheduler execution config: a worker count, an
+// optional external slot gate (Acquire) that every shard executing in this
+// process holds — services embedding the scheduler use it to share one
+// executor pool across concurrent runs — and an optional dispatch hook
+// (RunShard) whose shards hold a slot only when they run here.
 type RunConfig = core.RunConfig
 
 // DefaultOptions returns Scale 1, Seed 1.
