@@ -178,7 +178,7 @@ func newFlags(cmd string) *cmdFlags {
 		"serve the distributed worker protocol on `ADDR` and fan shards out to remote 'zen2eed -worker http://HOST:PORT' processes; local execution stays the fallback and results are byte-identical to a local run")
 	fs.IntVar(&f.minWorkers, "min-workers", 0, "wait until `N` workers have registered before starting (needs -listen-workers)")
 	fs.StringVar(&f.shardCacheDir, "shard-cache", "",
-		"memoize per-shard outputs content-addressed under `DIR`; shards whose key is already cached are served without executing, with byte-identical output. Keys cover experiment, scale, seed, shard index, and the experiment-registry version, so a registry change invalidates the whole cache")
+		"memoize per-shard outputs content-addressed under `DIR`; shards whose key is already cached are served without executing, with byte-identical output. Keys cover experiment, scale, seed (1 for a seed-free experiment, so every seed shares its entries), shard index, and the experiment-registry version, so a registry change invalidates the whole cache")
 	return f
 }
 

@@ -239,8 +239,9 @@ func TestCommandOutputBytes(t *testing.T) {
 // until every shard of the later configurations has run, so those
 // configurations complete first. A counting pass that executes nothing
 // sizes the wait; one worker beyond configuration 0's shards keeps a free
-// worker for the rest. failAt >= 0 fails fig1's shard in that
-// configuration.
+// worker for the rest. failAt >= 0 fails sec5b's shard in that
+// configuration. Callers sweep seed-dependent experiments: a seed-free
+// one's configurations share configuration 0's shards.
 func configZeroLast(t *testing.T, sw core.Sweep, failAt int) core.RunConfig {
 	t.Helper()
 	first, later := 0, 0
@@ -261,7 +262,7 @@ func configZeroLast(t *testing.T, sw core.Sweep, failAt int) core.RunConfig {
 		} else {
 			defer laterDone.Done()
 		}
-		if st.Ref.Exp == "fig1" && st.ConfigIndex == failAt {
+		if st.Ref.Exp == "sec5b" && st.ConfigIndex == failAt {
 			return nil, "", errors.New("injected shard failure")
 		}
 		out, err := st.Run()
@@ -277,7 +278,7 @@ func configZeroLast(t *testing.T, sw core.Sweep, failAt int) core.RunConfig {
 // `sweep -json` is still the collected MarshalSweep document and the
 // table sections still come out in request order.
 func TestStreamOutOfOrderCompletion(t *testing.T) {
-	sw := core.Sweep{IDs: []string{"fig1", "tab1"}, Configs: core.Grid([]float64{0.2}, []uint64{1, 2, 3})}
+	sw := core.Sweep{IDs: []string{"sec5b", "fig8"}, Configs: core.Grid([]float64{0.2}, []uint64{1, 2, 3})}
 	sr, err := core.RunSweep(sw, core.RunConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +322,7 @@ func TestStreamFailureOutput(t *testing.T) {
 	o := opts(0.2, 1)
 	var survivors []string
 	for _, e := range core.Registry() {
-		if e.ID != "fig1" {
+		if e.ID != "sec5b" {
 			survivors = append(survivors, e.ID)
 		}
 	}
@@ -333,22 +334,22 @@ func TestStreamFailureOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err = core.RunIDsConfig([]string{"fig1"}, o, core.RunConfig{}, nil)
+	rs, err = core.RunIDsConfig([]string{"sec5b"}, o, core.RunConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	firstSection := fmt.Sprintf("==== scale %g, seed %d ====\n\n%s\n", o.Scale, o.Seed, rs[0].Table())
-	grid := core.Sweep{IDs: []string{"fig1"}, Configs: []core.Config{o, opts(0.2, 2), opts(0.2, 3)}}
+	grid := core.Sweep{IDs: []string{"sec5b"}, Configs: []core.Config{o, opts(0.2, 2), opts(0.2, 3)}}
 
 	for _, c := range []struct {
 		name, cmd string
 		json      bool
 		sw        core.Sweep
-		failAt    int // the configuration whose fig1 shard fails
+		failAt    int // the configuration whose sec5b shard fails
 		want      string
 	}{
 		{"run all", "run", true, core.Sweep{Configs: []core.Config{o}}, 0, string(partialDoc)},
-		{"run one", "run", true, core.Sweep{IDs: []string{"fig1"}, Configs: []core.Config{o}}, 0, ""},
+		{"run one", "run", true, core.Sweep{IDs: []string{"sec5b"}, Configs: []core.Config{o}}, 0, ""},
 		{"gen-experiments", "gen-experiments", false, core.Sweep{Configs: []core.Config{o}}, 0, ""},
 		{"sweep tables", "sweep", false, grid, 1, firstSection},
 		{"sweep tables, config 0 fails last", "sweep", false, grid, 0, ""},
@@ -427,7 +428,8 @@ func TestSweepTraceFile(t *testing.T) {
 	out := filepath.Join(dir, "sweep.json")
 	tracePath := filepath.Join(dir, "trace.json")
 	const workers = 2
-	err := sweep(io.Discard, []string{"fig1", "-scales", "0.2", "-seeds", "1,2",
+	// sec5b draws from the seed, so each seed is its own shard task.
+	err := sweep(io.Discard, []string{"sec5b", "-scales", "0.2", "-seeds", "1,2",
 		"-parallel", "2", "-json", "-o", out, "-trace", tracePath})
 	if err != nil {
 		t.Fatal(err)

@@ -259,6 +259,26 @@ type Experiment struct {
 	// Plan decomposes the experiment into independent shards plus the
 	// reducer combining their outputs.
 	Plan func(Options) ([]Shard, Reduce, error)
+	// SeedFree declares that the experiment's result does not depend on
+	// the run seed: it reads applied frequencies, counters and wake paths
+	// that the model's noise never reaches. Such an experiment always runs
+	// at the default seed (see canonical), so every seed of a sweep, and
+	// every job at a new seed, shares one computation of it. A tier-1 test
+	// (TestSeedFreeDeclarationsHold) runs each declared experiment unpinned
+	// at several seeds and requires the pinned bytes.
+	SeedFree bool
+}
+
+// canonical returns the configuration e actually runs under: c with the
+// default seed when e is seed-free, c unchanged otherwise. It is the one
+// place the seed-free rule lives; the scheduler's effective options, its
+// sweep dedupe and the wire address of every shard (ShardRef.Config) all
+// derive from it, so equal work has an equal address.
+func (e Experiment) canonical(c Config) Config {
+	if e.SeedFree {
+		c.Seed = DefaultOptions().Seed
+	}
+	return c
 }
 
 var registry []Experiment
@@ -335,7 +355,9 @@ func ByID(id string) (Experiment, error) {
 // scheduled: the run seed is replaced by an independent stream derived from
 // (seed, experiment ID), so every experiment draws from its own RNG stream
 // and results are invariant to execution order, worker count and the
-// experiment set it runs in.
+// experiment set it runs in. Callers pass the experiment's canonical
+// configuration (Experiment.canonical), so a seed-free experiment derives
+// its stream from the default seed whatever the run seed is.
 func (o Options) perExperiment(id string) Options {
 	o.Seed = sim.DeriveSeed(o.Seed, id)
 	return o

@@ -27,6 +27,7 @@ var green500 = map[string][]float64{
 func init() {
 	register(whole(Experiment{
 		ID:       "fig1",
+		SeedFree: true,
 		Title:    "Green500 power efficiency of x86 architectures",
 		PaperRef: "Fig. 1",
 		Bench:    "BenchmarkFig1Green500",

@@ -13,12 +13,14 @@ import (
 func init() {
 	register(whole(Experiment{
 		ID:       "fig5a",
+		SeedFree: true,
 		Title:    "STREAM Triad bandwidth vs I/O-die P-state and DRAM frequency",
 		PaperRef: "Fig. 5a",
 		Bench:    "BenchmarkFig5aStreamBandwidth",
 	}, runFig5a))
 	register(whole(Experiment{
 		ID:       "fig5b",
+		SeedFree: true,
 		Title:    "Memory latency vs I/O-die P-state and DRAM frequency",
 		PaperRef: "Fig. 5b",
 		Bench:    "BenchmarkFig5bMemoryLatency",

@@ -12,6 +12,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:       "fig7",
+		SeedFree: true,
 		Title:    "System power vs number of threads not in C2",
 		PaperRef: "Fig. 7 / §VI-A",
 		Bench:    "BenchmarkFig7IdlePowerSweep",
@@ -19,12 +20,14 @@ func init() {
 	})
 	register(whole(Experiment{
 		ID:       "sec6b",
+		SeedFree: true,
 		Title:    "Offline hardware threads block package sleep",
 		PaperRef: "§VI-B",
 		Bench:    "BenchmarkSec6BOfflineAnomaly",
 	}, runSec6B))
 	register(whole(Experiment{
 		ID:       "sec6acpi",
+		SeedFree: true,
 		Title:    "ACPI-reported C-state latencies and power",
 		PaperRef: "§VI",
 		Bench:    "BenchmarkSec6ACPITable",

@@ -19,6 +19,7 @@ func init() {
 	}, runFig9))
 	register(whole(Experiment{
 		ID:       "sec7u",
+		SeedFree: true,
 		Title:    "RAPL counter update rate",
 		PaperRef: "§VII",
 		Bench:    "BenchmarkSec7RAPLUpdateRate",

@@ -9,6 +9,7 @@ import (
 func init() {
 	register(whole(Experiment{
 		ID:       "sec5a",
+		SeedFree: true,
 		Title:    "Idling hardware threads elevate core frequency",
 		PaperRef: "§V-A",
 		Bench:    "BenchmarkSec5AIdleSibling",

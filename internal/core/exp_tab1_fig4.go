@@ -12,6 +12,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:       "tab1",
+		SeedFree: true,
 		Title:    "Applied core frequencies in a mixed-frequency CCX",
 		PaperRef: "Table I",
 		Bench:    "BenchmarkTable1MixedFrequencies",
@@ -19,6 +20,7 @@ func init() {
 	})
 	register(Experiment{
 		ID:       "fig4",
+		SeedFree: true,
 		Title:    "L3 cache latency in a mixed-frequency CCX",
 		PaperRef: "Fig. 4",
 		Bench:    "BenchmarkFig4L3Latency",

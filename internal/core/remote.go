@@ -1,8 +1,9 @@
 // Remote-execution seam of the shard scheduler. A shard is a closure and
 // cannot cross a process boundary, but every shard of a registered
 // experiment is *addressable* by value: the same binary, handed the
-// experiment ID, the raw (Scale, Seed) configuration, and the shard index,
-// re-derives the identical plan and the identical per-shard RNG stream.
+// experiment ID, the experiment's canonical (Scale, Seed) configuration and
+// the shard index, re-derives the identical plan and the identical
+// per-shard RNG stream.
 // ShardRef is that address, ExecuteShardRef the worker-side execution, and
 // RunConfig.RunShard the hook through which a dispatcher (internal/dist)
 // intercepts the scheduler's shard executions without adding a run loop:
@@ -13,17 +14,21 @@ package core
 
 import "fmt"
 
-// ShardRef addresses one shard of one registered experiment under one raw
-// sweep configuration. It is the wire unit of distributed execution: two
+// ShardRef addresses one shard of one registered experiment under its
+// canonical configuration. It is the wire unit of distributed execution: two
 // processes built from the same binary resolve the same ShardRef to the
 // same work, because plan resolution and seed derivation are deterministic
 // functions of (experiment ID, configuration).
 type ShardRef struct {
 	// Exp is the registered experiment ID.
 	Exp string `json:"exp"`
-	// Config is the raw run configuration — not any derived options. The
-	// executor re-derives the per-experiment and per-shard seed streams
-	// from it exactly as the scheduler would.
+	// Config is the experiment's canonical configuration
+	// (Experiment.canonical of the run configuration), not the raw one and
+	// not any derived options: a seed-free experiment's ref carries the
+	// default seed at every run seed, so equal work has an equal ref and
+	// therefore an equal shard-cache key. The executor re-derives the
+	// per-experiment and per-shard seed streams from it exactly as the
+	// scheduler would.
 	Config Config `json:"config"`
 	// Shard is the zero-based index into the experiment's plan.
 	Shard int `json:"shard"`
@@ -42,7 +47,8 @@ type ShardTask struct {
 	// Ref is the shard's process-independent address.
 	Ref ShardRef
 	// ConfigIndex is the configuration's position in the scheduled sweep
-	// (what a remote shard's trace span is attributed to).
+	// (what a remote shard's trace span is attributed to); for a run that
+	// several configurations share, the first of them.
 	ConfigIndex int
 	// Shards is the experiment's plan size under this configuration.
 	Shards int
@@ -56,7 +62,8 @@ type ShardTask struct {
 
 // ExecuteShardRef resolves and runs one shard in this process: the
 // worker-side half of distributed execution. It mirrors the scheduler's
-// local path operation for operation — per-experiment seed derivation,
+// local path operation for operation — canonicalization (idempotent on a
+// scheduler-built ref), per-experiment seed derivation,
 // plan resolution, per-shard stream derivation, panic guarding — so the
 // output for a given ShardRef is byte-identical to what the coordinating
 // scheduler would have computed itself.
@@ -65,7 +72,7 @@ func ExecuteShardRef(ref ShardRef) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := ref.Config.perExperiment(e.ID)
+	opts := e.canonical(ref.Config).perExperiment(e.ID)
 	shards, _, err := planForGuarded(e, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", e.ID, err)

@@ -9,11 +9,15 @@
 // same pool over many (Scale, Seed) configurations: runSweep's merged task
 // set over (configuration, experiment, shard) triples is the one execution
 // pipeline, and single-configuration runs are its one-config special case.
+// Configurations under which an experiment has equal effective options
+// share its tasks, so a seed-free experiment runs once per scale of a
+// sweep, not once per seed.
 // The pool collects whatever succeeds, joins the failures into one error,
 // and still reports results in paper order.
 //
 // Determinism: shard i of experiment e draws from the stream
-// sim.DeriveSeed(expSeed, "e/shard/i") (see shardOptions; whole
+// sim.DeriveSeed(expSeed, "e/shard/i"), where expSeed derives from the
+// experiment's canonical configuration (see shardOptions; whole
 // experiments ignore it) and reducers see outputs in plan order, so results
 // are byte-identical (through report.MarshalResults) for every worker count
 // and shard interleaving.
@@ -40,7 +44,9 @@ import (
 //     (single-shard) experiments emit only these.
 //
 // Events arrive in completion order, which under parallel execution is
-// neither paper order nor shard order.
+// neither paper order nor shard order. A run that several configurations
+// share (a seed-free experiment swept over seeds) reports each of its
+// events once per configuration it serves.
 type Progress struct {
 	// ID and Index identify the experiment (Index is its paper-order
 	// position in the scheduled set).
@@ -196,19 +202,20 @@ type task struct {
 	enqueueNS          int64
 }
 
-// expRun tracks one (configuration, experiment) pair through the shard
-// scheduler.
+// expRun tracks one experiment under one set of effective options through
+// the shard scheduler. It serves every (configuration, experiment) pair of
+// the sweep with those options: usually one, and one per seed for a
+// seed-free experiment swept over seeds.
 type expRun struct {
 	exp    Experiment
 	opts   Options // per-experiment derived options
 	shards []Shard
 	reduce Reduce
-	// tag names the run in error messages: the bare experiment ID for
-	// single-configuration runs, prefixed with the configuration's scale
-	// and seed for sweeps. Deliberately not the positional index — callers
-	// (the daemon) run subsets of a request's configurations, so an index
-	// would point at the wrong entry of the original request.
-	tag string
+	// config is the first configuration the run serves: its tasks, shard
+	// address and spans are attributed to it. also lists the later
+	// configurations it serves; nil unless the run is shared.
+	config int
+	also   []int
 
 	outs []any   // outs[i] is written only by shard i's worker
 	errs []error // errs[i] likewise
@@ -221,7 +228,25 @@ type expRun struct {
 	startNS atomic.Int64
 
 	result *Result
-	err    error
+	// err is the run's failure, untagged: errAt names the configuration.
+	err error
+}
+
+// errAt returns the run's failure as configuration ci of configs reports
+// it: prefixed with the bare experiment ID in a single-configuration run,
+// and with the configuration's scale and seed in a sweep. Deliberately not
+// the positional index — callers (the daemon) run subsets of a request's
+// configurations, so an index would point at the wrong entry of the
+// original request.
+func (er *expRun) errAt(configs []Config, ci int) error {
+	if er.err == nil {
+		return nil
+	}
+	if len(configs) == 1 {
+		return fmt.Errorf("core: %s: %w", er.exp.ID, er.err)
+	}
+	o := configs[ci]
+	return fmt.Errorf("core: config (scale %g, seed %d): %s: %w", o.Scale, o.Seed, er.exp.ID, er.err)
 }
 
 // finalize runs once per experiment, on the worker completing its last
@@ -232,7 +257,7 @@ type expRun struct {
 func (er *expRun) finalize() {
 	defer func() { er.outs, er.errs, er.shards = nil, nil, nil }()
 	if err := errors.Join(er.errs...); err != nil {
-		er.err = fmt.Errorf("core: %s: %w", er.tag, err)
+		er.err = err
 		return
 	}
 	r, err := reduceGuarded(er.reduce, er.opts, er.outs)
@@ -242,7 +267,7 @@ func (er *expRun) finalize() {
 		err = errors.New("reducer returned no result and no error")
 	}
 	if err != nil {
-		er.err = fmt.Errorf("core: %s: reduce: %w", er.tag, err)
+		er.err = fmt.Errorf("reduce: %w", err)
 		return
 	}
 	r.Elapsed = time.Since(time.Unix(0, er.startNS.Load()))
@@ -286,7 +311,10 @@ func runSet(exps []Experiment, o Options, cfg RunConfig, progress func(Progress)
 // Each configuration derives its experiment and shard seed streams exactly
 // as a standalone single-configuration run would, so the ConfigResult for
 // configs[i] is identical to what runSet(exps, configs[i], ...) computes —
-// batching changes scheduling, never results.
+// batching changes scheduling, never results. Configurations under which an
+// experiment has equal effective options (a seed-free experiment at every
+// seed of one scale) share one expRun: its shards run and reduce once, and
+// its result and error reach each configuration it serves.
 func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig ReduceConfig, progress func(Progress)) error {
 	tr := cfg.Trace
 	var planStart time.Time
@@ -298,7 +326,8 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 	// sized exactly and task submission never blocks a worker.
 	runs := make([][]*expRun, len(configs))
 	pairs := len(configs) * len(exps)
-	total := 0
+	total := 0       // tasks: the shards of every distinct expRun
+	shardEvents := 0 // shard progress events: one per served configuration
 
 	// Per-configuration completion: cfgRemaining[ci] counts the
 	// configuration's unfinished (experiment) pairs; the goroutine that
@@ -323,7 +352,7 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 			if er.result != nil {
 				out = append(out, er.result)
 			}
-			errs = append(errs, er.err)
+			errs = append(errs, er.errAt(configs, ci))
 		}
 		cfgErrs[ci] = errors.Join(errs...)
 		runs[ci] = nil
@@ -353,23 +382,39 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 			}
 		}
 	}
+	// A sweep maps (experiment, effective options) to the one expRun that
+	// computes it; a single configuration has nothing to share and builds
+	// no map (lookups in the nil map miss).
+	type runKey struct {
+		exp  int
+		opts Options
+	}
+	var shared map[runKey]*expRun
+	if len(configs) > 1 {
+		shared = make(map[runKey]*expRun, pairs)
+	}
 	for ci, o := range configs {
 		runs[ci] = make([]*expRun, len(exps))
 		cfgRemaining[ci].Store(int32(len(exps)))
 		for i, e := range exps {
-			er := &expRun{exp: e, opts: o.perExperiment(e.ID), tag: e.ID}
-			if len(configs) > 1 {
-				er.tag = fmt.Sprintf("config (scale %g, seed %d): %s", o.Scale, o.Seed, e.ID)
-			}
-			er.shards, er.reduce, er.err = planForGuarded(e, er.opts)
-			if er.err != nil {
-				er.err = fmt.Errorf("core: %s: %w", er.tag, er.err)
+			key := runKey{i, e.canonical(o).perExperiment(e.ID)}
+			er := shared[key]
+			if er != nil {
+				er.also = append(er.also, ci)
 			} else {
-				er.outs = make([]any, len(er.shards))
-				er.errs = make([]error, len(er.shards))
-				er.remaining.Store(int32(len(er.shards)))
-				total += len(er.shards)
+				er = &expRun{exp: e, opts: key.opts, config: ci}
+				er.shards, er.reduce, er.err = planForGuarded(e, er.opts)
+				if er.err == nil {
+					er.outs = make([]any, len(er.shards))
+					er.errs = make([]error, len(er.shards))
+					er.remaining.Store(int32(len(er.shards)))
+					total += len(er.shards)
+				}
+				if shared != nil {
+					shared[key] = er
+				}
 			}
+			shardEvents += len(er.shards)
 			runs[ci][i] = er
 		}
 	}
@@ -387,7 +432,7 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 	emit := func(Progress) {}
 	var emitterDone chan struct{}
 	if progress != nil {
-		events := make(chan Progress, total+pairs)
+		events := make(chan Progress, shardEvents+pairs)
 		emitterDone = make(chan struct{})
 		go func() {
 			defer close(emitterDone)
@@ -404,15 +449,31 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 		defer func() { close(events); <-emitterDone }()
 	}
 
-	// Pairs that failed to plan complete immediately; a configuration whose
+	// complete reports a finished (or unplannable) expRun to every
+	// configuration it serves: one completion event and one countdown each.
+	complete := func(er *expRun, i, shards int) {
+		elapsed := er.elapsed()
+		done := func(ci int) {
+			emit(Progress{
+				ID: er.exp.ID, Index: i, Config: ci, Shards: shards,
+				Elapsed: elapsed, Err: er.errAt(configs, ci),
+			})
+			if cfgRemaining[ci].Add(-1) == 0 {
+				deliver(ci)
+			}
+		}
+		done(er.config)
+		for _, ci := range er.also {
+			done(ci)
+		}
+	}
+
+	// Runs that failed to plan complete immediately; a configuration whose
 	// every pair failed to plan is delivered before the workers start.
 	for ci, ers := range runs {
 		for i, er := range ers {
-			if er.err != nil {
-				emit(Progress{ID: er.exp.ID, Index: i, Config: ci, Err: er.err})
-				if cfgRemaining[ci].Add(-1) == 0 {
-					deliver(ci)
-				}
+			if er.err != nil && er.config == ci {
+				complete(er, i, 0)
 			}
 		}
 	}
@@ -434,6 +495,9 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 	}
 	for ci, ers := range runs {
 		for i, er := range ers {
+			if er.config != ci {
+				continue // a shared run, enqueued under its first configuration
+			}
 			for s := range er.shards {
 				tasks <- task{config: ci, exp: i, shard: s, enqueueNS: enqueueNS}
 			}
@@ -476,7 +540,7 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 					var ranAt time.Time
 					start = time.Now()
 					out, origin, err = runHookGuarded(cfg.RunShard, ShardTask{
-						Ref:         ShardRef{Exp: er.exp.ID, Config: configs[t.config], Shard: t.shard},
+						Ref:         ShardRef{Exp: er.exp.ID, Config: er.exp.canonical(configs[t.config]), Shard: t.shard},
 						ConfigIndex: t.config, Shards: len(er.shards), Label: sh.Label,
 						Run: func() (any, error) {
 							if cfg.Acquire != nil {
@@ -522,12 +586,17 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 					er.outs[t.shard] = out
 				}
 				if len(er.shards) > 1 {
-					emit(Progress{
+					p := Progress{
 						ID: er.exp.ID, Index: t.exp, Config: t.config,
 						Shard: t.shard + 1, Shards: len(er.shards),
 						Label:   er.shards[t.shard].Label,
 						Elapsed: elapsed, Err: er.errs[t.shard],
-					})
+					}
+					emit(p)
+					for _, ci := range er.also {
+						p.Config = ci
+						emit(p)
+					}
 				}
 				if er.remaining.Add(-1) == 0 {
 					shards := len(er.shards)
@@ -543,18 +612,11 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 							Start: tr.Offset(reduceStart), Dur: time.Since(reduceStart),
 						}
 						if er.err != nil {
-							sp.Err = er.err.Error()
+							sp.Err = er.errAt(configs, t.config).Error()
 						}
 						tr.Add(sp)
 					}
-					emit(Progress{
-						ID: er.exp.ID, Index: t.exp, Config: t.config,
-						Shards:  shards,
-						Elapsed: er.elapsed(), Err: er.err,
-					})
-					if cfgRemaining[t.config].Add(-1) == 0 {
-						deliver(t.config)
-					}
+					complete(er, t.exp, shards)
 				}
 			}
 		}(w)

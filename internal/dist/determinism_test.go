@@ -23,13 +23,14 @@ import (
 // testSweep is small but representative: tab1 is a 9-shard planned
 // experiment (per-shard RNG streams), sec6acpi a one-shard whole
 // experiment whose *core.Result output exercises the struct side of the
-// codec.
+// codec. Both are seed-free, so the configurations differ in scale: two
+// seeds at one scale would share every shard.
 func testSweep() core.Sweep {
 	return core.Sweep{
 		IDs: []string{"tab1", "sec6acpi"},
 		Configs: []core.Config{
 			{Scale: 0.25, Seed: 1},
-			{Scale: 0.25, Seed: 2},
+			{Scale: 0.5, Seed: 2},
 		},
 	}
 }

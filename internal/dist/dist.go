@@ -9,10 +9,11 @@
 // coordinating process, so a sweep split across 1, 2, or N workers (workers
 // dying mid-sweep included) produces byte-identical sweep documents.
 //
-// The wire unit is core.ShardRef: experiment ID + raw configuration + shard
-// index. Both sides run the same binary against the same registry, so the
-// reference — not the closure — crosses the wire, and the worker re-derives
-// the identical plan and per-shard RNG stream via core.ExecuteShardRef.
+// The wire unit is core.ShardRef: experiment ID + the experiment's
+// canonical configuration + shard index. Both sides run the same binary
+// against the same registry, so the reference — not the closure — crosses
+// the wire, and the worker re-derives the identical plan and per-shard RNG
+// stream via core.ExecuteShardRef.
 // Outputs return as gob payloads (the internal/shardcache codec, which
 // round-trips float64 values bit-exactly), flate-compressed when that
 // shrinks a large payload; worker-measured execution windows merge into the
@@ -39,7 +40,7 @@ import (
 type TaskSpec struct {
 	// ID is the coordinator-assigned lease identity; completions echo it.
 	ID string `json:"id"`
-	// Ref addresses the shard: experiment ID, raw configuration, index.
+	// Ref addresses the shard: experiment ID, canonical configuration, index.
 	Ref core.ShardRef `json:"ref"`
 	// Label is the shard's plan label, for worker logs and diagnostics.
 	Label string `json:"label,omitempty"`

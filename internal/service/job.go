@@ -46,17 +46,10 @@ type Spec struct {
 // duplicated experiment IDs are a 400 at the API boundary — only omitted
 // fields take defaults.
 func (s Spec) canonicalize() (Spec, error) {
-	if s.Scale == 0 {
-		s.Scale = core.DefaultOptions().Scale
-	}
-	if s.Seed == 0 {
-		s.Seed = core.DefaultOptions().Seed
-	}
-	if err := s.options().Validate(); err != nil {
+	c, err := canonicalConfig(s.options())
+	s.Scale, s.Seed = c.Scale, c.Seed
+	if err != nil {
 		return s, err
-	}
-	if s.Scale > 100 {
-		return s, fmt.Errorf("scale %g exceeds the service limit of 100 (the paper's full protocol is ≈ 25)", s.Scale)
 	}
 	if err := validateWorkers(s.Workers); err != nil {
 		return s, err
@@ -67,6 +60,29 @@ func (s Spec) canonicalize() (Spec, error) {
 	}
 	s.IDs = ids
 	return s, nil
+}
+
+// maxScale is the service limit on a configuration's scale; the paper's
+// full protocol is ≈ 25.
+const maxScale = 100
+
+// canonicalConfig is the one configuration rule of both job kinds: omitted
+// (zero) fields take the registry defaults, then a scale Options.Validate
+// rejects or one above maxScale is an error.
+func canonicalConfig(c core.Config) (core.Config, error) {
+	if c.Scale == 0 {
+		c.Scale = core.DefaultOptions().Scale
+	}
+	if c.Seed == 0 {
+		c.Seed = core.DefaultOptions().Seed
+	}
+	if err := c.Validate(); err != nil {
+		return c, err
+	}
+	if c.Scale > maxScale {
+		return c, fmt.Errorf("scale %g exceeds the service limit of %d (the paper's full protocol is ≈ 25)", c.Scale, maxScale)
+	}
+	return c, nil
 }
 
 // validateWorkers enforces the boundary rule for explicit worker counts:

@@ -94,3 +94,55 @@ func TestShardCacheCrossJobReuse(t *testing.T) {
 			len(payload), len(controlPayload))
 	}
 }
+
+// TestShardCacheSharesSeedFreeAcrossSeeds: sec5a, fig4 and fig7 are
+// seed-free, so a cold job for them at a new seed addresses the shards the
+// first job stored and executes nothing, and its payload is byte-identical
+// to the same job on a fresh daemon.
+func TestShardCacheSharesSeedFreeAcrossSeeds(t *testing.T) {
+	const first = `{"ids":["sec5a","fig4","fig7"],"scale":0.25,"seed":2}`
+	const second = `{"ids":["sec5a","fig4","fig7"],"scale":0.25,"seed":3}`
+
+	s, ts := newTestServer(t, Config{ShardCache: true})
+	st, code := postJob(t, ts, first)
+	if code != http.StatusAccepted {
+		t.Fatalf("first POST returned %d", code)
+	}
+	if final := waitState(t, ts, st.ID); final.State != StateDone {
+		t.Fatalf("first job finished as %+v", final)
+	}
+	cold := s.shardCache.Stats()
+	if cold.Misses == 0 {
+		t.Fatalf("first job recorded no misses: %+v", cold)
+	}
+
+	st2, code := postJob(t, ts, second)
+	if code != http.StatusAccepted {
+		t.Fatalf("second POST returned %d (a new seed is a new job)", code)
+	}
+	if final := waitState(t, ts, st2.ID); final.State != StateDone {
+		t.Fatalf("second job finished as %+v", final)
+	}
+	warm := s.shardCache.Stats()
+	if warm.Misses != cold.Misses {
+		t.Fatalf("second job at a new seed recorded %d shard-cache misses, want 0", warm.Misses-cold.Misses)
+	}
+	if warm.Hits-cold.Hits != cold.Misses {
+		t.Fatalf("second job recorded %d hits, want the %d shards the first job stored", warm.Hits-cold.Hits, cold.Misses)
+	}
+
+	payload, code := getBody(t, ts.URL+"/v1/jobs/"+st2.ID+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result returned %d", code)
+	}
+	_, fresh := newTestServer(t, Config{})
+	fst, _ := postJob(t, fresh, second)
+	if final := waitState(t, fresh, fst.ID); final.State != StateDone {
+		t.Fatalf("fresh daemon's job finished as %+v", final)
+	}
+	freshPayload, _ := getBody(t, fresh.URL+"/v1/jobs/"+fst.ID+"/result")
+	if payload != freshPayload {
+		t.Fatalf("cache-served job payload differs from a fresh daemon's (%d vs %d bytes)",
+			len(payload), len(freshPayload))
+	}
+}

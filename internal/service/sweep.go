@@ -76,16 +76,12 @@ func (s SweepSpec) canonicalize() (SweepSpec, error) {
 	if len(s.Configs) > maxSweepConfigs {
 		return s, fmt.Errorf("sweep has %d configurations, the service limit is %d", len(s.Configs), maxSweepConfigs)
 	}
-	for i := range s.Configs {
-		if s.Configs[i].Scale == 0 {
-			s.Configs[i].Scale = core.DefaultOptions().Scale
+	for i, c := range s.Configs {
+		c, err := canonicalConfig(c)
+		if err != nil {
+			return s, fmt.Errorf("config %d: %w", i, err)
 		}
-		if s.Configs[i].Seed == 0 {
-			s.Configs[i].Seed = core.DefaultOptions().Seed
-		}
-		if s.Configs[i].Scale > 100 {
-			return s, fmt.Errorf("config %d: scale %g exceeds the service limit of 100", i, s.Configs[i].Scale)
-		}
+		s.Configs[i] = c
 	}
 	if err := (core.Sweep{Configs: s.Configs}).Validate(); err != nil {
 		return s, err

@@ -356,8 +356,10 @@ func testInteractiveBeatsBulk(t *testing.T, dist bool) {
 
 	// The sweep's 4 scheduler workers contend for the 2 executor slots:
 	// two bulk shards hold them (blocked on release), two wait in the gate.
+	// sec5b draws from the seed, so each of the six seeds is its own shard
+	// (a seed-free experiment's six seeds would share one).
 	sweepSt, resp, _ := postAuth(t, ts, "/v1/sweeps",
-		`{"ids":["fig1"],"seeds":[1,2,3,4,5,6],"workers":4}`, "kb")
+		`{"ids":["sec5b"],"seeds":[1,2,3,4,5,6],"workers":4}`, "kb")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep submit: %d", resp.StatusCode)
 	}

@@ -1,12 +1,15 @@
 // Package shardcache memoizes shard outputs at their deterministic wire
 // address. core.ShardRef already names each shard's work completely —
-// experiment ID, raw (Scale, Seed) configuration, shard index — and shard
-// execution is deterministic by construction (per-shard RNG streams are
-// derived, reduction order is fixed), so a shard output is a pure function
-// of its ref. That makes shard results content-addressable the same way
-// whole result documents are: this package hashes the canonical ref plus a
-// registry/version salt into a store key and keeps gob-encoded outputs in
-// the existing store.ResultStore tiers.
+// experiment ID, the experiment's canonical (Scale, Seed) configuration,
+// shard index — and shard execution is deterministic by construction
+// (per-shard RNG streams are derived, reduction order is fixed), so a shard
+// output is a pure function of its ref. That makes shard results
+// content-addressable the same way whole result documents are: this package
+// hashes the canonical ref plus a registry/version salt into a store key
+// and keeps gob-encoded outputs in the existing store.ResultStore tiers.
+// The canonical configuration of a seed-free experiment carries the default
+// seed at every run seed, so jobs at different seeds share its entries: a
+// cold job at a new seed serves those shards from the cache.
 //
 // The cache plugs into the scheduler at the core.RunConfig.RunShard seam
 // via WrapRunShard, in front of whatever dispatcher (the local thunk, or a
@@ -39,7 +42,11 @@ import (
 
 // keyVersion is bumped whenever the key schema or the codec's encoding of
 // existing output types changes incompatibly; old entries then miss
-// instead of decoding wrong.
+// instead of decoding wrong. Canonicalizing seed-free refs to the default
+// seed did not bump it: every entry such a ref now hits was stored by a
+// seed-1 run, computed on the same DeriveSeed(1, id) stream it would
+// compute today, so it stays valid; entries at other seeds are never
+// addressed again.
 const keyVersion = "1"
 
 // DefaultSalt derives the standard cache salt: the key-schema version plus
@@ -57,9 +64,11 @@ func DefaultSalt() string {
 }
 
 // Key computes the store key for one shard: 64 hex chars of SHA-256 over
-// the canonical ref string and the salt. Scale is rendered with
-// strconv.FormatFloat 'g'/-1, the shortest exact form, so equal float64
-// values — and only equal values — share a key.
+// the canonical ref string and the salt. A scheduler-built ref already
+// carries the experiment's canonical configuration (the default seed for a
+// seed-free experiment), so Key hashes the ref as given. Scale is rendered
+// with strconv.FormatFloat 'g'/-1, the shortest exact form, so equal
+// float64 values — and only equal values — share a key.
 func Key(ref core.ShardRef, salt string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "shard;v=%s;exp=%s;scale=%s;seed=%d;shard=%d",

@@ -22,13 +22,15 @@ import (
 
 // testSweep mirrors the dist determinism suite: tab1 is a 9-shard planned
 // experiment, sec6acpi a one-shard whole plan whose *core.Result output
-// exercises the struct side of the codec. 2 configs × (9+1) = 20 shards.
+// exercises the struct side of the codec. Both are seed-free, so the
+// configurations differ in scale (two seeds at one scale would share every
+// shard): 2 configs × (9+1) = 20 shards.
 func testSweep() core.Sweep {
 	return core.Sweep{
 		IDs: []string{"tab1", "sec6acpi"},
 		Configs: []core.Config{
 			{Scale: 0.25, Seed: 1},
-			{Scale: 0.25, Seed: 2},
+			{Scale: 0.5, Seed: 2},
 		},
 	}
 }

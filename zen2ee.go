@@ -424,7 +424,8 @@ func Grid(scales []float64, seeds []uint64) []Config { return core.Grid(scales, 
 // single heavy run does instead of serializing configuration by
 // configuration. Batching never changes results — each per-configuration
 // section is byte-identical (through the canonical JSON document) to the
-// standalone single-configuration run. Failures are partial, like the
+// standalone single-configuration run — but it shares work: a seed-free
+// experiment runs once per scale, whatever the number of seeds. Failures are partial, like the
 // other schedulers: surviving sections come back alongside one joined
 // error. This is the entry point the zen2eed daemon serves POST
 // /v1/sweeps through.
