@@ -24,52 +24,12 @@ func acMeter(m *machine.Machine) *measure.PowerAnalyzer {
 	return measure.NewPowerAnalyzer(m.Eng, measure.DefaultAnalyzerConfig(), m)
 }
 
-// measureACWatts runs the system for total simulated time and returns the
-// analyzer's inner-window average, the paper's §IV protocol (scaled from
-// 10 s / inner 8 s).
-func measureACWatts(m *machine.Machine, pa *measure.PowerAnalyzer, total sim.Duration) (float64, error) {
-	start := m.Eng.Now()
-	m.Eng.RunFor(total)
-	inner := total * 8 / 10
-	return pa.InnerAverage(start, total, inner)
-}
-
 // raplPackageWatts measures the RAPL package-domain power of pkg over d.
 func raplPackageWatts(m *machine.Machine, pkg soc.PackageID, d sim.Duration) float64 {
 	e0 := m.RAPL.PackageEnergyJoules(pkg)
 	t0 := m.Eng.Now()
 	m.Eng.RunFor(d)
 	return (m.RAPL.PackageEnergyJoules(pkg) - e0) / m.Eng.Now().Sub(t0).Seconds()
-}
-
-// raplSumPackagesWatts sums the package domains over d.
-func raplSumPackagesWatts(m *machine.Machine, d sim.Duration) float64 {
-	t0 := m.Eng.Now()
-	var e0 float64
-	for p := range m.Top.Packages {
-		e0 += m.RAPL.PackageEnergyJoules(soc.PackageID(p))
-	}
-	m.Eng.RunFor(d)
-	var e1 float64
-	for p := range m.Top.Packages {
-		e1 += m.RAPL.PackageEnergyJoules(soc.PackageID(p))
-	}
-	return (e1 - e0) / m.Eng.Now().Sub(t0).Seconds()
-}
-
-// raplSumCoresWatts sums the per-core domains over d.
-func raplSumCoresWatts(m *machine.Machine, d sim.Duration) float64 {
-	t0 := m.Eng.Now()
-	var e0 float64
-	for c := range m.Top.Cores {
-		e0 += m.RAPL.CoreEnergyJoules(soc.CoreID(c))
-	}
-	m.Eng.RunFor(d)
-	var e1 float64
-	for c := range m.Top.Cores {
-		e1 += m.RAPL.CoreEnergyJoules(soc.CoreID(c))
-	}
-	return (e1 - e0) / m.Eng.Now().Sub(t0).Seconds()
 }
 
 // startOn starts a kernel on a set of threads, failing loudly on error.
@@ -148,7 +108,6 @@ func pollUntilFrequency(m *machine.Machine, core soc.CoreID, targetMHz float64, 
 	return 0, false
 }
 
-func fmtGHz(mhz float64) string   { return fmt.Sprintf("%.3f", mhz/1000) }
-func fmtW(w float64) string       { return fmt.Sprintf("%.1f", w) }
-func fmtNs(ns float64) string     { return fmt.Sprintf("%.1f", ns) }
-func fmtUs(d sim.Duration) string { return fmt.Sprintf("%.1f", d.Micros()) }
+func fmtGHz(mhz float64) string { return fmt.Sprintf("%.3f", mhz/1000) }
+func fmtW(w float64) string     { return fmt.Sprintf("%.1f", w) }
+func fmtNs(ns float64) string   { return fmt.Sprintf("%.1f", ns) }

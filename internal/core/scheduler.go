@@ -90,20 +90,20 @@ type RunConfig struct {
 	// (<= 0 means runtime.NumCPU()).
 	Workers int
 	// Acquire, when non-nil, gates every shard that executes in this
-	// process on an external worker slot: the scheduler calls Acquire
-	// before running the shard and the returned release when it finishes.
-	// With RunShard set, the slot gates the task's Run thunk rather than
-	// the hook call, so a shard the hook answers without running it here
-	// (a cache hit, a remote lease) holds no slot, and every Run call holds
-	// exactly one. The zen2eed daemon uses this to share one executor pool
-	// across all concurrently running jobs while letting a lone job's
-	// shards spread over the whole pool.
+	// process on an external worker slot: the task's Run thunk calls
+	// Acquire before running the shard and the returned release when it
+	// finishes. The slot gates the thunk rather than the RunShard hook
+	// call, so a shard the hook answers without running it here (a cache
+	// hit, a remote lease) holds no slot, and every Run call holds exactly
+	// one. The zen2eed daemon uses this to share one executor pool across
+	// all concurrently running jobs while letting a lone job's shards
+	// spread over the whole pool.
 	Acquire func() (release func())
-	// RunShard, when non-nil, executes every shard task in place of the
-	// scheduler's direct Shard.Run call: the hook receives the shard's
-	// wire-addressable ShardRef plus its local execution thunk and returns
-	// the output, the name of the remote worker that produced it (empty
-	// for in-process execution), and the execution error. This is the seam
+	// RunShard executes every shard task; nil means a hook that calls the
+	// task's Run thunk. The hook receives the shard's wire-addressable
+	// ShardRef plus its local execution thunk and returns the output, the
+	// name of the remote worker that produced it (empty for in-process
+	// execution), and the execution error. This is the seam
 	// a distributed dispatcher (internal/dist) plugs into — planning,
 	// reduction order, delivery, and seed derivation stay with the
 	// scheduler, only the execution window moves. Calls arrive on scheduler
@@ -512,6 +512,10 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 	if workers > total {
 		workers = total
 	}
+	runShard := cfg.RunShard
+	if runShard == nil {
+		runShard = runInProcess
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -521,38 +525,24 @@ func runSweep(exps []Experiment, configs []Config, cfg RunConfig, onConfig Reduc
 				er := runs[t.config][t.exp]
 				sh := er.shards[t.shard]
 				so := shardOptions(er.exp.ID, er.opts, t.shard)
-				var start time.Time
-				var out any
-				var origin string
-				var err error
-				if cfg.RunShard == nil {
-					release := func() {}
-					if cfg.Acquire != nil {
-						release = cfg.Acquire()
-					}
-					start = time.Now()
-					out, err = runShardGuarded(sh, so)
-					release()
-				} else {
-					// The slot gates the thunk, not the hook: a shard the
-					// hook answers without running it here holds no slot,
-					// and an in-process one starts when its slot is held.
-					var ranAt time.Time
-					start = time.Now()
-					out, origin, err = runHookGuarded(cfg.RunShard, ShardTask{
-						Ref:         ShardRef{Exp: er.exp.ID, Config: er.exp.canonical(configs[t.config]), Shard: t.shard},
-						ConfigIndex: t.config, Shards: len(er.shards), Label: sh.Label,
-						Run: func() (any, error) {
-							if cfg.Acquire != nil {
-								defer cfg.Acquire()()
-							}
-							ranAt = time.Now()
-							return runShardGuarded(sh, so)
-						},
-					})
-					if !ranAt.IsZero() {
-						start = ranAt
-					}
+				// The slot gates the thunk, not the hook: a shard the hook
+				// answers without running it here holds no slot, and an
+				// in-process one starts when its slot is held.
+				var ranAt time.Time
+				start := time.Now()
+				out, origin, err := runHookGuarded(runShard, ShardTask{
+					Ref:         ShardRef{Exp: er.exp.ID, Config: er.exp.canonical(configs[t.config]), Shard: t.shard},
+					ConfigIndex: t.config, Shards: len(er.shards), Label: sh.Label,
+					Run: func() (any, error) {
+						if cfg.Acquire != nil {
+							defer cfg.Acquire()()
+						}
+						ranAt = time.Now()
+						return runShardGuarded(sh, so)
+					},
+				})
+				if !ranAt.IsZero() {
+					start = ranAt
 				}
 				er.noteStart(start)
 				elapsed := time.Since(start)
@@ -635,6 +625,13 @@ func planForGuarded(e Experiment, o Options) (shards []Shard, reduce Reduce, err
 		}
 	}()
 	return planFor(e, o)
+}
+
+// runInProcess is the dispatch hook of a run without RunConfig.RunShard:
+// every shard runs here, through its own thunk.
+func runInProcess(t ShardTask) (any, string, error) {
+	out, err := t.Run()
+	return out, "", err
 }
 
 // runShardGuarded converts a shard panic into an error so one broken shard

@@ -168,9 +168,6 @@ func (m *Model) SetEnabled(t soc.ThreadID, s State, enabled bool) error {
 	return nil
 }
 
-// Enabled reports whether state s is enabled for thread t.
-func (m *Model) Enabled(t soc.ThreadID, s State) bool { return m.enabled[t][s] }
-
 // DeepestEnabled returns the deepest idle state the OS may request on t.
 func (m *Model) DeepestEnabled(t soc.ThreadID) State {
 	for s := State(NumStates - 1); s > C0; s-- {
@@ -279,9 +276,6 @@ func (m *Model) coreActiveCounts(counts []int) {
 	}
 }
 
-// RequestedState returns what the OS last asked for on thread t.
-func (m *Model) RequestedState(t soc.ThreadID) State { return m.requested[t] }
-
 // EffectiveState returns the state the hardware actually grants:
 //
 //   - offline threads are elevated to C1 when the anomaly is enabled
@@ -331,17 +325,6 @@ func (m *Model) SystemDeepSleep() bool {
 		}
 	}
 	return true
-}
-
-// CountThreadsIn returns how many threads currently reside in state s.
-func (m *Model) CountThreadsIn(s State) int {
-	n := 0
-	for t := 0; t < m.top.NumThreads(); t++ {
-		if m.EffectiveState(soc.ThreadID(t)) == s {
-			n++
-		}
-	}
-	return n
 }
 
 // NotifyOnlineChanged must be called after soc.SetOnline flips a thread so

@@ -245,25 +245,6 @@ func TestOnCoreActiveCallback(t *testing.T) {
 	}
 }
 
-func TestCountThreadsIn(t *testing.T) {
-	_, top, m := newModel()
-	for i := 0; i < 10; i++ {
-		m.EnterIdle(soc.ThreadID(i), C1)
-	}
-	for i := 10; i < 30; i++ {
-		m.EnterIdle(soc.ThreadID(i), C2)
-	}
-	if n := m.CountThreadsIn(C1); n != 10 {
-		t.Fatalf("C1 count %d", n)
-	}
-	if n := m.CountThreadsIn(C2); n != 20 {
-		t.Fatalf("C2 count %d", n)
-	}
-	if n := m.CountThreadsIn(C0); n != top.NumThreads()-30 {
-		t.Fatalf("C0 count %d", n)
-	}
-}
-
 func TestActiveThreadsPerCore(t *testing.T) {
 	_, top, m := newModel()
 	if n := m.ActiveThreads(0); n != 2 {

@@ -34,6 +34,10 @@ var (
 	errDraining      = errors.New("dist: coordinator draining")
 )
 
+// pollWait caps how long an empty /lease long-poll is held before
+// returning no task.
+const pollWait = 2 * time.Second
+
 // Config controls a Coordinator. The zero value gets production defaults.
 type Config struct {
 	// LeaseTTL is how long a worker may stay silent (no lease, heartbeat,
@@ -48,9 +52,6 @@ type Config struct {
 	// RetryBackoff delays a lost task's next remote lease, scaled by its
 	// loss count. Default 250ms.
 	RetryBackoff time.Duration
-	// PollWait caps how long an empty /lease long-poll is held before
-	// returning no task. Default 2s.
-	PollWait time.Duration
 	// Logger receives worker lifecycle and fault events; nil discards.
 	Logger *slog.Logger
 }
@@ -64,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 250 * time.Millisecond
-	}
-	if c.PollWait <= 0 {
-		c.PollWait = 2 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -328,8 +326,8 @@ func (c *Coordinator) deregister(workerID string) {
 // already holding that many waits in the long-poll for a completion. An
 // empty poll past the wait window returns (nil, nil).
 func (c *Coordinator) lease(ctx context.Context, workerID string, wait time.Duration) ([]TaskSpec, error) {
-	if wait <= 0 || wait > c.cfg.PollWait {
-		wait = c.cfg.PollWait
+	if wait <= 0 || wait > pollWait {
+		wait = pollWait
 	}
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()

@@ -53,12 +53,6 @@ type WorkerConfig struct {
 	// DrainTimeout bounds how long shutdown waits for in-flight shards to
 	// finish before relinquishing them via deregister (default 30s).
 	DrainTimeout time.Duration
-	// Client is the HTTP client. The default has no global timeout (lease
-	// long-polls are bounded per request) and a transport whose idle pool
-	// covers every connection the worker holds at once — Slots completion
-	// posters, the lease fetcher, and the heartbeat — so steady-state
-	// operation reuses connections instead of re-dialing per shard.
-	Client *http.Client
 	// Logger receives lifecycle events; nil discards.
 	Logger *slog.Logger
 }
@@ -100,24 +94,21 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	client := cfg.Client
-	if client == nil {
-		// The default http.Transport keeps 2 idle connections per host —
-		// under Slots concurrent completions plus the fetcher and the
-		// heartbeat, everything past the first two re-dials on every
-		// request. Size the idle pool to the worker's actual concurrency.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		conns := cfg.Slots + 2 // completion posters + fetcher + heartbeat
-		tr.MaxIdleConnsPerHost = conns
-		if tr.MaxIdleConns < conns {
-			tr.MaxIdleConns = conns
-		}
-		client = &http.Client{Transport: tr}
+	// The client has no global timeout (lease long-polls are bounded per
+	// request). The default http.Transport keeps 2 idle connections per
+	// host — under Slots concurrent completions plus the fetcher and the
+	// heartbeat, everything past the first two would re-dial on every
+	// request — so the idle pool is sized to the worker's concurrency.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	conns := cfg.Slots + 2 // completion posters + fetcher + heartbeat
+	tr.MaxIdleConnsPerHost = conns
+	if tr.MaxIdleConns < conns {
+		tr.MaxIdleConns = conns
 	}
 	return &Worker{
 		cfg:    cfg,
 		base:   strings.TrimRight(cfg.Coordinator, "/"),
-		client: client,
+		client: &http.Client{Transport: tr},
 		log:    cfg.Logger,
 	}, nil
 }

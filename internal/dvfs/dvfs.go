@@ -427,12 +427,6 @@ func (c *Controller) SetActiveThreads(core soc.CoreID, n int) {
 // AppliedPState returns the core's currently-applied P-state index.
 func (c *Controller) AppliedPState(core soc.CoreID) int { return c.cores[core].current }
 
-// RequestedPState returns a thread's requested P-state index.
-func (c *Controller) RequestedPState(t soc.ThreadID) int {
-	th := c.top.Threads[t]
-	return c.cores[th.Core].threadReq[th.SMT]
-}
-
 // TransitionInFlight reports whether the core is mid-transition (including
 // waiting for a slot).
 func (c *Controller) TransitionInFlight(core soc.CoreID) bool {
@@ -537,12 +531,6 @@ func (c *Controller) VoltageAt(mhz float64) float64 {
 		}
 	}
 	return ps[last].Volts
-}
-
-// CoreVoltage returns the core's current rail voltage (follows the applied
-// P-state, not the capped effective frequency).
-func (c *Controller) CoreVoltage(core soc.CoreID) float64 {
-	return c.cfg.PStates[c.cores[core].current].Volts
 }
 
 // couplingPenaltyMHz is the empirically-calibrated Table I penalty: the

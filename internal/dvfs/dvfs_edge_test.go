@@ -28,19 +28,6 @@ func TestRequestOutOfRangePanics(t *testing.T) {
 	c.Request(0, 7)
 }
 
-func TestRequestedPStateReadback(t *testing.T) {
-	eng, top, c := newTestController()
-	c.Request(5, 0)
-	if got := c.RequestedPState(5); got != 0 {
-		t.Fatalf("requested = %d", got)
-	}
-	// The sibling's request is independent.
-	if got := c.RequestedPState(top.Sibling(5)); got != 2 {
-		t.Fatalf("sibling requested = %d", got)
-	}
-	eng.RunFor(5 * sim.Millisecond)
-}
-
 func TestPStateCtlMSRReadback(t *testing.T) {
 	eng := sim.NewEngine(1)
 	top := soc.New(soc.EPYC7502x2())
@@ -125,17 +112,5 @@ func TestTransitionInFlightVisibility(t *testing.T) {
 	eng.RunUntil(sim.Time(2 * sim.Millisecond))
 	if c.TransitionInFlight(0) {
 		t.Fatal("still in-flight after completion")
-	}
-}
-
-func TestCoreVoltageFollowsPState(t *testing.T) {
-	eng, _, c := newTestController()
-	if got := c.CoreVoltage(0); got != 0.90 {
-		t.Fatalf("initial voltage %v", got)
-	}
-	c.Request(0, 0)
-	eng.RunFor(5 * sim.Millisecond)
-	if got := c.CoreVoltage(0); got != 1.10 {
-		t.Fatalf("P0 voltage %v", got)
 	}
 }

@@ -8,9 +8,7 @@
 // underlying control mechanism, and explicitly notes non-monotonic effects
 // ("a better match between the frequency domains for memory and I/O die").
 // The model therefore keeps the measured anchor matrices as its calibrated
-// response surface and interpolates between them; a decomposition into
-// fabric cycles + DRAM access + domain-crossing penalties is documented in
-// DESIGN.md but the anchors are authoritative.
+// response surface and interpolates between them.
 package iodie
 
 import "fmt"
@@ -174,77 +172,6 @@ func (c Config) StreamBandwidthGBs(cores int, twoCCX bool) float64 {
 	a := bandwidthGBs[row][lo][col]
 	b := bandwidthGBs[row][hi][col]
 	return a + t*(b-a)
-}
-
-// CCDBandwidthCapGBs returns the per-CCD (per-quadrant) DRAM bandwidth
-// ceiling: the best STREAM figure for this configuration. Aggregate traffic
-// from one CCD cannot exceed it.
-func (c Config) CCDBandwidthCapGBs() float64 {
-	best := 0.0
-	for cores := 1; cores <= 4; cores++ {
-		if v := c.StreamBandwidthGBs(cores, false); v > best {
-			best = v
-		}
-	}
-	if v := c.StreamBandwidthGBs(4, true); v > best {
-		best = v
-	}
-	return best
-}
-
-// Locality classifies a memory access by NUMA distance under the test
-// system's "2-Channel Interleaving (per Quadrant)" mode. The paper's
-// measurements are quadrant-local; the remote classes extend the model
-// toward the paper's future work ("we will also analyze the memory
-// architecture ... in higher detail") with documented assumptions.
-type Locality int
-
-// NUMA distance classes.
-const (
-	// LocalQuadrant: the CCD's own I/O-die quadrant (the Fig. 5b case).
-	LocalQuadrant Locality = iota
-	// RemoteQuadrant: another quadrant of the same socket — two extra
-	// Infinity Fabric switch hops.
-	RemoteQuadrant
-	// RemoteSocket: across the xGMI inter-socket links.
-	RemoteSocket
-)
-
-func (l Locality) String() string {
-	switch l {
-	case LocalQuadrant:
-		return "local"
-	case RemoteQuadrant:
-		return "remote-quadrant"
-	case RemoteSocket:
-		return "remote-socket"
-	}
-	return "?"
-}
-
-// Cross-domain penalties, in fabric cycles (so they shrink as FCLK rises —
-// the mechanism behind the paper's observation that I/O-die P-states
-// influence "NUMA, I/O, and memory accesses that pass the I/O die").
-const (
-	remoteQuadrantFabricCycles = 56   // two extra IF switch traversals
-	remoteSocketFabricCycles   = 95   // IF hops on both sockets
-	xgmiFixedNs                = 62.0 // serialization over the xGMI link
-)
-
-// LatencyNsAt returns the DRAM latency for an access of the given locality.
-// LocalQuadrant reproduces Fig. 5b exactly; the remote classes add fabric-
-// clock-dependent hop costs.
-func (c Config) LatencyNsAt(l Locality) float64 {
-	base := c.LatencyNs()
-	fclkGHz := float64(c.FCLKMHz()) / 1000
-	switch l {
-	case RemoteQuadrant:
-		return base + remoteQuadrantFabricCycles/fclkGHz
-	case RemoteSocket:
-		return base + remoteSocketFabricCycles/fclkGHz + xgmiFixedNs
-	default:
-		return base
-	}
 }
 
 // Power model for the I/O die. The paper establishes the +81.2 W cost of

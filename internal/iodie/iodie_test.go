@@ -159,13 +159,6 @@ func TestTrafficWatts(t *testing.T) {
 	}
 }
 
-func TestCCDBandwidthCap(t *testing.T) {
-	c := cfg(P2, DRAM1600)
-	if got := c.CCDBandwidthCapGBs(); got != 40.1 {
-		t.Fatalf("cap = %v, want 40.1 (best cell of the P2/1600 row)", got)
-	}
-}
-
 func TestBandwidthCoreClamping(t *testing.T) {
 	c := cfg(Auto, DRAM1600)
 	if got := c.StreamBandwidthGBs(0, false); got != 0 {
@@ -197,43 +190,5 @@ func TestValidate(t *testing.T) {
 func TestSettingString(t *testing.T) {
 	if Auto.String() != "auto" || P2.String() != "P2" {
 		t.Fatalf("%v %v", Auto, P2)
-	}
-}
-
-func TestNUMALatencyOrdering(t *testing.T) {
-	for _, s := range Settings() {
-		for _, mem := range []int{DRAM1467, DRAM1600} {
-			c := cfg(s, mem)
-			local := c.LatencyNsAt(LocalQuadrant)
-			quad := c.LatencyNsAt(RemoteQuadrant)
-			sock := c.LatencyNsAt(RemoteSocket)
-			if !(local < quad && quad < sock) {
-				t.Fatalf("%v/%d: ordering violated: %v, %v, %v", s, mem, local, quad, sock)
-			}
-			if local != c.LatencyNs() {
-				t.Fatalf("local class must equal the Fig. 5b value")
-			}
-		}
-	}
-}
-
-func TestNUMARemotePenaltyGrowsAtLowFCLK(t *testing.T) {
-	// The extra fabric hops are paid in fabric cycles: P3 (667 MHz FCLK)
-	// pays far more per hop than P0 (1467 MHz).
-	penalty := func(s Setting) float64 {
-		c := cfg(s, DRAM1600)
-		return c.LatencyNsAt(RemoteQuadrant) - c.LatencyNsAt(LocalQuadrant)
-	}
-	if penalty(P3) <= 1.5*penalty(P0) {
-		t.Fatalf("P3 remote penalty %v ns not well above P0 %v ns", penalty(P3), penalty(P0))
-	}
-}
-
-func TestLocalityString(t *testing.T) {
-	if LocalQuadrant.String() != "local" || RemoteSocket.String() != "remote-socket" {
-		t.Fatal("locality strings")
-	}
-	if Locality(9).String() != "?" {
-		t.Fatal("unknown locality")
 	}
 }

@@ -309,9 +309,6 @@ func (m *Machine) wirePerfMSRs(nominalMHz float64) {
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// IOD returns the current I/O-die configuration.
-func (m *Machine) IOD() iodie.Config { return m.iod }
-
 // SetIODSetting selects the I/O-die P-state (BIOS option).
 func (m *Machine) SetIODSetting(s iodie.Setting) {
 	m.iod.Setting = s
@@ -539,12 +536,6 @@ func (m *Machine) L3LatencyNs(core soc.CoreID) float64 {
 // DRAMLatencyNs returns the main-memory latency for the current I/O-die and
 // DRAM configuration (Fig. 5b).
 func (m *Machine) DRAMLatencyNs() float64 { return m.iod.LatencyNs() }
-
-// StreamBandwidthGBs returns the achieved STREAM bandwidth for reading
-// cores placed on a single CCD (Fig. 5a).
-func (m *Machine) StreamBandwidthGBs(cores int, twoCCX bool) float64 {
-	return m.iod.StreamBandwidthGBs(cores, twoCCX)
-}
 
 // --- Internal derivation ---
 

@@ -37,6 +37,17 @@ func TestOneC1ThreadWakesIODie(t *testing.T) {
 	if math.Abs(got-180.39) > 0.3 {
 		t.Fatalf("one C1 thread: %v W, want ~180.3 (Fig. 7)", got)
 	}
+	// Disabling C2 demotes the already-idle thread; re-enabling it
+	// returns the thread to C2 and the system to deep sleep.
+	if st := m.CStates.EffectiveState(0); st != cstate.C1 {
+		t.Fatalf("thread 0 in %v after disabling C2, want C1", st)
+	}
+	if err := m.SetCStateEnabled(0, cstate.C2, true); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.CStates.EffectiveState(0); st != cstate.C2 || !m.CStates.SystemDeepSleep() {
+		t.Fatalf("thread 0 in %v after re-enabling C2 (deep sleep %v), want C2", st, m.CStates.SystemDeepSleep())
+	}
 }
 
 func TestFig7Slope(t *testing.T) {

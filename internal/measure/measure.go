@@ -177,15 +177,6 @@ func MinMax(xs []float64) (float64, float64) {
 	return lo, hi
 }
 
-// ConfidenceInterval95 returns the half-width of the 95 % confidence
-// interval of the mean (normal approximation).
-func ConfidenceInterval95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.Inf(1)
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Histogram bins values with a fixed bin width starting at origin.
 type Histogram struct {
 	Origin   float64

@@ -274,22 +274,6 @@ func TestLinearFit(t *testing.T) {
 	}
 }
 
-func TestConfidenceInterval(t *testing.T) {
-	rng := sim.NewRNG(3)
-	var xs []float64
-	for i := 0; i < 10000; i++ {
-		xs = append(xs, rng.Gaussian(50, 5))
-	}
-	ci := ConfidenceInterval95(xs)
-	// σ/√n ≈ 0.05 → CI ≈ 0.098.
-	if ci < 0.05 || ci > 0.2 {
-		t.Fatalf("CI %v, want ~0.1", ci)
-	}
-	if !math.IsInf(ConfidenceInterval95([]float64{1}), 1) {
-		t.Fatal("CI of one sample should be infinite")
-	}
-}
-
 func TestHistogramPanicsOnBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {

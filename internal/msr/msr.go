@@ -32,10 +32,6 @@ const (
 	// (0xC0010064..0xC001006B).
 	PStateDef0 Addr = 0xC001_0064
 
-	// CStateBaseAddr holds the I/O port base whose addresses trigger idle
-	// state entry when read (the paper's system uses port 0x814 for C2).
-	CStateBaseAddr Addr = 0xC001_0073
-
 	// RAPLPwrUnit encodes the power/energy/time units for the RAPL MSRs
 	// (AMD uses the same layout as Intel's MSR_RAPL_POWER_UNIT).
 	RAPLPwrUnit Addr = 0xC001_0299
@@ -43,9 +39,6 @@ const (
 	CoreEnergyStat Addr = 0xC001_029A
 	// PkgEnergyStat accumulates per-package energy in RAPL energy units.
 	PkgEnergyStat Addr = 0xC001_029B
-
-	// HWConfig (HWCR) bit 25 controls Core Performance Boost disable.
-	HWConfig Addr = 0xC001_0015
 )
 
 // NumPStateDefs is the architectural maximum number of P-state definitions.
@@ -211,16 +204,6 @@ func (f *File) Write(cpu int, addr Addr, value uint64) error {
 		return nil
 	}
 	return ErrUnknownMSR{CPU: cpu, Addr: addr}
-}
-
-// SetStatic updates static storage directly (for model components).
-func (f *File) SetStatic(cpu int, addr Addr, value uint64) {
-	vals, ok := f.static[addr]
-	if !ok {
-		f.Define(addr, 0)
-		vals = f.static[addr]
-	}
-	vals[cpu] = value
 }
 
 // RAPL unit encoding. AMD Zen 2 reports an energy status unit (ESU) of 16,

@@ -182,15 +182,6 @@ func TestEnergyToCounterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSetStaticAutoDefines(t *testing.T) {
-	f := NewFile(2)
-	f.SetStatic(1, CStateBaseAddr, 0x814)
-	v, err := f.Read(1, CStateBaseAddr)
-	if err != nil || v != 0x814 {
-		t.Fatalf("SetStatic: %d, %v", v, err)
-	}
-}
-
 func TestPaperPStateTable(t *testing.T) {
 	// The paper's three frequencies as a P-state table, highest first.
 	freqs := []int{2500, 2200, 1500}

@@ -1,166 +1,17 @@
-// Package osmodel provides the Linux-shaped control and observation
-// surfaces the paper works through: the sysfs files used to control
-// hardware threads and C-states (§IV), the cpufreq userspace governor, and
-// a perf-stat-style interval sampler. Experiment code written against these
-// interfaces reads like the paper's methodology sections.
+// Package osmodel provides the perf-stat-style interval sampler the paper
+// observes threads through (§V-A, Table I): cycles and instructions per
+// interval, and the frequency and IPC derived from them. Experiments
+// control threads, C-states and frequencies through the machine directly;
+// the sampler only reads its counters.
 package osmodel
 
 import (
-	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
-	"zen2ee/internal/cstate"
 	"zen2ee/internal/machine"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
-
-// Sysfs exposes the machine through Linux sysfs path semantics.
-//
-// Supported paths (N = logical CPU, K = C-state index):
-//
-//	/sys/devices/system/cpu/cpuN/online
-//	/sys/devices/system/cpu/cpuN/cpuidle/stateK/disable
-//	/sys/devices/system/cpu/cpuN/cpuidle/stateK/latency
-//	/sys/devices/system/cpu/cpuN/cpufreq/scaling_governor
-//	/sys/devices/system/cpu/cpuN/cpufreq/scaling_setspeed
-//	/sys/devices/system/cpu/cpuN/cpufreq/scaling_cur_freq
-//	/sys/devices/system/cpu/cpuN/cpufreq/scaling_available_frequencies
-type Sysfs struct {
-	M *machine.Machine
-}
-
-const cpuPrefix = "/sys/devices/system/cpu/cpu"
-
-// parse splits a supported path into (cpu, rest).
-func (s *Sysfs) parse(path string) (soc.ThreadID, string, error) {
-	if !strings.HasPrefix(path, cpuPrefix) {
-		return 0, "", fmt.Errorf("osmodel: unsupported path %q", path)
-	}
-	rest := strings.TrimPrefix(path, cpuPrefix)
-	i := strings.IndexByte(rest, '/')
-	if i < 0 {
-		return 0, "", fmt.Errorf("osmodel: malformed path %q", path)
-	}
-	n, err := strconv.Atoi(rest[:i])
-	if err != nil || n < 0 || n >= s.M.Top.NumThreads() {
-		return 0, "", fmt.Errorf("osmodel: bad cpu in path %q", path)
-	}
-	return soc.ThreadID(n), rest[i+1:], nil
-}
-
-func parseCpuidle(rest string) (cstate.State, string, bool) {
-	if !strings.HasPrefix(rest, "cpuidle/state") {
-		return 0, "", false
-	}
-	rest = strings.TrimPrefix(rest, "cpuidle/state")
-	i := strings.IndexByte(rest, '/')
-	if i < 0 {
-		return 0, "", false
-	}
-	k, err := strconv.Atoi(rest[:i])
-	if err != nil || k < 0 || k >= cstate.NumStates {
-		return 0, "", false
-	}
-	return cstate.State(k), rest[i+1:], true
-}
-
-// Read returns a sysfs file's contents (without trailing newline).
-func (s *Sysfs) Read(path string) (string, error) {
-	cpu, rest, err := s.parse(path)
-	if err != nil {
-		return "", err
-	}
-	if st, leaf, ok := parseCpuidle(rest); ok {
-		switch leaf {
-		case "disable":
-			if s.M.CStates.Enabled(cpu, st) {
-				return "0", nil
-			}
-			return "1", nil
-		case "latency":
-			return strconv.Itoa(int(s.M.CStates.ACPITable()[st].Latency.Micros())), nil
-		}
-		return "", fmt.Errorf("osmodel: unsupported cpuidle leaf %q", rest)
-	}
-	switch rest {
-	case "online":
-		if s.M.Top.Online(cpu) {
-			return "1", nil
-		}
-		return "0", nil
-	case "cpufreq/scaling_governor":
-		return "userspace", nil
-	case "cpufreq/scaling_setspeed":
-		ps := s.M.DVFS.RequestedPState(cpu)
-		return strconv.Itoa(s.M.Config().DVFS.PStates[ps].MHz * 1000), nil
-	case "cpufreq/scaling_cur_freq":
-		core := s.M.Top.Threads[cpu].Core
-		return strconv.Itoa(int(s.M.EffectiveMHz(core)) * 1000), nil
-	case "cpufreq/scaling_available_frequencies":
-		var parts []string
-		for _, p := range s.M.Config().DVFS.PStates {
-			parts = append(parts, strconv.Itoa(p.MHz*1000))
-		}
-		return strings.Join(parts, " "), nil
-	}
-	return "", fmt.Errorf("osmodel: unsupported path leaf %q", rest)
-}
-
-// Write stores a value into a sysfs file.
-func (s *Sysfs) Write(path, value string) error {
-	cpu, rest, err := s.parse(path)
-	if err != nil {
-		return err
-	}
-	value = strings.TrimSpace(value)
-	if st, leaf, ok := parseCpuidle(rest); ok {
-		if leaf != "disable" {
-			return fmt.Errorf("osmodel: read-only cpuidle leaf %q", leaf)
-		}
-		switch value {
-		case "0":
-			return s.M.SetCStateEnabled(cpu, st, true)
-		case "1":
-			return s.M.SetCStateEnabled(cpu, st, false)
-		}
-		return fmt.Errorf("osmodel: bad disable value %q", value)
-	}
-	switch rest {
-	case "online":
-		switch value {
-		case "0":
-			return s.M.SetOnline(cpu, false)
-		case "1":
-			return s.M.SetOnline(cpu, true)
-		}
-		return fmt.Errorf("osmodel: bad online value %q", value)
-	case "cpufreq/scaling_setspeed":
-		khz, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("osmodel: bad frequency %q", value)
-		}
-		return s.M.SetThreadFrequencyMHz(cpu, khz/1000)
-	}
-	return fmt.Errorf("osmodel: path %q is not writable", rest)
-}
-
-// OnlinePath returns the sysfs path controlling a thread's online state.
-func OnlinePath(t soc.ThreadID) string {
-	return fmt.Sprintf("%s%d/online", cpuPrefix, int(t))
-}
-
-// CStateDisablePath returns the sysfs path of a C-state disable file.
-func CStateDisablePath(t soc.ThreadID, s cstate.State) string {
-	return fmt.Sprintf("%s%d/cpuidle/state%d/disable", cpuPrefix, int(t), int(s))
-}
-
-// SetSpeedPath returns the userspace governor's setspeed file.
-func SetSpeedPath(t soc.ThreadID) string {
-	return fmt.Sprintf("%s%d/cpufreq/scaling_setspeed", cpuPrefix, int(t))
-}
 
 // PerfSample is one perf-stat interval line.
 type PerfSample struct {

@@ -4,119 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"zen2ee/internal/cstate"
 	"zen2ee/internal/machine"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/workload"
 )
 
-func newSysfs() *Sysfs { return &Sysfs{M: machine.New(machine.DefaultConfig())} }
-
-func TestOnlineFile(t *testing.T) {
-	s := newSysfs()
-	v, err := s.Read(OnlinePath(64))
-	if err != nil || v != "1" {
-		t.Fatalf("online read: %q, %v", v, err)
-	}
-	if err := s.Write(OnlinePath(64), "0"); err != nil {
-		t.Fatal(err)
-	}
-	v, _ = s.Read(OnlinePath(64))
-	if v != "0" {
-		t.Fatalf("online after write: %q", v)
-	}
-	if !s.M.Top.Online(0) {
-		t.Fatal("wrong thread offlined")
-	}
-	if s.M.Top.Online(64) {
-		t.Fatal("thread 64 still online")
-	}
-	// cpu0 cannot be offlined (Linux semantics).
-	if err := s.Write(OnlinePath(0), "0"); err == nil {
-		t.Fatal("offlining cpu0 should fail")
-	}
-}
-
-func TestCStateDisableFile(t *testing.T) {
-	s := newSysfs()
-	p := CStateDisablePath(5, cstate.C2)
-	v, err := s.Read(p)
-	if err != nil || v != "0" {
-		t.Fatalf("initial disable: %q, %v", v, err)
-	}
-	if err := s.Write(p, "1"); err != nil {
-		t.Fatal(err)
-	}
-	if s.M.CStates.Enabled(5, cstate.C2) {
-		t.Fatal("C2 still enabled")
-	}
-	// The idle thread must have been demoted to C1 — this is the Fig. 7
-	// sweep mechanism, raising system power by the I/O wake cost.
-	if st := s.M.CStates.EffectiveState(5); st != cstate.C1 {
-		t.Fatalf("thread 5 in %v after disable, want C1", st)
-	}
-	if err := s.Write(p, "0"); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.M.CStates.EffectiveState(5); st != cstate.C2 {
-		t.Fatalf("thread 5 in %v after re-enable, want C2", st)
-	}
-}
-
-func TestLatencyFiles(t *testing.T) {
-	s := newSysfs()
-	v, err := s.Read(CStateDisablePath(0, cstate.C2)[:len(CStateDisablePath(0, cstate.C2))-len("disable")] + "latency")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != "400" {
-		t.Fatalf("C2 reported latency %q µs, want 400 (ACPI value)", v)
-	}
-}
-
-func TestScalingFiles(t *testing.T) {
-	s := newSysfs()
-	if g, _ := s.Read(cpuPrefix + "3/cpufreq/scaling_governor"); g != "userspace" {
-		t.Fatalf("governor %q", g)
-	}
-	if err := s.Write(SetSpeedPath(3), "2200000"); err != nil {
-		t.Fatal(err)
-	}
-	s.M.Eng.RunFor(10 * sim.Millisecond)
-	v, err := s.Read(SetSpeedPath(3))
-	if err != nil || v != "2200000" {
-		t.Fatalf("setspeed read-back %q, %v", v, err)
-	}
-	avail, _ := s.Read(cpuPrefix + "0/cpufreq/scaling_available_frequencies")
-	if avail != "2500000 2200000 1500000" {
-		t.Fatalf("available: %q", avail)
-	}
-	// Rejects unknown frequencies, like the real userspace governor.
-	if err := s.Write(SetSpeedPath(3), "1800000"); err == nil {
-		t.Fatal("1.8 GHz accepted but not in the P-state table")
-	}
-}
-
-func TestBadPaths(t *testing.T) {
-	s := newSysfs()
-	for _, p := range []string{
-		"/sys/class/thermal/thermal_zone0/temp",
-		cpuPrefix + "9999/online",
-		cpuPrefix + "0/nonsense",
-		cpuPrefix + "0/cpuidle/state7/disable",
-	} {
-		if _, err := s.Read(p); err == nil {
-			t.Errorf("Read(%q) succeeded", p)
-		}
-	}
-	if err := s.Write(cpuPrefix+"0/cpufreq/scaling_cur_freq", "1"); err == nil {
-		t.Error("writing a read-only file succeeded")
-	}
-}
-
 func TestPerfStatObservesFrequency(t *testing.T) {
-	s := newSysfs()
-	m := s.M
+	m := machine.New(machine.DefaultConfig())
 	if err := m.SetThreadFrequencyMHz(0, 2200); err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +33,8 @@ func TestPerfStatObservesFrequency(t *testing.T) {
 }
 
 func TestPerfStatIdleThreadShowsNoCycles(t *testing.T) {
-	s := newSysfs()
-	samples := PerfStat(s.M, 7, 100*sim.Millisecond, 5)
+	m := machine.New(machine.DefaultConfig())
+	samples := PerfStat(m, 7, 100*sim.Millisecond, 5)
 	for _, x := range samples {
 		if x.Cycles != 0 {
 			t.Fatalf("idle thread reported %v cycles", x.Cycles)

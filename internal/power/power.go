@@ -148,18 +148,6 @@ func (m *Model) SystemWatts(in Input) float64 {
 	return p
 }
 
-// PackageDynWatts returns the summed active-core dynamic power of a set of
-// cores — the quantity the RAPL model estimates from activity events.
-func (m *Model) PackageDynWatts(cores []CoreInput) float64 {
-	var p float64
-	for i := range cores {
-		if cores[i].ActiveThreads > 0 {
-			p += m.activeCoreWatts(&cores[i])
-		}
-	}
-	return p
-}
-
 // Thermal is a first-order RC thermal model of the package/heatsink stack.
 // The paper pre-heats the system for power-sensitive workloads; experiments
 // do the same through Preheat.

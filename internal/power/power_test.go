@@ -276,17 +276,3 @@ func TestThermalMonotoneApproach(t *testing.T) {
 		prev = cur
 	}
 }
-
-func TestPackageDynWatts(t *testing.T) {
-	m := NewModel(DefaultConfig())
-	cores := []CoreInput{
-		{State: cstate.C0, ActiveThreads: 1, Kernel: &workload.Busywait, GHz: 2.5, Volts: 1.1},
-		{State: cstate.C1},
-		{State: cstate.C2},
-	}
-	got := m.PackageDynWatts(cores)
-	want := m.CoreWatts(&cores[0])
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PackageDynWatts = %v, want %v (idle cores excluded)", got, want)
-	}
-}

@@ -427,7 +427,6 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 	}
 	tn.JobQueued()
 	s.insertLocked(j)
-	s.metrics.add(&s.metrics.cacheMisses, 1)
 	s.metrics.add(&s.metrics.jobsQueued, 1)
 	if j.kind == KindSweep {
 		s.metrics.add(&s.metrics.sweepsQueued, 1)

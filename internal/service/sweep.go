@@ -136,10 +136,11 @@ type configCachedEvent struct {
 // simulating. Neither kind keeps a document of its own: it is read back
 // from the per-config cache entries on demand (statusOf, serveResult), so
 // the daemon's memory is bounded by the store, never by the job table or
-// the sweep size. The kinds differ only in what they report: a sweep
-// counts sweep_configs_* and announces each section over SSE
-// (config-cached, config-done); a run job counts a cache hit when its
-// configuration was already computed and reports Status.Cached.
+// the sweep size. Either kind counts as one cache miss when it finishes
+// if it simulated anything, else as one cache hit. The kinds differ only
+// in what else they report: a sweep counts sweep_configs_* and announces
+// each section over SSE (config-cached, config-done); a run job reports
+// Status.Cached.
 func (s *Server) execute(j *job) {
 	spec := j.sweep
 	isRun := j.kind == KindRun
@@ -157,6 +158,7 @@ func (s *Server) execute(j *job) {
 	// request indices — the trace args are for locating work, not joining
 	// the two numberings.
 	var tr *obs.Trace
+	var ran bool // some round ran the sweep runner
 	var runDur, marshalDur time.Duration
 	for len(pending) > 0 {
 		// Classify every unresolved configuration: cached, claimed by this
@@ -179,7 +181,6 @@ func (s *Server) execute(j *job) {
 			s.running.end(key)
 			done[i], cached[i] = true, true
 			if isRun {
-				s.metrics.add(&s.metrics.cacheHits, 1)
 				continue
 			}
 			s.metrics.add(&s.metrics.sweepConfigsCached, 1)
@@ -188,6 +189,7 @@ func (s *Server) execute(j *job) {
 		j.setCachedConfigs(cached)
 
 		if len(mine) > 0 {
+			ran = true
 			if tr == nil {
 				tr = s.newTrace()
 			}
@@ -258,6 +260,7 @@ func (s *Server) execute(j *job) {
 			if err != nil {
 				j.setLatency(runDur, marshalDur)
 				s.storeTrace(j, tr)
+				s.metrics.add(&s.metrics.cacheMisses, 1)
 				j.setFailed(err)
 				s.metrics.add(&s.metrics.jobsFailed, 1)
 				s.log.Error("job failed", "job", shortID(j.id), "kind", j.kind,
@@ -278,6 +281,14 @@ func (s *Server) execute(j *job) {
 
 	j.setLatency(runDur, marshalDur)
 	s.storeTrace(j, tr)
+	// A queued job is one request, counted once: a miss if it simulated
+	// anything, a hit if every configuration was already computed (by an
+	// earlier job, or by a concurrent one this job waited for).
+	if ran {
+		s.metrics.add(&s.metrics.cacheMisses, 1)
+	} else {
+		s.metrics.add(&s.metrics.cacheHits, 1)
+	}
 	j.setDone()
 	s.metrics.add(&s.metrics.jobsDone, 1)
 	s.log.Info("job done", "job", shortID(j.id), "kind", j.kind,

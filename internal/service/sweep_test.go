@@ -509,6 +509,19 @@ func TestSingleJobWaitsForInFlightSweep(t *testing.T) {
 	if string(sec) != singlePayload {
 		t.Fatal("single job payload differs from the sweep's section for the same config")
 	}
+
+	// Two requests, each counted once: the sweep simulated (a miss), the
+	// single job was served by the sweep's fill (a hit), though it was
+	// queued before its configuration was stored.
+	metricsText, _ := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		"zen2eed_cache_hits_total 1\n",
+		"zen2eed_cache_misses_total 1\n",
+	} {
+		if !strings.Contains(metricsText, want) {
+			t.Errorf("metrics missing %q:\n%s", want, metricsText)
+		}
+	}
 }
 
 // TestSweepServedByAssembly pins the no-double-buffering contract: a done

@@ -53,27 +53,6 @@ func (ei *EnergyIntegrator) Reset(now Time) {
 	ei.energy = 0
 }
 
-// WindowAverager computes average power over a window by two energy reads.
-type WindowAverager struct {
-	startTime   Time
-	startEnergy float64
-}
-
-// Begin marks the start of an averaging window.
-func (w *WindowAverager) Begin(now Time, ei *EnergyIntegrator) {
-	w.startTime = now
-	w.startEnergy = ei.Energy(now)
-}
-
-// End returns the average power since Begin. Returns 0 for an empty window.
-func (w *WindowAverager) End(now Time, ei *EnergyIntegrator) float64 {
-	dt := now.Sub(w.startTime).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return (ei.Energy(now) - w.startEnergy) / dt
-}
-
 // FoldLog records the instants at which a group of lazy integrators would
 // have folded had they been folded eagerly: one entry per distinct instant,
 // in time order. An integrator remembers how far into the log it has

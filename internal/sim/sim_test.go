@@ -314,22 +314,6 @@ func TestEnergyIntegratorBackwardsPanics(t *testing.T) {
 	ei.Advance(50)
 }
 
-func TestWindowAverager(t *testing.T) {
-	ei := NewEnergyIntegrator(0, 100)
-	var w WindowAverager
-	w.Begin(Time(Second), ei)
-	ei.SetPower(Time(2*Second), 200)
-	avg := w.End(Time(3*Second), ei)
-	if math.Abs(avg-150) > 1e-9 {
-		t.Fatalf("window average = %v, want 150", avg)
-	}
-	var w2 WindowAverager
-	w2.Begin(Time(3*Second), ei)
-	if avg := w2.End(Time(3*Second), ei); avg != 0 {
-		t.Fatalf("empty window average = %v, want 0", avg)
-	}
-}
-
 func TestEngineDeterminismEndToEnd(t *testing.T) {
 	run := func() []uint64 {
 		e := NewEngine(1234)

@@ -120,24 +120,6 @@ func EPYC7742x2() Config {
 	}
 }
 
-// Ryzen3700X returns a single-socket Zen 2 desktop part (used by the paper's
-// side-channel discussion, which references desktop systems).
-func Ryzen3700X() Config {
-	return Config{
-		Name:           "AMD Ryzen 7 3700X",
-		Packages:       1,
-		CCDsPerPackage: 1,
-		CCXsPerCCD:     2,
-		CoresPerCCX:    4,
-		UMCsPerPackage: 1,
-		TDPWatts:       65,
-		NominalMHz:     3600,
-		MinMHz:         2200,
-		BoostMHz:       4400,
-		EDCAmps:        90,
-	}
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {

@@ -144,7 +144,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("config %q validated but should not", c.Name)
 		}
 	}
-	for _, c := range []Config{EPYC7502x2(), EPYC7742x2(), Ryzen3700X()} {
+	for _, c := range []Config{EPYC7502x2(), EPYC7742x2()} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("preset %q failed validation: %v", c.Name, err)
 		}
@@ -154,9 +154,6 @@ func TestConfigValidate(t *testing.T) {
 func TestPresetSizes(t *testing.T) {
 	if n := EPYC7742x2().TotalThreads(); n != 256 {
 		t.Fatalf("7742x2 threads = %d, want 256", n)
-	}
-	if n := Ryzen3700X().TotalCores(); n != 8 {
-		t.Fatalf("3700X cores = %d, want 8", n)
 	}
 }
 
