@@ -28,7 +28,9 @@ func main() {
 			if err := sys.SetIODieSetting(iod); err != nil {
 				log.Fatal(err)
 			}
-			sys.SetDRAMClockMHz(dram)
+			if err := sys.SetDRAMClockMHz(dram); err != nil {
+				log.Fatal(err)
+			}
 			if err := sys.SetAllFrequenciesMHz(2500); err != nil {
 				log.Fatal(err)
 			}

@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -136,9 +135,11 @@ type Result struct {
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 }
 
-func newResult(id, title, ref string) *Result {
+// newResult returns an empty Result for a run or reduce function to fill.
+// It carries no identity: planFor stamps ID, Title and PaperRef from the
+// registry entry onto every reduced Result.
+func newResult() *Result {
 	return &Result{
-		ID: id, Title: title, PaperRef: ref,
 		Metrics: map[string]float64{},
 		Series:  map[string][]float64{},
 	}
@@ -281,9 +282,91 @@ func (e Experiment) canonical(c Config) Config {
 	return c
 }
 
-var registry []Experiment
-
-func register(e Experiment) { registry = append(registry, e) }
+// registry declares every experiment once, in the paper's presentation
+// order: the order Registry lists, ResolveIDs resolves to, and every run
+// document's sections follow.
+var registry = []Experiment{
+	whole(Experiment{ID: "fig1", SeedFree: true,
+		Title:    "Green500 power efficiency of x86 architectures",
+		PaperRef: "Fig. 1",
+		Bench:    "BenchmarkFig1Green500"}, runFig1),
+	whole(Experiment{ID: "sec5a", SeedFree: true,
+		Title:    "Idling hardware threads elevate core frequency",
+		PaperRef: "§V-A",
+		Bench:    "BenchmarkSec5AIdleSibling"}, runSec5A),
+	whole(Experiment{ID: "fig3",
+		Title:    "Frequency transition delay histogram 2.2 → 1.5 GHz",
+		PaperRef: "Fig. 3",
+		Bench:    "BenchmarkFig3TransitionHistogram"}, runFig3),
+	whole(Experiment{ID: "sec5b",
+		Title:    "Fast-return anomaly between 2.5 and 2.2 GHz",
+		PaperRef: "§V-B",
+		Bench:    "BenchmarkSec5BFastReturn"}, runSec5B),
+	{ID: "tab1", SeedFree: true,
+		Title:    "Applied core frequencies in a mixed-frequency CCX",
+		PaperRef: "Table I",
+		Bench:    "BenchmarkTable1MixedFrequencies",
+		Plan:     planTab1},
+	{ID: "fig4", SeedFree: true,
+		Title:    "L3 cache latency in a mixed-frequency CCX",
+		PaperRef: "Fig. 4",
+		Bench:    "BenchmarkFig4L3Latency",
+		Plan:     planFig4},
+	whole(Experiment{ID: "fig5a", SeedFree: true,
+		Title:    "STREAM Triad bandwidth vs I/O-die P-state and DRAM frequency",
+		PaperRef: "Fig. 5a",
+		Bench:    "BenchmarkFig5aStreamBandwidth"}, runFig5a),
+	whole(Experiment{ID: "fig5b", SeedFree: true,
+		Title:    "Memory latency vs I/O-die P-state and DRAM frequency",
+		PaperRef: "Fig. 5b",
+		Bench:    "BenchmarkFig5bMemoryLatency"}, runFig5b),
+	whole(Experiment{ID: "fig6",
+		Title:    "EDC frequency limitation under FIRESTARTER",
+		PaperRef: "Fig. 6 / §V-E",
+		Bench:    "BenchmarkFig6Firestarter"}, runFig6),
+	{ID: "fig7", SeedFree: true,
+		Title:    "System power vs number of threads not in C2",
+		PaperRef: "Fig. 7 / §VI-A",
+		Bench:    "BenchmarkFig7IdlePowerSweep",
+		Plan:     planFig7},
+	whole(Experiment{ID: "sec6acpi", SeedFree: true,
+		Title:    "ACPI-reported C-state latencies and power",
+		PaperRef: "§VI",
+		Bench:    "BenchmarkSec6ACPITable"}, runSec6ACPI),
+	whole(Experiment{ID: "sec6b", SeedFree: true,
+		Title:    "Offline hardware threads block package sleep",
+		PaperRef: "§VI-B",
+		Bench:    "BenchmarkSec6BOfflineAnomaly"}, runSec6B),
+	{ID: "fig8",
+		Title:    "C-state wake-up latencies",
+		PaperRef: "Fig. 8 / §VI-C",
+		Bench:    "BenchmarkFig8WakeupLatency",
+		Plan:     planFig8},
+	whole(Experiment{ID: "sec7u", SeedFree: true,
+		Title:    "RAPL counter update rate",
+		PaperRef: "§VII",
+		Bench:    "BenchmarkSec7RAPLUpdateRate"}, runSec7U),
+	whole(Experiment{ID: "fig9",
+		Title:    "RAPL readings vs AC reference across workloads",
+		PaperRef: "Fig. 9 / §VII-A",
+		Bench:    "BenchmarkFig9RAPLQuality"}, runFig9),
+	whole(Experiment{ID: "fig10",
+		Title:    "Data-dependent power: vxorps operand Hamming weight",
+		PaperRef: "Fig. 10 / §VII-B",
+		Bench:    "BenchmarkFig10HammingWeight"}, runFig10),
+	whole(Experiment{ID: "sec7b",
+		Title:    "Data-dependent power: shr operand Hamming weight",
+		PaperRef: "§VII-B",
+		Bench:    "BenchmarkSec7BShr"}, runSec7B),
+	whole(Experiment{ID: "extboost",
+		Title:    "Core Performance Boost under light and dense load",
+		PaperRef: "§V-E (observation) / extension",
+		Bench:    "BenchmarkExtBoost"}, runExtBoost),
+	whole(Experiment{ID: "ext7742",
+		Title:    "EDC throttling severity on a 64-core EPYC 7742",
+		PaperRef: "§VIII future work / extension",
+		Bench:    "BenchmarkExt7742Throttling"}, runExt7742),
+}
 
 // whole returns e with a one-shard plan that calls run, for experiments
 // that run as one indivisible simulation. The shard ignores the shard seed it is
@@ -309,7 +392,11 @@ func shardOptions(id string, o Options, i int) Options {
 }
 
 // planFor resolves an experiment to its shard plan, rejecting plans with no
-// shards or no reducer.
+// shards or no reducer. It is the one place the scheduler and
+// ExecuteShardRef resolve a plan, and the returned reducer stamps e's ID,
+// Title and PaperRef onto a shallow copy of the reduced Result: a whole
+// experiment's reducer returns its shard output, which may feed several
+// reductions and must stay unchanged.
 func planFor(e Experiment, o Options) ([]Shard, Reduce, error) {
 	shards, reduce, err := e.Plan(o)
 	if err != nil {
@@ -318,28 +405,19 @@ func planFor(e Experiment, o Options) ([]Shard, Reduce, error) {
 	if len(shards) == 0 || reduce == nil {
 		return nil, nil, fmt.Errorf("plan: %d shards, reduce %t — a plan needs at least one shard and a reducer", len(shards), reduce != nil)
 	}
-	return shards, reduce, nil
+	return shards, func(o Options, outs []any) (*Result, error) {
+		r, err := reduce(o, outs)
+		if err != nil || r == nil {
+			return r, err
+		}
+		c := *r
+		c.ID, c.Title, c.PaperRef = e.ID, e.Title, e.PaperRef
+		return &c, nil
+	}, nil
 }
 
 // Registry lists all experiments in paper order.
-func Registry() []Experiment {
-	out := append([]Experiment(nil), registry...)
-	sort.SliceStable(out, func(i, j int) bool { return orderOf(out[i].ID) < orderOf(out[j].ID) })
-	return out
-}
-
-// orderOf imposes the paper's presentation order.
-func orderOf(id string) int {
-	order := []string{"fig1", "sec5a", "fig3", "sec5b", "tab1", "fig4",
-		"fig5a", "fig5b", "fig6", "fig7", "sec6acpi", "sec6b", "fig8",
-		"sec7u", "fig9", "fig10", "sec7b", "extboost", "ext7742"}
-	for i, x := range order {
-		if x == id {
-			return i
-		}
-	}
-	return len(order)
-}
+func Registry() []Experiment { return append([]Experiment(nil), registry...) }
 
 // ByID finds an experiment.
 func ByID(id string) (Experiment, error) {

@@ -245,7 +245,8 @@ func TestSec7BShr(t *testing.T) {
 }
 
 func TestResultTableRendering(t *testing.T) {
-	r := newResult("x", "Title", "Ref")
+	r := newResult()
+	r.ID, r.Title, r.PaperRef = "x", "Title", "Ref"
 	r.Columns = []string{"a", "bb"}
 	r.addRow("1", "2")
 	r.compare("metric", "W", 10, 10.5, 0.1)

@@ -19,20 +19,6 @@ import (
 //   - ext7742 executes the paper's future work: frequency throttling on a
 //     processor with more cores (EPYC 7742), where the impact is expected
 //     to be more severe.
-func init() {
-	register(whole(Experiment{
-		ID:       "extboost",
-		Title:    "Core Performance Boost under light and dense load",
-		PaperRef: "§V-E (observation) / extension",
-		Bench:    "BenchmarkExtBoost",
-	}, runExtBoost))
-	register(whole(Experiment{
-		ID:       "ext7742",
-		Title:    "EDC throttling severity on a 64-core EPYC 7742",
-		PaperRef: "§VIII future work / extension",
-		Bench:    "BenchmarkExt7742Throttling",
-	}, runExt7742))
-}
 
 // boostConfig enables Core Performance Boost on the 7502 system.
 func boostConfig(o Options) machine.Config {
@@ -47,7 +33,7 @@ func boostConfig(o Options) machine.Config {
 }
 
 func runExtBoost(o Options) (*Result, error) {
-	r := newResult("extboost", "Core Performance Boost under light and dense load", "§V-E (observation) / extension")
+	r := newResult()
 	r.Columns = []string{"scenario", "boost", "freq [GHz]", "AC power [W]"}
 
 	// Light load: one busywait core per package, boost on.
@@ -125,7 +111,7 @@ func runExtBoost(o Options) (*Result, error) {
 }
 
 func runExt7742(o Options) (*Result, error) {
-	r := newResult("ext7742", "EDC throttling severity on a 64-core EPYC 7742", "§VIII future work / extension")
+	r := newResult()
 	r.Columns = []string{"system", "nominal [GHz]", "throttled [GHz]", "fraction of nominal"}
 
 	run := func(cfg machine.Config, nominalMHz int) (float64, error) {

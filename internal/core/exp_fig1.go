@@ -24,18 +24,8 @@ var green500 = map[string][]float64{
 	"Intel Haswell": {0.8, 1.1, 1.3, 1.5, 1.7, 1.85, 2.0, 2.15, 2.3},
 }
 
-func init() {
-	register(whole(Experiment{
-		ID:       "fig1",
-		SeedFree: true,
-		Title:    "Green500 power efficiency of x86 architectures",
-		PaperRef: "Fig. 1",
-		Bench:    "BenchmarkFig1Green500",
-	}, runFig1))
-}
-
 func runFig1(o Options) (*Result, error) {
-	r := newResult("fig1", "Green500 power efficiency of x86 architectures", "Fig. 1")
+	r := newResult()
 	r.Columns = []string{"architecture", "n", "min", "median", "max", "GFlops/W"}
 
 	names := make([]string, 0, len(green500))

@@ -9,21 +9,6 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(whole(Experiment{
-		ID:       "fig10",
-		Title:    "Data-dependent power: vxorps operand Hamming weight",
-		PaperRef: "Fig. 10 / §VII-B",
-		Bench:    "BenchmarkFig10HammingWeight",
-	}, runFig10))
-	register(whole(Experiment{
-		ID:       "sec7b",
-		Title:    "Data-dependent power: shr operand Hamming weight",
-		PaperRef: "§VII-B",
-		Bench:    "BenchmarkSec7BShr",
-	}, runSec7B))
-}
-
 // hammingStudy runs the §VII-B protocol for one kernel: instruction blocks
 // on all hardware threads, each block with a randomly chosen relative
 // operand Hamming weight of 0, 0.5 or 1; per block it records the AC
@@ -92,7 +77,7 @@ func hammingStudy(o Options, k workload.Kernel, blocks int) (*hammingDist, error
 }
 
 func runFig10(o Options) (*Result, error) {
-	r := newResult("fig10", "Data-dependent power: vxorps operand Hamming weight", "Fig. 10 / §VII-B")
+	r := newResult()
 	r.Columns = []string{"weight", "AC mean [W]", "RAPL core0 mean [W]"}
 
 	blocks := o.scaled(90) // paper: 3000 blocks of 10 s
@@ -133,7 +118,7 @@ func runFig10(o Options) (*Result, error) {
 }
 
 func runSec7B(o Options) (*Result, error) {
-	r := newResult("sec7b", "Data-dependent power: shr operand Hamming weight", "§VII-B")
+	r := newResult()
 	r.Columns = []string{"weight", "AC mean [W]", "RAPL core0 mean [W]"}
 
 	blocks := o.scaled(90)

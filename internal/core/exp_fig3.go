@@ -10,21 +10,6 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(whole(Experiment{
-		ID:       "fig3",
-		Title:    "Frequency transition delay histogram 2.2 → 1.5 GHz",
-		PaperRef: "Fig. 3",
-		Bench:    "BenchmarkFig3TransitionHistogram",
-	}, runFig3))
-	register(whole(Experiment{
-		ID:       "sec5b",
-		Title:    "Fast-return anomaly between 2.5 and 2.2 GHz",
-		PaperRef: "§V-B",
-		Bench:    "BenchmarkSec5BFastReturn",
-	}, runSec5B))
-}
-
 // transitionSampler implements the refined Mazouz et al. protocol from
 // §V-B: switch the core frequency, detect when the target performance level
 // is reached, switch back, wait a random time, repeat.
@@ -69,7 +54,7 @@ func (s *transitionSampler) sample(targetMHz int, minWait, maxWait sim.Duration)
 }
 
 func runFig3(o Options) (*Result, error) {
-	r := newResult("fig3", "Frequency transition delay histogram 2.2 → 1.5 GHz", "Fig. 3")
+	r := newResult()
 	s, err := newTransitionSampler(o)
 	if err != nil {
 		return nil, err
@@ -125,7 +110,7 @@ func runFig3(o Options) (*Result, error) {
 }
 
 func runSec5B(o Options) (*Result, error) {
-	r := newResult("sec5b", "Fast-return anomaly between 2.5 and 2.2 GHz", "§V-B")
+	r := newResult()
 	r.Columns = []string{"direction", "wait", "min delay [µs]", "max delay [µs]", "fast fraction"}
 	s, err := newTransitionSampler(o)
 	if err != nil {

@@ -10,23 +10,6 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(whole(Experiment{
-		ID:       "fig5a",
-		SeedFree: true,
-		Title:    "STREAM Triad bandwidth vs I/O-die P-state and DRAM frequency",
-		PaperRef: "Fig. 5a",
-		Bench:    "BenchmarkFig5aStreamBandwidth",
-	}, runFig5a))
-	register(whole(Experiment{
-		ID:       "fig5b",
-		SeedFree: true,
-		Title:    "Memory latency vs I/O-die P-state and DRAM frequency",
-		PaperRef: "Fig. 5b",
-		Bench:    "BenchmarkFig5bMemoryLatency",
-	}, runFig5b))
-}
-
 // paperFig5a: [setting(P3,P2,P1,P0,auto)][dram(1467,1600)][cores(1,2,3,4,4x2CCX)].
 var paperFig5a = [5][2][5]float64{
 	{{22.2, 28.3, 28.9, 31.7, 32.1}, {22.2, 28.2, 30.0, 30.6, 31.0}},
@@ -62,7 +45,7 @@ func streamPlacement(m *machine.Machine, cores int, twoCCX bool) []soc.ThreadID 
 }
 
 func runFig5a(o Options) (*Result, error) {
-	r := newResult("fig5a", "STREAM Triad bandwidth vs I/O-die P-state and DRAM frequency", "Fig. 5a")
+	r := newResult()
 	r.Columns = []string{"IOD P-state", "DRAM [GHz]", "1 core", "2", "3", "4", "4 (2 CCX)"}
 
 	type placement struct {
@@ -77,8 +60,12 @@ func runFig5a(o Options) (*Result, error) {
 			row := []string{setting.String(), fmt.Sprintf("%.3f", float64(dram)/1000)}
 			for pi, pl := range placements {
 				m := testSystem(o)
-				m.SetIODSetting(setting)
-				m.SetDRAMClock(dram)
+				if err := m.SetIODSetting(setting); err != nil {
+					return nil, err
+				}
+				if err := m.SetDRAMClock(dram); err != nil {
+					return nil, err
+				}
 				if err := m.SetAllFrequenciesMHz(2500); err != nil {
 					return nil, err
 				}
@@ -110,15 +97,19 @@ func runFig5a(o Options) (*Result, error) {
 }
 
 func runFig5b(o Options) (*Result, error) {
-	r := newResult("fig5b", "Memory latency vs I/O-die P-state and DRAM frequency", "Fig. 5b")
+	r := newResult()
 	r.Columns = []string{"IOD P-state", "DRAM 1.467 GHz [ns]", "DRAM 1.6 GHz [ns]"}
 
 	for si, setting := range iodie.Settings() {
 		row := []string{setting.String()}
 		for di, dram := range fig5DRAMs {
 			m := testSystem(o)
-			m.SetIODSetting(setting)
-			m.SetDRAMClock(dram)
+			if err := m.SetIODSetting(setting); err != nil {
+				return nil, err
+			}
+			if err := m.SetDRAMClock(dram); err != nil {
+				return nil, err
+			}
 			if err := m.SetAllFrequenciesMHz(2500); err != nil {
 				return nil, err
 			}

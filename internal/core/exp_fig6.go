@@ -9,15 +9,6 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(whole(Experiment{
-		ID:       "fig6",
-		Title:    "EDC frequency limitation under FIRESTARTER",
-		PaperRef: "Fig. 6 / §V-E",
-		Bench:    "BenchmarkFig6Firestarter",
-	}, runFig6))
-}
-
 // firestarterRun drives FIRESTARTER on all cores (optionally both hardware
 // threads) at nominal frequency and reports the steady-state metrics.
 type firestarterMetrics struct {
@@ -86,7 +77,7 @@ func firestarterRun(o Options, smt bool) (*firestarterMetrics, error) {
 }
 
 func runFig6(o Options) (*Result, error) {
-	r := newResult("fig6", "EDC frequency limitation under FIRESTARTER", "Fig. 6 / §V-E")
+	r := newResult()
 	r.Columns = []string{"config", "freq [GHz]", "σ(f) [MHz]", "IPC/core", "AC power [W]", "RAPL pkg [W]"}
 
 	withSMT, err := firestarterRun(o, true)

@@ -9,31 +9,6 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "fig7",
-		SeedFree: true,
-		Title:    "System power vs number of threads not in C2",
-		PaperRef: "Fig. 7 / §VI-A",
-		Bench:    "BenchmarkFig7IdlePowerSweep",
-		Plan:     planFig7,
-	})
-	register(whole(Experiment{
-		ID:       "sec6b",
-		SeedFree: true,
-		Title:    "Offline hardware threads block package sleep",
-		PaperRef: "§VI-B",
-		Bench:    "BenchmarkSec6BOfflineAnomaly",
-	}, runSec6B))
-	register(whole(Experiment{
-		ID:       "sec6acpi",
-		SeedFree: true,
-		Title:    "ACPI-reported C-state latencies and power",
-		PaperRef: "§VI",
-		Bench:    "BenchmarkSec6ACPITable",
-	}, runSec6ACPI))
-}
-
 // fig7Dwell is the settle time between sweep steps.
 const fig7Dwell = 2 * sim.Millisecond
 
@@ -106,7 +81,7 @@ func fig7ActiveSweep(o Options, mhz int) ([]float64, error) {
 }
 
 func reduceFig7(o Options, outs []any) (*Result, error) {
-	r := newResult("fig7", "System power vs number of threads not in C2", "Fig. 7 / §VI-A")
+	r := newResult()
 	r.Columns = []string{"series", "threads", "power [W]"}
 
 	floor := outs[0].(float64)
@@ -162,7 +137,7 @@ func reduceFig7(o Options, outs []any) (*Result, error) {
 }
 
 func runSec6B(o Options) (*Result, error) {
-	r := newResult("sec6b", "Offline hardware threads block package sleep", "§VI-B")
+	r := newResult()
 	r.Columns = []string{"state", "power [W]"}
 	m := testSystem(o)
 	m.Eng.RunFor(10 * sim.Millisecond)
@@ -211,7 +186,7 @@ func setSiblingsOnline(m *machine.Machine, online bool) error {
 }
 
 func runSec6ACPI(o Options) (*Result, error) {
-	r := newResult("sec6acpi", "ACPI-reported C-state latencies and power", "§VI")
+	r := newResult()
 	r.Columns = []string{"state", "entry", "reported latency [µs]", "reported power"}
 	m := testSystem(o)
 	for _, e := range m.CStates.ACPITable() {

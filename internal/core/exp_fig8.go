@@ -11,16 +11,6 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "fig8",
-		Title:    "C-state wake-up latencies",
-		PaperRef: "Fig. 8 / §VI-C",
-		Bench:    "BenchmarkFig8WakeupLatency",
-		Plan:     planFig8,
-	})
-}
-
 // wakeSamples collects wake-up latency samples for one configuration using
 // the caller/callee protocol of Ilsche et al.: the callee idles in the
 // requested state; the caller (same CCX for local, other socket for remote)
@@ -136,7 +126,7 @@ func planFig8(o Options) ([]Shard, Reduce, error) {
 }
 
 func reduceFig8(o Options, outs []any) (*Result, error) {
-	r := newResult("fig8", "C-state wake-up latencies", "Fig. 8 / §VI-C")
+	r := newResult()
 	r.Columns = []string{"state", "freq [GHz]", "scope", "median [µs]", "q1", "q3"}
 
 	for i, c := range fig8Combos() {

@@ -10,22 +10,6 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(whole(Experiment{
-		ID:       "fig9",
-		Title:    "RAPL readings vs AC reference across workloads",
-		PaperRef: "Fig. 9 / §VII-A",
-		Bench:    "BenchmarkFig9RAPLQuality",
-	}, runFig9))
-	register(whole(Experiment{
-		ID:       "sec7u",
-		SeedFree: true,
-		Title:    "RAPL counter update rate",
-		PaperRef: "§VII",
-		Bench:    "BenchmarkSec7RAPLUpdateRate",
-	}, runSec7U))
-}
-
 // fig9Point measures one workload configuration: AC reference, RAPL package
 // sum and RAPL core sum over the same window (Hackenberg et al. protocol).
 type fig9Point struct {
@@ -90,7 +74,7 @@ func measureFig9Point(o Options, k workload.Kernel, mhz, cores, threadsPerCore i
 }
 
 func runFig9(o Options) (*Result, error) {
-	r := newResult("fig9", "RAPL readings vs AC reference across workloads", "Fig. 9 / §VII-A")
+	r := newResult()
 	r.Columns = []string{"workload", "config", "AC [W]", "RAPL pkg [W]", "RAPL core [W]"}
 
 	type cfg struct {
@@ -169,7 +153,7 @@ func runFig9(o Options) (*Result, error) {
 }
 
 func runSec7U(o Options) (*Result, error) {
-	r := newResult("sec7u", "RAPL counter update rate", "§VII")
+	r := newResult()
 	r.Columns = []string{"observation", "value"}
 	m := testSystem(o)
 	if err := startOn(m, workload.Busywait, 0, 0); err != nil {

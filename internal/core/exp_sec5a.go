@@ -6,22 +6,12 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(whole(Experiment{
-		ID:       "sec5a",
-		SeedFree: true,
-		Title:    "Idling hardware threads elevate core frequency",
-		PaperRef: "§V-A",
-		Bench:    "BenchmarkSec5AIdleSibling",
-	}, runSec5A))
-}
-
 // runSec5A reproduces the §V-A protocol: a constant workload (while(1);)
 // runs on one thread at the minimum frequency while its sibling — first
 // idle, then offline — requests the nominal frequency. The active thread's
 // frequency is monitored with perf.
 func runSec5A(o Options) (*Result, error) {
-	r := newResult("sec5a", "Idling hardware threads elevate core frequency", "§V-A")
+	r := newResult()
 	r.Columns = []string{"sibling state", "sibling request", "measured freq [GHz]", "sibling cycles/s"}
 
 	m := testSystem(o)

@@ -9,25 +9,6 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "tab1",
-		SeedFree: true,
-		Title:    "Applied core frequencies in a mixed-frequency CCX",
-		PaperRef: "Table I",
-		Bench:    "BenchmarkTable1MixedFrequencies",
-		Plan:     planTab1,
-	})
-	register(Experiment{
-		ID:       "fig4",
-		SeedFree: true,
-		Title:    "L3 cache latency in a mixed-frequency CCX",
-		PaperRef: "Fig. 4",
-		Bench:    "BenchmarkFig4L3Latency",
-		Plan:     planFig4,
-	})
-}
-
 // ccxMixedSetup pins the measured core (core 0) to setMHz and the other
 // three cores of CCX0 to othersMHz, all running while(1).
 func ccxMixedSetup(o Options, measured workload.Kernel, setMHz, othersMHz int) (*machine.Machine, error) {
@@ -85,7 +66,7 @@ func planTab1(o Options) ([]Shard, Reduce, error) {
 }
 
 func reduceTab1(o Options, outs []any) (*Result, error) {
-	r := newResult("tab1", "Applied core frequencies in a mixed-frequency CCX", "Table I")
+	r := newResult()
 	r.Columns = []string{"set [GHz]", "others 1.5", "others 2.2", "others 2.5"}
 
 	k := 0
@@ -144,7 +125,7 @@ func planFig4(o Options) ([]Shard, Reduce, error) {
 }
 
 func reduceFig4(o Options, outs []any) (*Result, error) {
-	r := newResult("fig4", "L3 cache latency in a mixed-frequency CCX", "Fig. 4")
+	r := newResult()
 	r.Columns = []string{"reader [GHz]", "others 1.5", "others 2.2", "others 2.5"}
 
 	k := 0

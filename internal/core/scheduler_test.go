@@ -17,7 +17,7 @@ func fakeExp(id string, run func(Options) (*Result, error)) Experiment {
 
 func okExp(id string) Experiment {
 	return fakeExp(id, func(o Options) (*Result, error) {
-		r := newResult(id, "fake "+id, "test")
+		r := newResult()
 		r.Metrics["seed"] = float64(o.Seed)
 		return r, nil
 	})

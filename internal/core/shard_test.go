@@ -36,7 +36,7 @@ func fakeSharded(id string, n int) Experiment {
 				})
 			}
 			reduce := func(o Options, outs []any) (*Result, error) {
-				r := newResult(id, "fake sharded "+id, "test")
+				r := newResult()
 				for i, out := range outs {
 					r.Metrics[fmt.Sprintf("shard%d", i)] = out.(float64)
 				}
@@ -194,7 +194,7 @@ func TestShardFailureNamesTheShard(t *testing.T) {
 					{Label: "broken", Run: func(Options) (any, error) { return nil, errors.New("synthetic shard failure") }},
 				}, func(o Options, outs []any) (*Result, error) {
 					t.Error("reduce ran despite a failed shard")
-					return newResult("sh-bad", "bad", "test"), nil
+					return newResult(), nil
 				}, nil
 		},
 	}
@@ -220,7 +220,7 @@ func TestShardAndReducePanicsBecomeErrors(t *testing.T) {
 					{Label: "boom", Run: func(Options) (any, error) { panic("shard kaboom") }},
 					{Label: "ok", Run: func(Options) (any, error) { return 1.0, nil }},
 				},
-				func(o Options, outs []any) (*Result, error) { return newResult("sh-panic", "p", "test"), nil }, nil
+				func(o Options, outs []any) (*Result, error) { return newResult(), nil }, nil
 		},
 	}
 	if _, err := runSet([]Experiment{panicky}, DefaultOptions(), RunConfig{Workers: 2}, nil); err == nil || !strings.Contains(err.Error(), "shard kaboom") {
@@ -316,7 +316,7 @@ func TestShardsRunConcurrently(t *testing.T) {
 				})
 			}
 			return shards, func(o Options, outs []any) (*Result, error) {
-				return newResult("sh-conc", "c", "test"), nil
+				return newResult(), nil
 			}, nil
 		},
 	}
@@ -498,7 +498,9 @@ func TestFig7DeterminismMatrix(t *testing.T) {
 
 // TestExecuteShardRefWholeMatchesRun pins the one seed exception on the
 // remote path: shard 0 of a whole experiment, executed from its wire
-// address, computes exactly the experiment's section of a scheduled run.
+// address and reduced, computes exactly the experiment's section of a
+// scheduled run. The reduction stamps the identity onto a copy, so the
+// shard output itself stays as the shard returned it.
 func TestExecuteShardRefWholeMatchesRun(t *testing.T) {
 	cfg := Config{Scale: 0.2, Seed: 4}
 	results, err := RunIDsConfig([]string{"sec6b"}, cfg, RunConfig{Workers: 1}, nil)
@@ -509,9 +511,25 @@ func TestExecuteShardRefWholeMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := out.(*Result)
+	raw, ok := out.(*Result)
 	if !ok {
 		t.Fatalf("whole shard output is %T, want *Result", out)
+	}
+	e, err := ByID("sec6b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := e.canonical(cfg).perExperiment(e.ID)
+	_, reduce, err := planFor(e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := reduce(opts, []any{out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r == raw || raw.ID != "" {
+		t.Fatalf("reduce stamped the shard output in place (ID %q)", raw.ID)
 	}
 	if !bytes.Equal(canonicalJSON(t, r), canonicalJSON(t, results...)) {
 		t.Fatal("ExecuteShardRef of a whole experiment differs from its scheduled section")

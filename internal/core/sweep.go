@@ -102,7 +102,7 @@ func CanonicalIDs(ids []string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(ids) == 0 || len(exps) == len(Registry()) {
+	if len(ids) == 0 || len(exps) == len(registry) {
 		return nil, nil
 	}
 	out := make([]string, len(exps))
@@ -158,21 +158,15 @@ func RunSweepStream(sw Sweep, cfg RunConfig, onConfig ReduceConfig, progress fun
 // so memory is O(configs). Callers that can consume sections as they
 // complete should use the stream directly.
 func RunSweep(sw Sweep, cfg RunConfig, progress func(Progress)) (*SweepResult, error) {
-	exps, err := ResolveIDs(sw.IDs)
+	ids, err := CanonicalIDs(sw.IDs)
 	if err != nil {
 		return nil, err
 	}
 	if err := sw.Validate(); err != nil {
 		return nil, err
 	}
-	sr := &SweepResult{Runs: make([]ConfigResult, len(sw.Configs))}
-	if len(sw.IDs) > 0 && len(exps) < len(Registry()) {
-		sr.IDs = make([]string, len(exps))
-		for i, e := range exps {
-			sr.IDs[i] = e.ID
-		}
-	}
-	err = runSweep(exps, sw.Configs, cfg, func(i int, cr ConfigResult, _ error) {
+	sr := &SweepResult{IDs: ids, Runs: make([]ConfigResult, len(sw.Configs))}
+	err = RunSweepStream(sw, cfg, func(i int, cr ConfigResult, _ error) {
 		sr.Runs[i] = cr
 	}, progress)
 	return sr, err

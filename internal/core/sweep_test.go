@@ -144,7 +144,7 @@ func TestRunSweepPartialFailure(t *testing.T) {
 		if o.Seed == failingSeed {
 			return nil, errors.New("synthetic sweep failure")
 		}
-		return newResult("boom", "fake boom", "test"), nil
+		return newResult(), nil
 	})
 	exps := []Experiment{okExp("a"), boom}
 	configs := []Config{{Scale: 1, Seed: 1}, {Scale: 1, Seed: 2}}

@@ -32,7 +32,7 @@ func jitterSharded(id string, n int) Experiment {
 				})
 			}
 			reduce := func(o Options, outs []any) (*Result, error) {
-				r := newResult(id, "jitter "+id, "test")
+				r := newResult()
 				for i, out := range outs {
 					r.Metrics[fmt.Sprintf("shard%d", i)] = out.(float64)
 				}

@@ -1,19 +1,13 @@
-// Batched leases and the compressed completion path: one long-poll may
-// grant tasks until the worker holds 2 × its registered slots, flate
-// compressed outputs are bounded at decode, and the worker pipeline drains
-// a batch across its slots.
+// Batched leases: one long-poll may grant tasks until the worker holds
+// 2 × its registered slots, and the worker pipeline drains a batch across
+// its slots.
 
 package dist
 
 import (
-	"bytes"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"zen2ee/internal/shardcache"
 )
 
 // leaseBatch polls once and returns the whole grant.
@@ -92,95 +86,6 @@ func TestLeaseGrantBoundedByTwiceSlots(t *testing.T) {
 		if o := waitOutcome(t, ch); o.err != nil || o.out != float64(shard) {
 			t.Fatalf("shard %d outcome = %+v", shard, o)
 		}
-	}
-}
-
-func TestCompressedCompletionRoundTrip(t *testing.T) {
-	env := newTestEnv(t, Config{})
-	w := env.register(t, "zipper", 1)
-
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, nil))
-	spec := w.leaseUntil(5 * time.Second)
-
-	// A payload comfortably past compressMinBytes, compressible enough
-	// that the wire bytes shrink.
-	big := make([]float64, 4096)
-	for i := range big {
-		big[i] = float64(i % 7)
-	}
-	enc, err := shardcache.EncodeOutput(big)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	cb, err := compressOutput(enc)
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	if len(cb) >= len(enc) {
-		t.Fatalf("compressed %d bytes to %d — payload did not shrink", len(enc), len(cb))
-	}
-	w.post("/dist/v1/complete", completeRequest{
-		WorkerID: w.id, TaskID: spec.ID, Output: cb, Compressed: true, DurNS: 1000,
-	}, nil, http.StatusOK)
-
-	o := waitOutcome(t, ch)
-	if o.err != nil || o.origin != "zipper" {
-		t.Fatalf("outcome = %+v", o)
-	}
-	got, ok := o.out.([]float64)
-	if !ok || len(got) != len(big) {
-		t.Fatalf("decoded %T (len %d), want []float64 len %d", o.out, len(got), len(big))
-	}
-	for i := range big {
-		if got[i] != big[i] {
-			t.Fatalf("element %d: %v != %v", i, got[i], big[i])
-		}
-	}
-}
-
-func TestCorruptCompressedCompletionFailsShardLoudly(t *testing.T) {
-	env := newTestEnv(t, Config{})
-	w := env.register(t, "mangler", 1)
-
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, nil))
-	spec := w.leaseUntil(5 * time.Second)
-
-	w.post("/dist/v1/complete", completeRequest{
-		WorkerID: w.id, TaskID: spec.ID, Output: []byte("not a flate stream"), Compressed: true,
-	}, nil, http.StatusOK)
-
-	o := waitOutcome(t, ch)
-	if o.err == nil || !strings.Contains(o.err.Error(), "decoding output") {
-		t.Fatalf("corrupt compressed completion outcome = %+v, want a loud decode failure", o)
-	}
-}
-
-func TestDecompressOutputBoundedByBodyLimit(t *testing.T) {
-	small := []byte(strings.Repeat("abcdef", 200))
-	cb, err := compressOutput(small)
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	back, err := decompressOutput(cb)
-	if err != nil {
-		t.Fatalf("decompress: %v", err)
-	}
-	if !bytes.Equal(back, small) {
-		t.Fatalf("round trip mangled the payload (%d vs %d bytes)", len(back), len(small))
-	}
-
-	// A zip bomb — tiny on the wire, past the body cap inflated — must be
-	// rejected at decode, not buffered without bound.
-	bomb, err := compressOutput(make([]byte, maxBodyBytes+2))
-	if err != nil {
-		t.Fatalf("compress bomb: %v", err)
-	}
-	if _, err := decompressOutput(bomb); err == nil {
-		t.Fatalf("decompressOutput accepted a payload inflating past maxBodyBytes")
 	}
 }
 

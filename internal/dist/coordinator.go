@@ -421,21 +421,12 @@ func (c *Coordinator) complete(req completeRequest) (duplicate bool, err error) 
 	var execErr error
 	if req.Error != "" {
 		execErr = errors.New(req.Error)
-	} else {
-		raw := req.Output
-		if req.Compressed {
-			raw, err = decompressOutput(raw)
-		}
-		if err == nil {
-			out, err = shardcache.DecodeOutput(raw)
-		}
-		if err != nil {
-			// An undecodable output is an execution failure of this shard (an
-			// unregistered output type, a version skew, a corrupt compressed
-			// payload), not a protocol error: fail the shard loudly instead
-			// of poisoning the reduce.
-			out, execErr = nil, fmt.Errorf("dist: decoding output from worker %s: %w", w.name, err)
-		}
+	} else if out, err = shardcache.DecodeOutput(req.Output); err != nil {
+		// An undecodable output is an execution failure of this shard (an
+		// unregistered output type, a version skew, a corrupt payload), not
+		// a protocol error: fail the shard loudly instead of poisoning the
+		// reduce.
+		out, execErr = nil, fmt.Errorf("dist: decoding output from worker %s: %w", w.name, err)
 	}
 	if tr := t.run.trace; tr.Enabled() {
 		tr.Add(obs.Span{

@@ -15,10 +15,10 @@
 // the wire, and the worker re-derives the identical plan and per-shard RNG
 // stream via core.ExecuteShardRef.
 // Outputs return as gob payloads (the internal/shardcache codec, which
-// round-trips float64 values bit-exactly), flate-compressed when that
-// shrinks a large payload; worker-measured execution windows merge into the
-// coordinator's obs.Trace as CatRemote spans with worker attribution, so a
-// distributed run still renders one coherent Chrome-trace timeline.
+// round-trips float64 values bit-exactly); worker-measured execution
+// windows merge into the coordinator's obs.Trace as CatRemote spans with
+// worker attribution, so a distributed run still renders one coherent
+// Chrome-trace timeline.
 //
 // One lease long-poll may grant a batch of tasks, sized by the coordinator
 // from the slots the worker registered: up to 2 × slots leases held (one
@@ -27,14 +27,7 @@
 // completions pipeline independently of execution.
 package dist
 
-import (
-	"bytes"
-	"compress/flate"
-	"fmt"
-	"io"
-
-	"zen2ee/internal/core"
-)
+import "zen2ee/internal/core"
 
 // TaskSpec is one leased unit of work on the wire.
 type TaskSpec struct {
@@ -79,10 +72,8 @@ type completeRequest struct {
 	WorkerID string `json:"worker_id"`
 	TaskID   string `json:"task_id"`
 	// Output is the gob-encoded shard output (empty for a nil output or a
-	// failed shard), flate-compressed when Compressed is set.
+	// failed shard).
 	Output []byte `json:"output,omitempty"`
-	// Compressed marks Output as flate-compressed.
-	Compressed bool `json:"compressed,omitempty"`
 	// Error is the shard's failure message; empty means success.
 	Error string `json:"error,omitempty"`
 	// StartDeltaNS is lease receipt → execution start on the worker's
@@ -123,40 +114,3 @@ const (
 	// codeDraining: the coordinator is shutting down and leases nothing.
 	codeDraining = "draining"
 )
-
-// compressMinBytes is the payload size below which compression is skipped:
-// tiny gob outputs (a scalar, a short series) cost more in flate framing
-// than they save.
-const compressMinBytes = 512
-
-// compressOutput flate-compresses an encoded output.
-func compressOutput(b []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(b); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decompressOutput inverts compressOutput, bounding the inflated size by
-// the same limit the HTTP layer puts on request bodies — a compressed
-// payload must not expand past what an uncompressed one could carry.
-func decompressOutput(b []byte) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(b))
-	defer zr.Close()
-	out, err := io.ReadAll(io.LimitReader(zr, maxBodyBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) > maxBodyBytes {
-		return nil, fmt.Errorf("dist: decompressed output exceeds the %d-byte limit", maxBodyBytes)
-	}
-	return out, nil
-}

@@ -2,12 +2,9 @@ package dist
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,41 +20,39 @@ const (
 
 // FuzzCompleteRequest feeds arbitrary bytes to the coordinator's
 // completion path while one task is leased: once as the whole body of
-// POST /dist/v1/complete, and once each as the Output of a well-addressed
-// completion, uncompressed and flate-compressed. The handler must not
-// panic and must answer only 200, 400, 404, 410 or 413; an output must
-// fail its shard exactly when it does not inflate (within maxBodyBytes)
-// and decode; and the leased task must end with an output or an error.
-// The seed corpus is in testdata/fuzz/FuzzCompleteRequest, plus one seed
-// built here: a flate stream that inflates to a valid gob output just past
-// maxBodyBytes, which only the inflate bound rejects.
+// POST /dist/v1/complete, and once as the Output of a well-addressed
+// completion. The handler must not panic and must answer only 200, 400,
+// 404, 410 or 413; an output must fail its shard exactly when it does not
+// decode; and the leased task must end with an output or an error. The
+// seed corpus is in testdata/fuzz/FuzzCompleteRequest, plus one seed built
+// here: the encoding of a 512-element series, an output as large as the
+// bigger experiments' shards return.
 func FuzzCompleteRequest(f *testing.F) {
-	enc, err := shardcache.EncodeOutput(strings.Repeat("z", maxBodyBytes))
+	series := make([]float64, 512)
+	for i := range series {
+		series[i] = float64(i%7) / 3
+	}
+	enc, err := shardcache.EncodeOutput(series)
 	if err != nil {
 		f.Fatal(err)
 	}
-	bomb, err := compressOutput(enc)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bomb)
+	f.Add(enc)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		completeLeased(t, data)
-		for _, compressed := range []bool{false, true} {
-			body, err := json.Marshal(completeRequest{
-				WorkerID: fuzzWorker, TaskID: fuzzTask, Output: data, Compressed: compressed, DurNS: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			status, o := completeLeased(t, body)
-			if status != http.StatusOK {
-				t.Fatalf("well-addressed completion (compressed=%v) answered %d", compressed, status)
-			}
-			if wantErr := !decodesWithinLimit(data, compressed); (o.err != nil) != wantErr {
-				t.Fatalf("compressed=%v: shard error %v, want an error: %v", compressed, o.err, wantErr)
-			}
+		body, err := json.Marshal(completeRequest{
+			WorkerID: fuzzWorker, TaskID: fuzzTask, Output: data, DurNS: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, o := completeLeased(t, body)
+		if status != http.StatusOK {
+			t.Fatalf("well-addressed completion answered %d", status)
+		}
+		_, decErr := shardcache.DecodeOutput(data)
+		if (o.err != nil) != (decErr != nil) {
+			t.Fatalf("shard error %v, decode error %v: want both or neither", o.err, decErr)
 		}
 	})
 }
@@ -123,21 +118,4 @@ func completeLeased(t *testing.T, body []byte) (int, shardOutcome) {
 		t.Fatalf("after a rejected completion (%d), a valid one ended the task with %+v", status, o)
 	}
 	return status, shardOutcome{}
-}
-
-// decodesWithinLimit reports whether output is a completion payload the
-// coordinator should accept: when compressed it must inflate to at most
-// maxBodyBytes, and the result must decode.
-func decodesWithinLimit(output []byte, compressed bool) bool {
-	if compressed {
-		zr := flate.NewReader(bytes.NewReader(output))
-		defer zr.Close()
-		raw, err := io.ReadAll(io.LimitReader(zr, maxBodyBytes+1))
-		if err != nil || len(raw) > maxBodyBytes {
-			return false
-		}
-		output = raw
-	}
-	_, err := shardcache.DecodeOutput(output)
-	return err == nil
 }

@@ -455,11 +455,6 @@ func (w *Worker) complete(t TaskSpec, out any, execErr error, startDelta, dur ti
 			req.Error = fmt.Sprintf("dist: encoding shard output (%T): %v — register the type with shardcache.RegisterOutputType", out, err)
 		} else {
 			req.Output = enc
-			if len(enc) >= compressMinBytes {
-				if cb, cerr := compressOutput(enc); cerr == nil && len(cb) < len(enc) {
-					req.Output, req.Compressed = cb, true
-				}
-			}
 		}
 	}
 	for attempt := 0; attempt < 3; attempt++ {

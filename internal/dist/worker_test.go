@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zen2ee/internal/shardcache"
 )
 
 // startWorker runs an in-process Worker against the env and returns a
@@ -251,21 +253,21 @@ func TestWorkerReregistersAfterExpiry(t *testing.T) {
 	}
 }
 
-// TestWorkerCompressesLargeOutputs: a worker flate-compresses a completion
-// payload of at least compressMinBytes that compression shrinks, sends a
-// small one plain, and both arrive as the shard's output.
-func TestWorkerCompressesLargeOutputs(t *testing.T) {
+// TestWorkerSendsOutputsRaw: a worker posts every completion's output as
+// the codec's encoding, large or small, and both arrive as the shard's
+// output.
+func TestWorkerSendsOutputsRaw(t *testing.T) {
 	c := NewCoordinator(Config{})
 	inner := c.Handler()
 	var mu sync.Mutex
-	compressed := map[bool]int{} // Compressed flag → completions seen
+	var wire [][]byte // completion Output fields, in arrival order
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/dist/v1/complete" {
 			body, _ := io.ReadAll(r.Body)
 			var req completeRequest
 			if json.Unmarshal(body, &req) == nil {
 				mu.Lock()
-				compressed[req.Compressed]++
+				wire = append(wire, req.Output)
 				mu.Unlock()
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
@@ -283,7 +285,7 @@ func TestWorkerCompressesLargeOutputs(t *testing.T) {
 		big[i] = float64(i % 7)
 	}
 	startWorker(t, env, WorkerConfig{
-		Name: "zipper", Slots: 1,
+		Name: "plain", Slots: 1,
 		Execute: func(ts TaskSpec) (any, error) {
 			if ts.Ref.Shard == 0 {
 				return big, nil
@@ -303,7 +305,13 @@ func TestWorkerCompressesLargeOutputs(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if compressed[true] != 1 || compressed[false] != 1 {
-		t.Fatalf("completions by Compressed flag = %v, want one compressed and one plain", compressed)
+	for i, out := range []any{big, 1.5} {
+		enc, err := shardcache.EncodeOutput(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(wire) || !bytes.Equal(wire[i], enc) {
+			t.Fatalf("completion %d did not carry the codec encoding of %T on the wire", i, out)
+		}
 	}
 }

@@ -209,6 +209,9 @@ const foldLogCap = 256
 // New builds and wires the system. All threads start idle in the deepest
 // C-state at the lowest P-state.
 func New(cfg Config) *Machine {
+	if err := cfg.IOD.Validate(); err != nil {
+		panic(err)
+	}
 	eng := sim.NewEngine(cfg.Seed)
 	top := soc.New(cfg.SoC)
 	regs := msr.NewFile(top.NumThreads())
@@ -309,16 +312,30 @@ func (m *Machine) wirePerfMSRs(nominalMHz float64) {
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// SetIODSetting selects the I/O-die P-state (BIOS option).
-func (m *Machine) SetIODSetting(s iodie.Setting) {
-	m.iod.Setting = s
-	m.changed()
+// SetIODSetting selects the I/O-die P-state (BIOS option). It rejects a
+// setting outside Auto..P3.
+func (m *Machine) SetIODSetting(s iodie.Setting) error {
+	c := m.iod
+	c.Setting = s
+	return m.setIOD(c)
 }
 
-// SetDRAMClock selects the DRAM frequency in MHz (BIOS option).
-func (m *Machine) SetDRAMClock(mhz int) {
-	m.iod.MemClkMHz = mhz
+// SetDRAMClock selects the DRAM frequency in MHz (BIOS option). It rejects
+// a non-positive clock.
+func (m *Machine) SetDRAMClock(mhz int) error {
+	c := m.iod
+	c.MemClkMHz = mhz
+	return m.setIOD(c)
+}
+
+// setIOD applies an I/O-die configuration change if it validates.
+func (m *Machine) setIOD(c iodie.Config) error {
+	if err := c.Validate(); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	m.iod = c
 	m.changed()
+	return nil
 }
 
 // --- Workload control ---

@@ -531,3 +531,42 @@ func TestRefreshStatsMixedCCXSharesNothing(t *testing.T) {
 			before, d, changes, len(ccx))
 	}
 }
+
+// TestIODConfigChecked: the I/O-die configuration is validated wherever it
+// enters the machine. At a zero DRAM clock Auto FCLK would follow the clock
+// down to 0, and power and latency would read wrong without an error.
+func TestIODConfigChecked(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IOD.MemClkMHz = 0
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("New accepted a zero DRAM clock")
+			}
+		}()
+		New(cfg)
+	}()
+
+	m := newMachine()
+	if _, err := m.StartKernel(0, workload.Busywait, 0); err != nil {
+		t.Fatal(err)
+	}
+	lat, watts := m.DRAMLatencyNs(), m.SystemWatts()
+	for _, mhz := range []int{0, -1600} {
+		if err := m.SetDRAMClock(mhz); err == nil {
+			t.Errorf("SetDRAMClock(%d) accepted", mhz)
+		}
+	}
+	if err := m.SetIODSetting(iodie.P3 + 1); err == nil {
+		t.Error("SetIODSetting accepted a setting past P3")
+	}
+	if got := m.DRAMLatencyNs(); got != lat {
+		t.Errorf("rejected changes moved DRAM latency %v → %v ns", lat, got)
+	}
+	if got := m.SystemWatts(); got != watts {
+		t.Errorf("rejected changes moved system power %v → %v W", watts, got)
+	}
+	if err := m.SetDRAMClock(iodie.DRAM1467); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,11 +13,28 @@ import (
 	"zen2ee/internal/core"
 )
 
-// WriteCSV emits a result's table and metrics in CSV form.
-func WriteCSV(w io.Writer, r *core.Result) error {
-	if _, err := fmt.Fprintf(w, "# %s,%s\n", r.ID, escapeCSV(r.Title)); err != nil {
-		return err
+// errWriter passes writes through to w until one fails, then records that
+// error and drops every later write, so a writer that prints line by line
+// checks once, at the end.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
 	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
+}
+
+// WriteCSV emits a result's table and metrics in CSV form. It returns the
+// first write error.
+func WriteCSV(out io.Writer, r *core.Result) error {
+	w := &errWriter{w: out}
+	fmt.Fprintf(w, "# %s,%s\n", r.ID, escapeCSV(r.Title))
 	fmt.Fprintln(w, strings.Join(escapeAll(r.Columns), ","))
 	for _, row := range r.Rows {
 		fmt.Fprintln(w, strings.Join(escapeAll(row), ","))
@@ -30,7 +47,7 @@ func WriteCSV(w io.Writer, r *core.Result) error {
 	for _, k := range keys {
 		fmt.Fprintf(w, "# metric,%s,%g\n", k, r.Metrics[k])
 	}
-	return nil
+	return w.err
 }
 
 func escapeAll(cells []string) []string {
@@ -53,9 +70,11 @@ type Summary struct {
 	Total, OK int
 }
 
-// WriteMarkdown emits the EXPERIMENTS.md document for a result set.
-func WriteMarkdown(w io.Writer, results []*core.Result, opts core.Options) (Summary, error) {
+// WriteMarkdown emits the EXPERIMENTS.md document for a result set. It
+// returns the first write error.
+func WriteMarkdown(out io.Writer, results []*core.Result, opts core.Options) (Summary, error) {
 	var s Summary
+	w := &errWriter{w: out}
 	fmt.Fprintln(w, "# EXPERIMENTS — paper vs measured")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Generated by `zen2ee gen-experiments` against the simulated dual")
@@ -78,18 +97,12 @@ func WriteMarkdown(w io.Writer, results []*core.Result, opts core.Options) (Summ
 	}
 	fmt.Fprintln(w)
 	for _, r := range results {
-		bench := ""
-		for _, x := range core.Registry() {
-			if x.ID == r.ID {
-				bench = x.Bench
-			}
-		}
 		// The explicit anchor keeps the index-table links stable: GitHub
 		// would otherwise slug the anchor from the whole heading text.
 		fmt.Fprintf(w, "<a id=\"%s\"></a>\n\n", r.ID)
 		fmt.Fprintf(w, "## %s — %s (%s)\n\n", r.ID, r.Title, r.PaperRef)
-		if bench != "" {
-			fmt.Fprintf(w, "Regenerated by `go test -bench %s` or `zen2ee run %s`.\n\n", bench, r.ID)
+		if e, err := core.ByID(r.ID); err == nil && e.Bench != "" {
+			fmt.Fprintf(w, "Regenerated by `go test -bench %s` or `zen2ee run %s`.\n\n", e.Bench, r.ID)
 		}
 		if len(r.Comparisons) > 0 {
 			fmt.Fprintln(w, "| quantity | paper | measured | deviation | status |")
@@ -113,7 +126,7 @@ func WriteMarkdown(w io.Writer, results []*core.Result, opts core.Options) (Summ
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "**Summary: %d/%d paper-vs-measured checks within tolerance.**\n", s.OK, s.Total)
-	return s, nil
+	return s, w.err
 }
 
 // wallTime formats an experiment's wall-clock time for the index table.

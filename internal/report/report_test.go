@@ -1,6 +1,8 @@
 package report
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +29,47 @@ func TestWriteCSV(t *testing.T) {
 	for _, want := range []string{"# sec6acpi,", "state,entry", "C0,active", "# metric,c2_latency_us,400"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("CSV missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// failAfter accepts n bytes, then fails every write, as a full disk would.
+type failAfter struct{ n int }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errDiskFull
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestWritersReturnWriteErrors: a write that fails anywhere in the
+// document, not only on the first line, must reach the caller, which
+// would otherwise rename a truncated file into place.
+func TestWritersReturnWriteErrors(t *testing.T) {
+	r := sampleResult(t)
+	writers := map[string]func(io.Writer) error{
+		"csv": func(w io.Writer) error { return WriteCSV(w, r) },
+		"markdown": func(w io.Writer) error {
+			_, err := WriteMarkdown(w, []*core.Result{r}, core.DefaultOptions())
+			return err
+		},
+	}
+	for name, write := range writers {
+		var full strings.Builder
+		if err := write(&full); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		size := full.Len()
+		for _, n := range []int{0, 40, size / 2, size - 1} {
+			if err := write(&failAfter{n: n}); !errors.Is(err, errDiskFull) {
+				t.Errorf("%s failing after %d of %d bytes: got %v, want the write error", name, n, size, err)
+			}
 		}
 	}
 }

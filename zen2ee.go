@@ -178,16 +178,16 @@ func IODieSettings() []string {
 func (s *System) SetIODieSetting(name string) error {
 	for _, x := range iodie.Settings() {
 		if x.String() == name {
-			s.m.SetIODSetting(x)
-			return nil
+			return s.m.SetIODSetting(x)
 		}
 	}
 	return fmt.Errorf("zen2ee: unknown I/O-die setting %q", name)
 }
 
 // SetDRAMClockMHz selects the DRAM frequency (1467 or 1600 on the paper's
-// system; other values interpolate/clamp).
-func (s *System) SetDRAMClockMHz(mhz int) { s.m.SetDRAMClock(mhz) }
+// system; other positive values interpolate/clamp). A non-positive clock is
+// an error.
+func (s *System) SetDRAMClockMHz(mhz int) error { return s.m.SetDRAMClock(mhz) }
 
 // AdvanceMillis advances the simulation by ms milliseconds.
 func (s *System) AdvanceMillis(ms float64) {

@@ -46,6 +46,9 @@ func TestUnknownKernelAndSetting(t *testing.T) {
 	if err := sys.SetIODieSetting("P2"); err != nil {
 		t.Fatal(err)
 	}
+	if err := sys.SetDRAMClockMHz(0); err == nil {
+		t.Fatal("zero DRAM clock accepted")
+	}
 }
 
 func TestStatAndStop(t *testing.T) {
