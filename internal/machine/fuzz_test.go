@@ -151,6 +151,15 @@ const (
 	numOps
 )
 
+// Single reads take the top byte values instead of a place in the cycle
+// above, so the seed corpus spelled in it decodes as it always has. They
+// fold one core's counters or RAPL domain alone, which copies it out of its
+// class, or hands a class owner's state to a follower.
+const (
+	opReadThread = 255 - iota // thread: read one thread's counters
+	opReadCore                // core: read one core's RAPL domain
+)
+
 // maxScript bounds a script, so one run simulates at most ~2 s.
 const maxScript = 256
 
@@ -199,7 +208,23 @@ func runScript(script []byte, flushed bool) ([]float64, error) {
 	// opRun, which an event may not call.
 	var decode func() (op func() error, run bool)
 	decode = func() (func() error, bool) {
-		switch next() % numOps {
+		b := next()
+		switch b {
+		case opReadThread:
+			th := thread()
+			return func() error {
+				cs := m.ReadCounters(th)
+				out = append(out, cs.Aperf, cs.Mperf, cs.Instructions)
+				return nil
+			}, false
+		case opReadCore:
+			c := soc.CoreID(next() % m.Top.NumCores())
+			return func() error {
+				out = append(out, m.RAPL.CoreEnergyJoules(c))
+				return nil
+			}, false
+		}
+		switch b % numOps {
 		case opStart:
 			th, k, w := thread(), kernels[next()%len(kernels)], float64(next())/255
 			return func() error {
@@ -306,15 +331,17 @@ func checkDerived(m *Machine) error {
 	for c := range m.Top.Cores {
 		core := soc.CoreID(c)
 		var ci power.CoreInput
-		w, eff := m.deriveCore(core, m.DVFS.EffectiveMHz(core), m.RAPL.Config(), &ci)
+		w, eff, watts, amps := m.deriveCore(core, m.DVFS.EffectiveMHz(core), m.RAPL.Config(), &ci)
 		if ci != m.inputsBuf[c] || math.Float64bits(w) != math.Float64bits(m.raplWBuf[c]) ||
-			math.Float64bits(eff) != math.Float64bits(m.effBuf[c]) {
-			return fmt.Errorf("core %d at %v: cached (%+v, %v W, %v MHz), derived (%+v, %v W, %v MHz)",
-				c, m.Eng.Now(), m.inputsBuf[c], m.raplWBuf[c], m.effBuf[c], ci, w, eff)
+			math.Float64bits(eff) != math.Float64bits(m.effBuf[c]) ||
+			math.Float64bits(watts) != math.Float64bits(m.wattsBuf[c]) ||
+			math.Float64bits(amps) != math.Float64bits(m.ampsBuf[c]) {
+			return fmt.Errorf("core %d at %v: cached (%+v, %v W, %v MHz, %v W, %v A), derived (%+v, %v W, %v MHz, %v W, %v A)",
+				c, m.Eng.Now(), m.inputsBuf[c], m.raplWBuf[c], m.effBuf[c], m.wattsBuf[c], m.ampsBuf[c], ci, w, eff, watts, amps)
 		}
 		for _, t := range m.Top.Cores[c].Threads {
 			cyc, ins, mpf := m.deriveThread(t, &ci, eff)
-			tc := &m.counters[t]
+			tc := m.countersOf(t)
 			if cyc != tc[cycles].Rate() || ins != tc[instrs].Rate() || mpf != tc[mperf].Rate() {
 				return fmt.Errorf("thread %d at %v: cached rates (%v, %v, %v), derived (%v, %v, %v)",
 					t, m.Eng.Now(), tc[cycles].Rate(), tc[instrs].Rate(), tc[mperf].Rate(), cyc, ins, mpf)
@@ -327,7 +354,8 @@ func checkDerived(m *Machine) error {
 // FuzzMachineScript decodes bytes into a timed script of mutations (start
 // and stop kernels, different kernels on different threads, online changes,
 // C-state enables, frequency requests, operand weights), same-instant reads
-// and engine runs, and runs it twice: once with each instant's refresh
+// of everything or of one thread's counters or one core's RAPL domain, and
+// engine runs, and runs it twice: once with each instant's refresh
 // deferred to its end, once flushing after every mutation. The two runs
 // refresh with different dirty sets, so cores fall into different classes,
 // yet every reading (system power, AC and RAPL energies, APERF, MPERF and

@@ -19,7 +19,7 @@
 // fold zero time. So integrators fold at exactly the instants they would
 // if every mutation refreshed on the spot, and counters and energies are
 // exact for piecewise-constant behaviour regardless of event granularity.
-// The per-thread counters and the RAPL domains fold lazily over a log of
+// The per-thread counters and the RAPL domains fold lazily over one log of
 // those instants, replaying the folds only when a rate changes or someone
 // reads them.
 //
@@ -31,15 +31,29 @@
 // grant and SMU cap) and its CCX's peak applied clock, which fixes the
 // coupling penalty. Floats are compared by their bits. A dirty core whose
 // key equals that of the latest derived core copies that core's power-model
-// input, RAPL estimate, effective clock and thread counter rates. The same
-// float operations on bit-equal inputs give the same bits, so sharing moves
-// no result; `-tags simcheck` builds re-derive every core after every
-// refresh. When the SMU moves a package-wide cap, every core of a package
-// running one load is one class. Counters of a sharing core that are
-// bit-identical to the derived core's before its update take the updated
-// counters whole instead of replaying the log (sim.LazyIntegrator.Same).
-// The RAPL model does likewise for domains fed equal powers in a row, and
-// it applies its noise factor itself, so a noise step re-feeds no domain.
+// input, RAPL estimate, effective clock, power-model watts and EDC current.
+// The same float operations on bit-equal inputs give the same bits, so
+// sharing moves no result; `-tags simcheck` builds re-derive every core
+// after every refresh. The sums over cores (system power, the RAPL package
+// feeds, the SMU's package current) add the cached per-core values in core
+// order.
+//
+// The dirty cores of one package that share a derivation form a class. A
+// member whose counters (or, separately, RAPL core domain) are
+// bit-identical to those of the class's latest owning core follows that
+// core (sim.Classes): it owns no counters or domain of its own, and the
+// one update of its owner serves it. Classes never reach across packages,
+// and a refresh regroups only the packages holding a dirty core; a clean
+// package's classes, domains and RAPL package sum stay as they are. When
+// the SMU moves a package-wide cap, every core of a package running one
+// load stays in one class, so the refresh sets one core's counter rates
+// and feeds one core domain. A member copies its owner's state (splits
+// out) when its counters or core domain are read, before its owner is
+// read (the owner hands its state to its first follower), and when a
+// refresh updates it unlike its owner, taking the owner's state from
+// before the update; fold-log catch-ups skip followers. Copy-on-write
+// moves no result either: `-tags simcheck` builds check every counter and
+// domain read against an eagerly folded shadow.
 package machine
 
 import (
@@ -136,9 +150,13 @@ type Machine struct {
 	acEnergy *sim.EnergyIntegrator
 	lastSysW float64
 
-	// log holds the refresh instants the per-thread counters fold at.
-	log      *sim.FoldLog
-	counters []threadCounters
+	// log holds the refresh instants the per-thread counters and the RAPL
+	// domains fold at.
+	log *sim.FoldLog
+	// counters holds each core's thread counters; classes records which
+	// cores follow another core's counters instead of their own.
+	counters []coreCounters
+	classes  sim.Classes
 	shadow   counterShadow // eager counters, -tags simcheck only
 
 	trafficGBs float64
@@ -155,24 +173,29 @@ type Machine struct {
 	stats RefreshStats
 
 	// Incremental-refresh state. Per-core derived values (power-model
-	// inputs, RAPL estimates) and per-thread counter rates are cached across
-	// refreshes; a refresh recomputes them only for cores marked dirty since
-	// the last one. Any mutation that can change a core's derived state
-	// marks its whole CCX dirty (effective frequencies couple within a CCX),
-	// so cached values are always bit-identical to a full recompute — which
-	// `-tags simcheck` builds assert on every refresh.
-	dirtyAll   bool
-	dirtyCores []bool
-	inputsBuf  []power.CoreInput
-	effBuf     []float64 // effective MHz of active cores (0 when idle)
-	raplWBuf   []float64
-	pkgWBuf    []float64
-	corePkg    []soc.PackageID
-	// leadPre holds the counters of the refresh's latest derived core as
-	// they were before it set their rates. A core sharing its derivation
-	// whose counters are the same (sim.LazyIntegrator.Same) takes the
-	// derived core's counters whole instead of replaying its own.
-	leadPre [2]threadCounters
+	// inputs, RAPL estimates, power-model watts, EDC currents) and
+	// per-thread counter rates are cached across refreshes; a refresh
+	// recomputes them only for cores marked dirty since the last one. Any
+	// mutation that can change a core's derived state marks its whole CCX
+	// dirty (effective frequencies couple within a CCX), so cached values
+	// are always bit-identical to a full recompute — which `-tags simcheck`
+	// builds assert on every refresh.
+	//
+	// cls[c] is -1 for a clean core and 0 for a core marked dirty. The
+	// refresh sets each dirty core's class, the first core of its package
+	// with the same derivation in that refresh, regroups the counters and
+	// RAPL domains by it and resets it to -1. Every dirty core lies in
+	// dirtyLo..dirtyHi-1.
+	cls              []int16
+	dirtyLo, dirtyHi int
+	inputsBuf        []power.CoreInput
+	effBuf           []float64 // effective MHz of active cores (0 when idle)
+	raplWBuf         []float64 // RAPL estimate before model noise
+	wattsBuf         []float64 // power-model watts (power.Model.CoreWatts)
+	ampsBuf          []float64 // EDC current, 0 when idle
+	ccdGBs           []float64 // achieved DRAM traffic per CCD
+	pkgWBuf          []float64 // sum of each package's RAPL estimates
+	coresPerPackage  int
 }
 
 // RefreshStats counts the machine's refresh work since New. Every core a
@@ -185,12 +208,25 @@ type RefreshStats struct {
 	// Shared counts dirty cores that copied the derivation of the latest
 	// derived core, whose class key was equal.
 	Shared uint64
+	// Splits counts copy-on-write copies of a class owner's counters or
+	// RAPL core domain: a member that was read or left its class, or an
+	// owner read while followed.
+	Splits uint64
 }
 
 // threadCounters are a hardware thread's performance counters, indexed by
 // counterKind. Their rates are the thread's cached derived state: a refresh
 // sets them only for threads of dirty cores.
 type threadCounters [numCounters]sim.LazyIntegrator
+
+// coreCounters are a core's thread counters, indexed by soc.Thread.SMT.
+type coreCounters [2]threadCounters
+
+// sameCounters reports whether two cores' counters are bit-identical. No
+// counter holds a NaN or a negative zero (rates and elapsed times are
+// non-negative, so an integral that starts at +0 stays +0 or grows), so ==
+// on the floats is bit equality here.
+func sameCounters(a, b *coreCounters) bool { return *a == *b }
 
 // counterKind names one of a thread's counters.
 type counterKind int
@@ -202,8 +238,8 @@ const (
 	numCounters
 )
 
-// foldLogCap bounds the counters' fold log; a full log catches every
-// counter up and starts over.
+// foldLogCap bounds the fold log; a full log catches every counter and
+// RAPL domain up and starts over.
 const foldLogCap = 256
 
 // New builds and wires the system. All threads start idle in the deepest
@@ -216,6 +252,9 @@ func New(cfg Config) *Machine {
 	top := soc.New(cfg.SoC)
 	regs := msr.NewFile(top.NumThreads())
 
+	n := top.NumCores()
+	// The per-core and per-CCD float caches share one allocation.
+	f := make([]float64, 4*n+len(top.CCDs))
 	m := &Machine{
 		Eng:  eng,
 		Top:  top,
@@ -224,30 +263,32 @@ func New(cfg Config) *Machine {
 		iod:  cfg.IOD,
 		runs: make([]threadRun, top.NumThreads()),
 
-		dirtyAll:   true,
-		dirtyCores: make([]bool, top.NumCores()),
-		inputsBuf:  make([]power.CoreInput, top.NumCores()),
-		effBuf:     make([]float64, top.NumCores()),
-		raplWBuf:   make([]float64, top.NumCores()),
-		pkgWBuf:    make([]float64, len(top.Packages)),
-		corePkg:    make([]soc.PackageID, top.NumCores()),
-	}
-	for c := range m.corePkg {
-		m.corePkg[c] = top.PackageOfCore(soc.CoreID(c))
+		// Every core starts dirty.
+		cls:             make([]int16, n),
+		dirtyHi:         n,
+		inputsBuf:       make([]power.CoreInput, n),
+		effBuf:          f[:n:n],
+		raplWBuf:        f[n : 2*n : 2*n],
+		wattsBuf:        f[2*n : 3*n : 3*n],
+		ampsBuf:         f[3*n : 4*n : 4*n],
+		ccdGBs:          f[4*n:],
+		pkgWBuf:         make([]float64, len(top.Packages)),
+		coresPerPackage: cfg.SoC.CoresPerPackage(),
 	}
 	m.flushEvent = m.onFlushEvent
+	m.log = sim.NewFoldLog(eng.Now(), foldLogCap, m.catchUp)
 	m.DVFS = dvfs.New(eng, top, cfg.DVFS, regs)
 	m.CStates = cstate.New(eng, top, cfg.CState)
 	m.Power = power.NewModel(cfg.Power)
 	m.Thermal = power.NewThermal(cfg.Power)
-	m.RAPL = rapl.New(eng, top, cfg.RAPL, regs)
+	m.RAPL = rapl.New(eng, top, cfg.RAPL, regs, m.log)
 
 	m.acEnergy = sim.NewEnergyIntegrator(eng.Now(), 0)
-	m.log = sim.NewFoldLog(eng.Now(), foldLogCap, m.catchUpCounters)
-	m.counters = make([]threadCounters, top.NumThreads())
+	m.counters = make([]coreCounters, n)
+	m.classes = sim.NewClasses(n)
 	start := sim.NewLazyIntegrator(m.log, eng.Now())
-	for t := range m.counters {
-		m.counters[t] = threadCounters{start, start, start}
+	for c := range m.counters {
+		m.counters[c] = coreCounters{{start, start, start}, {start, start, start}}
 	}
 	m.shadow.init(m)
 	m.wirePerfMSRs(float64(cfg.SoC.NominalMHz))
@@ -334,6 +375,8 @@ func (m *Machine) setIOD(c iodie.Config) error {
 		return fmt.Errorf("machine: %w", err)
 	}
 	m.iod = c
+	// The achieved traffic of every CCD depends on the I/O die.
+	m.markAllDirty()
 	m.changed()
 	return nil
 }
@@ -343,34 +386,42 @@ func (m *Machine) setIOD(c iodie.Config) error {
 // StartKernel puts a thread to work on a kernel. If the thread is idle it
 // is woken first; the returned duration is the wake-up latency (zero when
 // already active). weight is the operand Hamming weight for data-dependent
-// kernels.
+// kernels. An invalid kernel (workload.Kernel.Validate) is an error, and
+// the thread is left as it was.
 func (m *Machine) StartKernel(t soc.ThreadID, k workload.Kernel, weight float64) (sim.Duration, error) {
 	if !m.Top.Online(t) {
 		return 0, fmt.Errorf("machine: thread %d is offline", t)
+	}
+	id, err := m.intern(k)
+	if err != nil {
+		return 0, fmt.Errorf("machine: %w", err)
 	}
 	lat := sim.Duration(0)
 	if m.CStates.EffectiveState(t) != cstate.C0 {
 		core := m.Top.Threads[t].Core
 		lat = m.CStates.Wake(t, m.DVFS.EffectiveMHz(core), false)
 	}
-	m.runs[t] = threadRun{kernel: m.intern(k), weight: weight}
+	m.runs[t] = threadRun{kernel: id, weight: weight}
 	m.markThreadDirty(t)
 	m.changed()
 	return lat, nil
 }
 
 // intern returns 1 + the index of kernel k in m.kernels, adding a copy on
-// first use. Kernels are few, so a linear search serves.
-func (m *Machine) intern(k workload.Kernel) int32 {
+// first use if k validates. Kernels are few, so a linear search serves.
+func (m *Machine) intern(k workload.Kernel) (int32, error) {
 	for i, p := range m.kernels {
 		if *p == k {
-			return int32(i) + 1
+			return int32(i) + 1, nil
 		}
+	}
+	if err := k.Validate(); err != nil {
+		return 0, err
 	}
 	p := new(workload.Kernel)
 	*p = k
 	m.kernels = append(m.kernels, p)
-	return int32(len(m.kernels))
+	return int32(len(m.kernels)), nil
 }
 
 // kernelOf returns the kernel thread t runs, nil when idle.
@@ -477,7 +528,7 @@ func (m *Machine) TrafficGBs() float64 {
 // otherwise the DVFS controller derives it. It never flushes, so reading it
 // does not move a refresh.
 func (m *Machine) EffectiveMHz(core soc.CoreID) float64 {
-	if !m.stale && !m.dirtyAll && !m.dirtyCores[core] && m.inputsBuf[core].ActiveThreads > 0 {
+	if !m.stale && m.cls[core] < 0 && m.inputsBuf[core].ActiveThreads > 0 {
 		m.checkEffective(core)
 		return m.effBuf[core]
 	}
@@ -519,21 +570,38 @@ func (m *Machine) ReadCounters(t soc.ThreadID) Counters {
 }
 
 // readCounter folds one counter of thread t up to now and returns it. A
-// read folds only the counter read, exactly as an eager integrator would.
+// read folds only the counter read, exactly as an eager integrator would;
+// the thread's core first takes its counters out of its class.
 func (m *Machine) readCounter(t int, k counterKind) float64 {
 	now := m.Eng.Now()
-	v := m.counters[t][k].Energy(m.log, now)
+	th := &m.Top.Threads[t]
+	sim.Own(&m.classes, m.counters, int(th.Core))
+	v := m.counters[th.Core][th.SMT][k].Energy(m.log, now)
 	m.shadow.checkRead(m, t, k, now, v)
 	return v
 }
 
-// catchUpCounters folds every counter through the whole fold log.
-func (m *Machine) catchUpCounters() {
-	for t := range m.counters {
-		for k := range m.counters[t] {
-			m.counters[t][k].CatchUp(m.log)
+// countersOf returns thread t's counters: its core's class owner's,
+// as they are, without splitting the core out of its class.
+func (m *Machine) countersOf(t soc.ThreadID) *threadCounters {
+	th := &m.Top.Threads[t]
+	return &m.counters[m.classes.Owner(int(th.Core))][th.SMT]
+}
+
+// catchUp folds every counter and RAPL domain through the whole fold log.
+// A core following another's counters has none of its own to fold.
+func (m *Machine) catchUp() {
+	for c := range m.counters {
+		if m.classes.Follows(c) {
+			continue
+		}
+		for i := range m.counters[c] {
+			for k := range m.counters[c][i] {
+				m.counters[c][i][k].CatchUp(m.log)
+			}
 		}
 	}
+	m.RAPL.CatchUp()
 }
 
 // L3LatencyNs returns the L3 hit latency observed by a core: the Fig. 4
@@ -558,27 +626,35 @@ func (m *Machine) DRAMLatencyNs() float64 { return m.iod.LatencyNs() }
 
 // markCoreDirty flags a core's whole CCX for recomputation on the next
 // refresh: effective frequencies couple across the CCX (shared L3 clock,
-// Table I penalties), so any per-core change can move its CCX siblings.
+// Table I penalties), so any per-core change can move its CCX siblings. A
+// marked core's CCX is marked whole already.
 func (m *Machine) markCoreDirty(core soc.CoreID) {
-	if m.dirtyAll {
+	if m.cls[core] >= 0 {
 		return
 	}
-	for _, c := range m.Top.CCXs[m.Top.Cores[core].CCX].Cores {
-		m.dirtyCores[c] = true
+	cores := m.Top.CCXs[m.Top.Cores[core].CCX].Cores
+	for _, c := range cores {
+		m.cls[c] = 0
 	}
+	m.dirtyLo = min(m.dirtyLo, int(cores[0]))
+	m.dirtyHi = max(m.dirtyHi, int(cores[len(cores)-1])+1)
 }
 
 func (m *Machine) markThreadDirty(t soc.ThreadID) {
 	m.markCoreDirty(m.Top.Threads[t].Core)
 }
 
-func (m *Machine) markAllDirty() { m.dirtyAll = true }
+func (m *Machine) markAllDirty() {
+	clear(m.cls)
+	m.dirtyLo, m.dirtyHi = 0, len(m.cls)
+}
 
 // deriveCore computes a core's power-model input into ci and returns its
-// RAPL-model power estimate (before model noise) and effective frequency
-// (0 when no thread is active) — the expensive per-core step of refresh.
-// activeMHz is the core's effective frequency should a thread be active.
-func (m *Machine) deriveCore(core soc.CoreID, activeMHz float64, raplCfg rapl.Config, ci *power.CoreInput) (raplW, effMHz float64) {
+// RAPL-model power estimate (before model noise), effective frequency and
+// EDC current (both 0 when no thread is active) and its power-model watts —
+// the expensive per-core step of refresh. activeMHz is the core's effective
+// frequency should a thread be active.
+func (m *Machine) deriveCore(core soc.CoreID, activeMHz float64, raplCfg rapl.Config, ci *power.CoreInput) (raplW, effMHz, watts, amps float64) {
 	*ci = power.CoreInput{
 		State:         m.CStates.CoreState(core),
 		ActiveThreads: m.CStates.ActiveThreads(core),
@@ -588,6 +664,7 @@ func (m *Machine) deriveCore(core soc.CoreID, activeMHz float64, raplCfg rapl.Co
 		ci.GHz = effMHz / 1000
 		ci.Volts = m.DVFS.VoltageAt(effMHz)
 		ci.Kernel, ci.HammingWeight = m.coreKernel(core)
+		amps = ci.Kernel.EDCWeight(ci.ActiveThreads) * ci.GHz * ci.Volts
 	}
 	// RAPL: per-core activity-event estimate. The toggle (operand) component
 	// is deliberately absent — that is the paper's central RAPL finding.
@@ -604,7 +681,7 @@ func (m *Machine) deriveCore(core soc.CoreID, activeMHz float64, raplCfg rapl.Co
 	default:
 		raplW = raplCfg.CoreC2Static
 	}
-	return raplW, effMHz
+	return raplW, effMHz, m.Power.CoreWatts(ci), amps
 }
 
 // deriveThread computes a thread's performance-counter rates (cycles,
@@ -666,45 +743,40 @@ func (m *Machine) coreKey(key *coreKey, core soc.CoreID, peakMHz float64) {
 	}
 }
 
-// deriveDirty derives core c and its threads' counter rates from scratch;
+// deriveDirty derives core c from scratch into the per-core caches;
 // activeMHz is as for deriveCore.
 func (m *Machine) deriveDirty(c int, activeMHz float64, raplCfg rapl.Config) {
-	ci := &m.inputsBuf[c]
-	m.raplWBuf[c], m.effBuf[c] = m.deriveCore(soc.CoreID(c), activeMHz, raplCfg, ci)
-	for i, t := range m.Top.Cores[c].Threads {
-		cyc, ins, mpf := m.deriveThread(t, ci, m.effBuf[c])
-		tc := &m.counters[t]
-		m.leadPre[i] = *tc
-		tc[cycles].SetRate(m.log, cyc)
-		tc[instrs].SetRate(m.log, ins)
-		tc[mperf].SetRate(m.log, mpf)
-	}
+	m.raplWBuf[c], m.effBuf[c], m.wattsBuf[c], m.ampsBuf[c] = m.deriveCore(soc.CoreID(c), activeMHz, raplCfg, &m.inputsBuf[c])
 	m.stats.Derived++
 }
 
 // shareDirty gives core c the derivation of core lead, the latest derived
-// core, whose class key is equal: its input, RAPL estimate, effective
-// clock and, thread by thread, its counter rates. A counter in the state
-// lead's was in before its update takes lead's updated counter whole.
+// core, whose class key is equal.
 func (m *Machine) shareDirty(c, lead int) {
 	m.inputsBuf[c] = m.inputsBuf[lead]
 	m.raplWBuf[c], m.effBuf[c] = m.raplWBuf[lead], m.effBuf[lead]
-	from := &m.Top.Cores[lead].Threads
-	for i, t := range m.Top.Cores[c].Threads {
-		tc, fc, pre := &m.counters[t], &m.counters[from[i]], &m.leadPre[i]
-		for k := range tc {
-			if tc[k].Same(&pre[k]) {
-				tc[k] = fc[k]
-			} else {
-				tc[k].SetRate(m.log, fc[k].Rate())
-			}
-		}
-	}
+	m.wattsBuf[c], m.ampsBuf[c] = m.wattsBuf[lead], m.ampsBuf[lead]
 	m.stats.Shared++
 }
 
+// setRates sets the counter rates of core c's threads from its derived
+// input and effective clock.
+func (m *Machine) setRates(c int) {
+	for i, t := range m.Top.Cores[c].Threads {
+		cyc, ins, mpf := m.deriveThread(t, &m.inputsBuf[c], m.effBuf[c])
+		tc := &m.counters[c][i]
+		tc[cycles].SetRate(m.log, cyc)
+		tc[instrs].SetRate(m.log, ins)
+		tc[mperf].SetRate(m.log, mpf)
+	}
+}
+
 // RefreshStats returns the refresh counts since New.
-func (m *Machine) RefreshStats() RefreshStats { return m.stats }
+func (m *Machine) RefreshStats() RefreshStats {
+	s := m.stats
+	s.Splits = m.classes.Splits() + m.RAPL.Splits()
+	return s
+}
 
 // refresh recomputes all rates after the mutations of one instant. It runs
 // at most once per instant: mutations only mark the machine stale (changed),
@@ -712,9 +784,12 @@ func (m *Machine) RefreshStats() RefreshStats { return m.stats }
 // derived read (flush). Per-core and per-thread derivations run only for
 // cores marked dirty since the last refresh, and once per class: a dirty
 // core whose key equals that of the latest derived core copies that core's
-// derivation. The aggregation loops below always run in full, in a fixed
+// derivation. Counter rates are set, and core domains fed, once per class
+// owner. The sums over cores add cached per-core values in a fixed core
 // order, so their floating-point results are bit-identical whether a
-// core's values were recomputed, shared or cached.
+// core's values were recomputed, shared or cached; a partial sum none of
+// whose terms changed (a clean CCD's traffic, a clean package's RAPL
+// estimate) is kept.
 func (m *Machine) refresh() {
 	m.inRefresh = true
 	m.stale = false
@@ -726,15 +801,18 @@ func (m *Machine) refresh() {
 	// Advance the thermal model under the previous power level first.
 	m.Thermal.Advance(now, m.lastSysW)
 
-	// The counters fold at every refresh instant; a counter whose rate is
-	// unchanged replays those folds only when it is read or its rate moves.
+	// The counters and RAPL domains fold at every refresh instant; one
+	// whose rate is unchanged replays those folds only when it is read or
+	// its rate moves.
 	m.log.Record(now)
-	inputs := m.inputsBuf
-	// lead is the latest derived core and leadKey its key.
+	// lead is the latest derived core and leadKey its key; first is the
+	// first core of lead's class in the current package.
+	cpp := m.coresPerPackage
+	lo, hi := m.dirtyLo, m.dirtyHi
 	var key, leadKey coreKey
-	lead, peakCCX, peak := -1, soc.CCXID(-1), 0.0
-	for c := range m.Top.Cores {
-		if !m.dirtyAll && !m.dirtyCores[c] {
+	lead, first, peakCCX, peak := -1, -1, soc.CCXID(-1), 0.0
+	for c := lo; c < hi; c++ {
+		if m.cls[c] < 0 {
 			continue
 		}
 		if x := m.Top.Cores[c].CCX; x != peakCCX {
@@ -743,44 +821,31 @@ func (m *Machine) refresh() {
 		m.coreKey(&key, soc.CoreID(c), peak)
 		if lead >= 0 && key.eq(&leadKey) {
 			m.shareDirty(c, lead)
+			if c/cpp != first/cpp {
+				first = c
+			}
 		} else {
 			m.deriveDirty(c, m.DVFS.CoupledMHz(math.Float64frombits(key.appliedMHz), peak), raplCfg)
-			lead, leadKey = c, key
+			lead, leadKey, first = c, key, c
 		}
+		m.cls[c] = int16(first)
 	}
-	m.verifyRefresh(raplCfg)
-	m.shadow.refresh(m, now)
-	m.stats.Refreshes++
 
-	// Memory traffic per CCD, capped by the Fig. 5a response surface.
+	// Memory traffic per CCD, capped by the Fig. 5a response surface. A
+	// CCD's traffic changes only with its cores' inputs (and the I/O die,
+	// whose changes mark every core dirty), so it is recomputed only for
+	// CCDs with a dirty core; an idle CCD adds +0.
 	m.trafficGBs = 0
-	for _, ccd := range m.Top.CCDs {
-		demand := 0.0
-		nCores := 0
-		ccxWithTraffic := 0
-		for _, ccxID := range ccd.CCXs {
-			hit := false
-			for _, core := range m.Top.CCXs[ccxID].Cores {
-				ci := &inputs[core]
-				if ci.ActiveThreads > 0 && ci.Kernel.MemGBs > 0 {
-					demand += ci.Kernel.MemGBs * ci.GHz / nominalGHz
-					nCores++
-					hit = true
-				}
-			}
-			if hit {
-				ccxWithTraffic++
-			}
+	for d := range m.Top.CCDs {
+		if m.ccdDirty(d) {
+			m.ccdGBs[d] = m.ccdTraffic(d, nominalGHz)
 		}
-		if nCores > 0 {
-			cap := m.iod.StreamBandwidthGBs(nCores, ccxWithTraffic > 1)
-			m.trafficGBs += math.Min(demand, cap)
-		}
+		m.trafficGBs += m.ccdGBs[d]
 	}
 
 	deep := m.CStates.SystemDeepSleep()
 	sysW := m.Power.SystemWatts(power.Input{
-		Cores:          inputs,
+		CoreWatts:      m.wattsBuf,
 		DeepSleep:      deep,
 		IOD:            m.iod,
 		DRAMTrafficGBs: m.trafficGBs,
@@ -788,36 +853,87 @@ func (m *Machine) refresh() {
 	m.acEnergy.SetPower(now, sysW)
 	m.lastSysW = sysW
 
-	// RAPL model: the cached per-core activity-event estimates plus package
-	// uncore and temperature leakage. A core's fed power changes only with
-	// its estimate (the model applies its noise itself), so only dirty
-	// cores are fed; the packages are fed every refresh, since leakage
-	// follows the temperature.
-	leak := math.Max(0, raplCfg.TempLeakPerK*(m.Thermal.TempC()-raplCfg.TempRefC))
-	pkgW := m.pkgWBuf
-	for i := range pkgW {
-		pkgW[i] = 0
+	// Classes never reach across packages, so the counters and core
+	// domains of the packages holding a dirty core, plo..phi-1, regroup by
+	// class and the others are left as they are. Only dirty cores are fed,
+	// by class: a core's fed power changes only with its estimate (the RAPL
+	// model applies its noise itself). Then the counter rates of the dirty
+	// class owners are set and every core is marked clean.
+	plo, phi := lo/cpp*cpp, (hi+cpp-1)/cpp*cpp
+	if lo >= hi {
+		plo, phi = 0, 0
 	}
-	for c, w := range m.raplWBuf {
-		if m.dirtyAll || m.dirtyCores[c] {
-			m.RAPL.SetCorePower(soc.CoreID(c), w)
+	m.RAPL.SetCorePowers(soc.CoreID(plo), m.raplWBuf[plo:phi], m.cls[plo:phi])
+	sim.Regroup(&m.classes, m.counters, plo, m.cls[plo:phi], sameCounters)
+	for c := lo; c < hi; c++ {
+		if m.cls[c] >= 0 && !m.classes.Follows(c) {
+			m.setRates(c)
 		}
-		pkgW[m.corePkg[c]] += w
+		m.cls[c] = -1
 	}
-	for p := range pkgW {
+	m.dirtyLo, m.dirtyHi = len(m.cls), 0
+
+	// The packages are fed their cores' cached estimates, summed in core
+	// order (a clean package's sum is unchanged), plus uncore and
+	// temperature leakage, every refresh, since leakage follows the
+	// temperature.
+	for p := plo / cpp; p < phi/cpp; p++ {
+		w := 0.0
+		for _, x := range m.raplWBuf[p*cpp : (p+1)*cpp] {
+			w += x
+		}
+		m.pkgWBuf[p] = w
+	}
+	leak := math.Max(0, raplCfg.TempLeakPerK*(m.Thermal.TempC()-raplCfg.TempRefC))
+	for p, w := range m.pkgWBuf {
 		uncore := raplCfg.UncoreActive
 		if deep {
 			uncore = raplCfg.UncoreSleep
 		}
-		m.RAPL.SetPackagePower(soc.PackageID(p), pkgW[p]+uncore+leak)
+		m.RAPL.SetPackagePower(soc.PackageID(p), w+uncore+leak)
 	}
 	m.verifyFeed()
-
-	m.dirtyAll = false
-	for c := range m.dirtyCores {
-		m.dirtyCores[c] = false
-	}
+	m.verifyRefresh(raplCfg)
+	m.shadow.refresh(m, now)
+	m.stats.Refreshes++
 	m.inRefresh = false
+}
+
+// ccdDirty reports whether CCD d has a dirty core. Cores are marked dirty
+// a whole CCX at a time.
+func (m *Machine) ccdDirty(d int) bool {
+	for _, x := range m.Top.CCDs[d].CCXs {
+		if m.cls[m.Top.CCXs[x].Cores[0]] >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// ccdTraffic returns the DRAM traffic CCD d achieves: its cores' demand,
+// capped by the I/O die's bandwidth for that many cores.
+func (m *Machine) ccdTraffic(d int, nominalGHz float64) float64 {
+	demand := 0.0
+	nCores := 0
+	ccxWithTraffic := 0
+	for _, ccxID := range m.Top.CCDs[d].CCXs {
+		hit := false
+		for _, core := range m.Top.CCXs[ccxID].Cores {
+			ci := &m.inputsBuf[core]
+			if ci.ActiveThreads > 0 && ci.Kernel.MemGBs > 0 {
+				demand += ci.Kernel.MemGBs * ci.GHz / nominalGHz
+				nCores++
+				hit = true
+			}
+		}
+		if hit {
+			ccxWithTraffic++
+		}
+	}
+	if nCores == 0 {
+		return 0
+	}
+	return math.Min(demand, m.iod.StreamBandwidthGBs(nCores, ccxWithTraffic > 1))
 }
 
 // coreKernel picks the kernel and operand weight representing a core: the
@@ -858,29 +974,11 @@ func (a *activitySource) Epoch() uint64 {
 	return m.stats.Refreshes
 }
 
-func (a *activitySource) CoreCurrentAmps(core soc.CoreID) float64 {
+func (a *activitySource) CoreActivity(core soc.CoreID) (active bool, amps, effMHz float64) {
 	m := (*Machine)(a)
 	m.flush()
 	m.checkActivityRead(core)
-	ci := &m.inputsBuf[core]
-	if ci.ActiveThreads == 0 {
-		return 0
-	}
-	return ci.Kernel.EDCWeight(ci.ActiveThreads) * ci.GHz * ci.Volts
-}
-
-func (a *activitySource) CoreActive(core soc.CoreID) bool {
-	m := (*Machine)(a)
-	m.flush()
-	m.checkActivityRead(core)
-	return m.inputsBuf[core].ActiveThreads > 0
-}
-
-func (a *activitySource) CoreEffectiveMHz(core soc.CoreID) float64 {
-	m := (*Machine)(a)
-	m.flush()
-	m.checkActivityRead(core)
-	return m.effBuf[core]
+	return m.inputsBuf[core].ActiveThreads > 0, m.ampsBuf[core], m.effBuf[core]
 }
 
 func (a *activitySource) PackageWatts(pkg soc.PackageID) float64 {

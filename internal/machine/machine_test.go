@@ -570,3 +570,65 @@ func TestIODConfigChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClassRefreshSplitsOnlyOnRead holds a FIRESTARTER-loaded machine at
+// the EDC limit, where every SMU cap step refreshes a whole package as one
+// class. The class owner's counters and core domain serve its members, so
+// 100 ms without reads copy nothing; then reading one member's counters,
+// and one member's core domain, copies exactly that core's.
+func TestClassRefreshSplitsOnlyOnRead(t *testing.T) {
+	m := newMachine()
+	if err := m.SetAllFrequenciesMHz(2500); err != nil {
+		t.Fatal(err)
+	}
+	for th := 0; th < m.Top.NumThreads(); th++ {
+		if _, err := m.StartKernel(soc.ThreadID(th), workload.Firestarter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Eng.RunFor(300 * sim.Millisecond)
+	if !m.SMU.Throttling(0) {
+		t.Fatal("FIRESTARTER load is not EDC-throttled")
+	}
+	before := m.RefreshStats()
+	m.Eng.RunFor(100 * sim.Millisecond)
+	d := m.RefreshStats()
+	if d.Splits != before.Splits || d.Shared == before.Shared {
+		t.Fatalf("refresh stats went from %+v to %+v: want cores shared and none split", before, d)
+	}
+	// Core 0 owns package 0's class, so core 1 follows it.
+	if !m.classes.Follows(1) || m.classes.Owner(1) != 0 {
+		t.Fatalf("core 1 follows core %d, want core 0", m.classes.Owner(1))
+	}
+	m.ReadCounters(m.Top.Cores[1].Threads[1])
+	if n := m.RefreshStats().Splits - d.Splits; n != 1 || m.classes.Follows(1) {
+		t.Fatalf("reading a member's counters split %d cores, want core 1 alone", n)
+	}
+	d = m.RefreshStats()
+	m.RAPL.CoreEnergyJoules(2)
+	if n := m.RefreshStats().Splits - d.Splits; n != 1 {
+		t.Fatalf("reading a member's core domain split %d cores, want 1", n)
+	}
+}
+
+// TestStartKernelValidates: a kernel that fails workload.Kernel.Validate
+// (here SMT lowering the combined IPC) is rejected, and the thread stays
+// idle in its C-state.
+func TestStartKernelValidates(t *testing.T) {
+	m := newMachine()
+	m.Eng.RunFor(sim.Millisecond)
+	k := workload.Busywait
+	k.Name = "bad"
+	k.IPC2 = k.IPC1 / 2
+	state, watts := m.CStates.EffectiveState(3), m.SystemWatts()
+	if _, err := m.StartKernel(3, k, 0); err == nil {
+		t.Fatal("StartKernel accepted a kernel with IPC2 < IPC1")
+	}
+	if m.Running(3) || m.CStates.EffectiveState(3) != state || m.SystemWatts() != watts {
+		t.Fatalf("rejected kernel changed thread 3: running %v, state %v (was %v), %v W (was %v)",
+			m.Running(3), m.CStates.EffectiveState(3), state, m.SystemWatts(), watts)
+	}
+	if _, err := m.StartKernel(3, workload.Busywait, 0); err != nil {
+		t.Fatal(err)
+	}
+}

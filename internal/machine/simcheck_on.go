@@ -21,7 +21,7 @@ func (m *Machine) verifyRefresh(raplCfg rapl.Config) {
 		ci, eff := m.verifyCore(soc.CoreID(c), raplCfg, "refresh")
 		for _, t := range m.Top.Cores[c].Threads {
 			cyc, ins, mpf := m.deriveThread(t, &ci, eff)
-			tc := &m.counters[t]
+			tc := m.countersOf(t)
 			if cyc != tc[cycles].Rate() || ins != tc[instrs].Rate() || mpf != tc[mperf].Rate() {
 				panic(fmt.Sprintf(
 					"simcheck: thread %d stale at %v: cached (%g, %g, %g) vs full (%g, %g, %g)",
@@ -73,15 +73,17 @@ func (m *Machine) checkFlushed() {
 }
 
 // verifyCore re-derives a core from scratch, panics unless the cached
-// input, RAPL estimate and effective frequency match it bit for bit, and
-// returns the fresh input and frequency.
+// input, RAPL estimate, effective frequency, power-model watts and EDC
+// current match it bit for bit, and returns the fresh input and frequency.
 func (m *Machine) verifyCore(core soc.CoreID, raplCfg rapl.Config, site string) (power.CoreInput, float64) {
 	var ci power.CoreInput
-	w, eff := m.deriveCore(core, m.DVFS.EffectiveMHz(core), raplCfg, &ci)
-	if ci != m.inputsBuf[core] || w != m.raplWBuf[core] || eff != m.effBuf[core] {
+	w, eff, watts, amps := m.deriveCore(core, m.DVFS.EffectiveMHz(core), raplCfg, &ci)
+	if ci != m.inputsBuf[core] || w != m.raplWBuf[core] || eff != m.effBuf[core] ||
+		watts != m.wattsBuf[core] || amps != m.ampsBuf[core] {
 		panic(fmt.Sprintf(
-			"simcheck: %s: core %d stale at %v: cached (%+v, %g W, %g MHz) vs full (%+v, %g W, %g MHz)",
-			site, core, m.Eng.Now(), m.inputsBuf[core], m.raplWBuf[core], m.effBuf[core], ci, w, eff))
+			"simcheck: %s: core %d stale at %v: cached (%+v, %g W, %g MHz, %g W, %g A) vs full (%+v, %g W, %g MHz, %g W, %g A)",
+			site, core, m.Eng.Now(), m.inputsBuf[core], m.raplWBuf[core], m.effBuf[core], m.wattsBuf[core], m.ampsBuf[core],
+			ci, w, eff, watts, amps))
 	}
 	return ci, eff
 }
@@ -95,7 +97,7 @@ type counterShadow struct {
 
 func (s *counterShadow) init(m *Machine) {
 	now := m.Eng.Now()
-	s.eager = make([][numCounters]*sim.EnergyIntegrator, len(m.counters))
+	s.eager = make([][numCounters]*sim.EnergyIntegrator, m.Top.NumThreads())
 	for t := range s.eager {
 		for k := range s.eager[t] {
 			s.eager[t][k] = sim.NewEnergyIntegrator(now, 0)
@@ -105,8 +107,9 @@ func (s *counterShadow) init(m *Machine) {
 
 func (s *counterShadow) refresh(m *Machine, now sim.Time) {
 	for t := range s.eager {
+		tc := m.countersOf(soc.ThreadID(t))
 		for k, ei := range s.eager[t] {
-			ei.SetPower(now, m.counters[t][k].Rate())
+			ei.SetPower(now, tc[k].Rate())
 		}
 	}
 }

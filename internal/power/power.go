@@ -75,7 +75,9 @@ type CoreInput struct {
 
 // Input is the full-system snapshot.
 type Input struct {
-	Cores []CoreInput
+	// CoreWatts holds each core's contribution (CoreWatts of its input),
+	// in core order.
+	CoreWatts []float64
 	// DeepSleep marks the package deep-sleep criterion (all threads of all
 	// packages in the deepest state).
 	DeepSleep bool
@@ -134,15 +136,16 @@ func (m *Model) toggleWatts(c *CoreInput) float64 {
 	return k.ToggleWatts * c.HammingWeight * scale
 }
 
-// SystemWatts returns total AC power for the snapshot.
+// SystemWatts returns total AC power for the snapshot, adding the cores'
+// contributions in core order.
 func (m *Model) SystemWatts(in Input) float64 {
 	p := m.cfg.FloorWatts
 	if in.DeepSleep {
 		return p
 	}
 	p += in.IOD.ActiveWatts()
-	for i := range in.Cores {
-		p += m.CoreWatts(&in.Cores[i])
+	for _, w := range in.CoreWatts {
+		p += w
 	}
 	p += iodie.TrafficWatts(in.DRAMTrafficGBs)
 	return p

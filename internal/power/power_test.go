@@ -11,17 +11,34 @@ import (
 	"zen2ee/internal/workload"
 )
 
-func deepSleepInput(nCores int) Input {
+// snapshot is an Input given as per-core inputs.
+type snapshot struct {
+	Input
+	Cores []CoreInput
+}
+
+func deepSleepInput(nCores int) snapshot {
 	cores := make([]CoreInput, nCores)
 	for i := range cores {
 		cores[i] = CoreInput{State: cstate.C2}
 	}
-	return Input{Cores: cores, DeepSleep: true, IOD: iodie.DefaultConfig()}
+	return snapshot{Input: Input{DeepSleep: true, IOD: iodie.DefaultConfig()}, Cores: cores}
+}
+
+// systemWatts is m.SystemWatts of the snapshot, each core contributing its
+// CoreWatts as the machine caches them.
+func systemWatts(m *Model, s snapshot) float64 {
+	in := s.Input
+	in.CoreWatts = make([]float64, len(s.Cores))
+	for i := range s.Cores {
+		in.CoreWatts[i] = m.CoreWatts(&s.Cores[i])
+	}
+	return m.SystemWatts(in)
 }
 
 func TestFloorPower(t *testing.T) {
 	m := NewModel(DefaultConfig())
-	got := m.SystemWatts(deepSleepInput(64))
+	got := systemWatts(m, deepSleepInput(64))
 	if math.Abs(got-99.1) > 1e-9 {
 		t.Fatalf("deep-sleep power %v, want 99.1", got)
 	}
@@ -33,7 +50,7 @@ func TestFirstC1CoreCosts81W(t *testing.T) {
 	in := deepSleepInput(64)
 	in.DeepSleep = false
 	in.Cores[0].State = cstate.C1
-	got := m.SystemWatts(in)
+	got := systemWatts(m, in)
 	if math.Abs(got-180.39) > 0.2 {
 		t.Fatalf("one C1 core: %v W, want ~180.3", got)
 	}
@@ -46,9 +63,9 @@ func TestAdditionalC1Cores(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		in.Cores[i].State = cstate.C1
 	}
-	p10 := m.SystemWatts(in)
+	p10 := systemWatts(m, in)
 	in.Cores[10].State = cstate.C1
-	p11 := m.SystemWatts(in)
+	p11 := systemWatts(m, in)
 	if d := p11 - p10; math.Abs(d-0.09) > 1e-9 {
 		t.Fatalf("additional C1 core costs %v W, want 0.09", d)
 	}
@@ -62,17 +79,17 @@ func TestActivePauseCore(t *testing.T) {
 	in.DeepSleep = false
 	in.Cores[0] = CoreInput{State: cstate.C0, ActiveThreads: 1,
 		Kernel: &workload.Pause, GHz: 2.5, Volts: 1.10}
-	p1 := m.SystemWatts(in)
+	p1 := systemWatts(m, in)
 	if math.Abs(p1-180.4) > 0.4 {
 		t.Fatalf("one active pause thread: %v W, want ~180.4", p1)
 	}
 	in.Cores[1] = in.Cores[0]
-	p2 := m.SystemWatts(in)
+	p2 := systemWatts(m, in)
 	if d := p2 - p1; math.Abs(d-0.33) > 0.01 {
 		t.Fatalf("additional active core: +%v W, want +0.33", d)
 	}
 	in.Cores[1].ActiveThreads = 2
-	p3 := m.SystemWatts(in)
+	p3 := systemWatts(m, in)
 	if d := p3 - p2; math.Abs(d-0.05) > 0.01 {
 		t.Fatalf("second hardware thread: +%v W, want +0.05", d)
 	}
@@ -84,17 +101,17 @@ func TestActivePowerFrequencyDependent(t *testing.T) {
 	in.DeepSleep = false
 	in.Cores[0] = CoreInput{State: cstate.C0, ActiveThreads: 1,
 		Kernel: &workload.Pause, GHz: 1.5, Volts: 0.90}
-	pLow := m.SystemWatts(in)
+	pLow := systemWatts(m, in)
 	in.Cores[0].GHz, in.Cores[0].Volts = 2.5, 1.10
-	pHigh := m.SystemWatts(in)
+	pHigh := systemWatts(m, in)
 	if pHigh <= pLow {
 		t.Fatalf("active power not frequency dependent: %v vs %v", pLow, pHigh)
 	}
 	// C1 power, in contrast, is frequency independent (same input, C1).
 	in.Cores[0] = CoreInput{State: cstate.C1}
-	pc1 := m.SystemWatts(in)
+	pc1 := systemWatts(m, in)
 	in.Cores[0] = CoreInput{State: cstate.C1, GHz: 2.5, Volts: 1.1}
-	if got := m.SystemWatts(in); got != pc1 {
+	if got := systemWatts(m, in); got != pc1 {
 		t.Fatalf("C1 power depends on frequency: %v vs %v", got, pc1)
 	}
 }
@@ -113,7 +130,7 @@ func TestFirestarterCalibration(t *testing.T) {
 			Kernel: &workload.Firestarter, GHz: 2.03, Volts: volts(2.03)}
 	}
 	smt.DRAMTrafficGBs = 0
-	if got := m.SystemWatts(smt); math.Abs(got-509) > 5 {
+	if got := systemWatts(m, smt); math.Abs(got-509) > 5 {
 		t.Fatalf("FIRESTARTER SMT: %v W, want 509±5", got)
 	}
 
@@ -123,7 +140,7 @@ func TestFirestarterCalibration(t *testing.T) {
 		noSMT.Cores[i] = CoreInput{State: cstate.C0, ActiveThreads: 1,
 			Kernel: &workload.Firestarter, GHz: 2.10, Volts: volts(2.10)}
 	}
-	if got := m.SystemWatts(noSMT); math.Abs(got-489) > 5 {
+	if got := systemWatts(m, noSMT); math.Abs(got-489) > 5 {
 		t.Fatalf("FIRESTARTER no-SMT: %v W, want 489±5", got)
 	}
 }
@@ -131,7 +148,7 @@ func TestFirestarterCalibration(t *testing.T) {
 func TestVXorpsToggleSwing(t *testing.T) {
 	// Fig. 10a: 21 W (7.6 %) swing between weight 0 and 1 on all threads.
 	m := NewModel(DefaultConfig())
-	mk := func(w float64) Input {
+	mk := func(w float64) snapshot {
 		in := deepSleepInput(64)
 		in.DeepSleep = false
 		for i := range in.Cores {
@@ -140,9 +157,9 @@ func TestVXorpsToggleSwing(t *testing.T) {
 		}
 		return in
 	}
-	p0 := m.SystemWatts(mk(0))
-	p05 := m.SystemWatts(mk(0.5))
-	p1 := m.SystemWatts(mk(1))
+	p0 := systemWatts(m, mk(0))
+	p05 := systemWatts(m, mk(0.5))
+	p1 := systemWatts(m, mk(1))
 	swing := p1 - p0
 	if math.Abs(swing-21) > 0.5 {
 		t.Fatalf("vxorps swing = %v W, want ~21", swing)
@@ -162,7 +179,7 @@ func TestVXorpsToggleSwing(t *testing.T) {
 func TestShrToggleSwingSmall(t *testing.T) {
 	// §VII-B: shr system power within 0.9 % across weights.
 	m := NewModel(DefaultConfig())
-	mk := func(w float64) Input {
+	mk := func(w float64) snapshot {
 		in := deepSleepInput(64)
 		in.DeepSleep = false
 		for i := range in.Cores {
@@ -171,7 +188,7 @@ func TestShrToggleSwingSmall(t *testing.T) {
 		}
 		return in
 	}
-	p0, p1 := m.SystemWatts(mk(0)), m.SystemWatts(mk(1))
+	p0, p1 := systemWatts(m, mk(0)), systemWatts(m, mk(1))
 	if rel := (p1 - p0) / p0; rel <= 0 || rel > 0.009 {
 		t.Fatalf("shr relative swing %.4f, want (0, 0.009]", rel)
 	}
@@ -183,9 +200,9 @@ func TestMemoryTrafficPower(t *testing.T) {
 	in.DeepSleep = false
 	in.Cores[0] = CoreInput{State: cstate.C0, ActiveThreads: 1,
 		Kernel: &workload.MemoryRead, GHz: 2.5, Volts: 1.10}
-	base := m.SystemWatts(in)
+	base := systemWatts(m, in)
 	in.DRAMTrafficGBs = 20
-	withTraffic := m.SystemWatts(in)
+	withTraffic := systemWatts(m, in)
 	if d := withTraffic - base; math.Abs(d-20*iodie.DRAMTrafficWattsPerGBs) > 1e-9 {
 		t.Fatalf("traffic power delta %v", d)
 	}
@@ -197,9 +214,9 @@ func TestIODPStateReducesPower(t *testing.T) {
 	in.DeepSleep = false
 	in.Cores[0].State = cstate.C1
 	in.IOD.Setting = iodie.P0
-	p0 := m.SystemWatts(in)
+	p0 := systemWatts(m, in)
 	in.IOD.Setting = iodie.P3
-	p3 := m.SystemWatts(in)
+	p3 := systemWatts(m, in)
 	if p3 >= p0 {
 		t.Fatalf("IOD P3 (%v W) not below P0 (%v W)", p3, p0)
 	}
@@ -219,10 +236,10 @@ func TestMonotoneInActiveCores(t *testing.T) {
 			in.Cores[i] = CoreInput{State: cstate.C0, ActiveThreads: 1,
 				Kernel: &workload.Busywait, GHz: freqs[fi], Volts: volts[fi]}
 		}
-		p1 := m.SystemWatts(in)
+		p1 := systemWatts(m, in)
 		if k+1 < 64 {
 			in.Cores[k+1] = in.Cores[0]
-			if m.SystemWatts(in) < p1 {
+			if systemWatts(m, in) < p1 {
 				return false
 			}
 		}

@@ -17,6 +17,17 @@
 //
 // The machine layer feeds modeled per-core and per-package power into this
 // package; tools read energy through the standard MSR interface.
+//
+// The domains fold lazily over a fold log the model shares with its
+// feeder: a domain replays the logged instants only when its fed power
+// changes or it is read. Core domains the feeder feeds alike in one call
+// (SetCorePowers) share one domain copy-on-write (sim.Classes): a core
+// domain bit-identical to an earlier one of its class follows it, owns no
+// state of its own, and one feed of the owner serves the class. A follower
+// copies its owner's domain (splits out) when it is read or fed alone,
+// before its owner is read, and when a feed feeds it unlike its owner,
+// taking the owner's domain from before that feed; catch-ups and noise
+// steps skip followers.
 package rapl
 
 import (
@@ -103,19 +114,6 @@ func (d *domain) same(o *domain) bool {
 		math.Float64bits(d.snapJ) == math.Float64bits(o.snapJ)
 }
 
-// feed records the latest feed that changed a domain's fed power: the
-// domain before and after it, and everything else the result depends on.
-// Cores of one class are fed equal powers in a row, and their domains are
-// mostly in equal states; each after the first takes the result whole
-// instead of replaying the log.
-type feed struct {
-	end       uint64 // log.End()
-	moves     int    // len(Model.moves)
-	noise     uint64 // Float64bits(Model.fedNoise)
-	watts     uint64 // Float64bits of the fed power
-	pre, post domain
-}
-
 // noiseMove is a change of the noise factor in force, adopted at the
 // instant at log position pos: a domain folds there at its old power and
 // is charged factor × its fed power from then on.
@@ -131,10 +129,12 @@ type Model struct {
 	cfg Config
 
 	// log holds the instants at which power was fed; every domain folds at
-	// each of them. doms holds the core domains, then the package domains.
-	log    *sim.FoldLog
-	doms   []domain
-	shadow domainShadow // eager domains, -tags simcheck only
+	// each of them. doms holds the core domains, then the package domains;
+	// classes records which core domains follow another's.
+	log     *sim.FoldLog
+	doms    []domain
+	classes sim.Classes
+	shadow  domainShadow // eager domains, -tags simcheck only
 
 	noise       float64
 	noiseTicker *sim.Ticker
@@ -145,7 +145,6 @@ type Model struct {
 	// each, so a noise step re-feeds no domain.
 	fedNoise float64
 	moves    []noiseMove
-	lastFeed feed
 
 	units uint64
 
@@ -155,15 +154,14 @@ type Model struct {
 	BeforeNoise func()
 }
 
-// foldLogCap bounds the model's fold log; a full log catches every domain
-// up and starts over.
-const foldLogCap = 256
-
-// catchUpAll folds every domain through the whole log, which then starts
-// over without noise moves.
-func (m *Model) catchUpAll() {
+// CatchUp folds every domain through the whole fold log. The log's owner
+// calls it from the log's catch-up function, before the log starts over
+// without noise moves.
+func (m *Model) CatchUp() {
 	for i := range m.doms {
-		m.catchUp(&m.doms[i])
+		if !m.follows(i) {
+			m.catchUp(&m.doms[i])
+		}
 	}
 	m.moves = m.moves[:0]
 }
@@ -193,18 +191,40 @@ func (m *Model) catchUp(d *domain) {
 func (m *Model) coreDom(core soc.CoreID) int  { return int(core) }
 func (m *Model) pkgDom(pkg soc.PackageID) int { return len(m.top.Cores) + int(pkg) }
 
+// follows reports whether domain i is a core domain following another's.
+func (m *Model) follows(i int) bool { return i < len(m.top.Cores) && m.classes.Follows(i) }
+
+// state returns the domain holding domain i's state: its class owner's for
+// a following core domain.
+func (m *Model) state(i int) *domain {
+	if i < len(m.top.Cores) {
+		i = m.classes.Owner(i)
+	}
+	return &m.doms[i]
+}
+
+// own takes domain i out of its class ahead of a read that folds it.
+func (m *Model) own(i int) {
+	if i < len(m.top.Cores) {
+		sim.Own(&m.classes, m.doms[:len(m.top.Cores)], i)
+	}
+}
+
 // New creates the model and wires the RAPL MSRs into regs (nil regs for
-// standalone use).
-func New(eng *sim.Engine, top *soc.Topology, cfg Config, regs *msr.File) *Model {
+// standalone use). The domains fold over log, which must start at the
+// engine's current instant and whose catch-up function must call
+// CatchUp.
+func New(eng *sim.Engine, top *soc.Topology, cfg Config, regs *msr.File, log *sim.FoldLog) *Model {
 	m := &Model{
 		eng: eng, top: top, cfg: cfg,
+		log:      log,
 		rng:      eng.RNG().Fork(),
 		units:    msr.DefaultRAPLUnits(),
 		fedNoise: 1,
 	}
 	now := eng.Now()
-	m.log = sim.NewFoldLog(now, foldLogCap, m.catchUpAll)
 	m.doms = make([]domain, len(top.Cores)+len(top.Packages))
+	m.classes = sim.NewClasses(len(top.Cores))
 	for i := range m.doms {
 		m.doms[i] = domain{pos: m.log.End(), last: now}
 	}
@@ -249,7 +269,28 @@ func (m *Model) Stop() {
 // domain at the next feed of any domain.
 func (m *Model) NoiseFactor() float64 { return 1 + m.noise }
 
-// SetCorePower feeds the modeled per-core power (machine layer).
+// SetCorePowers feeds the modeled powers of cores first, first+1, … of one
+// instant (machine layer): core first+j is fed watts[j] when cls[j] >= 0,
+// and cores with equal cls must be fed equal powers. Cores fed alike share
+// one domain copy-on-write (sim.Regroup), and only class owners are fed.
+// No core outside the range may share a domain with one inside it.
+func (m *Model) SetCorePowers(first soc.CoreID, watts []float64, cls []int16) {
+	m.record()
+	lo := int(first)
+	sim.Regroup(&m.classes, m.doms, lo, cls, (*domain).same)
+	for j, k := range cls {
+		if c := lo + j; k >= 0 && !m.classes.Follows(c) {
+			m.feed(&m.doms[c], watts[j])
+		}
+	}
+	m.shadow.setCores(m, lo, watts, cls)
+}
+
+// Splits counts the core domains copied out of their class (sim.Classes).
+func (m *Model) Splits() uint64 { return m.classes.Splits() }
+
+// SetCorePower feeds one core's modeled power, splitting its domain out of
+// its class.
 func (m *Model) SetCorePower(core soc.CoreID, watts float64) {
 	m.setPower(m.coreDom(core), watts)
 }
@@ -259,29 +300,32 @@ func (m *Model) SetPackagePower(pkg soc.PackageID, watts float64) {
 	m.setPower(m.pkgDom(pkg), watts)
 }
 
-// setPower logs the current instant, at which every domain folds, adopts
-// the current noise factor, and switches domain i to the new fed power. An
-// unchanged fed power leaves the domain's folds to its next catch-up.
+// setPower feeds domain i alone.
 func (m *Model) setPower(i int, watts float64) {
+	m.record()
+	m.own(i)
+	m.feed(&m.doms[i], watts)
+	m.shadow.set(m, i, watts)
+}
+
+// record logs the current instant, at which every domain folds, and adopts
+// the current noise factor.
+func (m *Model) record() {
 	m.log.Record(m.eng.Now())
 	if f := m.NoiseFactor(); f != m.fedNoise {
 		m.adoptNoise(f)
 	}
-	d := &m.doms[i]
+}
+
+// feed switches domain d to a new fed power from the latest logged instant
+// on. An unchanged fed power leaves the domain's folds to its next
+// catch-up.
+func (m *Model) feed(d *domain, watts float64) {
 	if watts != d.fed {
-		f := &m.lastFeed
-		end, noise, w := m.log.End(), math.Float64bits(m.fedNoise), math.Float64bits(watts)
-		if f.end == end && f.moves == len(m.moves) && f.noise == noise && f.watts == w && d.same(&f.pre) {
-			*d = f.post
-		} else {
-			f.pre = *d
-			m.catchUp(d)
-			d.fed = watts
-			d.power = math.Max(0, watts*m.fedNoise)
-			f.end, f.moves, f.noise, f.watts, f.post = end, len(m.moves), noise, w, *d
-		}
+		m.catchUp(d)
+		d.fed = watts
+		d.power = math.Max(0, watts*m.fedNoise)
 	}
-	m.shadow.set(m, i, watts)
 }
 
 // adoptNoise puts noise factor f in force from the latest logged instant
@@ -294,7 +338,7 @@ func (m *Model) adoptNoise(f float64) {
 		m.moves = append(m.moves, noiseMove{pos: end - 1, factor: f})
 	}
 	for i := range m.doms {
-		if d := &m.doms[i]; d.pos == end {
+		if d := &m.doms[i]; d.pos == end && !m.follows(i) {
 			d.power = math.Max(0, d.fed*f)
 		}
 	}
@@ -303,6 +347,7 @@ func (m *Model) adoptNoise(f float64) {
 
 // readJoules returns domain i's boundary-quantized energy.
 func (m *Model) readJoules(i int) float64 {
+	m.own(i)
 	d := &m.doms[i]
 	m.catchUp(d)
 	d.roll(m.eng.Now(), m.cfg.UpdatePeriod)
@@ -312,6 +357,7 @@ func (m *Model) readJoules(i int) float64 {
 
 // trueJoules returns domain i's unquantized accumulated energy (for tests).
 func (m *Model) trueJoules(i int) float64 {
+	m.own(i)
 	d := &m.doms[i]
 	m.catchUp(d)
 	d.fold(m.eng.Now())
@@ -336,7 +382,7 @@ func (m *Model) PackagePowerWatts(pkg soc.PackageID) float64 { return m.powerWat
 
 // powerWatts is domain i's power at the noise factor in force, which its
 // replay may not have reached yet.
-func (m *Model) powerWatts(i int) float64 { return math.Max(0, m.doms[i].fed*m.fedNoise) }
+func (m *Model) powerWatts(i int) float64 { return math.Max(0, m.state(i).fed*m.fedNoise) }
 
 // Config returns the model constants.
 func (m *Model) Config() Config { return m.cfg }

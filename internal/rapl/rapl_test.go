@@ -9,13 +9,19 @@ import (
 	"zen2ee/internal/soc"
 )
 
+// foldLogCap is the capacity of the fold log the tests' models own.
+const foldLogCap = 256
+
 func newModel(noise float64) (*sim.Engine, *soc.Topology, *msr.File, *Model) {
 	eng := sim.NewEngine(9)
 	top := soc.New(soc.EPYC7502x2())
 	regs := msr.NewFile(top.NumThreads())
 	cfg := DefaultConfig()
 	cfg.NoiseRel = noise
-	return eng, top, regs, New(eng, top, cfg, regs)
+	var m *Model
+	log := sim.NewFoldLog(eng.Now(), foldLogCap, func() { m.CatchUp() })
+	m = New(eng, top, cfg, regs, log)
+	return eng, top, regs, m
 }
 
 func TestEnergyAccumulation(t *testing.T) {
@@ -204,7 +210,17 @@ func (e *refDomain) roll(now sim.Time, period sim.Duration) {
 // and reads random domains at random times across UpdatePeriod boundaries.
 // Every quantized and unquantized reading must match eager folding bit for
 // bit, through several fold-log compactions.
-func TestLazyDomainsMatchEagerFolding(t *testing.T) {
+func TestLazyDomainsMatchEagerFolding(t *testing.T) { checkEagerFolding(t, false) }
+
+// TestClassFeedsMatchEagerFolding is TestLazyDomainsMatchEagerFolding with
+// the core domains fed through SetCorePowers in random classes: at each
+// instant some cores are left unfed and the others fall into a few
+// classes fed one power each, so domains join, follow, split on reads and
+// leave their classes. Classes stay within one package, and a package
+// with no core fed is left out of the call.
+func TestClassFeedsMatchEagerFolding(t *testing.T) { checkEagerFolding(t, true) }
+
+func checkEagerFolding(t *testing.T, classes bool) {
 	eng, top, _, m := newModel(0.01)
 	period := m.cfg.UpdatePeriod
 	rng := sim.NewRNG(3)
@@ -222,6 +238,14 @@ func TestLazyDomainsMatchEagerFolding(t *testing.T) {
 			t.Fatalf("%s of domain %d at %v: lazy %v, eager %v", what, i, eng.Now(), got, want)
 		}
 	}
+	n := len(top.Cores)
+	if classes {
+		// fed holds what each core domain was last fed, nothing yet.
+		clear(fed[:n])
+	}
+	cls := make([]int16, n)
+	first := make([]int16, 3) // each class's first core this instant
+	half := n / 2
 	instants := 0
 	for step := 0; step < 3000; step++ {
 		eng.RunFor(rng.DurationRange(0, 700*sim.Microsecond))
@@ -230,31 +254,68 @@ func TestLazyDomainsMatchEagerFolding(t *testing.T) {
 			i := rng.Intn(len(m.doms))
 			ref[i].roll(now, period)
 			var got float64
-			if i < len(top.Cores) {
+			if i < n {
 				got = m.CoreEnergyJoules(soc.CoreID(i))
 			} else {
-				got = m.PackageEnergyJoules(soc.PackageID(i - len(top.Cores)))
+				got = m.PackageEnergyJoules(soc.PackageID(i - n))
 			}
 			check("quantized energy", i, ref[i].snapJ, got)
 			continue
 		}
 		instants++
+		if classes {
+			for c := range cls {
+				if c%half == 0 {
+					for g := range first {
+						first[g] = -1
+					}
+				}
+				cls[c] = -1
+				if g := rng.Intn(len(first) + 1); g < len(first) {
+					if first[g] < 0 {
+						first[g] = int16(c)
+						if rng.Intn(4) == 0 {
+							fed[c] = rng.Range(0.05, 3)
+						}
+					}
+					cls[c], fed[c] = first[g], fed[first[g]]
+				}
+			}
+		}
 		for i := range m.doms {
+			if classes && i < n {
+				// An unfed domain keeps its fed power, charged at the
+				// noise factor in force.
+				ref[i].roll(now, period)
+				ref[i].ei.SetPower(now, math.Max(0, fed[i]*m.NoiseFactor()))
+				continue
+			}
 			if rng.Intn(10) == 0 {
 				fed[i] = rng.Range(0.05, 3)
 			}
 			w := math.Max(0, fed[i]*m.NoiseFactor())
 			ref[i].roll(now, period)
 			ref[i].ei.SetPower(now, w)
-			if i < len(top.Cores) {
+			if i < n {
 				m.SetCorePower(soc.CoreID(i), fed[i])
 			} else {
-				m.SetPackagePower(soc.PackageID(i-len(top.Cores)), fed[i])
+				m.SetPackagePower(soc.PackageID(i-n), fed[i])
+			}
+		}
+		for lo := 0; classes && lo < n; lo += half {
+			for _, k := range cls[lo : lo+half] {
+				if k >= 0 {
+					m.SetCorePowers(soc.CoreID(lo), fed[lo:lo+half], cls[lo:lo+half])
+					break
+				}
 			}
 		}
 	}
 	if instants <= foldLogCap {
 		t.Fatalf("only %d feed instants; the fold log never compacted", instants)
+	}
+	if classes && m.Splits() == 0 {
+		t.Fatal("no core domain ever split out of a class")
 	}
 	for i := range m.doms {
 		check("true energy", i, ref[i].ei.Energy(eng.Now()), m.trueJoules(i))

@@ -54,11 +54,21 @@ func (s *domainShadow) set(m *Model, i int, watts float64) {
 	s.eager[i].ei.SetPower(now, w)
 }
 
+// setCores feeds eager core domain lo+j fed power watts[j] wherever
+// cls[j] >= 0.
+func (s *domainShadow) setCores(m *Model, lo int, watts []float64, cls []int16) {
+	for j, k := range cls {
+		if k >= 0 {
+			s.set(m, lo+j, watts[j])
+		}
+	}
+}
+
 // adopt re-feeds every eager domain at the noise factor just put in force,
 // as a feeder re-feeding every domain after a noise step would.
 func (s *domainShadow) adopt(m *Model) {
 	for i := range m.doms {
-		s.set(m, i, m.doms[i].fed)
+		s.set(m, i, m.state(i).fed)
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // EnergyIntegrator accumulates energy (Joules) from a piecewise-constant
 // power signal (Watts). Components update their power on state changes; the
@@ -176,16 +173,6 @@ func (li *LazyIntegrator) switchRate(l *FoldLog, rate float64) {
 
 // Rate returns the current rate.
 func (li *LazyIntegrator) Rate() float64 { return li.rate }
-
-// Same reports whether li and o are bit-identical: folded through the same
-// log position and instant, at bit-equal rates and integrals. The same
-// SetRate or Energy call on the same log leaves two such integrators
-// bit-identical again, so one can take the other's result.
-func (li *LazyIntegrator) Same(o *LazyIntegrator) bool {
-	return li.pos == o.pos && li.last == o.last &&
-		math.Float64bits(li.rate) == math.Float64bits(o.rate) &&
-		math.Float64bits(li.energy) == math.Float64bits(o.energy)
-}
 
 // Energy returns the integral accumulated up to time now, folding there
 // like EnergyIntegrator.Energy.

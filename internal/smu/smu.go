@@ -36,26 +36,21 @@ import (
 // descriptors and effective frequencies), so a control tick re-derives
 // nothing.
 //
-// Epoch contract: the core readings (CoreActive, CoreCurrentAmps,
-// CoreEffectiveMHz) and the controller state the manager reads directly
-// (dvfs.Controller.UncappedMHz) change only when Epoch changes. The
-// manager therefore recomputes its per-package monitor only when the epoch
-// has moved since the last tick; PackageWatts, which drifts with time, is
-// read on every tick.
+// Epoch contract: the core readings (CoreActivity) and the controller
+// state the manager reads directly (dvfs.Controller.UncappedMHz) change
+// only when Epoch changes. The manager therefore recomputes its
+// per-package monitor only when the epoch has moved since the last tick;
+// PackageWatts, which drifts with time, is read on every tick.
 type ActivitySource interface {
 	// Epoch returns a counter that moves whenever any core reading or the
 	// controller's applied P-states or boost grants may have changed. The
 	// machine layer bumps it once per completed refresh; every controller
 	// mutation queues a refresh, which Epoch runs before answering.
 	Epoch() uint64
-	// CoreCurrentAmps returns the core's present current draw as seen by
-	// the EDC activity monitor.
-	CoreCurrentAmps(core soc.CoreID) float64
-	// CoreActive reports whether the core has any thread in C0.
-	CoreActive(core soc.CoreID) bool
-	// CoreEffectiveMHz returns an active core's effective clock, as the
-	// activity monitor last observed it.
-	CoreEffectiveMHz(core soc.CoreID) float64
+	// CoreActivity reports whether the core has any thread in C0 and, for
+	// an active core, its present current draw as seen by the EDC activity
+	// monitor and its effective clock as the monitor last observed it.
+	CoreActivity(core soc.CoreID) (active bool, amps, effMHz float64)
 	// PackageWatts returns the package's present power estimate for the
 	// PPT loop.
 	PackageWatts(pkg soc.PackageID) float64
@@ -283,13 +278,14 @@ func (m *Manager) measure(pkg soc.PackageID) monitor {
 	// (uncapped) frequency are moot.
 	mon := monitor{release: m.cfg.BoostMHz}
 	for _, core := range m.pkgCores[pkg] {
-		if !m.src.CoreActive(core) {
+		active, amps, eff := m.src.CoreActivity(core)
+		if !active {
 			continue
 		}
 		mon.anyActive = true
-		mon.amps += m.src.CoreCurrentAmps(core)
-		if f := m.src.CoreEffectiveMHz(core); f > mon.maxApplied {
-			mon.maxApplied = f
+		mon.amps += amps
+		if eff > mon.maxApplied {
+			mon.maxApplied = eff
 		}
 		if f := m.ctl.UncappedMHz(core); f > mon.release {
 			mon.release = f
@@ -316,7 +312,7 @@ func (m *Manager) projectionRatio(f0, f1 float64) float64 {
 func (m *Manager) applyBoost(pkg soc.PackageID) {
 	active, idle := m.activeBuf[:0], m.idleBuf[:0]
 	for _, core := range m.pkgCores[pkg] {
-		if m.src.CoreActive(core) {
+		if on, _, _ := m.src.CoreActivity(core); on {
 			active = append(active, core)
 		} else {
 			idle = append(idle, core)

@@ -48,19 +48,15 @@ func (s *fakeSource) setThreads(core soc.CoreID, n int) {
 	s.ctl.SetActiveThreads(core, n)
 }
 
-func (s *fakeSource) CoreCurrentAmps(core soc.CoreID) float64 {
+func (s *fakeSource) CoreActivity(core soc.CoreID) (bool, float64, float64) {
 	n := s.threads[core]
 	if n == 0 {
-		return 0
+		return false, 0, 0
 	}
 	f := s.ctl.EffectiveMHz(core) / 1000
 	v := s.ctl.VoltageAt(s.ctl.EffectiveMHz(core))
-	return s.kernel.EDCWeight(n) * f * v
+	return true, s.kernel.EDCWeight(n) * f * v, s.ctl.EffectiveMHz(core)
 }
-
-func (s *fakeSource) CoreActive(core soc.CoreID) bool { return s.threads[core] > 0 }
-
-func (s *fakeSource) CoreEffectiveMHz(core soc.CoreID) float64 { return s.ctl.EffectiveMHz(core) }
 
 func (s *fakeSource) PackageWatts(soc.PackageID) float64 { return s.watts }
 
