@@ -72,7 +72,7 @@ func TestPollUntilFrequencyMatchesNaive(t *testing.T) {
 					}
 				}
 				if c.capAtNow != 0 {
-					m.Eng.Schedule(0, func() { m.DVFS.SetCapsMHz([]soc.CoreID{0}, c.capAtNow) })
+					m.Eng.Schedule(0, func() { m.DVFS.SetCapMHz(0, c.capAtNow) })
 				}
 			}
 			d, ok := pollUntilFrequency(fast, 0, c.target, poll, c.deadline)

@@ -118,10 +118,10 @@ type coreState struct {
 	transEvent  sim.EventID
 	slotWaiting bool
 
-	lastTransEnd  sim.Time // completion time of the last transition
-	capMHz        float64  // EDC frequency cap; +Inf when uncapped
-	boostMHz      float64  // SMU boost grant above P0; 0 = no boost
-	activeThreads int      // threads currently in C0
+	lastTransEnd  sim.Time      // completion time of the last transition
+	boostMHz      float64       // SMU boost grant above P0; 0 = no boost
+	activeThreads int           // threads currently in C0
+	pkg           soc.PackageID // the package whose SMU cap applies
 }
 
 // Controller is the per-system DVFS model.
@@ -131,6 +131,8 @@ type Controller struct {
 	cfg Config
 
 	cores []coreState
+	// caps holds each package's SMU frequency cap; +Inf when uncapped.
+	caps []float64
 
 	// BeforeChange, when set, runs immediately before any effective-
 	// frequency-relevant mutation, so lazy integrators (cycle counters,
@@ -142,6 +144,11 @@ type Controller struct {
 	// may have changed, before AfterChange fires — the machine layer uses it
 	// to scope its incremental refresh to the affected CCX.
 	Dirty func(core soc.CoreID)
+	// CapMoved, when set, is invoked with a package whose SMU cap changed,
+	// before AfterChange fires. A cap moves every core of its package, and
+	// nothing else, so it is one notification for the package rather than
+	// one Dirty per core.
+	CapMoved func(pkg soc.PackageID)
 }
 
 // New creates a controller, initialises all cores to the lowest P-state and
@@ -158,8 +165,12 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, regs *msr.File) *Contro
 			threadReq: [2]int{lowest, lowest},
 			current:   lowest,
 			prev:      lowest,
-			capMHz:    math.Inf(1),
+			pkg:       top.PackageOfCore(soc.CoreID(i)),
 		}
+	}
+	c.caps = make([]float64, len(top.Packages))
+	for p := range c.caps {
+		c.caps[p] = math.Inf(1)
 	}
 	if regs != nil {
 		c.wireMSRs(regs)
@@ -350,64 +361,61 @@ func (c *Controller) completeTransition(core soc.CoreID) {
 	}
 }
 
-// SetCapsMHz applies one SMU frequency cap (EDC/PPT throttling) to many
-// cores with a single notification pair; mhz <= 0 uncaps. Caps act
-// immediately (clock stretching / duty cycling, no P-state change). The
-// SMU adjusts whole packages at once, and per-core notifications would
-// trigger a full system refresh per core (O(n²) per control tick). The SMU
-// is the only caller.
-func (c *Controller) SetCapsMHz(cores []soc.CoreID, mhz float64) {
+// SetCapMHz applies the SMU frequency cap (EDC/PPT throttling) to every
+// core of a package with a single notification pair; mhz <= 0 uncaps.
+// Caps act immediately (clock stretching / duty cycling, no P-state
+// change). The SMU is the only caller and caps whole packages, so the
+// controller holds one cap per package and reports a change through
+// CapMoved, once.
+func (c *Controller) SetCapMHz(pkg soc.PackageID, mhz float64) {
 	if mhz <= 0 {
 		mhz = math.Inf(1)
 	}
-	dirty := false
-	for _, core := range cores {
-		if c.cores[core].capMHz != mhz {
-			dirty = true
-			break
-		}
-	}
-	if !dirty {
+	if c.caps[pkg] == mhz {
 		return
 	}
 	c.notifyBefore()
-	for _, core := range cores {
-		if c.cores[core].capMHz != mhz {
-			c.cores[core].capMHz = mhz
-			c.markDirty(core)
-		}
+	c.caps[pkg] = mhz
+	if c.CapMoved != nil {
+		c.CapMoved(pkg)
 	}
 	c.notifyAfter()
 }
 
+// CapMHz returns the package's SMU cap, +Inf when uncapped.
+func (c *Controller) CapMHz(pkg soc.PackageID) float64 { return c.caps[pkg] }
+
 // SetBoostsMHz applies one Core Performance Boost grant from the SMU to
-// many cores with a single notification pair: while a core sits in P-state
-// 0, its clock may exceed the nominal frequency up to the grant (in 25 MHz
-// steps, per AMD's Precision Boost description). The grant remains subject
-// to EDC/PPT caps. The SMU is the only caller.
+// the cores of a list that have a thread in C0, and withdraws the grant
+// from the idle ones, with a single notification pair: while a core sits
+// in P-state 0, its clock may exceed the nominal frequency up to the grant
+// (in 25 MHz steps, per AMD's Precision Boost description). The grant
+// remains subject to EDC/PPT caps. The SMU is the only caller.
 func (c *Controller) SetBoostsMHz(cores []soc.CoreID, mhz float64) {
 	if mhz < 0 {
 		mhz = 0
 	}
 	mhz = float64(int(mhz/25)) * 25 // quantize to Precision Boost steps
-	dirty := false
+	notified := false
 	for _, core := range cores {
-		if c.cores[core].boostMHz != mhz {
-			dirty = true
-			break
+		cs := &c.cores[core]
+		grant := mhz
+		if cs.activeThreads == 0 {
+			grant = 0
 		}
-	}
-	if !dirty {
-		return
-	}
-	c.notifyBefore()
-	for _, core := range cores {
-		if c.cores[core].boostMHz != mhz {
-			c.cores[core].boostMHz = mhz
-			c.markDirty(core)
+		if cs.boostMHz == grant {
+			continue
 		}
+		if !notified {
+			c.notifyBefore()
+			notified = true
+		}
+		cs.boostMHz = grant
+		c.markDirty(core)
 	}
-	c.notifyAfter()
+	if notified {
+		c.notifyAfter()
+	}
 }
 
 // SetActiveThreads tells the controller how many of the core's threads are
@@ -447,27 +455,37 @@ func (c *Controller) UncappedMHz(core soc.CoreID) float64 {
 }
 
 // AppliedMHz is the core's P-state frequency (raised by any boost grant
-// while in P-state 0) clamped by the SMU cap.
+// while in P-state 0) clamped by its package's SMU cap.
 func (c *Controller) AppliedMHz(core soc.CoreID) float64 {
-	cs := &c.cores[core]
-	f := float64(c.cfg.PStates[cs.current].MHz)
-	if cs.current == 0 && cs.boostMHz > f {
-		f = cs.boostMHz
-	}
-	if cs.capMHz < f {
-		return cs.capMHz
+	return Capped(c.UncappedMHz(core), c.caps[c.cores[core].pkg])
+}
+
+// Capped is an uncapped frequency f clamped by an SMU cap. The clamp is
+// monotone, so it maps the fastest of several uncapped clocks to the
+// fastest of the capped ones, bit for bit.
+func Capped(f, cap float64) float64 {
+	if cap < f {
+		return cap
 	}
 	return f
 }
 
 // CCXPeakMHz returns the highest applied frequency among the CCX's active
 // cores, 0 when none is active: the L3 clock before its floor, and the
-// fastest core every active core of the CCX is coupled to.
+// fastest core every active core of the CCX is coupled to. It is the
+// CCX's uncapped peak under its package's cap (see Capped).
 func (c *Controller) CCXPeakMHz(ccx soc.CCXID) float64 {
+	first := c.top.CoresOfCCX(ccx)[0]
+	return Capped(c.CCXUncappedPeakMHz(ccx), c.caps[c.cores[first].pkg])
+}
+
+// CCXUncappedPeakMHz is CCXPeakMHz before the SMU cap: the highest
+// uncapped frequency among the CCX's active cores, 0 when none is active.
+func (c *Controller) CCXUncappedPeakMHz(ccx soc.CCXID) float64 {
 	peak := 0.0
 	for _, core := range c.top.CoresOfCCX(ccx) {
 		if c.cores[core].activeThreads > 0 {
-			if f := c.AppliedMHz(core); f > peak {
+			if f := c.UncappedMHz(core); f > peak {
 				peak = f
 			}
 		}

@@ -1,6 +1,7 @@
 package dvfs
 
 import (
+	"math"
 	"testing"
 
 	"zen2ee/internal/msr"
@@ -60,25 +61,45 @@ func TestL3FloorWhenAllCoresSlow(t *testing.T) {
 }
 
 func TestSetCapsBulkNoOp(t *testing.T) {
-	_, _, c := newTestController()
+	_, top, c := newTestController()
 	calls := 0
+	var moved []soc.PackageID
 	c.AfterChange = func() { calls++ }
-	cores := []soc.CoreID{0, 1, 2, 3}
-	c.SetCapsMHz(cores, 2000)
-	if calls != 1 {
-		t.Fatalf("bulk cap triggered %d notifications, want 1", calls)
+	c.CapMoved = func(pkg soc.PackageID) { moved = append(moved, pkg) }
+	c.Dirty = func(core soc.CoreID) { t.Fatalf("a cap step marked core %d dirty", core) }
+	c.SetCapMHz(0, 2000)
+	if calls != 1 || len(moved) != 1 || moved[0] != 0 {
+		t.Fatalf("package cap triggered %d notifications and moved %v, want 1 and [0]", calls, moved)
+	}
+	if c.CapMHz(0) != 2000 || !math.IsInf(c.CapMHz(1), 1) {
+		t.Fatalf("caps %v, %v after capping package 0", c.CapMHz(0), c.CapMHz(1))
 	}
 	// Re-applying the identical cap must not notify at all.
-	c.SetCapsMHz(cores, 2000)
-	if calls != 1 {
-		t.Fatalf("idempotent bulk cap notified again (%d)", calls)
+	c.SetCapMHz(0, 2000)
+	if calls != 1 || len(moved) != 1 {
+		t.Fatalf("idempotent package cap notified again (%d)", calls)
+	}
+	// The cap applies to every core of the package, and to no other.
+	c.Dirty = nil
+	c.SetActiveThreads(0, 1)
+	last := top.Packages[0].CCDs[len(top.Packages[0].CCDs)-1]
+	c.Request(0, 0)
+	c.Request(top.Cores[top.CCXs[top.CCDs[last].CCXs[0]].Cores[0]].Threads[0], 0)
+	c.Request(top.Cores[len(top.Cores)-1].Threads[0], 0)
+	c.eng.RunFor(5 * sim.Millisecond)
+	if got := c.AppliedMHz(top.CCXs[top.CCDs[last].CCXs[0]].Cores[0]); got != 2000 {
+		t.Fatalf("package 0's last CCD runs at %v MHz, want the 2000 MHz cap", got)
+	}
+	if got := c.AppliedMHz(soc.CoreID(len(top.Cores) - 1)); got != 2500 {
+		t.Fatalf("package 1 runs at %v MHz, want 2500 uncapped", got)
 	}
 	// Uncap via 0.
-	c.SetCapsMHz(cores, 0)
-	if calls != 2 {
-		t.Fatalf("uncap notifications: %d", calls)
+	calls = 0
+	c.SetCapMHz(0, 0)
+	if calls != 1 || len(moved) != 2 {
+		t.Fatalf("uncap notifications: %d, moved %v", calls, moved)
 	}
-	if got := c.EffectiveMHz(0); got != 1500 {
+	if got := c.EffectiveMHz(0); got != 2500 {
 		t.Fatalf("frequency after uncap: %v", got)
 	}
 }

@@ -317,14 +317,14 @@ func TestSMUCap(t *testing.T) {
 	c.SetActiveThreads(0, 1)
 	c.Request(0, 0)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
-	c.SetCapsMHz([]soc.CoreID{0}, 2025)
+	c.SetCapMHz(0, 2025)
 	if got := c.EffectiveMHz(0); got != 2025 {
 		t.Fatalf("capped effective = %v, want 2025", got)
 	}
 	if got := c.AppliedPState(0); got != 0 {
 		t.Fatalf("cap changed P-state to %d", got)
 	}
-	c.SetCapsMHz([]soc.CoreID{0}, 0) // uncap
+	c.SetCapMHz(0, 0) // uncap
 	if got := c.EffectiveMHz(0); got != 2500 {
 		t.Fatalf("uncapped effective = %v", got)
 	}
@@ -361,11 +361,11 @@ func TestBoostGrant(t *testing.T) {
 		t.Fatalf("uncapped = %v", got)
 	}
 	// A cap still wins over the boost grant.
-	c.SetCapsMHz([]soc.CoreID{0}, 2100)
+	c.SetCapMHz(0, 2100)
 	if got := c.EffectiveMHz(0); got != 2100 {
 		t.Fatalf("capped boosted = %v", got)
 	}
-	c.SetCapsMHz([]soc.CoreID{0}, 0)
+	c.SetCapMHz(0, 0)
 	// Dropping to a lower P-state disables the boost grant.
 	c.Request(0, 1)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))

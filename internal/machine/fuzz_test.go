@@ -151,13 +151,18 @@ const (
 	numOps
 )
 
-// Single reads take the top byte values instead of a place in the cycle
-// above, so the seed corpus spelled in it decodes as it always has. They
-// fold one core's counters or RAPL domain alone, which copies it out of its
-// class, or hands a class owner's state to a follower.
+// Single reads and the SMU's writes take the top byte values instead of a
+// place in the cycle above, so the seed corpus spelled in it decodes as it
+// always has. A single read folds one core's counters or RAPL domain
+// alone, which copies it out of its class, or hands a class owner's state
+// to a follower. A cap write steps one package's cap as the SMU does, so a
+// package whose cores have not changed keeps its classes; a boost write
+// grants the active cores of one package a boost.
 const (
 	opReadThread = 255 - iota // thread: read one thread's counters
 	opReadCore                // core: read one core's RAPL domain
+	opCap                     // package, c: cap the package at 1000 + 10c MHz, uncap at c = 255
+	opBoost                   // package, b: grant the package's active cores 2500 + 5b MHz
 )
 
 // maxScript bounds a script, so one run simulates at most ~2 s.
@@ -223,6 +228,22 @@ func runScript(script []byte, flushed bool) ([]float64, error) {
 				out = append(out, m.RAPL.CoreEnergyJoules(c))
 				return nil
 			}, false
+		case opCap:
+			pkg, c := soc.PackageID(next()%len(m.Top.Packages)), next()
+			mhz := 1000 + 10*float64(c)
+			if c == 255 {
+				mhz = 0
+			}
+			return func() error { m.DVFS.SetCapMHz(pkg, mhz); flush(); return nil }, false
+		case opBoost:
+			pkg, b := soc.PackageID(next()%len(m.Top.Packages)), next()
+			var cores []soc.CoreID
+			for c := range m.Top.Cores {
+				if m.Top.PackageOfCore(soc.CoreID(c)) == pkg {
+					cores = append(cores, soc.CoreID(c))
+				}
+			}
+			return func() error { m.DVFS.SetBoostsMHz(cores, 2500+5*float64(b)); flush(); return nil }, false
 		}
 		switch b % numOps {
 		case opStart:
@@ -353,7 +374,8 @@ func checkDerived(m *Machine) error {
 
 // FuzzMachineScript decodes bytes into a timed script of mutations (start
 // and stop kernels, different kernels on different threads, online changes,
-// C-state enables, frequency requests, operand weights), same-instant reads
+// C-state enables, frequency requests, operand weights, package caps and
+// boost grants), same-instant reads
 // of everything or of one thread's counters or one core's RAPL domain, and
 // engine runs, and runs it twice: once with each instant's refresh
 // deferred to its end, once flushing after every mutation. The two runs

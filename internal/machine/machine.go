@@ -24,19 +24,22 @@
 // reads them.
 //
 // A refresh does one derivation per class of dirty cores, not one per
-// dirty core. A core's class key covers everything its derivation reads:
-// per thread, the effective C-state, the kernel (interned at StartKernel,
-// so equal kernels compare as one small integer) and the operand weight;
-// for a core with a thread in C0, also its applied clock (P-state, boost
-// grant and SMU cap) and its CCX's peak applied clock, which fixes the
-// coupling penalty. Floats are compared by their bits. A dirty core whose
-// key equals that of the latest derived core copies that core's power-model
-// input, RAPL estimate, effective clock, power-model watts and EDC current.
-// The same float operations on bit-equal inputs give the same bits, so
-// sharing moves no result; `-tags simcheck` builds re-derive every core
-// after every refresh. The sums over cores (system power, the RAPL package
-// feeds, the SMU's package current) add the cached per-core values in core
-// order.
+// dirty core. A core's class key covers everything its derivation reads
+// but its package's SMU cap: per thread, the effective C-state, the kernel
+// (interned at StartKernel, so equal kernels compare as one small integer)
+// and the operand weight; for a core with a thread in C0, also its
+// uncapped clock (P-state and boost grant) and its CCX's fastest active
+// uncapped clock. The cap then fixes the applied clock, min(uncapped,
+// cap), and the CCX's peak, min(fastest uncapped, cap), which sets the
+// coupling penalty. A thread's C-state is kept with its run and re-read
+// only after a mutation of the thread. Floats are compared by their
+// bits. A dirty core whose key equals that of the latest derived core,
+// under an equal cap, copies that core's power-model input, RAPL estimate,
+// effective clock, power-model watts and EDC current. The same float
+// operations on bit-equal inputs give the same bits, so sharing moves no
+// result; `-tags simcheck` builds re-derive every core after every
+// refresh. The sums over cores (system power, the RAPL package feeds, the
+// SMU's package current) add the cached per-core values in core order.
 //
 // The dirty cores of one package that share a derivation form a class. A
 // member whose counters (or, separately, RAPL core domain) are
@@ -44,16 +47,24 @@
 // core (sim.Classes): it owns no counters or domain of its own, and the
 // one update of its owner serves it. Classes never reach across packages,
 // and a refresh regroups only the packages holding a dirty core; a clean
-// package's classes, domains and RAPL package sum stay as they are. When
-// the SMU moves a package-wide cap, every core of a package running one
-// load stays in one class, so the refresh sets one core's counter rates
-// and feeds one core domain. A member copies its owner's state (splits
-// out) when its counters or core domain are read, before its owner is
-// read (the owner hands its state to its first follower), and when a
-// refresh updates it unlike its owner, taking the owner's state from
-// before the update; fold-log catch-ups skip followers. Copy-on-write
-// moves no result either: `-tags simcheck` builds check every counter and
-// domain read against an eagerly folded shadow.
+// package's classes, domains and RAPL package sum stay as they are. A
+// member copies its owner's state (splits out) when its counters or core
+// domain are read, before its owner is read (the owner hands its state to
+// its first follower), and when a refresh updates it unlike its owner,
+// taking the owner's state from before the update; fold-log catch-ups skip
+// followers. Copy-on-write moves no result either: `-tags simcheck` builds
+// check every counter and domain read against an eagerly folded shadow.
+//
+// The SMU's EDC manager moves a package's cap about every millisecond
+// under a dense load, and a cap moves no class key. So when a refresh's
+// only change in a package is its cap, and the package's last keyed
+// refresh keyed all its cores, the package keeps that refresh's classes:
+// each class of active cores derives once under the new cap and is copied
+// to its members, and only the owners' counters and core domains are
+// updated. No core is keyed, and the counters and core domains regroup
+// only if a read split a member out of its class since the package last
+// regrouped. Each refresh also recomputes the SMU monitor (smu.Monitor) of
+// every package it touched.
 package machine
 
 import (
@@ -121,10 +132,20 @@ func EPYC7742Config() Config {
 	return cfg
 }
 
-// threadRun tracks what a hardware thread is executing.
+// threadRun tracks what a hardware thread is executing. With its C-state
+// as the refresh last read it, it is the thread's half of its core's class
+// key (coreKey).
 type threadRun struct {
 	kernel int32   // 1 + index into Machine.kernels; 0 when idle
+	seen   int32   // 1 + effective C-state as last keyed; 0 after a mutation
 	weight float64 // operand Hamming weight
+}
+
+// same reports whether two threads' key halves are equal, comparing the
+// weights by their bits.
+func (r *threadRun) same(o *threadRun) bool {
+	return r.kernel == o.kernel && r.seen == o.seen &&
+		math.Float64bits(r.weight) == math.Float64bits(o.weight)
 }
 
 // Machine is the simulated system.
@@ -166,10 +187,7 @@ type Machine struct {
 	stale       bool
 	flushQueued bool
 	flushEvent  func()
-	// stats counts refreshes and the cores they derived or shared. Its
-	// refresh count is the SMU's epoch: everything the SMU reads is derived
-	// or notified through refresh, so an unchanged count means unchanged
-	// activity readings (smu.ActivitySource.Epoch).
+	// stats counts refreshes and the cores they derived or shared.
 	stats RefreshStats
 
 	// Incremental-refresh state. Per-core derived values (power-model
@@ -185,8 +203,12 @@ type Machine struct {
 	// refresh sets each dirty core's class, the first core of its package
 	// with the same derivation in that refresh, regroups the counters and
 	// RAPL domains by it and resets it to -1. Every dirty core lies in
-	// dirtyLo..dirtyHi-1.
+	// dirtyLo..dirtyHi-1. part[c] is c's class in the last refresh that
+	// keyed every core of c's package; a cap step reuses it while
+	// pkgs[p].whole holds.
 	cls              []int16
+	part             []int16
+	pkgs             []pkgState
 	dirtyLo, dirtyHi int
 	inputsBuf        []power.CoreInput
 	effBuf           []float64 // effective MHz of active cores (0 when idle)
@@ -194,12 +216,29 @@ type Machine struct {
 	wattsBuf         []float64 // power-model watts (power.Model.CoreWatts)
 	ampsBuf          []float64 // EDC current, 0 when idle
 	ccdGBs           []float64 // achieved DRAM traffic per CCD
-	pkgWBuf          []float64 // sum of each package's RAPL estimates
 	coresPerPackage  int
 }
 
+// pkgState is a package's refresh state.
+type pkgState struct {
+	// capMoved marks a change of the package's SMU cap since the last
+	// refresh, coreDirty a core marked dirty. stepped marks, during a
+	// refresh, a package re-derived for its cap alone. whole marks part as
+	// the package's classes: its last keyed refresh keyed every core.
+	capMoved, coreDirty, stepped, whole bool
+	// raplW is the sum of the cores' RAPL estimates, in core order.
+	raplW float64
+	// splits is the machine's split count (splits) after the package's
+	// last regroup. While it holds, no member has left its class since.
+	splits uint64
+	// mon is the SMU monitor as of the last refresh that touched the
+	// package.
+	mon smu.Monitor
+}
+
 // RefreshStats counts the machine's refresh work since New. Every core a
-// refresh finds dirty is either derived or shared.
+// refresh re-derives is either derived or shared: the dirty cores, and the
+// active cores of a package whose cap alone moved.
 type RefreshStats struct {
 	// Refreshes is the number of refreshes run.
 	Refreshes uint64
@@ -212,6 +251,8 @@ type RefreshStats struct {
 	// RAPL core domain: a member that was read or left its class, or an
 	// owner read while followed.
 	Splits uint64
+	// Monitors counts package SMU monitors recomputed.
+	Monitors uint64
 }
 
 // threadCounters are a hardware thread's performance counters, indexed by
@@ -253,8 +294,10 @@ func New(cfg Config) *Machine {
 	regs := msr.NewFile(top.NumThreads())
 
 	n := top.NumCores()
-	// The per-core and per-CCD float caches share one allocation.
+	// The per-core and per-CCD float caches share one allocation, and so
+	// do the per-core class tables.
 	f := make([]float64, 4*n+len(top.CCDs))
+	cls := make([]int16, 2*n)
 	m := &Machine{
 		Eng:  eng,
 		Top:  top,
@@ -264,7 +307,9 @@ func New(cfg Config) *Machine {
 		runs: make([]threadRun, top.NumThreads()),
 
 		// Every core starts dirty.
-		cls:             make([]int16, n),
+		cls:             cls[:n:n],
+		part:            cls[n:],
+		pkgs:            make([]pkgState, len(top.Packages)),
 		dirtyHi:         n,
 		inputsBuf:       make([]power.CoreInput, n),
 		effBuf:          f[:n:n],
@@ -272,9 +317,9 @@ func New(cfg Config) *Machine {
 		wattsBuf:        f[2*n : 3*n : 3*n],
 		ampsBuf:         f[3*n : 4*n : 4*n],
 		ccdGBs:          f[4*n:],
-		pkgWBuf:         make([]float64, len(top.Packages)),
 		coresPerPackage: cfg.SoC.CoresPerPackage(),
 	}
+	m.markAllDirty()
 	m.flushEvent = m.onFlushEvent
 	m.log = sim.NewFoldLog(eng.Now(), foldLogCap, m.catchUp)
 	m.DVFS = dvfs.New(eng, top, cfg.DVFS, regs)
@@ -298,6 +343,7 @@ func New(cfg Config) *Machine {
 	m.CStates.DirtyAll = m.markAllDirty
 	m.CStates.AfterChange = m.changed
 	m.DVFS.Dirty = m.markCoreDirty
+	m.DVFS.CapMoved = m.markCapMoved
 	m.DVFS.AfterChange = m.changed
 	m.RAPL.BeforeNoise = m.flush
 
@@ -638,15 +684,39 @@ func (m *Machine) markCoreDirty(core soc.CoreID) {
 	}
 	m.dirtyLo = min(m.dirtyLo, int(cores[0]))
 	m.dirtyHi = max(m.dirtyHi, int(cores[len(cores)-1])+1)
+	m.pkgs[m.Top.PackageOfCore(core)].coreDirty = true
 }
 
+// markThreadDirty marks thread t's C-state for re-reading and its CCX
+// dirty.
 func (m *Machine) markThreadDirty(t soc.ThreadID) {
+	m.runs[t].seen = 0
 	m.markCoreDirty(m.Top.Threads[t].Core)
 }
 
 func (m *Machine) markAllDirty() {
 	clear(m.cls)
 	m.dirtyLo, m.dirtyHi = 0, len(m.cls)
+	for t := range m.runs {
+		m.runs[t].seen = 0
+	}
+	for p := range m.pkgs {
+		m.pkgs[p].coreDirty = true
+	}
+}
+
+// markCapMoved records a change of package pkg's SMU cap. It marks no
+// core: the refresh decides whether the package can keep its classes.
+func (m *Machine) markCapMoved(pkg soc.PackageID) {
+	m.pkgs[pkg].capMoved = true
+}
+
+// markPackageDirty marks every core of package p dirty.
+func (m *Machine) markPackageDirty(p int) {
+	lo, hi := p*m.coresPerPackage, (p+1)*m.coresPerPackage
+	clear(m.cls[lo:hi])
+	m.dirtyLo, m.dirtyHi = min(m.dirtyLo, lo), max(m.dirtyHi, hi)
+	m.pkgs[p].coreDirty = true
 }
 
 // deriveCore computes a core's power-model input into ci and returns its
@@ -700,47 +770,53 @@ func (m *Machine) deriveThread(id soc.ThreadID, ci *power.CoreInput, effMHz floa
 }
 
 // coreKey is a core's class key: everything deriveCore and deriveThread
-// read of the core, with floats compared by their bits. Dirty cores with
-// equal keys derive bit-identical inputs, RAPL estimates, effective clocks
-// and thread rates.
+// read of the core but its package's SMU cap, with floats compared by
+// their bits. Dirty cores with equal keys under equal caps derive
+// bit-identical inputs, RAPL estimates, effective clocks and thread rates.
 type coreKey struct {
-	threads [2]threadKey
-	// appliedMHz and peakMHz are the core's applied clock and its CCX's
-	// peak (dvfs.Controller.CCXPeakMHz), which fix its effective clock.
-	// Both are zero for an idle core, which reads neither.
-	appliedMHz, peakMHz uint64
+	// threads is the thread half: each thread's run and C-state, which
+	// only thread mutations move.
+	threads [2]threadRun
+	// uncMHz and peakMHz are the core's uncapped clock and its CCX's
+	// fastest active uncapped clock (dvfs.Controller.CCXUncappedPeakMHz),
+	// which with the cap fix its effective clock. Both are zero for an
+	// idle core, which reads neither.
+	uncMHz, peakMHz float64
 }
 
-// threadKey is one thread's part of a coreKey: its effective C-state, its
-// interned kernel (threadRun.kernel) and its operand weight.
-type threadKey struct {
-	state, kernel int32
-	weight        uint64
-}
-
-// eq is key == o, written out field by field: the compiler would compare
-// the whole struct through a runtime call, which costs more than the
-// comparison itself.
+// eq is key == o, written out field by field with floats compared by their
+// bits: the compiler would compare the whole struct through a runtime
+// call, which costs more than the comparison itself.
 func (k *coreKey) eq(o *coreKey) bool {
-	return k.appliedMHz == o.appliedMHz && k.peakMHz == o.peakMHz &&
-		k.threads[0] == o.threads[0] && k.threads[1] == o.threads[1]
+	return math.Float64bits(k.uncMHz) == math.Float64bits(o.uncMHz) &&
+		math.Float64bits(k.peakMHz) == math.Float64bits(o.peakMHz) &&
+		k.threads[0].same(&o.threads[0]) && k.threads[1].same(&o.threads[1])
 }
 
-// coreKey sets key to core's class key; peakMHz is its CCX's peak.
-// appliedMHz and peakMHz are left zero for an idle core.
+// coreKey sets key to core's class key; peakMHz is its CCX's fastest
+// active uncapped clock. It re-reads a thread's C-state only after a
+// mutation of the thread.
 func (m *Machine) coreKey(key *coreKey, core soc.CoreID, peakMHz float64) {
 	active := false
 	for i, t := range m.Top.Cores[core].Threads {
-		s := m.CStates.EffectiveState(t)
 		r := &m.runs[t]
-		key.threads[i] = threadKey{state: int32(s), kernel: r.kernel, weight: math.Float64bits(r.weight)}
-		active = active || s == cstate.C0
+		if r.seen == 0 {
+			r.seen = 1 + int32(m.CStates.EffectiveState(t))
+		}
+		key.threads[i] = *r
+		active = active || r.seen == 1+int32(cstate.C0)
 	}
-	key.appliedMHz, key.peakMHz = 0, 0
+	key.uncMHz, key.peakMHz = 0, 0
 	if active {
-		key.appliedMHz = math.Float64bits(m.DVFS.AppliedMHz(core))
-		key.peakMHz = math.Float64bits(peakMHz)
+		key.uncMHz, key.peakMHz = m.DVFS.UncappedMHz(core), peakMHz
 	}
+}
+
+// clockOf is the effective clock of an active core whose uncapped clock is
+// uncMHz, in a CCX whose fastest active uncapped clock is peakMHz, under
+// SMU cap capMHz: dvfs.Controller.EffectiveMHz, from the uncapped clocks.
+func (m *Machine) clockOf(uncMHz, peakMHz, capMHz float64) float64 {
+	return m.DVFS.CoupledMHz(dvfs.Capped(uncMHz, capMHz), dvfs.Capped(peakMHz, capMHz))
 }
 
 // deriveDirty derives core c from scratch into the per-core caches;
@@ -759,6 +835,18 @@ func (m *Machine) shareDirty(c, lead int) {
 	m.stats.Shared++
 }
 
+// shareClock gives core c what a cap step moved of the derivation of core
+// first, whose class it is in: the clock and voltage of its input, its
+// RAPL estimate, effective clock, power-model watts and EDC current. The
+// rest of its input, which the class's key fixes, is already equal.
+func (m *Machine) shareClock(c, first int) {
+	ci, f := &m.inputsBuf[c], &m.inputsBuf[first]
+	ci.GHz, ci.Volts = f.GHz, f.Volts
+	m.raplWBuf[c], m.effBuf[c] = m.raplWBuf[first], m.effBuf[first]
+	m.wattsBuf[c], m.ampsBuf[c] = m.wattsBuf[first], m.ampsBuf[first]
+	m.stats.Shared++
+}
+
 // setRates sets the counter rates of core c's threads from its derived
 // input and effective clock.
 func (m *Machine) setRates(c int) {
@@ -774,7 +862,7 @@ func (m *Machine) setRates(c int) {
 // RefreshStats returns the refresh counts since New.
 func (m *Machine) RefreshStats() RefreshStats {
 	s := m.stats
-	s.Splits = m.classes.Splits() + m.RAPL.Splits()
+	s.Splits = m.splits()
 	return s
 }
 
@@ -783,13 +871,14 @@ func (m *Machine) RefreshStats() RefreshStats {
 // and the refresh runs from the instant's flush event or from the first
 // derived read (flush). Per-core and per-thread derivations run only for
 // cores marked dirty since the last refresh, and once per class: a dirty
-// core whose key equals that of the latest derived core copies that core's
-// derivation. Counter rates are set, and core domains fed, once per class
-// owner. The sums over cores add cached per-core values in a fixed core
-// order, so their floating-point results are bit-identical whether a
-// core's values were recomputed, shared or cached; a partial sum none of
-// whose terms changed (a clean CCD's traffic, a clean package's RAPL
-// estimate) is kept.
+// core whose key equals that of the latest derived core under an equal cap
+// copies that core's derivation. A package whose cap alone moved is
+// stepped instead (stepCap). Counter rates are set, and core domains fed,
+// once per class owner. The sums over cores add cached per-core values in
+// a fixed core order, so their floating-point results are bit-identical
+// whether a core's values were recomputed, shared or cached; a partial sum
+// none of whose terms changed (a clean CCD's traffic, a clean package's
+// RAPL estimate) is kept.
 func (m *Machine) refresh() {
 	m.inRefresh = true
 	m.stale = false
@@ -805,39 +894,69 @@ func (m *Machine) refresh() {
 	// whose rate is unchanged replays those folds only when it is read or
 	// its rate moves.
 	m.log.Record(now)
-	// lead is the latest derived core and leadKey its key; first is the
-	// first core of lead's class in the current package.
+
+	// A package whose cap moved is stepped if nothing else changed in it
+	// and its classes are known; otherwise all its cores are keyed again.
+	for p := range m.pkgs {
+		ps := &m.pkgs[p]
+		if !ps.capMoved {
+			continue
+		}
+		ps.capMoved = false
+		if ps.coreDirty || !ps.whole {
+			m.markPackageDirty(p)
+		} else {
+			ps.stepped = true
+			m.stepCap(p, raplCfg)
+		}
+	}
+
+	// lead is the latest derived core, leadKey its key and leadCap its
+	// package's cap; first is the first core of lead's class in the
+	// current package.
 	cpp := m.coresPerPackage
 	lo, hi := m.dirtyLo, m.dirtyHi
 	var key, leadKey coreKey
-	lead, first, peakCCX, peak := -1, -1, soc.CCXID(-1), 0.0
-	for c := lo; c < hi; c++ {
-		if m.cls[c] < 0 {
+	lead, leadCap, peakCCX, peak := -1, 0.0, soc.CCXID(-1), 0.0
+	for p := lo / cpp; p*cpp < hi; p++ {
+		if !m.pkgs[p].coreDirty {
 			continue
 		}
-		if x := m.Top.Cores[c].CCX; x != peakCCX {
-			peakCCX, peak = x, m.DVFS.CCXPeakMHz(x)
+		capMHz := m.DVFS.CapMHz(soc.PackageID(p))
+		if capMHz != leadCap {
+			lead = -1
 		}
-		m.coreKey(&key, soc.CoreID(c), peak)
-		if lead >= 0 && key.eq(&leadKey) {
-			m.shareDirty(c, lead)
-			if c/cpp != first/cpp {
-				first = c
+		first := -1
+		for c := max(lo, p*cpp); c < min(hi, (p+1)*cpp); c++ {
+			if m.cls[c] < 0 {
+				continue
 			}
-		} else {
-			m.deriveDirty(c, m.DVFS.CoupledMHz(math.Float64frombits(key.appliedMHz), peak), raplCfg)
-			lead, leadKey, first = c, key, c
+			if x := m.Top.Cores[c].CCX; x != peakCCX {
+				peakCCX, peak = x, m.DVFS.CCXUncappedPeakMHz(x)
+			}
+			m.coreKey(&key, soc.CoreID(c), peak)
+			if lead >= 0 && key.eq(&leadKey) {
+				m.shareDirty(c, lead)
+				if first < 0 {
+					first = c
+				}
+			} else {
+				m.deriveDirty(c, m.clockOf(key.uncMHz, key.peakMHz, capMHz), raplCfg)
+				lead, leadKey, leadCap, first = c, key, capMHz, c
+			}
+			m.cls[c] = int16(first)
 		}
-		m.cls[c] = int16(first)
 	}
 
 	// Memory traffic per CCD, capped by the Fig. 5a response surface. A
 	// CCD's traffic changes only with its cores' inputs (and the I/O die,
 	// whose changes mark every core dirty), so it is recomputed only for
-	// CCDs with a dirty core; an idle CCD adds +0.
+	// CCDs with a dirty core, and for CCDs with traffic in a stepped
+	// package: a cap scales the demand of the cores it has, and leaves a
+	// CCD without demand at +0, which an idle CCD adds too.
 	m.trafficGBs = 0
 	for d := range m.Top.CCDs {
-		if m.ccdDirty(d) {
+		if m.ccdDirty(d) || m.ccdGBs[d] != 0 && m.pkgs[m.Top.CCDs[d].Package].stepped {
 			m.ccdGBs[d] = m.ccdTraffic(d, nominalGHz)
 		}
 		m.trafficGBs += m.ccdGBs[d]
@@ -854,43 +973,72 @@ func (m *Machine) refresh() {
 	m.lastSysW = sysW
 
 	// Classes never reach across packages, so the counters and core
-	// domains of the packages holding a dirty core, plo..phi-1, regroup by
-	// class and the others are left as they are. Only dirty cores are fed,
-	// by class: a core's fed power changes only with its estimate (the RAPL
-	// model applies its noise itself). Then the counter rates of the dirty
-	// class owners are set and every core is marked clean.
-	plo, phi := lo/cpp*cpp, (hi+cpp-1)/cpp*cpp
-	if lo >= hi {
-		plo, phi = 0, 0
-	}
-	m.RAPL.SetCorePowers(soc.CoreID(plo), m.raplWBuf[plo:phi], m.cls[plo:phi])
-	sim.Regroup(&m.classes, m.counters, plo, m.cls[plo:phi], sameCounters)
-	for c := lo; c < hi; c++ {
-		if m.cls[c] >= 0 && !m.classes.Follows(c) {
-			m.setRates(c)
+	// domains of a package holding a dirty core regroup by class, and
+	// only its dirty cores are fed, by class: a core's fed power changes
+	// only with its estimate (the RAPL model applies its noise itself).
+	// A stepped package keeps its classes: every class owner is fed, and
+	// nothing regroups unless a read split a member out of its class
+	// since the package last regrouped, when its active cores regroup by
+	// the kept classes to take it back. Then the counter rates of the
+	// class owners re-derived are set, every core is marked clean, and
+	// the package's RAPL sum and SMU monitor are recomputed. Other
+	// packages are left as they are.
+	for p := range m.pkgs {
+		ps := &m.pkgs[p]
+		if !ps.coreDirty && !ps.stepped {
+			continue
 		}
-		m.cls[c] = -1
+		plo, phi := p*cpp, (p+1)*cpp
+		cls := m.cls[plo:phi]
+		if ps.stepped && ps.splits == m.splits() {
+			m.RAPL.StepCorePowers(soc.CoreID(plo), m.raplWBuf[plo:phi])
+			for c := plo; c < phi; c++ {
+				if m.inputsBuf[c].ActiveThreads > 0 && !m.classes.Follows(c) {
+					m.setRates(c)
+				}
+			}
+		} else {
+			if ps.stepped {
+				for j, k := range m.part[plo:phi] {
+					if m.inputsBuf[plo+j].ActiveThreads > 0 {
+						cls[j] = k
+					}
+				}
+			}
+			m.RAPL.SetCorePowers(soc.CoreID(plo), m.raplWBuf[plo:phi], cls)
+			sim.Regroup(&m.classes, m.counters, plo, cls, sameCounters)
+			whole := true
+			for j, k := range cls {
+				if k >= 0 && !m.classes.Follows(plo+j) {
+					m.setRates(plo + j)
+				}
+				whole = whole && k >= 0
+			}
+			if ps.coreDirty {
+				if ps.whole = whole; whole {
+					copy(m.part[plo:phi], cls)
+				}
+			}
+			for j := range cls {
+				cls[j] = -1
+			}
+			ps.splits = m.splits()
+		}
+		m.measure(p, !ps.stepped)
+		ps.coreDirty, ps.stepped = false, false
 	}
 	m.dirtyLo, m.dirtyHi = len(m.cls), 0
 
 	// The packages are fed their cores' cached estimates, summed in core
-	// order (a clean package's sum is unchanged), plus uncore and
-	// temperature leakage, every refresh, since leakage follows the
-	// temperature.
-	for p := plo / cpp; p < phi/cpp; p++ {
-		w := 0.0
-		for _, x := range m.raplWBuf[p*cpp : (p+1)*cpp] {
-			w += x
-		}
-		m.pkgWBuf[p] = w
-	}
+	// order, plus uncore and temperature leakage, every refresh, since
+	// leakage follows the temperature.
 	leak := math.Max(0, raplCfg.TempLeakPerK*(m.Thermal.TempC()-raplCfg.TempRefC))
-	for p, w := range m.pkgWBuf {
+	for p := range m.pkgs {
 		uncore := raplCfg.UncoreActive
 		if deep {
 			uncore = raplCfg.UncoreSleep
 		}
-		m.RAPL.SetPackagePower(soc.PackageID(p), w+uncore+leak)
+		m.RAPL.SetPackagePower(soc.PackageID(p), m.pkgs[p].raplW+uncore+leak)
 	}
 	m.verifyFeed()
 	m.verifyRefresh(raplCfg)
@@ -898,6 +1046,67 @@ func (m *Machine) refresh() {
 	m.stats.Refreshes++
 	m.inRefresh = false
 }
+
+// stepCap re-derives package p, whose SMU cap alone moved: a cap moves no
+// class key, so the package keeps the classes of its last keyed refresh
+// (part). Each class of active cores derives once under the new cap, at
+// its first core, and the other members copy what the cap moved. An idle
+// core reads no clock and is left as it is.
+func (m *Machine) stepCap(p int, raplCfg rapl.Config) {
+	capMHz := m.DVFS.CapMHz(soc.PackageID(p))
+	cpp := m.coresPerPackage
+	for c := p * cpp; c < (p+1)*cpp; c++ {
+		if m.inputsBuf[c].ActiveThreads == 0 {
+			continue
+		}
+		if first := int(m.part[c]); first != c {
+			m.shareClock(c, first)
+			continue
+		}
+		core := soc.CoreID(c)
+		peak := m.DVFS.CCXUncappedPeakMHz(m.Top.Cores[c].CCX)
+		m.deriveDirty(c, m.clockOf(m.DVFS.UncappedMHz(core), peak, capMHz), raplCfg)
+	}
+}
+
+// measure recomputes package p's RAPL estimate, the sum of its cores'
+// estimates, and its SMU monitor: the sum of its active cores' EDC
+// currents, both in core order, and their fastest effective clock and,
+// unless uncapped is false because only the cap moved, their fastest
+// uncapped clock.
+func (m *Machine) measure(p int, uncapped bool) {
+	ps := &m.pkgs[p]
+	lo, hi := p*m.coresPerPackage, (p+1)*m.coresPerPackage
+	in := m.inputsBuf[lo:hi]
+	raplW, amps, eff := m.raplWBuf[lo:hi][:len(in)], m.ampsBuf[lo:hi][:len(in)], m.effBuf[lo:hi][:len(in)]
+	w := 0.0
+	mon := smu.Monitor{MaxUncappedMHz: ps.mon.MaxUncappedMHz}
+	if uncapped {
+		mon.MaxUncappedMHz = 0
+	}
+	for j := range in {
+		w += raplW[j]
+		if in[j].ActiveThreads == 0 {
+			continue
+		}
+		mon.ActiveCores++
+		mon.Amps += amps[j]
+		if eff[j] > mon.MaxEffMHz {
+			mon.MaxEffMHz = eff[j]
+		}
+		if !uncapped {
+			continue
+		}
+		if f := m.DVFS.UncappedMHz(soc.CoreID(lo + j)); f > mon.MaxUncappedMHz {
+			mon.MaxUncappedMHz = f
+		}
+	}
+	ps.raplW, ps.mon = w, mon
+	m.stats.Monitors++
+}
+
+// splits counts the copy-on-write splits of counters and core domains.
+func (m *Machine) splits() uint64 { return m.classes.Splits() + m.RAPL.Splits() }
 
 // ccdDirty reports whether CCD d has a dirty core. Cores are marked dirty
 // a whole CCX at a time.
@@ -963,22 +1172,16 @@ func (m *Machine) coreKernel(core soc.CoreID) (*workload.Kernel, float64) {
 // activitySource adapts Machine to smu.ActivitySource: the SMU monitors the
 // machine's own activity and power model (its internal estimate), not the
 // external reference meter. Every method flushes a pending refresh, then
-// answers from the per-core state that refresh derived, so a control tick
-// re-derives nothing; `-tags simcheck` builds re-derive on every read and
-// panic on a stale answer.
+// answers from what that refresh derived, so a control tick re-derives
+// nothing; `-tags simcheck` builds re-derive every core of the package on
+// every monitor read and panic on a stale answer.
 type activitySource Machine
 
-func (a *activitySource) Epoch() uint64 {
+func (a *activitySource) Monitor(pkg soc.PackageID) smu.Monitor {
 	m := (*Machine)(a)
 	m.flush()
-	return m.stats.Refreshes
-}
-
-func (a *activitySource) CoreActivity(core soc.CoreID) (active bool, amps, effMHz float64) {
-	m := (*Machine)(a)
-	m.flush()
-	m.checkActivityRead(core)
-	return m.inputsBuf[core].ActiveThreads > 0, m.ampsBuf[core], m.effBuf[core]
+	m.checkActivityRead()
+	return m.pkgs[pkg].mon
 }
 
 func (a *activitySource) PackageWatts(pkg soc.PackageID) float64 {

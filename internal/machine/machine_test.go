@@ -7,7 +7,9 @@ import (
 	"zen2ee/internal/cstate"
 	"zen2ee/internal/iodie"
 	"zen2ee/internal/msr"
+	"zen2ee/internal/power"
 	"zen2ee/internal/sim"
+	"zen2ee/internal/smu"
 	"zen2ee/internal/soc"
 	"zen2ee/internal/workload"
 )
@@ -460,13 +462,23 @@ func TestEffectiveMHzSeesPendingMutation(t *testing.T) {
 	}
 }
 
-// distinctKeys counts the distinct class keys among all cores.
-func distinctKeys(m *Machine) int {
-	seen := map[coreKey]bool{}
+// keyOf returns core c's class key, as a refresh would key it now.
+func keyOf(m *Machine, c int) coreKey {
 	var key coreKey
+	m.coreKey(&key, soc.CoreID(c), m.DVFS.CCXUncappedPeakMHz(m.Top.Cores[c].CCX))
+	return key
+}
+
+// distinctKeys counts the distinct pairs of class key and SMU cap among
+// all cores.
+func distinctKeys(m *Machine) int {
+	type capKey struct {
+		key    coreKey
+		capMHz float64
+	}
+	seen := map[capKey]bool{}
 	for c := range m.Top.Cores {
-		m.coreKey(&key, soc.CoreID(c), m.DVFS.CCXPeakMHz(m.Top.Cores[c].CCX))
-		seen[key] = true
+		seen[capKey{keyOf(m, c), m.DVFS.CapMHz(m.Top.PackageOfCore(soc.CoreID(c)))}] = true
 	}
 	return len(seen)
 }
@@ -630,5 +642,186 @@ func TestStartKernelValidates(t *testing.T) {
 	}
 	if _, err := m.StartKernel(3, workload.Busywait, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCapStepDerivesOncePerClass mixes P-states, kernels and idle cores
+// in package 0, so that under a 2 GHz cap the cores at 2.5 and 2.2 GHz
+// would share an applied-clock key but hold different uncapped ones. Once
+// a cap step has keyed the whole package, a second cap step alone keeps
+// its classes: it derives once per class of active cores, shares the
+// rest, keys nothing, and every core matches a from-scratch derivation.
+func TestCapStepDerivesOncePerClass(t *testing.T) {
+	m := newMachine()
+	m.SMU.Stop()
+	kernels := []workload.Kernel{workload.Firestarter, workload.VXorps, workload.Busywait}
+	cpp := m.coresPerPackage
+	for c := 0; c < cpp; c++ {
+		th := m.Top.Cores[c].Threads[0]
+		mhz := 2500
+		if c/3%2 == 1 {
+			mhz = 2200
+		}
+		if err := m.SetThreadFrequencyMHz(th, mhz); err != nil {
+			t.Fatal(err)
+		}
+		if c%7 == 6 {
+			continue // idle
+		}
+		if _, err := m.StartKernel(th, kernels[c/8%len(kernels)], 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Eng.RunFor(20 * sim.Millisecond)
+	m.DVFS.SetCapMHz(0, 2000)
+	m.flush()
+	if !m.pkgs[0].whole {
+		t.Fatal("a cap step after other changes left package 0's classes unkeyed")
+	}
+
+	// Count package 0's classes of active cores: runs of equal keys, as
+	// the keyed refresh formed them, and the same under the applied-clock
+	// key (applied clock and CCX peak) that a cap would not split.
+	classes, applied := 0, 0
+	var prev, prevApplied coreKey
+	for c := 0; c < cpp; c++ {
+		k := keyOf(m, c)
+		appliedKey := k
+		if k.uncMHz != 0 {
+			appliedKey.uncMHz = m.DVFS.AppliedMHz(soc.CoreID(c))
+			appliedKey.peakMHz = m.DVFS.CCXPeakMHz(m.Top.Cores[c].CCX)
+		}
+		if k.uncMHz != 0 && (c == 0 || !k.eq(&prev)) {
+			classes++
+		}
+		if k.uncMHz != 0 && (c == 0 || !appliedKey.eq(&prevApplied)) {
+			applied++
+		}
+		prev, prevApplied = k, appliedKey
+	}
+	if classes == applied {
+		t.Fatalf("package 0 holds %d classes under either key; the mix must tell them apart", classes)
+	}
+
+	before := m.RefreshStats()
+	m.DVFS.SetCapMHz(0, 1900)
+	m.flush()
+	d := m.RefreshStats()
+	active := 0
+	for c := 0; c < cpp; c++ {
+		if m.inputsBuf[c].ActiveThreads > 0 {
+			active++
+		}
+	}
+	if d.Refreshes-before.Refreshes != 1 || d.Derived-before.Derived != uint64(classes) ||
+		d.Shared-before.Shared != uint64(active-classes) || d.Splits != before.Splits {
+		t.Fatalf("a cap step went from %+v to %+v: want 1 refresh deriving %d classes and sharing %d cores",
+			before, d, classes, active-classes)
+	}
+	if err := checkDerived(m); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < cpp; c++ {
+		if f := m.EffectiveMHz(soc.CoreID(c)); m.inputsBuf[c].ActiveThreads > 0 && f > 1900 {
+			t.Fatalf("core %d runs at %v MHz under a 1900 MHz cap", c, f)
+		}
+	}
+}
+
+// freshMonitor recomputes package p's SMU monitor from scratch, deriving
+// each core anew in core order.
+func freshMonitor(m *Machine, p soc.PackageID) smu.Monitor {
+	var mon smu.Monitor
+	for c := range m.Top.Cores {
+		core := soc.CoreID(c)
+		if m.Top.PackageOfCore(core) != p {
+			continue
+		}
+		var ci power.CoreInput
+		_, eff, _, amps := m.deriveCore(core, m.DVFS.EffectiveMHz(core), m.RAPL.Config(), &ci)
+		if ci.ActiveThreads == 0 {
+			continue
+		}
+		mon.ActiveCores++
+		mon.Amps += amps
+		mon.MaxEffMHz = math.Max(mon.MaxEffMHz, eff)
+		mon.MaxUncappedMHz = math.Max(mon.MaxUncappedMHz, m.DVFS.UncappedMHz(core))
+	}
+	return mon
+}
+
+// TestRefreshMonitorMatchesFresh runs FIRESTARTER with SMT into the EDC
+// limit and then drops the load: package 0 loses SMT and package 1 idles
+// half its cores. At every millisecond, the monitor each refresh keeps
+// must equal a per-core recomputation from scratch, bit for bit, while
+// the EDC manager steps both packages' caps.
+func TestRefreshMonitorMatchesFresh(t *testing.T) {
+	m := newMachine()
+	if err := m.SetAllFrequenciesMHz(2500); err != nil {
+		t.Fatal(err)
+	}
+	for th := 0; th < m.Top.NumThreads(); th++ {
+		if _, err := m.StartKernel(soc.ThreadID(th), workload.Firestarter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := (*activitySource)(m)
+	sample := func(ms int) {
+		t.Helper()
+		for i := 0; i < ms; i++ {
+			m.Eng.RunFor(sim.Millisecond)
+			for p := range m.Top.Packages {
+				pkg := soc.PackageID(p)
+				got, want := src.Monitor(pkg), freshMonitor(m, pkg)
+				if got.ActiveCores != want.ActiveCores || math.Float64bits(got.Amps) != math.Float64bits(want.Amps) ||
+					math.Float64bits(got.MaxEffMHz) != math.Float64bits(want.MaxEffMHz) ||
+					math.Float64bits(got.MaxUncappedMHz) != math.Float64bits(want.MaxUncappedMHz) {
+					t.Fatalf("package %d at %v: monitor %+v, fresh %+v", p, m.Eng.Now(), got, want)
+				}
+			}
+		}
+	}
+	sample(300)
+	if !m.SMU.Throttling(0) || !m.SMU.Throttling(1) {
+		t.Fatal("FIRESTARTER load is not EDC-throttled")
+	}
+	caps := [2]float64{m.SMU.CapMHz(0), m.SMU.CapMHz(1)}
+	for c := range m.Top.Cores {
+		core := soc.CoreID(c)
+		switch {
+		case m.Top.PackageOfCore(core) == 0:
+			m.StopKernel(m.Top.Cores[c].Threads[1])
+		case c%2 == 0:
+			m.StopKernel(m.Top.Cores[c].Threads[0])
+			m.StopKernel(m.Top.Cores[c].Threads[1])
+		}
+	}
+	sample(100)
+	if m.SMU.CapMHz(0) == caps[0] || m.SMU.CapMHz(1) == caps[1] {
+		t.Fatalf("caps %v before and %v, %v after the load drop: want both moved", caps, m.SMU.CapMHz(0), m.SMU.CapMHz(1))
+	}
+}
+
+// TestSteadyLoadSkipsMonitor: under steady unthrottled load nothing the
+// monitor reads changes, so after warm-up no refresh runs and no monitor
+// is recomputed, however often the SMU reads it.
+func TestSteadyLoadSkipsMonitor(t *testing.T) {
+	m := newMachine()
+	if err := m.SetAllFrequenciesMHz(2500); err != nil {
+		t.Fatal(err)
+	}
+	for th := 0; th < m.Top.NumThreads(); th++ {
+		if _, err := m.StartKernel(soc.ThreadID(th), workload.Busywait, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Eng.RunFor(20 * sim.Millisecond) // P-state transitions settle
+	before := m.RefreshStats()
+	m.Eng.RunFor(200 * sim.Millisecond)
+	if m.SMU.Throttling(0) || m.SMU.Throttling(1) {
+		t.Fatal("precondition: busywait must not throttle")
+	}
+	if d := m.RefreshStats(); d.Monitors != before.Monitors || d.Refreshes != before.Refreshes {
+		t.Fatalf("refresh stats went from %+v to %+v over 200 ms of steady load: want no refresh and no monitor", before, d)
 	}
 }

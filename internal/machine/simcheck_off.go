@@ -14,8 +14,9 @@ import (
 func (m *Machine) verifyRefresh(rapl.Config) {}
 
 // checkActivityRead is compiled out unless built with -tags simcheck, which
-// re-derives a core on every SMU activity read and rejects stale caches.
-func (m *Machine) checkActivityRead(soc.CoreID) {}
+// rejects an SMU monitor read inside a refresh or with a refresh pending;
+// the SMU's own simcheck then re-derives every core of the package.
+func (m *Machine) checkActivityRead() {}
 
 // checkEffective is compiled out unless built with -tags simcheck, which
 // checks every cached EffectiveMHz answer against the DVFS controller.

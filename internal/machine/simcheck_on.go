@@ -33,14 +33,25 @@ func (m *Machine) verifyRefresh(raplCfg rapl.Config) {
 
 // checkActivityRead guards the SMU's reads of the refresh cache: a read
 // from inside a refresh would see a half-updated machine, and a read after
-// a mutation that the read did not flush would see a stale core. Both
+// a mutation that the read did not flush would see a stale package. Both
 // panic.
-func (m *Machine) checkActivityRead(core soc.CoreID) {
+func (m *Machine) checkActivityRead() {
 	if m.inRefresh {
-		panic(fmt.Sprintf("simcheck: SMU read core %d inside refresh at %v", core, m.Eng.Now()))
+		panic(fmt.Sprintf("simcheck: SMU read inside refresh at %v", m.Eng.Now()))
 	}
 	m.checkFlushed()
+}
+
+// CoreActivity is the per-core reading the SMU's simcheck recomputes each
+// monitor from (smu.Manager.checkMonitor): whether the core has a thread
+// in C0 and, if so, its EDC current and effective clock. It re-derives the
+// core from scratch and panics unless the cached values match.
+func (a *activitySource) CoreActivity(core soc.CoreID) (active bool, amps, effMHz float64) {
+	m := (*Machine)(a)
+	m.flush()
+	m.checkActivityRead()
 	m.verifyCore(core, m.RAPL.Config(), "SMU read")
+	return m.inputsBuf[core].ActiveThreads > 0, m.ampsBuf[core], m.effBuf[core]
 }
 
 // checkEffective asserts that the refresh-cached effective frequency

@@ -286,6 +286,22 @@ func (m *Model) SetCorePowers(first soc.CoreID, watts []float64, cls []int16) {
 	m.shadow.setCores(m, lo, watts, cls)
 }
 
+// StepCorePowers feeds the modeled powers of cores first, first+1, … of one
+// instant (machine layer), core first+j fed watts[j], keeping their
+// classes as they are: the feeder must feed each class alike, as it does
+// when its own classes of the range are those of the last SetCorePowers
+// over it. Only class owners are fed, and none regroups.
+func (m *Model) StepCorePowers(first soc.CoreID, watts []float64) {
+	m.record()
+	lo := int(first)
+	for j, w := range watts {
+		if c := lo + j; !m.classes.Follows(c) {
+			m.feed(&m.doms[c], w)
+		}
+	}
+	m.shadow.setCores(m, lo, watts, nil)
+}
+
 // Splits counts the core domains copied out of their class (sim.Classes).
 func (m *Model) Splits() uint64 { return m.classes.Splits() }
 

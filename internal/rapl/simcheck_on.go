@@ -55,11 +55,11 @@ func (s *domainShadow) set(m *Model, i int, watts float64) {
 }
 
 // setCores feeds eager core domain lo+j fed power watts[j] wherever
-// cls[j] >= 0.
+// cls[j] >= 0, or everywhere for a nil cls.
 func (s *domainShadow) setCores(m *Model, lo int, watts []float64, cls []int16) {
-	for j, k := range cls {
-		if k >= 0 {
-			s.set(m, lo+j, watts[j])
+	for j, w := range watts {
+		if cls == nil || cls[j] >= 0 {
+			s.set(m, lo+j, w)
 		}
 	}
 }

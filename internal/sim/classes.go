@@ -13,19 +13,32 @@ package sim
 // consistent with the owner table.
 type Classes struct {
 	// owner[i] is the slot holding slot i's state: i itself, or an earlier
-	// slot that owns its own.
+	// slot that owns its own. nfollow[i] counts the slots following slot i.
 	owner     []int16
+	nfollow   []int16
 	followers int
 	splits    uint64
 }
 
 // NewClasses returns n slots, each owning its state.
 func NewClasses(n int) Classes {
-	c := Classes{owner: make([]int16, n)}
+	buf := make([]int16, 2*n)
+	c := Classes{owner: buf[:n:n], nfollow: buf[n:]}
 	for i := range c.owner {
 		c.owner[i] = int16(i)
 	}
 	return c
+}
+
+// follow sets slot i's owner to o, keeping the follower counts.
+func (c *Classes) follow(i int, o int16) {
+	if p := c.owner[i]; int(p) != i {
+		c.nfollow[p]--
+	}
+	c.owner[i] = o
+	if int(o) != i {
+		c.nfollow[o]++
+	}
 }
 
 // Owner returns the slot whose entry holds slot i's state.
@@ -40,33 +53,41 @@ func (c *Classes) Splits() uint64 { return c.splits }
 
 // Own makes slot i hold its state alone, ahead of a change made to it by
 // itself: a follower copies its owner's state, and an owner hands its state
-// to its first follower, which becomes the owner of the others.
+// to its first follower, which becomes the owner of the others. A slot
+// that owns its state and has no followers returns at once.
 func Own[T any](c *Classes, state []T, i int) {
 	if c.followers == 0 {
 		return
 	}
 	if o := int(c.owner[i]); o != i {
 		state[i] = state[o]
-		c.owner[i] = int16(i)
+		c.follow(i, int16(i))
 		c.followers--
 		c.splits++
 		return
 	}
-	next := -1
-	for j := i + 1; j < len(c.owner); j++ {
+	n := c.nfollow[i]
+	if n == 0 {
+		return
+	}
+	next := int16(-1)
+	for j := i + 1; n > 0; j++ {
 		if int(c.owner[j]) != i {
 			continue
 		}
+		n--
 		if next < 0 {
-			next = j
+			next = int16(j)
 			state[j] = state[i]
-			c.owner[j] = int16(j)
+			c.owner[j] = next
 			c.followers--
 			c.splits++
 		} else {
-			c.owner[j] = int16(next)
+			c.owner[j] = next
 		}
 	}
+	c.nfollow[next] = c.nfollow[i] - 1
+	c.nfollow[i] = 0
 }
 
 // Regroup prepares an update round of slots lo, lo+1, …, lo+len(cls)-1
@@ -91,17 +112,17 @@ func Regroup[T any](c *Classes, state []T, lo int, cls []int16, same func(a, b *
 	for i, k := range cls {
 		if o := int(owner[i] - base); o != i {
 			if k == cls[o] {
-				if joined {
-					owner[i] = owner[o] // o may have joined a class
+				if joined && owner[o] != owner[i] {
+					c.follow(i+lo, owner[o]) // o joined a class
 				}
 				continue
 			}
 			if o == from && k == cls[leaver] {
-				owner[i] = owner[leaver] // the leaver, or the class it joined
+				c.follow(i+lo, owner[leaver]) // the leaver, or the class it joined
 				continue
 			}
 			state[i] = state[o]
-			owner[i] = int16(i) + base
+			c.follow(i+lo, int16(i)+base)
 			c.followers--
 			c.splits++
 			leaver, from = i, o
@@ -110,7 +131,7 @@ func Regroup[T any](c *Classes, state []T, lo int, cls []int16, same func(a, b *
 			continue
 		}
 		if last >= 0 && cls[last] == k && same(&state[i], &state[last]) {
-			owner[i] = int16(last) + base
+			c.follow(i+lo, int16(last)+base)
 			c.followers++
 			joined = true
 			continue

@@ -49,14 +49,86 @@ func TestClassesRegroupAndOwn(t *testing.T) {
 	if c.Follows(4) || c.Owner(2) != 0 || c.Owner(7) != 4 {
 		t.Fatalf("owners %v", c.owner)
 	}
+	// Slots 6 and 7 leave as one class owned by 6. Reading 4 hands its
+	// state to 5; reading 4 or 5 again, owners no one follows, copies
+	// nothing, and reading 6 hands its state to 7.
+	round(0, 0, 0, 0, 4, 4, 6, 6)
+	if c.Owner(7) != 6 || c.Owner(5) != 4 {
+		t.Fatalf("owners %v", c.owner)
+	}
+	Own(&c, state, 4)
+	splits := c.Splits()
+	Own(&c, state, 4)
+	Own(&c, state, 5)
+	if c.Splits() != splits || c.Follows(4) || c.Follows(5) || c.Owner(7) != 6 {
+		t.Fatalf("reading owners no one follows: owners %v, splits %d → %d", c.owner, splits, c.Splits())
+	}
+	Own(&c, state, 6)
+	if c.Follows(7) || c.Splits() != splits+1 {
+		t.Fatalf("owners %v after %d splits", c.owner, c.Splits())
+	}
+	check(t, &c, state, want)
 }
 
-// check fails unless every slot reads its expected state through its owner.
+// TestClassesFollowerCounts runs random rounds and reads over a set of
+// slots: after each, every slot's follower count must equal the number
+// of slots following it, and every slot must read its own state.
+func TestClassesFollowerCounts(t *testing.T) {
+	const n = 12
+	rng := NewRNG(7)
+	c := NewClasses(n)
+	state := make([]int, n)
+	want := make([]int, n)
+	same := func(a, b *int) bool { return *a == *b }
+	cls := make([]int16, n)
+	for step := 0; step < 2000; step++ {
+		if rng.Intn(3) == 0 {
+			Own(&c, state, rng.Intn(n))
+		} else {
+			for i := range cls {
+				cls[i] = int16(rng.Intn(4)) - 1 // -1 leaves the slot out
+			}
+			Regroup(&c, state, 0, cls, same)
+			for i, k := range cls {
+				if k >= 0 {
+					want[i] = 10*int(k) + want[i]%10 + 1
+					if !c.Follows(i) {
+						state[i] = 10*int(k) + state[i]%10 + 1
+					}
+				}
+			}
+		}
+		check(t, &c, state, want)
+	}
+	if c.Splits() == 0 {
+		t.Fatal("no slot ever split")
+	}
+}
+
+// check fails unless every slot reads its expected state through its owner
+// and every follower count is right.
 func check(t *testing.T, c *Classes, state, want []int) {
 	t.Helper()
+	counts := make([]int16, len(want))
+	followers := 0
 	for i := range want {
 		if got := state[c.Owner(i)]; got != want[i] {
 			t.Fatalf("slot %d reads %d, want %d (owners %v)", i, got, want[i], c.owner)
 		}
+		if o := c.Owner(i); o != i {
+			if c.Follows(o) {
+				t.Fatalf("slot %d follows follower %d (owners %v)", i, o, c.owner)
+			}
+			counts[o]++
+			followers++
+		}
+	}
+	for i, k := range counts {
+		if c.nfollow[i] != k {
+			t.Fatalf("slot %d counts %d followers, has %d (owners %v, counts %v)", i, c.nfollow[i], k, c.owner, c.nfollow)
+		}
+	}
+	if followers != c.followers {
+		t.Fatalf("%d followers counted, %d present", c.followers, followers)
 	}
 }

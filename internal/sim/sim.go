@@ -316,7 +316,8 @@ func (e *Engine) PendingEvents() int { return len(e.heap) }
 
 // Ticker is a persistent periodic event: one pre-allocated fire closure
 // reschedules itself in place, so a steady-state tick allocates nothing.
-// Construct with Engine.NewTicker.
+// Only arming finds the grid point (nextGridPoint); a tick reschedules one
+// period after its own. Construct with Engine.NewTicker.
 type Ticker struct {
 	e       *Engine
 	period  Duration
@@ -339,9 +340,11 @@ func (e *Engine) NewTicker(period Duration, phase Duration, fn func()) *Ticker {
 		if t.stopped {
 			return
 		}
+		// A tick fires on its grid point, so the next one is a period on.
+		at := e.now
 		t.fn()
 		if !t.stopped {
-			t.id = e.ScheduleAt(nextGridPoint(e.now, t.period, t.phase), t.fire)
+			t.id = e.ScheduleAt(at.Add(t.period), t.fire)
 		}
 	}
 	t.id = e.ScheduleAt(nextGridPoint(e.now, period, phase), t.fire)

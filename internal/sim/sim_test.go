@@ -133,6 +133,32 @@ func TestTickerPhase(t *testing.T) {
 	}
 }
 
+// TestTickerFiresOnGridPoints: a ticker reschedules each tick one period
+// after the last, and every fire time must still be the grid point
+// nextGridPoint gives after the previous one, for phases inside, below
+// and beyond one period.
+func TestTickerFiresOnGridPoints(t *testing.T) {
+	const period = 997
+	for _, phase := range []Duration{1, 313, period - 1, -41, 3*period + 7} {
+		e := NewEngine(1)
+		e.RunUntil(123456)
+		var ticks []Time
+		tk := e.NewTicker(period, phase, func() { ticks = append(ticks, e.Now()) })
+		e.RunFor(5000 * period)
+		tk.Stop()
+		if len(ticks) != 5000 {
+			t.Fatalf("phase %d: %d ticks over 5000 periods, want 5000", phase, len(ticks))
+		}
+		want := Time(123456)
+		for i, at := range ticks {
+			want = nextGridPoint(want, period, phase)
+			if at != want {
+				t.Fatalf("phase %d: tick %d at %d, want %d", phase, i, at, want)
+			}
+		}
+	}
+}
+
 func TestNextGridPoint(t *testing.T) {
 	cases := []struct {
 		now    Time

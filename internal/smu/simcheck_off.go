@@ -5,5 +5,6 @@ package smu
 import "zen2ee/internal/soc"
 
 // checkMonitor is compiled out unless built with -tags simcheck, which
-// recomputes the monitor on every control tick and rejects a stale cache.
-func (m *Manager) checkMonitor(soc.PackageID, *monitor) {}
+// recomputes the monitor core by core on every control tick and rejects a
+// stale one.
+func (m *Manager) checkMonitor(soc.PackageID, *Monitor) {}

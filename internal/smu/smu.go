@@ -14,13 +14,13 @@
 // against a 180 W TDP), which the integration tests verify.
 //
 // Both loops run every millisecond, but the machine rarely changes between
-// two ticks. The manager caches each package's monitor (noise-free current,
-// fastest effective clock, release threshold) under the ActivitySource's
-// epoch and recomputes it only when the epoch moves. It writes a cap to
-// the DVFS controller only when the cap changes; the manager is the only
-// writer of caps and boost grants. Without boost, a tick on an unchanged
-// machine thus costs one noise draw, one package-power read and a few
-// compares.
+// two ticks. The manager reads each package's noise-free monitor (active
+// cores, current, fastest effective and uncapped clocks) from its
+// ActivitySource, which keeps it current as the machine changes, so a tick
+// measures no core. It writes a package's cap to the DVFS controller only
+// when the cap changes; the manager is the only writer of caps and boost
+// grants. Without boost, a tick on an unchanged machine thus costs one
+// noise draw, one monitor and one package-power read and a few compares.
 package smu
 
 import (
@@ -32,28 +32,35 @@ import (
 )
 
 // ActivitySource supplies the monitors' inputs. The machine layer
-// implements it from the per-core state its last refresh derived (kernel
-// descriptors and effective frequencies), so a control tick re-derives
-// nothing.
+// implements it from the state its last refresh derived: each refresh
+// recomputes the monitor of every package it touched, so a control tick
+// re-derives nothing and reads no core.
 //
-// Epoch contract: the core readings (CoreActivity) and the controller
-// state the manager reads directly (dvfs.Controller.UncappedMHz) change
-// only when Epoch changes. The manager therefore recomputes its
-// per-package monitor only when the epoch has moved since the last tick;
-// PackageWatts, which drifts with time, is read on every tick.
+// Both methods answer for the present instant: a change made before the
+// call (a kernel started, a P-state reached, a cap or boost written by the
+// manager itself) shows in the answer.
 type ActivitySource interface {
-	// Epoch returns a counter that moves whenever any core reading or the
-	// controller's applied P-states or boost grants may have changed. The
-	// machine layer bumps it once per completed refresh; every controller
-	// mutation queues a refresh, which Epoch runs before answering.
-	Epoch() uint64
-	// CoreActivity reports whether the core has any thread in C0 and, for
-	// an active core, its present current draw as seen by the EDC activity
-	// monitor and its effective clock as the monitor last observed it.
-	CoreActivity(core soc.CoreID) (active bool, amps, effMHz float64)
+	// Monitor returns the package's activity reading.
+	Monitor(pkg soc.PackageID) Monitor
 	// PackageWatts returns the package's present power estimate for the
 	// PPT loop.
 	PackageWatts(pkg soc.PackageID) float64
+}
+
+// Monitor is a package's noise-free activity reading over its active
+// cores, those with a thread in C0.
+type Monitor struct {
+	// ActiveCores counts the active cores.
+	ActiveCores int
+	// Amps is the active cores' current draw as the EDC activity monitor
+	// sees it, summed in core order.
+	Amps float64
+	// MaxEffMHz is the fastest effective clock of an active core.
+	MaxEffMHz float64
+	// MaxUncappedMHz is the fastest uncapped clock
+	// (dvfs.Controller.UncappedMHz) of an active core: caps at or above it
+	// are moot.
+	MaxUncappedMHz float64
 }
 
 // Config holds the control-loop parameters.
@@ -115,27 +122,8 @@ type Manager struct {
 	// throttledTicks counts control periods with an engaged EDC cap.
 	throttledTicks []uint64
 
-	// pkgCores caches each package's cores in topology order; activeBuf and
-	// idleBuf are reused per control tick so the loops stay allocation-free.
-	pkgCores  [][]soc.CoreID
-	activeBuf []soc.CoreID
-	idleBuf   []soc.CoreID
-	// monitors holds each package's activity reading as of one source
-	// epoch; monitorMisses counts how often one was recomputed.
-	monitors      []monitor
-	monitorMisses uint64
-}
-
-// monitor is a package's noise-free activity reading: total current and
-// fastest effective clock over its active cores, and the release threshold
-// (fastest uncapped frequency, at least the boost ceiling). It is valid
-// while the source's epoch equals epoch.
-type monitor struct {
-	epoch      uint64
-	amps       float64
-	maxApplied float64
-	release    float64
-	anyActive  bool
+	// pkgCores caches each package's cores in topology order.
+	pkgCores [][]soc.CoreID
 }
 
 // New creates a manager and starts its control ticker.
@@ -153,11 +141,6 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, ctl *dvfs.Controller, s
 	for _, core := range top.Cores {
 		pkg := top.PackageOfCore(core.ID)
 		m.pkgCores[pkg] = append(m.pkgCores[pkg], core.ID)
-	}
-	// Start one epoch behind the source, so the first tick measures.
-	m.monitors = make([]monitor, len(top.Packages))
-	for p := range m.monitors {
-		m.monitors[p].epoch = src.Epoch() - 1
 	}
 	m.ticker = eng.NewTicker(cfg.ControlPeriod, cfg.ControlPeriod/2, m.tick)
 	return m
@@ -192,24 +175,31 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 		m.applyBoost(pkg)
 	}
 
-	// Monitor: noisy package current and power readings.
+	// Monitor: noisy package current and power readings. Caps at or above
+	// the release threshold, the fastest uncapped clock but at least the
+	// boost ceiling, are moot.
 	noise := 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
-	mon := m.monitorFor(pkg)
-	amps := mon.amps * noise
+	mon := m.src.Monitor(pkg)
+	m.checkMonitor(pkg, &mon)
+	amps := mon.Amps * noise
 	watts := m.src.PackageWatts(pkg) * noise
+	release := m.cfg.BoostMHz
+	if mon.MaxUncappedMHz > release {
+		release = mon.MaxUncappedMHz
+	}
 
 	cap := m.capMHz[pkg]
 	overEDC := amps > m.cfg.EDCAmps
 	overPPT := m.cfg.TDPWatts > 0 && watts > m.cfg.TDPWatts
 
 	switch {
-	case !mon.anyActive:
+	case mon.ActiveCores == 0:
 		// Nothing to throttle; release the cap.
 		cap = math.Inf(1)
 	case overEDC || overPPT:
 		base := cap
 		if math.IsInf(base, 1) {
-			base = mon.maxApplied
+			base = mon.MaxEffMHz
 		}
 		// Proportional response: far above the limit (e.g. load onset at
 		// full clock) the manager drops several 25 MHz steps per period, so
@@ -240,7 +230,7 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 			projected := amps * m.projectionRatio(cap, next)
 			if projected <= m.cfg.EDCAmps {
 				cap = next
-				if cap >= mon.release {
+				if cap >= release {
 					cap = math.Inf(1)
 				}
 			} else {
@@ -257,43 +247,6 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 	}
 }
 
-// monitorFor returns the package's activity reading, recomputing it only
-// when the source's epoch has moved since it was cached.
-func (m *Manager) monitorFor(pkg soc.PackageID) *monitor {
-	mon := &m.monitors[pkg]
-	if e := m.src.Epoch(); mon.epoch != e {
-		*mon = m.measure(pkg)
-		mon.epoch = e
-		m.monitorMisses++
-	}
-	m.checkMonitor(pkg, mon)
-	return mon
-}
-
-// measure reads the package's activity from the source. Core order and
-// float operations are fixed, so the result is bit-identical however often
-// it is recomputed.
-func (m *Manager) measure(pkg soc.PackageID) monitor {
-	// The release threshold: caps at or above the fastest requested
-	// (uncapped) frequency are moot.
-	mon := monitor{release: m.cfg.BoostMHz}
-	for _, core := range m.pkgCores[pkg] {
-		active, amps, eff := m.src.CoreActivity(core)
-		if !active {
-			continue
-		}
-		mon.anyActive = true
-		mon.amps += amps
-		if eff > mon.maxApplied {
-			mon.maxApplied = eff
-		}
-		if f := m.ctl.UncappedMHz(core); f > mon.release {
-			mon.release = f
-		}
-	}
-	return mon
-}
-
 // projectionRatio estimates the current scaling from frequency f0 to f1
 // (current ∝ f·V(f)).
 func (m *Manager) projectionRatio(f0, f1 float64) float64 {
@@ -306,35 +259,24 @@ func (m *Manager) projectionRatio(f0, f1 float64) float64 {
 }
 
 // applyBoost computes the package's boost grant from the active-core count
-// and distributes it. With BoostFreeCores at the default, a lightly-loaded
-// package boosts to the full single-core maximum and descends by
-// BoostSlopeMHz per additional active core down to nominal.
+// and grants it to the active cores. With BoostFreeCores at the default, a
+// lightly-loaded package boosts to the full single-core maximum and
+// descends by BoostSlopeMHz per additional active core down to nominal.
 func (m *Manager) applyBoost(pkg soc.PackageID) {
-	active, idle := m.activeBuf[:0], m.idleBuf[:0]
-	for _, core := range m.pkgCores[pkg] {
-		if on, _, _ := m.src.CoreActivity(core); on {
-			active = append(active, core)
-		} else {
-			idle = append(idle, core)
-		}
-	}
-	m.activeBuf, m.idleBuf = active, idle
+	active := m.src.Monitor(pkg).ActiveCores
 	grant := m.cfg.BoostMHz
-	if len(active) > m.cfg.BoostFreeCores {
-		grant -= m.cfg.BoostSlopeMHz * float64(len(active)-m.cfg.BoostFreeCores)
+	if active > m.cfg.BoostFreeCores {
+		grant -= m.cfg.BoostSlopeMHz * float64(active-m.cfg.BoostFreeCores)
 	}
 	if grant < 0 {
 		grant = 0
 	}
-	m.ctl.SetBoostsMHz(active, grant)
-	m.ctl.SetBoostsMHz(idle, 0)
+	m.ctl.SetBoostsMHz(m.pkgCores[pkg], grant)
 }
 
 func (m *Manager) applyCap(pkg soc.PackageID, cap float64) {
-	cores := m.pkgCores[pkg]
 	if math.IsInf(cap, 1) {
-		m.ctl.SetCapsMHz(cores, 0) // uncap
-	} else {
-		m.ctl.SetCapsMHz(cores, cap)
+		cap = 0 // uncap
 	}
+	m.ctl.SetCapMHz(pkg, cap)
 }

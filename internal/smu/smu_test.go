@@ -12,40 +12,39 @@ import (
 
 // fakeSource implements ActivitySource from a kernel + thread count per
 // core, using the same current model the machine layer uses:
-// I = EDCWeight(threads) × f[GHz] × V(f). Its epoch moves on every
-// controller change (AfterChange) and every load change made through
-// setKernel/setThreads, which is the contract the machine layer keeps.
+// I = EDCWeight(threads) × f[GHz] × V(f). It measures every core on each
+// Monitor call.
 type fakeSource struct {
 	ctl     *dvfs.Controller
 	top     *soc.Topology
 	kernel  workload.Kernel
 	threads []int // per core; 0 = idle
 	watts   float64
-
-	epoch uint64
-	// epochPerRead moves the epoch on every Epoch call, so the manager
-	// recomputes its monitor on every tick: the uncached reference.
-	epochPerRead bool
 }
 
-func (s *fakeSource) Epoch() uint64 {
-	if s.epochPerRead {
-		s.epoch++
-	}
-	return s.epoch
-}
-
-func (s *fakeSource) setKernel(k workload.Kernel) {
-	s.kernel = k
-	s.epoch++
-}
+func (s *fakeSource) setKernel(k workload.Kernel) { s.kernel = k }
 
 // setThreads sets a core's active thread count in the source and the
 // controller.
 func (s *fakeSource) setThreads(core soc.CoreID, n int) {
 	s.threads[core] = n
-	s.epoch++
 	s.ctl.SetActiveThreads(core, n)
+}
+
+func (s *fakeSource) Monitor(pkg soc.PackageID) Monitor {
+	var mon Monitor
+	for c := range s.top.Cores {
+		core := soc.CoreID(c)
+		active, amps, eff := s.CoreActivity(core)
+		if !active || s.top.PackageOfCore(core) != pkg {
+			continue
+		}
+		mon.ActiveCores++
+		mon.Amps += amps
+		mon.MaxEffMHz = math.Max(mon.MaxEffMHz, eff)
+		mon.MaxUncappedMHz = math.Max(mon.MaxUncappedMHz, s.ctl.UncappedMHz(core))
+	}
+	return mon
 }
 
 func (s *fakeSource) CoreActivity(core soc.CoreID) (bool, float64, float64) {
@@ -65,7 +64,6 @@ func setup(kernel workload.Kernel, threadsPerCore int) (*sim.Engine, *soc.Topolo
 	top := soc.New(soc.EPYC7502x2())
 	ctl := dvfs.New(eng, top, dvfs.DefaultConfig(), nil)
 	src := &fakeSource{ctl: ctl, top: top, kernel: kernel, threads: make([]int, top.NumCores())}
-	ctl.AfterChange = func() { src.epoch++ }
 	for i := range src.threads {
 		src.setThreads(soc.CoreID(i), threadsPerCore)
 		ctl.Request(top.Cores[i].Threads[0], 0) // everyone wants 2.5 GHz
@@ -251,67 +249,5 @@ func TestProportionalStepBounded(t *testing.T) {
 	after := ctl.EffectiveMHz(0)
 	if before-after > 8*25+1 {
 		t.Fatalf("dropped %v MHz in one period, bound is 200", before-after)
-	}
-}
-
-// TestMonitorCacheMatchesFresh runs FIRESTARTER with SMT into the EDC limit
-// and then drops the load, once with the epoch-cached monitor and once with
-// a source whose epoch moves on every read; caps and throttled-tick counts
-// must agree bit for bit.
-func TestMonitorCacheMatchesFresh(t *testing.T) {
-	run := func(epochPerRead bool) (caps []uint64, ticks [2]uint64, misses uint64) {
-		eng, top, _, mgr, src := setup(workload.Firestarter, 2)
-		src.epochPerRead = epochPerRead
-		sample := func(ms int) {
-			for i := 0; i < ms; i++ {
-				eng.RunFor(sim.Millisecond)
-				caps = append(caps, math.Float64bits(mgr.CapMHz(0)), math.Float64bits(mgr.CapMHz(1)))
-			}
-		}
-		sample(500)
-		// Load drop: package 0 loses SMT, package 1 idles half its cores.
-		for i := range src.threads {
-			core := soc.CoreID(i)
-			switch {
-			case top.PackageOfCore(core) == 0:
-				src.setThreads(core, 1)
-			case i%2 == 0:
-				src.setThreads(core, 0)
-			}
-		}
-		sample(100)
-		return caps, [2]uint64{mgr.ThrottledTicks(0), mgr.ThrottledTicks(1)}, mgr.monitorMisses
-	}
-	caps, ticks, misses := run(false)
-	wantCaps, wantTicks, wantMisses := run(true)
-	if len(caps) != len(wantCaps) {
-		t.Fatalf("cap trace length %d, want %d", len(caps), len(wantCaps))
-	}
-	for i := range caps {
-		if caps[i] != wantCaps[i] {
-			t.Fatalf("package %d cap at %d ms: cached %v, fresh %v", i%2, i/2+1,
-				math.Float64frombits(caps[i]), math.Float64frombits(wantCaps[i]))
-		}
-	}
-	if ticks != wantTicks {
-		t.Fatalf("throttled ticks: cached %v, fresh %v", ticks, wantTicks)
-	}
-	if misses >= wantMisses {
-		t.Fatalf("cached run recomputed the monitor %d times, the uncached one %d: cache never hit", misses, wantMisses)
-	}
-}
-
-// TestSteadyLoadSkipsMonitor: under steady unthrottled load nothing the
-// monitor reads changes, so after warm-up no control tick recomputes it.
-func TestSteadyLoadSkipsMonitor(t *testing.T) {
-	eng, _, _, mgr, _ := setup(workload.Busywait, 2)
-	eng.RunFor(20 * sim.Millisecond) // P-state transitions settle
-	before := mgr.monitorMisses
-	eng.RunFor(200 * sim.Millisecond)
-	if mgr.Throttling(0) || mgr.Throttling(1) {
-		t.Fatal("precondition: busywait must not throttle")
-	}
-	if n := mgr.monitorMisses - before; n != 0 {
-		t.Fatalf("monitor recomputed %d times over 200 ms of steady load, want 0", n)
 	}
 }
