@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDeriveSeedDeterministic(t *testing.T) {
 	if DeriveSeed(1, "fig3") != DeriveSeed(1, "fig3") {
@@ -39,5 +42,74 @@ func TestDeriveSeedStreamsDiffer(t *testing.T) {
 	}
 	if same != 0 {
 		t.Fatalf("%d/16 identical draws across derived streams", same)
+	}
+}
+
+// normGolden pins the first 64 NormFloat64 values at two seeds, as bits, and
+// the Uint64 drawn right after them. The values were generated before the
+// Box-Muller spare was kept unscaled; any change to the transform, the
+// rejection loop or the spare hand-off moves them.
+var normGolden = []struct {
+	seed uint64
+	bits [64]uint64
+	next uint64
+}{
+	{
+		seed: 0x1,
+		bits: [64]uint64{
+			0x3fdb7c251a5470cc, 0x3ff95f5305298699, 0x3fdd368fe72bb620, 0xbfab9bb240029694,
+			0xbfd4eaec1cb11224, 0x3ff8aa935bc751bc, 0x3ff0e36d0885401c, 0x3fb084a1385b3a28,
+			0xbfe5428e6a45ee55, 0x3fed23f184be556f, 0xbff81eec048773b0, 0x3ffa86eab013dec3,
+			0xc003d69dde9685f3, 0x3ffa7bf6f6aa3848, 0xbfce2193b9e7dbfd, 0xbff39599bf88c58e,
+			0x3fe02ce66a242784, 0x3ff18c83168cfc7b, 0x3fd6099effb296c7, 0x3fe74e4d5c989dbe,
+			0xbf87cd20ea08fb06, 0xbff1028e84739b55, 0xbf91763b3d475761, 0xbfa28620355e5295,
+			0x3fc10f91b4382ecf, 0x3ffd5fda77b066eb, 0x3ffbc2a830d65138, 0x3ff8911943a12d89,
+			0xc0007578c890d461, 0xbff3880429f52e1d, 0xbffa9041b7b2ced0, 0x3fc9a15b7b1d467c,
+			0x3fd25af3c01b9713, 0x3ffa157ebfd11fc6, 0x3ff03571ae943c0e, 0x3fe12ed21914dd96,
+			0x3fe790c7ba0fcbcb, 0x3fdb1df70eda8820, 0xbff342de8d70aeba, 0x3fe6d42ba0a30b1a,
+			0xbfde351384534831, 0xbfed51f445f171db, 0xbfd99b1069e26d87, 0xbfe7ce059098a06e,
+			0xbfc60638b7238596, 0x3fdbcea9448d4b87, 0xbfc9a22012f3003c, 0xbfe8d84c8e598063,
+			0x3fd5b2a6d4588a18, 0xbff17530ad225fcc, 0x3fa7de608e40a0f4, 0xbfe856af682d8477,
+			0x3ffa0cb46381915d, 0x3fcc21ffea6bb5f3, 0x3fef28c5d1615b94, 0xbfef1c5deecb5752,
+			0x3fc713f82c5a454f, 0xbff003229e10b28c, 0xbfd7d06cb8446f71, 0x3fd6c3095ca1fe87,
+			0x400454fa351d33bf, 0xbff23984883c2881, 0x3fd5bb9c6c503344, 0x3fef908ffcd73e8d,
+		},
+		next: 0xce45a342c10ffb55,
+	},
+	{
+		seed: 0xc0ffee,
+		bits: [64]uint64{
+			0x3fdc61d107dfc6bc, 0xc0013454387a1ed8, 0x3fd0f8cd147e3fa0, 0x3fd95a415e722fb3,
+			0xbfe938b4419f3622, 0x3fd16647a5d25fca, 0xbfee7f2f0caac6fe, 0xbff8da70119738df,
+			0xbfbd6d2ae4730d20, 0x3ff0fe9d9fdd36ee, 0x3fea31d6eb36a3f3, 0x3fd71f6bc9addf88,
+			0xbff548e0ff71bde2, 0x3fa36e7f68a8e15f, 0x3fc3b140a9e00e49, 0xbfe8d6b078382e84,
+			0xbff6bdb6a43d4820, 0xbfe4edf50eaff387, 0x3fe276fe593e185f, 0x3feb5b813efe48f6,
+			0xbfec693575e88c01, 0x3fd99fa01114cfd2, 0xbff08e9d5ce5240b, 0xbf97ac0ba1d64d36,
+			0xbfe1aadffdf26d3c, 0x3fa03674f2b40b3f, 0xbfd931531bd4490f, 0x3fbd0b0ede32243c,
+			0xbfd88dd3d69e5559, 0x3fb6087c2a936b41, 0xbfef883c3703f0b7, 0xbff08bb1be3d7719,
+			0x3febdf5ad33037a0, 0x3fefab91d182fc59, 0x3fe08ef9072d20cc, 0x3ff67caf937b4a2d,
+			0xbfc1884e86cc687d, 0xbfd73413c00200c0, 0x3ff9bf19058943c9, 0x3fd84f24d1371d0a,
+			0x3ff6271b4c99dc43, 0x3f911deb211a9451, 0xbff5e9ef588cd8ed, 0xbfe15de60e362337,
+			0x3fdf845f853869a5, 0x3fecbae68c9d6c8e, 0xbfe7f8b8bc16668b, 0x3ff4e1e5720339e4,
+			0xc0027412853f645b, 0xbf960ccf33261a3a, 0xbff137c4581dc4b2, 0xbfcd701c2cade7bb,
+			0xbfcc2e92051b0949, 0x4000c750c8ae4819, 0x3fa4adbd78cc2917, 0x3fe61d0a181a2794,
+			0xbfb894a83e6f08dd, 0x3ff35129931fc300, 0x3fd4649cb1bd6f63, 0xbff23daf01befb1f,
+			0xbfd407c3439b8ddb, 0xbff5de36ac06187c, 0xbfd3bca23539c51f, 0xbfeeecaf72b694b1,
+		},
+		next: 0x2f880af58cfd395c,
+	},
+}
+
+func TestNormFloat64Golden(t *testing.T) {
+	for _, g := range normGolden {
+		r := NewRNG(g.seed)
+		for i, want := range g.bits {
+			if got := math.Float64bits(r.NormFloat64()); got != want {
+				t.Fatalf("seed %#x: value %d = %#016x, want %#016x", g.seed, i, got, want)
+			}
+		}
+		if got := r.Uint64(); got != g.next {
+			t.Fatalf("seed %#x: Uint64 after 64 values = %#x, want %#x", g.seed, got, g.next)
+		}
 	}
 }
