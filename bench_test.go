@@ -608,6 +608,38 @@ func BenchmarkSMUControlTick(b *testing.B) {
 	}
 }
 
+// BenchmarkSMUQuietTick measures one millisecond of an uncapped
+// busy-wait system: one control tick per package on an unchanged machine,
+// whose readings stay within both limits under any noise, so no tick
+// computes a noise variate (BenchmarkSMUControlTick times throttled
+// ticks).
+func BenchmarkSMUQuietTick(b *testing.B) {
+	sys := NewSystem()
+	if err := sys.SetAllFrequenciesMHz(2500); err != nil {
+		b.Fatal(err)
+	}
+	for cpu := 0; cpu < sys.NumCPUs(); cpu++ {
+		if err := sys.Run(cpu, "busywait"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sys.AdvanceMillis(50)
+	smu := sys.Machine().SMU
+	if smu.Throttling(0) || smu.Throttling(1) {
+		b.Fatal("busy-wait load is throttled")
+	}
+	before := smu.Stats().Transforms
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.AdvanceMillis(1)
+	}
+	b.StopTimer()
+	if n := smu.Stats().Transforms - before; n != 0 {
+		b.Fatalf("%d quiet ticks computed a noise variate", n)
+	}
+}
+
 // BenchmarkMachineRefreshMixed is BenchmarkSMUControlTick with no two cores
 // alike: each core's threads run FIRESTARTER at an operand weight of the
 // core's own, so the refresh derives every dirty core and shares none. It

@@ -1032,7 +1032,7 @@ func (m *Machine) refresh() {
 	// The packages are fed their cores' cached estimates, summed in core
 	// order, plus uncore and temperature leakage, every refresh, since
 	// leakage follows the temperature.
-	leak := math.Max(0, raplCfg.TempLeakPerK*(m.Thermal.TempC()-raplCfg.TempRefC))
+	leak := max(0, raplCfg.TempLeakPerK*(m.Thermal.TempC()-raplCfg.TempRefC))
 	for p := range m.pkgs {
 		uncore := raplCfg.UncoreActive
 		if deep {

@@ -825,3 +825,53 @@ func TestSteadyLoadSkipsMonitor(t *testing.T) {
 		t.Fatalf("refresh stats went from %+v to %+v over 200 ms of steady load: want no refresh and no monitor", before, d)
 	}
 }
+
+// TestQuietTicksDrawNoTransform checks that the SMU computes a noise
+// variate only where the noise can move a cap: an idle machine and an
+// uncapped busy-wait load compute none, and a throttled FIRESTARTER load
+// computes one per package control step.
+func TestQuietTicksDrawNoTransform(t *testing.T) {
+	load := func(mhz int, k workload.Kernel) *Machine {
+		m := newMachine()
+		if err := m.SetAllFrequenciesMHz(mhz); err != nil {
+			t.Fatal(err)
+		}
+		for th := 0; th < m.Top.NumThreads(); th++ {
+			if _, err := m.StartKernel(soc.ThreadID(th), k, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	// transforms runs m for 100 ms and returns the SMU's control steps and
+	// transforms in that time.
+	transforms := func(m *Machine) (ticks, transforms uint64) {
+		before := m.SMU.Stats()
+		m.Eng.RunFor(100 * sim.Millisecond)
+		after := m.SMU.Stats()
+		return after.Ticks - before.Ticks, after.Transforms - before.Transforms
+	}
+	idle := newMachine()
+	packages := uint64(len(idle.Top.Packages))
+	if ticks, n := transforms(idle); ticks != 100*packages || n != 0 {
+		t.Fatalf("idle machine: %d transforms in %d control steps, want 0 in %d", n, ticks, 100*packages)
+	}
+
+	busy := load(1500, workload.Busywait)
+	busy.Eng.RunFor(20 * sim.Millisecond) // P-state transitions settle
+	if ticks, n := transforms(busy); n != 0 || ticks != 100*packages {
+		t.Fatalf("uncapped busy-wait: %d transforms in %d control steps, want 0 in %d", n, ticks, 100*packages)
+	}
+	if busy.SMU.Throttling(0) || busy.SMU.Throttling(1) {
+		t.Fatal("precondition: busy-wait at 1500 MHz must not throttle")
+	}
+
+	fs := load(2500, workload.Firestarter)
+	fs.Eng.RunFor(300 * sim.Millisecond)
+	if ticks, n := transforms(fs); n != ticks || ticks != 100*packages {
+		t.Fatalf("throttled FIRESTARTER: %d transforms in %d control steps, want one per step", n, ticks)
+	}
+	if !fs.SMU.Throttling(0) || !fs.SMU.Throttling(1) {
+		t.Fatal("precondition: FIRESTARTER must hold both packages throttled")
+	}
+}

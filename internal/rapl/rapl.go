@@ -181,7 +181,7 @@ func (m *Model) catchUp(d *domain) {
 		d.roll(t, m.cfg.UpdatePeriod)
 		d.fold(t)
 		for ; mv < len(m.moves) && m.moves[mv].pos == d.pos+uint64(j); mv++ {
-			d.power = math.Max(0, d.fed*m.moves[mv].factor)
+			d.power = max(0, d.fed*m.moves[mv].factor)
 		}
 	}
 	d.pos = m.log.End()
@@ -340,7 +340,7 @@ func (m *Model) feed(d *domain, watts float64) {
 	if watts != d.fed {
 		m.catchUp(d)
 		d.fed = watts
-		d.power = math.Max(0, watts*m.fedNoise)
+		d.power = max(0, watts*m.fedNoise)
 	}
 }
 
@@ -355,7 +355,7 @@ func (m *Model) adoptNoise(f float64) {
 	}
 	for i := range m.doms {
 		if d := &m.doms[i]; d.pos == end && !m.follows(i) {
-			d.power = math.Max(0, d.fed*f)
+			d.power = max(0, d.fed*f)
 		}
 	}
 	m.shadow.adopt(m)
@@ -398,7 +398,7 @@ func (m *Model) PackagePowerWatts(pkg soc.PackageID) float64 { return m.powerWat
 
 // powerWatts is domain i's power at the noise factor in force, which its
 // replay may not have reached yet.
-func (m *Model) powerWatts(i int) float64 { return math.Max(0, m.state(i).fed*m.fedNoise) }
+func (m *Model) powerWatts(i int) float64 { return max(0, m.state(i).fed*m.fedNoise) }
 
 // Config returns the model constants.
 func (m *Model) Config() Config { return m.cfg }

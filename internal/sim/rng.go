@@ -7,10 +7,17 @@ import "math"
 // are stable across Go releases.
 type RNG struct {
 	state uint64
-	// Box-Muller spare value for NormFloat64.
-	spare    float64
-	hasSpare bool
+	// Box-Muller spare for NormFloat64, kept as the polar pair's v and s:
+	// its value v·polarScale(s) is computed only when it is drawn.
+	spareV, spareS float64
+	hasSpare       bool
 }
+
+// NormBound bounds |NormFloat64()|. The polar method's u and v are
+// multiples of 2⁻⁵² in (-1, 1), so an accepted s = u² + v² is at least
+// 2⁻¹⁰⁴, and |u·polarScale(s)| ≤ sqrt(-2 ln s) ≤ sqrt(208 ln 2) ≈ 12.007;
+// the rest is margin for rounding.
+const NormBound = 12.1
 
 // NewRNG returns a generator seeded with seed. Seed 0 is remapped so that
 // the all-zero state cannot occur.
@@ -56,26 +63,44 @@ func (r *RNG) DurationRange(lo, hi Duration) Duration {
 	return lo + Duration(r.Uint64()%uint64(hi-lo))
 }
 
-// NormFloat64 returns a standard normal variate (Box-Muller transform).
+// NormFloat64 returns a standard normal variate (Box-Muller transform,
+// polar form). Each call pays one Log and one Sqrt.
 func (r *RNG) NormFloat64() float64 {
 	if r.hasSpare {
 		r.hasSpare = false
-		return r.spare
+		return r.spareV * polarScale(r.spareS)
 	}
-	var u, v, s float64
+	u := r.polarPair()
+	return u * polarScale(r.spareS)
+}
+
+// SkipNorm advances the generator past one NormFloat64 draw without
+// computing it: it consumes exactly the uniforms NormFloat64 would and
+// leaves the same spare, so the draws after it are unchanged.
+func (r *RNG) SkipNorm() {
+	if r.hasSpare {
+		r.hasSpare = false
+		return
+	}
+	r.polarPair()
+}
+
+// polarPair draws a point (u, v) uniform in the unit disc, rejecting the
+// origin, keeps v and s = u² + v² as the spare, and returns u.
+func (r *RNG) polarPair() float64 {
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
 		if s > 0 && s < 1 {
-			break
+			r.spareV, r.spareS, r.hasSpare = v, s, true
+			return u
 		}
 	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
-	r.spare = v * f
-	r.hasSpare = true
-	return u * f
 }
+
+// polarScale is the polar method's factor for an accepted s.
+func polarScale(s float64) float64 { return math.Sqrt(-2 * math.Log(s) / s) }
 
 // Gaussian returns a normal variate with the given mean and standard
 // deviation.

@@ -113,3 +113,50 @@ func TestNormFloat64Golden(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipNormKeepsStream interleaves NormFloat64 and SkipNorm at random:
+// every value drawn must equal, bit for bit, the value at the same
+// position of a pure NormFloat64 stream, and the generators must end in
+// the same state.
+func TestSkipNormKeepsStream(t *testing.T) {
+	pick := NewRNG(99)
+	for _, seed := range []uint64{1, 2, 0xC0FFEE, 1 << 40} {
+		for round := 0; round < 50; round++ {
+			mixed, pure := NewRNG(seed), NewRNG(seed)
+			n := 1 + pick.Intn(200)
+			for i := 0; i < n; i++ {
+				want := pure.NormFloat64()
+				if pick.Intn(2) == 0 {
+					mixed.SkipNorm()
+					continue
+				}
+				if got := mixed.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %#x round %d: draw %d = %v, pure stream has %v", seed, round, i, got, want)
+				}
+			}
+			if *mixed != *pure {
+				t.Fatalf("seed %#x round %d: state after %d draws %+v, pure stream %+v", seed, round, n, *mixed, *pure)
+			}
+		}
+	}
+}
+
+// TestNormBound checks the extreme polar case: the smallest accepted s
+// comes from u = 2⁻⁵², v = 0, and gives the largest |NormFloat64()|.
+func TestNormBound(t *testing.T) {
+	u, v := math.Ldexp(1, -52), 0.0
+	s := u*u + v*v
+	if s != math.Ldexp(1, -104) {
+		t.Fatalf("s = %v, want 2⁻¹⁰⁴", s)
+	}
+	z := u * polarScale(s)
+	if z > NormBound || z < 12 {
+		t.Fatalf("extreme variate %v, want within [12, NormBound = %v]", z, NormBound)
+	}
+	r := NewRNG(5)
+	for i := 0; i < 100000; i++ {
+		if z := r.NormFloat64(); math.Abs(z) > NormBound {
+			t.Fatalf("draw %d = %v exceeds NormBound", i, z)
+		}
+	}
+}

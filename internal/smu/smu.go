@@ -19,8 +19,13 @@
 // ActivitySource, which keeps it current as the machine changes, so a tick
 // measures no core. It writes a package's cap to the DVFS controller only
 // when the cap changes; the manager is the only writer of caps and boost
-// grants. Without boost, a tick on an unchanged machine thus costs one
-// noise draw, one monitor and one package-power read and a few compares.
+// grants. The monitors' noise only matters near a limit, so a tick
+// computes a noise variate only where it can move a cap (Stats counts
+// them); elsewhere it advances the noise stream without one
+// (sim.RNG.SkipNorm), which keeps every later draw the same. Without
+// boost, a tick on an idle package thus costs one monitor read and a few
+// compares, and one on an uncapped package well within its limits adds a
+// package-power read.
 package smu
 
 import (
@@ -121,6 +126,7 @@ type Manager struct {
 	ticker *sim.Ticker
 	// throttledTicks counts control periods with an engaged EDC cap.
 	throttledTicks []uint64
+	stats          Stats
 
 	// pkgCores caches each package's cores in topology order.
 	pkgCores [][]soc.CoreID
@@ -162,6 +168,19 @@ func (m *Manager) ThrottledTicks(pkg soc.PackageID) uint64 {
 	return m.throttledTicks[pkg]
 }
 
+// Stats counts the manager's control work since New.
+type Stats struct {
+	// Ticks counts package control steps, one per package per period.
+	Ticks uint64
+	// Transforms counts the steps that computed a noise variate (one
+	// Box-Muller transform each); the others only advanced the noise
+	// stream.
+	Transforms uint64
+}
+
+// Stats returns the control counts since New.
+func (m *Manager) Stats() Stats { return m.stats }
+
 func (m *Manager) tick() {
 	for p := range m.top.Packages {
 		m.controlPackage(soc.PackageID(p))
@@ -174,28 +193,58 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 	if m.cfg.BoostMHz > 0 {
 		m.applyBoost(pkg)
 	}
+	m.stats.Ticks++
 
-	// Monitor: noisy package current and power readings. Caps at or above
-	// the release threshold, the fastest uncapped clock but at least the
-	// boost ceiling, are moot.
-	noise := 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
+	// Monitor: noisy package current and power readings. The noise only
+	// matters where it can move the cap: with no active core the cap is
+	// released whatever the readings, and an uncapped package whose
+	// readings stay within both limits under the largest noise
+	// (sim.NormBound) stays uncapped. Those ticks advance the noise stream
+	// without computing a variate. The manager's RNG is its own fork, so
+	// reading the monitor before drawing changes no other stream.
 	mon := m.src.Monitor(pkg)
 	m.checkMonitor(pkg, &mon)
-	amps := mon.Amps * noise
-	watts := m.src.PackageWatts(pkg) * noise
+	cap := m.capMHz[pkg]
+	var watts float64
+	quiet := mon.ActiveCores == 0
+	if !quiet {
+		watts = m.src.PackageWatts(pkg)
+		margin := 1 + math.Abs(m.cfg.SensorNoiseRel)*sim.NormBound
+		quiet = math.IsInf(cap, 1) && mon.Amps*margin <= m.cfg.EDCAmps &&
+			(m.cfg.TDPWatts <= 0 || watts*margin <= m.cfg.TDPWatts)
+	}
+	noise := 1.0
+	if quiet {
+		m.checkSkip(pkg, cap, &mon, watts)
+		m.rng.SkipNorm()
+	} else {
+		m.stats.Transforms++
+		noise = 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
+	}
+	cap, throttled := m.decide(cap, &mon, mon.Amps*noise, watts*noise)
+	if throttled {
+		m.throttledTicks[pkg]++
+	}
+	m.setCap(pkg, cap)
+}
+
+// decide returns the package's next cap, and whether it stays throttled,
+// from its present cap, its monitor and the noisy current and power
+// readings.
+func (m *Manager) decide(cap float64, mon *Monitor, amps, watts float64) (float64, bool) {
+	// Caps at or above the release threshold, the fastest uncapped clock
+	// but at least the boost ceiling, are moot.
 	release := m.cfg.BoostMHz
 	if mon.MaxUncappedMHz > release {
 		release = mon.MaxUncappedMHz
 	}
-
-	cap := m.capMHz[pkg]
 	overEDC := amps > m.cfg.EDCAmps
 	overPPT := m.cfg.TDPWatts > 0 && watts > m.cfg.TDPWatts
 
 	switch {
 	case mon.ActiveCores == 0:
 		// Nothing to throttle; release the cap.
-		cap = math.Inf(1)
+		return math.Inf(1), false
 	case overEDC || overPPT:
 		base := cap
 		if math.IsInf(base, 1) {
@@ -218,33 +267,37 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 		if steps > 8 {
 			steps = 8
 		}
-		cap = math.Max(m.cfg.MinCapMHz, base-steps*m.cfg.StepMHz)
-		m.throttledTicks[pkg]++
-	default:
-		// Headroom check with projection: only step up if the projected
-		// current at cap+step stays within the limit. This keeps the
-		// steady state pinned just below the limit instead of oscillating
-		// across it every period.
-		if !math.IsInf(cap, 1) {
-			next := cap + m.cfg.StepMHz
-			projected := amps * m.projectionRatio(cap, next)
-			if projected <= m.cfg.EDCAmps {
-				cap = next
-				if cap >= release {
-					cap = math.Inf(1)
-				}
-			} else {
-				m.throttledTicks[pkg]++
-			}
+		return math.Max(m.cfg.MinCapMHz, base-steps*m.cfg.StepMHz), true
+	case math.IsInf(cap, 1):
+		return cap, false
+	}
+	// Headroom check with projection: only step up if the projected
+	// current at cap+step stays within the limit. This keeps the steady
+	// state pinned just below the limit instead of oscillating across it
+	// every period.
+	next := cap + m.cfg.StepMHz
+	if amps*m.projectionRatio(cap, next) <= m.cfg.EDCAmps {
+		if next >= release {
+			next = math.Inf(1)
 		}
+		return next, false
 	}
-	// The manager is the only writer of caps, always package-wide, and the
-	// controller starts every core at +Inf like capMHz; an unchanged cap is
-	// therefore already applied.
-	if cap != m.capMHz[pkg] {
-		m.capMHz[pkg] = cap
-		m.applyCap(pkg, cap)
+	return cap, true
+}
+
+// setCap records the package's cap and writes it to the DVFS controller
+// if it changed. The manager is the only writer of caps, always
+// package-wide, and the controller starts every core at +Inf like capMHz;
+// an unchanged cap is therefore already applied.
+func (m *Manager) setCap(pkg soc.PackageID, cap float64) {
+	if cap == m.capMHz[pkg] {
+		return
 	}
+	m.capMHz[pkg] = cap
+	if math.IsInf(cap, 1) {
+		cap = 0 // uncap
+	}
+	m.ctl.SetCapMHz(pkg, cap)
 }
 
 // projectionRatio estimates the current scaling from frequency f0 to f1
@@ -272,11 +325,4 @@ func (m *Manager) applyBoost(pkg soc.PackageID) {
 		grant = 0
 	}
 	m.ctl.SetBoostsMHz(m.pkgCores[pkg], grant)
-}
-
-func (m *Manager) applyCap(pkg soc.PackageID, cap float64) {
-	if math.IsInf(cap, 1) {
-		cap = 0 // uncap
-	}
-	m.ctl.SetCapMHz(pkg, cap)
 }
