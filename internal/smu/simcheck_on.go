@@ -51,11 +51,12 @@ func (m *Manager) checkMonitor(pkg soc.PackageID, mon *Monitor) {
 	}
 }
 
-// checkSkip is the oracle of a quiet tick, one that skips its noise draw.
-// It draws the skipped variate from a copy of the manager's RNG and panics
-// if the noisy current or power of an active package would have crossed
-// its limit, or if the noisy readings would have decided another cap than
-// the noise-free ones the tick decides on.
+// checkSkip is the oracle of a quiet tick, one that skips its noise draw
+// and releases the cap or leaves it released. It draws the skipped
+// variate from a copy of the manager's RNG and panics if the noisy
+// current or power of an active package would have crossed its limit, or
+// if the noisy readings would have decided anything but an unthrottled,
+// uncapped package.
 func (m *Manager) checkSkip(pkg soc.PackageID, cap float64, mon *Monitor, watts float64) {
 	shadow := *m.rng
 	noise := 1 + m.cfg.SensorNoiseRel*shadow.NormFloat64()
@@ -65,11 +66,9 @@ func (m *Manager) checkSkip(pkg soc.PackageID, cap float64, mon *Monitor, watts 
 			"simcheck: SMU package %d skipped its noise draw at %v, but the noisy readings %v A, %v W cross the limits %v A, %v W",
 			pkg, m.eng.Now(), amps, noisyW, m.cfg.EDCAmps, m.cfg.TDPWatts))
 	}
-	gotCap, gotThrottled := m.decide(cap, mon, mon.Amps, watts)
-	wantCap, wantThrottled := m.decide(cap, mon, amps, noisyW)
-	if math.Float64bits(gotCap) != math.Float64bits(wantCap) || gotThrottled != wantThrottled {
+	if next, throttled := m.decide(cap, mon, amps, noisyW); !math.IsInf(next, 1) || throttled {
 		panic(fmt.Sprintf(
-			"simcheck: SMU package %d skipped its noise draw at %v and decided cap %v (throttled %v), the noisy readings decide %v (throttled %v)",
-			pkg, m.eng.Now(), gotCap, gotThrottled, wantCap, wantThrottled))
+			"simcheck: SMU package %d skipped its noise draw at %v and released its cap, but the noisy readings decide cap %v (throttled %v)",
+			pkg, m.eng.Now(), next, throttled))
 	}
 }

@@ -196,12 +196,13 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 	m.stats.Ticks++
 
 	// Monitor: noisy package current and power readings. The noise only
-	// matters where it can move the cap: with no active core the cap is
-	// released whatever the readings, and an uncapped package whose
-	// readings stay within both limits under the largest noise
-	// (sim.NormBound) stays uncapped. Those ticks advance the noise stream
-	// without computing a variate. The manager's RNG is its own fork, so
-	// reading the monitor before drawing changes no other stream.
+	// matters where it can move the cap. A quiet tick is one where it
+	// cannot: with no active core the cap is released whatever the
+	// readings, and an uncapped package whose readings stay within both
+	// limits under the largest noise (sim.NormBound) stays uncapped. A
+	// quiet tick advances the noise stream without computing a variate.
+	// The manager's RNG is its own fork, so reading the monitor before
+	// drawing changes no other stream.
 	mon := m.src.Monitor(pkg)
 	m.checkMonitor(pkg, &mon)
 	cap := m.capMHz[pkg]
@@ -213,14 +214,14 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 		quiet = math.IsInf(cap, 1) && mon.Amps*margin <= m.cfg.EDCAmps &&
 			(m.cfg.TDPWatts <= 0 || watts*margin <= m.cfg.TDPWatts)
 	}
-	noise := 1.0
 	if quiet {
 		m.checkSkip(pkg, cap, &mon, watts)
 		m.rng.SkipNorm()
-	} else {
-		m.stats.Transforms++
-		noise = 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
+		m.setCap(pkg, math.Inf(1))
+		return
 	}
+	m.stats.Transforms++
+	noise := 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
 	cap, throttled := m.decide(cap, &mon, mon.Amps*noise, watts*noise)
 	if throttled {
 		m.throttledTicks[pkg]++
