@@ -609,10 +609,11 @@ func BenchmarkSMUControlTick(b *testing.B) {
 }
 
 // BenchmarkSMUQuietTick measures one millisecond of an uncapped
-// busy-wait system: one control tick per package on an unchanged machine,
-// whose readings stay within both limits under any noise, so no tick
-// computes a noise variate (BenchmarkSMUControlTick times throttled
-// ticks).
+// busy-wait system. Its readings stay within both limits under any noise
+// and nothing changes, so the SMU ticker is parked: an op is the engine
+// emulating one tick, no tick event runs and no variate is computed
+// (BenchmarkSMUControlTick times throttled ticks,
+// BenchmarkSMUWakeEveryTick a ticker woken every millisecond).
 func BenchmarkSMUQuietTick(b *testing.B) {
 	sys := NewSystem()
 	if err := sys.SetAllFrequenciesMHz(2500); err != nil {
@@ -637,6 +638,37 @@ func BenchmarkSMUQuietTick(b *testing.B) {
 	b.StopTimer()
 	if n := smu.Stats().Transforms - before; n != 0 {
 		b.Fatalf("%d quiet ticks computed a noise variate", n)
+	}
+}
+
+// BenchmarkSMUWakeEveryTick measures one millisecond of an idle system
+// in which one thread changes C-state every millisecond: each op starts or
+// stops a busy-wait on it, which wakes the parked SMU ticker and refreshes
+// the machine, and the next tick runs, finds both packages quiet and parks
+// the ticker again. It is the wake-and-replay worst case that the
+// transition and wake-up experiments resemble.
+func BenchmarkSMUWakeEveryTick(b *testing.B) {
+	sys := NewSystem()
+	sys.AdvanceMillis(50)
+	smu := sys.Machine().SMU
+	packages := uint64(len(sys.Machine().Top.Packages))
+	before := smu.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&1 == 0 {
+			if err := sys.Run(0, "busywait"); err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			sys.Stop(0)
+		}
+		sys.AdvanceMillis(1)
+	}
+	b.StopTimer()
+	after := smu.Stats()
+	if real := (after.Ticks - after.Parked) - (before.Ticks - before.Parked); real != packages*uint64(b.N) {
+		b.Fatalf("%d real package ticks in %d woken milliseconds, want one per package and millisecond", real, b.N)
 	}
 }
 

@@ -358,12 +358,14 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// changed records a mutation: it marks the machine stale and, unless one
-// is already pending, schedules a flush event at the current instant.
-// Every mutation calls it, so each instant with a mutation gets exactly one
-// refresh.
+// changed records a mutation: it marks the machine stale, wakes the SMU
+// and, unless one is already pending, schedules a flush event at the
+// current instant. Every mutation calls it, so each instant with a
+// mutation gets exactly one refresh, and a parked SMU ticker wakes before
+// any reading it parked on can change.
 func (m *Machine) changed() {
 	m.stale = true
+	m.SMU.Wake()
 	if !m.flushQueued {
 		m.flushQueued = true
 		m.Eng.ScheduleAt(m.Eng.Now(), m.flushEvent)

@@ -875,3 +875,43 @@ func TestQuietTicksDrawNoTransform(t *testing.T) {
 		t.Fatal("precondition: FIRESTARTER must hold both packages throttled")
 	}
 }
+
+// TestIdleMachineParksSMU checks that an idle machine runs almost no SMU
+// tick events: with the RAPL noise step (its only other event) stopped, a
+// simulated second executes at most 2 engine events, while the SMU still
+// counts a control step per package and millisecond, each one emulated.
+// A load started on the parked machine wakes the SMU, which throttles it.
+func TestIdleMachineParksSMU(t *testing.T) {
+	m := newMachine()
+	m.RAPL.Stop()
+	m.Eng.RunFor(10 * sim.Millisecond)
+	packages := uint64(len(m.Top.Packages))
+	before, ran := m.SMU.Stats(), m.Eng.Executed()
+	m.Eng.RunFor(sim.Second)
+	after, events := m.SMU.Stats(), m.Eng.Executed()-ran
+	if events > 2 {
+		t.Fatalf("idle machine ran %d engine events in a simulated second, want at most 2", events)
+	}
+	if ticks, parked := after.Ticks-before.Ticks, after.Parked-before.Parked; ticks != 1000*packages || parked != (1000-events)*packages {
+		t.Fatalf("idle second: %d control steps, %d of them parked, after %d real ticks; want %d and %d",
+			ticks, parked, events, 1000*packages, (1000-events)*packages)
+	}
+
+	if err := m.SetAllFrequenciesMHz(2500); err != nil {
+		t.Fatal(err)
+	}
+	for th := 0; th < m.Top.NumThreads(); th++ {
+		if _, err := m.StartKernel(soc.ThreadID(th), workload.Firestarter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = m.SMU.Stats()
+	m.Eng.RunFor(300 * sim.Millisecond)
+	if !m.SMU.Throttling(0) || !m.SMU.Throttling(1) {
+		t.Fatal("FIRESTARTER started on a parked SMU must throttle both packages")
+	}
+	if after := m.SMU.Stats(); after.Ticks-before.Ticks != 300*packages || after.Transforms == before.Transforms {
+		t.Fatalf("stats went from %+v to %+v over 300 ms of FIRESTARTER: want %d steps and some transforms",
+			before, after, 300*packages)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"zen2ee/internal/power"
 	"zen2ee/internal/rapl"
 	"zen2ee/internal/sim"
+	"zen2ee/internal/smu"
 	"zen2ee/internal/soc"
 )
 
@@ -52,6 +53,15 @@ func (a *activitySource) CoreActivity(core soc.CoreID) (active bool, amps, effMH
 	m.checkActivityRead()
 	m.verifyCore(core, m.RAPL.Config(), "SMU read")
 	return m.inputsBuf[core].ActiveThreads > 0, m.ampsBuf[core], m.effBuf[core]
+}
+
+// CachedReading is the reading the SMU's simcheck checks a parked manager
+// against (smu.Manager.checkWake): package pkg's monitor and RAPL power
+// estimate as the last refresh left them. It does not flush, so at a wake
+// it answers from before the change that woke the manager.
+func (a *activitySource) CachedReading(pkg soc.PackageID) (smu.Monitor, float64) {
+	m := (*Machine)(a)
+	return m.pkgs[pkg].mon, m.RAPL.PackagePowerWatts(pkg)
 }
 
 // checkEffective asserts that the refresh-cached effective frequency

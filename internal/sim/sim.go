@@ -104,6 +104,10 @@ type Engine struct {
 
 	// executed counts processed events, mostly for tests and diagnostics.
 	executed uint64
+
+	// parked is the ticker whose fires the engine emulates instead of
+	// queuing (Ticker.Park), nil when none is parked.
+	parked *Ticker
 }
 
 // NewEngine returns an engine with its clock at zero and the given RNG seed.
@@ -117,7 +121,8 @@ func (e *Engine) Now() Time { return e.now }
 // RNG returns the engine's deterministic random source.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// Executed reports how many events have run so far.
+// Executed reports how many events have run so far. A parked ticker's
+// emulated fires are not events and are not counted.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // less orders heap entries by (time, sequence).
@@ -217,6 +222,11 @@ func (e *Engine) ScheduleAt(at Time, fn func()) EventID {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	e.seq++
+	return e.push(at, e.seq, fn)
+}
+
+// push queues fn at (at, seq).
+func (e *Engine) push(at Time, seq uint64, fn func()) EventID {
 	var idx uint32
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
@@ -226,7 +236,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) EventID {
 		idx = uint32(len(e.slots) - 1)
 	}
 	s := &e.slots[idx]
-	s.at, s.seq, s.fn = at, e.seq, fn
+	s.at, s.seq, s.fn = at, seq, fn
 	s.gen++ // generations start at 1, so the zero EventID is never issued
 	s.pos = int32(len(e.heap))
 	e.heap = append(e.heap, idx)
@@ -260,10 +270,15 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// step executes the earliest pending event. Returns false if none remain.
+// step executes the earliest pending event, after emulating the parked
+// ticker's fires that order before it. Returns false if none remain.
 func (e *Engine) step() bool {
 	if len(e.heap) == 0 {
 		return false
+	}
+	if e.parked != nil {
+		s := &e.slots[e.heap[0]]
+		e.parked.skipBefore(s.at, s.seq)
 	}
 	idx := e.removeAt(0)
 	s := &e.slots[idx]
@@ -278,10 +293,14 @@ func (e *Engine) step() bool {
 }
 
 // RunUntil advances the simulation until the clock reaches t (inclusive of
-// events at exactly t), then sets the clock to t.
+// events and of a parked ticker's fires at exactly t), then sets the clock
+// to t.
 func (e *Engine) RunUntil(t Time) {
 	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= t {
 		e.step()
+	}
+	if e.parked != nil {
+		e.parked.skipThrough(t)
 	}
 	if t > e.now {
 		e.now = t
@@ -292,7 +311,9 @@ func (e *Engine) RunUntil(t Time) {
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Drain runs until no events remain or limit events have fired.
-// It returns the number of events executed.
+// It returns the number of events executed. A parked ticker's fires are
+// not events: Drain neither counts them nor waits for them, so it returns
+// once the queue is empty even while a ticker is parked.
 func (e *Engine) Drain(limit uint64) uint64 {
 	var n uint64
 	for n < limit && e.step() {
@@ -302,7 +323,8 @@ func (e *Engine) Drain(limit uint64) uint64 {
 }
 
 // NextAt returns the time of the earliest queued event; ok is false when
-// the queue is empty.
+// the queue is empty. A parked ticker has no queued event, so its
+// emulated fires are not reported.
 func (e *Engine) NextAt() (at Time, ok bool) {
 	if len(e.heap) == 0 {
 		return 0, false
@@ -311,21 +333,37 @@ func (e *Engine) NextAt() (at Time, ok bool) {
 }
 
 // PendingEvents returns the number of scheduled events. Cancelled events are
-// removed from the queue immediately, so this is also the queue length.
+// removed from the queue immediately, so this is also the queue length. A
+// parked ticker's pending tick is not queued and not counted.
 func (e *Engine) PendingEvents() int { return len(e.heap) }
 
 // Ticker is a persistent periodic event: one pre-allocated fire closure
 // reschedules itself in place, so a steady-state tick allocates nothing.
 // Only arming finds the grid point (nextGridPoint); a tick reschedules one
 // period after its own. Construct with Engine.NewTicker.
+//
+// A ticker whose callback has nothing to do until some later event can
+// Park: the engine then emulates its fires instead of queuing them. Each
+// emulated fire takes the sequence number a real reschedule would, at the
+// point in the event order where the tick would have run, so Wake puts the
+// pending tick back with the time and sequence number it would have had
+// and no same-instant event changes order. An engine has at most one
+// parked ticker.
 type Ticker struct {
-	e       *Engine
-	period  Duration
-	phase   Duration
-	fn      func()
-	fire    func()
-	id      EventID
-	stopped bool
+	e      *Engine
+	period Duration
+	phase  Duration
+	fn     func()
+	fire   func()
+	id     EventID
+	// firing marks the callback running; parked marks emulated fires.
+	stopped, firing, parked bool
+	// next and seq are a parked ticker's pending tick: its grid point and
+	// the sequence number it would be queued under.
+	next Time
+	seq  uint64
+	// skipped counts the fires emulated since Park.
+	skipped uint64
 }
 
 // NewTicker invokes fn every period, starting at the next multiple of period
@@ -342,8 +380,15 @@ func (e *Engine) NewTicker(period Duration, phase Duration, fn func()) *Ticker {
 		}
 		// A tick fires on its grid point, so the next one is a period on.
 		at := e.now
+		t.firing = true
 		t.fn()
-		if !t.stopped {
+		t.firing = false
+		switch {
+		case t.stopped:
+		case t.parked:
+			e.seq++
+			t.next, t.seq = at.Add(t.period), e.seq
+		default:
 			t.id = e.ScheduleAt(at.Add(t.period), t.fire)
 		}
 	}
@@ -353,13 +398,101 @@ func (e *Engine) NewTicker(period Duration, phase Duration, fn func()) *Ticker {
 
 // Stop disarms the ticker and cancels its pending tick. Stopping an
 // already-stopped ticker is a no-op; stopping from inside the ticker's own
-// callback suppresses the rescheduling of the next tick.
+// callback suppresses the rescheduling of the next tick. A parked ticker
+// stops without waking.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
+	if t.parked {
+		t.parked = false
+		t.e.parked = nil
+		return
+	}
 	t.e.Cancel(t.id)
+}
+
+// Park stops queuing the ticker's fires until Wake: the engine emulates
+// each one, the callback does not run, and no event is executed for it.
+// Called from the callback, it parks the tick after this one. Parking a
+// parked or stopped ticker is a no-op; parking a second ticker of the
+// engine panics.
+func (t *Ticker) Park() {
+	if t.parked || t.stopped {
+		return
+	}
+	e := t.e
+	if e.parked != nil {
+		panic("sim: another ticker of the engine is parked")
+	}
+	t.parked, t.skipped = true, 0
+	e.parked = t
+	if !t.firing {
+		idx, _ := t.id.split()
+		s := &e.slots[idx]
+		t.next, t.seq = s.at, s.seq
+		e.Cancel(t.id)
+	}
+}
+
+// Wake queues a parked ticker's pending tick again, at the time and
+// sequence number the fires emulated since Park left it, and returns how
+// many fires were emulated. Waking a ticker that is not parked returns 0.
+func (t *Ticker) Wake() uint64 {
+	if !t.parked {
+		return 0
+	}
+	t.parked = false
+	t.e.parked = nil
+	if !t.firing {
+		t.id = t.e.push(t.next, t.seq, t.fire)
+	}
+	return t.skipped
+}
+
+// Parked reports whether the ticker is parked.
+func (t *Ticker) Parked() bool { return t.parked }
+
+// Skipped returns how many fires have been emulated since Park, 0 when
+// the ticker is not parked.
+func (t *Ticker) Skipped() uint64 {
+	if !t.parked {
+		return 0
+	}
+	return t.skipped
+}
+
+// skipBefore emulates the parked ticker's fires that order before the
+// queued event (at, seq): the pending tick if it does, and every later
+// grid point before at, whose fresh sequence numbers order after any
+// queued event at the same instant.
+func (t *Ticker) skipBefore(at Time, seq uint64) {
+	if t.next > at || t.next == at && t.seq > seq {
+		return
+	}
+	n := uint64(1)
+	if at > t.next {
+		n += uint64(at.Sub(t.next)-1) / uint64(t.period)
+	}
+	t.skip(n)
+}
+
+// skipThrough emulates the parked ticker's fires at or before at, for a
+// queue with no event left there.
+func (t *Ticker) skipThrough(at Time) {
+	if t.next <= at {
+		t.skip(1 + uint64(at.Sub(t.next))/uint64(t.period))
+	}
+}
+
+// skip emulates n fires: each one takes a sequence number, as its
+// reschedule would, and moves the pending tick a period on.
+func (t *Ticker) skip(n uint64) {
+	t.e.seq += n
+	t.seq = t.e.seq
+	t.next = t.next.Add(Duration(n) * t.period)
+	t.skipped += n
 }
 
 // nextGridPoint returns the smallest time strictly greater than now that is

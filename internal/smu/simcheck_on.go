@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
 
@@ -42,13 +43,20 @@ func (m *Manager) checkMonitor(pkg soc.PackageID, mon *Monitor) {
 			fresh.MaxUncappedMHz = f
 		}
 	}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	if !same(fresh.Amps, mon.Amps) || !same(fresh.MaxEffMHz, mon.MaxEffMHz) ||
-		!same(fresh.MaxUncappedMHz, mon.MaxUncappedMHz) || fresh.ActiveCores != mon.ActiveCores {
+	if !sameMonitor(&fresh, mon) {
 		panic(fmt.Sprintf(
 			"simcheck: SMU monitor of package %d stale at %v: source %+v vs fresh %+v",
 			pkg, m.eng.Now(), *mon, fresh))
 	}
+}
+
+// same reports whether two floats are bit-equal.
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameMonitor reports whether two monitors are bit-equal.
+func sameMonitor(a, b *Monitor) bool {
+	return a.ActiveCores == b.ActiveCores && same(a.Amps, b.Amps) &&
+		same(a.MaxEffMHz, b.MaxEffMHz) && same(a.MaxUncappedMHz, b.MaxUncappedMHz)
 }
 
 // checkSkip is the oracle of a quiet tick, one that skips its noise draw
@@ -71,4 +79,77 @@ func (m *Manager) checkSkip(pkg soc.PackageID, cap float64, mon *Monitor, watts 
 			"simcheck: SMU package %d skipped its noise draw at %v and released its cap, but the noisy readings decide cap %v (throttled %v)",
 			pkg, m.eng.Now(), next, throttled))
 	}
+}
+
+// cachedSource is the reading a simcheck build checks a parked manager
+// against: each package's monitor and power estimate as the source last
+// derived them, read without refreshing. Every ActivitySource implements
+// it under -tags simcheck.
+type cachedSource interface {
+	CachedReading(pkg soc.PackageID) (mon Monitor, watts float64)
+}
+
+// parkShadow holds what the manager parked on: each package's cached
+// reading and the grid point of the first emulated tick.
+type parkShadow struct {
+	mons  []Monitor
+	watts []float64
+	next  sim.Time
+}
+
+// recordPark records each package's cached reading as the ticker parks,
+// at the end of a tick.
+func (m *Manager) recordPark() {
+	src := m.cachedSource()
+	p := &m.park
+	p.mons, p.watts = p.mons[:0], p.watts[:0]
+	for pkg := range m.pkgCores {
+		mon, w := src.CachedReading(soc.PackageID(pkg))
+		p.mons = append(p.mons, mon)
+		p.watts = append(p.watts, w)
+	}
+	p.next = m.eng.Now().Add(m.cfg.ControlPeriod)
+}
+
+// checkWake runs as the parked ticker wakes, after n emulated ticks and
+// before the change that woke it is refreshed. It panics unless every
+// package's cached reading is bit-equal to the one the manager parked on
+// (so every emulated tick would have been quiet, as the parking tick
+// was), and unless n counts the grid points that passed: those before the
+// present instant, and perhaps the one at it.
+func (m *Manager) checkWake(n uint64) {
+	src := m.cachedSource()
+	for pkg, parked := range m.park.mons {
+		mon, w := src.CachedReading(soc.PackageID(pkg))
+		if !sameMonitor(&mon, &parked) || !same(w, m.park.watts[pkg]) {
+			panic(fmt.Sprintf(
+				"simcheck: SMU package %d woke at %v reading %+v, %v W, but parked on %+v, %v W: the source refreshed without waking the manager",
+				pkg, m.eng.Now(), mon, w, parked, m.park.watts[pkg]))
+		}
+	}
+	now, period := m.eng.Now(), m.cfg.ControlPeriod
+	// passed(inclusive) counts the grid points from the parked one to now.
+	passed := func(inclusive bool) uint64 {
+		d := now.Sub(m.park.next)
+		if d < 0 || d == 0 && !inclusive {
+			return 0
+		}
+		if !inclusive {
+			d--
+		}
+		return 1 + uint64(d/period)
+	}
+	if lo, hi := passed(false), passed(true); n < lo || n > hi {
+		panic(fmt.Sprintf(
+			"simcheck: SMU woke at %v after %d emulated ticks, but %d to %d grid points passed since %v",
+			now, n, lo, hi, m.park.next))
+	}
+}
+
+func (m *Manager) cachedSource() cachedSource {
+	src, ok := m.src.(cachedSource)
+	if !ok {
+		panic(fmt.Sprintf("simcheck: activity source %T has no CachedReading to check a parked manager against", m.src))
+	}
+	return src
 }

@@ -13,9 +13,9 @@
 // well; on the paper's workloads it never engages (RAPL reports 170 W
 // against a 180 W TDP), which the integration tests verify.
 //
-// Both loops run every millisecond, but the machine rarely changes between
-// two ticks. The manager reads each package's noise-free monitor (active
-// cores, current, fastest effective and uncapped clocks) from its
+// Both loops decide once per 1 ms control period, but the machine rarely
+// changes between two ticks. The manager reads each package's noise-free monitor
+// (active cores, current, fastest effective and uncapped clocks) from its
 // ActivitySource, which keeps it current as the machine changes, so a tick
 // measures no core. It writes a package's cap to the DVFS controller only
 // when the cap changes; the manager is the only writer of caps and boost
@@ -26,6 +26,14 @@
 // boost, a tick on an idle package thus costs one monitor read and a few
 // compares, and one on an uncapped package well within its limits adds a
 // package-power read.
+//
+// The readings change only at a refresh, which only follows a change of
+// the machine, so a tick on which every package is quiet and nothing
+// changes is followed by the same tick until the machine changes. After
+// such a tick the manager parks its ticker (sim.Ticker.Park): the engine
+// emulates the ticks and runs no tick event until the machine calls Wake,
+// which advances the noise stream by one skipped draw per emulated package
+// tick, as the ticks would have.
 package smu
 
 import (
@@ -43,12 +51,19 @@ import (
 //
 // Both methods answer for the present instant: a change made before the
 // call (a kernel started, a P-state reached, a cap or boost written by the
-// manager itself) shows in the answer.
+// manager itself) shows in the answer. Both answers may change only at a
+// refresh after a change of the machine, and the machine calls
+// Manager.Wake at every change: a parked manager relies on both.
 type ActivitySource interface {
 	// Monitor returns the package's activity reading.
 	Monitor(pkg soc.PackageID) Monitor
 	// PackageWatts returns the package's present power estimate for the
-	// PPT loop.
+	// PPT loop. Its temperature-leak term is the one of the source's last
+	// refresh, not of the present temperature. A tick reads package 0
+	// before package 1, so when package 0's cap moves in a tick, package
+	// 1's reading comes from the refresh that cap write causes; otherwise
+	// it comes from an earlier refresh. Parking relies on this reading
+	// changing only at a refresh.
 	PackageWatts(pkg soc.PackageID) float64
 }
 
@@ -124,6 +139,10 @@ type Manager struct {
 	// +Inf = unthrottled.
 	capMHz []float64
 	ticker *sim.Ticker
+	// calm marks, during a tick, that every package has been quiet and
+	// nothing has changed since the tick began.
+	calm bool
+	park parkShadow // the readings at park, -tags simcheck only
 	// throttledTicks counts control periods with an engaged EDC cap.
 	throttledTicks []uint64
 	stats          Stats
@@ -153,7 +172,34 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, ctl *dvfs.Controller, s
 }
 
 // Stop halts the control loop (for ablation experiments).
-func (m *Manager) Stop() { m.ticker.Stop() }
+func (m *Manager) Stop() {
+	m.Wake()
+	m.ticker.Stop()
+}
+
+// Wake tells the manager that the machine changed. The ActivitySource's
+// owner calls it at every change, the manager's own cap and boost writes
+// included. A parked manager queues its next tick again and advances the
+// noise stream by one skipped draw per package tick emulated since it
+// parked.
+func (m *Manager) Wake() {
+	m.calm = false
+	if m.ticker.Parked() {
+		m.resume()
+	}
+}
+
+// resume wakes the parked ticker and replays the emulated package ticks.
+func (m *Manager) resume() {
+	n := m.ticker.Wake()
+	m.checkWake(n)
+	n *= uint64(len(m.pkgCores))
+	for i := uint64(0); i < n; i++ {
+		m.rng.SkipNorm()
+	}
+	m.stats.Ticks += n
+	m.stats.Parked += n
+}
 
 // CapMHz returns the current package cap (+Inf when unthrottled).
 func (m *Manager) CapMHz(pkg soc.PackageID) float64 { return m.capMHz[pkg] }
@@ -170,20 +216,35 @@ func (m *Manager) ThrottledTicks(pkg soc.PackageID) uint64 {
 
 // Stats counts the manager's control work since New.
 type Stats struct {
-	// Ticks counts package control steps, one per package per period.
+	// Ticks counts package control steps, one per package per period,
+	// emulated ones included.
 	Ticks uint64
 	// Transforms counts the steps that computed a noise variate (one
 	// Box-Muller transform each); the others only advanced the noise
 	// stream.
 	Transforms uint64
+	// Parked counts the package control steps of ticks the engine
+	// emulated while the ticker was parked.
+	Parked uint64
 }
 
 // Stats returns the control counts since New.
-func (m *Manager) Stats() Stats { return m.stats }
+func (m *Manager) Stats() Stats {
+	s := m.stats
+	n := m.ticker.Skipped() * uint64(len(m.pkgCores))
+	s.Ticks += n
+	s.Parked += n
+	return s
+}
 
 func (m *Manager) tick() {
+	m.calm = true
 	for p := range m.top.Packages {
 		m.controlPackage(soc.PackageID(p))
+	}
+	if m.calm {
+		m.recordPark()
+		m.ticker.Park()
 	}
 }
 
@@ -220,6 +281,7 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 		m.setCap(pkg, math.Inf(1))
 		return
 	}
+	m.calm = false
 	m.stats.Transforms++
 	noise := 1 + m.cfg.SensorNoiseRel*m.rng.NormFloat64()
 	cap, throttled := m.decide(cap, &mon, mon.Amps*noise, watts*noise)

@@ -13,16 +13,26 @@ import (
 // fakeSource implements ActivitySource from a kernel + thread count per
 // core, using the same current model the machine layer uses:
 // I = EDCWeight(threads) × f[GHz] × V(f). It measures every core on each
-// Monitor call.
+// Monitor call, and wakes the manager at each change it makes.
 type fakeSource struct {
 	ctl     *dvfs.Controller
 	top     *soc.Topology
+	mgr     *Manager
 	kernel  workload.Kernel
 	threads []int // per core; 0 = idle
 	watts   float64
+	// read holds each package's last monitor and power answers: the
+	// readings of the source's last refresh, as it refreshes on each read.
+	read [2]struct {
+		mon   Monitor
+		watts float64
+	}
 }
 
-func (s *fakeSource) setKernel(k workload.Kernel) { s.kernel = k }
+func (s *fakeSource) setKernel(k workload.Kernel) {
+	s.kernel = k
+	s.mgr.Wake()
+}
 
 // setThreads sets a core's active thread count in the source and the
 // controller.
@@ -44,7 +54,13 @@ func (s *fakeSource) Monitor(pkg soc.PackageID) Monitor {
 		mon.MaxEffMHz = math.Max(mon.MaxEffMHz, eff)
 		mon.MaxUncappedMHz = math.Max(mon.MaxUncappedMHz, s.ctl.UncappedMHz(core))
 	}
+	s.read[pkg].mon = mon
 	return mon
+}
+
+// CachedReading returns the package's last monitor and power answers.
+func (s *fakeSource) CachedReading(pkg soc.PackageID) (Monitor, float64) {
+	return s.read[pkg].mon, s.read[pkg].watts
 }
 
 func (s *fakeSource) CoreActivity(core soc.CoreID) (bool, float64, float64) {
@@ -57,7 +73,10 @@ func (s *fakeSource) CoreActivity(core soc.CoreID) (bool, float64, float64) {
 	return true, s.kernel.EDCWeight(n) * f * v, s.ctl.EffectiveMHz(core)
 }
 
-func (s *fakeSource) PackageWatts(soc.PackageID) float64 { return s.watts }
+func (s *fakeSource) PackageWatts(pkg soc.PackageID) float64 {
+	s.read[pkg].watts = s.watts
+	return s.watts
+}
 
 func setup(kernel workload.Kernel, threadsPerCore int) (*sim.Engine, *soc.Topology, *dvfs.Controller, *Manager, *fakeSource) {
 	eng := sim.NewEngine(42)
@@ -69,6 +88,8 @@ func setup(kernel workload.Kernel, threadsPerCore int) (*sim.Engine, *soc.Topolo
 		ctl.Request(top.Cores[i].Threads[0], 0) // everyone wants 2.5 GHz
 	}
 	mgr := New(eng, top, DefaultConfig(), ctl, src)
+	src.mgr = mgr
+	ctl.AfterChange = mgr.Wake
 	return eng, top, ctl, mgr, src
 }
 
