@@ -612,6 +612,6 @@ func TestOutputCodecRoundTrip(t *testing.T) {
 func TestUnregisteredOutputTypeFailsShardLoudly(t *testing.T) {
 	type unregistered struct{ X int }
 	if _, err := shardcache.EncodeOutput(unregistered{X: 1}); err == nil {
-		t.Fatalf("encoding an unregistered type succeeded; want an error directing to RegisterOutputType")
+		t.Fatalf("encoding an unregistered type succeeded; want an error")
 	}
 }

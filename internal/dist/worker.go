@@ -451,8 +451,8 @@ func (w *Worker) complete(t TaskSpec, out any, execErr error, startDelta, dur ti
 		enc, err := shardcache.EncodeOutput(out)
 		if err != nil {
 			// An unencodable output type fails the shard explicitly; see
-			// shardcache.RegisterOutputType.
-			req.Error = fmt.Sprintf("dist: encoding shard output (%T): %v — register the type with shardcache.RegisterOutputType", out, err)
+			// the registered types in shardcache's codec.
+			req.Error = fmt.Sprintf("dist: encoding shard output (%T): %v — register the type in shardcache's codec", out, err)
 		} else {
 			req.Output = enc
 		}

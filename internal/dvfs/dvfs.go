@@ -18,14 +18,13 @@
 //     the fastest active core in the CCX (Fig. 4).
 //
 // The controller exposes effective per-core frequencies and the L3 clock to
-// the rest of the model, and implements the P-state MSR interface.
+// the rest of the model.
 package dvfs
 
 import (
 	"fmt"
 	"math"
 
-	"zen2ee/internal/msr"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
@@ -82,14 +81,26 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// maxPStates is the architectural number of P-state definition registers.
+const maxPStates = 8
+
+// Validate reports configuration errors. Every P-state must be one a
+// P-state definition register can hold: its frequency a positive multiple
+// of 25 MHz with a frequency ID (MHz / 25) of at most 255, and its voltage
+// an SVI2 voltage ID (1.55 V − 6.25 mV × VID) in 0..255.
 func (c Config) Validate() error {
-	if len(c.PStates) == 0 || len(c.PStates) > msr.NumPStateDefs {
-		return fmt.Errorf("dvfs: need 1..%d P-states", msr.NumPStateDefs)
+	if len(c.PStates) == 0 || len(c.PStates) > maxPStates {
+		return fmt.Errorf("dvfs: need 1..%d P-states", maxPStates)
 	}
-	for i := 1; i < len(c.PStates); i++ {
-		if c.PStates[i].MHz >= c.PStates[i-1].MHz {
+	for i, p := range c.PStates {
+		if i > 0 && p.MHz >= c.PStates[i-1].MHz {
 			return fmt.Errorf("dvfs: P-state table must be strictly descending")
+		}
+		if p.MHz <= 0 || p.MHz%25 != 0 || p.MHz/25 > 0xFF {
+			return fmt.Errorf("dvfs: P%d: %d MHz is not a positive multiple of 25 MHz up to %d MHz", i, p.MHz, 25*0xFF)
+		}
+		if vid := math.Round((1.55 - p.Volts) / 0.00625); !(vid >= 0 && vid <= 0xFF) {
+			return fmt.Errorf("dvfs: P%d: %.3f V is outside the VID range", i, p.Volts)
 		}
 	}
 	if c.SlotPeriod <= 0 || c.RampUp <= 0 || c.RampDown <= 0 {
@@ -151,9 +162,8 @@ type Controller struct {
 	CapMoved func(pkg soc.PackageID)
 }
 
-// New creates a controller, initialises all cores to the lowest P-state and
-// wires the P-state MSRs into regs (which may be nil for standalone use).
-func New(eng *sim.Engine, top *soc.Topology, cfg Config, regs *msr.File) *Controller {
+// New creates a controller and initialises all cores to the lowest P-state.
+func New(eng *sim.Engine, top *soc.Topology, cfg Config) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -172,43 +182,7 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, regs *msr.File) *Contro
 	for p := range c.caps {
 		c.caps[p] = math.Inf(1)
 	}
-	if regs != nil {
-		c.wireMSRs(regs)
-	}
 	return c
-}
-
-func (c *Controller) wireMSRs(regs *msr.File) {
-	for i := 0; i < msr.NumPStateDefs; i++ {
-		addr := msr.PStateDefAddr(i)
-		if i < len(c.cfg.PStates) {
-			def, err := msr.PStateDefFor(c.cfg.PStates[i].MHz, c.cfg.PStates[i].Volts)
-			if err != nil {
-				panic(err)
-			}
-			regs.Define(addr, def.Encode())
-		} else {
-			regs.Define(addr, 0) // disabled entry
-		}
-	}
-	maxVal := uint64(len(c.cfg.PStates) - 1)
-	regs.Define(msr.PStateCurLim, maxVal<<4)
-	regs.HookWrite(msr.PStateCtl, func(cpu int, v uint64) error {
-		idx := int(v & 7)
-		if idx >= len(c.cfg.PStates) {
-			return fmt.Errorf("dvfs: P-state command %d beyond PstateMaxVal %d", idx, maxVal)
-		}
-		c.Request(soc.ThreadID(cpu), idx)
-		return nil
-	})
-	regs.HookRead(msr.PStateStat, func(cpu int) uint64 {
-		core := c.top.CoreOf(soc.ThreadID(cpu))
-		return uint64(c.cores[core.ID].current & 7)
-	})
-	regs.HookRead(msr.PStateCtl, func(cpu int) uint64 {
-		th := c.top.Threads[soc.ThreadID(cpu)]
-		return uint64(c.cores[th.Core].threadReq[th.SMT] & 7)
-	})
 }
 
 func (c *Controller) notifyBefore() {

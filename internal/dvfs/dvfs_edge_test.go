@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"zen2ee/internal/msr"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
@@ -27,26 +26,6 @@ func TestRequestOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	c.Request(0, 7)
-}
-
-func TestPStateCtlMSRReadback(t *testing.T) {
-	eng := sim.NewEngine(1)
-	top := soc.New(soc.EPYC7502x2())
-	regs := msr.NewFile(top.NumThreads())
-	New(eng, top, DefaultConfig(), regs)
-	// Write a command and read it back through the PStateCtl hook.
-	if err := regs.Write(9, msr.PStateCtl, 1); err != nil {
-		t.Fatal(err)
-	}
-	v, err := regs.Read(9, msr.PStateCtl)
-	if err != nil || v != 1 {
-		t.Fatalf("PStateCtl readback %d, %v", v, err)
-	}
-	// The sibling's control register is separate.
-	v, _ = regs.Read(9+64, msr.PStateCtl)
-	if v != 2 {
-		t.Fatalf("sibling PStateCtl = %d, want 2 (lowest)", v)
-	}
 }
 
 func TestL3FloorWhenAllCoresSlow(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"zen2ee/internal/msr"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
@@ -13,7 +12,7 @@ import (
 func newTestController() (*sim.Engine, *soc.Topology, *Controller) {
 	eng := sim.NewEngine(1)
 	top := soc.New(soc.EPYC7502x2())
-	c := New(eng, top, DefaultConfig(), nil)
+	c := New(eng, top, DefaultConfig())
 	return eng, top, c
 }
 
@@ -273,7 +272,7 @@ func TestCouplingDisabled(t *testing.T) {
 	top := soc.New(soc.EPYC7502x2())
 	cfg := DefaultConfig()
 	cfg.CouplingEnabled = false
-	c := New(eng, top, cfg, nil)
+	c := New(eng, top, cfg)
 	for core := 0; core < 4; core++ {
 		c.SetActiveThreads(soc.CoreID(core), 1)
 	}
@@ -374,44 +373,6 @@ func TestBoostGrant(t *testing.T) {
 	}
 }
 
-func TestMSRInterface(t *testing.T) {
-	eng := sim.NewEngine(1)
-	top := soc.New(soc.EPYC7502x2())
-	regs := msr.NewFile(top.NumThreads())
-	c := New(eng, top, DefaultConfig(), regs)
-
-	// P-state definitions readable with correct frequencies.
-	v, err := regs.Read(0, msr.PStateDefAddr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	def := msr.DecodePStateDef(v)
-	if def.FrequencyMHz() != 2500 || !def.Enabled {
-		t.Fatalf("PStateDef0 = %+v", def)
-	}
-	// Limit register: PstateMaxVal = 2.
-	lim, _ := regs.Read(0, msr.PStateCurLim)
-	if (lim>>4)&7 != 2 {
-		t.Fatalf("PStateCurLim = %#x", lim)
-	}
-	// Command via MSR write.
-	if err := regs.Write(0, msr.PStateCtl, 0); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunFor(sim.Duration(5 * sim.Millisecond))
-	st, _ := regs.Read(0, msr.PStateStat)
-	if st != 0 {
-		t.Fatalf("PStateStat = %d after command 0", st)
-	}
-	if c.AppliedPState(0) != 0 {
-		t.Fatal("controller did not follow MSR command")
-	}
-	// Out-of-range command rejected.
-	if err := regs.Write(0, msr.PStateCtl, 5); err == nil {
-		t.Fatal("P-state command 5 accepted with only 3 defined states")
-	}
-}
-
 func TestBeforeAfterChangeHooks(t *testing.T) {
 	eng, _, c := newTestController()
 	var before, after int
@@ -456,6 +417,40 @@ func TestConfigValidate(t *testing.T) {
 	bad3.SlotPeriod = 0
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("zero slot period validated")
+	}
+}
+
+// TestValidatePStateEncoding pins the register-encoding checks: each
+// P-state's frequency needs a frequency ID (25 MHz steps, at most 255) and
+// its voltage an SVI2 voltage ID in 0..255.
+func TestValidatePStateEncoding(t *testing.T) {
+	for _, p := range []PState{
+		{2510, 1.0}, {0, 1.0}, {-100, 1.0}, {6400, 1.0},
+		{2500, 9.9}, {2500, -1}, {2500, 1.56}, {2500, math.NaN()},
+	} {
+		cfg := DefaultConfig()
+		cfg.PStates = []PState{p}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("P-state %+v validated", p)
+		}
+	}
+	for _, mhz := range []int{25, 400, 1500, 2200, 2500, 3350, 6375} {
+		cfg := DefaultConfig()
+		cfg.PStates = []PState{{mhz, 1.0}}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%d MHz: %v", mhz, err)
+		}
+	}
+	// The paper's table, and the EPYC 7742 table of the throttling extension.
+	for _, table := range [][]PState{
+		DefaultConfig().PStates,
+		{{2250, 1.05}, {1800, 0.95}, {1500, 0.90}},
+	} {
+		cfg := DefaultConfig()
+		cfg.PStates = table
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", table, err)
+		}
 	}
 }
 

@@ -322,7 +322,7 @@ func New(cfg Config) *Machine {
 	m.markAllDirty()
 	m.flushEvent = m.onFlushEvent
 	m.log = sim.NewFoldLog(eng.Now(), foldLogCap, m.catchUp)
-	m.DVFS = dvfs.New(eng, top, cfg.DVFS, regs)
+	m.DVFS = dvfs.New(eng, top, cfg.DVFS)
 	m.CStates = cstate.New(eng, top, cfg.CState)
 	m.Power = power.NewModel(cfg.Power)
 	m.Thermal = power.NewThermal(cfg.Power)
@@ -433,12 +433,18 @@ func (m *Machine) setIOD(c iodie.Config) error {
 
 // StartKernel puts a thread to work on a kernel. If the thread is idle it
 // is woken first; the returned duration is the wake-up latency (zero when
-// already active). weight is the operand Hamming weight for data-dependent
-// kernels. An invalid kernel (workload.Kernel.Validate) is an error, and
-// the thread is left as it was.
+// already active). weight is the operand Hamming weight in [0, 1] for
+// data-dependent kernels. An invalid kernel (workload.Kernel.Validate) or
+// weight is an error, and the thread is left as it was.
 func (m *Machine) StartKernel(t soc.ThreadID, k workload.Kernel, weight float64) (sim.Duration, error) {
+	if err := m.checkThread(t); err != nil {
+		return 0, err
+	}
 	if !m.Top.Online(t) {
 		return 0, fmt.Errorf("machine: thread %d is offline", t)
+	}
+	if !ValidWeight(weight) {
+		return 0, fmt.Errorf("machine: operand Hamming weight %v outside [0, 1]", weight)
 	}
 	id, err := m.intern(k)
 	if err != nil {
@@ -480,8 +486,24 @@ func (m *Machine) kernelOf(t soc.ThreadID) *workload.Kernel {
 	return nil
 }
 
-// SetHammingWeight changes the operand weight of a running kernel.
+// ValidWeight reports whether w is an operand Hamming weight: a number in
+// [0, 1].
+func ValidWeight(w float64) bool { return w >= 0 && w <= 1 }
+
+// checkThread rejects a thread outside the topology.
+func (m *Machine) checkThread(t soc.ThreadID) error {
+	if t < 0 || int(t) >= m.Top.NumThreads() {
+		return fmt.Errorf("machine: cpu%d out of range [0, %d)", t, m.Top.NumThreads())
+	}
+	return nil
+}
+
+// SetHammingWeight changes the operand weight of a running kernel. A weight
+// outside [0, 1] is a programming error and panics.
 func (m *Machine) SetHammingWeight(t soc.ThreadID, weight float64) {
+	if !ValidWeight(weight) {
+		panic(fmt.Sprintf("machine: operand Hamming weight %v outside [0, 1]", weight))
+	}
 	if m.runs[t].kernel != 0 {
 		m.runs[t].weight = weight
 		m.markThreadDirty(t)
@@ -504,6 +526,9 @@ func (m *Machine) Running(t soc.ThreadID) bool { return m.runs[t].kernel != 0 }
 // SetThreadFrequencyMHz is the cpufreq userspace-governor path: pins one
 // hardware thread's requested frequency.
 func (m *Machine) SetThreadFrequencyMHz(t soc.ThreadID, mhz int) error {
+	if err := m.checkThread(t); err != nil {
+		return err
+	}
 	return m.DVFS.RequestMHz(t, mhz)
 }
 
@@ -519,24 +544,31 @@ func (m *Machine) SetAllFrequenciesMHz(mhz int) error {
 
 // SetOnline flips a thread's sysfs online state. Offlining stops any
 // running kernel; under the §VI-B anomaly the thread is then elevated to C1.
+// A rejected call (cpu0 cannot be taken offline) changes nothing.
 func (m *Machine) SetOnline(t soc.ThreadID, online bool) error {
+	if err := m.checkThread(t); err != nil {
+		return err
+	}
+	if err := m.Top.SetOnline(t, online); err != nil {
+		return err
+	}
 	if !online {
 		m.runs[t] = threadRun{}
 		m.markThreadDirty(t)
 		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
 	}
-	err := m.Top.SetOnline(t, online)
-	if err == nil {
-		m.CStates.NotifyOnlineChanged()
-	}
+	m.CStates.NotifyOnlineChanged()
 	m.changed()
-	return err
+	return nil
 }
 
 // SetCStateEnabled toggles a sysfs C-state disable file and re-applies the
 // idle governor's choice on idle threads (disabling C2 demotes C2 residents
 // to C1; re-enabling promotes them back — the Fig. 7 sweep protocol).
 func (m *Machine) SetCStateEnabled(t soc.ThreadID, s cstate.State, enabled bool) error {
+	if err := m.checkThread(t); err != nil {
+		return err
+	}
 	if err := m.CStates.SetEnabled(t, s, enabled); err != nil {
 		return err
 	}

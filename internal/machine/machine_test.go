@@ -402,21 +402,18 @@ func TestDeterminism(t *testing.T) {
 
 func TestMSRRoundTripThroughMachine(t *testing.T) {
 	m := newMachine()
-	// Command P-state 0 via MSR on cpu 3, observe PStateStat.
-	if err := m.Regs.Write(3, msr.PStateCtl, 0); err != nil {
-		t.Fatal(err)
-	}
-	settle(m, 10*sim.Millisecond)
-	st, err := m.Regs.Read(3, msr.PStateStat)
+	// The package RAPL MSR is readable and counts up in units of 2^-16 J.
+	before, err := m.Regs.Read(0, msr.PkgEnergyStat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != 0 {
-		t.Fatalf("PStateStat %d", st)
-	}
-	// RAPL MSR is readable and in units of 2^-16 J.
-	if _, err := m.Regs.Read(0, msr.PkgEnergyStat); err != nil {
+	settle(m, 10*sim.Millisecond)
+	after, err := m.Regs.Read(0, msr.PkgEnergyStat)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if after <= before {
+		t.Fatalf("PkgEnergyStat %d -> %d over 10 ms", before, after)
 	}
 }
 
@@ -642,6 +639,67 @@ func TestStartKernelValidates(t *testing.T) {
 	}
 	if _, err := m.StartKernel(3, workload.Busywait, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStartKernelValidatesWeight: an operand Hamming weight outside
+// [0, 1] (NaN included) is rejected before the thread changes, and
+// SetHammingWeight panics on one.
+func TestStartKernelValidatesWeight(t *testing.T) {
+	m := newMachine()
+	m.Eng.RunFor(sim.Millisecond)
+	state, watts := m.CStates.EffectiveState(3), m.SystemWatts()
+	bad := []float64{2, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1.0000001}
+	for _, w := range bad {
+		if _, err := m.StartKernel(3, workload.VXorps, w); err == nil {
+			t.Errorf("StartKernel accepted weight %v", w)
+		}
+	}
+	if m.Running(3) || m.CStates.EffectiveState(3) != state || m.SystemWatts() != watts {
+		t.Fatalf("rejected weight changed thread 3: running %v, state %v (was %v), %v W (was %v)",
+			m.Running(3), m.CStates.EffectiveState(3), state, m.SystemWatts(), watts)
+	}
+	for _, w := range []float64{0, 0.5, 1} {
+		if _, err := m.StartKernel(3, workload.VXorps, w); err != nil {
+			t.Fatalf("weight %v: %v", w, err)
+		}
+		m.SetHammingWeight(3, w)
+	}
+	for _, w := range bad {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetHammingWeight(%v) did not panic", w)
+				}
+			}()
+			m.SetHammingWeight(3, w)
+		}()
+	}
+	if w := m.runs[3].weight; w != 1 {
+		t.Fatalf("weight %v after rejected changes, want 1", w)
+	}
+}
+
+// TestOfflineCPU0LeavesItRunning: the rejected SetOnline(0, false) stops
+// nothing; cpu0 keeps running its kernel at its clock.
+func TestOfflineCPU0LeavesItRunning(t *testing.T) {
+	m := newMachine()
+	if err := m.SetThreadFrequencyMHz(0, 1500); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.StartKernel(0, workload.Busywait, 0); err != nil {
+		t.Fatal(err)
+	}
+	settle(m, 20*sim.Millisecond)
+	if err := m.SetOnline(0, false); err == nil {
+		t.Fatal("cpu0 taken offline")
+	}
+	a := m.ReadCounters(0)
+	settle(m, 10*sim.Millisecond)
+	b := m.ReadCounters(0)
+	if ghz := (b.Cycles - a.Cycles) / 0.01 / 1e9; !m.Running(0) || !m.Top.Online(0) || math.Abs(ghz-1.5) > 0.01 {
+		t.Fatalf("after the rejected offline: running %v, online %v, %v GHz; want a running cpu0 at 1.5 GHz",
+			m.Running(0), m.Top.Online(0), ghz)
 	}
 }
 

@@ -61,7 +61,6 @@ type PowerAnalyzer struct {
 
 	lastEnergy float64
 	lastTime   sim.Time
-	ticker     *sim.Ticker
 	// DropoutRate, when non-zero, randomly discards samples (failure
 	// injection for the merge/averaging pipeline).
 	DropoutRate float64
@@ -75,12 +74,9 @@ func NewPowerAnalyzer(eng *sim.Engine, cfg AnalyzerConfig, src EnergySource) *Po
 		lastEnergy: src.EnergyJoules(eng.Now()),
 		lastTime:   eng.Now(),
 	}
-	pa.ticker = eng.NewTicker(cfg.SampleInterval, 0, pa.sample)
+	eng.NewTicker(cfg.SampleInterval, 0, pa.sample)
 	return pa
 }
-
-// Stop ends sampling.
-func (pa *PowerAnalyzer) Stop() { pa.ticker.Stop() }
 
 func (pa *PowerAnalyzer) sample() {
 	now := pa.eng.Now()

@@ -141,14 +141,6 @@ func (t *Trace) Offset(at time.Time) time.Duration {
 	return at.Sub(t.epoch)
 }
 
-// Since returns the current epoch-relative offset. Zero on a nil trace.
-func (t *Trace) Since() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.epoch)
-}
-
 // Add records a span. Past the byte budget the span is dropped and
 // counted, never buffered — a trace's memory is bounded however long the
 // run. No-op on a nil trace.

@@ -15,7 +15,7 @@ func TestNilTraceIsDisabledRecorder(t *testing.T) {
 	// Every method must be a safe no-op on nil — the scheduler threads a
 	// possibly-nil pointer through without branching.
 	tr.Add(Span{Cat: CatShard, Name: "x"})
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Since() != 0 {
+	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil trace retained state")
 	}
 	if off := tr.Offset(time.Now()); off != 0 {
@@ -125,7 +125,7 @@ func TestOffsetAndSince(t *testing.T) {
 	if off := tr.Offset(at); off <= 0 || off > time.Second {
 		t.Fatalf("offset %v outside expected window", off)
 	}
-	if s := tr.Since(); s < 0 || s > time.Minute {
-		t.Fatalf("since %v implausible", s)
+	if s := tr.Offset(time.Now()); s < 0 || s > time.Minute {
+		t.Fatalf("offset of now %v implausible", s)
 	}
 }

@@ -59,6 +59,11 @@ func (r *Runner) Validate() error {
 		if p.Duration <= 0 {
 			return fmt.Errorf("phases: phase %d has non-positive duration", i)
 		}
+		// enterPhase discards StartKernel's errors, so a weight it would
+		// reject is rejected here.
+		if !machine.ValidWeight(p.Weight) {
+			return fmt.Errorf("phases: phase %d has operand Hamming weight %v outside [0, 1]", i, p.Weight)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package phases
 
 import (
+	"math"
 	"testing"
 
 	"zen2ee/internal/machine"
@@ -110,6 +111,12 @@ func TestValidate(t *testing.T) {
 		{M: m},
 		{M: m, Threads: threads(m, 1)},
 		{M: m, Threads: threads(m, 1), Phases: []Phase{{Duration: 0}}},
+	}
+	// enterPhase discards StartKernel's errors, so Validate must reject
+	// the weights StartKernel would.
+	for _, w := range []float64{2, -1, math.NaN(), math.Inf(1)} {
+		bad = append(bad, Runner{M: m, Threads: threads(m, 1),
+			Phases: []Phase{{Kernel: workload.VXorps, Weight: w, Duration: 1}}})
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {

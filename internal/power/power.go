@@ -96,9 +96,6 @@ type Model struct {
 // NewModel returns a model with the given calibration.
 func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
 
-// Config returns the model's calibration constants.
-func (m *Model) Config() Config { return m.cfg }
-
 // CoreWatts returns one core's contribution.
 func (m *Model) CoreWatts(c *CoreInput) float64 {
 	switch {

@@ -40,18 +40,13 @@ func DecodeOutput(b []byte) (any, error) {
 	return v, nil
 }
 
-// RegisterOutputType registers a shard-output concrete type with the
-// codec. The types every registered experiment returns today are built in;
-// an experiment introducing a new output type calls this from an init so
-// its shards can cross the wire and land in the cache.
-func RegisterOutputType(v any) { gob.Register(v) }
-
 func init() {
 	// The shard-output types of the current registry: scalar metrics
 	// (fig7's idle floor, tab1/fig4 samples), series ([]float64 sweeps,
 	// fig8's latency matrix rows), and whole Results from the one-shard
-	// plans of whole experiments — plus a few basics so simple custom experiments
-	// work unregistered.
+	// plans of whole experiments — plus a few basics so simple custom
+	// experiments need no entry. An experiment with a new output type adds
+	// it here.
 	for _, v := range []any{
 		float64(0), []float64(nil), [][]float64(nil),
 		int(0), int64(0), uint64(0), string(""), bool(false),

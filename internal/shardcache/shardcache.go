@@ -40,14 +40,17 @@ import (
 	"zen2ee/internal/store"
 )
 
-// keyVersion is bumped whenever the key schema or the codec's encoding of
-// existing output types changes incompatibly; old entries then miss
-// instead of decoding wrong. Canonicalizing seed-free refs to the default
-// seed did not bump it: every entry such a ref now hits was stored by a
-// seed-1 run, computed on the same DeriveSeed(1, id) stream it would
-// compute today, so it stays valid; entries at other seeds are never
-// addressed again.
-const keyVersion = "1"
+// keyVersion is bumped whenever the key schema, the codec's encoding of
+// existing output types or the meaning of a cached output changes
+// incompatibly; old entries then miss instead of decoding wrong, in either
+// direction between builds. Version 2: a whole experiment's cached output
+// is a *core.Result without ID, Title and PaperRef (the reducer stamps
+// them), which a version-1 build would serve with an empty id.
+// Canonicalizing seed-free refs to the default seed did not bump it: every
+// entry such a ref now hits was stored by a seed-1 run, computed on the
+// same DeriveSeed(1, id) stream it would compute today, so it stays valid;
+// entries at other seeds are never addressed again.
+const keyVersion = "2"
 
 // DefaultSalt derives the standard cache salt: the key-schema version plus
 // the ordered experiment registry. Any registry change — an experiment

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -89,6 +90,30 @@ func TestDefaultSaltCoversRegistry(t *testing.T) {
 		if !bytes.Contains([]byte(salt), []byte(e.ID)) {
 			t.Fatalf("DefaultSalt %q omits registered experiment %s — removing it would not invalidate the cache", salt, e.ID)
 		}
+	}
+}
+
+// TestVersionOneEntriesMiss: an entry stored under the version-1 salt,
+// as builds before the bump wrote it, is not served.
+func TestVersionOneEntriesMiss(t *testing.T) {
+	v1 := "1" + strings.TrimPrefix(DefaultSalt(), keyVersion)
+	if v1 == DefaultSalt() {
+		t.Fatalf("salt %q still carries key version 1", DefaultSalt())
+	}
+	st := store.NewMemory(16, 1<<20)
+	ref := core.ShardRef{Exp: "sec6acpi", Config: core.Config{Scale: 1, Seed: 1}}
+	payload, err := EncodeOutput([]float64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put(Key(ref, v1), payload)
+	c := New(st, "")
+	if out, ok := c.Lookup(ref); ok {
+		t.Fatalf("version-1 entry served: %#v", out)
+	}
+	c.Store(ref, []float64{4})
+	if out, ok := c.Lookup(ref); !ok || !reflect.DeepEqual(out, []float64{4}) {
+		t.Fatalf("current entry: %#v, %v", out, ok)
 	}
 }
 

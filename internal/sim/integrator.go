@@ -44,12 +44,6 @@ func (ei *EnergyIntegrator) Energy(now Time) float64 {
 	return ei.energy
 }
 
-// Reset zeroes the accumulated energy (power level is retained).
-func (ei *EnergyIntegrator) Reset(now Time) {
-	ei.Advance(now)
-	ei.energy = 0
-}
-
 // FoldLog records the instants at which a group of lazy integrators would
 // have folded had they been folded eagerly: one entry per distinct instant,
 // in time order. An integrator remembers how far into the log it has

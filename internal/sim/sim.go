@@ -44,9 +44,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds returns the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Micros returns the time as floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / 1e3 }
-
 // Seconds returns the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 

@@ -296,17 +296,6 @@ func TestEnergyIntegratorBasic(t *testing.T) {
 	}
 }
 
-func TestEnergyIntegratorReset(t *testing.T) {
-	ei := NewEnergyIntegrator(0, 10)
-	ei.Reset(Time(Second))
-	if e := ei.Energy(Time(Second)); e != 0 {
-		t.Fatalf("energy after reset = %v, want 0", e)
-	}
-	if e := ei.Energy(Time(2 * Second)); math.Abs(e-10) > 1e-9 {
-		t.Fatalf("energy 1s after reset = %v, want 10", e)
-	}
-}
-
 func TestEnergyIntegratorMonotoneProperty(t *testing.T) {
 	// Energy must be non-decreasing for non-negative power, regardless of
 	// the pattern of SetPower calls.

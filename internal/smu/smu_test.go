@@ -81,7 +81,7 @@ func (s *fakeSource) PackageWatts(pkg soc.PackageID) float64 {
 func setup(kernel workload.Kernel, threadsPerCore int) (*sim.Engine, *soc.Topology, *dvfs.Controller, *Manager, *fakeSource) {
 	eng := sim.NewEngine(42)
 	top := soc.New(soc.EPYC7502x2())
-	ctl := dvfs.New(eng, top, dvfs.DefaultConfig(), nil)
+	ctl := dvfs.New(eng, top, dvfs.DefaultConfig())
 	src := &fakeSource{ctl: ctl, top: top, kernel: kernel, threads: make([]int, top.NumCores())}
 	for i := range src.threads {
 		src.setThreads(soc.CoreID(i), threadsPerCore)

@@ -391,8 +391,5 @@ func (d *Disk) Stats() DiskStats {
 	}
 }
 
-// Dir reports the store's root directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // Close implements ResultStore; the disk store holds no open handles.
 func (d *Disk) Close() error { return nil }

@@ -52,9 +52,6 @@ func NewGate(slots int) *Gate {
 	return &Gate{slots: slots, free: slots}
 }
 
-// Slots reports the gate's slot count.
-func (g *Gate) Slots() int { return g.slots }
-
 // Waiting reports how many shard acquisitions are currently queued.
 func (g *Gate) Waiting() int {
 	g.mu.Lock()

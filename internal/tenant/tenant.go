@@ -141,9 +141,6 @@ type Tenant struct {
 // Name reports the tenant's configured name.
 func (t *Tenant) Name() string { return t.name }
 
-// Weight reports the tenant's fair-queueing share.
-func (t *Tenant) Weight() float64 { return t.weight }
-
 // ClassFor resolves the priority class of a job: the tenant's pinned
 // class when configured, otherwise interactive for single runs and bulk
 // for sweeps.

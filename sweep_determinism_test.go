@@ -60,12 +60,12 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestSweepPublicAPI exercises the root-package re-exports end to end: a
-// Grid-built Sweep through RunSweep, with sections matching standalone
-// RunExperiment runs.
+// TestSweepPublicAPI runs a Grid-built sweep through core.RunSweep and
+// checks that each section's document is byte-identical to a lone
+// core.RunOne run at that configuration.
 func TestSweepPublicAPI(t *testing.T) {
-	sw := Sweep{IDs: []string{"fig1"}, Configs: Grid([]float64{0.2}, []uint64{1, 2})}
-	sr, err := RunSweep(sw, RunConfig{Workers: 2}, nil)
+	sw := core.Sweep{IDs: []string{"fig1"}, Configs: core.Grid([]float64{0.2}, []uint64{1, 2})}
+	sr, err := core.RunSweep(sw, core.RunConfig{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestSweepPublicAPI(t *testing.T) {
 		t.Fatalf("%d sections, want 2", len(sr.Runs))
 	}
 	for _, run := range sr.Runs {
-		alone, err := RunExperiment("fig1", run.Config)
+		alone, err := core.RunOne("fig1", run.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := report.MarshalResults([]*Result{alone}, run.Config)
+		want, err := report.MarshalResults([]*core.Result{alone}, run.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestSweepPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("config %+v: sweep section differs from RunExperiment bytes", run.Config)
+			t.Errorf("config %+v: sweep section differs from RunOne bytes", run.Config)
 		}
 	}
 }

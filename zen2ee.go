@@ -19,16 +19,15 @@
 //	sys.AdvanceMillis(500)
 //	fmt.Printf("%.0f W at %.2f GHz\n", sys.PowerWatts(), sys.CoreGHz(0))
 //
-// The experiment registry exposes every paper artifact:
-//
-//	res, _ := zen2ee.RunExperiment("fig3", zen2ee.DefaultOptions())
-//	fmt.Print(res.Table())
+// The package's Examples walk through the paper's findings with their
+// output pinned (go test -run Example -v .). The paper's tables and figures
+// are regenerated by the zen2ee command (cmd/zen2ee) and served by the
+// zen2eed daemon (cmd/zen2eed).
 package zen2ee
 
 import (
 	"fmt"
 
-	"zen2ee/internal/core"
 	"zen2ee/internal/cstate"
 	"zen2ee/internal/iodie"
 	"zen2ee/internal/machine"
@@ -69,22 +68,6 @@ func WithoutEDCManager() Option {
 	}
 }
 
-// WithoutOfflineAnomaly ablates the §VI-B offline-thread C1 elevation.
-func WithoutOfflineAnomaly() Option {
-	return func(c *machine.Config) { c.CState.OfflineElevatesToC1 = false }
-}
-
-// WithBoost enables Core Performance Boost: the SMU grants clocks above
-// nominal (up to the part's single-core maximum, descending ~30 MHz per
-// active core beyond the first four), still subject to EDC/PPT limits.
-func WithBoost() Option {
-	return func(c *machine.Config) {
-		c.SMU.BoostMHz = float64(c.SoC.BoostMHz)
-		c.SMU.BoostFreeCores = 4
-		c.SMU.BoostSlopeMHz = 30
-	}
-}
-
 // WithIntelSlotGrid switches the DVFS transition timing to the Intel
 // Haswell parameters (500 µs grid, 21–24 µs ramps) for comparison runs.
 func WithIntelSlotGrid() Option {
@@ -104,8 +87,8 @@ func NewSystem(opts ...Option) *System {
 	return &System{m: machine.New(cfg)}
 }
 
-// Machine exposes the underlying machine for advanced use within this
-// module (the cmd/ tools use it).
+// Machine exposes the underlying machine for use within this module (the
+// machine benchmarks drive it directly).
 func (s *System) Machine() *machine.Machine { return s.m }
 
 // NumCPUs returns the number of logical CPUs (hardware threads).
@@ -128,8 +111,9 @@ func (s *System) Run(cpu int, kernel string) error {
 	return s.RunWeighted(cpu, kernel, 0)
 }
 
-// RunWeighted starts a kernel with an operand Hamming weight (0..1), for
-// the data-dependent-power kernels vxorps and shr.
+// RunWeighted starts a kernel with an operand Hamming weight in [0, 1],
+// for the data-dependent-power kernels vxorps and shr. A weight outside
+// [0, 1] or a CPU outside the system is an error.
 func (s *System) RunWeighted(cpu int, kernel string, weight float64) error {
 	k, err := workload.ByName(kernel)
 	if err != nil {
@@ -205,9 +189,6 @@ func (s *System) NowSeconds() float64 { return s.m.Eng.Now().Seconds() }
 // PowerWatts returns the current true AC system power.
 func (s *System) PowerWatts() float64 { return s.m.SystemWatts() }
 
-// EnergyJoules returns the accumulated AC energy.
-func (s *System) EnergyJoules() float64 { return s.m.EnergyJoules(s.m.Eng.Now()) }
-
 // TempC returns the package temperature.
 func (s *System) TempC() float64 { return s.m.TempC() }
 
@@ -246,11 +227,6 @@ func (s *System) RAPLCoreWatts(core int, ms float64) float64 {
 		s.m.Eng.Now().Sub(t0).Seconds()
 }
 
-// WakeLatencyMicros reports the wake-up latency of an idle CPU in µs.
-func (s *System) WakeLatencyMicros(cpu int, remote bool) float64 {
-	return s.m.WakeLatency(soc.ThreadID(cpu), remote).Micros()
-}
-
 // CPUStat is a per-CPU counter snapshot delta.
 type CPUStat struct {
 	GHz float64 // cycles per wall-clock second
@@ -271,11 +247,6 @@ func (s *System) Stat(cpu int, ms float64) CPUStat {
 		st.IPC = (after.Instructions - before.Instructions) / dc
 	}
 	return st
-}
-
-// L3LatencyNs returns the L3 latency a core observes (Fig. 4 model).
-func (s *System) L3LatencyNs(core int) float64 {
-	return s.m.L3LatencyNs(soc.CoreID(core))
 }
 
 // DRAMLatencyNs returns main-memory latency for the current I/O-die and
@@ -337,121 +308,4 @@ func (s *System) StartPattern(cpus []int, spec []PhaseSpec) (stop func(), err er
 	}
 	r := &phases.Runner{M: s.m, Threads: threads, Phases: ph}
 	return r.Start()
-}
-
-// --- Experiment registry pass-through ---
-
-// Options re-exports the experiment effort options. Options.Validate
-// rejects the values Options.Normalize would silently coerce (non-positive
-// or non-finite scales); API boundaries should validate, internal consumers
-// normalize.
-type Options = core.Options
-
-// Result re-exports the experiment result type.
-type Result = core.Result
-
-// Experiment re-exports the registered experiment descriptor. Every
-// experiment is a Plan: its independent units of work — fig7's sweep
-// series, fig8's wake-latency matrix cells, the tab1/fig4 frequency grids —
-// are shards the scheduler fans across its worker pool. Experiments that
-// run as one indivisible simulation are one-shard plans.
-type Experiment = core.Experiment
-
-// Shard re-exports one independent unit of work within a sharded
-// experiment. Shard seeds are derived from the experiment seed and the
-// shard index (sim.DeriveSeed), so results are invariant to worker count
-// and shard interleaving.
-type Shard = core.Shard
-
-// Reduce re-exports the deterministic combiner of a sharded experiment: it
-// sees shard outputs in plan order regardless of completion order.
-type Reduce = core.Reduce
-
-// RunConfig re-exports the scheduler execution config: a worker count, an
-// optional external slot gate (Acquire) that every shard executing in this
-// process holds — services embedding the scheduler use it to share one
-// executor pool across concurrent runs — and an optional dispatch hook
-// (RunShard) whose shards hold a slot only when they run here.
-type RunConfig = core.RunConfig
-
-// DefaultOptions returns Scale 1, Seed 1.
-func DefaultOptions() Options { return core.DefaultOptions() }
-
-// Experiments lists every registered paper artifact in paper order.
-func Experiments() []Experiment { return core.Registry() }
-
-// RunExperiment executes one paper artifact by ID (e.g. "fig3", "tab1") on
-// one worker, with the same derived per-experiment seed a full run uses, so
-// a lone rerun reproduces that experiment's section of the full suite. For
-// many experiments or many configurations, run a Sweep.
-func RunExperiment(id string, o Options) (*Result, error) {
-	return core.RunOne(id, o)
-}
-
-// Progress re-exports the scheduler's event type. Two kinds of event share
-// it: shard events (Shard in 1..Shards) as a sharded experiment's units of
-// work complete, and experiment-completion events (Shard == 0, i.e.
-// ExperimentDone() true) — the events pre-shard consumers were built on.
-// Done/Total always count experiments, never shards.
-type Progress = core.Progress
-
-// --- Sweeps: the batched (Scale, Seed) configuration grid ---
-
-// Config re-exports one point of a sweep grid — a (Scale, Seed) pair. It
-// is the same value type as Options under a name that reads as a grid
-// point.
-type Config = core.Config
-
-// Sweep re-exports the batched run request: one experiment set (empty IDs
-// = the full registry) evaluated at every listed configuration.
-type Sweep = core.Sweep
-
-// ConfigResult re-exports one configuration's section of a sweep outcome.
-type ConfigResult = core.ConfigResult
-
-// SweepResult re-exports the reduction of a sweep: per-configuration
-// result sets in request order, each identical to the standalone
-// single-configuration run of that configuration.
-type SweepResult = core.SweepResult
-
-// Grid expands the Scales × Seeds cross-product into sweep configurations
-// (scales outermost); an empty axis defaults to the single default value.
-func Grid(scales []float64, seeds []uint64) []Config { return core.Grid(scales, seeds) }
-
-// RunSweep executes a batched sweep: every (configuration, experiment,
-// shard) triple is an independent unit fanned across one worker pool, so
-// a multi-configuration sensitivity study saturates the same pool a
-// single heavy run does instead of serializing configuration by
-// configuration. Batching never changes results — each per-configuration
-// section is byte-identical (through the canonical JSON document) to the
-// standalone single-configuration run — but it shares work: a seed-free
-// experiment runs once per scale, whatever the number of seeds. Failures are partial, like the
-// other schedulers: surviving sections come back alongside one joined
-// error. This is the entry point the zen2eed daemon serves POST
-// /v1/sweeps through.
-func RunSweep(sw Sweep, cfg RunConfig, progress func(Progress)) (*SweepResult, error) {
-	return core.RunSweep(sw, cfg, progress)
-}
-
-// ReduceConfig re-exports the streaming sweep's per-configuration
-// callback: i is the configuration's index in the request, cr its results
-// in paper order, err the joined failure of its experiments.
-type ReduceConfig = core.ReduceConfig
-
-// RunSweepStream executes a sweep exactly as RunSweep does but hands each
-// configuration's section to onConfig once it and every earlier
-// configuration have finished, and releases the scheduler's buffers for
-// it, so memory is proportional to the configurations in flight, not the
-// sweep size. onConfig is invoked exactly once per configuration, in
-// request order, serialized, on a scheduler worker goroutine — keep it
-// cheap or hand off. RunSweep is a collector over this entry point.
-func RunSweepStream(sw Sweep, cfg RunConfig, onConfig ReduceConfig, progress func(Progress)) error {
-	return core.RunSweepStream(sw, cfg, onConfig, progress)
-}
-
-// CanonicalExperimentIDs resolves a requested experiment-ID set to the
-// canonical form run documents carry: paper-order IDs for a proper subset
-// of the registry, nil when the request covers the full registry.
-func CanonicalExperimentIDs(ids []string) ([]string, error) {
-	return core.CanonicalIDs(ids)
 }

@@ -3,6 +3,10 @@ package zen2ee
 import (
 	"math"
 	"testing"
+
+	"zen2ee/internal/core"
+	"zen2ee/internal/machine"
+	"zen2ee/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -48,6 +52,39 @@ func TestUnknownKernelAndSetting(t *testing.T) {
 	}
 	if err := sys.SetDRAMClockMHz(0); err == nil {
 		t.Fatal("zero DRAM clock accepted")
+	}
+}
+
+// TestOutOfRangeCPUs: every error-returning mutator answers a CPU outside
+// the topology with an error, not an index panic, and an operand weight
+// outside [0, 1] is an error too.
+func TestOutOfRangeCPUs(t *testing.T) {
+	sys := NewSystem()
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Run(-1)", func() error { return sys.Run(-1, "busywait") }},
+		{"Run(128)", func() error { return sys.Run(128, "busywait") }},
+		{"RunWeighted(1000)", func() error { return sys.RunWeighted(1000, "vxorps", 0.5) }},
+		{"SetFrequencyMHz(200)", func() error { return sys.SetFrequencyMHz(200, 2500) }},
+		{"SetFrequencyMHz(-1)", func() error { return sys.SetFrequencyMHz(-1, 2500) }},
+		{"SetOnline(500)", func() error { return sys.SetOnline(500, false) }},
+		{"SetOnline(-2)", func() error { return sys.SetOnline(-2, true) }},
+		{"SetCStateEnabled(128)", func() error { return sys.SetCStateEnabled(128, 2, false) }},
+		{"SetCStateEnabled(-1)", func() error { return sys.SetCStateEnabled(-1, 2, true) }},
+		{"RunWeighted(weight 2)", func() error { return sys.RunWeighted(0, "vxorps", 2) }},
+		{"RunWeighted(weight -1)", func() error { return sys.RunWeighted(0, "vxorps", -1) }},
+		{"RunWeighted(weight NaN)", func() error { return sys.RunWeighted(0, "vxorps", math.NaN()) }},
+		{"RunWeighted(weight +Inf)", func() error { return sys.RunWeighted(0, "vxorps", math.Inf(1)) }},
+	} {
+		if err := c.call(); err == nil {
+			t.Errorf("%s: no error", c.name)
+		}
+	}
+	sys.AdvanceMillis(20)
+	if p := sys.PowerWatts(); math.Abs(p-99.1) > 0.1 {
+		t.Fatalf("rejected calls moved idle power to %v W", p)
 	}
 }
 
@@ -110,12 +147,16 @@ func TestAblationOptions(t *testing.T) {
 	}
 
 	// No offline anomaly: offlining keeps deep sleep.
-	sys3 := NewSystem(WithoutOfflineAnomaly())
-	sys3.AdvanceMillis(20)
-	floor := sys3.PowerWatts()
-	sys3.SetOnline(64, false)
-	sys3.AdvanceMillis(20)
-	if p := sys3.PowerWatts(); math.Abs(p-floor) > 0.01 {
+	cfg := machine.DefaultConfig()
+	cfg.CState.OfflineElevatesToC1 = false
+	m := machine.New(cfg)
+	m.Eng.RunFor(20 * sim.Millisecond)
+	floor := m.SystemWatts()
+	if err := m.SetOnline(64, false); err != nil {
+		t.Fatal(err)
+	}
+	m.Eng.RunFor(20 * sim.Millisecond)
+	if p := m.SystemWatts(); math.Abs(p-floor) > 0.01 {
 		t.Fatalf("ablated anomaly still raises power: %v vs %v", p, floor)
 	}
 }
@@ -124,25 +165,25 @@ func TestWakeLatencyAPI(t *testing.T) {
 	sys := NewSystem()
 	sys.SetAllFrequenciesMHz(2500)
 	sys.AdvanceMillis(20)
-	us := sys.WakeLatencyMicros(5, false)
+	us := sys.Machine().WakeLatency(5, false).Micros()
 	if us < 20 || us > 25 {
 		t.Fatalf("C2 wake %v µs", us)
 	}
 }
 
 func TestExperimentRegistryAPI(t *testing.T) {
-	exps := Experiments()
+	exps := core.Registry()
 	if len(exps) != 19 {
 		t.Fatalf("%d experiments", len(exps))
 	}
-	r, err := RunExperiment("sec6acpi", DefaultOptions())
+	r, err := core.RunOne("sec6acpi", core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.ID != "sec6acpi" || r.Table() == "" {
 		t.Fatal("bad result")
 	}
-	if _, err := RunExperiment("nope", DefaultOptions()); err == nil {
+	if _, err := core.RunOne("nope", core.DefaultOptions()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
