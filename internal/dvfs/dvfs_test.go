@@ -420,10 +420,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestValidatePStateEncoding pins the register-encoding checks: each
+// The next three tests pin the register-encoding checks of Validate: each
 // P-state's frequency needs a frequency ID (25 MHz steps, at most 255) and
 // its voltage an SVI2 voltage ID in 0..255.
-func TestValidatePStateEncoding(t *testing.T) {
+
+func TestValidateFrequencyEncoding(t *testing.T) {
+	for _, mhz := range []int{25, 400, 1500, 2200, 2500, 3350, 6375} {
+		cfg := DefaultConfig()
+		cfg.PStates = []PState{{mhz, 1.0}}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%d MHz: %v", mhz, err)
+		}
+	}
+}
+
+func TestValidateFrequencyEncodingRejects(t *testing.T) {
 	for _, p := range []PState{
 		{2510, 1.0}, {0, 1.0}, {-100, 1.0}, {6400, 1.0},
 		{2500, 9.9}, {2500, -1}, {2500, 1.56}, {2500, math.NaN()},
@@ -434,14 +445,11 @@ func TestValidatePStateEncoding(t *testing.T) {
 			t.Errorf("P-state %+v validated", p)
 		}
 	}
-	for _, mhz := range []int{25, 400, 1500, 2200, 2500, 3350, 6375} {
-		cfg := DefaultConfig()
-		cfg.PStates = []PState{{mhz, 1.0}}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%d MHz: %v", mhz, err)
-		}
-	}
-	// The paper's table, and the EPYC 7742 table of the throttling extension.
+}
+
+// TestValidatePaperPStateTable checks that the paper's table, and the EPYC
+// 7742 table of the throttling extension, encode.
+func TestValidatePaperPStateTable(t *testing.T) {
 	for _, table := range [][]PState{
 		DefaultConfig().PStates,
 		{{2250, 1.05}, {1800, 0.95}, {1500, 0.90}},
