@@ -14,9 +14,11 @@
 // With -tenant-config the daemon enforces multi-tenant governance: job
 // submissions authenticate with API keys (Authorization: Bearer or
 // X-API-Key), each tenant carries token-bucket rate limits, inflight and
-// queue quotas, an optional circuit breaker, and a weighted fair share of
-// the executor slots; interactive jobs preempt bulk sweeps between
-// shards. GET /v1/tenants lists live per-tenant usage.
+// queue quotas, and a weighted fair share of the executor slots;
+// interactive jobs preempt bulk sweeps between shards. GET /v1/tenants
+// lists live per-tenant usage. A failed job answers for its spec, as a
+// done one does, until the job table evicts it: failures are as
+// deterministic as results, so resubmitting a failing spec runs nothing.
 //
 // With -store-dir computed results are also written through to a
 // content-addressed directory of files: entries evicted from the in-memory

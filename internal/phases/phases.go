@@ -55,6 +55,12 @@ func (r *Runner) Validate() error {
 	if r.M == nil || len(r.Threads) == 0 || len(r.Phases) == 0 {
 		return fmt.Errorf("phases: runner needs a machine, threads and phases")
 	}
+	// enterPhase indexes the machine's per-thread state with each thread.
+	for _, t := range r.Threads {
+		if t < 0 || int(t) >= r.M.Top.NumThreads() {
+			return fmt.Errorf("phases: cpu%d out of range [0, %d)", t, r.M.Top.NumThreads())
+		}
+	}
 	for i, p := range r.Phases {
 		if p.Duration <= 0 {
 			return fmt.Errorf("phases: phase %d has non-positive duration", i)

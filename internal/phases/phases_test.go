@@ -111,6 +111,9 @@ func TestValidate(t *testing.T) {
 		{M: m},
 		{M: m, Threads: threads(m, 1)},
 		{M: m, Threads: threads(m, 1), Phases: []Phase{{Duration: 0}}},
+		// A thread outside the topology would panic in enterPhase.
+		{M: m, Threads: []soc.ThreadID{soc.ThreadID(m.Top.NumThreads())}, Phases: SquareWave(workload.Pause, 1, 1)},
+		{M: m, Threads: []soc.ThreadID{0, -1}, Phases: SquareWave(workload.Pause, 1, 1)},
 	}
 	// enterPhase discards StartKernel's errors, so Validate must reject
 	// the weights StartKernel would.

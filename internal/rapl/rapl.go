@@ -31,6 +31,7 @@
 package rapl
 
 import (
+	"fmt"
 	"math"
 
 	"zen2ee/internal/msr"
@@ -187,9 +188,30 @@ func (m *Model) catchUp(d *domain) {
 	d.pos = m.log.End()
 }
 
-// coreDom and pkgDom index doms.
-func (m *Model) coreDom(core soc.CoreID) int  { return int(core) }
-func (m *Model) pkgDom(pkg soc.PackageID) int { return len(m.top.Cores) + int(pkg) }
+// coreDom and pkgDom index doms. The core domains precede the package
+// domains in one slice, so an index outside the topology would read its
+// neighbour's domain: it panics instead.
+func (m *Model) coreDom(core soc.CoreID) int {
+	if uint(core) >= uint(len(m.top.Cores)) {
+		outOfRange("core", int(core), len(m.top.Cores))
+	}
+	return int(core)
+}
+
+func (m *Model) pkgDom(pkg soc.PackageID) int {
+	if uint(pkg) >= uint(len(m.top.Packages)) {
+		outOfRange("package", int(pkg), len(m.top.Packages))
+	}
+	return len(m.top.Cores) + int(pkg)
+}
+
+// outOfRange panics naming index i of a domain kind. It stays out of line
+// so that coreDom inlines into the core-domain reads.
+//
+//go:noinline
+func outOfRange(kind string, i, n int) {
+	panic(fmt.Sprintf("rapl: %s %d out of range [0, %d)", kind, i, n))
+}
 
 // follows reports whether domain i is a core domain following another's.
 func (m *Model) follows(i int) bool { return i < len(m.top.Cores) && m.classes.Follows(i) }
@@ -380,12 +402,14 @@ func (m *Model) trueJoules(i int) float64 {
 	return d.energy
 }
 
-// CoreEnergyJoules returns the quantized core-domain energy.
+// CoreEnergyJoules returns the quantized core-domain energy. A core
+// outside the topology panics.
 func (m *Model) CoreEnergyJoules(core soc.CoreID) float64 {
 	return m.readJoules(m.coreDom(core))
 }
 
-// PackageEnergyJoules returns the quantized package-domain energy.
+// PackageEnergyJoules returns the quantized package-domain energy. A
+// package outside the topology panics.
 func (m *Model) PackageEnergyJoules(pkg soc.PackageID) float64 {
 	return m.readJoules(m.pkgDom(pkg))
 }

@@ -321,3 +321,31 @@ func checkEagerFolding(t *testing.T, classes bool) {
 		check("true energy", i, ref[i].ei.Energy(eng.Now()), m.trueJoules(i))
 	}
 }
+
+// TestDomainIndexOutOfRangePanics: a core or package outside the topology
+// panics with a message naming it. The domains share one slice, so
+// unchecked, core 64 would read package 0's domain and package -1 core
+// 63's.
+func TestDomainIndexOutOfRangePanics(t *testing.T) {
+	_, top, _, m := newModel(0)
+	for _, c := range []struct {
+		name, want string
+		read       func()
+	}{
+		{"CoreEnergyJoules(64)", "rapl: core 64 out of range [0, 64)", func() { m.CoreEnergyJoules(soc.CoreID(top.NumCores())) }},
+		{"CoreEnergyJoules(-1)", "rapl: core -1 out of range [0, 64)", func() { m.CoreEnergyJoules(-1) }},
+		{"CorePowerWatts(64)", "rapl: core 64 out of range [0, 64)", func() { m.CorePowerWatts(64) }},
+		{"PackageEnergyJoules(2)", "rapl: package 2 out of range [0, 2)", func() { m.PackageEnergyJoules(2) }},
+		{"PackageEnergyJoules(-1)", "rapl: package -1 out of range [0, 2)", func() { m.PackageEnergyJoules(-1) }},
+		{"SetPackagePower(2)", "rapl: package 2 out of range [0, 2)", func() { m.SetPackagePower(2, 1) }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s panicked with %v, want %q", c.name, got, c.want)
+				}
+			}()
+			c.read()
+		}()
+	}
+}

@@ -200,7 +200,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	}
 	if g.tenancy {
 		counter("zen2eed_auth_rejections_total", "Submissions rejected for a missing or unknown API key.", m.authRejects)
-		counter("zen2eed_tenant_rejections_total", "Submissions rejected by tenant admission (rate limit, quota, or circuit breaker).", m.tenantRejects)
+		counter("zen2eed_tenant_rejections_total", "Submissions rejected by tenant admission (rate limit or quota).", m.tenantRejects)
 		labeledGauge := func(name, help string, value func(tenant.Usage) float64) {
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
 			for _, u := range g.tenants {
@@ -223,18 +223,11 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		// byte-stable across scrapes even while counts are zero.
 		fmt.Fprintf(w, "# HELP zen2eed_tenant_rejected_total Tenant submissions rejected at admission, by reason.\n# TYPE zen2eed_tenant_rejected_total counter\n")
 		for _, u := range g.tenants {
-			for _, reason := range []string{"breaker", "quota", "rate"} {
+			for _, reason := range []string{"quota", "rate"} {
 				fmt.Fprintf(w, "zen2eed_tenant_rejected_total{tenant=%q,reason=%q} %d\n",
 					u.Name, reason, u.Rejected[reason])
 			}
 		}
-		labeledGauge("zen2eed_tenant_breaker_open", "1 while a tenant's circuit breaker is shedding load.",
-			func(u tenant.Usage) float64 {
-				if u.BreakerState == "open" {
-					return 1
-				}
-				return 0
-			})
 	}
 
 	histogram("zen2eed_shard_run_seconds", "Execution wall time of individual shard tasks.")

@@ -370,18 +370,21 @@ func decodeSpec(w http.ResponseWriter, r *http.Request, into any, label string, 
 
 // admit is the shared admission path for run and sweep submissions:
 // singleflight onto an identical live or finished job, materialization
-// from the content-addressed store, tenant admission (rate, quota,
-// breaker), then the bounded queue. build constructs the job only when
-// one is actually needed. Tenant checks run after the dedup and cache
-// probes deliberately — a request another tenant's identical job already
-// answers adds no load, so rejecting it would only punish cache locality;
-// what quotas and rates govern is admission to the run queue.
+// from the content-addressed store, tenant admission (rate, quota), then
+// the bounded queue. A failed job answers for its spec until it is
+// evicted, as a done job does: every failure is a function of the spec
+// (DESIGN.md "Job failures"), so running it again would fail again.
+// build constructs the job only when one is actually needed. Tenant
+// checks run after the dedup and cache probes deliberately — a request
+// another tenant's identical job already answers adds no load, so
+// rejecting it would only punish cache locality; what quotas and rates
+// govern is admission to the run queue.
 func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn *tenant.Tenant, class tenant.Class) {
 	s.mu.Lock()
-	if j, ok := s.jobs[key]; ok && j.currentState() != StateFailed && !s.evicted(j) {
+	if j, ok := s.jobs[key]; ok && !s.evicted(j) {
 		// Singleflight: an identical job already exists. A finished job is
 		// a cache hit; a live one absorbs this request without a new run.
-		if j.currentState() == StateDone {
+		if j.currentState().terminal() {
 			s.metrics.add(&s.metrics.cacheHits, 1)
 		} else {
 			s.metrics.add(&s.metrics.jobsDeduped, 1)
@@ -415,10 +418,6 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 	j := build()
 	j.owner, j.class = tn, class
 	if !s.queue.push(j) {
-		// The admission never becomes a queued job, so no JobFinished will
-		// ever resolve it — return it (and any half-open breaker probe it
-		// consumed) to the tenant.
-		tn.CancelAdmit()
 		s.mu.Unlock()
 		s.metrics.add(&s.metrics.queueRejects, 1)
 		writeError(w, http.StatusServiceUnavailable,
@@ -455,9 +454,9 @@ func (s *Server) liveLocked(e orderEntry) (*job, bool) {
 }
 
 // insertLocked records a job as the youngest in the eviction order and
-// evicts the oldest finished jobs beyond JobHistory. A retry of a failed
-// spec reuses the content address; the new job's stamp leaves the old
-// job's entry stale. Callers hold s.mu.
+// evicts the oldest finished jobs beyond JobHistory. A rerun of a done
+// job whose sections were evicted reuses the content address; the new
+// job's stamp leaves the old job's entry stale. Callers hold s.mu.
 func (s *Server) insertLocked(j *job) {
 	s.jobs[j.id] = j
 	s.touchLocked(j)
@@ -750,9 +749,7 @@ func (s *Server) executor() {
 			s.log.Info("job started", "job", shortID(j.id), "kind", j.kind, "tenant", j.owner.Name())
 			s.execute(j)
 			s.metrics.addRunning(-1)
-			// The owner's breaker sees every terminal outcome, including
-			// completions served from another executor's cache entry.
-			j.owner.JobFinished(j.currentState() == StateFailed)
+			j.owner.JobFinished()
 		}
 	}
 }

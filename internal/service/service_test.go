@@ -584,7 +584,7 @@ func TestResultBeforeDone(t *testing.T) {
 
 func TestFailedJobsRetryAndReportViaSSE(t *testing.T) {
 	var calls atomic.Int32
-	cfg := Config{SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
+	cfg := Config{JobHistory: 1, SweepRunner: perConfig(func(ids []string, o core.Options, rc core.RunConfig, progress func(core.Progress)) ([]*core.Result, error) {
 		if calls.Add(1) == 1 {
 			return nil, fmt.Errorf("synthetic backend failure")
 		}
@@ -611,18 +611,36 @@ func TestFailedJobsRetryAndReportViaSSE(t *testing.T) {
 		t.Fatalf("SSE replay of failed job: %v", events)
 	}
 
-	// A failed spec is not pinned: resubmitting runs again and succeeds.
+	// A failed job answers for its spec, as a done one does: resubmitting
+	// serves the failure without running anything.
+	again, code := postJob(t, ts, `{"ids":["fig1"]}`)
+	if code != http.StatusOK || again.ID != st.ID || again.State != StateFailed || again.Error != final.Error {
+		t.Fatalf("resubmit of the failed spec: %d %+v, want 200 with the failed status", code, again)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("runner called %d times, want 1", calls.Load())
+	}
+
+	// Another job evicts the failed one from the one-entry job table;
+	// after that the spec runs again, and succeeds.
+	other, _ := postJob(t, ts, `{"ids":["fig1"],"scale":0.5}`)
+	if final := waitState(t, ts, other.ID); final.State != StateDone {
+		t.Fatalf("other job: %+v", final)
+	}
+	if _, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID); code != http.StatusNotFound {
+		t.Fatalf("failed job status after eviction: got %d, want 404", code)
+	}
 	st2, code := postJob(t, ts, `{"ids":["fig1"]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("resubmit after failure: got %d, want 202", code)
+	if code != http.StatusAccepted || st2.ID != st.ID {
+		t.Fatalf("resubmit after eviction: got %d (id %s), want 202 for %s", code, st2.ID, st.ID)
 	}
 	if final := waitState(t, ts, st2.ID); final.State != StateDone {
-		t.Fatalf("retry: %+v", final)
+		t.Fatalf("rerun: %+v", final)
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("runner called %d times, want 2", calls.Load())
+	if calls.Load() != 3 {
+		t.Fatalf("runner called %d times, want 3", calls.Load())
 	}
-	// The retry reuses the content address; the eviction order must hold
+	// The rerun reuses the content address; the eviction order must hold
 	// one live entry for the id, or the job would be listed or evicted
 	// twice.
 	srv.mu.Lock()

@@ -37,7 +37,7 @@ func (s *Server) authenticate(w http.ResponseWriter, r *http.Request) *tenant.Te
 	return tn
 }
 
-// writeRejection renders a tenant admission rejection: 429 or 503 with a
+// writeRejection renders a tenant admission rejection: 429 with a
 // Retry-After hint in whole seconds (rounded up — "0" would invite an
 // immediate retry of a request just rejected for rate).
 func writeRejection(w http.ResponseWriter, rej *tenant.Rejection) {
@@ -48,7 +48,7 @@ func writeRejection(w http.ResponseWriter, rej *tenant.Rejection) {
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeError(w, rej.Status, "%s", rej.Message)
+	writeError(w, http.StatusTooManyRequests, "%s", rej.Message)
 }
 
 // handleTenants lists every configured tenant's policy and live usage.

@@ -2,7 +2,7 @@
 // endpoints, admission rejections with Retry-After, the /v1/tenants
 // listing, gated tenant metric series, and — the acceptance test for the
 // weighted-fair gate — a bulk sweep that must not starve another tenant's
-// interactive job. The policy mechanisms themselves (buckets, breakers,
+// interactive job. The policy mechanisms themselves (buckets, quotas,
 // stride scheduling) are unit-tested in internal/tenant; these tests pin
 // the HTTP seams.
 

@@ -1,23 +1,24 @@
 // Package tenant is the daemon's multi-tenant governance layer: API-key
 // authentication, per-tenant token-bucket rate limits, inflight/queue
-// quotas, priority classes, a per-tenant circuit breaker, and a
-// weighted-fair executor-slot gate. It is pure policy — the package owns
-// no HTTP routes and runs no goroutines; the service layer asks it
-// questions (Authenticate, Admit, Acquire) and reports outcomes back
-// (JobQueued/JobStarted/JobFinished, or CancelAdmit when an admitted
-// submission never reaches the queue).
+// quotas, priority classes, and a weighted-fair executor-slot gate. It is
+// pure policy — the package owns no HTTP routes and runs no goroutines;
+// the service layer asks it questions (Authenticate, Admit, Acquire) and
+// reports a job's progress back (JobQueued/JobStarted/JobFinished).
 //
 // The zero configuration is deliberately invisible: a daemon started
 // without -tenant-config runs with a single anonymous tenant that has no
-// limits, no breaker, and weight 1 — byte-for-byte the pre-tenancy
-// behavior, including the /metrics document (tenant series are emitted
-// only when tenancy is enabled).
+// limits and weight 1 — byte-for-byte the pre-tenancy behavior,
+// including the /metrics document (tenant series are emitted only when
+// tenancy is enabled).
 //
-// The shape follows the governance/circuitbreaker exemplars cited in the
-// ROADMAP: virtual keys resolve to tenants carrying usage counters and
-// hierarchical limits, admission rejections are cheap and attributed, and
-// overload protection (the breaker) is per-tenant so one failing workload
-// cannot poison the fleet's error budget.
+// The shape follows the governance exemplars cited in the ROADMAP:
+// virtual keys resolve to tenants carrying usage counters and
+// hierarchical limits, and admission rejections are cheap and
+// attributed. Failing work needs no policy of its own: every job outcome
+// is a function of its spec, so the daemon answers a failed spec from its
+// failed job, as it answers a finished one, and a tenant cannot re-run a
+// failing spec by resubmitting it. Rate limits and quotas bound a
+// tenant's run-queue admissions whatever their outcome.
 package tenant
 
 import (
@@ -97,8 +98,6 @@ type Policy struct {
 	// either rejects the submission with 429.
 	MaxInflight int `json:"max_inflight,omitempty"`
 	MaxQueued   int `json:"max_queued,omitempty"`
-	// Breaker configures the per-tenant circuit breaker; nil disables it.
-	Breaker *BreakerPolicy `json:"breaker,omitempty"`
 }
 
 // Config is the -tenant-config file shape.
@@ -121,8 +120,7 @@ type Tenant struct {
 	weight      float64
 	maxInflight int
 	maxQueued   int
-	bucket      *Bucket  // nil = unlimited
-	breaker     *Breaker // nil = disabled
+	bucket      *Bucket // nil = unlimited
 
 	mu       sync.Mutex
 	queued   int
@@ -130,12 +128,6 @@ type Tenant struct {
 	pass     float64 // weighted-fair-queueing virtual time (owned by Gate)
 	admitted uint64
 	rejected map[string]uint64 // reason → count
-	// probeHeld marks an admission that consumed the breaker's half-open
-	// probe but has not yet become a queued job. While it is set no other
-	// submission can pass the breaker (the single-probe rule), so at most
-	// one admission holds it; JobQueued consumes it (the probe resolves
-	// through JobFinished → Record) and CancelAdmit returns it.
-	probeHeld bool
 }
 
 // Name reports the tenant's configured name.
@@ -154,12 +146,10 @@ func (t *Tenant) ClassFor(sweep bool) Class {
 	return ClassInteractive
 }
 
-// Rejection describes a refused submission: the HTTP status to return and
-// the Retry-After hint.
+// Rejection describes a refused submission, which the daemon answers with
+// 429: its reason and the Retry-After hint.
 type Rejection struct {
-	// Status is 429 (rate/quota) or 503 (breaker open).
-	Status int
-	// Reason is the metrics label: "rate", "quota", or "breaker".
+	// Reason is the metrics label: "rate" or "quota".
 	Reason string
 	// RetryAfter is the client hint; zero means "retry at will" (quota
 	// rejections clear when a job finishes, which has no schedule).
@@ -169,33 +159,15 @@ type Rejection struct {
 }
 
 // Admit runs the tenant's admission checks for one submission, in order:
-// circuit breaker (a tripped tenant sheds load before consuming tokens),
 // rate limit, then the inflight/queue quotas. A nil return admits the
-// request; the caller must then resolve every admission exactly once —
-// JobQueued (and the eventual JobFinished) when the job enters the
-// queue, CancelAdmit when it is dropped after admission (a full daemon
-// queue). A rejection by a check downstream of the breaker returns the
-// breaker's half-open probe itself, so a rate-limited probe does not
-// leave the tenant shed forever.
+// request; the caller reports JobQueued (and later JobStarted and
+// JobFinished) once the job enters the queue.
 func (t *Tenant) Admit() *Rejection {
-	var probe bool
-	if t.breaker != nil {
-		ok, p, retry := t.breaker.Allow()
-		if !ok {
-			t.countReject("breaker")
-			return &Rejection{
-				Status: http.StatusServiceUnavailable, Reason: "breaker", RetryAfter: retry,
-				Message: fmt.Sprintf("tenant %q circuit breaker open (recent failure rate too high); retry after %s", t.name, retry.Round(time.Millisecond)),
-			}
-		}
-		probe = p
-	}
 	if t.bucket != nil {
 		if ok, retry := t.bucket.Take(); !ok {
-			t.returnProbe(probe)
 			t.countReject("rate")
 			return &Rejection{
-				Status: http.StatusTooManyRequests, Reason: "rate", RetryAfter: retry,
+				Reason: "rate", RetryAfter: retry,
 				Message: fmt.Sprintf("tenant %q rate limit exceeded; retry after %s", t.name, retry.Round(time.Millisecond)),
 			}
 		}
@@ -204,47 +176,24 @@ func (t *Tenant) Admit() *Rejection {
 	if t.maxQueued > 0 && t.queued >= t.maxQueued {
 		q := t.queued
 		t.mu.Unlock()
-		t.returnProbe(probe)
 		t.countReject("quota")
 		return &Rejection{
-			Status: http.StatusTooManyRequests, Reason: "quota", RetryAfter: time.Second,
+			Reason: "quota", RetryAfter: time.Second,
 			Message: fmt.Sprintf("tenant %q has %d jobs queued (max_queued %d)", t.name, q, t.maxQueued),
 		}
 	}
 	if t.maxInflight > 0 && t.queued+t.running >= t.maxInflight {
 		n := t.queued + t.running
 		t.mu.Unlock()
-		t.returnProbe(probe)
 		t.countReject("quota")
 		return &Rejection{
-			Status: http.StatusTooManyRequests, Reason: "quota", RetryAfter: time.Second,
+			Reason: "quota", RetryAfter: time.Second,
 			Message: fmt.Sprintf("tenant %q has %d jobs inflight (max_inflight %d)", t.name, n, t.maxInflight),
 		}
 	}
 	t.admitted++
-	t.probeHeld = probe
 	t.mu.Unlock()
 	return nil
-}
-
-// returnProbe hands an unconsumed half-open probe back to the breaker.
-func (t *Tenant) returnProbe(probe bool) {
-	if probe && t.breaker != nil {
-		t.breaker.CancelProbe()
-	}
-}
-
-// CancelAdmit rolls back an admission that never became a queued job —
-// the daemon's queue was full after Admit passed. Its one material
-// effect is returning an unconsumed breaker probe: no job will ever
-// Record the probe's outcome, and without the return the breaker stays
-// half-open-with-probe-in-flight and sheds the tenant until restart.
-func (t *Tenant) CancelAdmit() {
-	t.mu.Lock()
-	probe := t.probeHeld
-	t.probeHeld = false
-	t.mu.Unlock()
-	t.returnProbe(probe)
 }
 
 func (t *Tenant) countReject(reason string) {
@@ -253,13 +202,10 @@ func (t *Tenant) countReject(reason string) {
 	t.mu.Unlock()
 }
 
-// JobQueued records a job accepted onto the daemon queue. It also
-// consumes a held breaker probe: from here the probe's outcome arrives
-// through the job's JobFinished → Record.
+// JobQueued records a job accepted onto the daemon queue.
 func (t *Tenant) JobQueued() {
 	t.mu.Lock()
 	t.queued++
-	t.probeHeld = false
 	t.mu.Unlock()
 }
 
@@ -271,15 +217,11 @@ func (t *Tenant) JobStarted() {
 	t.mu.Unlock()
 }
 
-// JobFinished records a running job's terminal state and feeds the
-// circuit breaker.
-func (t *Tenant) JobFinished(failed bool) {
+// JobFinished records a running job reaching a terminal state.
+func (t *Tenant) JobFinished() {
 	t.mu.Lock()
 	t.running--
 	t.mu.Unlock()
-	if t.breaker != nil {
-		t.breaker.Record(!failed)
-	}
 }
 
 // Usage is a tenant's live accounting snapshot, served by GET /v1/tenants
@@ -294,11 +236,8 @@ type Usage struct {
 	Queued      int     `json:"queued"`
 	Running     int     `json:"running"`
 	Admitted    uint64  `json:"admitted_total"`
-	// Rejected counts refusals by reason ("rate", "quota", "breaker").
+	// Rejected counts refusals by reason ("rate", "quota").
 	Rejected map[string]uint64 `json:"rejected_total,omitempty"`
-	// BreakerState is "closed", "open", or "half-open"; empty when the
-	// tenant has no breaker.
-	BreakerState string `json:"breaker_state,omitempty"`
 }
 
 // Usage snapshots the tenant.
@@ -322,14 +261,10 @@ func (t *Tenant) Usage() Usage {
 			u.Rejected[k] = v
 		}
 	}
-	if t.breaker != nil {
-		u.BreakerState = t.breaker.State()
-	}
 	return u
 }
 
-// Unlimited builds a standalone tenant with no limits, no breaker, and
-// weight 1 — the implicit principal of a daemon running without a tenant
+// Unlimited builds a standalone tenant with no limits and weight 1 — the implicit principal of a daemon running without a tenant
 // configuration, whose behavior must match the pre-tenancy daemon.
 func Unlimited(name string) *Tenant {
 	t, err := newTenant(Policy{Name: name})
@@ -378,12 +313,6 @@ func newTenant(p Policy) (*Tenant, error) {
 			}
 		}
 		t.bucket = NewBucket(p.RateRPS, burst)
-	}
-	if p.Breaker != nil {
-		t.breaker, err = NewBreaker(*p.Breaker)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %q: %w", p.Name, err)
-		}
 	}
 	return t, nil
 }

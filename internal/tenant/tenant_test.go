@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -79,14 +80,6 @@ func TestConfigValidation(t *testing.T) {
 		{Tenants: []Policy{{Name: "a", Key: "k", Class: "urgent"}}},
 		{Tenants: []Policy{{Name: "a", Key: "k", Weight: -1}}},
 		{Anonymous: &Policy{Name: "x", Key: "boom"}},
-		{Tenants: []Policy{{Name: "a", Key: "k", Breaker: &BreakerPolicy{FailureRatio: 1.5}}}},
-		// A window past the bound would allocate its ring (4e12 slots
-		// is out of memory); a cooldown past time.Duration would wrap
-		// negative and open the breaker at once.
-		{Anonymous: &Policy{Breaker: &BreakerPolicy{Window: maxBreakerWindow + 1, MinSamples: 1, FailureRatio: 0.5}}},
-		{Anonymous: &Policy{Breaker: &BreakerPolicy{Window: 4000000000000, MinSamples: 1, FailureRatio: 0.5}}},
-		{Anonymous: &Policy{Breaker: &BreakerPolicy{FailureRatio: 0.5, CooldownSeconds: 1e300}}},
-		{Anonymous: &Policy{Breaker: &BreakerPolicy{FailureRatio: 0.5, CooldownSeconds: 9.3e9}}},
 		// A subnormal rate would make the bucket's wait overflow
 		// time.Duration.
 		{Anonymous: &Policy{RateRPS: 1e-320}},
@@ -99,22 +92,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestBreakerBoundsAccepted: the largest window and a cooldown just
-// inside time.Duration are valid.
-func TestBreakerBoundsAccepted(t *testing.T) {
-	b, err := NewBreaker(BreakerPolicy{Window: maxBreakerWindow, MinSamples: maxBreakerWindow, FailureRatio: 1, CooldownSeconds: 9.2e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.window != maxBreakerWindow || b.cooldown <= 0 {
-		t.Fatalf("breaker window %d cooldown %v", b.window, b.cooldown)
-	}
-}
-
 func TestLoadFileRejectsUnknownFields(t *testing.T) {
 	path := writeConfig(t, `{"tenants": [{"name": "a", "key": "k", "rate_limit": 5}]}`)
 	if _, err := LoadFile(path); err == nil {
 		t.Fatal("unknown field must be rejected (a typo'd limit defaults to unlimited otherwise)")
+	}
+}
+
+// TestLoadFileRejectsBreaker: a config written for the retired circuit
+// breaker fails to load, and the error names the file and the key.
+func TestLoadFileRejectsBreaker(t *testing.T) {
+	path := writeConfig(t, `{"anonymous": {"rate_rps": 2, "breaker": {"failure_ratio": 0.5}}}`)
+	_, err := LoadFile(path)
+	if err == nil {
+		t.Fatal("a breaker key must be rejected")
+	}
+	if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, `unknown field "breaker"`) {
+		t.Fatalf("error %q does not name the file and the breaker key", msg)
 	}
 }
 
@@ -147,8 +141,8 @@ func TestAdmitRateLimit(t *testing.T) {
 	if rej == nil {
 		t.Fatal("second submission should exhaust the burst")
 	}
-	if rej.Status != http.StatusTooManyRequests || rej.Reason != "rate" || rej.RetryAfter <= 0 {
-		t.Fatalf("rate rejection = %+v, want 429/rate with a Retry-After", rej)
+	if rej.Reason != "rate" || rej.RetryAfter <= 0 {
+		t.Fatalf("rate rejection = %+v, want rate with a Retry-After", rej)
 	}
 	u := tn.Usage()
 	if u.Admitted != 1 || u.Rejected["rate"] != 1 {
@@ -166,8 +160,8 @@ func TestAdmitQuotas(t *testing.T) {
 		t.Fatalf("admit 1: %+v", rej)
 	}
 	tn.JobQueued()
-	if rej := admit(); rej == nil || rej.Reason != "quota" || rej.Status != http.StatusTooManyRequests {
-		t.Fatalf("max_queued breach = %+v, want 429/quota", rej)
+	if rej := admit(); rej == nil || rej.Reason != "quota" {
+		t.Fatalf("max_queued breach = %+v, want quota", rej)
 	}
 	tn.JobStarted() // queued 0, running 1
 	if rej := admit(); rej != nil {
@@ -176,9 +170,9 @@ func TestAdmitQuotas(t *testing.T) {
 	tn.JobQueued()
 	tn.JobStarted() // running 2 = max_inflight
 	if rej := admit(); rej == nil || rej.Reason != "quota" {
-		t.Fatalf("max_inflight breach = %+v, want 429/quota", rej)
+		t.Fatalf("max_inflight breach = %+v, want quota", rej)
 	}
-	tn.JobFinished(false)
+	tn.JobFinished()
 	if rej := admit(); rej != nil {
 		t.Fatalf("admit after a job finished: %+v", rej)
 	}
@@ -213,148 +207,5 @@ func TestBucketRefill(t *testing.T) {
 	}
 	if ok, _ := b.Take(); ok {
 		t.Fatal("0.2 tokens should not grant")
-	}
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	b, err := NewBreaker(BreakerPolicy{Window: 4, MinSamples: 2, FailureRatio: 0.5, CooldownSeconds: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(5000, 0)
-	b.now = func() time.Time { return now }
-
-	b.Record(true)
-	if ok, probe, _ := b.Allow(); !ok || probe {
-		t.Fatal("closed breaker must allow without a probe")
-	}
-	b.Record(false)
-	b.Record(false) // window [true,false,false]: ratio 2/3 >= 0.5 → open
-	if b.State() != "open" {
-		t.Fatalf("state = %s, want open", b.State())
-	}
-	ok, _, retry := b.Allow()
-	if ok || retry != 10*time.Second {
-		t.Fatalf("open breaker Allow = %v, %v; want shed with full cooldown", ok, retry)
-	}
-
-	now = now.Add(11 * time.Second)
-	if ok, probe, _ := b.Allow(); !ok || !probe {
-		t.Fatal("cooldown elapsed: the probe must be admitted and marked as such")
-	}
-	if b.State() != "half-open" {
-		t.Fatalf("state = %s, want half-open", b.State())
-	}
-	if ok, _, _ := b.Allow(); ok {
-		t.Fatal("only one probe may fly at a time")
-	}
-	b.Record(false) // probe failed → re-open
-	if b.State() != "open" {
-		t.Fatalf("state after failed probe = %s, want open", b.State())
-	}
-
-	now = now.Add(11 * time.Second)
-	if ok, _, _ := b.Allow(); !ok {
-		t.Fatal("second probe must be admitted")
-	}
-	b.Record(true) // probe succeeded → closed, window cleared
-	if b.State() != "closed" {
-		t.Fatalf("state after successful probe = %s, want closed", b.State())
-	}
-	b.Record(false) // 1 failure in a cleared window: below min_samples
-	if b.State() != "closed" {
-		t.Fatal("cleared window must not re-trip on one sample")
-	}
-}
-
-// probeTenant builds a tenant whose breaker is open with its cooldown
-// elapsed — the next Admit consumes the half-open probe — on a fake
-// clock shared with the rate bucket when one is configured.
-func probeTenant(t *testing.T, p Policy) (*Tenant, *time.Time) {
-	t.Helper()
-	p.Breaker = &BreakerPolicy{Window: 4, MinSamples: 2, FailureRatio: 1, CooldownSeconds: 10}
-	tn, err := newTenant(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(9000, 0)
-	tn.breaker.now = func() time.Time { return now }
-	if tn.bucket != nil {
-		tn.bucket.now = tn.breaker.now
-		tn.bucket.last = now
-	}
-	tn.breaker.Record(false)
-	tn.breaker.Record(false) // 2/2 failures ≥ ratio 1 → open
-	if tn.breaker.State() != "open" {
-		t.Fatalf("breaker state = %s, want open", tn.breaker.State())
-	}
-	now = now.Add(11 * time.Second) // cooldown elapsed: next Allow probes
-	return tn, &now
-}
-
-func TestRateRejectionReturnsProbe(t *testing.T) {
-	tn, now := probeTenant(t, Policy{Name: "p", RateRPS: 1, Burst: 1})
-	tn.bucket.tokens, tn.bucket.last = 0, *now // retrying clients drained the bucket
-	rej := tn.Admit()
-	if rej == nil || rej.Reason != "rate" {
-		t.Fatalf("rejection = %+v, want rate (the probe was granted, then rate-limited)", rej)
-	}
-	// The rate limiter ate the probe; without CancelProbe the breaker is
-	// now stuck half-open with probing=true and sheds the tenant forever.
-	tn.bucket.tokens = 1
-	if rej := tn.Admit(); rej != nil {
-		t.Fatalf("post-rejection Admit = %+v; the unconsumed probe must be returned", rej)
-	}
-	tn.JobQueued()
-	tn.JobStarted()
-	tn.JobFinished(false) // the real probe succeeds
-	if got := tn.Usage().BreakerState; got != "closed" {
-		t.Fatalf("breaker state = %s, want closed after the probe job succeeded", got)
-	}
-}
-
-func TestQuotaRejectionReturnsProbe(t *testing.T) {
-	tn, _ := probeTenant(t, Policy{Name: "p", MaxQueued: 1})
-	tn.JobQueued() // a pre-incident job still occupies the queue quota
-	if rej := tn.Admit(); rej == nil || rej.Reason != "quota" {
-		t.Fatalf("rejection = %+v, want quota", rej)
-	}
-	tn.JobStarted() // quota clears
-	if rej := tn.Admit(); rej != nil {
-		t.Fatalf("post-rejection Admit = %+v; the unconsumed probe must be returned", rej)
-	}
-}
-
-func TestCancelAdmitReturnsProbe(t *testing.T) {
-	tn, _ := probeTenant(t, Policy{Name: "p"})
-	if rej := tn.Admit(); rej != nil {
-		t.Fatalf("probe admission rejected: %+v", rej)
-	}
-	// The daemon queue was full: the admission never became a job.
-	tn.CancelAdmit()
-	if rej := tn.Admit(); rej != nil {
-		t.Fatalf("Admit after CancelAdmit = %+v; the probe must be available again", rej)
-	}
-}
-
-func TestBreakerFeedsAdmit(t *testing.T) {
-	tn, err := newTenant(Policy{Name: "flaky", Breaker: &BreakerPolicy{Window: 4, MinSamples: 2, FailureRatio: 1, CooldownSeconds: 60}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if rej := tn.Admit(); rej != nil {
-			t.Fatalf("admit %d: %+v", i, rej)
-		}
-		tn.JobQueued()
-		tn.JobStarted()
-		tn.JobFinished(true) // failure
-	}
-	rej := tn.Admit()
-	if rej == nil || rej.Status != http.StatusServiceUnavailable || rej.Reason != "breaker" {
-		t.Fatalf("rejection = %+v, want 503/breaker", rej)
-	}
-	if tn.Usage().BreakerState != "open" {
-		t.Fatalf("breaker state = %s, want open", tn.Usage().BreakerState)
 	}
 }

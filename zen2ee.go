@@ -124,7 +124,8 @@ func (s *System) RunWeighted(cpu int, kernel string, weight float64) error {
 }
 
 // Stop idles a CPU; the idle governor selects the deepest enabled C-state.
-func (s *System) Stop(cpu int) { s.m.StopKernel(soc.ThreadID(cpu)) }
+// cpu must be in [0, NumCPUs()); any other panics.
+func (s *System) Stop(cpu int) { s.m.StopKernel(s.thread(cpu)) }
 
 // SetFrequencyMHz pins one CPU's requested frequency (userspace governor).
 // Note the paper's §V-A finding: the core follows the *highest* request of
@@ -197,34 +198,65 @@ func (s *System) TempC() float64 { return s.m.TempC() }
 func (s *System) Preheat() { s.m.Preheat() }
 
 // CoreGHz returns a core's effective frequency in GHz — after EDC
-// throttling and CCX coupling.
+// throttling and CCX coupling. core must be in [0, NumCores()); any other
+// panics.
 func (s *System) CoreGHz(core int) float64 {
-	return s.m.EffectiveMHz(soc.CoreID(core)) / 1000
+	return s.m.EffectiveMHz(s.core(core)) / 1000
 }
 
-// CoreOf maps a logical CPU to its physical core.
-func (s *System) CoreOf(cpu int) int { return int(s.m.Top.Threads[cpu].Core) }
+// CoreOf maps a logical CPU to its physical core. cpu must be in
+// [0, NumCPUs()); any other panics.
+func (s *System) CoreOf(cpu int) int { return int(s.m.Top.Threads[s.thread(cpu)].Core) }
 
-// SiblingOf maps a logical CPU to its SMT sibling.
-func (s *System) SiblingOf(cpu int) int { return int(s.m.Top.Sibling(soc.ThreadID(cpu))) }
+// SiblingOf maps a logical CPU to its SMT sibling. cpu must be in
+// [0, NumCPUs()); any other panics.
+func (s *System) SiblingOf(cpu int) int { return int(s.m.Top.Sibling(s.thread(cpu))) }
 
 // RAPLPackageWatts measures the RAPL package domain over ms milliseconds of
-// simulated time (advancing the simulation).
+// simulated time (advancing the simulation). pkg must index a package (0
+// or 1 on the dual-socket system); any other panics.
 func (s *System) RAPLPackageWatts(pkg int, ms float64) float64 {
-	e0 := s.m.RAPL.PackageEnergyJoules(soc.PackageID(pkg))
+	p := s.pkg(pkg)
+	e0 := s.m.RAPL.PackageEnergyJoules(p)
 	t0 := s.m.Eng.Now()
 	s.AdvanceMillis(ms)
-	return (s.m.RAPL.PackageEnergyJoules(soc.PackageID(pkg)) - e0) /
+	return (s.m.RAPL.PackageEnergyJoules(p) - e0) /
 		s.m.Eng.Now().Sub(t0).Seconds()
 }
 
-// RAPLCoreWatts measures a core's RAPL domain over ms milliseconds.
+// RAPLCoreWatts measures a core's RAPL domain over ms milliseconds. core
+// must be in [0, NumCores()); any other panics.
 func (s *System) RAPLCoreWatts(core int, ms float64) float64 {
-	e0 := s.m.RAPL.CoreEnergyJoules(soc.CoreID(core))
+	c := s.core(core)
+	e0 := s.m.RAPL.CoreEnergyJoules(c)
 	t0 := s.m.Eng.Now()
 	s.AdvanceMillis(ms)
-	return (s.m.RAPL.CoreEnergyJoules(soc.CoreID(core)) - e0) /
+	return (s.m.RAPL.CoreEnergyJoules(c) - e0) /
 		s.m.Eng.Now().Sub(t0).Seconds()
+}
+
+// thread, core and pkg convert an index of the facade's methods that
+// return no error, panicking with the index when it lies outside the
+// system.
+func (s *System) thread(cpu int) soc.ThreadID {
+	if cpu < 0 || cpu >= s.NumCPUs() {
+		panic(fmt.Sprintf("zen2ee: cpu %d out of range [0, %d)", cpu, s.NumCPUs()))
+	}
+	return soc.ThreadID(cpu)
+}
+
+func (s *System) core(core int) soc.CoreID {
+	if core < 0 || core >= s.NumCores() {
+		panic(fmt.Sprintf("zen2ee: core %d out of range [0, %d)", core, s.NumCores()))
+	}
+	return soc.CoreID(core)
+}
+
+func (s *System) pkg(pkg int) soc.PackageID {
+	if n := len(s.m.Top.Packages); pkg < 0 || pkg >= n {
+		panic(fmt.Sprintf("zen2ee: package %d out of range [0, %d)", pkg, n))
+	}
+	return soc.PackageID(pkg)
 }
 
 // CPUStat is a per-CPU counter snapshot delta.
@@ -233,9 +265,10 @@ type CPUStat struct {
 	IPC float64
 }
 
-// Stat samples a CPU over ms milliseconds (advancing the simulation).
+// Stat samples a CPU over ms milliseconds (advancing the simulation). cpu
+// must be in [0, NumCPUs()); any other panics.
 func (s *System) Stat(cpu int, ms float64) CPUStat {
-	t := soc.ThreadID(cpu)
+	t := s.thread(cpu)
 	before := s.m.ReadCounters(t)
 	t0 := s.m.Eng.Now()
 	s.AdvanceMillis(ms)

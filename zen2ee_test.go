@@ -77,6 +77,10 @@ func TestOutOfRangeCPUs(t *testing.T) {
 		{"RunWeighted(weight -1)", func() error { return sys.RunWeighted(0, "vxorps", -1) }},
 		{"RunWeighted(weight NaN)", func() error { return sys.RunWeighted(0, "vxorps", math.NaN()) }},
 		{"RunWeighted(weight +Inf)", func() error { return sys.RunWeighted(0, "vxorps", math.Inf(1)) }},
+		{"StartPattern(200)", func() error {
+			_, err := sys.StartPattern([]int{0, 200}, []PhaseSpec{{Kernel: "busywait", DurationMs: 1}})
+			return err
+		}},
 	} {
 		if err := c.call(); err == nil {
 			t.Errorf("%s: no error", c.name)
@@ -85,6 +89,43 @@ func TestOutOfRangeCPUs(t *testing.T) {
 	sys.AdvanceMillis(20)
 	if p := sys.PowerWatts(); math.Abs(p-99.1) > 0.1 {
 		t.Fatalf("rejected calls moved idle power to %v W", p)
+	}
+}
+
+// TestOutOfRangeIndexesPanic: every method that returns no error states
+// its index precondition and panics, naming the index, on one outside the
+// system.
+func TestOutOfRangeIndexesPanic(t *testing.T) {
+	sys := NewSystem()
+	for _, c := range []struct {
+		name, want string
+		call       func()
+	}{
+		{"Stop(128)", "zen2ee: cpu 128 out of range [0, 128)", func() { sys.Stop(128) }},
+		{"Stop(-1)", "zen2ee: cpu -1 out of range [0, 128)", func() { sys.Stop(-1) }},
+		{"CoreOf(128)", "zen2ee: cpu 128 out of range [0, 128)", func() { sys.CoreOf(128) }},
+		{"SiblingOf(128)", "zen2ee: cpu 128 out of range [0, 128)", func() { sys.SiblingOf(128) }},
+		{"SiblingOf(-1)", "zen2ee: cpu -1 out of range [0, 128)", func() { sys.SiblingOf(-1) }},
+		{"Stat(-1)", "zen2ee: cpu -1 out of range [0, 128)", func() { sys.Stat(-1, 1) }},
+		{"Stat(128)", "zen2ee: cpu 128 out of range [0, 128)", func() { sys.Stat(128, 1) }},
+		{"CoreGHz(64)", "zen2ee: core 64 out of range [0, 64)", func() { sys.CoreGHz(64) }},
+		{"CoreGHz(-1)", "zen2ee: core -1 out of range [0, 64)", func() { sys.CoreGHz(-1) }},
+		{"RAPLCoreWatts(64)", "zen2ee: core 64 out of range [0, 64)", func() { sys.RAPLCoreWatts(64, 1) }},
+		{"RAPLPackageWatts(2)", "zen2ee: package 2 out of range [0, 2)", func() { sys.RAPLPackageWatts(2, 1) }},
+		{"RAPLPackageWatts(-1)", "zen2ee: package -1 out of range [0, 2)", func() { sys.RAPLPackageWatts(-1, 1) }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s panicked with %v, want %q", c.name, got, c.want)
+				}
+			}()
+			c.call()
+		}()
+	}
+	// A rejected call advances nothing.
+	if now := sys.NowSeconds(); now != 0 {
+		t.Fatalf("rejected calls advanced the clock to %v s", now)
 	}
 }
 
