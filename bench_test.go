@@ -373,6 +373,39 @@ func BenchmarkServiceCachedRun(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceHitDocument measures a cache hit at the size
+// daemon-mixed serves: its hit spec (fig3, tab1 and fig8 at scale 1, a
+// ~29 KB document) submitted and its /result fetched, as the bench
+// client does for a hit. BenchmarkServiceCachedRun's ~2 KB document hides
+// what the status response costs per byte of embedded document.
+func BenchmarkServiceHitDocument(b *testing.B) {
+	srv := service.New(service.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	const spec = `{"ids":["fig3","tab1","fig8"],"scale":1}`
+	id := submitServiceJob(b, ts.URL, spec)
+	waitServiceJob(b, ts.URL, id)
+	drain := func(resp *http.Response, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("%s %s: status %d", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drain(http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec)))
+		drain(http.Get(ts.URL + "/v1/jobs/" + id + "/result"))
+	}
+}
+
 // --- Ablations ---
 
 // BenchmarkAblationSlotGrid contrasts the Zen 2 transition timing (1 ms

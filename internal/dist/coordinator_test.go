@@ -427,10 +427,16 @@ func TestExhaustedRetriesPinLocal(t *testing.T) {
 
 	// Two generations of workers lease the shard and die. After the
 	// second loss (attempts 2 > MaxRetries 1) the shard is pinned local —
-	// even though the healthy worker is still connected.
+	// even though the healthy worker is still connected. Each casualty
+	// heartbeats until it holds its lease, so on a loaded host it cannot
+	// expire between registering and its first poll; it falls silent
+	// only once the lease is out.
 	for i := 0; i < 2; i++ {
 		w := env.register(t, fmt.Sprintf("casualty-%d", i), 1)
-		if spec := w.leaseUntil(5 * time.Second); spec == nil {
+		stopHB := w.keepAlive(30 * time.Millisecond)
+		spec := w.leaseUntil(5 * time.Second)
+		stopHB()
+		if spec == nil {
 			t.Fatalf("casualty %d got no lease", i)
 		}
 		waitFor(t, "worker expiry", func() bool { return env.c.RetriesTotal() == i+1 })

@@ -11,6 +11,7 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sync"
 
 	"zen2ee/internal/core"
@@ -36,6 +37,30 @@ func encodeIndented(buf *bytes.Buffer, v any, prefix, indent string) error {
 	enc := json.NewEncoder(buf)
 	enc.SetIndent(prefix, indent)
 	return enc.Encode(v)
+}
+
+// AppendEmbedded appends a canonical document to dst exactly as
+// encoding/json writes it for a json.RawMessage value whose lines start
+// with prefix (the encoder's prefix plus its "  " indent once per level of
+// nesting). A canonical document is encodeIndented(v, "", "  ") output —
+// MarshalResults, MarshalSweep, SweepSection.Document — which is
+// HTML-escaped, holds no raw newline inside a string, and ends in a
+// newline. encoding/json compacts such a value and re-indents it one
+// level deeper; for canonical input that is the document minus its final
+// newline with prefix after every newline, which is what this writes,
+// without scanning the JSON (DESIGN.md "Embedding stored documents").
+func AppendEmbedded(dst, doc []byte, prefix string) []byte {
+	doc = bytes.TrimSuffix(doc, []byte("\n"))
+	dst = slices.Grow(dst, len(doc)+bytes.Count(doc, []byte("\n"))*len(prefix))
+	for {
+		i := bytes.IndexByte(doc, '\n')
+		if i < 0 {
+			return append(dst, doc...)
+		}
+		dst = append(dst, doc[:i+1]...)
+		dst = append(dst, prefix...)
+		doc = doc[i+1:]
+	}
 }
 
 // JSONReport is the top-level JSON document.

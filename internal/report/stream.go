@@ -2,16 +2,17 @@
 // section per configuration in request order, and a fixed tail — so it can
 // be emitted incrementally as a streaming sweep delivers configurations,
 // which core.RunSweepStream does in request order. SweepWriter is that
-// encoder: its concatenated output is byte-for-byte what
-// MarshalSweepSections produces for the same (ids, configs, documents),
-// a property pinned by golden tests rather than promised here. It is the
-// piece that lets the CLI and the daemon serve arbitrarily large sweeps
-// with memory proportional to the configurations in flight.
+// encoder, and the only one: MarshalSweepSections is a SweepWriter loop
+// into a buffer. Its output is byte-for-byte what encoding/json writes
+// for the whole JSONSweep, a property pinned by golden tests against a
+// whole-document marshal kept in stream_test.go rather than promised
+// here. It is the piece that lets the CLI and the daemon serve
+// arbitrarily large sweeps with memory proportional to the configurations
+// in flight.
 
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -22,6 +23,10 @@ import (
 // empty-sweep document minus this suffix, so header+tail is itself the
 // canonical zero-section document.
 const sweepTail = "]\n}\n"
+
+// sectionPrefix starts every line inside a section's object: the configs
+// array's elements sit at "    ", their fields one indent deeper.
+const sectionPrefix = "      "
 
 // SweepWriter emits a canonical sweep document section by section, in
 // request order: each WriteSection emits the next configuration's section.
@@ -74,25 +79,26 @@ func (sw *SweepWriter) WriteSection(document []byte) error {
 		c := sw.configs[i]
 		return sw.fail(fmt.Errorf("report: config %d (scale %g, seed %d) has no document", i, c.Scale, c.Seed))
 	}
-	// The section sits inside the MarshalSweepSections document as a
-	// separator, then the section object indented one array-element deep.
-	sep := ",\n    "
+	// The section is the next element of the configs array: a separator,
+	// then the object one element deep, its config through encoding/json
+	// and its report spliced in as encoding/json would embed it.
+	sep := ",\n    {\n"
 	if i == 0 {
-		sep = "\n    "
-	}
-	if _, err := io.WriteString(sw.w, sep); err != nil {
-		return sw.fail(fmt.Errorf("report: writing sweep section %d: %w", i, err))
+		sep = "\n    {\n"
 	}
 	buf := getMarshalBuf()
 	defer marshalBufs.Put(buf)
-	sec := SweepSection{Config: sw.configs[i], Report: json.RawMessage(document)}
-	if err := encodeIndented(buf, sec, "    ", "  "); err != nil {
+	buf.WriteString(sep)
+	buf.WriteString(sectionPrefix + `"config": `)
+	if err := encodeIndented(buf, sw.configs[i], sectionPrefix, "  "); err != nil {
 		return sw.fail(fmt.Errorf("report: encoding sweep section %d: %w", i, err))
 	}
-	b := buf.Bytes()
-	// encodeIndented appends a newline MarshalIndent would not; the
-	// separator owns inter-section newlines.
-	if _, err := sw.w.Write(b[:len(b)-1]); err != nil {
+	// encodeIndented ends the value in a newline; the report field follows.
+	buf.Truncate(buf.Len() - 1)
+	buf.WriteString(",\n" + sectionPrefix + `"report": `)
+	buf.Write(AppendEmbedded(buf.AvailableBuffer(), document, sectionPrefix))
+	buf.WriteString("\n    }")
+	if _, err := sw.w.Write(buf.Bytes()); err != nil {
 		return sw.fail(fmt.Errorf("report: writing sweep section %d: %w", i, err))
 	}
 	sw.next++

@@ -2,13 +2,31 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"zen2ee/internal/core"
 )
 
-// sweepCase builds the inputs and the MarshalSweepSections reference
-// document for n synthetic configurations.
+// marshalSweepReference is the whole-document encoding/json marshal of a
+// sweep: the independent reference encoder that SweepWriter, and
+// MarshalSweepSections over it, must match byte for byte. Production
+// keeps only the streaming encoder.
+func marshalSweepReference(t testing.TB, ids []string, configs []core.Config, documents [][]byte) []byte {
+	t.Helper()
+	doc := JSONSweep{Schema: SweepSchemaVersion, IDs: ids, Configs: make([]SweepSection, len(configs))}
+	for i, c := range configs {
+		doc.Configs[i] = SweepSection{Config: c, Report: json.RawMessage(documents[i])}
+	}
+	var buf bytes.Buffer
+	if err := encodeIndented(&buf, doc, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sweepCase builds the inputs and the reference document for n synthetic
+// configurations.
 func sweepCase(t *testing.T, ids []string, n int) ([]core.Config, [][]byte, []byte) {
 	t.Helper()
 	configs := make([]core.Config, n)
@@ -20,11 +38,7 @@ func sweepCase(t *testing.T, ids []string, n int) ([]core.Config, [][]byte, []by
 			t.Fatal(err)
 		}
 	}
-	want, err := MarshalSweepSections(ids, configs, documents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return configs, documents, want
+	return configs, documents, marshalSweepReference(t, ids, configs, documents)
 }
 
 func streamSweep(t *testing.T, ids []string, configs []core.Config, documents [][]byte) []byte {
@@ -45,10 +59,11 @@ func streamSweep(t *testing.T, ids []string, configs []core.Config, documents []
 	return buf.Bytes()
 }
 
-// TestSweepWriterGolden is the streaming byte-identity gate: for 1, 2, and
-// N configurations — with explicit IDs and with nil IDs (full registry) —
-// the concatenated SweepWriter output equals the MarshalSweepSections
-// document.
+// TestSweepWriterGolden is the streaming byte-identity gate: for 0, 1, 2,
+// and N configurations — with explicit IDs and with nil IDs (full
+// registry) — the concatenated SweepWriter output, and the buffered
+// MarshalSweepSections document, equal the whole-document reference
+// marshal.
 func TestSweepWriterGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -64,7 +79,10 @@ func TestSweepWriterGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			configs, documents, want := sweepCase(t, tc.ids, tc.n)
 			if got := streamSweep(t, tc.ids, configs, documents); !bytes.Equal(got, want) {
-				t.Errorf("streamed document differs from MarshalSweepSections:\n got %q\nwant %q", got, want)
+				t.Errorf("streamed document differs from the reference:\n got %q\nwant %q", got, want)
+			}
+			if got, err := MarshalSweepSections(tc.ids, configs, documents); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("MarshalSweepSections differs from the reference (err %v):\n got %q\nwant %q", err, got, want)
 			}
 		})
 	}
@@ -72,17 +90,24 @@ func TestSweepWriterGolden(t *testing.T) {
 
 // TestSweepWriterAgainstRunSweepStream pins the byte-identity end to end:
 // sections marshaled inside a real RunSweepStream run — which delivers
-// them in request order — stream into the exact MarshalSweep document of
-// the collected RunSweep for the same request.
+// them in request order — stream into the exact reference document of the
+// collected RunSweep for the same request, which MarshalSweep also
+// produces.
 func TestSweepWriterAgainstRunSweepStream(t *testing.T) {
 	sw := core.Sweep{IDs: []string{"fig1", "sec5a"}, Configs: core.Grid([]float64{0.2}, []uint64{1, 2, 3, 4})}
 	sr, err := core.RunSweep(sw, core.RunConfig{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MarshalSweep(sr)
-	if err != nil {
-		t.Fatal(err)
+	documents := make([][]byte, len(sr.Runs))
+	for i, run := range sr.Runs {
+		if documents[i], err = MarshalResults(run.Results, run.Config); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := marshalSweepReference(t, sr.IDs, sw.Configs, documents)
+	if got, err := MarshalSweep(sr); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("MarshalSweep differs from the reference (err %v)", err)
 	}
 
 	ids, err := core.CanonicalIDs(sw.IDs)
@@ -116,7 +141,7 @@ func TestSweepWriterAgainstRunSweepStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Error("streamed sweep document differs from collected MarshalSweep bytes")
+		t.Error("streamed sweep document differs from the reference over the collected run")
 	}
 }
 
@@ -188,4 +213,45 @@ func TestSweepWriterErrors(t *testing.T) {
 			t.Fatal("write after Close accepted")
 		}
 	})
+}
+
+// BenchmarkSweepWriter streams a four-configuration sweep of whole
+// scale-1 suite documents (seeds 1–4), the shape `zen2ee sweep` and a
+// sweep's /result write. It times the encoder only: the documents are
+// simulated once, before the timer starts.
+func BenchmarkSweepWriter(b *testing.B) {
+	configs := core.Grid([]float64{1}, []uint64{1, 2, 3, 4})
+	documents := make([][]byte, len(configs))
+	for i, c := range configs {
+		results, err := core.RunIDsConfig(nil, c, core.RunConfig{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if documents[i], err = MarshalResults(results, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ids, err := core.CanonicalIDs(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		sw, err := NewSweepWriter(&out, ids, configs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, doc := range documents {
+			if err := sw.WriteSection(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sw.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(out.Len()))
 }

@@ -59,27 +59,25 @@ func (s SweepSection) Document() ([]byte, error) {
 // marshaled per-configuration payloads (each the MarshalResults bytes for
 // its configuration). documents[i] belongs to configs[i]. This is the
 // entry point for callers holding cached payload bytes; MarshalSweep is
-// the convenience form over a core.SweepResult.
+// the convenience form over a core.SweepResult. It is a SweepWriter loop
+// into a pooled buffer, so the document holds each payload's bytes as
+// stored instead of re-encoding them.
 func MarshalSweepSections(ids []string, configs []core.Config, documents [][]byte) ([]byte, error) {
 	if len(configs) != len(documents) {
 		return nil, fmt.Errorf("report: %d configs but %d documents", len(configs), len(documents))
 	}
-	doc := JSONSweep{
-		Schema:  SweepSchemaVersion,
-		IDs:     ids,
-		Configs: make([]SweepSection, len(configs)),
-	}
-	for i, c := range configs {
-		if len(documents[i]) == 0 {
-			return nil, fmt.Errorf("report: config %d (scale %g, seed %d) has no document", i, c.Scale, c.Seed)
-		}
-		doc.Configs[i] = SweepSection{Config: c, Report: json.RawMessage(documents[i])}
-	}
-	// Deliberately a whole-document marshal, not a SweepWriter loop: the
-	// two independent encoders are what the streaming golden tests compare.
 	buf := getMarshalBuf()
 	defer marshalBufs.Put(buf)
-	if err := encodeIndented(buf, doc, "", "  "); err != nil {
+	sw, err := NewSweepWriter(buf, ids, configs)
+	if err != nil {
+		return nil, err
+	}
+	for _, doc := range documents {
+		if err := sw.WriteSection(doc); err != nil {
+			return nil, err
+		}
+	}
+	if err := sw.Close(); err != nil {
 		return nil, err
 	}
 	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil

@@ -8,13 +8,15 @@ import (
 )
 
 // fakeResults builds a small deterministic result set without running any
-// simulation, so the document round-trip tests stay microsecond-fast.
+// simulation, so the document round-trip tests stay microsecond-fast. Its
+// strings need escaping (HTML characters, a newline, U+2028), so the
+// encoders are compared on the bytes encoding/json rewrites.
 func fakeResults(seed uint64) []*core.Result {
 	return []*core.Result{
 		{
 			ID: "fig1", Title: "synthetic", PaperRef: "test",
 			Columns: []string{"k", "v"},
-			Rows:    [][]string{{"seed", "x"}},
+			Rows:    [][]string{{"seed", "x"}, {"<a&b>", "line\nbreak\u2028"}},
 			Metrics: map[string]float64{"seed": float64(seed)},
 		},
 		{

@@ -313,7 +313,8 @@ type Status struct {
 	Error   string   `json:"error,omitempty"`
 	// Results embeds the canonical document once done: report.JSONReport
 	// for run jobs, report.JSONSweep for sweep jobs. Omitted once the
-	// store has evicted any of the job's sections.
+	// store has evicted any of the job's sections. It must stay the last
+	// field: writeStatus splices it in after the rest of the envelope.
 	Results json.RawMessage `json:"results,omitempty"`
 }
 

@@ -37,6 +37,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -393,7 +394,7 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 		// eviction order so inserts racing that GET evict older jobs first.
 		s.touchLocked(j)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, s.statusOf(j, true))
+		writeStatus(w, http.StatusOK, s.statusOf(j, true))
 		return
 	}
 	if s.cache.Has(key) {
@@ -405,7 +406,7 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 		s.insertLocked(j)
 		s.metrics.add(&s.metrics.cacheHits, 1)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, s.statusOf(j, true))
+		writeStatus(w, http.StatusOK, s.statusOf(j, true))
 		return
 	}
 	if rej := tn.Admit(); rej != nil {
@@ -526,7 +527,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.statusOf(j, true))
+	writeStatus(w, http.StatusOK, s.statusOf(j, true))
 }
 
 // statusOf snapshots a job for the API, embedding a done job's document
@@ -939,6 +940,42 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	// An encode error here means the connection is gone; there is no one
 	// left to report it to.
 	_ = enc.Encode(v)
+}
+
+// statusBufs pools writeStatus's response buffers, so a steady stream of
+// cache hits reuses one document-sized buffer instead of growing one per
+// response.
+var statusBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeStatus writes st exactly as writeJSON would, but splices its
+// embedded document in with report.AppendEmbedded instead of having
+// encoding/json validate, compact and re-indent bytes already held in
+// canonical form. Results is Status's last field, so the envelope encoded
+// without it, minus its closing "\n}\n", is where encoding/json would
+// write the field (DESIGN.md "Embedding stored documents").
+func writeStatus(w http.ResponseWriter, code int, st Status) {
+	doc := st.Results
+	if len(doc) == 0 {
+		writeJSON(w, code, st)
+		return
+	}
+	st.Results = nil
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	buf := statusBufs.Get().(*bytes.Buffer)
+	defer statusBufs.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if enc.Encode(st) != nil {
+		// As in writeJSON: the body stays empty.
+		return
+	}
+	buf.Truncate(buf.Len() - len("\n}\n"))
+	buf.WriteString(",\n  \"results\": ")
+	buf.Write(report.AppendEmbedded(buf.AvailableBuffer(), doc, "  "))
+	buf.WriteString("\n}\n")
+	w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
