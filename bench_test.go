@@ -606,16 +606,6 @@ func BenchmarkMachineRefreshDirty(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineNew measures building the paper's test system: wiring
-// every subsystem and parking all 128 threads in C2, which the machine
-// folds into one refresh.
-func BenchmarkMachineNew(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NewSystem()
-	}
-}
-
 // BenchmarkSMUControlTick measures one millisecond of a FIRESTARTER-loaded
 // system held at the EDC limit: one control tick of the SMU per package
 // (which reads the refresh cache) plus the cap change and refresh it

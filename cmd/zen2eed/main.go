@@ -161,7 +161,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.workerName, "worker-name", "",
 		"name this worker reports to the coordinator (default: hostname-pid; needs -worker)")
 	fs.StringVar(&o.tenantConfig, "tenant-config", "",
-		"JSON tenant config enabling multi-tenant governance: API-key auth on submissions, per-tenant rate limits, quotas, circuit breaking, and weighted fair scheduling (omitted = single anonymous tenant, no auth)")
+		"JSON tenant config enabling multi-tenant governance: API-key auth on submissions, per-tenant rate limits, quotas, and weighted fair scheduling (omitted = single anonymous tenant, no auth)")
 	fs.StringVar(&o.storeDir, "store-dir", "",
 		"directory for the persistent result-store tier: computed results are written through to content-addressed files and survive daemon restarts (omitted = memory-only cache)")
 	fs.Int64Var(&o.storeBytes, "store-bytes", 0,

@@ -15,12 +15,12 @@
 //   - The §VI-B anomaly: hardware threads taken offline through sysfs are
 //     elevated to C1 (instead of parking in the deepest state), pinning the
 //     whole system at C1-level power until they are explicitly re-onlined.
+//     The model owns each thread's online state (SetOnline, Online).
 //
 // The model keeps each core's count of C0 threads up to date as states
-// change, so a mutation costs O(1): EnterIdle, Wake and SetEnabled can only
-// move the mutated thread's core, and only an online change
-// (NotifyOnlineChanged) recounts every core. Builds with `-tags simcheck`
-// check the counts against a full scan after every mutation.
+// change, so a mutation costs O(1): every mutator changes one thread and
+// can only move that thread's core. Builds with `-tags simcheck` check the
+// counts against a full scan after every mutation.
 package cstate
 
 import (
@@ -106,6 +106,7 @@ type Model struct {
 	cfg Config
 
 	requested []State // what the OS asked for, per thread
+	online    []bool  // sysfs online state, per thread
 	// enabled[t][s] — sysfs "disable" files; C0 cannot be disabled.
 	enabled [][NumStates]bool
 
@@ -122,24 +123,23 @@ type Model struct {
 	OnCoreActive func(core soc.CoreID, activeThreads int)
 	// Dirty, when set, is invoked with the thread whose state is mutating,
 	// before OnCoreActive and AfterChange fire — the machine layer uses it
-	// to scope its incremental refresh. DirtyAll is invoked instead for
-	// mutations that cannot be attributed to a single thread (topology
-	// online changes).
-	Dirty    func(t soc.ThreadID)
-	DirtyAll func()
+	// to scope its incremental refresh.
+	Dirty func(t soc.ThreadID)
 }
 
-// New creates the model with every thread active (C0).
+// New creates the model with every thread online and active (C0).
 func New(eng *sim.Engine, top *soc.Topology, cfg Config) *Model {
 	m := &Model{
 		eng:       eng,
 		top:       top,
 		cfg:       cfg,
 		requested: make([]State, top.NumThreads()),
+		online:    make([]bool, top.NumThreads()),
 		enabled:   make([][NumStates]bool, top.NumThreads()),
 		active:    make([]int, top.NumCores()),
 	}
 	for i := range m.enabled {
+		m.online[i] = true
 		m.enabled[i] = [NumStates]bool{true, true, true}
 	}
 	m.coreActiveCounts(m.active)
@@ -167,6 +167,19 @@ func (m *Model) SetEnabled(t soc.ThreadID, s State, enabled bool) error {
 	m.mutate(t, func() { m.enabled[t][s] = enabled })
 	return nil
 }
+
+// SetOnline changes a thread's sysfs online state. Thread 0 (the boot CPU)
+// cannot be taken offline, matching Linux.
+func (m *Model) SetOnline(t soc.ThreadID, online bool) error {
+	if t == 0 && !online {
+		return fmt.Errorf("cstate: cpu0 cannot be taken offline")
+	}
+	m.mutate(t, func() { m.online[t] = online })
+	return nil
+}
+
+// Online reports a thread's sysfs online state.
+func (m *Model) Online(t soc.ThreadID) bool { return m.online[t] }
 
 // DeepestEnabled returns the deepest idle state the OS may request on t.
 func (m *Model) DeepestEnabled(t soc.ThreadID) State {
@@ -225,43 +238,26 @@ func (m *Model) WakeLatency(from State, coreMHz float64, remote bool) sim.Durati
 }
 
 // mutate wraps a state change with the integrator hooks and brings the
-// per-core active counts up to date, firing OnCoreActive for each core whose
-// count moved. t identifies the mutated thread: f may change only t's state,
-// so only t's core is recounted. A negative t marks a mutation that may
-// affect every thread (an online change); every core is then recounted, in
-// core order.
+// per-core active count of the mutated thread's core up to date, firing
+// OnCoreActive if it moved. f may change only thread t's state.
 func (m *Model) mutate(t soc.ThreadID, f func()) {
 	if m.BeforeChange != nil {
 		m.BeforeChange()
 	}
 	f()
-	if t >= 0 {
-		if m.Dirty != nil {
-			m.Dirty(t)
-		}
-		m.recount(m.top.Threads[t].Core)
-	} else {
-		if m.DirtyAll != nil {
-			m.DirtyAll()
-		}
-		for core := range m.active {
-			m.recount(soc.CoreID(core))
-		}
+	if m.Dirty != nil {
+		m.Dirty(t)
 	}
-	m.checkActive()
-	if m.AfterChange != nil {
-		m.AfterChange()
-	}
-}
-
-// recount re-derives one core's active count and reports a change through
-// OnCoreActive.
-func (m *Model) recount(core soc.CoreID) {
+	core := m.top.Threads[t].Core
 	if n := m.ActiveThreads(core); n != m.active[core] {
 		m.active[core] = n
 		if m.OnCoreActive != nil {
 			m.OnCoreActive(core, n)
 		}
+	}
+	m.checkActive()
+	if m.AfterChange != nil {
+		m.AfterChange()
 	}
 }
 
@@ -282,7 +278,7 @@ func (m *Model) coreActiveCounts(counts []int) {
 //     (§VI-B), otherwise they park in the deepest state;
 //   - online threads get their requested state.
 func (m *Model) EffectiveState(t soc.ThreadID) State {
-	if !m.top.Online(t) {
+	if !m.online[t] {
 		if m.cfg.OfflineElevatesToC1 {
 			return C1
 		}
@@ -326,8 +322,3 @@ func (m *Model) SystemDeepSleep() bool {
 	}
 	return true
 }
-
-// NotifyOnlineChanged must be called after soc.SetOnline flips a thread so
-// the model can re-derive effective states (the topology has no back-
-// reference to the model).
-func (m *Model) NotifyOnlineChanged() { m.mutate(-1, func() {}) }

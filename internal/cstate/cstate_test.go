@@ -169,10 +169,9 @@ func TestOfflineAnomalyBlocksDeepSleep(t *testing.T) {
 	}
 	// Take a sibling offline: §VI-B — power rises to the C1 level because
 	// the offline thread is elevated to C1.
-	if err := top.SetOnline(64, false); err != nil {
+	if err := m.SetOnline(64, false); err != nil {
 		t.Fatal(err)
 	}
-	m.NotifyOnlineChanged()
 	if s := m.EffectiveState(64); s != C1 {
 		t.Fatalf("offline thread state %v, want C1 (anomaly)", s)
 	}
@@ -180,10 +179,9 @@ func TestOfflineAnomalyBlocksDeepSleep(t *testing.T) {
 		t.Fatal("deep sleep despite offline-elevated thread")
 	}
 	// Only explicit re-onlining fixes it.
-	if err := top.SetOnline(64, true); err != nil {
+	if err := m.SetOnline(64, true); err != nil {
 		t.Fatal(err)
 	}
-	m.NotifyOnlineChanged()
 	// The thread resumes its previously-requested C2.
 	if s := m.EffectiveState(64); s != C2 {
 		t.Fatalf("re-onlined thread state %v, want C2", s)
@@ -202,8 +200,9 @@ func TestOfflineAnomalyDisabled(t *testing.T) {
 	for i := 0; i < top.NumThreads(); i++ {
 		m.EnterIdle(soc.ThreadID(i), C2)
 	}
-	top.SetOnline(64, false)
-	m.NotifyOnlineChanged()
+	if err := m.SetOnline(64, false); err != nil {
+		t.Fatal(err)
+	}
 	if !m.SystemDeepSleep() {
 		t.Fatal("with the anomaly ablated, offline threads must not block deep sleep")
 	}
@@ -284,8 +283,8 @@ func TestWakeLatencyAtFloorFrequency(t *testing.T) {
 
 // TestOnCoreActiveNotifications pins when the kept per-core C0 counts are
 // reported: once per count change of the mutated thread's core, never for
-// a mutation that leaves the count alone, and for an online change on every
-// core whose count moved, in core order.
+// a mutation that leaves the count alone; an online change is such a
+// mutation of its thread.
 func TestOnCoreActiveNotifications(t *testing.T) {
 	_, top, m := newModel()
 	type note struct {
@@ -320,16 +319,62 @@ func TestOnCoreActiveNotifications(t *testing.T) {
 	m.Wake(c3[1], 2500, false)
 	expect("wake", note{3, 1})
 
-	// Offline two running threads behind the model's back: one online
-	// notification recounts every core, in core order.
+	// Offlining a running thread notifies its own core, and only that.
 	hi, lo := top.Cores[9].Threads[1], top.Cores[5].Threads[1]
-	for _, th := range []soc.ThreadID{hi, lo} {
-		if err := top.SetOnline(th, false); err != nil {
+	setOnline := func(th soc.ThreadID, online bool) {
+		t.Helper()
+		if err := m.SetOnline(th, online); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m.NotifyOnlineChanged()
-	expect("online change", note{5, 1}, note{9, 1})
-	m.NotifyOnlineChanged()
-	expect("repeated online change")
+	setOnline(hi, false)
+	expect("offline core 9's sibling", note{9, 1})
+	setOnline(lo, false)
+	expect("offline core 5's sibling", note{5, 1})
+	setOnline(lo, false)
+	expect("repeated offline")
+	setOnline(hi, true)
+	expect("re-online core 9's sibling", note{9, 2})
+}
+
+// TestOnlineOffline pins the sysfs online rules: cpu0 cannot go offline (a
+// rejected call changes nothing and fires no hook), any other thread can,
+// and re-onlining restores the count.
+func TestOnlineOffline(t *testing.T) {
+	_, top, m := newModel()
+	online := func() int {
+		n := 0
+		for th := 0; th < top.NumThreads(); th++ {
+			if m.Online(soc.ThreadID(th)) {
+				n++
+			}
+		}
+		return n
+	}
+	if n := online(); n != 128 {
+		t.Fatalf("online threads = %d, want 128", n)
+	}
+	hooks := 0
+	m.BeforeChange = func() { hooks++ }
+	if err := m.SetOnline(0, false); err == nil {
+		t.Fatal("offlining cpu0 should fail")
+	}
+	if hooks != 0 || !m.Online(0) {
+		t.Fatalf("rejected offline of cpu0: %d hooks, online %v", hooks, m.Online(0))
+	}
+	if err := m.SetOnline(64, false); err != nil {
+		t.Fatalf("offlining cpu64: %v", err)
+	}
+	if m.Online(64) {
+		t.Fatal("cpu64 still online")
+	}
+	if n := online(); n != 127 {
+		t.Fatalf("online threads = %d, want 127", n)
+	}
+	if err := m.SetOnline(64, true); err != nil {
+		t.Fatalf("re-onlining: %v", err)
+	}
+	if n := online(); n != 128 {
+		t.Fatalf("re-onlining left %d threads online, want 128", n)
+	}
 }

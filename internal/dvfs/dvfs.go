@@ -126,13 +126,17 @@ type coreState struct {
 
 	transActive bool
 	transTarget int
-	transEvent  sim.EventID
 	slotWaiting bool
 
 	lastTransEnd  sim.Time      // completion time of the last transition
 	boostMHz      float64       // SMU boost grant above P0; 0 = no boost
 	activeThreads int           // threads currently in C0
 	pkg           soc.PackageID // the package whose SMU cap applies
+
+	// event is the core's transition event, bound on its first transition
+	// so later ones allocate nothing. A core has at most one pending: the
+	// slot that begins a waiting transition's ramp, or the ramp's end.
+	event func()
 }
 
 // Controller is the per-system DVFS model.
@@ -252,6 +256,9 @@ func (c *Controller) reconcile(core soc.CoreID) {
 		return
 	}
 	now := c.eng.Now()
+	if cs.event == nil {
+		cs.event = func() { c.onEvent(core) }
+	}
 
 	// Fast-return up-switch: the previous transition lowered the frequency
 	// but the voltage has not settled back down yet, so raising the
@@ -259,14 +266,14 @@ func (c *Controller) reconcile(core soc.CoreID) {
 	if c.fastReturnApplies(cs, tgt) && tgt < cs.current {
 		cs.transActive = true
 		cs.transTarget = tgt
-		cs.transEvent = c.eng.Schedule(c.cfg.FastReturnUpLatency, func() { c.completeTransition(core) })
+		c.eng.Schedule(c.cfg.FastReturnUpLatency, cs.event)
 		return
 	}
 
 	// Regular path: wait for the next slot on the 1 ms grid, then ramp.
 	cs.slotWaiting = true
 	slot := c.nextSlot(now)
-	c.eng.ScheduleAt(slot, func() { c.beginRamp(core) })
+	c.eng.ScheduleAt(slot, cs.event)
 }
 
 // nextSlot returns the next transition-initiation grid point strictly after
@@ -276,6 +283,15 @@ func (c *Controller) nextSlot(now sim.Time) sim.Time {
 	p := int64(c.cfg.SlotPeriod)
 	k := (int64(now) / p) + 1
 	return sim.Time(k * p)
+}
+
+// onEvent runs core's pending transition event.
+func (c *Controller) onEvent(core soc.CoreID) {
+	if c.cores[core].slotWaiting {
+		c.beginRamp(core)
+	} else {
+		c.completeTransition(core)
+	}
 }
 
 func (c *Controller) beginRamp(core soc.CoreID) {
@@ -303,7 +319,7 @@ func (c *Controller) beginRamp(core soc.CoreID) {
 	}
 	cs.transActive = true
 	cs.transTarget = tgt
-	cs.transEvent = c.eng.Schedule(ramp, func() { c.completeTransition(core) })
+	c.eng.Schedule(ramp, cs.event)
 }
 
 // fastReturnApplies reports whether switching the core to tgt qualifies for

@@ -101,3 +101,27 @@ func TestMixedRefreshAllocs(t *testing.T) {
 		t.Fatalf("refresh stats went from %+v to %+v: want cores derived and none shared", before, d)
 	}
 }
+
+// TestPStateTransitionAllocs switches a running thread between two
+// P-states and runs each transition through its slot and ramp. A core
+// binds its transition event on its first transition, so a repeated one
+// allocates nothing.
+func TestPStateTransitionAllocs(t *testing.T) {
+	m := newMachine()
+	if _, err := m.StartKernel(0, workload.Busywait, 0); err != nil {
+		t.Fatal(err)
+	}
+	mhz := 1500 // the P-state every core starts in
+	step := func() {
+		mhz = 4000 - mhz
+		if err := m.SetThreadFrequencyMHz(0, mhz); err != nil {
+			t.Fatal(err)
+		}
+		m.Eng.RunFor(2 * sim.Millisecond)
+	}
+	step()
+	if got := m.EffectiveMHz(0); got != float64(mhz) {
+		t.Fatalf("core 0 runs at %v MHz after the transition, want %d", got, mhz)
+	}
+	requireNoAllocs(t, "a P-state transition", step)
+}

@@ -48,7 +48,7 @@ func fuzzOnce(t *testing.T, seed uint64) {
 		switch rng.Intn(8) {
 		case 0, 1: // start a random kernel
 			k := kernels[rng.Intn(len(kernels))]
-			if m.Top.Online(th) {
+			if m.CStates.Online(th) {
 				if _, err := m.StartKernel(th, k, rng.Float64()); err != nil {
 					t.Fatalf("op %d: StartKernel: %v", op, err)
 				}
@@ -61,7 +61,7 @@ func fuzzOnce(t *testing.T, seed uint64) {
 			}
 		case 4: // offline/online (never cpu0)
 			if th != 0 {
-				online := m.Top.Online(th)
+				online := m.CStates.Online(th)
 				if err := m.SetOnline(th, !online); err != nil {
 					t.Fatalf("op %d: SetOnline: %v", op, err)
 				}
@@ -264,7 +264,7 @@ func runScript(script []byte, flushed bool) ([]float64, error) {
 					if i >= n1 {
 						k = k2
 					}
-					if m.Top.Online(th) {
+					if m.CStates.Online(th) {
 						if _, err := m.StartKernel(th, k, 0); err != nil {
 							return err
 						}
@@ -286,7 +286,7 @@ func runScript(script []byte, flushed bool) ([]float64, error) {
 				if th == 0 {
 					return nil
 				}
-				err := m.SetOnline(th, !m.Top.Online(th))
+				err := m.SetOnline(th, !m.CStates.Online(th))
 				flush()
 				return err
 			}, false

@@ -340,7 +340,6 @@ func New(cfg Config) *Machine {
 
 	m.CStates.OnCoreActive = func(core soc.CoreID, n int) { m.DVFS.SetActiveThreads(core, n) }
 	m.CStates.Dirty = m.markThreadDirty
-	m.CStates.DirtyAll = m.markAllDirty
 	m.CStates.AfterChange = m.changed
 	m.DVFS.Dirty = m.markCoreDirty
 	m.DVFS.CapMoved = m.markCapMoved
@@ -440,7 +439,7 @@ func (m *Machine) StartKernel(t soc.ThreadID, k workload.Kernel, weight float64)
 	if err := m.checkThread(t); err != nil {
 		return 0, err
 	}
-	if !m.Top.Online(t) {
+	if !m.CStates.Online(t) {
 		return 0, fmt.Errorf("machine: thread %d is offline", t)
 	}
 	if !ValidWeight(weight) {
@@ -549,7 +548,7 @@ func (m *Machine) SetOnline(t soc.ThreadID, online bool) error {
 	if err := m.checkThread(t); err != nil {
 		return err
 	}
-	if err := m.Top.SetOnline(t, online); err != nil {
+	if err := m.CStates.SetOnline(t, online); err != nil {
 		return err
 	}
 	if !online {
@@ -557,7 +556,6 @@ func (m *Machine) SetOnline(t soc.ThreadID, online bool) error {
 		m.markThreadDirty(t)
 		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
 	}
-	m.CStates.NotifyOnlineChanged()
 	m.changed()
 	return nil
 }
@@ -572,7 +570,7 @@ func (m *Machine) SetCStateEnabled(t soc.ThreadID, s cstate.State, enabled bool)
 	if err := m.CStates.SetEnabled(t, s, enabled); err != nil {
 		return err
 	}
-	if m.runs[t].kernel == 0 && m.Top.Online(t) {
+	if m.runs[t].kernel == 0 && m.CStates.Online(t) {
 		m.CStates.EnterIdle(t, m.CStates.DeepestEnabled(t))
 	}
 	m.changed()

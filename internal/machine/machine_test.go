@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"zen2ee/internal/cstate"
@@ -369,6 +370,52 @@ func TestOfflineThreadCannotRun(t *testing.T) {
 	}
 }
 
+// TestMachinesShareTopology: machines of one configuration share one
+// read-only topology, while a thread's online state belongs to its
+// machine, so offlining it on one leaves it online and startable on
+// another. Machines built and flipping threads on several goroutines give
+// the race detector the shared topology to watch.
+func TestMachinesShareTopology(t *testing.T) {
+	a, b := newMachine(), newMachine()
+	if a.Top != b.Top {
+		t.Fatal("two machines of one configuration hold two topologies")
+	}
+	if err := a.SetOnline(64, false); err != nil {
+		t.Fatal(err)
+	}
+	if a.CStates.Online(64) || !b.CStates.Online(64) {
+		t.Fatalf("cpu64 online: %v on the machine that offlined it, %v on the other",
+			a.CStates.Online(64), b.CStates.Online(64))
+	}
+	if _, err := b.StartKernel(64, workload.Busywait, 0); err != nil {
+		t.Fatalf("cpu64 offline on another machine: %v", err)
+	}
+	if _, err := a.StartKernel(64, workload.Busywait, 0); err == nil {
+		t.Fatal("offline cpu64 accepted a kernel")
+	}
+
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := newMachine()
+			th := soc.ThreadID(64 + g)
+			for i := range 4 {
+				if err := m.SetOnline(th, i%2 == 1); err != nil {
+					t.Error(err)
+					return
+				}
+				m.Eng.RunFor(sim.Millisecond)
+			}
+			if _, err := m.StartKernel(th, workload.Busywait, 0); err != nil {
+				t.Errorf("goroutine %d: re-onlined cpu%d: %v", g, th, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestEnergyMonotone(t *testing.T) {
 	m := newMachine()
 	var last float64
@@ -697,9 +744,9 @@ func TestOfflineCPU0LeavesItRunning(t *testing.T) {
 	a := m.ReadCounters(0)
 	settle(m, 10*sim.Millisecond)
 	b := m.ReadCounters(0)
-	if ghz := (b.Cycles - a.Cycles) / 0.01 / 1e9; !m.Running(0) || !m.Top.Online(0) || math.Abs(ghz-1.5) > 0.01 {
+	if ghz := (b.Cycles - a.Cycles) / 0.01 / 1e9; !m.Running(0) || !m.CStates.Online(0) || math.Abs(ghz-1.5) > 0.01 {
 		t.Fatalf("after the rejected offline: running %v, online %v, %v GHz; want a running cpu0 at 1.5 GHz",
-			m.Running(0), m.Top.Online(0), ghz)
+			m.Running(0), m.CStates.Online(0), ghz)
 	}
 }
 

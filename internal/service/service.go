@@ -126,11 +126,11 @@ type Config struct {
 	// bounds with whole result documents.
 	ShardCache bool
 	// Tenants enables multi-tenant governance: API-key authentication on
-	// submissions, per-tenant rate limits, quotas and circuit breaking at
-	// admission, weighted fair queueing across the executor slots, and
-	// the GET /v1/tenants listing. Nil (the default) preserves the
-	// pre-tenancy daemon exactly: no auth required, a single unlimited
-	// built-in tenant, no tenant metric series.
+	// submissions, per-tenant rate limits and quotas at admission,
+	// weighted fair queueing across the executor slots, and the GET
+	// /v1/tenants listing. Nil (the default) preserves the pre-tenancy
+	// daemon exactly: no auth required, a single unlimited built-in
+	// tenant, no tenant metric series.
 	Tenants *tenant.Registry
 	// Store overrides the content-addressed result store. Nil builds the
 	// in-memory LRU from CacheEntries/CacheBytes; cmd/zen2eed installs a

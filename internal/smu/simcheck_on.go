@@ -29,7 +29,7 @@ func (m *Manager) checkMonitor(pkg soc.PackageID, mon *Monitor) {
 		panic(fmt.Sprintf("simcheck: activity source %T has no CoreActivity to check its monitor against", m.src))
 	}
 	var fresh Monitor
-	for _, core := range m.pkgCores[pkg] {
+	for _, core := range m.top.Packages[pkg].Cores {
 		active, amps, eff := src.CoreActivity(core)
 		if !active {
 			continue
@@ -103,7 +103,7 @@ func (m *Manager) recordPark() {
 	src := m.cachedSource()
 	p := &m.park
 	p.mons, p.watts = p.mons[:0], p.watts[:0]
-	for pkg := range m.pkgCores {
+	for pkg := range m.top.Packages {
 		mon, w := src.CachedReading(soc.PackageID(pkg))
 		p.mons = append(p.mons, mon)
 		p.watts = append(p.watts, w)

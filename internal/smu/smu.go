@@ -146,9 +146,6 @@ type Manager struct {
 	// throttledTicks counts control periods with an engaged EDC cap.
 	throttledTicks []uint64
 	stats          Stats
-
-	// pkgCores caches each package's cores in topology order.
-	pkgCores [][]soc.CoreID
 }
 
 // New creates a manager and starts its control ticker.
@@ -161,11 +158,6 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, ctl *dvfs.Controller, s
 	}
 	for i := range m.capMHz {
 		m.capMHz[i] = math.Inf(1)
-	}
-	m.pkgCores = make([][]soc.CoreID, len(top.Packages))
-	for _, core := range top.Cores {
-		pkg := top.PackageOfCore(core.ID)
-		m.pkgCores[pkg] = append(m.pkgCores[pkg], core.ID)
 	}
 	m.ticker = eng.NewTicker(cfg.ControlPeriod, cfg.ControlPeriod/2, m.tick)
 	return m
@@ -193,7 +185,7 @@ func (m *Manager) Wake() {
 func (m *Manager) resume() {
 	n := m.ticker.Wake()
 	m.checkWake(n)
-	n *= uint64(len(m.pkgCores))
+	n *= uint64(len(m.top.Packages))
 	for i := uint64(0); i < n; i++ {
 		m.rng.SkipNorm()
 	}
@@ -231,7 +223,7 @@ type Stats struct {
 // Stats returns the control counts since New.
 func (m *Manager) Stats() Stats {
 	s := m.stats
-	n := m.ticker.Skipped() * uint64(len(m.pkgCores))
+	n := m.ticker.Skipped() * uint64(len(m.top.Packages))
 	s.Ticks += n
 	s.Parked += n
 	return s
@@ -387,5 +379,5 @@ func (m *Manager) applyBoost(pkg soc.PackageID) {
 	if grant < 0 {
 		grant = 0
 	}
-	m.ctl.SetBoostsMHz(m.pkgCores[pkg], grant)
+	m.ctl.SetBoostsMHz(m.top.Packages[pkg].Cores, grant)
 }

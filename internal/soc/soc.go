@@ -6,12 +6,16 @@
 //
 // Logical CPU numbering follows the Linux convention observed on the paper's
 // test system: the first hardware thread of every core, package by package,
-// then all second threads, again grouped by package. Offline/online state is
-// tracked here because the "offline thread" anomalies from the paper are
-// topology-level behaviours.
+// then all second threads, again grouped by package. A topology is the
+// fixed structure of a processor model: a thread's online state is not
+// part of it (the C-state model, cstate, owns it), so every machine of one
+// Config shares one read-only Topology.
 package soc
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Identifiers are dense indices into the System's flat slices.
 type (
@@ -29,10 +33,9 @@ type (
 
 // Thread is a hardware thread (SMT sibling).
 type Thread struct {
-	ID     ThreadID
-	Core   CoreID
-	SMT    int  // 0 = first sibling, 1 = second
-	Online bool // sysfs online state
+	ID   ThreadID
+	Core CoreID
+	SMT  int // 0 = first sibling, 1 = second
 }
 
 // Core is a physical Zen 2 core: 32 KiB L1I/L1D, 512 KiB L2, two SMT threads.
@@ -58,8 +61,9 @@ type CCD struct {
 
 // Package is a socket: CCDs plus one I/O die with UMCs.
 type Package struct {
-	ID   PackageID
-	CCDs []CCDID
+	ID    PackageID
+	CCDs  []CCDID
+	Cores []CoreID // in ID order
 	// UMCs is the number of unified memory controllers (2 channels each).
 	UMCs int
 }
@@ -148,7 +152,8 @@ func (c Config) TotalCores() int { return c.Packages * c.CoresPerPackage() }
 // TotalThreads returns the number of hardware threads in the system.
 func (c Config) TotalThreads() int { return 2 * c.TotalCores() }
 
-// Topology is the instantiated system structure.
+// Topology is the instantiated system structure. It is read-only: New
+// hands every caller with an equal Config the same Topology.
 type Topology struct {
 	Config   Config
 	Threads  []Thread
@@ -158,9 +163,21 @@ type Topology struct {
 	Packages []Package
 }
 
-// New builds the topology for a configuration. It panics on an invalid
-// configuration (construction happens once, at system setup).
+// topologies holds the Topology built for each Config, under topologiesMu.
+var (
+	topologiesMu sync.Mutex
+	topologies   = map[Config]*Topology{}
+)
+
+// New returns the topology of a configuration, built on the first call for
+// an equal Config and shared, read-only, by every later one. It is safe
+// for concurrent use, and panics on an invalid configuration.
 func New(c Config) *Topology {
+	topologiesMu.Lock()
+	defer topologiesMu.Unlock()
+	if t := topologies[c]; t != nil {
+		return t
+	}
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
@@ -179,6 +196,7 @@ func New(c Config) *Topology {
 				for k := 0; k < c.CoresPerCCX; k++ {
 					core := Core{ID: CoreID(coreIdx), CCX: ccx.ID}
 					ccx.Cores = append(ccx.Cores, core.ID)
+					pkg.Cores = append(pkg.Cores, core.ID)
 					t.Cores[coreIdx] = core
 					coreIdx++
 				}
@@ -194,14 +212,15 @@ func New(c Config) *Topology {
 	// Linux logical CPU numbering: thread 0 of each core in package order,
 	// then thread 1 of each core in package order.
 	for c0 := 0; c0 < nCores; c0++ {
-		t.Threads[c0] = Thread{ID: ThreadID(c0), Core: CoreID(c0), SMT: 0, Online: true}
+		t.Threads[c0] = Thread{ID: ThreadID(c0), Core: CoreID(c0), SMT: 0}
 		t.Cores[c0].Threads[0] = ThreadID(c0)
 	}
 	for c1 := 0; c1 < nCores; c1++ {
 		id := ThreadID(nCores + c1)
-		t.Threads[id] = Thread{ID: id, Core: CoreID(c1), SMT: 1, Online: true}
+		t.Threads[id] = Thread{ID: id, Core: CoreID(c1), SMT: 1}
 		t.Cores[c1].Threads[1] = id
 	}
+	topologies[c] = t
 	return t
 }
 
@@ -243,10 +262,8 @@ func (t *Topology) Sibling(id ThreadID) ThreadID {
 func (t *Topology) ThreadsOfPackage(p PackageID) []ThreadID {
 	var out []ThreadID
 	for smt := 0; smt < 2; smt++ {
-		for _, core := range t.Cores {
-			if t.PackageOfCore(core.ID) == p {
-				out = append(out, core.Threads[smt])
-			}
+		for _, c := range t.Packages[p].Cores {
+			out = append(out, t.Cores[c].Threads[smt])
 		}
 	}
 	return out
@@ -254,30 +271,6 @@ func (t *Topology) ThreadsOfPackage(p PackageID) []ThreadID {
 
 // CoresOfCCX returns the cores of the given CCX.
 func (t *Topology) CoresOfCCX(x CCXID) []CoreID { return t.CCXs[x].Cores }
-
-// SetOnline changes a thread's sysfs online state. Thread 0 (the boot CPU)
-// cannot be taken offline, matching Linux.
-func (t *Topology) SetOnline(id ThreadID, online bool) error {
-	if id == 0 && !online {
-		return fmt.Errorf("soc: cpu0 cannot be taken offline")
-	}
-	t.Threads[id].Online = online
-	return nil
-}
-
-// Online reports a thread's online state.
-func (t *Topology) Online(id ThreadID) bool { return t.Threads[id].Online }
-
-// OnlineThreads returns all currently-online threads in ID order.
-func (t *Topology) OnlineThreads() []ThreadID {
-	var out []ThreadID
-	for _, th := range t.Threads {
-		if th.Online {
-			out = append(out, th.ID)
-		}
-	}
-	return out
-}
 
 // EnumerationOrder returns the logical CPU ordering used by the paper's
 // Figure 7 sweep: thread 0 of each core of package 0, then package 1, then

@@ -77,6 +77,29 @@ func TestPackageAssignment(t *testing.T) {
 	if p := top.PackageOfThread(100); p != 1 {
 		t.Fatalf("thread 100 on package %d, want 1", p)
 	}
+	// Each package lists its 32 cores in ID order.
+	for _, pkg := range top.Packages {
+		if len(pkg.Cores) != 32 {
+			t.Fatalf("package %d lists %d cores, want 32", pkg.ID, len(pkg.Cores))
+		}
+		for i, c := range pkg.Cores {
+			if c != CoreID(32*int(pkg.ID)+i) {
+				t.Fatalf("package %d core %d is %d", pkg.ID, i, c)
+			}
+		}
+	}
+}
+
+// TestNewSharesTopology: equal configurations get one topology, distinct
+// ones their own.
+func TestNewSharesTopology(t *testing.T) {
+	a, b := New(EPYC7502x2()), New(EPYC7502x2())
+	if a != b {
+		t.Fatal("two topologies for one configuration")
+	}
+	if c := New(EPYC7742x2()); c == a || c.NumCores() != 128 {
+		t.Fatalf("EPYC 7742 topology shared or wrong: %d cores", c.NumCores())
+	}
 }
 
 func TestCCXGrouping(t *testing.T) {
@@ -106,29 +129,6 @@ func TestEnumerationOrder(t *testing.T) {
 		if id != ThreadID(i) {
 			t.Fatalf("order[%d] = %d", i, id)
 		}
-	}
-}
-
-func TestOnlineOffline(t *testing.T) {
-	top := New(EPYC7502x2())
-	if err := top.SetOnline(0, false); err == nil {
-		t.Fatal("offlining cpu0 should fail")
-	}
-	if err := top.SetOnline(64, false); err != nil {
-		t.Fatalf("offlining cpu64: %v", err)
-	}
-	if top.Online(64) {
-		t.Fatal("cpu64 still online")
-	}
-	got := top.OnlineThreads()
-	if len(got) != 127 {
-		t.Fatalf("online threads = %d, want 127", len(got))
-	}
-	if err := top.SetOnline(64, true); err != nil {
-		t.Fatalf("re-onlining: %v", err)
-	}
-	if len(top.OnlineThreads()) != 128 {
-		t.Fatal("re-onlining did not restore count")
 	}
 }
 

@@ -53,7 +53,6 @@ var reachAllowed = map[string]string{
 	"zen2ee/internal/soc.Config.TotalThreads":       "observation point: TestPresetSizes (soc) pins the 7742 preset's thread count",
 	"zen2ee/internal/soc.Topology.CCDOf":            "observation point: TestCCXGrouping (soc) checks which CCD a CCX belongs to",
 	"zen2ee/internal/soc.Topology.CCXOf":            "observation point: TestCCXGrouping (soc) checks which CCX a core belongs to",
-	"zen2ee/internal/soc.Topology.OnlineThreads":    "observation point: TestOnlineOffline (soc) counts the online threads",
 	"zen2ee/internal/soc.Topology.SameCCX":          "observation point: TestCCXGrouping (soc) checks which cores share an L3",
 	"zen2ee/internal/tenant.Gate.Waiting":           "observation point: the gate tests (waitWaiters) and TestDistFallbackHonorsTenantPriority (service) wait for queued acquisitions",
 }
