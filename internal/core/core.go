@@ -31,21 +31,10 @@ type Options struct {
 // DefaultOptions returns Scale 1, Seed 1.
 func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
 
-// Normalize returns the options with defaults applied: a non-positive or
-// non-finite Scale becomes 1. It is the single place option values are
-// coerced — every internal consumer goes through it, so services that would
-// rather reject bad values than silently patch them can call Validate at
-// their boundary instead.
-func (o Options) Normalize() Options {
-	if o.Scale <= 0 || math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0) {
-		o.Scale = 1
-	}
-	return o
-}
-
-// Validate reports the option values Normalize would have to silently
-// coerce. API boundaries (the zen2eed daemon, the CLI) reject these with an
-// error instead of running a simulation the caller did not ask for.
+// Validate rejects option values no simulation can run at: a scale that
+// is not a positive finite number. Every entry point that takes options
+// (RunSweepStream and RunSweep, RunIDsConfig, RunOne, ExecuteShardRef)
+// calls it before any work starts, so experiments read Scale as given.
 func (o Options) Validate() error {
 	if math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0) {
 		return fmt.Errorf("scale must be a finite number, got %v", o.Scale)
@@ -57,7 +46,7 @@ func (o Options) Validate() error {
 }
 
 func (o Options) scaled(n int) int {
-	v := int(math.Round(float64(n) * o.Normalize().Scale))
+	v := int(math.Round(float64(n) * o.Scale))
 	if v < 1 {
 		v = 1
 	}

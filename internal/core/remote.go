@@ -66,11 +66,15 @@ type ShardTask struct {
 // scheduler-built ref), per-experiment seed derivation,
 // plan resolution, per-shard stream derivation, panic guarding — so the
 // output for a given ShardRef is byte-identical to what the coordinating
-// scheduler would have computed itself.
+// scheduler would have computed itself. The ref arrives off the wire, so
+// a configuration that fails Options.Validate is an error, not a run.
 func ExecuteShardRef(ref ShardRef) (any, error) {
 	e, err := ByID(ref.Exp)
 	if err != nil {
 		return nil, err
+	}
+	if err := ref.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", e.ID, err)
 	}
 	opts := e.canonical(ref.Config).perExperiment(e.ID)
 	shards, _, err := planForGuarded(e, opts)

@@ -160,10 +160,11 @@ func ResolveIDs(ids []string) ([]Experiment, error) {
 // RunIDsConfig executes the named experiments (all of them when ids is
 // empty) through the shard scheduler. Every experiment runs on the seed
 // stream derived from (o.Seed, its ID), so a job over a subset reproduces
-// exactly those sections of a full run. It does not abort on failure: it
-// returns every successful Result in paper order plus a joined error
-// covering the failures, so one broken experiment costs one table, not the
-// run.
+// exactly those sections of a full run. Unknown IDs and options that fail
+// Options.Validate are an error before any work starts. It does not abort
+// on failure: it returns every successful Result in paper order plus a
+// joined error covering the failures, so one broken experiment costs one
+// table, not the run.
 //
 // Progress contract: the callback is serialized (never invoked
 // concurrently) on a dedicated emitter goroutine, decoupled from the worker
@@ -175,16 +176,23 @@ func RunIDsConfig(ids []string, o Options, cfg RunConfig, progress func(Progress
 	if err != nil {
 		return nil, err
 	}
+	if err := o.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	return runSet(exps, o, cfg, progress)
 }
 
 // RunOne executes a single experiment by ID through the scheduler on one
 // worker, with the same derived seeds it receives in a full-suite run, so a
 // lone rerun of one experiment reproduces its section of the suite exactly.
+// Options that fail Options.Validate are an error.
 func RunOne(id string, o Options) (*Result, error) {
 	e, err := ByID(id)
 	if err != nil {
 		return nil, err
+	}
+	if err := o.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	results, err := runSet([]Experiment{e}, o, RunConfig{Workers: 1}, nil)
 	if err != nil {

@@ -430,26 +430,35 @@ func TestAcquireGatesOnlyInProcessRuns(t *testing.T) {
 	}
 }
 
-func TestOptionsNormalizeAndValidate(t *testing.T) {
+func TestOptionsValidate(t *testing.T) {
 	inf := math.Inf(1)
 	for _, bad := range []float64{0, -1, inf, -inf, math.NaN()} {
 		o := Options{Scale: bad, Seed: 1}
 		if err := o.Validate(); err == nil {
 			t.Errorf("Validate accepted scale %v", bad)
 		}
-		if n := o.Normalize(); n.Scale != 1 {
-			t.Errorf("Normalize(%v) = %v, want 1", bad, n.Scale)
-		}
-		if v := o.scaled(10); v != 10 {
-			t.Errorf("scaled with scale %v gave %d, want 10 (normalized)", bad, v)
-		}
 	}
 	good := Options{Scale: 2.5, Seed: 0}
 	if err := good.Validate(); err != nil {
 		t.Errorf("Validate rejected %+v: %v", good, err)
 	}
-	if n := good.Normalize(); n != good {
-		t.Errorf("Normalize changed valid options: %+v", n)
+}
+
+// TestEntryPointsRejectInvalidOptions pins one scale rule: every entry
+// point that takes options rejects a scale Validate rejects, before any
+// work, instead of running at some other scale.
+func TestEntryPointsRejectInvalidOptions(t *testing.T) {
+	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		o := Options{Scale: bad, Seed: 1}
+		if rs, err := RunIDsConfig([]string{"sec6acpi"}, o, RunConfig{Workers: 1}, nil); err == nil {
+			t.Errorf("RunIDsConfig at scale %v ran %d experiments, want an error", bad, len(rs))
+		}
+		if _, err := RunOne("sec6acpi", o); err == nil {
+			t.Errorf("RunOne accepted scale %v", bad)
+		}
+		if _, err := ExecuteShardRef(ShardRef{Exp: "sec6acpi", Config: o}); err == nil {
+			t.Errorf("ExecuteShardRef accepted scale %v", bad)
+		}
 	}
 }
 

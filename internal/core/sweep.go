@@ -150,9 +150,9 @@ func RunSweepStream(sw Sweep, cfg RunConfig, onConfig ReduceConfig, progress fun
 // same pool a single heavy run does instead of serializing configuration
 // by configuration. Like the other schedulers it is partial on failure:
 // every configuration's surviving results come back alongside one joined
-// error. Unlike the Normalize-based internal paths, RunSweep validates at
-// the boundary — invalid or duplicated configurations and unknown or
-// duplicated experiment IDs are an error before any work starts.
+// error. Like every entry point, RunSweep validates at the boundary —
+// invalid or duplicated configurations and unknown or duplicated
+// experiment IDs are an error before any work starts.
 //
 // RunSweep is a collector over RunSweepStream: it retains every section,
 // so memory is O(configs). Callers that can consume sections as they

@@ -20,7 +20,9 @@
 // The model keeps each core's count of C0 threads up to date as states
 // change, so a mutation costs O(1): every mutator changes one thread and
 // can only move that thread's core. Builds with `-tags simcheck` check the
-// counts against a full scan after every mutation.
+// counts against a full scan after every mutation. The model is the only
+// owner of those counts: the DVFS controller reads them in place
+// (ActiveThreads), and no other layer keeps a copy.
 package cstate
 
 import (
@@ -114,16 +116,11 @@ type Model struct {
 	active []int
 	scan   activeScan // full-scan cross-check, -tags simcheck only
 
-	// BeforeChange/AfterChange bracket any effective-state mutation so that
-	// power and performance integrators can fold in elapsed time first.
-	BeforeChange func()
-	AfterChange  func()
-	// OnCoreActive is invoked when a core's number of C0 threads changes
-	// (wired to dvfs.Controller.SetActiveThreads).
-	OnCoreActive func(core soc.CoreID, activeThreads int)
+	// AfterChange, when set, runs after any effective-state mutation.
+	AfterChange func()
 	// Dirty, when set, is invoked with the thread whose state is mutating,
-	// before OnCoreActive and AfterChange fire — the machine layer uses it
-	// to scope its incremental refresh.
+	// before AfterChange fires — the machine layer uses it to scope its
+	// incremental refresh.
 	Dirty func(t soc.ThreadID)
 }
 
@@ -237,24 +234,16 @@ func (m *Model) WakeLatency(from State, coreMHz float64, remote bool) sim.Durati
 	return d
 }
 
-// mutate wraps a state change with the integrator hooks and brings the
-// per-core active count of the mutated thread's core up to date, firing
-// OnCoreActive if it moved. f may change only thread t's state.
+// mutate applies a state change, brings the active count of the mutated
+// thread's core up to date and runs the hooks. f may change only thread t's
+// state.
 func (m *Model) mutate(t soc.ThreadID, f func()) {
-	if m.BeforeChange != nil {
-		m.BeforeChange()
-	}
 	f()
 	if m.Dirty != nil {
 		m.Dirty(t)
 	}
 	core := m.top.Threads[t].Core
-	if n := m.ActiveThreads(core); n != m.active[core] {
-		m.active[core] = n
-		if m.OnCoreActive != nil {
-			m.OnCoreActive(core, n)
-		}
-	}
+	m.active[core] = m.countActive(core)
 	m.checkActive()
 	if m.AfterChange != nil {
 		m.AfterChange()
@@ -299,8 +288,12 @@ func (m *Model) CoreState(core soc.CoreID) State {
 	return s1
 }
 
-// ActiveThreads returns how many of the core's threads are in C0.
-func (m *Model) ActiveThreads(core soc.CoreID) int {
+// ActiveThreads returns how many of the core's threads are in C0: the
+// count mutate keeps, read in place.
+func (m *Model) ActiveThreads(core soc.CoreID) int { return m.active[core] }
+
+// countActive counts the core's threads in C0 from their states.
+func (m *Model) countActive(core soc.CoreID) int {
 	n := 0
 	c := m.top.Cores[core]
 	for _, t := range c.Threads {

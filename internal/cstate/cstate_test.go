@@ -225,25 +225,6 @@ func TestCoreStateIsShallowest(t *testing.T) {
 	}
 }
 
-func TestOnCoreActiveCallback(t *testing.T) {
-	_, top, m := newModel()
-	var lastCore soc.CoreID = -1
-	var lastCount = -1
-	m.OnCoreActive = func(c soc.CoreID, n int) { lastCore, lastCount = c, n }
-	m.EnterIdle(0, C2)
-	if lastCore != 0 || lastCount != 1 {
-		t.Fatalf("callback (%d,%d), want (0,1)", lastCore, lastCount)
-	}
-	m.EnterIdle(top.Sibling(0), C2)
-	if lastCount != 0 {
-		t.Fatalf("callback count %d, want 0", lastCount)
-	}
-	m.Wake(0, 2500, false)
-	if lastCount != 1 {
-		t.Fatalf("callback count after wake %d, want 1", lastCount)
-	}
-}
-
 func TestActiveThreadsPerCore(t *testing.T) {
 	_, top, m := newModel()
 	if n := m.ActiveThreads(0); n != 2 {
@@ -255,19 +236,20 @@ func TestActiveThreadsPerCore(t *testing.T) {
 	}
 }
 
+// TestBeforeAfterHooks pins when AfterChange runs: once per state change,
+// never for a request that changes nothing.
 func TestBeforeAfterHooks(t *testing.T) {
 	_, _, m := newModel()
-	var before, after int
-	m.BeforeChange = func() { before++ }
+	after := 0
 	m.AfterChange = func() { after++ }
 	m.EnterIdle(0, C1)
 	m.Wake(0, 2000, false)
-	if before != 2 || after != 2 {
-		t.Fatalf("hooks before=%d after=%d, want 2/2", before, after)
+	if after != 2 {
+		t.Fatalf("AfterChange ran %d times, want 2", after)
 	}
 	// Idempotent requests do not trigger hooks.
 	m.Wake(0, 2000, false)
-	if before != 2 {
+	if after != 2 {
 		t.Fatal("no-op wake triggered hooks")
 	}
 }
@@ -281,60 +263,71 @@ func TestWakeLatencyAtFloorFrequency(t *testing.T) {
 	}
 }
 
-// TestOnCoreActiveNotifications pins when the kept per-core C0 counts are
-// reported: once per count change of the mutated thread's core, never for
-// a mutation that leaves the count alone; an online change is such a
-// mutation of its thread.
-func TestOnCoreActiveNotifications(t *testing.T) {
+// TestActiveThreadsKept follows one core's kept C0 count through the
+// accessor the DVFS controller reads: 2 → 1 → 0 as its threads idle, back
+// up on a wake, through an offline sibling (elevated to C1, so not in C0)
+// and a disabled C2, and untouched by mutations of other cores.
+func TestActiveThreadsKept(t *testing.T) {
 	_, top, m := newModel()
-	type note struct {
-		core soc.CoreID
-		n    int
-	}
-	var got []note
-	m.OnCoreActive = func(c soc.CoreID, n int) { got = append(got, note{c, n}) }
-	expect := func(what string, want ...note) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: notifications %v, want %v", what, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: notifications %v, want %v", what, got, want)
-			}
-		}
-		got = got[:0]
-	}
 	c3 := top.Cores[3].Threads
+	expect := func(what string, want int) {
+		t.Helper()
+		if n := m.ActiveThreads(3); n != want {
+			t.Fatalf("%s: core 3 has %d threads in C0, want %d", what, n, want)
+		}
+	}
+	expect("initially", 2)
 	m.EnterIdle(c3[0], C1)
-	expect("first thread idles", note{3, 1})
+	expect("first thread idles", 1)
 	m.EnterIdle(c3[0], C2)
-	expect("C1 to C2")
+	expect("C1 to C2", 1)
+	m.EnterIdle(c3[1], C2)
+	expect("second thread idles", 0)
+	m.Wake(c3[1], 2500, false)
+	expect("wake", 1)
+
+	// Disabling C2 on a C0 thread leaves it in C0; its next idle is
+	// capped at C1, which is not C0 either.
 	if err := m.SetEnabled(c3[1], C2, false); err != nil {
 		t.Fatal(err)
 	}
-	expect("disabling C2 on a C0 thread")
+	expect("disabling C2 on a C0 thread", 1)
 	m.EnterIdle(c3[1], C2)
-	expect("second thread idles (capped at C1)", note{3, 0})
-	m.Wake(c3[1], 2500, false)
-	expect("wake", note{3, 1})
-
-	// Offlining a running thread notifies its own core, and only that.
-	hi, lo := top.Cores[9].Threads[1], top.Cores[5].Threads[1]
-	setOnline := func(th soc.ThreadID, online bool) {
-		t.Helper()
-		if err := m.SetOnline(th, online); err != nil {
-			t.Fatal(err)
-		}
+	if s := m.EffectiveState(c3[1]); s != C1 {
+		t.Fatalf("idle with C2 disabled: %v, want C1", s)
 	}
-	setOnline(hi, false)
-	expect("offline core 9's sibling", note{9, 1})
-	setOnline(lo, false)
-	expect("offline core 5's sibling", note{5, 1})
-	setOnline(lo, false)
-	expect("repeated offline")
-	setOnline(hi, true)
-	expect("re-online core 9's sibling", note{9, 2})
+	expect("idle capped at C1", 0)
+
+	// An offline thread is out of C0 whatever it requested, and counts
+	// again once re-onlined.
+	m.Wake(c3[0], 2500, false)
+	m.Wake(c3[1], 2500, false)
+	expect("both awake", 2)
+	if err := m.SetOnline(c3[1], false); err != nil {
+		t.Fatal(err)
+	}
+	expect("sibling offline", 1)
+	if err := m.SetOnline(c3[1], false); err != nil {
+		t.Fatal(err)
+	}
+	expect("repeated offline", 1)
+	if err := m.SetOnline(c3[1], true); err != nil {
+		t.Fatal(err)
+	}
+	expect("re-onlined", 2)
+
+	// Mutations of other cores leave core 3's count alone.
+	m.EnterIdle(top.Cores[4].Threads[0], C2)
+	if err := m.SetOnline(top.Cores[5].Threads[1], false); err != nil {
+		t.Fatal(err)
+	}
+	expect("other cores mutated", 2)
+	if n := m.ActiveThreads(4); n != 1 {
+		t.Fatalf("core 4 has %d threads in C0, want 1", n)
+	}
+	if n := m.ActiveThreads(5); n != 1 {
+		t.Fatalf("core 5 has %d threads in C0, want 1", n)
+	}
 }
 
 // TestOnlineOffline pins the sysfs online rules: cpu0 cannot go offline (a
@@ -355,7 +348,7 @@ func TestOnlineOffline(t *testing.T) {
 		t.Fatalf("online threads = %d, want 128", n)
 	}
 	hooks := 0
-	m.BeforeChange = func() { hooks++ }
+	m.AfterChange = func() { hooks++ }
 	if err := m.SetOnline(0, false); err == nil {
 		t.Fatal("offlining cpu0 should fail")
 	}

@@ -18,13 +18,17 @@
 //     the fastest active core in the CCX (Fig. 4).
 //
 // The controller exposes effective per-core frequencies and the L3 clock to
-// the rest of the model.
+// the rest of the model. Which cores are active (have a thread in C0) it
+// reads in place from the C-state model, the only owner of those counts;
+// the controller owns each package's SMU cap, which the SMU reads and
+// writes here.
 package dvfs
 
 import (
 	"fmt"
 	"math"
 
+	"zen2ee/internal/cstate"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
@@ -128,10 +132,9 @@ type coreState struct {
 	transTarget int
 	slotWaiting bool
 
-	lastTransEnd  sim.Time      // completion time of the last transition
-	boostMHz      float64       // SMU boost grant above P0; 0 = no boost
-	activeThreads int           // threads currently in C0
-	pkg           soc.PackageID // the package whose SMU cap applies
+	lastTransEnd sim.Time      // completion time of the last transition
+	boostMHz     float64       // SMU boost grant above P0; 0 = no boost
+	pkg          soc.PackageID // the package whose SMU cap applies
 
 	// event is the core's transition event, bound on its first transition
 	// so later ones allocate nothing. A core has at most one pending: the
@@ -144,16 +147,16 @@ type Controller struct {
 	eng *sim.Engine
 	top *soc.Topology
 	cfg Config
+	// cst holds each core's count of threads in C0; idle cores neither
+	// anchor the L3 clock nor suffer coupling penalties.
+	cst *cstate.Model
 
 	cores []coreState
 	// caps holds each package's SMU frequency cap; +Inf when uncapped.
 	caps []float64
 
-	// BeforeChange, when set, runs immediately before any effective-
-	// frequency-relevant mutation, so lazy integrators (cycle counters,
-	// power accounting) can fold in elapsed time at the old rates.
-	BeforeChange func()
-	// AfterChange, when set, runs after such a mutation.
+	// AfterChange, when set, runs after any effective-frequency-relevant
+	// mutation.
 	AfterChange func()
 	// Dirty, when set, is invoked with each core whose effective frequency
 	// may have changed, before AfterChange fires — the machine layer uses it
@@ -167,11 +170,13 @@ type Controller struct {
 }
 
 // New creates a controller and initialises all cores to the lowest P-state.
-func New(eng *sim.Engine, top *soc.Topology, cfg Config) *Controller {
+// cst is the C-state model of the same topology, whose per-core C0 counts
+// the controller reads.
+func New(eng *sim.Engine, top *soc.Topology, cfg Config, cst *cstate.Model) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Controller{eng: eng, top: top, cfg: cfg}
+	c := &Controller{eng: eng, top: top, cfg: cfg, cst: cst}
 	lowest := len(cfg.PStates) - 1
 	c.cores = make([]coreState, top.NumCores())
 	for i := range c.cores {
@@ -187,12 +192,6 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config) *Controller {
 		c.caps[p] = math.Inf(1)
 	}
 	return c
-}
-
-func (c *Controller) notifyBefore() {
-	if c.BeforeChange != nil {
-		c.BeforeChange()
-	}
 }
 
 func (c *Controller) notifyAfter() {
@@ -338,7 +337,6 @@ func (c *Controller) fastReturnApplies(cs *coreState, tgt int) bool {
 
 func (c *Controller) completeTransition(core soc.CoreID) {
 	cs := &c.cores[core]
-	c.notifyBefore()
 	cs.prev = cs.current
 	cs.current = cs.transTarget
 	cs.transActive = false
@@ -352,19 +350,15 @@ func (c *Controller) completeTransition(core soc.CoreID) {
 }
 
 // SetCapMHz applies the SMU frequency cap (EDC/PPT throttling) to every
-// core of a package with a single notification pair; mhz <= 0 uncaps.
-// Caps act immediately (clock stretching / duty cycling, no P-state
-// change). The SMU is the only caller and caps whole packages, so the
-// controller holds one cap per package and reports a change through
-// CapMoved, once.
+// core of a package; +Inf uncaps. Caps act immediately (clock stretching /
+// duty cycling, no P-state change). The SMU is the only caller and caps
+// whole packages, so the controller holds one cap per package and reports
+// a change through CapMoved, once. Rewriting the present cap notifies
+// nothing.
 func (c *Controller) SetCapMHz(pkg soc.PackageID, mhz float64) {
-	if mhz <= 0 {
-		mhz = math.Inf(1)
-	}
 	if c.caps[pkg] == mhz {
 		return
 	}
-	c.notifyBefore()
 	c.caps[pkg] = mhz
 	if c.CapMoved != nil {
 		c.CapMoved(pkg)
@@ -377,7 +371,7 @@ func (c *Controller) CapMHz(pkg soc.PackageID) float64 { return c.caps[pkg] }
 
 // SetBoostsMHz applies one Core Performance Boost grant from the SMU to
 // the cores of a list that have a thread in C0, and withdraws the grant
-// from the idle ones, with a single notification pair: while a core sits
+// from the idle ones, with a single notification: while a core sits
 // in P-state 0, its clock may exceed the nominal frequency up to the grant
 // (in 25 MHz steps, per AMD's Precision Boost description). The grant
 // remains subject to EDC/PPT caps. The SMU is the only caller.
@@ -386,40 +380,23 @@ func (c *Controller) SetBoostsMHz(cores []soc.CoreID, mhz float64) {
 		mhz = 0
 	}
 	mhz = float64(int(mhz/25)) * 25 // quantize to Precision Boost steps
-	notified := false
+	moved := false
 	for _, core := range cores {
 		cs := &c.cores[core]
 		grant := mhz
-		if cs.activeThreads == 0 {
+		if c.cst.ActiveThreads(core) == 0 {
 			grant = 0
 		}
 		if cs.boostMHz == grant {
 			continue
 		}
-		if !notified {
-			c.notifyBefore()
-			notified = true
-		}
+		moved = true
 		cs.boostMHz = grant
 		c.markDirty(core)
 	}
-	if notified {
+	if moved {
 		c.notifyAfter()
 	}
-}
-
-// SetActiveThreads tells the controller how many of the core's threads are
-// in C0 (the C-state model calls this). Idle cores neither anchor the L3
-// clock nor suffer coupling penalties.
-func (c *Controller) SetActiveThreads(core soc.CoreID, n int) {
-	cs := &c.cores[core]
-	if cs.activeThreads == n {
-		return
-	}
-	c.notifyBefore()
-	cs.activeThreads = n
-	c.markDirty(core)
-	c.notifyAfter()
 }
 
 // AppliedPState returns the core's currently-applied P-state index.
@@ -474,7 +451,7 @@ func (c *Controller) CCXPeakMHz(ccx soc.CCXID) float64 {
 func (c *Controller) CCXUncappedPeakMHz(ccx soc.CCXID) float64 {
 	peak := 0.0
 	for _, core := range c.top.CoresOfCCX(ccx) {
-		if c.cores[core].activeThreads > 0 {
+		if c.cst.ActiveThreads(core) > 0 {
 			if f := c.UncappedMHz(core); f > peak {
 				peak = f
 			}
@@ -493,7 +470,7 @@ func (c *Controller) L3MHz(ccx soc.CCXID) float64 {
 // CCX mixed-frequency coupling penalty.
 func (c *Controller) EffectiveMHz(core soc.CoreID) float64 {
 	f := c.AppliedMHz(core)
-	if c.cores[core].activeThreads == 0 {
+	if c.cst.ActiveThreads(core) == 0 {
 		return f
 	}
 	return c.CoupledMHz(f, c.CCXPeakMHz(c.top.Cores[core].CCX))

@@ -31,7 +31,7 @@ func TestRequestOutOfRangePanics(t *testing.T) {
 func TestL3FloorWhenAllCoresSlow(t *testing.T) {
 	eng, top, c := newTestController()
 	// One active core at 1.5 GHz: the L3 follows it (above the 400 floor).
-	c.SetActiveThreads(0, 1)
+	setActive(c, 0, 1)
 	c.Request(top.Cores[0].Threads[0], 2)
 	eng.RunFor(5 * sim.Millisecond)
 	if got := c.L3MHz(0); got != 1500 {
@@ -60,7 +60,7 @@ func TestSetCapsBulkNoOp(t *testing.T) {
 	}
 	// The cap applies to every core of the package, and to no other.
 	c.Dirty = nil
-	c.SetActiveThreads(0, 1)
+	setActive(c, 0, 1)
 	last := top.Packages[0].CCDs[len(top.Packages[0].CCDs)-1]
 	c.Request(0, 0)
 	c.Request(top.Cores[top.CCXs[top.CCDs[last].CCXs[0]].Cores[0]].Threads[0], 0)
@@ -72,9 +72,9 @@ func TestSetCapsBulkNoOp(t *testing.T) {
 	if got := c.AppliedMHz(soc.CoreID(len(top.Cores) - 1)); got != 2500 {
 		t.Fatalf("package 1 runs at %v MHz, want 2500 uncapped", got)
 	}
-	// Uncap via 0.
+	// Uncap with +Inf.
 	calls = 0
-	c.SetCapMHz(0, 0)
+	c.SetCapMHz(0, math.Inf(1))
 	if calls != 1 || len(moved) != 2 {
 		t.Fatalf("uncap notifications: %d, moved %v", calls, moved)
 	}
@@ -85,7 +85,7 @@ func TestSetCapsBulkNoOp(t *testing.T) {
 
 func TestSetBoostsBulkQuantization(t *testing.T) {
 	eng, _, c := newTestController()
-	c.SetActiveThreads(0, 1)
+	setActive(c, 0, 1)
 	c.Request(0, 0)
 	eng.RunFor(5 * sim.Millisecond)
 	c.SetBoostsMHz([]soc.CoreID{0}, 3344)

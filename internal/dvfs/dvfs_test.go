@@ -5,15 +5,37 @@ import (
 	"testing"
 	"testing/quick"
 
+	"zen2ee/internal/cstate"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
 
 func newTestController() (*sim.Engine, *soc.Topology, *Controller) {
+	return newController(DefaultConfig())
+}
+
+// newController builds a controller over a C-state model whose threads
+// all idle in C2, as a new machine's do.
+func newController(cfg Config) (*sim.Engine, *soc.Topology, *Controller) {
 	eng := sim.NewEngine(1)
 	top := soc.New(soc.EPYC7502x2())
-	c := New(eng, top, DefaultConfig())
-	return eng, top, c
+	cst := cstate.New(eng, top, cstate.DefaultConfig())
+	for t := 0; t < top.NumThreads(); t++ {
+		cst.EnterIdle(soc.ThreadID(t), cstate.C2)
+	}
+	return eng, top, New(eng, top, cfg, cst)
+}
+
+// setActive puts core's first n threads in C0 and idles the others in
+// the controller's C-state model.
+func setActive(c *Controller, core soc.CoreID, n int) {
+	for i, t := range c.top.Cores[core].Threads {
+		if i < n {
+			c.cst.Wake(t, 0, false)
+		} else {
+			c.cst.EnterIdle(t, cstate.C2)
+		}
+	}
 }
 
 func TestInitialState(t *testing.T) {
@@ -77,7 +99,7 @@ func TestMaxRequestWinsAcrossThreads(t *testing.T) {
 	}
 	// Even after the sibling goes idle the request persists (§V-A):
 	// there is no notion of "idle drops the request" in the hardware.
-	c.SetActiveThreads(0, 1)
+	setActive(c, 0, 1)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
 	if got := c.AppliedPState(0); got != 0 {
 		t.Fatalf("core dropped to %d after sibling idled", got)
@@ -234,7 +256,7 @@ func TestCouplingTable1(t *testing.T) {
 		eng, top, c := newTestController()
 		// CCX0 = cores 0..3; core 0 measured, 1..3 others. All active.
 		for core := 0; core < 4; core++ {
-			c.SetActiveThreads(soc.CoreID(core), 1)
+			setActive(c, soc.CoreID(core), 1)
 		}
 		c.Request(0, cse.set)
 		for other := 1; other < 4; other++ {
@@ -251,30 +273,28 @@ func TestCouplingTable1(t *testing.T) {
 
 func TestCouplingIgnoresIdleCores(t *testing.T) {
 	eng, top, c := newTestController()
-	c.SetActiveThreads(0, 1)
+	setActive(c, 0, 1)
 	c.Request(0, 2)
 	// Core 1 requests 2.5 GHz but is idle: no penalty on core 0.
 	c.Request(top.Cores[1].Threads[0], 0)
-	c.SetActiveThreads(1, 0)
+	setActive(c, 1, 0)
 	eng.RunFor(sim.Duration(10 * sim.Millisecond))
 	if got := c.EffectiveMHz(0); got != 1500 {
 		t.Fatalf("idle neighbour caused penalty: %v MHz", got)
 	}
 	// Activating it brings the Table I penalty.
-	c.SetActiveThreads(1, 1)
+	setActive(c, 1, 1)
 	if got := c.EffectiveMHz(0); math.Abs(got-1428) > 2 {
 		t.Fatalf("active 2.5 GHz neighbour: effective %v, want 1428", got)
 	}
 }
 
 func TestCouplingDisabled(t *testing.T) {
-	eng := sim.NewEngine(1)
-	top := soc.New(soc.EPYC7502x2())
 	cfg := DefaultConfig()
 	cfg.CouplingEnabled = false
-	c := New(eng, top, cfg)
+	eng, top, c := newController(cfg)
 	for core := 0; core < 4; core++ {
-		c.SetActiveThreads(soc.CoreID(core), 1)
+		setActive(c, soc.CoreID(core), 1)
 	}
 	c.Request(0, 2)
 	for other := 1; other < 4; other++ {
@@ -292,14 +312,14 @@ func TestL3Clock(t *testing.T) {
 	if got := c.L3MHz(0); got != 400 {
 		t.Fatalf("idle L3 = %v, want 400 floor", got)
 	}
-	c.SetActiveThreads(0, 1)
+	setActive(c, 0, 1)
 	c.Request(0, 2)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
 	if got := c.L3MHz(0); got != 1500 {
 		t.Fatalf("L3 = %v, want 1500", got)
 	}
 	// A faster active core raises the L3 clock (Fig. 4 mechanism).
-	c.SetActiveThreads(1, 1)
+	setActive(c, 1, 1)
 	c.Request(top.Cores[1].Threads[0], 0)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
 	if got := c.L3MHz(0); got != 2500 {
@@ -313,7 +333,7 @@ func TestL3Clock(t *testing.T) {
 
 func TestSMUCap(t *testing.T) {
 	eng, _, c := newTestController()
-	c.SetActiveThreads(0, 1)
+	setActive(c, 0, 1)
 	c.Request(0, 0)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
 	c.SetCapMHz(0, 2025)
@@ -323,7 +343,7 @@ func TestSMUCap(t *testing.T) {
 	if got := c.AppliedPState(0); got != 0 {
 		t.Fatalf("cap changed P-state to %d", got)
 	}
-	c.SetCapMHz(0, 0) // uncap
+	c.SetCapMHz(0, math.Inf(1)) // uncap
 	if got := c.EffectiveMHz(0); got != 2500 {
 		t.Fatalf("uncapped effective = %v", got)
 	}
@@ -348,7 +368,7 @@ func TestVoltageInterpolation(t *testing.T) {
 
 func TestBoostGrant(t *testing.T) {
 	eng, _, c := newTestController()
-	c.SetActiveThreads(0, 1)
+	setActive(c, 0, 1)
 	c.Request(0, 0)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
 	// Grant quantizes to 25 MHz steps and only applies in P-state 0.
@@ -364,7 +384,7 @@ func TestBoostGrant(t *testing.T) {
 	if got := c.EffectiveMHz(0); got != 2100 {
 		t.Fatalf("capped boosted = %v", got)
 	}
-	c.SetCapMHz(0, 0)
+	c.SetCapMHz(0, math.Inf(1))
 	// Dropping to a lower P-state disables the boost grant.
 	c.Request(0, 1)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
@@ -373,15 +393,16 @@ func TestBoostGrant(t *testing.T) {
 	}
 }
 
+// TestBeforeAfterChangeHooks pins that a completed transition runs
+// AfterChange once.
 func TestBeforeAfterChangeHooks(t *testing.T) {
 	eng, _, c := newTestController()
-	var before, after int
-	c.BeforeChange = func() { before++ }
+	after := 0
 	c.AfterChange = func() { after++ }
 	c.Request(0, 0)
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
-	if before == 0 || after == 0 || before != after {
-		t.Fatalf("hooks: before=%d after=%d", before, after)
+	if after != 1 {
+		t.Fatalf("AfterChange ran %d times over one transition, want 1", after)
 	}
 }
 

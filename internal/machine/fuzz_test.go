@@ -232,7 +232,7 @@ func runScript(script []byte, flushed bool) ([]float64, error) {
 			pkg, c := soc.PackageID(next()%len(m.Top.Packages)), next()
 			mhz := 1000 + 10*float64(c)
 			if c == 255 {
-				mhz = 0
+				mhz = math.Inf(1)
 			}
 			return func() error { m.DVFS.SetCapMHz(pkg, mhz); flush(); return nil }, false
 		case opBoost:

@@ -168,8 +168,9 @@ type Machine struct {
 	// running equal kernels share an index and a pointer.
 	kernels []*workload.Kernel
 
+	// acEnergy integrates the true AC power; its power is the system
+	// power of the last refresh.
 	acEnergy *sim.EnergyIntegrator
-	lastSysW float64
 
 	// log holds the refresh instants the per-thread counters and the RAPL
 	// domains fold at.
@@ -322,8 +323,8 @@ func New(cfg Config) *Machine {
 	m.markAllDirty()
 	m.flushEvent = m.onFlushEvent
 	m.log = sim.NewFoldLog(eng.Now(), foldLogCap, m.catchUp)
-	m.DVFS = dvfs.New(eng, top, cfg.DVFS)
 	m.CStates = cstate.New(eng, top, cfg.CState)
+	m.DVFS = dvfs.New(eng, top, cfg.DVFS, m.CStates)
 	m.Power = power.NewModel(cfg.Power)
 	m.Thermal = power.NewThermal(cfg.Power)
 	m.RAPL = rapl.New(eng, top, cfg.RAPL, regs, m.log)
@@ -338,7 +339,6 @@ func New(cfg Config) *Machine {
 	m.shadow.init(m)
 	m.wirePerfMSRs(float64(cfg.SoC.NominalMHz))
 
-	m.CStates.OnCoreActive = func(core soc.CoreID, n int) { m.DVFS.SetActiveThreads(core, n) }
 	m.CStates.Dirty = m.markThreadDirty
 	m.CStates.AfterChange = m.changed
 	m.DVFS.Dirty = m.markCoreDirty
@@ -589,7 +589,7 @@ func (m *Machine) WakeLatency(t soc.ThreadID, remote bool) sim.Duration {
 // SystemWatts returns the present true AC power.
 func (m *Machine) SystemWatts() float64 {
 	m.flush()
-	return m.lastSysW
+	return m.acEnergy.Power()
 }
 
 // EnergyJoules implements measure.EnergySource: total AC energy.
@@ -623,7 +623,7 @@ func (m *Machine) TempC() float64 {
 // the paper's 15-minute warm-up before power-sensitive measurements.
 func (m *Machine) Preheat() {
 	m.flush()
-	m.Thermal.Preheat(m.lastSysW)
+	m.Thermal.Preheat(m.acEnergy.Power())
 }
 
 // Counters is a per-thread performance-counter snapshot.
@@ -920,7 +920,7 @@ func (m *Machine) refresh() {
 	nominalGHz := float64(m.cfg.SoC.NominalMHz) / 1000
 
 	// Advance the thermal model under the previous power level first.
-	m.Thermal.Advance(now, m.lastSysW)
+	m.Thermal.Advance(now, m.acEnergy.Power())
 
 	// The counters and RAPL domains fold at every refresh instant; one
 	// whose rate is unchanged replays those folds only when it is read or
@@ -1002,7 +1002,6 @@ func (m *Machine) refresh() {
 		DRAMTrafficGBs: m.trafficGBs,
 	})
 	m.acEnergy.SetPower(now, sysW)
-	m.lastSysW = sysW
 
 	// Classes never reach across packages, so the counters and core
 	// domains of a package holding a dirty core regroup by class, and

@@ -890,7 +890,7 @@ func TestRefreshMonitorMatchesFresh(t *testing.T) {
 	if !m.SMU.Throttling(0) || !m.SMU.Throttling(1) {
 		t.Fatal("FIRESTARTER load is not EDC-throttled")
 	}
-	caps := [2]float64{m.SMU.CapMHz(0), m.SMU.CapMHz(1)}
+	caps := [2]float64{m.DVFS.CapMHz(0), m.DVFS.CapMHz(1)}
 	for c := range m.Top.Cores {
 		core := soc.CoreID(c)
 		switch {
@@ -902,8 +902,8 @@ func TestRefreshMonitorMatchesFresh(t *testing.T) {
 		}
 	}
 	sample(100)
-	if m.SMU.CapMHz(0) == caps[0] || m.SMU.CapMHz(1) == caps[1] {
-		t.Fatalf("caps %v before and %v, %v after the load drop: want both moved", caps, m.SMU.CapMHz(0), m.SMU.CapMHz(1))
+	if m.DVFS.CapMHz(0) == caps[0] || m.DVFS.CapMHz(1) == caps[1] {
+		t.Fatalf("caps %v before and %v, %v after the load drop: want both moved", caps, m.DVFS.CapMHz(0), m.DVFS.CapMHz(1))
 	}
 }
 

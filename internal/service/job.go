@@ -41,10 +41,10 @@ type Spec struct {
 // canonicalize validates the spec and rewrites it into canonical form:
 // defaults applied, IDs in paper order (or nil when they name the whole
 // registry), so equivalent requests hash identically. Validation is
-// rejecting, not coercing: values core.Options.Normalize would silently
-// patch (non-positive or non-finite scales), worker counts below 1, and
-// duplicated experiment IDs are a 400 at the API boundary — only omitted
-// fields take defaults.
+// rejecting, not coercing: scales core.Options.Validate rejects
+// (non-positive or non-finite), worker counts below 1, and duplicated
+// experiment IDs are a 400 at the API boundary — only omitted fields take
+// defaults.
 func (s Spec) canonicalize() (Spec, error) {
 	c, err := canonicalConfig(s.options())
 	s.Scale, s.Seed = c.Scale, c.Seed

@@ -14,14 +14,16 @@
 // against a 180 W TDP), which the integration tests verify.
 //
 // Both loops decide once per 1 ms control period, but the machine rarely
-// changes between two ticks. The manager reads each package's noise-free monitor
-// (active cores, current, fastest effective and uncapped clocks) from its
-// ActivitySource, which keeps it current as the machine changes, so a tick
-// measures no core. It writes a package's cap to the DVFS controller only
-// when the cap changes; the manager is the only writer of caps and boost
-// grants. The monitors' noise only matters near a limit, so a tick
-// computes a noise variate only where it can move a cap (Stats counts
-// them); elsewhere it advances the noise stream without one
+// changes between two ticks. The manager reads each package's noise-free
+// monitor (active cores, current, fastest effective and uncapped clocks)
+// from its ActivitySource, which keeps it current as the machine changes,
+// so a tick measures no core. The DVFS controller owns each package's cap:
+// a tick steps from the cap the controller holds (dvfs.Controller.CapMHz)
+// and writes its decision back there, which notifies only when the cap
+// moves. The manager is the only writer of caps and boost grants, and it
+// keeps no copy of either. The monitors' noise only matters near a limit,
+// so a tick computes a noise variate only where it can move a cap (Stats
+// counts them); elsewhere it advances the noise stream without one
 // (sim.RNG.SkipNorm), which keeps every later draw the same. Without
 // boost, a tick on an idle package thus costs one monitor read and a few
 // compares, and one on an uncapped package well within its limits adds a
@@ -135,9 +137,6 @@ type Manager struct {
 	src ActivitySource
 	rng *sim.RNG
 
-	// capMHz is the package-wide frequency cap applied to active cores;
-	// +Inf = unthrottled.
-	capMHz []float64
 	ticker *sim.Ticker
 	// calm marks, during a tick, that every package has been quiet and
 	// nothing has changed since the tick began.
@@ -153,11 +152,7 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, ctl *dvfs.Controller, s
 	m := &Manager{
 		eng: eng, top: top, cfg: cfg, ctl: ctl, src: src,
 		rng:            eng.RNG().Fork(),
-		capMHz:         make([]float64, len(top.Packages)),
 		throttledTicks: make([]uint64, len(top.Packages)),
-	}
-	for i := range m.capMHz {
-		m.capMHz[i] = math.Inf(1)
 	}
 	m.ticker = eng.NewTicker(cfg.ControlPeriod, cfg.ControlPeriod/2, m.tick)
 	return m
@@ -193,12 +188,10 @@ func (m *Manager) resume() {
 	m.stats.Parked += n
 }
 
-// CapMHz returns the current package cap (+Inf when unthrottled).
-func (m *Manager) CapMHz(pkg soc.PackageID) float64 { return m.capMHz[pkg] }
-
-// Throttling reports whether the package is currently EDC/PPT-throttled.
+// Throttling reports whether the package is currently EDC/PPT-throttled:
+// whether the controller holds a cap for it.
 func (m *Manager) Throttling(pkg soc.PackageID) bool {
-	return !math.IsInf(m.capMHz[pkg], 1)
+	return !math.IsInf(m.ctl.CapMHz(pkg), 1)
 }
 
 // ThrottledTicks returns how many control periods the package spent capped.
@@ -258,7 +251,7 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 	// drawing changes no other stream.
 	mon := m.src.Monitor(pkg)
 	m.checkMonitor(pkg, &mon)
-	cap := m.capMHz[pkg]
+	cap := m.ctl.CapMHz(pkg)
 	var watts float64
 	quiet := mon.ActiveCores == 0
 	if !quiet {
@@ -270,7 +263,7 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 	if quiet {
 		m.checkSkip(pkg, cap, &mon, watts)
 		m.rng.SkipNorm()
-		m.setCap(pkg, math.Inf(1))
+		m.ctl.SetCapMHz(pkg, math.Inf(1))
 		return
 	}
 	m.calm = false
@@ -280,7 +273,7 @@ func (m *Manager) controlPackage(pkg soc.PackageID) {
 	if throttled {
 		m.throttledTicks[pkg]++
 	}
-	m.setCap(pkg, cap)
+	m.ctl.SetCapMHz(pkg, cap)
 }
 
 // decide returns the package's next cap, and whether it stays throttled,
@@ -338,21 +331,6 @@ func (m *Manager) decide(cap float64, mon *Monitor, amps, watts float64) (float6
 		return next, false
 	}
 	return cap, true
-}
-
-// setCap records the package's cap and writes it to the DVFS controller
-// if it changed. The manager is the only writer of caps, always
-// package-wide, and the controller starts every core at +Inf like capMHz;
-// an unchanged cap is therefore already applied.
-func (m *Manager) setCap(pkg soc.PackageID, cap float64) {
-	if cap == m.capMHz[pkg] {
-		return
-	}
-	m.capMHz[pkg] = cap
-	if math.IsInf(cap, 1) {
-		cap = 0 // uncap
-	}
-	m.ctl.SetCapMHz(pkg, cap)
 }
 
 // projectionRatio estimates the current scaling from frequency f0 to f1

@@ -4,23 +4,25 @@ import (
 	"math"
 	"testing"
 
+	"zen2ee/internal/cstate"
 	"zen2ee/internal/dvfs"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 	"zen2ee/internal/workload"
 )
 
-// fakeSource implements ActivitySource from a kernel + thread count per
-// core, using the same current model the machine layer uses:
-// I = EDCWeight(threads) × f[GHz] × V(f). It measures every core on each
-// Monitor call, and wakes the manager at each change it makes.
+// fakeSource implements ActivitySource from a kernel and each core's
+// count of threads in C0, kept by a C-state model, using the same current
+// model the machine layer uses: I = EDCWeight(threads) × f[GHz] × V(f). It
+// measures every core on each Monitor call, and wakes the manager at each
+// change it makes.
 type fakeSource struct {
-	ctl     *dvfs.Controller
-	top     *soc.Topology
-	mgr     *Manager
-	kernel  workload.Kernel
-	threads []int // per core; 0 = idle
-	watts   float64
+	ctl    *dvfs.Controller
+	cst    *cstate.Model
+	top    *soc.Topology
+	mgr    *Manager
+	kernel workload.Kernel
+	watts  float64
 	// read holds each package's last monitor and power answers: the
 	// readings of the source's last refresh, as it refreshes on each read.
 	read [2]struct {
@@ -34,11 +36,15 @@ func (s *fakeSource) setKernel(k workload.Kernel) {
 	s.mgr.Wake()
 }
 
-// setThreads sets a core's active thread count in the source and the
-// controller.
+// setThreads puts a core's first n threads in C0 and idles the others.
 func (s *fakeSource) setThreads(core soc.CoreID, n int) {
-	s.threads[core] = n
-	s.ctl.SetActiveThreads(core, n)
+	for i, t := range s.top.Cores[core].Threads {
+		if i < n {
+			s.cst.Wake(t, 0, false)
+		} else {
+			s.cst.EnterIdle(t, cstate.C2)
+		}
+	}
 }
 
 func (s *fakeSource) Monitor(pkg soc.PackageID) Monitor {
@@ -64,7 +70,7 @@ func (s *fakeSource) CachedReading(pkg soc.PackageID) (Monitor, float64) {
 }
 
 func (s *fakeSource) CoreActivity(core soc.CoreID) (bool, float64, float64) {
-	n := s.threads[core]
+	n := s.cst.ActiveThreads(core)
 	if n == 0 {
 		return false, 0, 0
 	}
@@ -81,15 +87,17 @@ func (s *fakeSource) PackageWatts(pkg soc.PackageID) float64 {
 func setup(kernel workload.Kernel, threadsPerCore int) (*sim.Engine, *soc.Topology, *dvfs.Controller, *Manager, *fakeSource) {
 	eng := sim.NewEngine(42)
 	top := soc.New(soc.EPYC7502x2())
-	ctl := dvfs.New(eng, top, dvfs.DefaultConfig())
-	src := &fakeSource{ctl: ctl, top: top, kernel: kernel, threads: make([]int, top.NumCores())}
-	for i := range src.threads {
+	cst := cstate.New(eng, top, cstate.DefaultConfig())
+	ctl := dvfs.New(eng, top, dvfs.DefaultConfig(), cst)
+	src := &fakeSource{ctl: ctl, cst: cst, top: top, kernel: kernel}
+	for i := range top.Cores {
 		src.setThreads(soc.CoreID(i), threadsPerCore)
 		ctl.Request(top.Cores[i].Threads[0], 0) // everyone wants 2.5 GHz
 	}
 	mgr := New(eng, top, DefaultConfig(), ctl, src)
 	src.mgr = mgr
 	ctl.AfterChange = mgr.Wake
+	cst.AfterChange = mgr.Wake
 	return eng, top, ctl, mgr, src
 }
 
@@ -167,33 +175,33 @@ func TestLightWorkloadNotThrottled(t *testing.T) {
 }
 
 func TestCapReleasesWhenLoadStops(t *testing.T) {
-	eng, _, _, mgr, src := setup(workload.Firestarter, 2)
+	eng, top, ctl, mgr, src := setup(workload.Firestarter, 2)
 	eng.RunFor(sim.Duration(200 * sim.Millisecond))
 	if !mgr.Throttling(0) {
 		t.Fatal("precondition: not throttling")
 	}
 	// Stop the workload everywhere.
-	for i := range src.threads {
+	for i := range top.Cores {
 		src.setThreads(soc.CoreID(i), 0)
 	}
 	eng.RunFor(sim.Duration(5 * sim.Millisecond))
 	if mgr.Throttling(0) {
 		t.Fatal("cap not released after load stopped")
 	}
-	if !math.IsInf(mgr.CapMHz(0), 1) {
-		t.Fatalf("cap = %v, want +Inf", mgr.CapMHz(0))
+	if !math.IsInf(ctl.CapMHz(0), 1) {
+		t.Fatalf("cap = %v, want +Inf", ctl.CapMHz(0))
 	}
 }
 
 func TestCapRecoversGraduallyAfterLighterLoad(t *testing.T) {
 	eng, _, ctl, mgr, src := setup(workload.Firestarter, 2)
 	eng.RunFor(sim.Duration(200 * sim.Millisecond))
-	capBefore := mgr.CapMHz(0)
+	capBefore := ctl.CapMHz(0)
 	// Switch to a light kernel: the cap must step back up and release.
 	src.setKernel(workload.Busywait)
 	eng.RunFor(sim.Duration(30 * sim.Millisecond))
 	if mgr.Throttling(0) {
-		t.Fatalf("still throttling %v MHz after light load (was %v)", mgr.CapMHz(0), capBefore)
+		t.Fatalf("still throttling %v MHz after light load (was %v)", ctl.CapMHz(0), capBefore)
 	}
 	if f := ctl.EffectiveMHz(0); f != 2500 {
 		t.Fatalf("frequency %v after recovery, want 2500", f)
@@ -223,7 +231,7 @@ func TestPPTIdleUnderTDP(t *testing.T) {
 func TestPackagesControlledIndependently(t *testing.T) {
 	eng, top, _, mgr, src := setup(workload.Firestarter, 2)
 	// Stop the load on package 1 only.
-	for i := range src.threads {
+	for i := range top.Cores {
 		if top.PackageOfCore(soc.CoreID(i)) == 1 {
 			src.setThreads(soc.CoreID(i), 0)
 		}
@@ -241,12 +249,38 @@ func TestStopHaltsLoop(t *testing.T) {
 	eng, _, ctl, mgr, _ := setup(workload.Firestarter, 2)
 	eng.RunFor(sim.Duration(20 * sim.Millisecond))
 	mgr.Stop()
-	capAt := mgr.CapMHz(0)
+	capAt := ctl.CapMHz(0)
 	eng.RunFor(sim.Duration(50 * sim.Millisecond))
-	if mgr.CapMHz(0) != capAt {
+	if ctl.CapMHz(0) != capAt {
 		t.Fatal("cap moved after Stop")
 	}
-	_ = ctl
+}
+
+// TestManagerStepsFromControllerCap writes a cap to the controller
+// under a light load: the next tick steps up from that cap, not from a
+// copy of its own, and the manager releases it once the steps reach the
+// fastest uncapped clock.
+func TestManagerStepsFromControllerCap(t *testing.T) {
+	eng, _, ctl, mgr, _ := setup(workload.Busywait, 2)
+	eng.RunFor(10 * sim.Millisecond)
+	if mgr.Throttling(0) || ctl.EffectiveMHz(0) != 2500 {
+		t.Fatalf("precondition: throttling %v at %v MHz", mgr.Throttling(0), ctl.EffectiveMHz(0))
+	}
+	ctl.SetCapMHz(0, 2000)
+	if !mgr.Throttling(0) {
+		t.Fatal("a cap written to the controller does not show as throttling")
+	}
+	eng.RunFor(sim.Millisecond)
+	if got := ctl.CapMHz(0); got != 2025 {
+		t.Fatalf("cap %v MHz one tick after a 2000 MHz cap, want 2025", got)
+	}
+	if !math.IsInf(ctl.CapMHz(1), 1) {
+		t.Fatalf("package 1 capped at %v MHz", ctl.CapMHz(1))
+	}
+	eng.RunFor(30 * sim.Millisecond)
+	if mgr.Throttling(0) {
+		t.Fatalf("cap %v MHz not released under a light load", ctl.CapMHz(0))
+	}
 }
 
 func TestThrottleConvergenceSpeed(t *testing.T) {

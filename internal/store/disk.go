@@ -74,7 +74,7 @@ func NewDisk(dir string, maxBytes int64) (*Disk, error) {
 		return nil, err
 	}
 	d.mu.Lock()
-	victims := d.evictLocked("")
+	victims := d.evictLocked()
 	d.mu.Unlock()
 	d.removeFiles(victims)
 	return d, nil
@@ -186,7 +186,7 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 	} else {
 		d.items[key] = d.order.PushFront(&diskEntry{key: key, size: int64(len(payload))})
 		d.curBytes += int64(len(payload))
-		victims = d.evictLocked(key)
+		victims = d.evictLocked()
 	}
 	d.hits++
 	d.mu.Unlock()
@@ -262,7 +262,7 @@ func (d *Disk) Put(key string, payload []byte) {
 		d.items[key] = d.order.PushFront(&diskEntry{key: key, size: int64(len(payload))})
 		d.curBytes += int64(len(payload))
 	}
-	victims := d.evictLocked(key)
+	victims := d.evictLocked()
 	d.mu.Unlock()
 	d.removeFiles(victims)
 }
@@ -311,25 +311,19 @@ func syncDir(dir string) {
 }
 
 // evictLocked drops least-recently-used index entries while the byte
-// bound is exceeded, never evicting `keep` (the entry just written —
-// mirroring the memory tier's oversize-entry-kept-alone rule), and
-// returns the evicted keys. Callers hold d.mu and must pass the victims
-// to removeFiles after releasing it — the unlinks are file I/O too.
-func (d *Disk) evictLocked(keep string) (victims []string) {
+// bound is exceeded and more than one entry is indexed, and returns the
+// evicted keys. Put and Get move the entry they index to the front before
+// they call it, so it is never evicted: an entry larger than the bound is
+// kept alone, as in the memory tier. Callers hold d.mu and must pass the
+// victims to removeFiles after releasing it — the unlinks are file I/O
+// too.
+func (d *Disk) evictLocked() (victims []string) {
 	if d.maxBytes <= 0 {
 		return nil
 	}
 	for d.curBytes > d.maxBytes && d.order.Len() > 1 {
 		oldest := d.order.Back()
 		e := oldest.Value.(*diskEntry)
-		if e.key == keep {
-			// The newest entry alone exceeds the bound; keep it.
-			if d.order.Len() == 1 {
-				return victims
-			}
-			d.order.MoveToFront(oldest)
-			continue
-		}
 		d.dropLocked(oldest)
 		victims = append(victims, e.key)
 		d.evictions++

@@ -58,6 +58,36 @@ func TestMemoryByteBound(t *testing.T) {
 	}
 }
 
+// TestDiskByteBound is TestMemoryByteBound for the disk tier: the byte
+// bound evicts the least recently used object, file included, and a
+// single object larger than the bound is kept alone.
+func TestDiskByteBound(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(dir, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Put(key("a"), bytes.Repeat([]byte("x"), 6))
+	d.Put(key("b"), bytes.Repeat([]byte("y"), 6)) // 12 bytes > 10: evicts a
+	if d.Has(key("a")) {
+		t.Fatal("a's object should have been removed by the byte bound")
+	}
+	if got := d.Bytes(); got != 6 {
+		t.Fatalf("Bytes = %d, want 6", got)
+	}
+	// An oversize object is kept alone rather than rejected.
+	d.Put(key("huge"), bytes.Repeat([]byte("z"), 64))
+	if got, ok := d.Get(key("huge")); !ok || len(got) != 64 {
+		t.Fatalf("oversize object: Get = %d bytes, %v; want it kept alone", len(got), ok)
+	}
+	if d.Len() != 1 || d.Has(key("b")) {
+		t.Fatalf("Len = %d, b resident %v after oversize put; want 1 and false", d.Len(), d.Has(key("b")))
+	}
+	if got := d.Bytes(); got != 64 {
+		t.Fatalf("Bytes = %d, want 64", got)
+	}
+}
+
 func TestDiskPutGetSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	d, err := NewDisk(dir, 0)

@@ -44,10 +44,8 @@ var reachAllowed = map[string]string{
 	"zen2ee/internal/rapl.Model.trueJoules":         "test oracle: TestUpdateQuantization and TestClassFeedsMatchEagerFolding (rapl) compare the counters with the true energy",
 	"zen2ee/internal/report.SweepSection.Document":  "test oracle: the sweep determinism matrices (TestSweepDeterminismMatrix, TestSweepEndToEnd, ...) compare a parsed section with the standalone run's document",
 	"zen2ee/internal/report.UnmarshalSweep":         "test oracle: the sweep determinism matrices and TestSweepWriterErrors (report) parse sweep documents",
-	"zen2ee/internal/sim.EnergyIntegrator.Power":    "test oracle: TestLazyIntegratorMatchesEager (sim) reads the eager reference's rate",
 	"zen2ee/internal/sim.Engine.Drain":              "test fixture: TestDrainLimit and the parked-ticker tests (sim) run a bounded number of events",
 	"zen2ee/internal/sim.Engine.PendingEvents":      "observation point: TestPendingEvents, TestCancelRemovesFromQueue and TestParkedTickerReports (sim) count queued events",
-	"zen2ee/internal/smu.Manager.CapMHz":            "observation point: TestCapReleasesWhenLoadStops and TestCapRecoversGraduallyAfterLighterLoad (smu) read a package's cap",
 	"zen2ee/internal/smu.Manager.Stop":              "test fixture: TestCapStepDerivesOncePerClass (machine) stops the SMU to step caps by hand",
 	"zen2ee/internal/smu.Manager.ThrottledTicks":    "observation point: TestLightWorkloadNotThrottled (smu) counts throttled ticks",
 	"zen2ee/internal/soc.Config.TotalThreads":       "observation point: TestPresetSizes (soc) pins the 7742 preset's thread count",
