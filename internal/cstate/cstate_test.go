@@ -263,71 +263,90 @@ func TestWakeLatencyAtFloorFrequency(t *testing.T) {
 	}
 }
 
-// TestActiveThreadsKept follows one core's kept C0 count through the
-// accessor the DVFS controller reads: 2 → 1 → 0 as its threads idle, back
-// up on a wake, through an offline sibling (elevated to C1, so not in C0)
-// and a disabled C2, and untouched by mutations of other cores.
-func TestActiveThreadsKept(t *testing.T) {
+// TestOnCoreActiveCallback follows one core's kept C0 count (what the
+// DVFS controller reads in place; it was once pushed to an OnCoreActive
+// hook): 2 → 1 → 0 as its threads idle, back up on a wake.
+func TestOnCoreActiveCallback(t *testing.T) {
 	_, top, m := newModel()
-	c3 := top.Cores[3].Threads
-	expect := func(what string, want int) {
-		t.Helper()
-		if n := m.ActiveThreads(3); n != want {
-			t.Fatalf("%s: core 3 has %d threads in C0, want %d", what, n, want)
-		}
+	m.EnterIdle(0, C2)
+	if n := m.ActiveThreads(0); n != 1 {
+		t.Fatalf("core 0 has %d threads in C0, want 1", n)
 	}
-	expect("initially", 2)
-	m.EnterIdle(c3[0], C1)
-	expect("first thread idles", 1)
-	m.EnterIdle(c3[0], C2)
-	expect("C1 to C2", 1)
-	m.EnterIdle(c3[1], C2)
-	expect("second thread idles", 0)
-	m.Wake(c3[1], 2500, false)
-	expect("wake", 1)
+	m.EnterIdle(top.Sibling(0), C2)
+	if n := m.ActiveThreads(0); n != 0 {
+		t.Fatalf("core 0 has %d threads in C0, want 0", n)
+	}
+	m.Wake(0, 2500, false)
+	if n := m.ActiveThreads(0); n != 1 {
+		t.Fatalf("core 0 has %d threads in C0 after wake, want 1", n)
+	}
+}
 
-	// Disabling C2 on a C0 thread leaves it in C0; its next idle is
-	// capped at C1, which is not C0 either.
+// TestOnCoreActiveNotifications pins which kept per-core C0 counts a
+// mutation changes: only the mutated thread's core's, and only when its
+// thread enters or leaves C0. A C1 to C2 move and disabling C2 on a
+// running thread change nothing; an idle with C2 disabled is capped at C1,
+// out of C0; an online change is a mutation of its thread.
+func TestOnCoreActiveNotifications(t *testing.T) {
+	_, top, m := newModel()
+	counts := func() []int {
+		n := make([]int, len(top.Cores))
+		for c := range n {
+			n[c] = m.ActiveThreads(soc.CoreID(c))
+		}
+		return n
+	}
+	prev := counts()
+	// expect checks the counts against the last ones with the given
+	// core → count changes applied.
+	expect := func(what string, changes map[soc.CoreID]int) {
+		t.Helper()
+		got := counts()
+		for c := range got {
+			want, moved := changes[soc.CoreID(c)]
+			if !moved {
+				want = prev[c]
+			}
+			if got[c] != want {
+				t.Fatalf("%s: core %d has %d threads in C0, want %d", what, c, got[c], want)
+			}
+		}
+		prev = got
+	}
+	c3 := top.Cores[3].Threads
+	m.EnterIdle(c3[0], C1)
+	expect("first thread idles", map[soc.CoreID]int{3: 1})
+	m.EnterIdle(c3[0], C2)
+	expect("C1 to C2", nil)
 	if err := m.SetEnabled(c3[1], C2, false); err != nil {
 		t.Fatal(err)
 	}
-	expect("disabling C2 on a C0 thread", 1)
+	expect("disabling C2 on a C0 thread", nil)
 	m.EnterIdle(c3[1], C2)
 	if s := m.EffectiveState(c3[1]); s != C1 {
 		t.Fatalf("idle with C2 disabled: %v, want C1", s)
 	}
-	expect("idle capped at C1", 0)
-
-	// An offline thread is out of C0 whatever it requested, and counts
-	// again once re-onlined.
-	m.Wake(c3[0], 2500, false)
+	expect("second thread idles (capped at C1)", map[soc.CoreID]int{3: 0})
 	m.Wake(c3[1], 2500, false)
-	expect("both awake", 2)
-	if err := m.SetOnline(c3[1], false); err != nil {
-		t.Fatal(err)
-	}
-	expect("sibling offline", 1)
-	if err := m.SetOnline(c3[1], false); err != nil {
-		t.Fatal(err)
-	}
-	expect("repeated offline", 1)
-	if err := m.SetOnline(c3[1], true); err != nil {
-		t.Fatal(err)
-	}
-	expect("re-onlined", 2)
+	expect("wake", map[soc.CoreID]int{3: 1})
 
-	// Mutations of other cores leave core 3's count alone.
-	m.EnterIdle(top.Cores[4].Threads[0], C2)
-	if err := m.SetOnline(top.Cores[5].Threads[1], false); err != nil {
-		t.Fatal(err)
+	// Offlining a running thread takes it out of its own core's count,
+	// and only that; re-onlining puts it back.
+	hi, lo := top.Cores[9].Threads[1], top.Cores[5].Threads[1]
+	setOnline := func(th soc.ThreadID, online bool) {
+		t.Helper()
+		if err := m.SetOnline(th, online); err != nil {
+			t.Fatal(err)
+		}
 	}
-	expect("other cores mutated", 2)
-	if n := m.ActiveThreads(4); n != 1 {
-		t.Fatalf("core 4 has %d threads in C0, want 1", n)
-	}
-	if n := m.ActiveThreads(5); n != 1 {
-		t.Fatalf("core 5 has %d threads in C0, want 1", n)
-	}
+	setOnline(hi, false)
+	expect("offline core 9's sibling", map[soc.CoreID]int{9: 1})
+	setOnline(lo, false)
+	expect("offline core 5's sibling", map[soc.CoreID]int{5: 1})
+	setOnline(lo, false)
+	expect("repeated offline", nil)
+	setOnline(hi, true)
+	expect("re-online core 9's sibling", map[soc.CoreID]int{9: 2})
 }
 
 // TestOnlineOffline pins the sysfs online rules: cpu0 cannot go offline (a

@@ -89,10 +89,13 @@ func TestDistributedSweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // victimWorker drives the protocol by hand and dies: it completes
-// `completions` shards for real, then takes one more lease and vanishes —
-// no completion, no heartbeat, no deregister — exactly what SIGKILL on a
-// worker host looks like to the coordinator.
-func victimWorker(base string, completions int) {
+// `completions` shards for real, then vanishes while holding at least one
+// more lease — no completion, no heartbeat, no deregister — exactly what
+// SIGKILL on a worker host looks like to the coordinator. Until then it
+// heartbeats like a real worker, so only its death can expire it. dead
+// closes when it stops, however it stops.
+func victimWorker(base string, completions int, dead chan<- struct{}) {
+	defer close(dead)
 	post := func(path string, req, resp any) error {
 		body, _ := json.Marshal(req)
 		hres, err := http.Post(base+path, "application/json", bytes.NewReader(body))
@@ -112,19 +115,36 @@ func victimWorker(base string, completions int) {
 	if post("/dist/v1/register", registerRequest{Name: "victim", Slots: 1}, &reg) != nil {
 		return
 	}
+	stopHeartbeat := make(chan struct{})
+	defer close(stopHeartbeat)
+	go func() {
+		tick := time.NewTicker(time.Duration(reg.HeartbeatMillis) * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stopHeartbeat:
+				return
+			case <-tick.C:
+				_ = post("/dist/v1/heartbeat", heartbeatRequest{WorkerID: reg.WorkerID}, nil)
+			}
+		}
+	}()
+	var held []TaskSpec
 	done := 0
 	for {
-		var lr leaseResponse
-		if post("/dist/v1/lease", leaseRequest{WorkerID: reg.WorkerID, WaitMillis: 500}, &lr) != nil {
-			return
-		}
-		if len(lr.Tasks) == 0 {
+		if len(held) == 0 {
+			var lr leaseResponse
+			if post("/dist/v1/lease", leaseRequest{WorkerID: reg.WorkerID, WaitMillis: 500}, &lr) != nil {
+				return
+			}
+			held = lr.Tasks
 			continue
 		}
 		if done >= completions {
-			return // die holding this lease
+			return // die holding these leases
 		}
-		task := lr.Tasks[0]
+		task := held[0]
+		held = held[1:]
 		out, execErr := core.ExecuteShardRef(task.Ref)
 		req := completeRequest{WorkerID: reg.WorkerID, TaskID: task.ID}
 		if execErr != nil {
@@ -146,9 +166,16 @@ func TestDistributedSweepSurvivesWorkerKilledMidSweep(t *testing.T) {
 	// The survivor is a real worker; the victim completes one shard, then
 	// leases another and is "killed" while holding it. Both join before
 	// the sweep starts so no shard ever falls back to local execution by
-	// way of an empty pool.
-	startWorker(t, env, WorkerConfig{Name: "survivor", Slots: 2})
-	go victimWorker(env.ts.URL, 1)
+	// way of an empty pool. The survivor executes nothing until the victim
+	// is dead: it holds at most 4 of the scheduler's 6 shards in flight,
+	// so the victim always finds the leases it needs, however the two
+	// race for the queue, and dies holding one.
+	victimDead := make(chan struct{})
+	startWorker(t, env, WorkerConfig{Name: "survivor", Slots: 2, Execute: func(ts TaskSpec) (any, error) {
+		<-victimDead
+		return core.ExecuteShardRef(ts.Ref)
+	}})
+	go victimWorker(env.ts.URL, 1, victimDead)
 	waitFor(t, "both workers registered", func() bool { return env.c.WorkersConnected() == 2 })
 
 	h := env.c.StartRun(nil)
