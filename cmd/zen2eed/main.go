@@ -8,8 +8,10 @@
 //
 // Usage: zen2eed [-addr :8080] [-executors N] [-queue N] [-cache N]
 // [-cache-bytes N] [-sse-keepalive D] [-log-format text|json] [-log-level L]
-// [-trace-bytes N] [-pprof] [-listen-workers] [-lease-ttl D]
-// [-tenant-config F] [-store-dir D] [-store-bytes N] [-shard-cache]
+// [-trace-bytes N] [-pprof] [-tenant-config F] [-store-dir D]
+// [-store-bytes N] [-shard-cache]
+//
+//	zen2eed -worker http://HOST:PORT [-worker-name N] [-executors S]
 //
 // With -tenant-config the daemon enforces multi-tenant governance: job
 // submissions authenticate with API keys (Authorization: Bearer or
@@ -32,22 +34,17 @@
 // re-executes only its missing shards, and combined with -store-dir a
 // daemon killed mid-sweep resumes from its last completed shard — with
 // byte-identical results, since the cached gob payloads round-trip
-// float64 values exactly. The cache lives on the serving daemon, in front
-// of local execution and the worker lease queue alike, so a memoized shard
-// is never dispatched; -shard-cache is a usage error with -worker.
+// float64 values exactly. -shard-cache is a usage error with -worker.
 //
-// With -listen-workers the daemon also acts as a distributed shard
-// coordinator: headless worker processes started with
-//
-//	zen2eed -worker http://coordinator:8080 [-worker-name N] [-executors S]
-//
-// register over POST /dist/v1/*, lease (configuration, experiment, shard)
-// tasks, and execute them with the same per-shard RNG streams the local
-// scheduler derives — results are byte-identical however the shards are
-// placed. GET /v1/workers reports the pool. Workers that miss heartbeats
-// for -lease-ttl lose their leases, which re-queue on the survivors (or
-// run locally); a SIGTERM'd worker finishes its in-flight shards and
-// deregisters, relinquishing anything unfinished immediately.
+// The daemon executes every shard in-process, through the tenant gate.
+// Distributed execution belongs to batch sweeps: the coordinator is
+// `zen2ee sweep -listen-workers ADDR`, and -worker turns this binary into
+// one of its headless workers. A worker registers over POST /dist/v1/*,
+// leases (configuration, experiment, shard) tasks, and executes them with
+// the same per-shard RNG streams the local scheduler derives — results
+// are byte-identical however the shards are placed. A SIGTERM'd worker
+// finishes its in-flight shards and deregisters, relinquishing anything
+// unfinished immediately.
 //
 // The daemon logs structured events via log/slog: one access line per
 // request and job lifecycle events (queued/started/done/failed) carrying a
@@ -152,12 +149,8 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		"log threshold: debug, info, warn, or error (debug adds per-experiment and per-config completion events)")
 	fs.Int64Var(&o.cfg.TraceBytes, "trace-bytes", 0,
 		"per-job execution-trace span buffer bound in bytes (0 = the 1 MiB default, negative disables per-job tracing)")
-	fs.BoolVar(&o.cfg.Dist, "listen-workers", false,
-		"accept remote 'zen2eed -worker' processes on this daemon's address: mounts the /dist/v1/ worker protocol and GET /v1/workers, and dispatches job shards to the connected pool")
-	fs.DurationVar(&o.cfg.DistLeaseTTL, "lease-ttl", 0,
-		"how long a worker may go silent before its leased shards re-queue elsewhere (0 = the 15s default; needs -listen-workers)")
 	fs.StringVar(&o.worker, "worker", "",
-		"run as a headless worker for the coordinator at this base URL (http://host:port) instead of serving; -executors sets the concurrent shard slots")
+		"run as a headless worker for the coordinator at this base URL (http://host:port), as started by 'zen2ee sweep -listen-workers ADDR', instead of serving; -executors sets the concurrent shard slots")
 	fs.StringVar(&o.workerName, "worker-name", "",
 		"name this worker reports to the coordinator (default: hostname-pid; needs -worker)")
 	fs.StringVar(&o.tenantConfig, "tenant-config", "",
@@ -167,7 +160,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&o.storeBytes, "store-bytes", 0,
 		"persistent store tier byte bound, evicted LRU-first past it (0 = unbounded; needs -store-dir)")
 	fs.BoolVar(&o.shardCache, "shard-cache", false,
-		"memoize individual shard outputs by their deterministic address in the result store: warm shards skip execution (and are never leased to workers), and with -store-dir an interrupted sweep resumes from its last completed shard after a restart; serving daemon only, not -worker mode")
+		"memoize individual shard outputs by their deterministic address in the result store: warm shards skip execution, and with -store-dir an interrupted sweep resumes from its last completed shard after a restart; serving daemon only, not -worker mode")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -186,17 +179,8 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	if o.cfg.SSEKeepAlive < time.Second {
 		return o, fmt.Errorf("-sse-keepalive must be >= 1s")
 	}
-	if o.worker != "" && o.cfg.Dist {
-		return o, fmt.Errorf("-worker and -listen-workers are mutually exclusive: a process either serves jobs or executes another coordinator's shards")
-	}
 	if o.workerName != "" && o.worker == "" {
 		return o, fmt.Errorf("-worker-name only applies with -worker")
-	}
-	if o.cfg.DistLeaseTTL < 0 {
-		return o, fmt.Errorf("-lease-ttl must be >= 0 (0 means the 15s default)")
-	}
-	if o.cfg.DistLeaseTTL > 0 && !o.cfg.Dist {
-		return o, fmt.Errorf("-lease-ttl only applies with -listen-workers")
 	}
 	if o.storeBytes < 0 {
 		return o, fmt.Errorf("-store-bytes must be >= 0 (0 means unbounded)")
@@ -320,9 +304,6 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "zen2eed: serving on %s (executors %d, queue %d, cache %d)\n",
 		o.addr, o.cfg.Executors, o.cfg.QueueDepth, o.cfg.CacheEntries)
-	if o.cfg.Dist {
-		fmt.Fprintf(os.Stderr, "zen2eed: accepting workers (join with: zen2eed -worker http://HOST%s)\n", o.addr)
-	}
 	if o.cfg.Tenants != nil {
 		fmt.Fprintf(os.Stderr, "zen2eed: multi-tenant governance enabled (%d tenants)\n", len(o.cfg.Tenants.Tenants()))
 	}

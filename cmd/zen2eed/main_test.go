@@ -100,10 +100,17 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-log-level", "loud"},
 		{"-worker", "http://127.0.0.1:1", "-shard-cache"},
 		{"-worker", "http://127.0.0.1:1", "-tenant-config", "t.json"},
-		{"-listen-workers", "-lease-batch", "4"}, // the batch size is the worker's slot count, not a flag
+		{"-lease-batch", "4"}, // the batch size is the worker's slot count, not a flag
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted, want error", args)
+		}
+	}
+	// The daemon hosts no coordinator ('zen2ee sweep -listen-workers' is
+	// the only one), so the flags of the one it had are undefined.
+	for _, args := range [][]string{{"-listen-workers"}, {"-lease-ttl", "5s"}} {
+		if _, err := parseFlags(args, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("args %v: err %v, want an undefined-flag error", args, err)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -114,17 +113,13 @@ type task struct {
 type workerState struct {
 	id    string
 	name  string
-	host  string
-	pid   int
 	slots int
 
-	registered time.Time
-	lastSeen   time.Time
-	gone       bool
+	lastSeen time.Time
+	gone     bool
 
 	leases    map[string]*task
 	completed int
-	retried   int
 }
 
 // Coordinator owns registration, leasing, liveness, retry, and fallback
@@ -239,7 +234,6 @@ func (c *Coordinator) dropWorkerLocked(w *workerState, expired bool) {
 		if expired {
 			t.attempts++
 			c.retries++
-			w.retried++
 			if t.attempts > c.cfg.MaxRetries {
 				// Out of remote attempts: pin to local execution rather
 				// than fail — the scheduler goroutine waiting on this task
@@ -277,8 +271,7 @@ func (c *Coordinator) register(req registerRequest) registerResponse {
 	}
 	now := time.Now()
 	w := &workerState{
-		id: id, name: name, host: req.Host, pid: req.PID, slots: slots,
-		registered: now, lastSeen: now,
+		id: id, name: name, slots: slots, lastSeen: now,
 		leases: map[string]*task{},
 	}
 	c.workers[id] = w
@@ -607,39 +600,4 @@ func (c *Coordinator) PoolSize(local int) int {
 		n = 1
 	}
 	return n
-}
-
-// WorkerStatus is one worker's row in the GET /v1/workers listing.
-type WorkerStatus struct {
-	ID             string  `json:"id"`
-	Name           string  `json:"name"`
-	Host           string  `json:"host,omitempty"`
-	PID            int     `json:"pid,omitempty"`
-	Slots          int     `json:"slots"`
-	Live           bool    `json:"live"`
-	LastSeenSecAgo float64 `json:"last_seen_sec_ago"`
-	InflightLeases int     `json:"inflight_leases"`
-	Completed      int     `json:"shards_completed"`
-	Retried        int     `json:"shards_retried"`
-}
-
-// WorkersStatus lists every worker the coordinator has seen (live and
-// lost), in registration order.
-func (c *Coordinator) WorkersStatus() []WorkerStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	out := make([]WorkerStatus, 0, len(c.workers))
-	for _, w := range c.workers {
-		out = append(out, WorkerStatus{
-			ID: w.id, Name: w.name, Host: w.host, PID: w.pid, Slots: w.slots,
-			Live:           !w.gone,
-			LastSeenSecAgo: now.Sub(w.lastSeen).Seconds(),
-			InflightLeases: len(w.leases),
-			Completed:      w.completed,
-			Retried:        w.retried,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -77,15 +77,9 @@ func TestE2EWorkerProcessKilledMidSweep(t *testing.T) {
 	}()
 
 	// SIGKILL the victim the moment it is observed holding a lease — the
-	// closest in-test equivalent of a worker host dying.
-	holding := func() bool {
-		for _, w := range env.c.WorkersStatus() {
-			if w.Name == "victim" && w.InflightLeases >= 1 {
-				return true
-			}
-		}
-		return false
-	}
+	// closest in-test equivalent of a worker host dying. It is the only
+	// worker, so every lease in flight is its.
+	holding := func() bool { return env.c.LeasesInflight() >= 1 }
 	for deadline := time.Now().Add(10 * time.Second); !holding(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("victim was never observed holding leases")
@@ -124,12 +118,10 @@ func TestE2EWorkerProcessDrainsOnSigterm(t *testing.T) {
 	go func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			for _, w := range env.c.WorkersStatus() {
-				if w.Name == "graceful" && w.Completed >= 1 {
-					worker.Process.Signal(syscall.SIGTERM)
-					termed <- true
-					return
-				}
+			if shardsCompleted(env.c, "graceful") >= 1 {
+				worker.Process.Signal(syscall.SIGTERM)
+				termed <- true
+				return
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -2,8 +2,8 @@
 // JSON in and out, with the coordinator's sentinel errors mapped onto
 // status codes the worker client branches on (404 unknown_worker →
 // re-register, 410 stale_lease → drop the result, 503 draining → back
-// off). The handler is mountable both inside the zen2eed service mux and
-// on a standalone listener (zen2ee -listen-workers).
+// off). Its one host is the standalone listener `zen2ee sweep
+// -listen-workers ADDR` opens; the zen2eed daemon mounts no coordinator.
 
 package dist
 

@@ -38,12 +38,12 @@ import (
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL (scheme://host:port).
 	Coordinator string
-	// Name identifies the worker in listings and trace attribution;
-	// defaults to the coordinator-assigned ID.
+	// Name identifies the worker in the coordinator's logs and in trace
+	// attribution; defaults to the coordinator-assigned ID.
 	Name string
-	// Host is reported for operator listings.
+	// Host is reported in the coordinator's registration log line.
 	Host string
-	// PID is reported for operator listings.
+	// PID is reported in the coordinator's registration log line.
 	PID int
 	// Slots is the number of shards executed concurrently (default 1).
 	Slots int

@@ -105,13 +105,8 @@ type gauges struct {
 	// cacheBytes is the summed payload size of the cached entries;
 	// cacheBytesCap the configured byte bound (0 = unbounded).
 	cacheBytes, cacheBytesCap int64
-	// dist gates the coordinator series: a daemon without -listen-workers
-	// emits no distribution metrics at all, keeping its scrape output
-	// byte-identical to pre-distribution builds.
-	dist                                           bool
-	workersConnected, leasesInflight, shardRetries int
-	// disk gates the persistent-tier series the same way: only daemons
-	// started with -store-dir emit them.
+	// disk gates the persistent-tier series: only daemons started with
+	// -store-dir emit them, keeping the default scrape byte-stable.
 	disk      bool
 	diskStats store.DiskStats
 	// shardCache gates the shard-memoization series: only daemons started
@@ -179,11 +174,6 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	gauge("zen2eed_cache_capacity", "Result cache capacity.", float64(g.cacheCap))
 	gauge("zen2eed_cache_bytes", "Summed payload size of cached result entries.", float64(g.cacheBytes))
 	gauge("zen2eed_cache_capacity_bytes", "Result cache byte bound (0 = unbounded).", float64(g.cacheBytesCap))
-	if g.dist {
-		gauge("zen2eed_workers_connected", "Remote workers registered with the shard coordinator and inside their liveness TTL.", float64(g.workersConnected))
-		gauge("zen2eed_shard_leases_inflight", "Shard leases currently held by remote workers.", float64(g.leasesInflight))
-		counter("zen2eed_shard_retries_total", "Shard leases lost to worker expiry and re-queued for retry.", uint64(g.shardRetries))
-	}
 	if g.disk {
 		gauge("zen2eed_store_disk_entries", "Result payloads resident in the persistent store tier.", float64(g.diskStats.Entries))
 		gauge("zen2eed_store_disk_bytes", "Summed payload size of the persistent store tier.", float64(g.diskStats.Bytes))

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"zen2ee/internal/core"
-	"zen2ee/internal/dist"
 	"zen2ee/internal/obs"
 	"zen2ee/internal/report"
 	"zen2ee/internal/shardcache"
@@ -109,15 +108,6 @@ type Config struct {
 	// retention is bounded by JobHistory × TraceBytes, since traces are
 	// evicted with their jobs.
 	TraceBytes int64
-	// Dist enables the distributed shard coordinator: zen2eed worker
-	// processes register over POST /dist/v1/* and lease this daemon's
-	// shard work, with GET /v1/workers reporting the pool. Local
-	// execution remains the fallback — a daemon whose workers all vanish
-	// still completes every job through its own executor slots.
-	Dist bool
-	// DistLeaseTTL is how long a worker may go silent before its leases
-	// expire and re-queue (default 15s). Only matters when Dist is set.
-	DistLeaseTTL time.Duration
 	// ShardCache memoizes individual shard outputs in the result store,
 	// keyed by their deterministic core.ShardRef address: partially warm
 	// sweeps skip execution at shard granularity, and with a persistent
@@ -211,12 +201,6 @@ type Server struct {
 	// every request maps to fallback.
 	tenants  *tenant.Registry
 	fallback *tenant.Tenant
-	// coord is the distributed shard coordinator; nil unless Config.Dist.
-	// When set, jobs dispatch shards through its lease queue and remote
-	// workers execute them. Local fallback runs the task's own thunk,
-	// which holds a gate slot billed to the job's tenant and class, so
-	// Executors still bounds everything that runs in this process.
-	coord *dist.Coordinator
 
 	mu   sync.Mutex
 	jobs map[string]*job
@@ -256,11 +240,6 @@ func New(cfg Config) *Server {
 	if cfg.ShardCache {
 		s.shardCache = shardcache.New(s.cache, "")
 	}
-	if cfg.Dist {
-		s.coord = dist.NewCoordinator(dist.Config{LeaseTTL: cfg.DistLeaseTTL, Logger: cfg.Logger})
-		s.mux.Handle("/dist/v1/", s.coord.Handler())
-	}
-	s.mux.HandleFunc("GET /v1/workers", s.handleWorkers)
 	s.mux.HandleFunc("GET /v1/tenants", s.handleTenants)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
@@ -289,17 +268,9 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // Close stops the executors after their current job; queued jobs stay
-// queued and report their last state. The shard coordinator (when
-// enabled) drains first: workers get 503 on new leases, and shards the
-// current jobs still need run locally instead of waiting on a departing
-// fleet.
+// queued and report their last state.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		if s.coord != nil {
-			s.coord.Close()
-		}
-		close(s.quit)
-	})
+	s.closeOnce.Do(func() { close(s.quit) })
 	s.wg.Wait()
 	// Closed after the executors drain: a disk-tier store must not lose
 	// the payload of a job that just finished.
@@ -683,37 +654,12 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleWorkers reports the distributed worker pool: every worker the
-// coordinator has seen (live and lost), with in-flight lease counts and
-// completed/retried shard totals. The route exists even when distribution
-// is disabled so clients get a precise answer instead of a generic 404.
-func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	if s.coord == nil {
-		writeError(w, http.StatusNotFound,
-			"distributed execution disabled; start the daemon with -listen-workers")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"workers_connected": s.coord.WorkersConnected(),
-		"leases_inflight":   s.coord.LeasesInflight(),
-		"pending_tasks":     s.coord.PendingTasks(),
-		"retries_total":     s.coord.RetriesTotal(),
-		"workers":           s.coord.WorkersStatus(),
-	})
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	g := gauges{
 		queueDepth: s.queue.len(), queueCap: s.cfg.QueueDepth,
 		cacheEntries: s.cache.Len(), cacheCap: s.cfg.CacheEntries,
 		cacheBytes: s.cache.Bytes(), cacheBytesCap: s.cfg.CacheBytes,
-	}
-	if s.coord != nil {
-		g.dist = true
-		g.workersConnected = s.coord.WorkersConnected()
-		g.leasesInflight = s.coord.LeasesInflight()
-		g.shardRetries = s.coord.RetriesTotal()
 	}
 	if s.diskTier != nil {
 		g.disk = true
@@ -786,34 +732,23 @@ type terminalEvent struct {
 // gates every shard that executes in this process on the shared slot pool,
 // billed to the job's tenant at its priority class — which is where
 // weighted fair queueing and interactive-over-bulk preemption happen,
-// since the scheduler re-enters Acquire between shards. One RunShard chain
-// fronts execution, in the CLI's order: the coordinator's lease queue when
-// distribution is on, then the shard cache in front of it. The scheduler
-// gates the task's thunk, not the hook, so a cache hit or a remote lease
-// holds no slot while a local fallback or cache miss holds one. With the
-// coordinator the default worker count tracks the connected pool so a
-// remote fleet is actually kept busy; locally the scheduler spawns
-// Executors workers. A spec's worker count overrides both, and the slot
-// pool governs actual concurrency either way. finish releases the run's
-// coordinator state and must be called when the run ends.
-func (s *Server) runConfig(j *job, tr *obs.Trace) (cfg core.RunConfig, finish func()) {
-	cfg = core.RunConfig{
+// since the scheduler re-enters Acquire between shards. With the shard
+// cache on, its RunShard hook fronts execution; the scheduler gates the
+// task's thunk, not the hook, so a cache hit holds no slot while a miss
+// holds one. The scheduler spawns Executors workers unless the spec names
+// a worker count; the slot pool governs actual concurrency either way.
+func (s *Server) runConfig(j *job, tr *obs.Trace) core.RunConfig {
+	cfg := core.RunConfig{
 		Workers: s.cfg.Executors, Acquire: s.gate.AcquireFunc(j.owner, j.class),
 		Trace: tr, ObserveShard: s.metrics.observeShard,
 	}
-	finish = func() {}
-	if s.coord != nil {
-		h := s.coord.StartRun(tr)
-		cfg.RunShard, finish = h.RunShard, h.Finish
-		cfg.Workers = s.coord.PoolSize(s.cfg.Executors)
-	}
 	if s.shardCache != nil {
-		cfg.RunShard = s.shardCache.WrapRunShard(cfg.RunShard, tr)
+		cfg.RunShard = s.shardCache.WrapRunShard(nil, tr)
 	}
 	if w := j.sweep.Workers; w != nil {
 		cfg.Workers = *w
 	}
-	return cfg, finish
+	return cfg
 }
 
 // progressPublisher adapts core.Progress events into the job's SSE stream

@@ -685,6 +685,24 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestNoCoordinatorRoutes: the daemon hosts no shard coordinator (the CLI's
+// `zen2ee sweep -listen-workers` is the only one), so the worker protocol
+// and the pool listing are plain mux 404s.
+func TestNoCoordinatorRoutes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if body, code := getBody(t, ts.URL+"/v1/workers"); code != http.StatusNotFound || strings.Contains(body, "listen-workers") {
+		t.Fatalf("GET /v1/workers = %d %q, want the mux's 404", code, body)
+	}
+	resp, err := http.Post(ts.URL+"/dist/v1/register", "application/json", strings.NewReader(`{"name":"w"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /dist/v1/register = %d, want 404", resp.StatusCode)
+	}
+}
+
 // The result-cache LRU and byte-bound behaviors are covered in
 // internal/store (TestMemoryLRU, TestMemoryByteBound), where the cache
 // now lives.

@@ -202,7 +202,7 @@ func (s *Server) execute(j *job) {
 					s.running.end(spec.configKey(i))
 				}
 			}
-			runCfg, finishRun := s.runConfig(j, tr)
+			runCfg := s.runConfig(j, tr)
 			// mine remaps the scheduler's index within the claimed subset
 			// onto the request's configuration list, so stream consumers
 			// see the indices they asked for. onConfig is serialized by
@@ -244,7 +244,6 @@ func (s *Server) execute(j *job) {
 			// excludes it, marshal_seconds reports it.
 			runDur += time.Since(roundStart) - roundMarshal
 			marshalDur += roundMarshal
-			finishRun()
 			releaseMine()
 			if err == nil {
 				err = encodeErr

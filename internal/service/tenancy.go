@@ -52,8 +52,8 @@ func writeRejection(w http.ResponseWriter, rej *tenant.Rejection) {
 }
 
 // handleTenants lists every configured tenant's policy and live usage.
-// Like /v1/workers, the route answers precisely when the subsystem is
-// disabled instead of a generic 404.
+// The route answers precisely when tenancy is disabled instead of a
+// generic 404.
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	if s.tenants == nil {
 		writeError(w, http.StatusNotFound,

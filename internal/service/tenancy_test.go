@@ -16,7 +16,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,18 +270,6 @@ func TestSubmitOversizedSpec413(t *testing.T) {
 // shards — strict class priority at shard granularity, between shards of
 // the running sweep.
 func TestInteractiveTenantNotStarvedByBulkSweep(t *testing.T) {
-	testInteractiveBeatsBulk(t, false)
-}
-
-// TestDistFallbackHonorsTenantPriority is the same acceptance test on a
-// -listen-workers daemon with no workers: every shard runs through the
-// coordinator's local fallback, which must hold a slot billed to the
-// job's tenant and class like any in-process shard.
-func TestDistFallbackHonorsTenantPriority(t *testing.T) {
-	testInteractiveBeatsBulk(t, true)
-}
-
-func testInteractiveBeatsBulk(t *testing.T, dist bool) {
 	var mu sync.Mutex
 	var order []string
 	grants := func(class string) int {
@@ -305,9 +292,8 @@ func testInteractiveBeatsBulk(t *testing.T, dist bool) {
 		{Name: "batch", Key: "kb"},
 		{Name: "live", Key: "kl"},
 	}})
-	var fallbacks atomic.Int32
 	cfg := Config{
-		Executors: 2, Tenants: reg, Dist: dist,
+		Executors: 2, Tenants: reg,
 		// A one-configuration call is the interactive run job's; the
 		// six-config sweep is the bulk one.
 		SweepRunner: func(sw core.Sweep, rc core.RunConfig, onConfig core.ReduceConfig, progress func(core.Progress)) error {
@@ -315,18 +301,6 @@ func testInteractiveBeatsBulk(t *testing.T, dist bool) {
 			if inner == nil {
 				t.Error("job run config has no Acquire: its shards run outside the tenant gate")
 				return errors.New("no Acquire")
-			}
-			if dist {
-				// With no workers connected, every shard must come back
-				// from the coordinator as local fallback.
-				hook := rc.RunShard
-				rc.RunShard = func(st core.ShardTask) (any, string, error) {
-					out, origin, err := hook(st)
-					if origin == "" {
-						fallbacks.Add(1)
-					}
-					return out, origin, err
-				}
 			}
 			if len(sw.Configs) == 1 {
 				rc.Acquire = func() func() {
@@ -398,8 +372,5 @@ func testInteractiveBeatsBulk(t *testing.T, dist bool) {
 	}
 	if final := waitState(t, ts, sweepSt.ID); final.State != StateDone {
 		t.Fatalf("sweep finished as %+v", final)
-	}
-	if dist && fallbacks.Load() != 7 {
-		t.Fatalf("%d shards ran through the coordinator's local fallback, want all 7", fallbacks.Load())
 	}
 }

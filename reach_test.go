@@ -30,29 +30,32 @@ import (
 // second derivation a test compares the model against) and observation
 // points (state a test reads that the product paths have no need to).
 var reachAllowed = map[string]string{
-	"zen2ee/internal/dvfs.Controller.AppliedPState": "observation point: the dvfs transition tests (TestBasicTransitionTiming, TestUniformSlotDistribution, ...) wait for the applied P-state",
-	"zen2ee/internal/machine.Machine.Running":       "observation point: TestWakeLatencies (machine), TestStopIdlesThreads and TestPatternSurvivesOfflineThread (phases) check a thread's run state",
-	"zen2ee/internal/machine.Machine.WakeLatency":   "test oracle: TestWakeLatencies (machine) compares StartKernel's wake latency with it; TestWakeLatencyAPI (root) reads it",
-	"zen2ee/internal/measure.PowerAnalyzer.Samples": "observation point: TestAnalyzerSamplesAveragePower and TestAnalyzerDropoutTolerance (measure) inspect the raw sample stream",
-	"zen2ee/internal/msr.CounterDeltaJoules":        "test oracle: TestCounterWrap32Bit (rapl) and TestEnergyCounterWrap (msr) decode wrapped energy counters as a reader would",
-	"zen2ee/internal/obs.Trace.Dropped":             "observation point: TestTraceByteBoundDropsNotGrows and TestNilTraceIsDisabledRecorder (obs) pin the byte budget's dropped count",
-	"zen2ee/internal/obs.Trace.Len":                 "observation point: TestTraceByteBoundDropsNotGrows and TestTraceConcurrentAdd (obs) pin the retained span count",
-	"zen2ee/internal/osmodel.MeanIPC":               "test oracle: TestPerfStatObservesFrequency (osmodel) averages the perf IPC series",
-	"zen2ee/internal/phases.SquareWave":             "test fixture: TestSquareWavePowerFollowsLoad, TestIdlePhasesReachDeepSleep and TestValidate (phases) build their load patterns with it",
-	"zen2ee/internal/rapl.Model.SetCorePower":       "test fixture: the rapl tests (TestEnergyAccumulation, TestLazyDomainsMatchEagerFolding, ...) feed a core domain without a machine",
-	"zen2ee/internal/rapl.Model.Stop":               "test fixture: TestIdleMachineParksSMU (machine) stops the RAPL noise step to count the SMU's events alone",
-	"zen2ee/internal/rapl.Model.trueJoules":         "test oracle: TestUpdateQuantization and TestClassFeedsMatchEagerFolding (rapl) compare the counters with the true energy",
-	"zen2ee/internal/report.SweepSection.Document":  "test oracle: the sweep determinism matrices (TestSweepDeterminismMatrix, TestSweepEndToEnd, ...) compare a parsed section with the standalone run's document",
-	"zen2ee/internal/report.UnmarshalSweep":         "test oracle: the sweep determinism matrices and TestSweepWriterErrors (report) parse sweep documents",
-	"zen2ee/internal/sim.Engine.Drain":              "test fixture: TestDrainLimit and the parked-ticker tests (sim) run a bounded number of events",
-	"zen2ee/internal/sim.Engine.PendingEvents":      "observation point: TestPendingEvents, TestCancelRemovesFromQueue and TestParkedTickerReports (sim) count queued events",
-	"zen2ee/internal/smu.Manager.Stop":              "test fixture: TestCapStepDerivesOncePerClass (machine) stops the SMU to step caps by hand",
-	"zen2ee/internal/smu.Manager.ThrottledTicks":    "observation point: TestLightWorkloadNotThrottled (smu) counts throttled ticks",
-	"zen2ee/internal/soc.Config.TotalThreads":       "observation point: TestPresetSizes (soc) pins the 7742 preset's thread count",
-	"zen2ee/internal/soc.Topology.CCDOf":            "observation point: TestCCXGrouping (soc) checks which CCD a CCX belongs to",
-	"zen2ee/internal/soc.Topology.CCXOf":            "observation point: TestCCXGrouping (soc) checks which CCX a core belongs to",
-	"zen2ee/internal/soc.Topology.SameCCX":          "observation point: TestCCXGrouping (soc) checks which cores share an L3",
-	"zen2ee/internal/tenant.Gate.Waiting":           "observation point: the gate tests (waitWaiters) and TestDistFallbackHonorsTenantPriority (service) wait for queued acquisitions",
+	"zen2ee/internal/dist.Coordinator.LeasesInflight": "observation point: TestLeaseExecuteComplete, TestWorkersStatusAndCounters and TestE2EWorkerProcessKilledMidSweep (dist) count the leases workers hold",
+	"zen2ee/internal/dist.Coordinator.PendingTasks":   "observation point: TestBatchedLeaseGrantsMultipleTasks, TestLeaseGrantBoundedByTwiceSlots and TestLeaseGrantsOldestEligibleFirst (dist) count the undispatched tasks",
+	"zen2ee/internal/dist.Coordinator.RetriesTotal":   "observation point: the lease-loss tests (TestLeaseExpiryRetriesOnSurvivor, TestExhaustedRetriesPinLocal, TestDistributedSweepSurvivesWorkerKilledMidSweep, ...) count re-queued leases",
+	"zen2ee/internal/dvfs.Controller.AppliedPState":   "observation point: the dvfs transition tests (TestBasicTransitionTiming, TestUniformSlotDistribution, ...) wait for the applied P-state",
+	"zen2ee/internal/machine.Machine.Running":         "observation point: TestWakeLatencies (machine), TestStopIdlesThreads and TestPatternSurvivesOfflineThread (phases) check a thread's run state",
+	"zen2ee/internal/machine.Machine.WakeLatency":     "test oracle: TestWakeLatencies (machine) compares StartKernel's wake latency with it; TestWakeLatencyAPI (root) reads it",
+	"zen2ee/internal/measure.PowerAnalyzer.Samples":   "observation point: TestAnalyzerSamplesAveragePower and TestAnalyzerDropoutTolerance (measure) inspect the raw sample stream",
+	"zen2ee/internal/msr.CounterDeltaJoules":          "test oracle: TestCounterWrap32Bit (rapl) and TestEnergyCounterWrap (msr) decode wrapped energy counters as a reader would",
+	"zen2ee/internal/obs.Trace.Dropped":               "observation point: TestTraceByteBoundDropsNotGrows and TestNilTraceIsDisabledRecorder (obs) pin the byte budget's dropped count",
+	"zen2ee/internal/obs.Trace.Len":                   "observation point: TestTraceByteBoundDropsNotGrows and TestTraceConcurrentAdd (obs) pin the retained span count",
+	"zen2ee/internal/osmodel.MeanIPC":                 "test oracle: TestPerfStatObservesFrequency (osmodel) averages the perf IPC series",
+	"zen2ee/internal/phases.SquareWave":               "test fixture: TestSquareWavePowerFollowsLoad, TestIdlePhasesReachDeepSleep and TestValidate (phases) build their load patterns with it",
+	"zen2ee/internal/rapl.Model.SetCorePower":         "test fixture: the rapl tests (TestEnergyAccumulation, TestLazyDomainsMatchEagerFolding, ...) feed a core domain without a machine",
+	"zen2ee/internal/rapl.Model.Stop":                 "test fixture: TestIdleMachineParksSMU (machine) stops the RAPL noise step to count the SMU's events alone",
+	"zen2ee/internal/rapl.Model.trueJoules":           "test oracle: TestUpdateQuantization and TestClassFeedsMatchEagerFolding (rapl) compare the counters with the true energy",
+	"zen2ee/internal/report.SweepSection.Document":    "test oracle: the sweep determinism matrices (TestSweepDeterminismMatrix, TestSweepEndToEnd, ...) compare a parsed section with the standalone run's document",
+	"zen2ee/internal/report.UnmarshalSweep":           "test oracle: the sweep determinism matrices and TestSweepWriterErrors (report) parse sweep documents",
+	"zen2ee/internal/sim.Engine.Drain":                "test fixture: TestDrainLimit and the parked-ticker tests (sim) run a bounded number of events",
+	"zen2ee/internal/sim.Engine.PendingEvents":        "observation point: TestPendingEvents, TestCancelRemovesFromQueue and TestParkedTickerReports (sim) count queued events",
+	"zen2ee/internal/smu.Manager.Stop":                "test fixture: TestCapStepDerivesOncePerClass (machine) stops the SMU to step caps by hand",
+	"zen2ee/internal/smu.Manager.ThrottledTicks":      "observation point: TestLightWorkloadNotThrottled (smu) counts throttled ticks",
+	"zen2ee/internal/soc.Config.TotalThreads":         "observation point: TestPresetSizes (soc) pins the 7742 preset's thread count",
+	"zen2ee/internal/soc.Topology.CCDOf":              "observation point: TestCCXGrouping (soc) checks which CCD a CCX belongs to",
+	"zen2ee/internal/soc.Topology.CCXOf":              "observation point: TestCCXGrouping (soc) checks which CCX a core belongs to",
+	"zen2ee/internal/soc.Topology.SameCCX":            "observation point: TestCCXGrouping (soc) checks which cores share an L3",
+	"zen2ee/internal/tenant.Gate.Waiting":             "observation point: the gate tests (waitWaiters) and TestInteractiveTenantNotStarvedByBulkSweep (service) wait for queued acquisitions",
 }
 
 func TestNoUnreachedCode(t *testing.T) {
