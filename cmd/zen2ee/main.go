@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -389,7 +390,7 @@ func (f *cmdFlags) execute(w io.Writer, sw core.Sweep) (err error) {
 		if err != nil {
 			return fmt.Errorf("-listen-workers: %w", err)
 		}
-		coord := dist.NewCoordinator(dist.Config{})
+		coord := dist.NewCoordinator(dist.Config{Logger: slog.New(slog.NewTextHandler(os.Stderr, nil))})
 		defer coord.Close()
 		srv := &http.Server{Handler: coord.Handler()}
 		go srv.Serve(ln)

@@ -1,7 +1,7 @@
 // Command zenmon is a turbostat-style monitor for the simulated system: it
 // starts a workload scenario and prints per-interval frequency, IPC, power
 // and RAPL readings, illustrating the observability stack (perf counters,
-// MSR-based RAPL, external meter).
+// the RAPL model's energy counters, external meter).
 //
 // Usage: zenmon [-kernel NAME] [-threads N] [-mhz F] [-intervals N]
 package main

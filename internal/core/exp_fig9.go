@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"zen2ee/internal/measure"
-	"zen2ee/internal/msr"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 	"zen2ee/internal/workload"
@@ -161,17 +160,14 @@ func runSec7U(o Options) (*Result, error) {
 	}
 	m.Eng.RunFor(10 * sim.Millisecond)
 
-	// Poll the core energy MSR every 50 µs and record change times.
+	// Poll core 0's energy-status register every 50 µs and record change
+	// times.
 	var changes []sim.Time
 	var last uint64
 	polls := o.scaled(1000)
 	for i := 0; i < polls; i++ {
 		m.Eng.RunFor(50 * sim.Microsecond)
-		v, err := m.Regs.Read(0, msr.CoreEnergyStat)
-		if err != nil {
-			return nil, err
-		}
-		if v != last {
+		if v := m.RAPL.CoreEnergyStat(0); v != last {
 			changes = append(changes, m.Eng.Now())
 			last = v
 		}

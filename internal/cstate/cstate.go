@@ -2,7 +2,7 @@
 // as characterized in §VI of the paper:
 //
 //   - Three OS-visible states: C0 (active), C1 (entered via monitor/mwait,
-//     core clock-gated, aperf/mperf halted) and C2 (entered via an I/O port
+//     core clock-gated, cycle counters halted) and C2 (entered via an I/O port
 //     read in the C-state address range, core power-gated).
 //   - ACPI reports transition latencies of 1 µs / 400 µs and useless power
 //     values (UINT_MAX for C0, 0 for the idle states).

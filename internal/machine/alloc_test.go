@@ -2,6 +2,7 @@ package machine
 
 import (
 	"testing"
+	"unsafe"
 
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
@@ -124,4 +125,21 @@ func TestPStateTransitionAllocs(t *testing.T) {
 		t.Fatalf("core 0 runs at %v MHz after the transition, want %d", got, mhz)
 	}
 	requireNoAllocs(t, "a P-state transition", step)
+}
+
+// newAllocs bounds the allocations of building the paper's test system,
+// its configuration included: every subsystem allocates its tables once,
+// and the machine keeps no table that no reading reaches.
+const newAllocs = 51
+
+// TestNewAllocs pins the construction cost BenchmarkMachineNew reports.
+// A simcheck build, whose counter shadow is not empty, also allocates the
+// eager shadows and is not bounded.
+func TestNewAllocs(t *testing.T) {
+	if unsafe.Sizeof(counterShadow{}) != 0 {
+		t.Skip("simcheck builds allocate the eager shadows")
+	}
+	if n := testing.AllocsPerRun(20, func() { New(DefaultConfig()) }); n > newAllocs {
+		t.Fatalf("machine.New allocates %v times, want at most %d", n, newAllocs)
+	}
 }

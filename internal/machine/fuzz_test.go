@@ -204,7 +204,7 @@ func runScript(script []byte, flushed bool) ([]float64, error) {
 		}
 		for t := 0; t < n; t++ {
 			cs := m.ReadCounters(soc.ThreadID(t))
-			out = append(out, cs.Aperf, cs.Mperf, cs.Instructions)
+			out = append(out, cs.Cycles, cs.Instructions)
 		}
 		return nil
 	}
@@ -219,7 +219,7 @@ func runScript(script []byte, flushed bool) ([]float64, error) {
 			th := thread()
 			return func() error {
 				cs := m.ReadCounters(th)
-				out = append(out, cs.Aperf, cs.Mperf, cs.Instructions)
+				out = append(out, cs.Cycles, cs.Instructions)
 				return nil
 			}, false
 		case opReadCore:
@@ -361,11 +361,11 @@ func checkDerived(m *Machine) error {
 				c, m.Eng.Now(), m.inputsBuf[c], m.raplWBuf[c], m.effBuf[c], m.wattsBuf[c], m.ampsBuf[c], ci, w, eff, watts, amps)
 		}
 		for _, t := range m.Top.Cores[c].Threads {
-			cyc, ins, mpf := m.deriveThread(t, &ci, eff)
+			cyc, ins := m.deriveThread(t, &ci, eff)
 			tc := m.countersOf(t)
-			if cyc != tc[cycles].Rate() || ins != tc[instrs].Rate() || mpf != tc[mperf].Rate() {
-				return fmt.Errorf("thread %d at %v: cached rates (%v, %v, %v), derived (%v, %v, %v)",
-					t, m.Eng.Now(), tc[cycles].Rate(), tc[instrs].Rate(), tc[mperf].Rate(), cyc, ins, mpf)
+			if cyc != tc[cycles].Rate() || ins != tc[instrs].Rate() {
+				return fmt.Errorf("thread %d at %v: cached rates (%v, %v), derived (%v, %v)",
+					t, m.Eng.Now(), tc[cycles].Rate(), tc[instrs].Rate(), cyc, ins)
 			}
 		}
 	}
@@ -380,7 +380,7 @@ func checkDerived(m *Machine) error {
 // engine runs, and runs it twice: once with each instant's refresh
 // deferred to its end, once flushing after every mutation. The two runs
 // refresh with different dirty sets, so cores fall into different classes,
-// yet every reading (system power, AC and RAPL energies, APERF, MPERF and
+// yet every reading (system power, AC and RAPL energies, cycles and
 // instructions) must agree bit for bit. Under -tags simcheck every refresh
 // and lazy read is also checked against a full recompute. The seed corpus
 // is in testdata/fuzz/FuzzMachineScript.

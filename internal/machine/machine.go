@@ -1,7 +1,10 @@
-// Package machine assembles the full simulated system: topology, MSR file,
-// DVFS controller, C-state model, SMU (EDC manager), I/O die, power model,
+// Package machine assembles the full simulated system: topology, DVFS
+// controller, C-state model, SMU (EDC manager), I/O die, power model,
 // thermal model, RAPL model and per-thread performance counters — the
 // simulated counterpart of the paper's dual-socket EPYC 7502 test system.
+// It models only the readings a product takes: each thread's cycle and
+// instruction counters (ReadCounters) and the RAPL domains (rapl.Model);
+// frequencies come from the model, not from APERF/MPERF registers.
 //
 // Every state mutation marks the machine stale, and one refresh per
 // simulated instant re-derives the rates: power, traffic, temperature, the
@@ -74,7 +77,6 @@ import (
 	"zen2ee/internal/cstate"
 	"zen2ee/internal/dvfs"
 	"zen2ee/internal/iodie"
-	"zen2ee/internal/msr"
 	"zen2ee/internal/power"
 	"zen2ee/internal/rapl"
 	"zen2ee/internal/sim"
@@ -152,7 +154,6 @@ func (r *threadRun) same(o *threadRun) bool {
 type Machine struct {
 	Eng     *sim.Engine
 	Top     *soc.Topology
-	Regs    *msr.File
 	DVFS    *dvfs.Controller
 	CStates *cstate.Model
 	SMU     *smu.Manager
@@ -274,9 +275,8 @@ func sameCounters(a, b *coreCounters) bool { return *a == *b }
 type counterKind int
 
 const (
-	cycles counterKind = iota // cycles/s while in C0 (== aperf)
+	cycles counterKind = iota // cycles/s while in C0
 	instrs
-	mperf
 	numCounters
 )
 
@@ -292,7 +292,6 @@ func New(cfg Config) *Machine {
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	top := soc.New(cfg.SoC)
-	regs := msr.NewFile(top.NumThreads())
 
 	n := top.NumCores()
 	// The per-core and per-CCD float caches share one allocation, and so
@@ -302,7 +301,6 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		Eng:  eng,
 		Top:  top,
-		Regs: regs,
 		cfg:  cfg,
 		iod:  cfg.IOD,
 		runs: make([]threadRun, top.NumThreads()),
@@ -327,17 +325,16 @@ func New(cfg Config) *Machine {
 	m.DVFS = dvfs.New(eng, top, cfg.DVFS, m.CStates)
 	m.Power = power.NewModel(cfg.Power)
 	m.Thermal = power.NewThermal(cfg.Power)
-	m.RAPL = rapl.New(eng, top, cfg.RAPL, regs, m.log)
+	m.RAPL = rapl.New(eng, top, cfg.RAPL, m.log)
 
 	m.acEnergy = sim.NewEnergyIntegrator(eng.Now(), 0)
 	m.counters = make([]coreCounters, n)
 	m.classes = sim.NewClasses(n)
 	start := sim.NewLazyIntegrator(m.log, eng.Now())
 	for c := range m.counters {
-		m.counters[c] = coreCounters{{start, start, start}, {start, start, start}}
+		m.counters[c] = coreCounters{{start, start}, {start, start}}
 	}
 	m.shadow.init(m)
-	m.wirePerfMSRs(float64(cfg.SoC.NominalMHz))
 
 	m.CStates.Dirty = m.markThreadDirty
 	m.CStates.AfterChange = m.changed
@@ -383,18 +380,6 @@ func (m *Machine) flush() {
 		m.refresh()
 	}
 	m.checkFlushed()
-}
-
-func (m *Machine) wirePerfMSRs(nominalMHz float64) {
-	m.Regs.HookRead(msr.TSC, func(cpu int) uint64 {
-		return uint64(m.Eng.Now().Seconds() * nominalMHz * 1e6)
-	})
-	m.Regs.HookRead(msr.APERF, func(cpu int) uint64 {
-		return uint64(m.readCounter(cpu, cycles))
-	})
-	m.Regs.HookRead(msr.MPERF, func(cpu int) uint64 {
-		return uint64(m.readCounter(cpu, mperf))
-	})
 }
 
 // Config returns the machine configuration.
@@ -630,20 +615,13 @@ func (m *Machine) Preheat() {
 type Counters struct {
 	Cycles       float64
 	Instructions float64
-	Aperf        float64
-	Mperf        float64
-	TSC          float64
 }
 
 // ReadCounters samples a thread's counters.
 func (m *Machine) ReadCounters(t soc.ThreadID) Counters {
-	now := m.Eng.Now()
 	return Counters{
 		Cycles:       m.readCounter(int(t), cycles),
 		Instructions: m.readCounter(int(t), instrs),
-		Aperf:        m.readCounter(int(t), cycles),
-		Mperf:        m.readCounter(int(t), mperf),
-		TSC:          now.Seconds() * float64(m.cfg.SoC.NominalMHz) * 1e6,
 	}
 }
 
@@ -786,19 +764,18 @@ func (m *Machine) deriveCore(core soc.CoreID, activeMHz float64, raplCfg rapl.Co
 	return raplW, effMHz, m.Power.CoreWatts(ci), amps
 }
 
-// deriveThread computes a thread's performance-counter rates (cycles,
-// instructions and mperf reference cycles per second) from its core's
-// derived input and effective frequency.
-func (m *Machine) deriveThread(id soc.ThreadID, ci *power.CoreInput, effMHz float64) (cyc, ins, mpf float64) {
+// deriveThread computes a thread's performance-counter rates (cycles and
+// instructions per second) from its core's derived input and effective
+// frequency.
+func (m *Machine) deriveThread(id soc.ThreadID, ci *power.CoreInput, effMHz float64) (cyc, ins float64) {
 	if m.CStates.EffectiveState(id) == cstate.C0 {
 		cyc = effMHz * 1e6
-		mpf = float64(m.cfg.SoC.NominalMHz) * 1e6
 		if k := m.kernelOf(id); k != nil {
 			n := ci.ActiveThreads
 			ins = k.IPC(n) / float64(n) * effMHz * 1e6
 		}
 	}
-	return cyc, ins, mpf
+	return cyc, ins
 }
 
 // coreKey is a core's class key: everything deriveCore and deriveThread
@@ -883,11 +860,10 @@ func (m *Machine) shareClock(c, first int) {
 // input and effective clock.
 func (m *Machine) setRates(c int) {
 	for i, t := range m.Top.Cores[c].Threads {
-		cyc, ins, mpf := m.deriveThread(t, &m.inputsBuf[c], m.effBuf[c])
+		cyc, ins := m.deriveThread(t, &m.inputsBuf[c], m.effBuf[c])
 		tc := &m.counters[c][i]
 		tc[cycles].SetRate(m.log, cyc)
 		tc[instrs].SetRate(m.log, ins)
-		tc[mperf].SetRate(m.log, mpf)
 	}
 }
 

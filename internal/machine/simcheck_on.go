@@ -21,12 +21,12 @@ func (m *Machine) verifyRefresh(raplCfg rapl.Config) {
 	for c := range m.Top.Cores {
 		ci, eff := m.verifyCore(soc.CoreID(c), raplCfg, "refresh")
 		for _, t := range m.Top.Cores[c].Threads {
-			cyc, ins, mpf := m.deriveThread(t, &ci, eff)
+			cyc, ins := m.deriveThread(t, &ci, eff)
 			tc := m.countersOf(t)
-			if cyc != tc[cycles].Rate() || ins != tc[instrs].Rate() || mpf != tc[mperf].Rate() {
+			if cyc != tc[cycles].Rate() || ins != tc[instrs].Rate() {
 				panic(fmt.Sprintf(
-					"simcheck: thread %d stale at %v: cached (%g, %g, %g) vs full (%g, %g, %g)",
-					t, m.Eng.Now(), tc[cycles].Rate(), tc[instrs].Rate(), tc[mperf].Rate(), cyc, ins, mpf))
+					"simcheck: thread %d stale at %v: cached (%g, %g) vs full (%g, %g)",
+					t, m.Eng.Now(), tc[cycles].Rate(), tc[instrs].Rate(), cyc, ins))
 			}
 		}
 	}

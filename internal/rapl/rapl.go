@@ -1,9 +1,11 @@
 // Package rapl implements AMD's Zen 2 RAPL energy reporting as the paper
 // characterizes it (§VII): a *model*, not a measurement.
 //
-//   - Two domains: per-package (PkgEnergyStat) and per-core (CoreEnergyStat,
-//     per-core spatial resolution — finer than Intel's pp0).
-//   - Counters tick in 2^-16 J units and update every 1 ms.
+//   - Two domains: per-package and per-core (per-core spatial resolution —
+//     finer than Intel's pp0).
+//   - Counters tick in 2^-16 J units, wrap at 32 bits and update every
+//     1 ms; CoreEnergyStat reads a core's counter as its energy-status
+//     register holds it.
 //   - The underlying estimate is built from micro-architectural activity
 //     events: it weights each workload's true dynamic power by a per-kernel
 //     model fidelity (workload.Kernel.RAPLWeight), misses DRAM/fabric
@@ -16,7 +18,7 @@
 //     distributions.
 //
 // The machine layer feeds modeled per-core and per-package power into this
-// package; tools read energy through the standard MSR interface.
+// package.
 //
 // The domains fold lazily over a fold log the model shares with its
 // feeder: a domain replays the logged instants only when its fed power
@@ -34,10 +36,22 @@ import (
 	"fmt"
 	"math"
 
-	"zen2ee/internal/msr"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
+
+// energyStatusUnit is the energy status unit (ESU) Zen 2 reports in
+// RAPL_PWR_UNIT: the energy counters tick in 2^-ESU J.
+const energyStatusUnit = 16
+
+// EnergyUnitJoules is the energy of one counter tick, 2^-16 J ≈ 15.26 µJ.
+const EnergyUnitJoules = 1.0 / (1 << energyStatusUnit)
+
+// EnergyToCounter converts Joules into counter ticks, wrapping at 32 bits
+// as the hardware counters do.
+func EnergyToCounter(joules float64) uint64 {
+	return uint64(joules/EnergyUnitJoules) & 0xFFFF_FFFF
+}
 
 // Config holds the model constants.
 type Config struct {
@@ -73,7 +87,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// domain is one energy counter with boundary-quantized snapshots, so MSR
+// domain is one energy counter with boundary-quantized snapshots, so
 // reads only ever see values as of the last UpdatePeriod boundary. It is
 // folded lazily over the model's FoldLog: at every logged instant t an
 // eagerly fed domain would roll its snapshot to t's period boundary (folding
@@ -146,8 +160,6 @@ type Model struct {
 	// each, so a noise step re-feeds no domain.
 	fedNoise float64
 	moves    []noiseMove
-
-	units uint64
 
 	// BeforeNoise, when set, runs just before the model noise steps, so a
 	// feeder that defers its power updates to the end of the instant can
@@ -232,16 +244,14 @@ func (m *Model) own(i int) {
 	}
 }
 
-// New creates the model and wires the RAPL MSRs into regs (nil regs for
-// standalone use). The domains fold over log, which must start at the
-// engine's current instant and whose catch-up function must call
+// New creates the model. The domains fold over log, which must start at
+// the engine's current instant and whose catch-up function must call
 // CatchUp.
-func New(eng *sim.Engine, top *soc.Topology, cfg Config, regs *msr.File, log *sim.FoldLog) *Model {
+func New(eng *sim.Engine, top *soc.Topology, cfg Config, log *sim.FoldLog) *Model {
 	m := &Model{
 		eng: eng, top: top, cfg: cfg,
 		log:      log,
 		rng:      eng.RNG().Fork(),
-		units:    msr.DefaultRAPLUnits(),
 		fedNoise: 1,
 	}
 	now := eng.Now()
@@ -261,22 +271,7 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, regs *msr.File, log *si
 			m.noise = 0.9*m.noise + m.rng.Gaussian(0, cfg.NoiseRel)
 		})
 	}
-	if regs != nil {
-		m.wireMSRs(regs)
-	}
 	return m
-}
-
-func (m *Model) wireMSRs(regs *msr.File) {
-	regs.HookRead(msr.RAPLPwrUnit, func(int) uint64 { return m.units })
-	regs.HookRead(msr.CoreEnergyStat, func(cpu int) uint64 {
-		core := m.top.CoreOf(soc.ThreadID(cpu)).ID
-		return msr.EnergyToCounter(m.readJoules(m.coreDom(core)), m.units)
-	})
-	regs.HookRead(msr.PkgEnergyStat, func(cpu int) uint64 {
-		pkg := m.top.PackageOfThread(soc.ThreadID(cpu))
-		return msr.EnergyToCounter(m.readJoules(m.pkgDom(pkg)), m.units)
-	})
 }
 
 // Stop halts the noise ticker.
@@ -412,6 +407,13 @@ func (m *Model) CoreEnergyJoules(core soc.CoreID) float64 {
 // package outside the topology panics.
 func (m *Model) PackageEnergyJoules(pkg soc.PackageID) float64 {
 	return m.readJoules(m.pkgDom(pkg))
+}
+
+// CoreEnergyStat returns the core energy-status register of a core
+// (Core::X86::Msr::CORE_ENERGY_STAT): its quantized core-domain energy in
+// counter ticks, wrapped at 32 bits. A core outside the topology panics.
+func (m *Model) CoreEnergyStat(core soc.CoreID) uint64 {
+	return EnergyToCounter(m.CoreEnergyJoules(core))
 }
 
 // CorePowerWatts returns the power the core domain is charged now.

@@ -3,8 +3,8 @@ package rapl
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
-	"zen2ee/internal/msr"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 )
@@ -12,20 +12,53 @@ import (
 // foldLogCap is the capacity of the fold log the tests' models own.
 const foldLogCap = 256
 
-func newModel(noise float64) (*sim.Engine, *soc.Topology, *msr.File, *Model) {
+func newModel(noise float64) (*sim.Engine, *soc.Topology, *Model) {
 	eng := sim.NewEngine(9)
 	top := soc.New(soc.EPYC7502x2())
-	regs := msr.NewFile(top.NumThreads())
 	cfg := DefaultConfig()
 	cfg.NoiseRel = noise
 	var m *Model
 	log := sim.NewFoldLog(eng.Now(), foldLogCap, func() { m.CatchUp() })
-	m = New(eng, top, cfg, regs, log)
-	return eng, top, regs, m
+	m = New(eng, top, cfg, log)
+	return eng, top, m
+}
+
+// counterDeltaJoules converts a (possibly wrapped) counter delta to Joules,
+// as a reader of the energy-status register does.
+func counterDeltaJoules(before, after uint64) float64 {
+	delta := (after - before) & 0xFFFF_FFFF
+	return float64(delta) * EnergyUnitJoules
+}
+
+// TestRAPLUnits: the counters tick in 2^-16 J, so a core at 1 W for one
+// second reads 65536 ticks.
+func TestRAPLUnits(t *testing.T) {
+	if want := 1.0 / 65536.0; EnergyUnitJoules != want {
+		t.Fatalf("energy unit = %v, want %v", EnergyUnitJoules, want)
+	}
+	eng, _, m := newModel(0)
+	m.SetCorePower(0, 1)
+	eng.RunUntil(sim.Time(sim.Second))
+	if v := m.CoreEnergyStat(0); v != 65536 {
+		t.Fatalf("1 J reads %d ticks, want 65536", v)
+	}
+}
+
+func TestEnergyToCounterRoundTrip(t *testing.T) {
+	f := func(milliJ uint32) bool {
+		// Stay below the 32-bit counter wrap point (2^32 units = 65536 J).
+		joules := float64(milliJ%60_000_000) / 1000.0
+		back := float64(EnergyToCounter(joules)) * EnergyUnitJoules
+		// Quantization error bounded by one unit.
+		return math.Abs(back-joules) <= EnergyUnitJoules
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestEnergyAccumulation(t *testing.T) {
-	eng, _, _, m := newModel(0)
+	eng, _, m := newModel(0)
 	m.SetCorePower(0, 2.0)
 	eng.RunUntil(sim.Time(5 * sim.Second))
 	got := m.CoreEnergyJoules(0)
@@ -37,7 +70,7 @@ func TestEnergyAccumulation(t *testing.T) {
 func TestUpdateQuantization(t *testing.T) {
 	// The counter must only change on 1 ms boundaries: the paper's
 	// update-rate measurement.
-	eng, _, _, m := newModel(0)
+	eng, _, m := newModel(0)
 	m.SetCorePower(0, 10.0)
 	eng.RunUntil(sim.Time(10*sim.Millisecond + 500*sim.Microsecond))
 	// At t=10.5 ms the quantized value reflects t=10 ms exactly.
@@ -54,17 +87,13 @@ func TestUpdateQuantization(t *testing.T) {
 func TestUpdateRateObservable(t *testing.T) {
 	// Poll the counter every 100 µs: distinct values must appear exactly
 	// every 1 ms (10 polls).
-	eng, _, regs, m := newModel(0)
+	eng, _, m := newModel(0)
 	m.SetCorePower(0, 5)
 	var changes []sim.Time
 	last := uint64(math.MaxUint64)
 	for i := 0; i < 200; i++ {
 		eng.RunFor(100 * sim.Microsecond)
-		v, err := regs.Read(0, msr.CoreEnergyStat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != last {
+		if v := m.CoreEnergyStat(0); v != last {
 			changes = append(changes, eng.Now())
 			last = v
 		}
@@ -80,50 +109,28 @@ func TestUpdateRateObservable(t *testing.T) {
 	}
 }
 
+// TestMSRInterface: the core energy-status register is per core and
+// agrees with the core domain's quantized energy.
 func TestMSRInterface(t *testing.T) {
-	eng, top, regs, m := newModel(0)
+	eng, _, m := newModel(0)
 	m.SetCorePower(5, 3)
 	m.SetPackagePower(1, 100)
 	eng.RunUntil(sim.Time(2 * sim.Second))
 
-	// Units register.
-	u, err := regs.Read(0, msr.RAPLPwrUnit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msr.EnergyUnitJoules(u) != 1.0/65536 {
-		t.Fatalf("energy unit wrong: %v", msr.EnergyUnitJoules(u))
-	}
-
-	// Core counter is per-core: both threads of core 5 see it, thread of
-	// core 6 does not.
-	v5, _ := regs.Read(5, msr.CoreEnergyStat)
-	v5s, _ := regs.Read(int(top.Cores[5].Threads[1]), msr.CoreEnergyStat)
-	v6, _ := regs.Read(6, msr.CoreEnergyStat)
-	if v5 == 0 || v5 != v5s {
-		t.Fatalf("SMT siblings disagree: %d vs %d", v5, v5s)
-	}
+	v5, v6 := m.CoreEnergyStat(5), m.CoreEnergyStat(6)
 	if v6 != 0 {
 		t.Fatalf("core 6 counter %d, want 0", v6)
 	}
-	j := float64(v5) * msr.EnergyUnitJoules(u)
-	if math.Abs(j-6.0) > 0.01 {
+	if j := float64(v5) * EnergyUnitJoules; math.Abs(j-6.0) > 0.01 {
 		t.Fatalf("core 5 energy %v J, want 6", j)
 	}
-
-	// Package counter follows the thread's package.
-	p0, _ := regs.Read(0, msr.PkgEnergyStat)  // package 0
-	p1, _ := regs.Read(40, msr.PkgEnergyStat) // thread 40 → core 40 → package 1
-	if p0 != 0 {
-		t.Fatalf("package 0 counter %d, want 0", p0)
-	}
-	if jp := float64(p1) * msr.EnergyUnitJoules(u); math.Abs(jp-200) > 0.2 {
-		t.Fatalf("package 1 energy %v J, want 200", jp)
+	if j := m.CoreEnergyJoules(5); v5 != EnergyToCounter(j) {
+		t.Fatalf("core 5 counter %d, want %d (%v J)", v5, EnergyToCounter(j), j)
 	}
 }
 
 func TestPowerChangesIntegrateExactly(t *testing.T) {
-	eng, _, _, m := newModel(0)
+	eng, _, m := newModel(0)
 	m.SetCorePower(0, 1)
 	eng.RunUntil(sim.Time(1 * sim.Second))
 	m.SetCorePower(0, 3)
@@ -137,7 +144,7 @@ func TestPowerChangesIntegrateExactly(t *testing.T) {
 }
 
 func TestNoiseKeepsMeanStable(t *testing.T) {
-	eng, _, _, m := newModel(0.001)
+	eng, _, m := newModel(0.001)
 	m.SetPackagePower(0, 100)
 	// Re-apply regularly so the noise factor enters the integration.
 	for i := 0; i < 1000; i++ {
@@ -152,7 +159,7 @@ func TestNoiseKeepsMeanStable(t *testing.T) {
 }
 
 func TestNegativePowerClamped(t *testing.T) {
-	eng, _, _, m := newModel(0)
+	eng, _, m := newModel(0)
 	m.SetCorePower(0, -5)
 	eng.RunUntil(sim.Time(1 * sim.Second))
 	if j := m.CoreEnergyJoules(0); j != 0 {
@@ -161,26 +168,25 @@ func TestNegativePowerClamped(t *testing.T) {
 }
 
 func TestCounterWrap32Bit(t *testing.T) {
-	// 2^32 units = 65536 J; at 200 W the package counter wraps after
-	// ~327 s. Delta arithmetic must survive the wrap.
-	eng, _, regs, m := newModel(0)
-	m.SetPackagePower(0, 200)
+	// 2^32 units = 65536 J; at 200 W the counter wraps after ~327 s. Delta
+	// arithmetic must survive the wrap.
+	eng, _, m := newModel(0)
+	m.SetCorePower(0, 200)
 	eng.RunUntil(sim.Time(320 * sim.Second))
-	before, _ := regs.Read(0, msr.PkgEnergyStat)
+	before := m.CoreEnergyStat(0)
 	eng.RunUntil(sim.Time(340 * sim.Second))
-	after, _ := regs.Read(0, msr.PkgEnergyStat)
+	after := m.CoreEnergyStat(0)
 	if after > before {
-		t.Skip("counter did not wrap at this calibration; adjust test")
+		t.Fatalf("counter did not wrap: %d -> %d", before, after)
 	}
-	u, _ := regs.Read(0, msr.RAPLPwrUnit)
-	j := msr.CounterDeltaJoules(before, after, u)
+	j := counterDeltaJoules(before, after)
 	if math.Abs(j-4000) > 1 {
 		t.Fatalf("wrapped delta %v J, want 4000 (20 s at 200 W)", j)
 	}
 }
 
 func TestStopHaltsNoise(t *testing.T) {
-	eng, _, _, m := newModel(0.01)
+	eng, _, m := newModel(0.01)
 	m.Stop()
 	n := eng.PendingEvents()
 	eng.RunFor(sim.Duration(2 * sim.Second))
@@ -221,7 +227,7 @@ func TestLazyDomainsMatchEagerFolding(t *testing.T) { checkEagerFolding(t, false
 func TestClassFeedsMatchEagerFolding(t *testing.T) { checkEagerFolding(t, true) }
 
 func checkEagerFolding(t *testing.T, classes bool) {
-	eng, top, _, m := newModel(0.01)
+	eng, top, m := newModel(0.01)
 	period := m.cfg.UpdatePeriod
 	rng := sim.NewRNG(3)
 	ref := make([]refDomain, len(m.doms))
@@ -327,13 +333,14 @@ func checkEagerFolding(t *testing.T, classes bool) {
 // unchecked, core 64 would read package 0's domain and package -1 core
 // 63's.
 func TestDomainIndexOutOfRangePanics(t *testing.T) {
-	_, top, _, m := newModel(0)
+	_, top, m := newModel(0)
 	for _, c := range []struct {
 		name, want string
 		read       func()
 	}{
 		{"CoreEnergyJoules(64)", "rapl: core 64 out of range [0, 64)", func() { m.CoreEnergyJoules(soc.CoreID(top.NumCores())) }},
 		{"CoreEnergyJoules(-1)", "rapl: core -1 out of range [0, 64)", func() { m.CoreEnergyJoules(-1) }},
+		{"CoreEnergyStat(64)", "rapl: core 64 out of range [0, 64)", func() { m.CoreEnergyStat(64) }},
 		{"CorePowerWatts(64)", "rapl: core 64 out of range [0, 64)", func() { m.CorePowerWatts(64) }},
 		{"PackageEnergyJoules(2)", "rapl: package 2 out of range [0, 2)", func() { m.PackageEnergyJoules(2) }},
 		{"PackageEnergyJoules(-1)", "rapl: package -1 out of range [0, 2)", func() { m.PackageEnergyJoules(-1) }},

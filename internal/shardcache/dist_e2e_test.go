@@ -16,6 +16,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -108,6 +109,10 @@ func TestE2ECLICoordinatorRunsShardsOnWorkerByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("distributed sweep differs from local sweep (%d vs %d bytes)", len(got), len(want))
+	}
+	// The coordinator logs the worker's lifecycle to its stderr.
+	if !strings.Contains(coordErr.String(), "dist: worker registered") {
+		t.Fatalf("coordinator stderr logs no worker registering:\n%s", coordErr.String())
 	}
 
 	raw, err := os.ReadFile(traceFile)

@@ -244,11 +244,6 @@ func (t *Topology) PackageOfCore(id CoreID) PackageID {
 	return t.CCDs[t.CCXs[t.Cores[id].CCX].CCD].Package
 }
 
-// PackageOfThread returns the package a thread belongs to.
-func (t *Topology) PackageOfThread(id ThreadID) PackageID {
-	return t.PackageOfCore(t.Threads[id].Core)
-}
-
 // Sibling returns the other hardware thread of the same core.
 func (t *Topology) Sibling(id ThreadID) ThreadID {
 	core := t.CoreOf(id)

@@ -71,10 +71,10 @@ func TestPackageAssignment(t *testing.T) {
 		}
 	}
 	// Threads: 0..31 and 64..95 → pkg0; 32..63 and 96..127 → pkg1.
-	if p := top.PackageOfThread(70); p != 0 {
+	if p := top.PackageOfCore(top.Threads[70].Core); p != 0 {
 		t.Fatalf("thread 70 on package %d, want 0", p)
 	}
-	if p := top.PackageOfThread(100); p != 1 {
+	if p := top.PackageOfCore(top.Threads[100].Core); p != 1 {
 		t.Fatalf("thread 100 on package %d, want 1", p)
 	}
 	// Each package lists its 32 cores in ID order.

@@ -37,7 +37,6 @@ var reachAllowed = map[string]string{
 	"zen2ee/internal/machine.Machine.Running":         "observation point: TestWakeLatencies (machine), TestStopIdlesThreads and TestPatternSurvivesOfflineThread (phases) check a thread's run state",
 	"zen2ee/internal/machine.Machine.WakeLatency":     "test oracle: TestWakeLatencies (machine) compares StartKernel's wake latency with it; TestWakeLatencyAPI (root) reads it",
 	"zen2ee/internal/measure.PowerAnalyzer.Samples":   "observation point: TestAnalyzerSamplesAveragePower and TestAnalyzerDropoutTolerance (measure) inspect the raw sample stream",
-	"zen2ee/internal/msr.CounterDeltaJoules":          "test oracle: TestCounterWrap32Bit (rapl) and TestEnergyCounterWrap (msr) decode wrapped energy counters as a reader would",
 	"zen2ee/internal/obs.Trace.Dropped":               "observation point: TestTraceByteBoundDropsNotGrows and TestNilTraceIsDisabledRecorder (obs) pin the byte budget's dropped count",
 	"zen2ee/internal/obs.Trace.Len":                   "observation point: TestTraceByteBoundDropsNotGrows and TestTraceConcurrentAdd (obs) pin the retained span count",
 	"zen2ee/internal/osmodel.MeanIPC":                 "test oracle: TestPerfStatObservesFrequency (osmodel) averages the perf IPC series",
