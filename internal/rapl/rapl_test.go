@@ -44,6 +44,17 @@ func TestRAPLUnits(t *testing.T) {
 	}
 }
 
+func TestEnergyCounterWrap(t *testing.T) {
+	// A counter that wraps: before near max, after small.
+	before := uint64(0xFFFF_FFF0)
+	after := uint64(0x10)
+	j := counterDeltaJoules(before, after)
+	wantTicks := 0x20
+	if math.Abs(j-float64(wantTicks)/65536.0) > 1e-12 {
+		t.Fatalf("wrapped delta = %v J", j)
+	}
+}
+
 func TestEnergyToCounterRoundTrip(t *testing.T) {
 	f := func(milliJ uint32) bool {
 		// Stay below the 32-bit counter wrap point (2^32 units = 65536 J).
