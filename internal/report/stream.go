@@ -3,10 +3,12 @@
 // be emitted incrementally as a streaming sweep delivers configurations,
 // which core.RunSweepStream does in request order. SweepWriter is that
 // encoder, and the only one: MarshalSweepSections is a SweepWriter loop
-// into a buffer. Its output is byte-for-byte what encoding/json writes
-// for the whole JSONSweep, a property pinned by golden tests against a
-// whole-document marshal kept in stream_test.go rather than promised
-// here. It is the piece that lets the CLI and the daemon serve
+// into a buffer. A docWriter writes the header and each section's config,
+// and AppendEmbedded splices in each section's report, so no byte passes
+// through encoding/json. The output is byte-for-byte what encoding/json
+// writes for the whole JSONSweep, a property pinned by golden tests
+// against a whole-document marshal kept in stream_test.go rather than
+// promised here. It is the piece that lets the CLI and the daemon serve
 // arbitrarily large sweeps with memory proportional to the configurations
 // in flight.
 
@@ -46,17 +48,9 @@ type SweepWriter struct {
 // is the canonical experiment set (nil for the full registry), configs the
 // request-order configuration list.
 func NewSweepWriter(w io.Writer, ids []string, configs []core.Config) (*SweepWriter, error) {
-	buf := getMarshalBuf()
-	defer marshalBufs.Put(buf)
-	empty := JSONSweep{Schema: SweepSchemaVersion, IDs: ids, Configs: []SweepSection{}}
-	if err := encodeIndented(buf, empty, "", "  "); err != nil {
-		return nil, err
-	}
-	b := buf.Bytes()
-	if len(b) < len(sweepTail) || string(b[len(b)-len(sweepTail):]) != sweepTail {
-		return nil, fmt.Errorf("report: sweep header does not end in %q", sweepTail)
-	}
-	if _, err := w.Write(b[:len(b)-len(sweepTail)]); err != nil {
+	var hw docWriter
+	hw.sweepHeader(ids)
+	if _, err := w.Write(hw.b); err != nil {
 		return nil, fmt.Errorf("report: writing sweep header: %w", err)
 	}
 	return &SweepWriter{w: w, configs: configs}, nil
@@ -80,25 +74,25 @@ func (sw *SweepWriter) WriteSection(document []byte) error {
 		return sw.fail(fmt.Errorf("report: config %d (scale %g, seed %d) has no document", i, c.Scale, c.Seed))
 	}
 	// The section is the next element of the configs array: a separator,
-	// then the object one element deep, its config through encoding/json
-	// and its report spliced in as encoding/json would embed it.
+	// then the object one element deep, its config appended as
+	// encoding/json writes it there and its report spliced in as
+	// encoding/json would embed it.
 	sep := ",\n    {\n"
 	if i == 0 {
 		sep = "\n    {\n"
 	}
-	buf := getMarshalBuf()
-	defer marshalBufs.Put(buf)
-	buf.WriteString(sep)
-	buf.WriteString(sectionPrefix + `"config": `)
-	if err := encodeIndented(buf, sw.configs[i], sectionPrefix, "  "); err != nil {
-		return sw.fail(fmt.Errorf("report: encoding sweep section %d: %w", i, err))
+	p := marshalBufs.Get().(*[]byte)
+	defer marshalBufs.Put(p)
+	w := docWriter{b: append((*p)[:0], sep+sectionPrefix+`"config": `...)}
+	w.options(sw.configs[i], 3)
+	w.raw(",\n" + sectionPrefix + `"report": `)
+	w.b = AppendEmbedded(w.b, document, sectionPrefix)
+	w.raw("\n    }")
+	*p = w.b[:0]
+	if w.err != nil {
+		return sw.fail(fmt.Errorf("report: encoding sweep section %d config: %w", i, w.err))
 	}
-	// encodeIndented ends the value in a newline; the report field follows.
-	buf.Truncate(buf.Len() - 1)
-	buf.WriteString(",\n" + sectionPrefix + `"report": `)
-	buf.Write(AppendEmbedded(buf.AvailableBuffer(), document, sectionPrefix))
-	buf.WriteString("\n    }")
-	if _, err := sw.w.Write(buf.Bytes()); err != nil {
+	if _, err := sw.w.Write(w.b); err != nil {
 		return sw.fail(fmt.Errorf("report: writing sweep section %d: %w", i, err))
 	}
 	sw.next++

@@ -66,8 +66,9 @@ func MarshalSweepSections(ids []string, configs []core.Config, documents [][]byt
 	if len(configs) != len(documents) {
 		return nil, fmt.Errorf("report: %d configs but %d documents", len(configs), len(documents))
 	}
-	buf := getMarshalBuf()
-	defer marshalBufs.Put(buf)
+	p := marshalBufs.Get().(*[]byte)
+	defer marshalBufs.Put(p)
+	buf := bytes.NewBuffer((*p)[:0])
 	sw, err := NewSweepWriter(buf, ids, configs)
 	if err != nil {
 		return nil, err
@@ -80,6 +81,7 @@ func MarshalSweepSections(ids []string, configs []core.Config, documents [][]byt
 	if err := sw.Close(); err != nil {
 		return nil, err
 	}
+	*p = buf.Bytes()[:0]
 	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
 }
 
