@@ -390,10 +390,15 @@ func (f *cmdFlags) execute(w io.Writer, sw core.Sweep) (err error) {
 		if err != nil {
 			return fmt.Errorf("-listen-workers: %w", err)
 		}
-		coord := dist.NewCoordinator(dist.Config{Logger: slog.New(slog.NewTextHandler(os.Stderr, nil))})
+		coord := dist.NewCoordinator(dist.Config{
+			Logger: slog.New(slog.NewTextHandler(os.Stderr, nil)),
+			Trace:  tr,
+		})
 		defer coord.Close()
 		srv := &http.Server{Handler: coord.Handler()}
 		go srv.Serve(ln)
+		// Deferred after coord.Close, so it runs first: the server is closed
+		// before the coordinator, as Close requires.
 		defer srv.Close()
 		addr := ln.Addr().String()
 		fmt.Fprintf(os.Stderr, "zen2ee: coordinator listening on %s (join with: zen2eed -worker http://%s)\n", addr, addr)
@@ -403,9 +408,7 @@ func (f *cmdFlags) execute(w io.Writer, sw core.Sweep) (err error) {
 				time.Sleep(25 * time.Millisecond)
 			}
 		}
-		h := coord.StartRun(tr)
-		defer h.Finish()
-		runCfg.RunShard = h.RunShard
+		runCfg.RunShard = coord.RunShard
 		// Size the dispatch width to the whole pool — local slots plus every
 		// registered worker's — so a fleet larger than this machine's CPU
 		// count is actually kept busy. Placement does not affect results.

@@ -22,11 +22,9 @@ func TestBatchedLeaseGrantsMultipleTasks(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	w := env.register(t, "batcher", 4)
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
 	var chans []<-chan shardOutcome
 	for shard := 0; shard < 4; shard++ {
-		chans = append(chans, runShardAsync(h, shardTask(0, shard, nil)))
+		chans = append(chans, runShardAsync(env.c, shardTask(0, shard, nil)))
 	}
 	waitFor(t, "all 4 tasks queued", func() bool { return env.c.PendingTasks() == 4 })
 
@@ -55,11 +53,9 @@ func TestLeaseGrantBoundedByTwiceSlots(t *testing.T) {
 	w := env.register(t, "bounded", slots)
 
 	const tasks = 2*slots + 2
-	h := env.c.StartRun(nil)
-	defer h.Finish()
 	var chans []<-chan shardOutcome
 	for shard := 0; shard < tasks; shard++ {
-		chans = append(chans, runShardAsync(h, shardTask(0, shard, nil)))
+		chans = append(chans, runShardAsync(env.c, shardTask(0, shard, nil)))
 	}
 	waitFor(t, "all tasks queued", func() bool { return env.c.PendingTasks() == tasks })
 
@@ -101,11 +97,9 @@ func TestWorkerBatchPipelineExecutesAll(t *testing.T) {
 	})
 	waitFor(t, "worker registration", func() bool { return env.c.WorkersConnected() == 1 })
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
 	var chans []<-chan shardOutcome
 	for shard := 0; shard < 8; shard++ {
-		chans = append(chans, runShardAsync(h, shardTask(0, shard, nil)))
+		chans = append(chans, runShardAsync(env.c, shardTask(0, shard, nil)))
 	}
 	for shard, ch := range chans {
 		o := waitOutcome(t, ch)

@@ -39,8 +39,6 @@ func BenchmarkDistributedDispatchOverhead(b *testing.B) {
 		time.Sleep(time.Millisecond)
 	}
 
-	h := c.StartRun(nil)
-	defer h.Finish()
 	st := core.ShardTask{
 		Ref:    core.ShardRef{Exp: "tab1", Config: core.Config{Scale: 1, Seed: 1}, Shard: 0},
 		Shards: 1, Label: "bench",
@@ -49,7 +47,7 @@ func BenchmarkDistributedDispatchOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := h.RunShard(st); err != nil {
+		if _, _, err := c.RunShard(st); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,8 +87,6 @@ func BenchmarkBatchedLeaseDispatch(b *testing.B) {
 				time.Sleep(time.Millisecond)
 			}
 
-			h := c.StartRun(nil)
-			defer h.Finish()
 			st := core.ShardTask{
 				Ref:    core.ShardRef{Exp: "tab1", Config: core.Config{Scale: 1, Seed: 1}, Shard: 0},
 				Shards: 1, Label: "bench",
@@ -106,7 +102,7 @@ func BenchmarkBatchedLeaseDispatch(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					defer func() { <-sem }()
-					if _, _, err := h.RunShard(st); err != nil {
+					if _, _, err := c.RunShard(st); err != nil {
 						b.Error(err)
 					}
 				}()

@@ -1,6 +1,6 @@
 // The coordinator: owner of the distributed task queue. It never runs a
 // loop of its own over the work — the scheduler's worker goroutines block
-// in RunHandle.RunShard, each waiting on exactly one task, and the
+// in Coordinator.RunShard, each waiting on exactly one task, and the
 // coordinator's only job is deciding *where* that task executes: leased to
 // a remote worker, retried on a survivor after a loss, or claimed back for
 // local execution when no fleet is available (or the task has exhausted its
@@ -30,7 +30,6 @@ import (
 var (
 	errUnknownWorker = errors.New("dist: unknown worker")
 	errStaleLease    = errors.New("dist: stale lease")
-	errDraining      = errors.New("dist: coordinator draining")
 )
 
 // pollWait caps how long an empty /lease long-poll is held before
@@ -53,6 +52,9 @@ type Config struct {
 	RetryBackoff time.Duration
 	// Logger receives worker lifecycle and fault events; nil discards.
 	Logger *slog.Logger
+	// Trace receives a CatRemote span for every remotely executed shard;
+	// nil records nothing.
+	Trace *obs.Trace
 }
 
 func (c Config) withDefaults() Config {
@@ -80,20 +82,17 @@ const (
 	stateDone                     // finished; out/origin/err final
 )
 
-// task is one shard execution moving through the coordinator.
+// task is one shard execution moving through the coordinator. It is held
+// by c.pending while statePending and by its worker's leases while
+// stateLeased, and by nothing else: once RunShard returns, no record of it
+// is left.
 type task struct {
 	id   string
-	run  *RunHandle
 	spec TaskSpec
 	// configIndex locates the task's remote trace span.
 	configIndex int
 
 	state taskState
-	// worker holds the leasing worker's ID while stateLeased.
-	worker string
-	// completedBy records which worker's completion was accepted, for
-	// idempotent duplicate detection ("" = local execution).
-	completedBy string
 	// attempts counts remote dispatches lost to worker failure.
 	attempts int
 	// localOnly pins a task that exhausted MaxRetries to local execution.
@@ -123,8 +122,9 @@ type workerState struct {
 }
 
 // Coordinator owns registration, leasing, liveness, retry, and fallback
-// for one distributed pool. Create with NewCoordinator, plug into runs via
-// StartRun, serve the worker protocol via Handler, and Close on shutdown.
+// for one distributed pool serving one run. Create with NewCoordinator,
+// pass RunShard as the run's core.RunConfig.RunShard, serve the worker
+// protocol via Handler, and Close on shutdown.
 type Coordinator struct {
 	cfg Config
 	log *slog.Logger
@@ -132,11 +132,9 @@ type Coordinator struct {
 	mu      sync.Mutex
 	wake    chan struct{} // closed+replaced on every state change
 	workers map[string]*workerState
-	tasks   map[string]*task
 	pending []*task
 	seq     struct{ worker, task uint64 }
 	retries int
-	closed  bool
 
 	stopJanitor chan struct{}
 	closeOnce   sync.Once
@@ -151,7 +149,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		log:         cfg.Logger,
 		wake:        make(chan struct{}),
 		workers:     map[string]*workerState{},
-		tasks:       map[string]*task{},
 		stopJanitor: make(chan struct{}),
 	}
 	go c.janitor()
@@ -171,18 +168,11 @@ func (c *Coordinator) wakeup() {
 	c.mu.Unlock()
 }
 
-// Close drains the coordinator: no new leases are granted (workers get the
-// draining code and back off), waiting RunShard calls fall back to local
-// execution, and the janitor stops. In-flight completions are still
-// accepted, so connected workers drain cleanly.
+// Close stops the expiry janitor. Call it once the run is over: every
+// RunShard call has returned and the worker protocol's server is closed,
+// so no request reaches a stopped coordinator.
 func (c *Coordinator) Close() {
-	c.closeOnce.Do(func() {
-		c.mu.Lock()
-		c.closed = true
-		c.broadcastLocked()
-		c.mu.Unlock()
-		close(c.stopJanitor)
-	})
+	c.closeOnce.Do(func() { close(c.stopJanitor) })
 }
 
 // janitor periodically expires workers whose last request is older than the
@@ -226,11 +216,7 @@ func (c *Coordinator) dropWorkerLocked(w *workerState, expired bool) {
 	w.gone = true
 	for id, t := range w.leases {
 		delete(w.leases, id)
-		if t.state != stateLeased || t.worker != w.id {
-			continue
-		}
 		t.state = statePending
-		t.worker = ""
 		if expired {
 			t.attempts++
 			c.retries++
@@ -277,11 +263,7 @@ func (c *Coordinator) register(req registerRequest) registerResponse {
 	c.workers[id] = w
 	c.log.Info("dist: worker registered", "worker", name, "id", id, "slots", slots, "host", req.Host, "pid", req.PID)
 	c.broadcastLocked()
-	return registerResponse{
-		WorkerID:        id,
-		HeartbeatMillis: (c.cfg.LeaseTTL / 4).Milliseconds(),
-		LeaseTTLMillis:  c.cfg.LeaseTTL.Milliseconds(),
-	}
+	return registerResponse{WorkerID: id, HeartbeatMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}
 }
 
 // heartbeat refreshes a worker's liveness.
@@ -332,10 +314,6 @@ func (c *Coordinator) lease(ctx context.Context, workerID string, wait time.Dura
 			return nil, errUnknownWorker
 		}
 		w.lastSeen = time.Now()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, errDraining
-		}
 		var specs []TaskSpec
 		for len(w.leases) < 2*w.slots {
 			t := c.takeLocked(w)
@@ -370,7 +348,6 @@ func (c *Coordinator) takeLocked(w *workerState) *task {
 		}
 		c.pending = append(c.pending[:i], c.pending[i+1:]...)
 		t.state = stateLeased
-		t.worker = w.id
 		t.grantedAt = now
 		w.leases[t.id] = t
 		return t
@@ -379,33 +356,23 @@ func (c *Coordinator) takeLocked(w *workerState) *task {
 }
 
 // complete lands a worker's result. Exactly one completion is ever
-// accepted per task: a duplicate from the accepting worker is an
-// idempotent no-op, while a completion for a lease that expired and moved
-// on (re-dispatched or finished elsewhere) is rejected as stale.
-func (c *Coordinator) complete(req completeRequest) (duplicate bool, err error) {
+// accepted per task: the one for a lease the worker holds. Any other — a
+// repeat of an accepted completion, or one for a lease that expired and
+// moved on (re-dispatched, reclaimed locally, or finished) — is rejected
+// as stale.
+func (c *Coordinator) complete(req completeRequest) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.workers[req.WorkerID]
 	if w == nil {
-		return false, errUnknownWorker
+		return errUnknownWorker
 	}
 	if !w.gone {
 		w.lastSeen = time.Now()
 	}
-	t := c.tasks[req.TaskID]
+	t := w.leases[req.TaskID]
 	if t == nil {
-		// The task's run already finished and was cleaned up; whatever
-		// lease this was, it is no longer current.
-		return false, errStaleLease
-	}
-	if t.state == stateDone {
-		if t.completedBy == req.WorkerID {
-			return true, nil
-		}
-		return false, errStaleLease
-	}
-	if t.state != stateLeased || t.worker != req.WorkerID {
-		return false, errStaleLease
+		return errStaleLease
 	}
 	delete(w.leases, t.id)
 	w.completed++
@@ -414,14 +381,14 @@ func (c *Coordinator) complete(req completeRequest) (duplicate bool, err error) 
 	var execErr error
 	if req.Error != "" {
 		execErr = errors.New(req.Error)
-	} else if out, err = shardcache.DecodeOutput(req.Output); err != nil {
+	} else if out, execErr = shardcache.DecodeOutput(req.Output); execErr != nil {
 		// An undecodable output is an execution failure of this shard (an
 		// unregistered output type, a version skew, a corrupt payload), not
 		// a protocol error: fail the shard loudly instead of poisoning the
 		// reduce.
-		out, execErr = nil, fmt.Errorf("dist: decoding output from worker %s: %w", w.name, err)
+		out, execErr = nil, fmt.Errorf("dist: decoding output from worker %s: %w", w.name, execErr)
 	}
-	if tr := t.run.trace; tr.Enabled() {
+	if tr := c.cfg.Trace; tr.Enabled() {
 		tr.Add(obs.Span{
 			Cat: obs.CatRemote, Name: t.spec.Ref.Exp,
 			Config: t.configIndex, Shard: t.spec.Ref.Shard + 1,
@@ -432,8 +399,7 @@ func (c *Coordinator) complete(req completeRequest) (duplicate bool, err error) 
 		})
 	}
 	c.finishLocked(t, out, w.name, execErr)
-	t.completedBy = req.WorkerID
-	return false, nil
+	return nil
 }
 
 // finishLocked finalizes a task. Callers hold c.mu.
@@ -444,44 +410,15 @@ func (c *Coordinator) finishLocked(t *task, out any, origin string, err error) {
 	c.broadcastLocked()
 }
 
-// RunHandle scopes one scheduler run (one sweep) on the coordinator: it
-// carries the run's trace for remote span merging and owns the run's task
-// records. Obtain via StartRun, pass RunShard as the run's
-// core.RunConfig.RunShard, and Finish when the run completes.
-type RunHandle struct {
-	c     *Coordinator
-	trace *obs.Trace
-}
-
-// StartRun opens a run scope. tr may be nil (untraced run).
-func (c *Coordinator) StartRun(tr *obs.Trace) *RunHandle {
-	return &RunHandle{c: c, trace: tr}
-}
-
-// Finish releases the run's completed task records. Every RunShard call
-// must have returned.
-func (h *RunHandle) Finish() {
-	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, t := range c.tasks {
-		if t.run == h {
-			delete(c.tasks, id)
-		}
-	}
-}
-
 // RunShard is the core.RunConfig.RunShard hook: it enqueues the shard for
 // the fleet and blocks until a result lands — executed remotely by a
 // leased worker (possibly after retries on worker loss), or claimed back
 // and run in-process through the task's own Run thunk (which holds the
-// run's core.RunConfig.Acquire slot) when the task is local-pinned, the
-// coordinator is draining, or no live workers remain. The calling
-// scheduler goroutine is the local worker of last resort, so a run can
-// always make progress.
-func (h *RunHandle) RunShard(st core.ShardTask) (any, string, error) {
-	c := h.c
-	t := c.enqueue(h, st)
+// run's core.RunConfig.Acquire slot) when the task is local-pinned or no
+// live workers remain. The calling scheduler goroutine is the local worker
+// of last resort, so a run can always make progress.
+func (c *Coordinator) RunShard(st core.ShardTask) (any, string, error) {
+	t := c.enqueue(st)
 	for {
 		c.mu.Lock()
 		if t.state == stateDone {
@@ -489,7 +426,7 @@ func (h *RunHandle) RunShard(st core.ShardTask) (any, string, error) {
 			c.mu.Unlock()
 			return out, origin, err
 		}
-		if t.state == statePending && (t.localOnly || c.closed || c.liveWorkersLocked() == 0) {
+		if t.state == statePending && (t.localOnly || c.liveWorkersLocked() == 0) {
 			c.unqueueLocked(t)
 			t.state = stateLocal
 			c.mu.Unlock()
@@ -510,19 +447,17 @@ func (h *RunHandle) RunShard(st core.ShardTask) (any, string, error) {
 	}
 }
 
-func (c *Coordinator) enqueue(h *RunHandle, st core.ShardTask) *task {
+func (c *Coordinator) enqueue(st core.ShardTask) *task {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq.task++
 	t := &task{
 		id:          fmt.Sprintf("t%06d", c.seq.task),
-		run:         h,
 		configIndex: st.ConfigIndex,
 		state:       statePending,
 		done:        make(chan struct{}),
 	}
 	t.spec = TaskSpec{ID: t.id, Ref: st.Ref, Label: st.Label}
-	c.tasks[t.id] = t
 	c.pending = append(c.pending, t)
 	c.broadcastLocked()
 	return t

@@ -176,10 +176,10 @@ type shardOutcome struct {
 	err    error
 }
 
-func runShardAsync(h *RunHandle, st core.ShardTask) <-chan shardOutcome {
+func runShardAsync(c *Coordinator, st core.ShardTask) <-chan shardOutcome {
 	ch := make(chan shardOutcome, 1)
 	go func() {
-		out, origin, err := h.RunShard(st)
+		out, origin, err := c.RunShard(st)
 		ch <- shardOutcome{out, origin, err}
 	}()
 	return ch
@@ -217,9 +217,7 @@ func TestLeaseExecuteComplete(t *testing.T) {
 		t.Fatalf("leased %v from an empty queue", task)
 	}
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 3, nil))
+	ch := runShardAsync(env.c, shardTask(0, 3, nil))
 
 	spec := w.leaseUntil(5 * time.Second)
 	if spec.Ref.Exp != "tab1" || spec.Ref.Shard != 3 {
@@ -245,31 +243,64 @@ func TestLeaseExecuteComplete(t *testing.T) {
 	}
 }
 
-func TestDuplicateCompletionIdempotent(t *testing.T) {
+// TestRepeatedCompletionIsStale: a completion repeated after the first
+// was accepted (a retried delivery whose response was lost) is answered
+// 410 stale_lease, and the shard keeps the first completion's output.
+func TestRepeatedCompletionIsStale(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	w := env.register(t, "alpha", 1)
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, nil))
+	ch := runShardAsync(env.c, shardTask(0, 0, nil))
 
 	spec := w.leaseUntil(5 * time.Second)
-	enc, _ := shardcache.EncodeOutput(7.0)
-	req := completeRequest{WorkerID: w.id, TaskID: spec.ID, Output: enc}
+	w.complete(spec, 7.0)
+	enc, _ := shardcache.EncodeOutput(9.0)
+	code := w.postCode("/dist/v1/complete",
+		completeRequest{WorkerID: w.id, TaskID: spec.ID, Output: enc}, http.StatusGone)
+	if code != codeStaleLease {
+		t.Fatalf("repeated completion code = %q, want %q", code, codeStaleLease)
+	}
+	if o := waitOutcome(t, ch); o.out != 7.0 || o.origin != "alpha" || o.err != nil {
+		t.Fatalf("outcome = %+v, want the first completion's 7.0 from alpha", o)
+	}
+	if got := shardsCompleted(env.c, "alpha"); got != 1 {
+		t.Fatalf("worker alpha completed %d shards, want 1", got)
+	}
+}
 
-	var first, second completeResponse
-	w.post("/dist/v1/complete", req, &first, http.StatusOK)
-	if first.Duplicate {
-		t.Fatalf("first completion flagged duplicate")
+// TestNoTaskRecordAfterRunShard: a task is held by the pending queue or by
+// its worker's leases and by nothing else, so once RunShard returns the
+// coordinator keeps no record of it, whether the shard ran remotely or
+// locally.
+func TestNoTaskRecordAfterRunShard(t *testing.T) {
+	records := func(c *Coordinator) int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		n := len(c.pending)
+		for _, w := range c.workers {
+			n += len(w.leases)
+		}
+		return n
 	}
-	// A retried delivery of the same completion (e.g. after a transport
-	// timeout whose response was lost) must be a 200 no-op.
-	w.post("/dist/v1/complete", req, &second, http.StatusOK)
-	if !second.Duplicate {
-		t.Fatalf("second completion not flagged duplicate")
+	env := newTestEnv(t, Config{LeaseTTL: time.Minute})
+
+	// Local: no worker is registered, so the calling goroutine runs it.
+	if o := waitOutcome(t, runShardAsync(env.c, shardTask(0, 0, 2.5))); o.out != 2.5 || o.origin != "" {
+		t.Fatalf("local outcome = %+v, want local 2.5", o)
 	}
-	o := waitOutcome(t, ch)
-	if o.out != 7.0 || o.err != nil {
-		t.Fatalf("outcome = %+v, want out 7.0", o)
+	if n := records(env.c); n != 0 {
+		t.Fatalf("%d task record(s) left after a local RunShard returned", n)
+	}
+
+	// Remote: a worker leases and completes it.
+	w := env.register(t, "remote", 1)
+	ch := runShardAsync(env.c, shardTask(0, 1, nil))
+	spec := w.leaseUntil(5 * time.Second)
+	w.complete(spec, 3.5)
+	if o := waitOutcome(t, ch); o.out != 3.5 || o.origin != "remote" {
+		t.Fatalf("remote outcome = %+v, want 3.5 from remote", o)
+	}
+	if n := records(env.c); n != 0 {
+		t.Fatalf("%d task record(s) left after a remote RunShard returned", n)
 	}
 }
 
@@ -282,9 +313,7 @@ func TestLeaseExpiryRetriesOnSurvivor(t *testing.T) {
 	survivor := env.register(t, "survivor", 1)
 	stopHB := survivor.keepAlive(40 * time.Millisecond)
 	defer stopHB()
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, nil))
+	ch := runShardAsync(env.c, shardTask(0, 0, nil))
 
 	spec := dead.lease(2000)
 	if spec == nil {
@@ -324,9 +353,7 @@ func TestStaleLeaseAfterLocalReclaim(t *testing.T) {
 	// workers) must also reject the late completion.
 	env := newTestEnv(t, Config{LeaseTTL: 150 * time.Millisecond, RetryBackoff: time.Millisecond})
 	w := env.register(t, "flaky", 1)
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, 3.5))
+	ch := runShardAsync(env.c, shardTask(0, 0, 3.5))
 
 	spec := w.lease(2000)
 	if spec == nil {
@@ -354,9 +381,7 @@ func TestDeregisterRelinquishesImmediately(t *testing.T) {
 	// Registered up front so the pool stays non-empty across the
 	// deregistration and the shard cannot be reclaimed locally.
 	successor := env.register(t, "successor", 1)
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, nil))
+	ch := runShardAsync(env.c, shardTask(0, 0, nil))
 
 	spec := quitter.lease(2000)
 	if spec == nil {
@@ -383,12 +408,10 @@ func TestDeregisterRelinquishesImmediately(t *testing.T) {
 // runs the task's own thunk — exactly once, in-process, with no origin.
 func TestLocalFallbackWithoutWorkers(t *testing.T) {
 	env := newTestEnv(t, Config{})
-	h := env.c.StartRun(nil)
-	defer h.Finish()
 	var runs atomic.Int32
 	st := shardTask(0, 0, nil)
 	st.Run = func() (any, error) { runs.Add(1); return 11.0, nil }
-	o := waitOutcome(t, runShardAsync(h, st))
+	o := waitOutcome(t, runShardAsync(env.c, st))
 	if o.out != 11.0 || o.origin != "" || o.err != nil {
 		t.Fatalf("outcome = %+v, want local 11.0", o)
 	}
@@ -421,9 +444,7 @@ func TestExhaustedRetriesPinLocal(t *testing.T) {
 		}
 	}()
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, 5.5))
+	ch := runShardAsync(env.c, shardTask(0, 0, 5.5))
 
 	// Two generations of workers lease the shard and die. After the
 	// second loss (attempts 2 > MaxRetries 1) the shard is pinned local —
@@ -456,18 +477,16 @@ func TestLeaseGrantsOldestEligibleFirst(t *testing.T) {
 	env := newTestEnv(t, Config{LeaseTTL: 120 * time.Millisecond, RetryBackoff: time.Minute})
 	w := env.register(t, "fifo", 1)
 	defer w.keepAlive(30 * time.Millisecond)()
-	h := env.c.StartRun(nil)
-	defer h.Finish()
 
 	// The worker serves a shard of configuration 1.
-	ch0 := runShardAsync(h, shardTask(1, 0, nil))
+	ch0 := runShardAsync(env.c, shardTask(1, 0, nil))
 	spec := w.leaseUntil(5 * time.Second)
 	w.complete(spec, 0.0)
 	waitOutcome(t, ch0)
 
 	// Shard 1 is lost with a worker that vanished holding it: it goes back
 	// to the queue, ineligible for a minute.
-	chLost := runShardAsync(h, shardTask(0, 1, 1.0))
+	chLost := runShardAsync(env.c, shardTask(0, 1, 1.0))
 	lost := env.register(t, "lost", 1)
 	if spec := lost.leaseUntil(5 * time.Second); spec.Ref.Shard != 1 {
 		t.Fatalf("lost worker leased shard %d, want 1", spec.Ref.Shard)
@@ -475,9 +494,9 @@ func TestLeaseGrantsOldestEligibleFirst(t *testing.T) {
 	waitFor(t, "lost worker expiry", func() bool { return env.c.RetriesTotal() == 1 })
 
 	// Queue a configuration-0 shard, then a configuration-1 shard.
-	chA := runShardAsync(h, shardTask(0, 2, nil))
+	chA := runShardAsync(env.c, shardTask(0, 2, nil))
 	waitFor(t, "shard 2 queued", func() bool { return env.c.PendingTasks() == 2 })
-	chB := runShardAsync(h, shardTask(1, 3, nil))
+	chB := runShardAsync(env.c, shardTask(1, 3, nil))
 	waitFor(t, "shard 3 queued", func() bool { return env.c.PendingTasks() == 3 })
 
 	// One poll grants both (the worker may hold 2 × its one slot), oldest
@@ -492,27 +511,11 @@ func TestLeaseGrantsOldestEligibleFirst(t *testing.T) {
 	waitOutcome(t, chA)
 	waitOutcome(t, chB)
 
-	// Draining reclaims the backed-off shard for local execution.
-	env.c.Close()
+	// With the last worker gone, the backed-off shard is reclaimed for
+	// local execution.
+	w.post("/dist/v1/deregister", deregisterRequest{WorkerID: w.id}, nil, http.StatusOK)
 	if o := waitOutcome(t, chLost); o.out != 1.0 || o.origin != "" {
 		t.Fatalf("backed-off shard outcome = %+v, want local 1.0", o)
-	}
-}
-
-func TestDrainingCoordinatorRejectsLeasesAndRunsLocal(t *testing.T) {
-	env := newTestEnv(t, Config{LeaseTTL: time.Minute})
-	w := env.register(t, "late", 1)
-	env.c.Close()
-
-	code := w.postCode("/dist/v1/lease", leaseRequest{WorkerID: w.id}, http.StatusServiceUnavailable)
-	if code != codeDraining {
-		t.Fatalf("lease code = %q, want %q", code, codeDraining)
-	}
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	o := waitOutcome(t, runShardAsync(h, shardTask(0, 0, 6.25)))
-	if o.out != 6.25 || o.origin != "" {
-		t.Fatalf("outcome = %+v, want local 6.25 while draining", o)
 	}
 }
 
@@ -526,9 +529,7 @@ func TestWorkersStatusAndCounters(t *testing.T) {
 	if got := env.c.PoolSize(4); got != 9 {
 		t.Fatalf("PoolSize(4) = %d, want 9 (4 local + 2 + 3)", got)
 	}
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, nil))
+	ch := runShardAsync(env.c, shardTask(0, 0, nil))
 	spec := a.leaseUntil(5 * time.Second)
 	a.complete(spec, 1.0)
 	waitOutcome(t, ch)

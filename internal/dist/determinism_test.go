@@ -58,16 +58,14 @@ func localBaseline(t *testing.T) []byte {
 // workers attached, returning the sweep document bytes.
 func runDistributed(t *testing.T, n int, tr *obs.Trace) ([]byte, *testEnv) {
 	t.Helper()
-	env := newTestEnv(t, Config{})
+	env := newTestEnv(t, Config{Trace: tr})
 	for i := 0; i < n; i++ {
 		startWorker(t, env, WorkerConfig{Name: fmt.Sprintf("fleet-%d", i), Slots: 2})
 	}
 	waitFor(t, "fleet registration", func() bool { return env.c.WorkersConnected() == n })
 
-	h := env.c.StartRun(tr)
-	defer h.Finish()
 	sr, err := core.RunSweep(testSweep(), core.RunConfig{
-		Workers: env.c.PoolSize(0), RunShard: h.RunShard, Trace: tr,
+		Workers: env.c.PoolSize(0), RunShard: env.c.RunShard, Trace: tr,
 	}, nil)
 	if err != nil {
 		t.Fatalf("distributed sweep (%d workers): %v", n, err)
@@ -178,10 +176,8 @@ func TestDistributedSweepSurvivesWorkerKilledMidSweep(t *testing.T) {
 	go victimWorker(env.ts.URL, 1, victimDead)
 	waitFor(t, "both workers registered", func() bool { return env.c.WorkersConnected() == 2 })
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
 	sr, err := core.RunSweep(testSweep(), core.RunConfig{
-		Workers: 6, RunShard: h.RunShard,
+		Workers: 6, RunShard: env.c.RunShard,
 	}, nil)
 	if err != nil {
 		t.Fatalf("distributed sweep with killed worker: %v", err)

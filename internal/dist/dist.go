@@ -4,10 +4,16 @@
 // heartbeat while executing, and return outputs plus execution timing; the
 // coordinator owns the FIFO task queue, lease liveness, bounded retry with
 // backoff on worker loss, and a local-execution fallback, and plugs into
-// the scheduler purely through the core.RunConfig.RunShard hook — planning,
-// fixed-order FP reduction, and streaming delivery never leave the
-// coordinating process, so a sweep split across 1, 2, or N workers (workers
-// dying mid-sweep included) produces byte-identical sweep documents.
+// the scheduler purely through the core.RunConfig.RunShard hook
+// (Coordinator.RunShard) — planning, fixed-order FP reduction, and
+// streaming delivery never leave the coordinating process, so a sweep
+// split across 1, 2, or N workers (workers dying mid-sweep included)
+// produces byte-identical sweep documents.
+//
+// A coordinator serves one run: its one host is `zen2ee run|sweep
+// -listen-workers`, which creates it for the command's single sweep. A
+// task's record lives only until its RunShard call returns, and shutdown
+// closes the protocol server first, then the coordinator.
 //
 // The wire unit is core.ShardRef: experiment ID + the experiment's
 // canonical configuration + shard index. Both sides run the same binary
@@ -16,7 +22,7 @@
 // stream via core.ExecuteShardRef.
 // Outputs return as gob payloads (the internal/shardcache codec, which
 // round-trips float64 values bit-exactly); worker-measured execution
-// windows merge into the coordinator's obs.Trace as CatRemote spans with
+// windows merge into the run's trace (Config.Trace) as CatRemote spans with
 // worker attribution, so a distributed run still renders one coherent
 // Chrome-trace timeline.
 //
@@ -52,7 +58,6 @@ type registerRequest struct {
 type registerResponse struct {
 	WorkerID        string `json:"worker_id"`
 	HeartbeatMillis int64  `json:"heartbeat_ms"`
-	LeaseTTLMillis  int64  `json:"lease_ttl_ms"`
 }
 
 type leaseRequest struct {
@@ -83,12 +88,6 @@ type completeRequest struct {
 	DurNS        int64 `json:"dur_ns,omitempty"`
 }
 
-type completeResponse struct {
-	// Duplicate marks an idempotent re-completion: the coordinator had
-	// already accepted this worker's result for the task.
-	Duplicate bool `json:"duplicate,omitempty"`
-}
-
 type heartbeatRequest struct {
 	WorkerID string `json:"worker_id"`
 }
@@ -107,10 +106,9 @@ const (
 	// codeUnknownWorker: the worker ID is not registered (expired and
 	// collected, or never registered). The worker should re-register.
 	codeUnknownWorker = "unknown_worker"
-	// codeStaleLease: the completed lease is no longer this worker's — it
-	// expired and was re-dispatched (or its run finished). The result is
-	// discarded; exactly one completion per task ever lands.
+	// codeStaleLease: the worker holds no lease for the completed task —
+	// the lease expired and moved on, or this completion repeats one
+	// already accepted. The result is discarded; exactly one completion
+	// per task ever lands.
 	codeStaleLease = "stale_lease"
-	// codeDraining: the coordinator is shutting down and leases nothing.
-	codeDraining = "draining"
 )

@@ -64,15 +64,13 @@ func TestE2EWorkerProcessKilledMidSweep(t *testing.T) {
 	victim := spawnWorkerProcess(t, bin, env.ts.URL, "victim", 2)
 	waitFor(t, "victim worker process registered", func() bool { return env.c.WorkersConnected() == 1 })
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
 	type sweepDone struct {
 		sr  *core.SweepResult
 		err error
 	}
 	done := make(chan sweepDone, 1)
 	go func() {
-		sr, err := core.RunSweep(testSweep(), core.RunConfig{Workers: 6, RunShard: h.RunShard}, nil)
+		sr, err := core.RunSweep(testSweep(), core.RunConfig{Workers: 6, RunShard: env.c.RunShard}, nil)
 		done <- sweepDone{sr, err}
 	}()
 
@@ -128,9 +126,7 @@ func TestE2EWorkerProcessDrainsOnSigterm(t *testing.T) {
 		termed <- false
 	}()
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	sr, err := core.RunSweep(testSweep(), core.RunConfig{Workers: 6, RunShard: h.RunShard}, nil)
+	sr, err := core.RunSweep(testSweep(), core.RunConfig{Workers: 6, RunShard: env.c.RunShard}, nil)
 	if err != nil {
 		t.Fatalf("sweep with SIGTERMed worker process: %v", err)
 	}

@@ -65,8 +65,6 @@ func completeLeased(t *testing.T, body []byte) (int, shardOutcome) {
 	t.Helper()
 	c := NewCoordinator(Config{})
 	defer c.Close()
-	h := c.StartRun(nil)
-	defer h.Finish()
 	srv := c.Handler()
 	post := func(path string, body []byte) (int, []byte) {
 		rec := httptest.NewRecorder()
@@ -86,7 +84,7 @@ func completeLeased(t *testing.T, body []byte) (int, shardOutcome) {
 
 	var reg registerResponse
 	postJSON("/dist/v1/register", registerRequest{Name: "fuzz", Slots: 1}, &reg)
-	ch := runShardAsync(h, shardTask(0, 0, nil))
+	ch := runShardAsync(c, shardTask(0, 0, nil))
 	deadline := time.Now().Add(10 * time.Second)
 	var lease leaseResponse
 	for len(lease.Tasks) == 0 {
@@ -112,8 +110,7 @@ func completeLeased(t *testing.T, body []byte) (int, shardOutcome) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var done completeResponse
-	postJSON("/dist/v1/complete", completeRequest{WorkerID: fuzzWorker, TaskID: fuzzTask, Output: enc, DurNS: 1}, &done)
+	postJSON("/dist/v1/complete", completeRequest{WorkerID: fuzzWorker, TaskID: fuzzTask, Output: enc, DurNS: 1}, &struct{}{})
 	if o := waitOutcome(t, ch); o.err != nil || o.out != 1.5 {
 		t.Fatalf("after a rejected completion (%d), a valid one ended the task with %+v", status, o)
 	}

@@ -1,9 +1,9 @@
 // HTTP surface of the worker protocol: five POST routes under /dist/v1/,
 // JSON in and out, with the coordinator's sentinel errors mapped onto
 // status codes the worker client branches on (404 unknown_worker →
-// re-register, 410 stale_lease → drop the result, 503 draining → back
-// off). Its one host is the standalone listener `zen2ee sweep
-// -listen-workers ADDR` opens; the zen2eed daemon mounts no coordinator.
+// re-register, 410 stale_lease → drop the result). Its one host is the
+// standalone listener `zen2ee run|sweep -listen-workers ADDR` opens; the
+// zen2eed daemon mounts no coordinator.
 
 package dist
 
@@ -62,8 +62,6 @@ func writeProtoError(w http.ResponseWriter, err error) {
 		writeDistError(w, http.StatusNotFound, codeUnknownWorker, err.Error())
 	case errors.Is(err, errStaleLease):
 		writeDistError(w, http.StatusGone, codeStaleLease, err.Error())
-	case errors.Is(err, errDraining):
-		writeDistError(w, http.StatusServiceUnavailable, codeDraining, err.Error())
 	default:
 		writeDistError(w, http.StatusInternalServerError, "", err.Error())
 	}
@@ -95,12 +93,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	dup, err := c.complete(req)
-	if err != nil {
+	if err := c.complete(req); err != nil {
 		writeProtoError(w, err)
 		return
 	}
-	writeDistJSON(w, http.StatusOK, completeResponse{Duplicate: dup})
+	writeDistJSON(w, http.StatusOK, struct{}{})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

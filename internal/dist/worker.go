@@ -65,14 +65,10 @@ type Worker struct {
 	client *http.Client
 	log    *slog.Logger
 
-	// regMu serializes re-registration so the generation check in
-	// reregister stays race-free however many goroutines observe a stale
-	// identity at once.
-	regMu sync.Mutex
-
+	// mu guards the registration the fetcher writes and the heartbeat
+	// loop and completion posters read.
 	mu        sync.Mutex
 	id        string
-	gen       uint64 // bumped by every successful (re-)registration
 	heartbeat time.Duration
 }
 
@@ -173,7 +169,6 @@ func (w *Worker) register(ctx context.Context) error {
 		if err == nil {
 			w.mu.Lock()
 			w.id = resp.WorkerID
-			w.gen++
 			w.heartbeat = time.Duration(resp.HeartbeatMillis) * time.Millisecond
 			if w.heartbeat <= 0 {
 				w.heartbeat = time.Second
@@ -202,31 +197,6 @@ func (w *Worker) workerID() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.id
-}
-
-// identity snapshots the worker's current registration: the ID to present
-// and the generation it belongs to (for reregister's idempotence check).
-func (w *Worker) identity() (string, uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.id, w.gen
-}
-
-// reregister rejoins the pool after the coordinator rejected the given
-// registration generation (expiry, or a coordinator restart that lost the
-// pool). Exactly one caller per generation performs the registration;
-// a caller that observed an identity someone else already replaced
-// returns immediately and picks up the new one.
-func (w *Worker) reregister(ctx context.Context, seen uint64) error {
-	w.regMu.Lock()
-	defer w.regMu.Unlock()
-	w.mu.Lock()
-	current := w.gen
-	w.mu.Unlock()
-	if current != seen {
-		return nil // already rejoined
-	}
-	return w.register(ctx)
 }
 
 func (w *Worker) heartbeatInterval() time.Duration {
@@ -351,18 +321,18 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}) {
 	}
 }
 
-// fetchLoop is the single lease poller: each round trip takes whatever
-// the coordinator grants (it keeps the worker within 2 × Slots leases
-// held) and feeds the grants to the slot executors. New leases stop
-// the moment ctx is cancelled (the long-poll aborts); grants the buffer
-// still holds then are relinquished by the final deregister.
+// fetchLoop is the single lease poller, and so the only goroutine that
+// re-registers: each round trip takes whatever the coordinator grants (it
+// keeps the worker within 2 × Slots leases held) and feeds the grants to
+// the slot executors. New leases stop the moment ctx is cancelled (the
+// long-poll aborts); grants the buffer still holds then are relinquished
+// by the final deregister.
 func (w *Worker) fetchLoop(ctx context.Context, tasks chan<- TaskSpec) {
 	backoff := 100 * time.Millisecond
 	for ctx.Err() == nil {
-		id, gen := w.identity()
 		var resp leaseResponse
 		err := w.post(ctx, "/dist/v1/lease",
-			leaseRequest{WorkerID: id, WaitMillis: 2000}, &resp)
+			leaseRequest{WorkerID: w.workerID(), WaitMillis: 2000}, &resp)
 		switch {
 		case err == nil:
 			backoff = 100 * time.Millisecond
@@ -371,12 +341,12 @@ func (w *Worker) fetchLoop(ctx context.Context, tasks chan<- TaskSpec) {
 		case isCode(err, codeUnknownWorker):
 			// Expired (a stall, a coordinator restart): rejoin the pool.
 			w.log.Warn("dist: lease rejected (unknown worker), re-registering")
-			if w.reregister(ctx, gen) != nil {
+			if w.register(ctx) != nil {
 				return
 			}
 			continue
 		default:
-			// Draining coordinator or transport trouble: back off, retry.
+			// Transport trouble: back off, retry.
 			select {
 			case <-ctx.Done():
 				return

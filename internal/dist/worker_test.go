@@ -48,10 +48,8 @@ func TestWorkerExecutesLeasedShards(t *testing.T) {
 	})
 	waitFor(t, "worker registration", func() bool { return env.c.WorkersConnected() == 1 })
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
 	for shard := 0; shard < 4; shard++ {
-		o := waitOutcome(t, runShardAsync(h, shardTask(0, shard, nil)))
+		o := waitOutcome(t, runShardAsync(env.c, shardTask(0, shard, nil)))
 		if o.err != nil || o.out != float64(shard)*2 || o.origin != "stub" {
 			t.Fatalf("shard %d outcome = %+v, want %v from stub", shard, o, float64(shard)*2)
 		}
@@ -78,9 +76,7 @@ func TestWorkerGracefulDrainFinishesInflight(t *testing.T) {
 	})
 	waitFor(t, "worker registration", func() bool { return env.c.WorkersConnected() == 1 })
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, nil))
+	ch := runShardAsync(env.c, shardTask(0, 0, nil))
 	<-executing
 
 	// SIGTERM equivalent: cancel mid-execution. The worker must finish
@@ -124,9 +120,7 @@ func TestWorkerRelinquishesOnDrainTimeout(t *testing.T) {
 	})
 	waitFor(t, "worker registration", func() bool { return env.c.WorkersConnected() == 1 })
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	ch := runShardAsync(h, shardTask(0, 0, 9.75))
+	ch := runShardAsync(env.c, shardTask(0, 0, 9.75))
 	<-executing
 
 	cancel()
@@ -149,9 +143,10 @@ func TestWorkerRelinquishesOnDrainTimeout(t *testing.T) {
 
 func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	// A real coordinator restart: the process at the address dies and a
-	// fresh one with an empty pool takes over. All four slot loops hit
-	// unknown_worker near-simultaneously; the worker must rejoin as ONE
-	// pool entry (not four duplicates) and resume executing remotely.
+	// fresh one with an empty pool takes over. The fetcher's lease, the
+	// heartbeat and any completion all hit unknown_worker; only the
+	// fetcher re-registers, so the worker must rejoin as ONE pool entry
+	// with all four slots and resume executing remotely.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -207,17 +202,14 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	})
 
 	// Remote execution resumes: run a few shards through B.
-	h := coordB.StartRun(nil)
-	defer h.Finish()
 	for shard := 0; shard < 4; shard++ {
-		o := waitOutcome(t, runShardAsync(h, shardTask(0, shard, nil)))
+		o := waitOutcome(t, runShardAsync(coordB, shardTask(0, shard, nil)))
 		if o.err != nil || o.out != float64(shard)+0.5 || o.origin != "phoenix" {
 			t.Fatalf("shard %d outcome = %+v, want %v from phoenix", shard, o, float64(shard)+0.5)
 		}
 	}
-	// By now every slot loop has cycled through the new identity. The
-	// rejoin must have landed exactly once: duplicates would inflate both
-	// the worker count and the advertised pool width.
+	// The rejoin must have landed exactly once: duplicates would inflate
+	// both the worker count and the advertised pool width.
 	if got := coordB.WorkersConnected(); got != 1 {
 		t.Fatalf("WorkersConnected after restart = %d, want 1 (single re-registration)", got)
 	}
@@ -245,9 +237,7 @@ func TestWorkerReregistersAfterExpiry(t *testing.T) {
 
 	waitFor(t, "re-registration", func() bool { return env.c.WorkersConnected() == 1 })
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	o := waitOutcome(t, runShardAsync(h, shardTask(0, 0, nil)))
+	o := waitOutcome(t, runShardAsync(env.c, shardTask(0, 0, nil)))
 	if o.out != 1.5 || o.origin != "lazarus" {
 		t.Fatalf("outcome = %+v, want 1.5 from re-registered lazarus", o)
 	}
@@ -295,12 +285,10 @@ func TestWorkerSendsOutputsRaw(t *testing.T) {
 	})
 	waitFor(t, "worker registration", func() bool { return env.c.WorkersConnected() == 1 })
 
-	h := env.c.StartRun(nil)
-	defer h.Finish()
-	if o := waitOutcome(t, runShardAsync(h, shardTask(0, 0, nil))); o.err != nil || !reflect.DeepEqual(o.out, big) {
+	if o := waitOutcome(t, runShardAsync(env.c, shardTask(0, 0, nil))); o.err != nil || !reflect.DeepEqual(o.out, big) {
 		t.Fatalf("large output outcome: err %v, output equal: %v", o.err, reflect.DeepEqual(o.out, big))
 	}
-	if o := waitOutcome(t, runShardAsync(h, shardTask(0, 1, nil))); o.err != nil || o.out != 1.5 {
+	if o := waitOutcome(t, runShardAsync(env.c, shardTask(0, 1, nil))); o.err != nil || o.out != 1.5 {
 		t.Fatalf("small output outcome = %+v", o)
 	}
 	mu.Lock()

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"zen2ee/internal/core"
+	"zen2ee/internal/obs"
 	"zen2ee/internal/tenant"
 )
 
@@ -158,10 +159,10 @@ type job struct {
 	finished time.Time
 	errMsg   string
 	cached   bool // a run job's configuration came from the store, no simulation ran
-	// trace is the Chrome trace-event document of the job's execution,
-	// serialized before the terminal state flip; empty for cached jobs and
-	// when daemon tracing is disabled.
-	trace []byte
+	// trace records the job's execution, set before the terminal state
+	// flip and serialized only when a client fetches it; nil for a job
+	// that ran nothing and when daemon tracing is disabled.
+	trace *obs.Trace
 	// runDur and marshalDur split the job's wall time for the latency
 	// breakdown: scheduler execution vs. document encoding. Queue wait is
 	// derived from created/started.
@@ -259,15 +260,17 @@ func (j *job) setLatency(run, marshal time.Duration) {
 	j.mu.Unlock()
 }
 
-// setTrace stores the serialized execution trace.
-func (j *job) setTrace(doc []byte) {
+// setTrace keeps the job's execution trace. Callers set it before the
+// terminal state flips, so a client that sees "done" never races a
+// still-missing trace.
+func (j *job) setTrace(tr *obs.Trace) {
 	j.mu.Lock()
-	j.trace = doc
+	j.trace = tr
 	j.mu.Unlock()
 }
 
-// traceDoc returns the serialized trace (nil if none) and current state.
-func (j *job) traceDoc() ([]byte, State) {
+// traceOf returns the execution trace (nil if none) and current state.
+func (j *job) traceOf() (*obs.Trace, State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.trace, j.state

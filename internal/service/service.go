@@ -615,27 +615,35 @@ func writeSSE(w http.ResponseWriter, e event) {
 }
 
 // handleTrace serves a finished job's Chrome trace-event document — the
-// same format `zen2ee -trace` writes, loadable in Perfetto. A job that was
-// served from cache (or a daemon with tracing disabled) has no trace: 404,
-// not an empty file. An unfinished job is 409 like /result.
+// same format `zen2ee -trace` writes, loadable in Perfetto — serialized
+// from the job's kept trace on each fetch. A job that was served from
+// cache (or a daemon with tracing disabled) has no trace: 404, not an
+// empty file. An unfinished job is 409 like /result. A trace that fails
+// to encode is a 500 and is logged; the job it describes stays done.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	trace, state := j.traceDoc()
+	tr, state := j.traceOf()
 	if !state.terminal() {
 		writeError(w, http.StatusConflict, "job is %s; trace not ready", state)
 		return
 	}
-	if len(trace) == 0 {
+	if tr == nil {
 		writeError(w, http.StatusNotFound,
 			"no trace recorded for job %q (served from cache, or tracing disabled)", r.PathValue("id"))
 		return
 	}
+	doc, err := report.MarshalTrace(tr.Snapshot())
+	if err != nil {
+		s.log.Error("encoding job trace", "job", shortID(j.id), "error", err)
+		writeError(w, http.StatusInternalServerError, "encoding trace: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(trace)
+	w.Write(doc)
 }
 
 // --- Registry, metrics, health ---
@@ -787,25 +795,6 @@ func (s *Server) newTrace() *obs.Trace {
 		return nil
 	}
 	return obs.New(s.cfg.TraceBytes)
-}
-
-// storeTrace serializes a job's trace into its Chrome trace-event document
-// before the terminal state flips, so a client that sees "done" never races
-// a still-missing trace. A nil trace (nothing ran, or tracing is disabled)
-// stores nothing.
-func (s *Server) storeTrace(j *job, tr *obs.Trace) {
-	if !tr.Enabled() {
-		return
-	}
-	spans, dropped := tr.Snapshot()
-	b, err := report.MarshalTrace(spans, dropped)
-	if err != nil {
-		// The trace is best-effort observability; losing it must not fail
-		// the job that produced it.
-		s.log.Error("encoding job trace", "job", shortID(j.id), "error", err)
-		return
-	}
-	j.setTrace(b)
 }
 
 // --- job state helpers (here rather than job.go: they are the executor's transitions) ---

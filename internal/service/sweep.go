@@ -258,7 +258,7 @@ func (s *Server) execute(j *job) {
 			}
 			if err != nil {
 				j.setLatency(runDur, marshalDur)
-				s.storeTrace(j, tr)
+				j.setTrace(tr)
 				s.metrics.add(&s.metrics.cacheMisses, 1)
 				j.setFailed(err)
 				s.metrics.add(&s.metrics.jobsFailed, 1)
@@ -279,7 +279,7 @@ func (s *Server) execute(j *job) {
 	}
 
 	j.setLatency(runDur, marshalDur)
-	s.storeTrace(j, tr)
+	j.setTrace(tr)
 	// A queued job is one request, counted once: a miss if it simulated
 	// anything, a hit if every configuration was already computed (by an
 	// earlier job, or by a concurrent one this job waited for).

@@ -13,7 +13,7 @@
 //
 // The cache plugs into the scheduler at the core.RunConfig.RunShard seam
 // via WrapRunShard, in front of whatever dispatcher (the local thunk, or a
-// dist coordinator's RunHandle) would otherwise execute the shard. A hit
+// dist.Coordinator) would otherwise execute the shard. A hit
 // skips execution entirely and — because gob round-trips float64 values
 // bit-exactly — leaves the run's result document byte-identical to a cold
 // run's. A partially warm sweep therefore re-executes only its missing
@@ -153,12 +153,12 @@ func (c *Cache) Stats() Stats {
 const OriginCache = "shard-cache"
 
 // WrapRunShard builds a core.RunConfig.RunShard hook that consults the
-// cache before dispatching. next is the hook the cache fronts — a dist
-// RunHandle.RunShard, or nil for plain local execution via the task's own
-// thunk. Misses execute through next and backfill the cache on success;
-// hits skip execution — so they hold no core.RunConfig.Acquire slot, which
-// gates only the task's thunk — record a CatCache span on tr (which may be
-// nil), and report OriginCache as the shard's origin.
+// cache before dispatching. next is the hook the cache fronts — a
+// dist.Coordinator's RunShard, or nil for plain local execution via the
+// task's own thunk. Misses execute through next and backfill the cache on
+// success; hits skip execution — so they hold no core.RunConfig.Acquire
+// slot, which gates only the task's thunk — record a CatCache span on tr
+// (which may be nil), and report OriginCache as the shard's origin.
 func (c *Cache) WrapRunShard(next func(core.ShardTask) (any, string, error), tr *obs.Trace) func(core.ShardTask) (any, string, error) {
 	return func(st core.ShardTask) (any, string, error) {
 		var start time.Time
