@@ -7,6 +7,7 @@
 //	zen2ee run <id>|all [flags]        # one configuration
 //	zen2ee sweep [<id>...|all] [flags] # a -scales × -seeds grid
 //	zen2ee gen-experiments [flags]     # EXPERIMENTS.md to stdout
+//	zen2ee worker [flags] URL          # execute shards for a coordinator
 //	zen2ee <cmd> -h                    # the flags <cmd> takes
 //
 // Each command takes only its own flags, before or after the positional
@@ -31,9 +32,15 @@
 // content-addressed under DIR. Re-running any spec over a warm cache skips
 // execution at shard granularity with byte-identical output, and a killed
 // sweep resumes from its last completed shard on the next invocation.
+//
+// With -listen-workers ADDR, run and sweep fan shards out to `zen2ee worker
+// http://ADDR` processes on any host; placement never changes the output.
+// A SIGTERM'd worker finishes its in-flight shards and deregisters.
 package main
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,12 +48,15 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"zen2ee/internal/core"
@@ -62,6 +72,7 @@ var usageLines = map[string]string{
 	"run":             "zen2ee run <id>|all [flags]",
 	"sweep":           "zen2ee sweep [<id>...|all] [flags]",
 	"gen-experiments": "zen2ee gen-experiments [flags]",
+	"worker":          "zen2ee worker [-parallel N] [-name NAME] URL",
 }
 
 func main() {
@@ -80,6 +91,8 @@ func main() {
 		err = sweep(os.Stdout, args)
 	case "gen-experiments":
 		err = genExperiments(os.Stdout, args)
+	case "worker":
+		err = worker(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -98,13 +111,14 @@ func usage() {
   %s
   %s
   %s
+  %s
 
 'zen2ee <cmd> -h' lists the flags <cmd> takes.
 
 sweep runs the scales × seeds cross-product of configurations as one
 batched job; each configuration's output section is byte-identical to the
 standalone run of that configuration.
-`, usageLines["run"], usageLines["sweep"], usageLines["gen-experiments"])
+`, usageLines["run"], usageLines["sweep"], usageLines["gen-experiments"], usageLines["worker"])
 }
 
 func list() {
@@ -128,8 +142,9 @@ type cmdFlags struct {
 	parallel   int
 	cpuprofile string
 	memprofile string
+	name       string // the name a worker reports to its coordinator
 	// listenWorkers starts a shard coordinator on this address so remote
-	// `zen2eed -worker` processes can execute the run's shards;
+	// `zen2ee worker` processes can execute the run's shards;
 	// minWorkers delays the run until that many have registered.
 	listenWorkers string
 	minWorkers    int
@@ -144,7 +159,8 @@ func newFlags(cmd string) *cmdFlags {
 	fs := f.fs
 	// main reports parse errors; parse prints -h's flag list itself.
 	fs.SetOutput(io.Discard)
-	if cmd == "sweep" {
+	switch cmd {
+	case "sweep":
 		fs.Func("scales", "scale axis as a `CSV`, e.g. 1,2,4 (default 1)", func(s string) (err error) {
 			f.scales, err = parseScaleList(s)
 			return err
@@ -155,14 +171,19 @@ func newFlags(cmd string) *cmdFlags {
 		})
 		fs.StringVar(&f.output, "o", "",
 			"write the output to `F` via a temp file renamed into place on success, so an interrupted sweep never leaves a truncated document behind (default stdout)")
-	} else {
+	case "worker":
+		fs.StringVar(&f.name, "name", "", "the `NAME` this worker reports to the coordinator (default hostname-pid)")
+	default:
 		fs.Float64Var(&f.opts.Scale, "scale", f.opts.Scale, "effort scale `S`; the paper's full protocol is ≈ 25")
 		fs.Func("seed", "simulation seed `N` (default 1)", func(s string) (err error) {
 			f.opts.Seed, err = strconv.ParseUint(s, 10, 64)
 			return err
 		})
 	}
-	fs.IntVar(&f.parallel, "parallel", f.parallel, "worker goroutines; results are identical for every `N`")
+	fs.IntVar(&f.parallel, "parallel", f.parallel, "worker goroutines (a worker's concurrent shard slots); results are identical for every `N`")
+	if cmd == "worker" {
+		return f
+	}
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile of the command to `F` (inspect with 'go tool pprof F')")
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a post-GC heap profile of the command to `F`")
 	if cmd == "gen-experiments" {
@@ -176,7 +197,7 @@ func newFlags(cmd string) *cmdFlags {
 	fs.StringVar(&f.trace, "trace", "",
 		"write a Chrome trace-event JSON of the run's execution to `F` (one span per scheduled shard task plus scheduler lifecycle spans; open it at https://ui.perfetto.dev or chrome://tracing). Tracing does not change the results")
 	fs.StringVar(&f.listenWorkers, "listen-workers", "",
-		"serve the distributed worker protocol on `ADDR` and fan shards out to remote 'zen2eed -worker http://HOST:PORT' processes; local execution stays the fallback and results are byte-identical to a local run")
+		"serve the distributed worker protocol on `ADDR` and fan shards out to remote 'zen2ee worker http://HOST:PORT' processes; local execution stays the fallback and results are byte-identical to a local run")
 	fs.IntVar(&f.minWorkers, "min-workers", 0, "wait until `N` workers have registered before starting (needs -listen-workers)")
 	fs.StringVar(&f.shardCacheDir, "shard-cache", "",
 		"memoize per-shard outputs content-addressed under `DIR`; shards whose key is already cached are served without executing, with byte-identical output. Keys cover experiment, scale, seed (1 for a seed-free experiment, so every seed shares its entries), shard index, and the experiment-registry version, so a registry change invalidates the whole cache")
@@ -215,6 +236,12 @@ func (f *cmdFlags) parse(args []string) ([]string, error) {
 		return nil, fmt.Errorf("flag -min-workers: must be >= 0")
 	case f.minWorkers > 0 && f.listenWorkers == "":
 		return nil, fmt.Errorf("-min-workers needs -listen-workers")
+	case f.cmd == "worker" && len(pos) != 1:
+		return nil, fmt.Errorf("worker needs exactly one coordinator URL")
+	case f.cmd == "worker":
+		if u, err := url.Parse(pos[0]); err != nil || !u.IsAbs() || u.Host == "" {
+			return nil, fmt.Errorf("worker: coordinator URL %q is not absolute (want http://host:port)", pos[0])
+		}
 	}
 	return pos, nil
 }
@@ -324,6 +351,30 @@ func genExperiments(w io.Writer, args []string) error {
 	return f.execute(w, core.Sweep{Configs: []core.Config{f.opts}})
 }
 
+// worker executes shards for the coordinator at the URL in args with
+// -parallel slots until SIGINT or SIGTERM, then drains: in-flight shards
+// finish, and deregister hands anything unfinished back to the coordinator.
+func worker(args []string) error {
+	f := newFlags("worker")
+	pos, err := f.parse(args)
+	if err != nil {
+		return err
+	}
+	host, _ := os.Hostname()
+	name := cmp.Or(f.name, fmt.Sprintf("%s-%d", cmp.Or(host, "worker"), os.Getpid()))
+	w, err := dist.NewWorker(dist.WorkerConfig{
+		Coordinator: pos[0], Name: name, Host: host, PID: os.Getpid(),
+		Slots: f.parallel, Logger: slog.New(slog.NewTextHandler(os.Stderr, nil)),
+	})
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	fmt.Fprintf(os.Stderr, "zen2ee: worker %q executing %d slot(s) for %s\n", name, f.parallel, pos[0])
+	return w.Run(ctx)
+}
+
 // printProgress streams scheduler events to stderr so stdout stays
 // parseable: indented shard lines as a heavy experiment's sweep points
 // complete, and one completion line per experiment. Sweep runs prefix
@@ -345,14 +396,6 @@ func printProgress(p core.Progress) {
 	fmt.Fprintf(os.Stderr, "[%2d/%d] %s%-10s %-8s %s\n",
 		p.Done, p.Total, cfg, p.ID, p.Elapsed.Round(100*time.Microsecond), status)
 }
-
-// shardCacheMemEntries/Bytes bound the in-process tier fronting the
-// -shard-cache directory; the disk tier underneath is unbounded, so these
-// only trade memory for re-reads on very large sweeps.
-const (
-	shardCacheMemEntries = 512
-	shardCacheMemBytes   = 128 << 20
-)
 
 // execute runs sw with the command's execution flags wired in and writes
 // its output to w (or to the -o file). The profiles bracket the whole
@@ -401,7 +444,7 @@ func (f *cmdFlags) execute(w io.Writer, sw core.Sweep) (err error) {
 		// before the coordinator, as Close requires.
 		defer srv.Close()
 		addr := ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "zen2ee: coordinator listening on %s (join with: zen2eed -worker http://%s)\n", addr, addr)
+		fmt.Fprintf(os.Stderr, "zen2ee: coordinator listening on %s (join with: zen2ee worker http://%s)\n", addr, addr)
 		if f.minWorkers > 0 {
 			fmt.Fprintf(os.Stderr, "zen2ee: waiting for %d worker(s) to register...\n", f.minWorkers)
 			for coord.WorkersConnected() < f.minWorkers {
@@ -415,11 +458,12 @@ func (f *cmdFlags) execute(w io.Writer, sw core.Sweep) (err error) {
 		runCfg.Workers = coord.PoolSize(f.parallel)
 	}
 	if f.shardCacheDir != "" {
-		disk, err := store.NewDisk(f.shardCacheDir, 0)
+		// No memory tier: one run reads each shard key at most once (dist
+		// retries happen under the cache).
+		st, err := store.NewDisk(f.shardCacheDir, 0)
 		if err != nil {
 			return fmt.Errorf("-shard-cache: %w", err)
 		}
-		st := store.NewTiered(store.NewMemory(shardCacheMemEntries, shardCacheMemBytes), disk)
 		defer st.Close()
 		cache := shardcache.New(st, "")
 		runCfg.RunShard = cache.WrapRunShard(runCfg.RunShard, tr)

@@ -65,6 +65,8 @@ func TestParseExperimentArgs(t *testing.T) {
 			cmdFlags{trace: "trace.json"}, []string{"fig1"}},
 		{"distributed execution", "sweep", []string{"-listen-workers", "127.0.0.1:0", "-min-workers", "2", "-shard-cache", "dir"},
 			cmdFlags{listenWorkers: "127.0.0.1:0", minWorkers: 2, shardCacheDir: "dir"}, nil},
+		{"worker", "worker", []string{"http://127.0.0.1:9090", "-parallel", "3", "-name", "w1"},
+			cmdFlags{parallel: 3, name: "w1"}, []string{"http://127.0.0.1:9090"}},
 	}
 	for _, c := range cases {
 		got := newFlags(c.cmd)
@@ -119,6 +121,10 @@ func TestParseExperimentArgsErrors(t *testing.T) {
 		{"sweep", []string{"-scale", "1", "fig1"}},               // -scale is run's; 1 once passed as the default
 		{"run", []string{"-scales", "1,2", "fig1"}},              // the sweep axes are sweep's
 		{"gen-experiments", []string{"-trace", "t.json"}},        // gen-experiments runs untraced
+		{"worker", nil},                                   // no coordinator URL
+		{"worker", []string{"127.0.0.1:9090"}},            // relative URL
+		{"worker", []string{"http://a:1", "http://b:1"}},  // extra argument
+		{"worker", []string{"-scale", "2", "http://a:1"}}, // a worker runs what it leases
 	} {
 		if _, err := newFlags(c.cmd).parse(c.args); err == nil {
 			t.Errorf("%s %v accepted, want error", c.cmd, c.args)
@@ -133,6 +139,7 @@ func TestParseExperimentArgsErrors(t *testing.T) {
 func TestSweepCommandGuards(t *testing.T) {
 	cmds := map[string]func(io.Writer, []string) error{
 		"run": run, "sweep": sweep, "gen-experiments": genExperiments,
+		"worker": func(_ io.Writer, args []string) error { return worker(args) },
 	}
 	names := map[string]bool{}
 	for cmd := range cmds {

@@ -11,8 +11,6 @@
 // [-trace-bytes N] [-pprof] [-tenant-config F] [-store-dir D]
 // [-store-bytes N] [-shard-cache]
 //
-//	zen2eed -worker http://HOST:PORT [-worker-name N] [-executors S]
-//
 // With -tenant-config the daemon enforces multi-tenant governance: job
 // submissions authenticate with API keys (Authorization: Bearer or
 // X-API-Key), each tenant carries token-bucket rate limits, inflight and
@@ -34,17 +32,12 @@
 // re-executes only its missing shards, and combined with -store-dir a
 // daemon killed mid-sweep resumes from its last completed shard — with
 // byte-identical results, since the cached gob payloads round-trip
-// float64 values exactly. -shard-cache is a usage error with -worker.
+// float64 values exactly.
 //
-// The daemon executes every shard in-process, through the tenant gate.
-// Distributed execution belongs to batch sweeps: the coordinator is
-// `zen2ee sweep -listen-workers ADDR`, and -worker turns this binary into
-// one of its headless workers. A worker registers over POST /dist/v1/*,
-// leases (configuration, experiment, shard) tasks, and executes them with
-// the same per-shard RNG streams the local scheduler derives — results
-// are byte-identical however the shards are placed. A SIGTERM'd worker
-// finishes its in-flight shards and deregisters, relinquishing anything
-// unfinished immediately.
+// The daemon executes every shard in-process, through the tenant gate, and
+// links no distribution code: distributed execution belongs to batch
+// sweeps, whose coordinator (`zen2ee sweep -listen-workers ADDR`) and
+// workers (`zen2ee worker URL`) are both the zen2ee CLI.
 //
 // The daemon logs structured events via log/slog: one access line per
 // request and job lifecycle events (queued/started/done/failed) carrying a
@@ -82,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"zen2ee/internal/dist"
 	"zen2ee/internal/service"
 	"zen2ee/internal/store"
 	"zen2ee/internal/tenant"
@@ -94,10 +86,6 @@ type options struct {
 	pprof     bool
 	logFormat string
 	logLevel  string
-	// worker switches the process into headless worker mode against the
-	// coordinator at this base URL; workerName overrides its reported name.
-	worker     string
-	workerName string
 	// tenantConfig is the -tenant-config JSON path; storeDir/storeBytes
 	// configure the persistent result-store tier. Loaded in main, not
 	// parseFlags, so flag validation stays free of filesystem access.
@@ -149,10 +137,6 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		"log threshold: debug, info, warn, or error (debug adds per-experiment and per-config completion events)")
 	fs.Int64Var(&o.cfg.TraceBytes, "trace-bytes", 0,
 		"per-job execution-trace span buffer bound in bytes (0 = the 1 MiB default, negative disables per-job tracing)")
-	fs.StringVar(&o.worker, "worker", "",
-		"run as a headless worker for the coordinator at this base URL (http://host:port), as started by 'zen2ee sweep -listen-workers ADDR', instead of serving; -executors sets the concurrent shard slots")
-	fs.StringVar(&o.workerName, "worker-name", "",
-		"name this worker reports to the coordinator (default: hostname-pid; needs -worker)")
 	fs.StringVar(&o.tenantConfig, "tenant-config", "",
 		"JSON tenant config enabling multi-tenant governance: API-key auth on submissions, per-tenant rate limits, quotas, and weighted fair scheduling (omitted = single anonymous tenant, no auth)")
 	fs.StringVar(&o.storeDir, "store-dir", "",
@@ -160,7 +144,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&o.storeBytes, "store-bytes", 0,
 		"persistent store tier byte bound, evicted LRU-first past it (0 = unbounded; needs -store-dir)")
 	fs.BoolVar(&o.shardCache, "shard-cache", false,
-		"memoize individual shard outputs by their deterministic address in the result store: warm shards skip execution, and with -store-dir an interrupted sweep resumes from its last completed shard after a restart; serving daemon only, not -worker mode")
+		"memoize individual shard outputs by their deterministic address in the result store: warm shards skip execution, and with -store-dir an interrupted sweep resumes from its last completed shard after a restart")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -179,49 +163,14 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	if o.cfg.SSEKeepAlive < time.Second {
 		return o, fmt.Errorf("-sse-keepalive must be >= 1s")
 	}
-	if o.workerName != "" && o.worker == "" {
-		return o, fmt.Errorf("-worker-name only applies with -worker")
-	}
 	if o.storeBytes < 0 {
 		return o, fmt.Errorf("-store-bytes must be >= 0 (0 means unbounded)")
 	}
 	if o.storeBytes > 0 && o.storeDir == "" {
 		return o, fmt.Errorf("-store-bytes only applies with -store-dir")
 	}
-	if o.worker != "" && (o.tenantConfig != "" || o.storeDir != "" || o.shardCache) {
-		return o, fmt.Errorf("-tenant-config, -store-dir and -shard-cache only apply to the serving daemon, not -worker mode")
-	}
 	o.cfg.ShardCache = o.shardCache
 	return o, nil
-}
-
-// runWorker is the -worker mode: a headless pool member that leases and
-// executes shards for a remote coordinator until SIGTERM/SIGINT, then
-// drains — in-flight shards finish and complete, anything unfinished past
-// the drain bound is relinquished via deregister so the coordinator
-// re-queues it immediately.
-func runWorker(o options, logger *slog.Logger) error {
-	host, _ := os.Hostname()
-	name := o.workerName
-	if name == "" {
-		if host == "" {
-			name = fmt.Sprintf("worker-%d", os.Getpid())
-		} else {
-			name = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-	}
-	w, err := dist.NewWorker(dist.WorkerConfig{
-		Coordinator: o.worker, Name: name, Host: host, PID: os.Getpid(),
-		Slots: o.cfg.Executors, Logger: logger,
-	})
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Fprintf(os.Stderr, "zen2eed: worker %q executing %d slot(s) for %s\n",
-		name, o.cfg.Executors, o.worker)
-	return w.Run(ctx)
 }
 
 // withPprof mounts the net/http/pprof handlers in front of the service when
@@ -260,14 +209,6 @@ func main() {
 		os.Exit(2)
 	}
 	o.cfg.Logger = logger
-
-	if o.worker != "" {
-		if err := runWorker(o, logger); err != nil {
-			fmt.Fprintln(os.Stderr, "zen2eed:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if o.tenantConfig != "" {
 		reg, err := tenant.LoadFile(o.tenantConfig)

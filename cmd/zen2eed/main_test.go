@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -98,8 +99,6 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-sse-keepalive", "50ms"},
 		{"-log-format", "xml"},
 		{"-log-level", "loud"},
-		{"-worker", "http://127.0.0.1:1", "-shard-cache"},
-		{"-worker", "http://127.0.0.1:1", "-tenant-config", "t.json"},
 		{"-lease-batch", "4"}, // the batch size is the worker's slot count, not a flag
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {
@@ -107,10 +106,32 @@ func TestParseFlagsErrors(t *testing.T) {
 		}
 	}
 	// The daemon hosts no coordinator ('zen2ee sweep -listen-workers' is
-	// the only one), so the flags of the one it had are undefined.
-	for _, args := range [][]string{{"-listen-workers"}, {"-lease-ttl", "5s"}} {
+	// the only one) and is no worker ('zen2ee worker' is), so the flags of
+	// the coordinator and the worker mode it had are undefined.
+	for _, args := range [][]string{
+		{"-listen-workers"}, {"-lease-ttl", "5s"},
+		{"-worker", "http://127.0.0.1:1"}, {"-worker-name", "n"},
+	} {
 		if _, err := parseFlags(args, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("args %v: err %v, want an undefined-flag error", args, err)
+		}
+	}
+}
+
+// TestDaemonLinksNoDist: distributed execution is the zen2ee CLI's (its
+// coordinator and its worker command), so the daemon binary links none
+// of internal/dist.
+func TestDaemonLinksNoDist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to go list; skipped under -short")
+	}
+	out, err := exec.Command("go", "list", "-deps", "zen2ee/cmd/zen2eed").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "zen2ee/internal/dist" {
+			t.Fatal("cmd/zen2eed depends on zen2ee/internal/dist")
 		}
 	}
 }

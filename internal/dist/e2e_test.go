@@ -1,5 +1,5 @@
-// Process-level end-to-end tests: the actual zen2eed binary run in
-// -worker mode against an in-test coordinator, including a worker killed
+// Process-level end-to-end tests: the actual zen2ee binary run as
+// `zen2ee worker` against an in-test coordinator, including a worker killed
 // with SIGKILL mid-sweep (its leases expire and retry elsewhere) and one
 // drained with SIGTERM (in-flight shards finish, nothing retries). These
 // build the binary with the go tool, so they are skipped under -short.
@@ -21,21 +21,20 @@ import (
 func buildWorkerBinary(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("builds and execs the zen2eed binary; skipped under -short")
+		t.Skip("builds and execs the zen2ee binary; skipped under -short")
 	}
-	bin := filepath.Join(t.TempDir(), "zen2eed")
-	out, err := exec.Command("go", "build", "-o", bin, "zen2ee/cmd/zen2eed").CombinedOutput()
+	bin := filepath.Join(t.TempDir(), "zen2ee")
+	out, err := exec.Command("go", "build", "-o", bin, "zen2ee/cmd/zen2ee").CombinedOutput()
 	if err != nil {
-		t.Fatalf("building zen2eed: %v\n%s", err, out)
+		t.Fatalf("building zen2ee: %v\n%s", err, out)
 	}
 	return bin
 }
 
-// spawnWorkerProcess starts `zen2eed -worker` as a real child process.
+// spawnWorkerProcess starts `zen2ee worker` as a real child process.
 func spawnWorkerProcess(t *testing.T, bin, coordinator, name string, slots int) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin, "-worker", coordinator, "-worker-name", name,
-		"-executors", strconv.Itoa(slots))
+	cmd := exec.Command(bin, "worker", "-name", name, "-parallel", strconv.Itoa(slots), coordinator)
 	var logs bytes.Buffer
 	cmd.Stderr = &logs
 	if err := cmd.Start(); err != nil {

@@ -1,4 +1,4 @@
-// The worker client: what `zen2eed -worker http://coordinator:port` runs.
+// The worker client: what `zen2ee worker http://coordinator:port` runs.
 // A worker registers, then drives a pipeline against the coordinator: one
 // fetcher long-polls for task batches (the coordinator sizes each grant
 // from the registered slot count), N slot goroutines execute them

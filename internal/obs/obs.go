@@ -21,6 +21,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Span categories recorded by the pipeline.
@@ -89,12 +90,14 @@ type Span struct {
 	Err string
 }
 
-// spanOverheadBytes approximates a Span's fixed in-memory cost; the byte
-// budget charges this plus the variable string lengths per span.
-const spanOverheadBytes = 96
+// spanBytes is a Span's fixed in-memory size: one element of a trace's
+// span array. The byte budget charges the array's capacity at this size
+// plus the retained spans' string bytes.
+const spanBytes = int64(unsafe.Sizeof(Span{}))
 
-func (s Span) cost() int64 {
-	return spanOverheadBytes + int64(len(s.Cat)+len(s.Name)+len(s.Label)+len(s.Origin)+len(s.Err))
+// strBytes is the length of the span's strings.
+func (s Span) strBytes() int64 {
+	return int64(len(s.Cat) + len(s.Name) + len(s.Label) + len(s.Origin) + len(s.Err))
 }
 
 // DefaultLimitBytes is the span-buffer budget a Trace gets when the caller
@@ -111,9 +114,11 @@ type Trace struct {
 	epoch time.Time
 	limit int64
 
-	mu      sync.Mutex
-	spans   []Span
-	bytes   int64
+	mu    sync.Mutex
+	spans []Span
+	// strs is the string bytes of the retained spans; cap(spans) ×
+	// spanBytes + strs never exceeds limit.
+	strs    int64
 	dropped int
 }
 
@@ -143,20 +148,30 @@ func (t *Trace) Offset(at time.Time) time.Duration {
 
 // Add records a span. Past the byte budget the span is dropped and
 // counted, never buffered — a trace's memory is bounded however long the
-// run. No-op on a nil trace.
+// run. The span array grows by doubling, but never past the capacity the
+// budget leaves beside the string bytes. No-op on a nil trace.
 func (t *Trace) Add(s Span) {
 	if t == nil {
 		return
 	}
-	c := s.cost()
+	sb := s.strBytes()
 	t.mu.Lock()
-	if t.bytes+c > t.limit {
-		t.dropped++
-	} else {
-		t.bytes += c
-		t.spans = append(t.spans, s)
+	defer t.mu.Unlock()
+	strs := t.strs + sb
+	n := len(t.spans)
+	if n == cap(t.spans) {
+		if c := min(max(2*n, 1), int((t.limit-strs)/spanBytes)); c > n {
+			grown := make([]Span, n, c)
+			copy(grown, t.spans)
+			t.spans = grown
+		}
 	}
-	t.mu.Unlock()
+	if n == cap(t.spans) || int64(cap(t.spans))*spanBytes+strs > t.limit {
+		t.dropped++
+		return
+	}
+	t.strs = strs
+	t.spans = append(t.spans, s)
 }
 
 // Len returns the number of retained spans (0 on a nil trace).
@@ -200,20 +215,27 @@ func (t *Trace) Snapshot() ([]Span, int) {
 // name, configuration, and shard — a total order for any span set a
 // single trace can hold.
 func SortSpans(spans []Span) {
-	sort.SliceStable(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Cat != b.Cat {
-			return a.Cat < b.Cat
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Config != b.Config {
-			return a.Config < b.Config
-		}
-		return a.Shard < b.Shard
-	})
+	sort.SliceStable(spans, func(i, j int) bool { return spanLess(spans[i], spans[j]) })
+}
+
+// CanonicalOrder reports whether spans are already in SortSpans's order,
+// as a Snapshot returns them.
+func CanonicalOrder(spans []Span) bool {
+	return sort.SliceIsSorted(spans, func(i, j int) bool { return spanLess(spans[i], spans[j]) })
+}
+
+func spanLess(a, b Span) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.Cat != b.Cat {
+		return a.Cat < b.Cat
+	}
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	if a.Config != b.Config {
+		return a.Config < b.Config
+	}
+	return a.Shard < b.Shard
 }

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestNilTraceIsDisabledRecorder(t *testing.T) {
@@ -60,7 +62,7 @@ func TestTraceRecordsAndOrders(t *testing.T) {
 func TestTraceByteBoundDropsNotGrows(t *testing.T) {
 	// Budget for ~4 small spans; everything past it must be counted as
 	// dropped, not buffered.
-	tr := New(int64(4 * (spanOverheadBytes + len(CatShard) + 1)))
+	tr := New(4 * (spanBytes + int64(len(CatShard)+1)))
 	for i := 0; i < 100; i++ {
 		tr.Add(Span{Cat: CatShard, Name: "x"})
 	}
@@ -72,6 +74,31 @@ func TestTraceByteBoundDropsNotGrows(t *testing.T) {
 	}
 	if _, dropped := tr.Snapshot(); dropped != 96 {
 		t.Fatalf("snapshot dropped %d, want 96", dropped)
+	}
+}
+
+// TestTraceMemoryWithinLimit: the budget bounds what a trace really holds,
+// the span array's whole capacity at the Span's real size plus the
+// retained strings, not only the spans appended so far.
+func TestTraceMemoryWithinLimit(t *testing.T) {
+	for _, limit := range []int64{1000, 4096, 50_000, 1 << 20} {
+		tr := New(limit)
+		for i := 0; i < 20_000; i++ {
+			tr.Add(Span{Cat: CatShard, Name: fmt.Sprintf("exp-%d", i%7), Label: strings.Repeat("x", i%23)})
+		}
+		if tr.Dropped() == 0 {
+			t.Fatalf("limit %d: nothing dropped, the trace was not filled past its limit", limit)
+		}
+		held := int64(cap(tr.spans)) * int64(unsafe.Sizeof(Span{}))
+		for _, s := range tr.spans {
+			held += int64(len(s.Cat) + len(s.Name) + len(s.Label) + len(s.Origin) + len(s.Err))
+		}
+		if held > limit {
+			t.Fatalf("limit %d: trace holds %d bytes (%d spans, capacity %d)", limit, held, tr.Len(), cap(tr.spans))
+		}
+		if tr.Len()+tr.Dropped() != 20_000 {
+			t.Fatalf("limit %d: %d retained + %d dropped, want 20000", limit, tr.Len(), tr.Dropped())
+		}
 	}
 }
 

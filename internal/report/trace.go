@@ -65,11 +65,16 @@ const remoteTIDBase = 1000
 
 func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// MarshalTrace renders spans (any order; sorted canonically internally)
-// plus a dropped-span count into Chrome trace-event JSON bytes.
+// MarshalTrace renders spans plus a dropped-span count into Chrome
+// trace-event JSON bytes. Spans may come in any order: input already in
+// canonical order (an obs.Trace.Snapshot) is read in place, anything else
+// is sorted on a copy, so spans itself is never reordered.
 func MarshalTrace(spans []obs.Span, dropped int) ([]byte, error) {
-	ordered := append([]obs.Span(nil), spans...)
-	obs.SortSpans(ordered)
+	ordered := spans
+	if !obs.CanonicalOrder(spans) {
+		ordered = append([]obs.Span(nil), spans...)
+		obs.SortSpans(ordered)
+	}
 
 	// Thread metadata first: name every track that appears, in tid order,
 	// so viewers label the scheduler, worker, and remote-worker lanes.

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -76,9 +77,15 @@ func TestTraceRoundTrip(t *testing.T) {
 
 // TestTraceDeterministicAcrossInputOrder pins the property the scheduler
 // tests rely on: the exported bytes depend on the span *set*, not the
-// completion order the workers recorded it in.
+// completion order the workers recorded it in. The reference input is in
+// canonical order, as a Snapshot returns it, so MarshalTrace reads it in
+// place while each shuffle takes the sorted-copy path, which must leave
+// its input as it was.
 func TestTraceDeterministicAcrossInputOrder(t *testing.T) {
 	spans := sampleSpans()
+	if !obs.CanonicalOrder(spans) {
+		t.Fatal("sampleSpans is not in canonical order")
+	}
 	want, err := MarshalTrace(spans, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +94,13 @@ func TestTraceDeterministicAcrossInputOrder(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		shuffled := append([]obs.Span(nil), spans...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		before := append([]obs.Span(nil), shuffled...)
 		got, err := MarshalTrace(shuffled, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shuffled, before) {
+			t.Fatalf("trial %d: MarshalTrace reordered its input", trial)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: shuffled input changed the exported bytes", trial)

@@ -1,6 +1,6 @@
 // Process-level test of the distributed sweep coordinator, which only the
 // CLI hosts: a real `zen2ee sweep -listen-workers 127.0.0.1:0 -min-workers
-// 1` run waits for one real `zen2eed -worker` process, which must execute
+// 1` run waits for one real `zen2ee worker` process, which must execute
 // its shards remotely. The sweep document must be byte-identical to a
 // local run's. It sits beside the shard-cache resume test to share its
 // binary build helper; both build with the go tool, so they are skipped
@@ -22,16 +22,6 @@ import (
 	"time"
 )
 
-func buildDaemonBinary(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "zen2eed")
-	out, err := exec.Command("go", "build", "-o", bin, "zen2ee/cmd/zen2eed").CombinedOutput()
-	if err != nil {
-		t.Fatalf("building zen2eed: %v\n%s", err, out)
-	}
-	return bin
-}
-
 func coordinatorSweepArgs(outFile string) []string {
 	return []string{"sweep", "tab1", "fig8", "-scales", "0.25", "-seeds", "1,2", "-json", "-o", outFile}
 }
@@ -40,7 +30,6 @@ var coordinatorAddrRe = regexp.MustCompile(`coordinator listening on (\S+)`)
 
 func TestE2ECLICoordinatorRunsShardsOnWorkerByteIdentical(t *testing.T) {
 	cli := buildCLIBinary(t)
-	daemon := buildDaemonBinary(t)
 	dir := t.TempDir()
 
 	refFile := filepath.Join(dir, "ref.json")
@@ -88,7 +77,7 @@ func TestE2ECLICoordinatorRunsShardsOnWorkerByteIdentical(t *testing.T) {
 		t.Fatalf("coordinator printed no listening address within 30s")
 	}
 
-	worker := exec.Command(daemon, "-worker", "http://"+addr, "-worker-name", "e2eworker", "-executors", "2")
+	worker := exec.Command(cli, "worker", "-name", "e2eworker", "-parallel", "2", "http://"+addr)
 	var workerErr bytes.Buffer
 	worker.Stderr = &workerErr
 	if err := worker.Start(); err != nil {
