@@ -464,7 +464,6 @@ func (f *cmdFlags) execute(w io.Writer, sw core.Sweep) (err error) {
 		if err != nil {
 			return fmt.Errorf("-shard-cache: %w", err)
 		}
-		defer st.Close()
 		cache := shardcache.New(st, "")
 		runCfg.RunShard = cache.WrapRunShard(runCfg.RunShard, tr)
 		defer func() {

@@ -20,11 +20,14 @@
 // done one does, until the job table evicts it: failures are as
 // deterministic as results, so resubmitting a failing spec runs nothing.
 //
-// With -store-dir computed results are also written through to a
-// content-addressed directory of files: entries evicted from the in-memory
+// The daemon builds its result store itself: a memory LRU bounded by
+// -cache entries and -cache-bytes, which /metrics reports back from the
+// store. With -store-dir computed results are also written through to a
+// content-addressed directory of files, each framed with its length and
+// CRC-32C and checked on every read: entries evicted from the in-memory
 // cache (and results computed before a restart) are served from disk
-// instead of being re-simulated, and daemons sharing the directory warm
-// each other.
+// instead of being re-simulated, a damaged file reads as a miss, and
+// daemons sharing the directory warm each other.
 //
 // With -shard-cache individual shard outputs are additionally memoized in
 // the result store under their deterministic (experiment, scale, seed,
@@ -86,6 +89,9 @@ type options struct {
 	pprof     bool
 	logFormat string
 	logLevel  string
+	// cache and cacheBytes bound the memory result store main builds.
+	cache      int
+	cacheBytes int64
 	// tenantConfig is the -tenant-config JSON path; storeDir/storeBytes
 	// configure the persistent result-store tier. Loaded in main, not
 	// parseFlags, so flag validation stays free of filesystem access.
@@ -124,8 +130,8 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.cfg.Executors, "executors", 2, "experiment shards simulating concurrently across all jobs (a lone heavy job fans out over the whole pool)")
 	fs.IntVar(&o.cfg.QueueDepth, "queue", 64, "bounded job queue depth; submissions beyond it get 503")
-	fs.IntVar(&o.cfg.CacheEntries, "cache", 256, "content-addressed result cache entries")
-	fs.Int64Var(&o.cfg.CacheBytes, "cache-bytes", 0,
+	fs.IntVar(&o.cache, "cache", 256, "content-addressed result cache entries")
+	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0,
 		"result cache byte bound: entries are weighted by payload size and evicted LRU-first past it (0 = unbounded; the entry bound still applies)")
 	fs.DurationVar(&o.cfg.SSEKeepAlive, "sse-keepalive", 15*time.Second,
 		"idle interval between SSE comment frames on progress streams (keeps proxies from dropping long sweeps)")
@@ -154,10 +160,10 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	if _, err := o.buildLogger(io.Discard); err != nil {
 		return o, err
 	}
-	if o.cfg.Executors < 1 || o.cfg.QueueDepth < 1 || o.cfg.CacheEntries < 1 {
+	if o.cfg.Executors < 1 || o.cfg.QueueDepth < 1 || o.cache < 1 {
 		return o, fmt.Errorf("-executors, -queue and -cache must be >= 1")
 	}
-	if o.cfg.CacheBytes < 0 {
+	if o.cacheBytes < 0 {
 		return o, fmt.Errorf("-cache-bytes must be >= 0 (0 means unbounded)")
 	}
 	if o.cfg.SSEKeepAlive < time.Second {
@@ -218,6 +224,8 @@ func main() {
 		}
 		o.cfg.Tenants = reg
 	}
+	mem := store.NewMemory(o.cache, o.cacheBytes)
+	o.cfg.Store = mem
 	if o.storeDir != "" {
 		disk, err := store.NewDisk(o.storeDir, o.storeBytes)
 		if err != nil {
@@ -226,8 +234,7 @@ func main() {
 		}
 		// The memory LRU keeps its -cache/-cache-bytes bounds as tier 1;
 		// the disk tier resurrects whatever memory evicts.
-		o.cfg.Store = store.NewTiered(
-			store.NewMemory(o.cfg.CacheEntries, o.cfg.CacheBytes), disk)
+		o.cfg.Store = store.NewTiered(mem, disk)
 	}
 
 	svc := service.New(o.cfg)
@@ -244,7 +251,7 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "zen2eed: serving on %s (executors %d, queue %d, cache %d)\n",
-		o.addr, o.cfg.Executors, o.cfg.QueueDepth, o.cfg.CacheEntries)
+		o.addr, o.cfg.Executors, o.cfg.QueueDepth, o.cache)
 	if o.cfg.Tenants != nil {
 		fmt.Fprintf(os.Stderr, "zen2eed: multi-tenant governance enabled (%d tenants)\n", len(o.cfg.Tenants.Tenants()))
 	}

@@ -17,7 +17,7 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != "127.0.0.1:9999" || o.cfg.Executors != 4 || o.cfg.QueueDepth != 8 || o.cfg.CacheEntries != 16 || o.cfg.SSEKeepAlive != 30*time.Second || !o.pprof {
+	if o.addr != "127.0.0.1:9999" || o.cfg.Executors != 4 || o.cfg.QueueDepth != 8 || o.cache != 16 || o.cfg.SSEKeepAlive != 30*time.Second || !o.pprof {
 		t.Fatalf("parsed %+v", o)
 	}
 	if o, err = parseFlags(nil, io.Discard); err != nil {

@@ -7,6 +7,7 @@
 package service
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -148,9 +149,9 @@ type job struct {
 	// and immutable after, so they need no lock.
 	owner *tenant.Tenant
 	class tenant.Class
-	// order stamps the job's live entry in Server.jobOrder; guarded by
+	// elem is the job's position in Server.jobOrder; guarded by
 	// Server.mu, not mu.
-	order uint64
+	elem *list.Element
 
 	mu       sync.Mutex
 	state    State

@@ -105,10 +105,10 @@ type gauges struct {
 	// cacheBytes is the summed payload size of the cached entries;
 	// cacheBytesCap the configured byte bound (0 = unbounded).
 	cacheBytes, cacheBytesCap int64
-	// disk gates the persistent-tier series: only daemons started with
-	// -store-dir emit them, keeping the default scrape byte-stable.
-	disk      bool
-	diskStats store.DiskStats
+	// disk is the persistent tier's snapshot and gates its series: only
+	// daemons started with -store-dir emit them, keeping the default
+	// scrape byte-stable.
+	disk *store.DiskStats
 	// shardCache gates the shard-memoization series: only daemons started
 	// with -shard-cache emit them, keeping the default scrape byte-stable.
 	shardCache      bool
@@ -174,14 +174,14 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	gauge("zen2eed_cache_capacity", "Result cache capacity.", float64(g.cacheCap))
 	gauge("zen2eed_cache_bytes", "Summed payload size of cached result entries.", float64(g.cacheBytes))
 	gauge("zen2eed_cache_capacity_bytes", "Result cache byte bound (0 = unbounded).", float64(g.cacheBytesCap))
-	if g.disk {
-		gauge("zen2eed_store_disk_entries", "Result payloads resident in the persistent store tier.", float64(g.diskStats.Entries))
-		gauge("zen2eed_store_disk_bytes", "Summed payload size of the persistent store tier.", float64(g.diskStats.Bytes))
-		gauge("zen2eed_store_disk_capacity_bytes", "Persistent store tier byte bound (0 = unbounded).", float64(g.diskStats.CapacityBytes))
-		counter("zen2eed_store_disk_hits_total", "Memory-tier misses served from the persistent store tier.", g.diskStats.Hits)
-		counter("zen2eed_store_disk_misses_total", "Store reads that missed both tiers and required a simulation.", g.diskStats.Misses)
-		counter("zen2eed_store_disk_evictions_total", "Objects evicted from the persistent store tier by its byte bound.", g.diskStats.Evictions)
-		counter("zen2eed_store_disk_errors_total", "Persistent store tier I/O failures (writes lost, index entries dropped).", g.diskStats.Errors)
+	if d := g.disk; d != nil {
+		gauge("zen2eed_store_disk_entries", "Result payloads resident in the persistent store tier.", float64(d.Entries))
+		gauge("zen2eed_store_disk_bytes", "Summed payload size of the persistent store tier.", float64(d.Bytes))
+		gauge("zen2eed_store_disk_capacity_bytes", "Persistent store tier byte bound (0 = unbounded).", float64(d.CapacityBytes))
+		counter("zen2eed_store_disk_hits_total", "Memory-tier misses served from the persistent store tier.", d.Hits)
+		counter("zen2eed_store_disk_misses_total", "Store reads that missed both tiers and required a simulation.", d.Misses)
+		counter("zen2eed_store_disk_evictions_total", "Objects evicted from the persistent store tier by its byte bound.", d.Evictions)
+		counter("zen2eed_store_disk_errors_total", "Persistent store tier I/O failures (writes lost, index entries dropped).", d.Errors)
 	}
 	if g.shardCache {
 		counter("zen2eed_shard_cache_hits_total", "Shard executions skipped because the output was memoized.", g.shardCacheStats.Hits)

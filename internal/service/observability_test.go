@@ -18,6 +18,7 @@ import (
 	"zen2ee/internal/core"
 	"zen2ee/internal/obs"
 	"zen2ee/internal/report"
+	"zen2ee/internal/store"
 )
 
 // goldenEmptyScrape is the full /metrics document of a freshly started
@@ -129,6 +130,41 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	}
 	if body != goldenEmptyScrape {
 		t.Fatalf("scrape drifted from golden document:\n--- got ---\n%s\n--- want ---\n%s", body, goldenEmptyScrape)
+	}
+}
+
+// wrappedStore hides a store's type behind another, as the benchmark's
+// traced store does.
+type wrappedStore struct{ store.ResultStore }
+
+// TestMetricsReadStoreBounds: /metrics reports the bounds of the store the
+// daemon was handed, not a default of its own, and a wrapped tiered store
+// keeps its disk series.
+func TestMetricsReadStoreBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{Store: store.NewMemory(4096, 0)})
+	body, _ := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{"\nzen2eed_cache_capacity 4096\n", "\nzen2eed_cache_capacity_bytes 0\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("memory-store scrape missing %q", want[1:len(want)-1])
+		}
+	}
+	if strings.Contains(body, "zen2eed_store_disk_") {
+		t.Error("memory-store scrape carries disk series")
+	}
+
+	disk, err := store.NewDisk(t.TempDir(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts = newTestServer(t, Config{Store: wrappedStore{store.NewTiered(store.NewMemory(8, 1024), disk)}})
+	body, _ = getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		"\nzen2eed_cache_capacity 8\n", "\nzen2eed_cache_capacity_bytes 1024\n",
+		"\nzen2eed_store_disk_capacity_bytes 4096\n", "\nzen2eed_store_disk_errors_total 0\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("wrapped tiered-store scrape missing %q", want[1:len(want)-1])
+		}
 	}
 }
 

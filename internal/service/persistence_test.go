@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -107,7 +109,7 @@ func TestDiskTierResurrectsEvictedSweepSections(t *testing.T) {
 		}
 	}
 
-	if hits := tiered.DiskTier().Stats().Hits; hits == 0 {
+	if hits := tiered.Stats().Disk.Hits; hits == 0 {
 		t.Fatal("disk tier recorded no hits; sections were not served from disk")
 	}
 	metricsText, _ := getBody(t, ts.URL+"/metrics")
@@ -120,8 +122,8 @@ func TestColdRestartServesWarmResultsWithoutReexecution(t *testing.T) {
 	dir := t.TempDir()
 	const jobSpec = `{"ids":["fig1"],"scale":0.2,"seed":7}`
 
-	// First daemon lifetime: compute, then shut down cleanly (Close
-	// flushes and closes the store, releasing the directory).
+	// First daemon lifetime: compute, then shut down cleanly (Close waits
+	// for the executors, so every finished payload is on disk).
 	cfg1, runs1, _ := countingConfig(Config{Store: newTieredStore(t, dir, 256)})
 	s1 := New(cfg1)
 	ts1 := httptest.NewServer(s1)
@@ -158,5 +160,51 @@ func TestColdRestartServesWarmResultsWithoutReexecution(t *testing.T) {
 	}
 	if runs2.Load() != 0 {
 		t.Fatalf("restarted daemon executed %d runs, want 0", runs2.Load())
+	}
+}
+
+// TestCorruptDiskDocumentCostsOne410: a stored document damaged on disk is
+// never served. Admission still finds it (the store's existence probe is a
+// stat), so the resubmission is a done job whose status embeds no
+// document, /result answers 410, the damage counts in
+// zen2eed_store_disk_errors_total, and the next resubmission recomputes
+// the same bytes.
+func TestCorruptDiskDocumentCostsOne410(t *testing.T) {
+	dir := t.TempDir()
+	const jobSpec = `{"ids":["fig1"],"scale":0.2,"seed":7}`
+
+	_, ts1 := newTestServer(t, Config{Store: newTieredStore(t, dir, 256)})
+	st1, code := postJob(t, ts1, jobSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: %d", code)
+	}
+	waitState(t, ts1, st1.ID)
+	payload1, _ := getBody(t, ts1.URL+"/v1/jobs/"+st1.ID+"/result")
+	if err := os.Truncate(filepath.Join(dir, "objects", st1.ID[:2], st1.ID), 7); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg, runs, _ := countingConfig(Config{Store: newTieredStore(t, dir, 256)})
+	_, ts := newTestServer(t, cfg)
+	st, code := postJob(t, ts, jobSpec)
+	if code != http.StatusOK || st.State != StateDone || len(st.Results) != 0 {
+		t.Fatalf("resubmit over the damaged object: %d %+v, want 200 done with no document", code, st)
+	}
+	if body, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code != http.StatusGone {
+		t.Fatalf("result over the damaged object: %d %q, want 410", code, body)
+	}
+	if metricsText, _ := getBody(t, ts.URL+"/metrics"); !strings.Contains(metricsText, "\nzen2eed_store_disk_errors_total 1\n") {
+		t.Errorf("damaged read not counted:\n%s", metricsText)
+	}
+	st2, code := postJob(t, ts, jobSpec)
+	if code != http.StatusAccepted || st2.ID != st1.ID {
+		t.Fatalf("resubmit after the 410: %d %s, want 202 for %s", code, st2.ID, st1.ID)
+	}
+	waitState(t, ts, st2.ID)
+	if payload, _ := getBody(t, ts.URL+"/v1/jobs/"+st2.ID+"/result"); payload != payload1 {
+		t.Fatal("recomputed document differs from the first run's")
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("runner ran %d times, want 1", runs.Load())
 	}
 }

@@ -38,6 +38,7 @@ package service
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -78,16 +79,6 @@ type Config struct {
 	// the whole pool instead of serializing on one executor, and under
 	// mixed traffic every job's shards compete for the same slots.
 	Executors int
-	// CacheEntries bounds the content-addressed result cache (default 256).
-	// The cache is the only place a finished job's document lives, so
-	// this and CacheBytes bound every retained result: once a job's
-	// section is evicted, /result answers 410 and resubmitting recomputes.
-	CacheEntries int
-	// CacheBytes additionally bounds the result cache by summed payload
-	// size — entries are weighted by their marshaled length, so one
-	// 25-scale full-suite document counts for what it costs. Zero means no
-	// byte bound (the entry bound still applies).
-	CacheBytes int64
 	// JobHistory bounds the in-memory job table (default 4096); the oldest
 	// finished jobs are evicted first. A job record holds no result bytes:
 	// its document is read from the result cache, before and after the
@@ -122,10 +113,13 @@ type Config struct {
 	// daemon exactly: no auth required, a single unlimited built-in
 	// tenant, no tenant metric series.
 	Tenants *tenant.Registry
-	// Store overrides the content-addressed result store. Nil builds the
-	// in-memory LRU from CacheEntries/CacheBytes; cmd/zen2eed installs a
-	// memory-over-disk tiered store when started with -store-dir, which
-	// survives restarts and resurrects memory-evicted results.
+	// Store is the content-addressed result store, the only place a
+	// finished job's document lives: its bounds bound every retained
+	// result, and once a job's section is evicted, /result answers 410 and
+	// resubmitting recomputes. /metrics reports its Stats, bounds
+	// included. Nil means a 256-entry memory store; cmd/zen2eed builds one
+	// from -cache and -cache-bytes, under a memory-over-disk tiered store
+	// with -store-dir.
 	Store store.ResultStore
 	// SweepRunner overrides the runner every job executes on (tests); nil
 	// means core.RunSweepStream.
@@ -138,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Executors <= 0 {
 		c.Executors = 2
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 256
 	}
 	if c.JobHistory <= 0 {
 		c.JobHistory = 4096
@@ -155,7 +146,7 @@ func (c Config) withDefaults() Config {
 		c.TraceBytes = obs.DefaultLimitBytes
 	}
 	if c.Store == nil {
-		c.Store = store.NewMemory(c.CacheEntries, c.CacheBytes)
+		c.Store = store.NewMemory(256, 0)
 	}
 	if c.SweepRunner == nil {
 		c.SweepRunner = core.RunSweepStream
@@ -176,10 +167,6 @@ type Server struct {
 	// cache is the content-addressed result store: the in-memory LRU by
 	// default, memory-over-disk when the daemon runs with -store-dir.
 	cache store.ResultStore
-	// diskTier is the cache's persistent tier when one exists; nil
-	// otherwise. Only metrics read it (the tiered store handles
-	// fallthrough itself).
-	diskTier *store.Disk
 	// shardCache, when enabled, memoizes shard outputs in the same result
 	// store (distinct keyspace: shard keys hash the ShardRef plus the
 	// registry salt, document keys hash the request spec).
@@ -204,13 +191,10 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job
-	// jobOrder is the JobHistory eviction order, least recently submitted
-	// first. Each submission answered by a job (insert or cache hit)
-	// appends a fresh entry stamped with the next orderSeq and restamps
-	// the job, so a refresh is O(1); older entries of the same job go stale
-	// (their seq no longer matches job.order) and are dropped lazily.
-	jobOrder []orderEntry
-	orderSeq uint64
+	// jobOrder is the JobHistory eviction order of the jobs in jobs, most
+	// recently submitted at the front: each submission answered by a job
+	// (insert or cache hit) moves it there.
+	jobOrder *list.List
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -232,10 +216,8 @@ func New(cfg Config) *Server {
 		tenants:  cfg.Tenants,
 		fallback: tenant.Unlimited("default"),
 		jobs:     map[string]*job{},
+		jobOrder: list.New(),
 		quit:     make(chan struct{}),
-	}
-	if tiered, ok := cfg.Store.(*store.Tiered); ok {
-		s.diskTier = tiered.DiskTier()
 	}
 	if cfg.ShardCache {
 		s.shardCache = shardcache.New(s.cache, "")
@@ -272,9 +254,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.quit) })
 	s.wg.Wait()
-	// Closed after the executors drain: a disk-tier store must not lose
-	// the payload of a job that just finished.
-	_ = s.cache.Close()
 }
 
 // --- Submission and the singleflight path ---
@@ -408,62 +387,38 @@ func (s *Server) admit(w http.ResponseWriter, build func() *job, key string, tn 
 	writeJSON(w, http.StatusAccepted, s.statusOf(j, false))
 }
 
-// orderEntry is one position in the JobHistory eviction order; it is live
-// while seq matches the job's current order stamp.
-type orderEntry struct {
-	id  string
-	seq uint64
-}
-
-// liveLocked returns the job an order entry still stands for. Callers hold
-// s.mu.
-func (s *Server) liveLocked(e orderEntry) (*job, bool) {
-	j, ok := s.jobs[e.id]
-	if !ok || j.order != e.seq {
-		return nil, false
-	}
-	return j, true
-}
-
 // insertLocked records a job as the youngest in the eviction order and
 // evicts the oldest finished jobs beyond JobHistory. A rerun of a done
-// job whose sections were evicted reuses the content address; the new
-// job's stamp leaves the old job's entry stale. Callers hold s.mu.
+// job whose sections were evicted reuses the content address and replaces
+// the old job, order position included. Callers hold s.mu.
 func (s *Server) insertLocked(j *job) {
+	if old, ok := s.jobs[j.id]; ok {
+		s.jobOrder.Remove(old.elem)
+	}
 	s.jobs[j.id] = j
-	s.touchLocked(j)
+	j.elem = s.jobOrder.PushFront(j)
+	s.pruneLocked(j)
 }
 
-// touchLocked moves j to the young end of the eviction order in O(1), then
-// prunes when the table is over JobHistory or stale entries outnumber live
-// ones (which keeps jobOrder O(jobs) under a stream of hits). Callers hold
+// touchLocked makes j the youngest in the eviction order. Callers hold
 // s.mu.
 func (s *Server) touchLocked(j *job) {
-	s.orderSeq++
-	j.order = s.orderSeq
-	s.jobOrder = append(s.jobOrder, orderEntry{id: j.id, seq: j.order})
-	if len(s.jobs) > s.cfg.JobHistory || len(s.jobOrder) > 2*len(s.jobs)+16 {
-		s.pruneLocked(j)
-	}
+	s.jobOrder.MoveToFront(j.elem)
+	s.pruneLocked(j)
 }
 
-// pruneLocked drops stale order entries and, oldest first, evicts finished
-// jobs other than keep until the table fits JobHistory. Callers hold s.mu.
+// pruneLocked evicts finished jobs other than keep, least recently
+// submitted first, until the table fits JobHistory; live jobs stay. Within
+// the bound it returns at once. Callers hold s.mu.
 func (s *Server) pruneLocked(keep *job) {
-	kept := s.jobOrder[:0]
-	for _, e := range s.jobOrder {
-		old, ok := s.liveLocked(e)
-		if !ok {
-			continue
+	for el := s.jobOrder.Back(); el != nil && len(s.jobs) > s.cfg.JobHistory; {
+		prev := el.Prev()
+		if old := el.Value.(*job); old != keep && old.currentState().terminal() {
+			s.jobOrder.Remove(el)
+			delete(s.jobs, old.id)
 		}
-		if len(s.jobs) > s.cfg.JobHistory && old != keep && old.currentState().terminal() {
-			delete(s.jobs, e.id)
-			continue
-		}
-		kept = append(kept, e)
+		el = prev
 	}
-	clear(s.jobOrder[len(kept):])
-	s.jobOrder = kept
 }
 
 // --- Job status, results, SSE ---
@@ -483,10 +438,8 @@ func (s *Server) lookup(r *http.Request) (*job, bool) {
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	out := make([]Status, 0, len(s.jobs))
-	for i := len(s.jobOrder) - 1; i >= 0; i-- {
-		if j, ok := s.liveLocked(s.jobOrder[i]); ok {
-			out = append(out, s.statusOf(j, false))
-		}
+	for el := s.jobOrder.Front(); el != nil; el = el.Next() {
+		out = append(out, s.statusOf(el.Value.(*job), false))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
@@ -664,14 +617,12 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	st := s.cache.Stats()
 	g := gauges{
 		queueDepth: s.queue.len(), queueCap: s.cfg.QueueDepth,
-		cacheEntries: s.cache.Len(), cacheCap: s.cfg.CacheEntries,
-		cacheBytes: s.cache.Bytes(), cacheBytesCap: s.cfg.CacheBytes,
-	}
-	if s.diskTier != nil {
-		g.disk = true
-		g.diskStats = s.diskTier.Stats()
+		cacheEntries: st.Entries, cacheCap: st.MaxEntries,
+		cacheBytes: st.Bytes, cacheBytesCap: st.MaxBytes,
+		disk: st.Disk,
 	}
 	if s.shardCache != nil {
 		g.shardCache = true

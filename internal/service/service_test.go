@@ -641,18 +641,17 @@ func TestFailedJobsRetryAndReportViaSSE(t *testing.T) {
 		t.Fatalf("runner called %d times, want 3", calls.Load())
 	}
 	// The rerun reuses the content address; the eviction order must hold
-	// one live entry for the id, or the job would be listed or evicted
-	// twice.
+	// one entry for the id, or the job would be listed or evicted twice.
 	srv.mu.Lock()
 	seen := 0
-	for _, e := range srv.jobOrder {
-		if _, live := srv.liveLocked(e); live && e.id == st.ID {
+	for el := srv.jobOrder.Front(); el != nil; el = el.Next() {
+		if el.Value.(*job).id == st.ID {
 			seen++
 		}
 	}
 	srv.mu.Unlock()
 	if seen != 1 {
-		t.Fatalf("job id has %d live entries in the eviction order, want 1", seen)
+		t.Fatalf("job id has %d entries in the eviction order, want 1", seen)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"zen2ee/internal/core"
 	"zen2ee/internal/report"
+	"zen2ee/internal/store"
 )
 
 func postSweep(t *testing.T, ts *httptest.Server, body string) (Status, int) {
@@ -615,7 +616,7 @@ func TestSweepServedByAssembly(t *testing.T) {
 
 	// The byte-weighted cache gauge reflects the cached sections.
 	metricsText, _ := getBody(t, ts.URL+"/metrics")
-	if want := fmt.Sprintf("zen2eed_cache_bytes %d", s.cache.Bytes()); !strings.Contains(metricsText, want) {
+	if want := fmt.Sprintf("zen2eed_cache_bytes %d", s.cache.Stats().Bytes); !strings.Contains(metricsText, want) {
 		t.Errorf("metrics missing %q", want)
 	}
 }
@@ -639,7 +640,7 @@ func TestSweepEvictionRerun(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			counter := &countingSweepRunner{}
-			_, ts := newTestServer(t, Config{CacheEntries: 1, SweepRunner: counter.run})
+			_, ts := newTestServer(t, Config{Store: store.NewMemory(1, 0), SweepRunner: counter.run})
 
 			st, code := tc.post(t, ts, tc.body)
 			if code != http.StatusAccepted {

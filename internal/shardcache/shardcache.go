@@ -101,8 +101,8 @@ type Cache struct {
 }
 
 // New builds a cache over st. An empty salt selects DefaultSalt. The cache
-// does not own the store: callers that created the store close it
-// themselves (the zen2eed daemon shares its result store with the cache).
+// shares the store with its caller (the zen2eed daemon keeps its result
+// documents in the same store).
 func New(st store.ResultStore, salt string) *Cache {
 	if salt == "" {
 		salt = DefaultSalt()

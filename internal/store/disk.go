@@ -1,23 +1,28 @@
 // The disk tier: a content-addressed object store under one directory.
 //
-// Layout (documented in the README, stable across versions):
+// Layout (documented in the README as layout version 2):
 //
 //	<dir>/objects/<key[:2]>/<key>   one file per payload, named by its
-//	                                full content address
+//	                                full content address and framed
+//	                                with its length and CRC-32C (frame.go)
 //	<dir>/tmp/                      in-flight writes (cleaned at open)
 //
-// Writes are crash-safe by construction: the payload lands in tmp/, is
+// Writes are crash-safe by construction: the object lands in tmp/, is
 // fsync'd, and is renamed into place — a reader (this daemon after a
 // restart, or another daemon sharing the directory) only ever sees whole
 // objects. Because keys are content addresses, concurrent writers racing
-// on one key write identical bytes, so last-rename-wins is harmless.
+// on one key write identical bytes, so last-rename-wins is harmless. Get
+// checks every object's frame, so what the rename cannot rule out (a
+// torn write under a lying disk, a bit flip, a file of the unframed
+// version-1 layout) reads as a miss, counts as an error and is removed.
 //
 // The store keeps an in-memory recency index (rebuilt from file mtimes at
 // open, so LRU order approximately survives restarts) and evicts
 // least-recently-used objects once the summed payload size exceeds the
-// byte bound. Externally removed files degrade to misses, and externally
-// added files are adopted on first Get — sharing a directory between
-// daemons needs no coordination beyond the filesystem.
+// byte bound; sizes are payload bytes throughout, frames excluded.
+// Externally removed files degrade to misses, and externally added files
+// are adopted on first Get — sharing a directory between daemons needs no
+// coordination beyond the filesystem.
 //
 // Locking discipline: d.mu guards only the index. Every piece of file
 // I/O — reads, the write/fsync/rename path, eviction unlinks — runs
@@ -29,7 +34,6 @@
 package store
 
 import (
-	"container/list"
 	"fmt"
 	"io/fs"
 	"os"
@@ -40,20 +44,12 @@ import (
 
 // Disk is the persistent content-addressed result store (tier 2).
 type Disk struct {
-	dir      string
-	maxBytes int64 // 0 = no byte bound
+	dir string
 
-	mu       sync.Mutex
-	curBytes int64
-	order    *list.List // front = most recently used
-	items    map[string]*list.Element
+	mu    sync.Mutex
+	index lru // byte-bounded; no entry bound
 
 	hits, misses, evictions, errors uint64
-}
-
-type diskEntry struct {
-	key  string
-	size int64
 }
 
 // NewDisk opens (creating if needed) the store rooted at dir, bounded to
@@ -61,21 +57,16 @@ type diskEntry struct {
 // interrupted writes are removed, and the recency index is rebuilt from
 // the resident objects' mtimes so eviction order carries across restarts.
 func NewDisk(dir string, maxBytes int64) (*Disk, error) {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
 	for _, sub := range []string{objectsDir(dir), tmpDir(dir)} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("store: creating %s: %w", sub, err)
 		}
 	}
-	d := &Disk{dir: dir, maxBytes: maxBytes, order: list.New(), items: map[string]*list.Element{}}
-	if err := d.scan(); err != nil {
+	d := &Disk{dir: dir, index: newLRU(0, maxBytes)}
+	victims, err := d.scan()
+	if err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	victims := d.evictLocked()
-	d.mu.Unlock()
 	d.removeFiles(victims)
 	return d, nil
 }
@@ -106,7 +97,10 @@ func validKey(key string) bool {
 
 // scan rebuilds the index from the resident objects, oldest mtime first so
 // the LRU order survives the restart, and clears interrupted temp writes.
-func (d *Disk) scan() error {
+// It reads no object: each is indexed at its file size less the frame,
+// and Get checks the frame. It returns the objects the byte bound evicts,
+// for removeFiles.
+func (d *Disk) scan() ([]string, error) {
 	if entries, err := os.ReadDir(tmpDir(d.dir)); err == nil {
 		for _, e := range entries {
 			_ = os.Remove(filepath.Join(tmpDir(d.dir), e.Name()))
@@ -130,64 +124,62 @@ func (d *Disk) scan() error {
 		if err != nil {
 			return nil // raced an external removal
 		}
-		objs = append(objs, found{key: key, size: info.Size(), mtime: info.ModTime().UnixNano()})
+		objs = append(objs, found{key: key, size: max(info.Size()-frameSize, 0), mtime: info.ModTime().UnixNano()})
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("store: scanning %s: %w", objectsDir(d.dir), err)
+		return nil, fmt.Errorf("store: scanning %s: %w", objectsDir(d.dir), err)
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].mtime < objs[j].mtime })
+	var victims []string
+	d.mu.Lock()
 	for _, o := range objs {
-		d.items[o.key] = d.order.PushFront(&diskEntry{key: o.key, size: o.size})
-		d.curBytes += o.size
+		victims = append(victims, d.indexLocked(o.key, o.size)...)
 	}
-	return nil
+	d.mu.Unlock()
+	return victims, nil
 }
 
-// Get reads the payload stored under key. An indexed entry whose file has
-// vanished (an external cleanup, a sharing daemon's eviction) degrades to
-// a miss; an unindexed file that exists (a sharing daemon's write) is
-// adopted into the index. The read itself runs outside d.mu — one slow
-// read, or a concurrent Put's fsync, must not serialize every other
-// caller of the store.
+// Get reads the payload stored under key and checks its frame. An object
+// whose frame fails (truncated, corrupted, or not framed at all) is a
+// miss: the error is counted, the entry dropped and the file removed, so
+// the next Put of the key writes it whole. An indexed entry whose file
+// has vanished (an external cleanup, a sharing daemon's eviction)
+// degrades to a miss too; an unindexed file that exists (a sharing
+// daemon's write) is adopted into the index. The read itself runs outside
+// d.mu — one slow read, or a concurrent Put's fsync, must not serialize
+// every other caller of the store.
 func (d *Disk) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
-	payload, err := os.ReadFile(d.path(key))
+	data, err := os.ReadFile(d.path(key))
 	d.mu.Lock()
-	el, indexed := d.items[key]
-	if err != nil && indexed {
+	if err != nil && d.index.has(key) {
 		// The miss may have raced an in-flight Put: the entry was indexed
 		// after our read failed, and Put renames the object into place
 		// before indexing it, so under that ordering one re-read settles
 		// whether the file truly vanished.
 		d.mu.Unlock()
-		payload, err = os.ReadFile(d.path(key))
+		data, err = os.ReadFile(d.path(key))
 		d.mu.Lock()
-		el, indexed = d.items[key]
 	}
-	if err != nil {
-		if indexed {
-			// The file is gone out from under the index: drop the entry.
-			d.dropLocked(el)
+	payload, ok := unframe(data)
+	if !ok {
+		corrupt := err == nil
+		if corrupt || d.index.has(key) {
+			// The object is unusable or gone: drop the entry.
+			d.index.remove(key)
 			d.errors++
 		}
 		d.misses++
 		d.mu.Unlock()
+		if corrupt {
+			_ = os.Remove(d.path(key))
+		}
 		return nil, false
 	}
-	var victims []string
-	if indexed {
-		e := el.Value.(*diskEntry)
-		d.curBytes += int64(len(payload)) - e.size
-		e.size = int64(len(payload))
-		d.order.MoveToFront(el)
-	} else {
-		d.items[key] = d.order.PushFront(&diskEntry{key: key, size: int64(len(payload))})
-		d.curBytes += int64(len(payload))
-		victims = d.evictLocked()
-	}
+	victims := d.indexLocked(key, int64(len(payload)))
 	d.hits++
 	d.mu.Unlock()
 	d.removeFiles(victims)
@@ -222,24 +214,22 @@ func (d *Disk) Put(key string, payload []byte) {
 		return
 	}
 	d.mu.Lock()
-	_, indexed := d.items[key]
+	indexed := d.index.has(key)
 	d.mu.Unlock()
 	if indexed {
-		if _, err := os.Stat(d.path(key)); err == nil {
-			d.mu.Lock()
-			if el, ok := d.items[key]; ok {
-				d.order.MoveToFront(el)
-			}
-			d.mu.Unlock()
-			return
-		}
-		// Indexed but the file vanished: drop the stale entry and fall
-		// through to the write path so the payload actually persists.
+		_, err := os.Stat(d.path(key))
 		d.mu.Lock()
-		if el, ok := d.items[key]; ok {
-			d.dropLocked(el)
+		if err == nil {
+			d.index.get(key) // refresh recency
+		} else {
+			// Indexed but the file vanished: drop the stale entry and fall
+			// through to the write path so the payload actually persists.
+			d.index.remove(key)
 		}
 		d.mu.Unlock()
+		if err == nil {
+			return
+		}
 	}
 	// Concurrent writers racing on one key write identical bytes (keys
 	// are content addresses), so either order of their renames leaves the
@@ -250,25 +240,17 @@ func (d *Disk) Put(key string, payload []byte) {
 		d.mu.Unlock()
 		return
 	}
+	// A concurrent Put (or a Get adoption) may have indexed the key while
+	// we wrote; indexing it again refreshes rather than double-counts.
 	d.mu.Lock()
-	if el, ok := d.items[key]; ok {
-		// A concurrent Put (or a Get adoption) indexed the key while we
-		// wrote; refresh rather than double-count.
-		e := el.Value.(*diskEntry)
-		d.curBytes += int64(len(payload)) - e.size
-		e.size = int64(len(payload))
-		d.order.MoveToFront(el)
-	} else {
-		d.items[key] = d.order.PushFront(&diskEntry{key: key, size: int64(len(payload))})
-		d.curBytes += int64(len(payload))
-	}
-	victims := d.evictLocked()
+	victims := d.indexLocked(key, int64(len(payload)))
 	d.mu.Unlock()
 	d.removeFiles(victims)
 }
 
-// writeObject is the crash-safe write path. Callers must NOT hold d.mu —
-// the fsync here is the slowest thing the store ever does.
+// writeObject is the crash-safe write path of one framed object. Callers
+// must NOT hold d.mu — the fsync here is the slowest thing the store ever
+// does.
 func (d *Disk) writeObject(key string, payload []byte) error {
 	f, err := os.CreateTemp(tmpDir(d.dir), key[:8]+"-*")
 	if err != nil {
@@ -276,7 +258,12 @@ func (d *Disk) writeObject(key string, payload []byte) error {
 	}
 	tmp := f.Name()
 	cleanup := func() { f.Close(); os.Remove(tmp) }
-	if _, err := f.Write(payload); err != nil {
+	header := frameHeader(payload)
+	_, err = f.Write(header[:])
+	if err == nil {
+		_, err = f.Write(payload)
+	}
+	if err != nil {
 		cleanup()
 		return err
 	}
@@ -310,24 +297,14 @@ func syncDir(dir string) {
 	}
 }
 
-// evictLocked drops least-recently-used index entries while the byte
-// bound is exceeded and more than one entry is indexed, and returns the
-// evicted keys. Put and Get move the entry they index to the front before
-// they call it, so it is never evicted: an entry larger than the bound is
-// kept alone, as in the memory tier. Callers hold d.mu and must pass the
-// victims to removeFiles after releasing it — the unlinks are file I/O
-// too.
-func (d *Disk) evictLocked() (victims []string) {
-	if d.maxBytes <= 0 {
-		return nil
-	}
-	for d.curBytes > d.maxBytes && d.order.Len() > 1 {
-		oldest := d.order.Back()
-		e := oldest.Value.(*diskEntry)
-		d.dropLocked(oldest)
-		victims = append(victims, e.key)
-		d.evictions++
-	}
+// indexLocked records key as the most recently used object and returns
+// the objects the byte bound evicts; the one just indexed is never among
+// them, so an object larger than the bound is kept alone, as in the memory
+// tier. Callers hold d.mu and must pass the victims to removeFiles after
+// releasing it — the unlinks are file I/O too.
+func (d *Disk) indexLocked(key string, size int64) []string {
+	victims := d.index.put(key, size, nil)
+	d.evictions += uint64(len(victims))
 	return victims
 }
 
@@ -340,7 +317,7 @@ func (d *Disk) evictLocked() (victims []string) {
 func (d *Disk) removeFiles(victims []string) {
 	for _, key := range victims {
 		d.mu.Lock()
-		_, revived := d.items[key]
+		revived := d.index.has(key)
 		d.mu.Unlock()
 		if revived {
 			continue
@@ -353,37 +330,15 @@ func (d *Disk) removeFiles(victims []string) {
 	}
 }
 
-// dropLocked removes an entry from the index only. Callers hold d.mu.
-func (d *Disk) dropLocked(el *list.Element) {
-	e := el.Value.(*diskEntry)
-	d.order.Remove(el)
-	delete(d.items, e.key)
-	d.curBytes -= e.size
-}
-
-// Len reports resident objects.
-func (d *Disk) Len() int {
+// Stats snapshots the store for the metrics endpoint: the object set is
+// both the fastest tier and the disk tier.
+func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.order.Len()
-}
-
-// Bytes reports the summed payload size of the resident objects.
-func (d *Disk) Bytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.curBytes
-}
-
-// Stats snapshots the store for the metrics endpoint.
-func (d *Disk) Stats() DiskStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return DiskStats{
-		Entries: d.order.Len(), Bytes: d.curBytes, CapacityBytes: d.maxBytes,
+	st := d.index.stats()
+	st.Disk = &DiskStats{
+		Entries: st.Entries, Bytes: st.Bytes, CapacityBytes: st.MaxBytes,
 		Hits: d.hits, Misses: d.misses, Evictions: d.evictions, Errors: d.errors,
 	}
+	return st
 }
-
-// Close implements ResultStore; the disk store holds no open handles.
-func (d *Disk) Close() error { return nil }

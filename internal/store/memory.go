@@ -7,48 +7,29 @@
 
 package store
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // Memory is the in-process LRU result store (tier 1).
 type Memory struct {
-	mu       sync.Mutex
-	max      int
-	maxBytes int64 // 0 = no byte bound
-	curBytes int64
-	order    *list.List // front = most recently used
-	items    map[string]*list.Element
+	mu  sync.Mutex
+	lru lru
 }
 
-type memEntry struct {
-	key     string
-	payload []byte
-}
-
-// NewMemory builds a memory store bounded to max entries and, when
-// maxBytes > 0, to maxBytes of summed payload.
-func NewMemory(max int, maxBytes int64) *Memory {
-	if max < 1 {
-		max = 1
-	}
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	return &Memory{max: max, maxBytes: maxBytes, order: list.New(), items: map[string]*list.Element{}}
+// NewMemory builds a memory store bounded to maxEntries entries (at least
+// one) and, when maxBytes > 0, to maxBytes of summed payload.
+func NewMemory(maxEntries int, maxBytes int64) *Memory {
+	return &Memory{lru: newLRU(max(maxEntries, 1), maxBytes)}
 }
 
 // Get returns the cached payload and refreshes its recency.
 func (c *Memory) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.lru.get(key)
 	if !ok {
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*memEntry).payload, true
+	return e.payload, true
 }
 
 // Has reports residency without touching recency: pure existence checks
@@ -56,55 +37,20 @@ func (c *Memory) Get(key string) ([]byte, bool) {
 func (c *Memory) Has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
+	return c.lru.has(key)
 }
 
 // Put stores a payload, evicting least-recently-used entries while either
-// bound is exceeded. A single payload larger than the byte bound is kept
-// alone rather than rejected — the bound sheds accumulation, and refusing
-// the entry would force the next identical request to re-simulate what was
-// just computed.
+// bound is exceeded; a payload larger than the byte bound is kept alone.
 func (c *Memory) Put(key string, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*memEntry)
-		c.curBytes += int64(len(payload)) - int64(len(e.payload))
-		e.payload = payload
-		c.order.MoveToFront(el)
-		c.evictLocked()
-		return
-	}
-	c.items[key] = c.order.PushFront(&memEntry{key: key, payload: payload})
-	c.curBytes += int64(len(payload))
-	c.evictLocked()
+	c.lru.put(key, int64(len(payload)), payload)
 }
 
-func (c *Memory) evictLocked() {
-	for c.order.Len() > 1 &&
-		(c.order.Len() > c.max || (c.maxBytes > 0 && c.curBytes > c.maxBytes)) {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		e := oldest.Value.(*memEntry)
-		delete(c.items, e.key)
-		c.curBytes -= int64(len(e.payload))
-	}
-}
-
-// Len reports resident entries.
-func (c *Memory) Len() int {
+// Stats reports the resident entries and bytes and the two bounds.
+func (c *Memory) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.stats()
 }
-
-// Bytes reports the summed payload size of the resident entries.
-func (c *Memory) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.curBytes
-}
-
-// Close implements ResultStore; Memory holds no external resources.
-func (c *Memory) Close() error { return nil }

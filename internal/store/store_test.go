@@ -33,8 +33,8 @@ func TestMemoryLRU(t *testing.T) {
 			t.Fatalf("%s missing after eviction round", k)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("Len = %d, want 2", c.Stats().Entries)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestMemoryByteBound(t *testing.T) {
 	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("a should have been evicted by the byte bound")
 	}
-	if got := c.Bytes(); got != 6 {
+	if got := c.Stats().Bytes; got != 6 {
 		t.Fatalf("Bytes = %d, want 6", got)
 	}
 	// An oversize entry is kept alone rather than rejected.
@@ -53,8 +53,8 @@ func TestMemoryByteBound(t *testing.T) {
 	if _, ok := c.Get(key("huge")); !ok {
 		t.Fatal("oversize entry should be kept alone")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after oversize put, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Fatalf("Len = %d after oversize put, want 1", c.Stats().Entries)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestDiskByteBound(t *testing.T) {
 	if d.Has(key("a")) {
 		t.Fatal("a's object should have been removed by the byte bound")
 	}
-	if got := d.Bytes(); got != 6 {
+	if got := d.Stats().Bytes; got != 6 {
 		t.Fatalf("Bytes = %d, want 6", got)
 	}
 	// An oversize object is kept alone rather than rejected.
@@ -80,10 +80,10 @@ func TestDiskByteBound(t *testing.T) {
 	if got, ok := d.Get(key("huge")); !ok || len(got) != 64 {
 		t.Fatalf("oversize object: Get = %d bytes, %v; want it kept alone", len(got), ok)
 	}
-	if d.Len() != 1 || d.Has(key("b")) {
-		t.Fatalf("Len = %d, b resident %v after oversize put; want 1 and false", d.Len(), d.Has(key("b")))
+	if d.Stats().Entries != 1 || d.Has(key("b")) {
+		t.Fatalf("Len = %d, b resident %v after oversize put; want 1 and false", d.Stats().Entries, d.Has(key("b")))
 	}
-	if got := d.Bytes(); got != 64 {
+	if got := d.Stats().Bytes; got != 64 {
 		t.Fatalf("Bytes = %d, want 64", got)
 	}
 }
@@ -110,8 +110,8 @@ func TestDiskPutGetSurvivesReopen(t *testing.T) {
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("reopened Get = %q, %v; want the stored payload", got, ok)
 	}
-	if d2.Len() != 1 || d2.Bytes() != int64(len(payload)) {
-		t.Fatalf("reopened index: Len %d Bytes %d, want 1/%d", d2.Len(), d2.Bytes(), len(payload))
+	if d2.Stats().Entries != 1 || d2.Stats().Bytes != int64(len(payload)) {
+		t.Fatalf("reopened index: Len %d Bytes %d, want 1/%d", d2.Stats().Entries, d2.Stats().Bytes, len(payload))
 	}
 }
 
@@ -130,7 +130,7 @@ func TestDiskEvictionLRU(t *testing.T) {
 	if _, ok := d.Get(key("a")); !ok {
 		t.Fatal("a should have survived (refreshed)")
 	}
-	st := d.Stats()
+	st := d.Stats().Disk
 	if st.Evictions == 0 {
 		t.Fatalf("Stats.Evictions = 0, want > 0 (%+v)", st)
 	}
@@ -152,8 +152,8 @@ func TestDiskExternalRemovalAndAdoption(t *testing.T) {
 	if _, ok := d.Get(key("a")); ok {
 		t.Fatal("externally removed object should read as a miss")
 	}
-	if d.Len() != 0 {
-		t.Fatalf("Len = %d after external removal, want 0", d.Len())
+	if d.Stats().Entries != 0 {
+		t.Fatalf("Len = %d after external removal, want 0", d.Stats().Entries)
 	}
 	// External write (a sharing daemon's put) is adopted on first Get.
 	other, err := NewDisk(dir, 0)
@@ -165,8 +165,8 @@ func TestDiskExternalRemovalAndAdoption(t *testing.T) {
 	if !ok || string(got) != "B" {
 		t.Fatalf("Get of externally written object = %q, %v", got, ok)
 	}
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d after adoption, want 1", d.Len())
+	if d.Stats().Entries != 1 {
+		t.Fatalf("Len = %d after adoption, want 1", d.Stats().Entries)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestHasProbesWithoutPromotion(t *testing.T) {
 	if !mem.Has(key("b")) || mem.Has(key("a")) {
 		t.Fatal("Has must not promote disk entries into the memory tier")
 	}
-	if st := disk.Stats(); st.Hits != 0 && st.Misses != 0 {
+	if st := disk.Stats().Disk; st.Hits != 0 && st.Misses != 0 {
 		t.Fatalf("disk stats moved on Has: %+v", st)
 	}
 	// Memory.Has must not refresh recency: probing a then adding c must
@@ -242,8 +242,8 @@ func TestDiskRejectsInvalidKeys(t *testing.T) {
 			t.Fatalf("invalid key %q must never hit", bad)
 		}
 	}
-	if d.Len() != 0 {
-		t.Fatalf("invalid keys stored: Len = %d", d.Len())
+	if d.Stats().Entries != 0 {
+		t.Fatalf("invalid keys stored: Len = %d", d.Stats().Entries)
 	}
 }
 
@@ -280,13 +280,13 @@ func TestTieredFallthroughAndPromotion(t *testing.T) {
 	}
 	// The hit promoted a back into memory (evicting b from the memory
 	// tier); b still falls through to disk.
-	if ts.Len() != 1 {
-		t.Fatalf("memory tier Len = %d, want 1", ts.Len())
+	if ts.Stats().Entries != 1 {
+		t.Fatalf("memory tier Len = %d, want 1", ts.Stats().Entries)
 	}
 	if got, ok := ts.Get(key("b")); !ok || !bytes.Equal(got, b) {
 		t.Fatalf("b fallthrough Get = %q, %v", got, ok)
 	}
-	st := disk.Stats()
+	st := disk.Stats().Disk
 	if st.Hits < 2 {
 		t.Fatalf("disk hits = %d, want >= 2 (%+v)", st.Hits, st)
 	}
@@ -335,4 +335,62 @@ func TestDiskConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDiskRejectsDamagedObjects: an object whose frame fails — cut short,
+// one bit flipped, or written in the unframed version-1 layout — reads as
+// a miss after a reopen, counts as an error and is removed, and the next
+// Put writes it whole. Has stays a bare stat, so it reports the damaged
+// file until a Get finds it out.
+func TestDiskRejectsDamagedObjects(t *testing.T) {
+	payload := []byte(`{"schema":1,"results":[]}`)
+	for _, tc := range []struct {
+		name   string
+		damage func(path string) error
+	}{
+		{"truncated", func(path string) error { return os.Truncate(path, 7) }},
+		{"bit-flipped", func(path string) error {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			b[len(b)-1] ^= 0x04
+			return os.WriteFile(path, b, 0o644)
+		}},
+		{"unframed", func(path string) error { return os.WriteFile(path, payload, 0o644) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := NewDisk(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Put(key("a"), payload)
+			path := d.path(key("a"))
+			if err := tc.damage(path); err != nil {
+				t.Fatal(err)
+			}
+			d, err = NewDisk(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.Has(key("a")) {
+				t.Fatal("Has must report the damaged file: it is a stat, not a read")
+			}
+			if got, ok := d.Get(key("a")); ok {
+				t.Fatalf("damaged object served: Get = %q, true", got)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("damaged object not removed: stat error %v", err)
+			}
+			st := d.Stats()
+			if st.Disk.Errors != 1 || st.Disk.Misses != 1 || st.Entries != 0 || st.Bytes != 0 {
+				t.Fatalf("stats after the damaged read: %+v %+v; want 1 error, 1 miss, nothing indexed", st, *st.Disk)
+			}
+			d.Put(key("a"), payload)
+			if got, ok := d.Get(key("a")); !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("Get after re-Put = %q, %v; want the payload", got, ok)
+			}
+		})
+	}
 }

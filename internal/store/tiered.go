@@ -45,15 +45,11 @@ func (t *Tiered) Put(key string, payload []byte) {
 	t.disk.Put(key, payload)
 }
 
-// Len reports memory-tier entries (the zen2eed_cache_entries gauge keeps
-// meaning what it always meant; the disk tier reports through DiskStats).
-func (t *Tiered) Len() int { return t.mem.Len() }
-
-// Bytes reports memory-tier bytes.
-func (t *Tiered) Bytes() int64 { return t.mem.Bytes() }
-
-// DiskTier exposes the disk tier for stats reporting.
-func (t *Tiered) DiskTier() *Disk { return t.disk }
-
-// Close closes the disk tier.
-func (t *Tiered) Close() error { return t.disk.Close() }
+// Stats reports the memory tier's occupancy and bounds (the
+// zen2eed_cache_* gauges keep meaning what they always meant) with the
+// disk tier's snapshot.
+func (t *Tiered) Stats() Stats {
+	st := t.mem.Stats()
+	st.Disk = t.disk.Stats().Disk
+	return st
+}

@@ -22,9 +22,7 @@ func tinyTiered(t *testing.T) *Tiered {
 	if err != nil {
 		t.Fatalf("NewDisk: %v", err)
 	}
-	st := NewTiered(NewMemory(2, 1<<20), disk)
-	t.Cleanup(func() { st.Close() })
-	return st
+	return NewTiered(NewMemory(2, 1<<20), disk)
 }
 
 // hexKey renders n as a valid disk-store content address (the disk tier
