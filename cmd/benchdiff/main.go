@@ -2,9 +2,10 @@
 // form (the BENCH_* artifacts CI uploads) and prints an old-vs-new table of
 // ns/op, B/op and allocs/op per benchmark, with relative deltas — a
 // dependency-free benchstat for the repository's perf-trajectory artifacts.
-// Benchmarks recorded without -benchmem show "-" in the memory columns, and
-// a trailing `geomean` row summarizes each column over the benchmarks the
-// two files share.
+// A benchmark run several times in one file (`-count=N`) is compared by
+// the median of its runs, column by column. Benchmarks recorded without
+// -benchmem show "-" in the memory columns, and a trailing `geomean` row
+// summarizes each column over the benchmarks the two files share.
 //
 // Usage:
 //
@@ -42,11 +43,12 @@ type testEvent struct {
 	Output string `json:"Output"`
 }
 
-// parseFile extracts benchmark results from a test2json stream. Lines that
-// are not valid JSON events are tolerated (plain `go test -bench` output can
-// be diffed too, one result line per line).
+// parseFile extracts benchmark results from a test2json stream, one per
+// benchmark name: the median of every run of it the stream holds. Lines
+// that are not valid JSON events are tolerated (plain `go test -bench`
+// output can be diffed too, one result line per line).
 func parseFile(r io.Reader) (map[string]metrics, error) {
-	out := make(map[string]metrics)
+	runs := make(map[string][]metrics)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -65,10 +67,47 @@ func parseFile(r io.Reader) (map[string]metrics, error) {
 		}
 		name, m, ok := parseBenchLine(line)
 		if ok {
-			out[name] = m
+			runs[name] = append(runs[name], m)
 		}
 	}
+	out := make(map[string]metrics, len(runs))
+	for name, ms := range runs {
+		out[name] = medianOf(ms)
+	}
 	return out, sc.Err()
+}
+
+// medianOf returns the per-column median of a benchmark's runs; the memory
+// columns take the median over the runs that recorded them.
+func medianOf(ms []metrics) metrics {
+	var ns, bytes, allocs []float64
+	for _, m := range ms {
+		ns = append(ns, m.NsPerOp)
+		if m.HasMem {
+			bytes = append(bytes, m.BytesPerOp)
+			allocs = append(allocs, m.AllocsPerOp)
+		}
+	}
+	return metrics{
+		NsPerOp:     median(ns),
+		BytesPerOp:  median(bytes),
+		AllocsPerOp: median(allocs),
+		HasMem:      len(bytes) > 0,
+	}
+}
+
+// median returns the median of vs (the mean of the middle two for an even
+// count), 0 for none. It sorts vs in place.
+func median(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseBenchLine parses one benchmark result line:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -220,5 +221,29 @@ func TestRunRejectsEmptyNew(t *testing.T) {
 	}
 	if err := run(empty, empty, &strings.Builder{}); err == nil {
 		t.Fatal("expected error for a new file with no benchmark results")
+	}
+}
+
+// TestParseFileTakesMedianOfRepeatedRuns: a stream from `-count=5` holds
+// five results for one benchmark. Each column compares by its median, not
+// by whichever run came last.
+func TestParseFileTakesMedianOfRepeatedRuns(t *testing.T) {
+	var sb strings.Builder
+	for _, r := range []string{
+		"300.0 ns/op  40 B/op  4 allocs/op",
+		"100.0 ns/op  0 B/op  0 allocs/op",
+		"500.0 ns/op  80 B/op  8 allocs/op",
+		"200.0 ns/op  20 B/op  2 allocs/op",
+		"900.0 ns/op  90 B/op  9 allocs/op",
+	} {
+		fmt.Fprintf(&sb, `{"Action":"output","Test":"BenchmarkDiskPut","Output":"BenchmarkDiskPut-2 \t300\t%s\n"}`+"\n", r)
+	}
+	got, err := parseFile(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := metrics{NsPerOp: 300, BytesPerOp: 40, AllocsPerOp: 4, HasMem: true}
+	if len(got) != 1 || got["BenchmarkDiskPut"] != want {
+		t.Fatalf("parsed %+v, want only BenchmarkDiskPut at %+v", got, want)
 	}
 }

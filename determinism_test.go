@@ -9,6 +9,11 @@ package zen2ee
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"zen2ee/internal/core"
@@ -43,5 +48,29 @@ func TestShardedSuiteDeterminismAcrossWorkers(t *testing.T) {
 		if got := marshalSet(t, ids, o, workers); !bytes.Equal(got, want) {
 			t.Errorf("worker count %d changed the canonical JSON document", workers)
 		}
+	}
+}
+
+// TestRunAllDigest is CI's output-digest gate in tier-1: the SHA-256 of
+// `zen2ee run all -json` at scale 1, seed 1 (report.MarshalResults over
+// the whole registry) must equal the digest bench/golden.json holds for
+// that run. It runs under -short too: one suite at two workers.
+func TestRunAllDigest(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("bench", "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]string
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("bench/golden.json: %v", err)
+	}
+	const key = "run;ids=;scale=1;seed=1"
+	want, ok := golden[key]
+	if !ok {
+		t.Fatalf("bench/golden.json holds no %q", key)
+	}
+	doc := marshalSet(t, nil, core.Options{Scale: 1, Seed: 1}, 2)
+	if got := fmt.Sprintf("%x", sha256.Sum256(doc)); got != want {
+		t.Fatalf("run all -json (%d bytes) hashes to %s; bench/golden.json holds %s", len(doc), got, want)
 	}
 }

@@ -60,14 +60,10 @@ func runExtBoost(o Options) (*Result, error) {
 	lightNoBoost := mn.EffectiveMHz(0) / 1000
 	r.addRow("1 core busywait", "off", fmt.Sprintf("%.3f", lightNoBoost), fmtW(mn.SystemWatts()))
 
-	// Dense load: FIRESTARTER on all threads, boost on vs off.
-	dense := func(boost bool) (float64, float64, error) {
-		var m *machine.Machine
-		if boost {
-			m = machine.New(boostConfig(o))
-		} else {
-			m = testSystem(o)
-		}
+	// Dense load: FIRESTARTER on all threads, boost on vs off, each on its
+	// light-load system reset to a fresh one.
+	dense := func(m *machine.Machine) (float64, float64, error) {
+		m.Reset()
 		if err := m.SetAllFrequenciesMHz(2500); err != nil {
 			return 0, 0, err
 		}
@@ -83,11 +79,11 @@ func runExtBoost(o Options) (*Result, error) {
 		}
 		return measure.Mean(fs), measure.Mean(ws), nil
 	}
-	fOn, pOn, err := dense(true)
+	fOn, pOn, err := dense(mb)
 	if err != nil {
 		return nil, err
 	}
-	fOff, pOff, err := dense(false)
+	fOff, pOff, err := dense(mn)
 	if err != nil {
 		return nil, err
 	}

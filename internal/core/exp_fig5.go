@@ -55,11 +55,12 @@ func runFig5a(o Options) (*Result, error) {
 	placements := []placement{{1, false}, {2, false}, {3, false}, {4, false}, {4, true}}
 
 	var worstDev float64
+	var m *machine.Machine
 	for si, setting := range iodie.Settings() {
 		for di, dram := range fig5DRAMs {
 			row := []string{setting.String(), fmt.Sprintf("%.3f", float64(dram)/1000)}
 			for pi, pl := range placements {
-				m := testSystem(o)
+				m = resetSystem(m, o)
 				if err := m.SetIODSetting(setting); err != nil {
 					return nil, err
 				}
@@ -100,10 +101,11 @@ func runFig5b(o Options) (*Result, error) {
 	r := newResult()
 	r.Columns = []string{"IOD P-state", "DRAM 1.467 GHz [ns]", "DRAM 1.6 GHz [ns]"}
 
+	var m *machine.Machine
 	for si, setting := range iodie.Settings() {
 		row := []string{setting.String()}
 		for di, dram := range fig5DRAMs {
-			m := testSystem(o)
+			m = resetSystem(m, o)
 			if err := m.SetIODSetting(setting); err != nil {
 				return nil, err
 			}

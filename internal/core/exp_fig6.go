@@ -3,14 +3,14 @@ package core
 import (
 	"fmt"
 
+	"zen2ee/internal/machine"
 	"zen2ee/internal/measure"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 	"zen2ee/internal/workload"
 )
 
-// firestarterRun drives FIRESTARTER on all cores (optionally both hardware
-// threads) at nominal frequency and reports the steady-state metrics.
+// firestarterMetrics are the steady-state metrics of one firestarterRun.
 type firestarterMetrics struct {
 	FreqGHz, FreqStdMHz float64
 	IPC, IPCStd         float64
@@ -18,8 +18,10 @@ type firestarterMetrics struct {
 	RAPLPkgWatts        float64 // per package
 }
 
-func firestarterRun(o Options, smt bool) (*firestarterMetrics, error) {
-	m := testSystem(o)
+// firestarterRun drives FIRESTARTER on all cores of m, a freshly booted
+// test system (optionally on both hardware threads), at nominal frequency
+// and reports the steady-state metrics.
+func firestarterRun(m *machine.Machine, o Options, smt bool) (*firestarterMetrics, error) {
 	pa := acMeter(m)
 	if err := m.SetAllFrequenciesMHz(2500); err != nil {
 		return nil, err
@@ -80,11 +82,13 @@ func runFig6(o Options) (*Result, error) {
 	r := newResult()
 	r.Columns = []string{"config", "freq [GHz]", "σ(f) [MHz]", "IPC/core", "AC power [W]", "RAPL pkg [W]"}
 
-	withSMT, err := firestarterRun(o, true)
+	m := testSystem(o)
+	withSMT, err := firestarterRun(m, o, true)
 	if err != nil {
 		return nil, err
 	}
-	noSMT, err := firestarterRun(o, false)
+	m.Reset()
+	noSMT, err := firestarterRun(m, o, false)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"zen2ee/internal/machine"
 	"zen2ee/internal/measure"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
@@ -19,8 +20,9 @@ type fig9Point struct {
 	RAPLCore float64
 }
 
-func measureFig9Point(o Options, k workload.Kernel, mhz, cores, threadsPerCore int) (*fig9Point, error) {
-	m := testSystem(o)
+// measureFig9Point measures one configuration on m, a freshly booted test
+// system.
+func measureFig9Point(m *machine.Machine, o Options, k workload.Kernel, mhz, cores, threadsPerCore int) (*fig9Point, error) {
 	pa := acMeter(m)
 	if err := m.SetAllFrequenciesMHz(mhz); err != nil {
 		return nil, err
@@ -82,12 +84,14 @@ func runFig9(o Options) (*Result, error) {
 	cfgs := []cfg{{1500, 32, 1}, {2500, 32, 1}, {2500, 64, 1}, {2500, 64, 2}}
 
 	var pts []*fig9Point
+	var m *machine.Machine
 	for _, k := range workload.Fig9Set() {
 		for _, c := range cfgs {
 			if k.Name == workload.Idle.Name && c.mhz != 2500 {
 				continue // idle has one meaningful configuration per C-state setup
 			}
-			p, err := measureFig9Point(o, k, c.mhz, c.cores, c.threads)
+			m = resetSystem(m, o)
+			p, err := measureFig9Point(m, o, k, c.mhz, c.cores, c.threads)
 			if err != nil {
 				return nil, err
 			}

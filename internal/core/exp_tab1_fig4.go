@@ -9,28 +9,28 @@ import (
 	"zen2ee/internal/workload"
 )
 
-// ccxMixedSetup pins the measured core (core 0) to setMHz and the other
-// three cores of CCX0 to othersMHz, all running while(1).
-func ccxMixedSetup(o Options, measured workload.Kernel, setMHz, othersMHz int) (*machine.Machine, error) {
-	m := testSystem(o)
+// ccxMixedSetup pins the measured core (core 0) of m, a freshly booted
+// test system, to setMHz and the other three cores of CCX0 to othersMHz,
+// all running while(1).
+func ccxMixedSetup(m *machine.Machine, measured workload.Kernel, setMHz, othersMHz int) error {
 	if err := m.SetThreadFrequencyMHz(0, setMHz); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := m.StartKernel(0, measured, 0); err != nil {
-		return nil, err
+		return err
 	}
 	for c := 1; c < 4; c++ {
 		th := m.Top.Cores[c].Threads[0]
 		if err := m.SetThreadFrequencyMHz(th, othersMHz); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := m.StartKernel(th, workload.Busywait, 0); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	m.Eng.RunFor(20 * sim.Millisecond)
 	waitTransitionsSettled(m, 10*sim.Millisecond)
-	return m, nil
+	return nil
 }
 
 // paperTab1 holds Table I in GHz: [set][others] for {1.5, 2.2, 2.5}.
@@ -52,8 +52,8 @@ func planTab1(o Options) ([]Shard, Reduce, error) {
 			shards = append(shards, Shard{
 				Label: fmt.Sprintf("set%d-others%d", set, others),
 				Run: func(so Options) (any, error) {
-					m, err := ccxMixedSetup(so, workload.Busywait, set, others)
-					if err != nil {
+					m := testSystem(so)
+					if err := ccxMixedSetup(m, workload.Busywait, set, others); err != nil {
 						return nil, err
 					}
 					samples := osmodel.PerfStat(m, 0, 250*sim.Millisecond, intervals)
@@ -106,9 +106,10 @@ func planFig4(o Options) ([]Shard, Reduce, error) {
 				Label: fmt.Sprintf("reader%d-others%d", reader, others),
 				Run: func(so Options) (any, error) {
 					best := 0.0
+					var m *machine.Machine
 					for rep := 0; rep < reps; rep++ {
-						m, err := ccxMixedSetup(so, workload.PointerChase, reader, others)
-						if err != nil {
+						m = resetSystem(m, so)
+						if err := ccxMixedSetup(m, workload.PointerChase, reader, others); err != nil {
 							return nil, err
 						}
 						lat := m.L3LatencyNs(0)

@@ -19,6 +19,17 @@ func testSystem(o Options) *machine.Machine {
 	return machine.New(cfg)
 }
 
+// resetSystem returns what testSystem(o) would build: m reset in place, or
+// a new system when m is nil. A shard whose loop measures every point on a
+// freshly booted system builds one machine and resets it per point.
+func resetSystem(m *machine.Machine, o Options) *machine.Machine {
+	if m == nil {
+		return testSystem(o)
+	}
+	m.Reset()
+	return m
+}
+
 // acMeter attaches the LMG670-class reference meter to a machine.
 func acMeter(m *machine.Machine) *measure.PowerAnalyzer {
 	return measure.NewPowerAnalyzer(m.Eng, measure.DefaultAnalyzerConfig(), m)

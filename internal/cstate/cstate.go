@@ -135,12 +135,21 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config) *Model {
 		enabled:   make([][NumStates]bool, top.NumThreads()),
 		active:    make([]int, top.NumCores()),
 	}
+	m.Reset(C0)
+	return m
+}
+
+// Reset puts every thread online, with every C-state enabled, in state s
+// (C0 is what New starts from), in one pass and without running the hooks:
+// the caller marks whatever the change moves.
+func (m *Model) Reset(s State) {
 	for i := range m.enabled {
+		m.requested[i] = s
 		m.online[i] = true
 		m.enabled[i] = [NumStates]bool{true, true, true}
 	}
 	m.coreActiveCounts(m.active)
-	return m
+	m.checkActive()
 }
 
 // ACPITable returns the C-state table the hardware hands to the OS.

@@ -177,21 +177,31 @@ func New(eng *sim.Engine, top *soc.Topology, cfg Config, cst *cstate.Model) *Con
 		panic(err)
 	}
 	c := &Controller{eng: eng, top: top, cfg: cfg, cst: cst}
-	lowest := len(cfg.PStates) - 1
 	c.cores = make([]coreState, top.NumCores())
+	c.caps = make([]float64, len(top.Packages))
+	c.Reset()
+	return c
+}
+
+// Reset puts every core back in the lowest P-state with no transition in
+// flight and no boost grant, and uncaps every package, as New does,
+// without running the hooks. Each core keeps its bound transition event.
+// It must follow a reset of the engine (sim.Engine.Reset), which drops
+// every pending transition.
+func (c *Controller) Reset() {
+	lowest := len(c.cfg.PStates) - 1
 	for i := range c.cores {
 		c.cores[i] = coreState{
 			threadReq: [2]int{lowest, lowest},
 			current:   lowest,
 			prev:      lowest,
-			pkg:       top.PackageOfCore(soc.CoreID(i)),
+			pkg:       c.top.PackageOfCore(soc.CoreID(i)),
+			event:     c.cores[i].event,
 		}
 	}
-	c.caps = make([]float64, len(top.Packages))
 	for p := range c.caps {
 		c.caps[p] = math.Inf(1)
 	}
-	return c
 }
 
 func (c *Controller) notifyAfter() {

@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
+	"zen2ee/internal/measure"
 	"zen2ee/internal/sim"
 	"zen2ee/internal/soc"
 	"zen2ee/internal/workload"
@@ -141,5 +143,31 @@ func TestNewAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { New(DefaultConfig()) }); n > newAllocs {
 		t.Fatalf("machine.New allocates %v times, want at most %d", n, newAllocs)
+	}
+}
+
+// TestResetAllocs pins Reset at zero allocations: it rewinds a machine that
+// ran a kernel under an AC meter without allocating, because it keeps
+// everything New allocated. Each reset is measured alone, after the
+// machine was used again, so every one starts from a used machine.
+func TestResetAllocs(t *testing.T) {
+	if unsafe.Sizeof(counterShadow{}) != 0 {
+		t.Skip("simcheck builds allocate the eager shadows")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := newMachine()
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		measure.NewPowerAnalyzer(m.Eng, measure.DefaultAnalyzerConfig(), m)
+		if _, err := m.StartKernel(soc.ThreadID(i), workload.VXorps, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		m.Eng.RunFor(120 * sim.Millisecond)
+		runtime.ReadMemStats(&before)
+		m.Reset()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("reset %d allocates %d times, want 0", i, n)
+		}
 	}
 }

@@ -168,11 +168,10 @@ const (
 // maxScript bounds a script, so one run simulates at most ~2 s.
 const maxScript = 256
 
-// runScript runs a FuzzMachineScript script on a fresh machine and returns
-// every reading it took, in order. flushed runs the refresh the moment each
+// runScript runs a FuzzMachineScript script on machine m and returns every
+// reading it took, in order. flushed runs the refresh the moment each
 // mutation is made instead of deferring it to the end of the instant.
-func runScript(script []byte, flushed bool) ([]float64, error) {
-	m := newMachine()
+func runScript(m *Machine, script []byte, flushed bool) ([]float64, error) {
 	kernels := workload.All()
 	pstates := m.cfg.DVFS.PStates
 	n := m.Top.NumThreads()
@@ -192,7 +191,7 @@ func runScript(script []byte, flushed bool) ([]float64, error) {
 	}
 	var out []float64
 	read := func() error {
-		out = append(out, m.SystemWatts(), m.EnergyJoules(m.Eng.Now()))
+		out = append(out, m.SystemWatts(), m.EnergyJoules(m.Eng.Now()), m.TempC())
 		if err := checkDerived(m); err != nil {
 			return err
 		}
@@ -380,30 +379,64 @@ func checkDerived(m *Machine) error {
 // engine runs, and runs it twice: once with each instant's refresh
 // deferred to its end, once flushing after every mutation. The two runs
 // refresh with different dirty sets, so cores fall into different classes,
-// yet every reading (system power, AC and RAPL energies, cycles and
-// instructions) must agree bit for bit. Under -tags simcheck every refresh
-// and lazy read is also checked against a full recompute. The seed corpus
-// is in testdata/fuzz/FuzzMachineScript.
+// yet every reading (system power, AC and RAPL energies, temperature,
+// cycles and instructions) must agree bit for bit. It then runs the script deferred a
+// third time, on a machine Reset after running the script reversed: every
+// reading, the executed event count, the refresh counts and the SMU's
+// counts must equal the fresh machine's bit for bit. Under -tags simcheck
+// every refresh and lazy read is also checked against a full recompute.
+// The seed corpus is in testdata/fuzz/FuzzMachineScript.
 func FuzzMachineScript(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > maxScript {
 			script = script[:maxScript]
 		}
-		deferred, err := runScript(script, false)
+		fresh := newMachine()
+		deferred, err := runScript(fresh, script, false)
 		if err != nil {
 			t.Fatalf("deferred: %v", err)
 		}
-		flushed, err := runScript(script, true)
+		flushed, err := runScript(newMachine(), script, true)
 		if err != nil {
 			t.Fatalf("flushed: %v", err)
 		}
-		if len(deferred) != len(flushed) {
-			t.Fatalf("%d readings deferred, %d flushed", len(deferred), len(flushed))
+		sameReadings(t, "deferred", deferred, "flushed", flushed)
+
+		reused := newMachine()
+		reversed := make([]byte, len(script))
+		for i, b := range script {
+			reversed[len(script)-1-i] = b
 		}
-		for i := range deferred {
-			if math.Float64bits(deferred[i]) != math.Float64bits(flushed[i]) {
-				t.Fatalf("reading %d: deferred %v, flushed %v", i, deferred[i], flushed[i])
-			}
+		// The reversed script only has to leave the machine used; an op
+		// it rejects leaves it used as well.
+		_, _ = runScript(reused, reversed, false)
+		reused.Reset()
+		reset, err := runScript(reused, script, false)
+		if err != nil {
+			t.Fatalf("reset: %v", err)
+		}
+		sameReadings(t, "fresh", deferred, "reset", reset)
+		if a, b := fresh.Eng.Executed(), reused.Eng.Executed(); a != b {
+			t.Fatalf("fresh machine executed %d events, reset one %d", a, b)
+		}
+		if a, b := fresh.RefreshStats(), reused.RefreshStats(); a != b {
+			t.Fatalf("fresh machine refresh stats %+v, reset one %+v", a, b)
+		}
+		if a, b := fresh.SMU.Stats(), reused.SMU.Stats(); a != b {
+			t.Fatalf("fresh machine SMU stats %+v, reset one %+v", a, b)
 		}
 	})
+}
+
+// sameReadings fails unless two runs' readings agree bit for bit.
+func sameReadings(t *testing.T, an string, a []float64, bn string, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%d readings %s, %d %s", len(a), an, len(b), bn)
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("reading %d: %s %v, %s %v", i, an, a[i], bn, b[i])
+		}
+	}
 }

@@ -6,6 +6,17 @@
 // instruction counters (ReadCounters) and the RAPL domains (rapl.Model);
 // frequencies come from the model, not from APERF/MPERF registers.
 //
+// A machine has one initialisation path. New allocates what the topology
+// sizes and wires the layers, then calls Reset, which puts every piece of
+// model state in place: the engine's clock, queue and RNG, the SMU's and
+// RAPL's noise streams and tickers, the C-states, DVFS, RAPL domains,
+// counters and their classes, thermal and AC energy, the refresh and SMU
+// counts and the simcheck shadows. Reset keeps only capacity (the event
+// arena, the tables, the kernel table) and bound closures (hooks, tickers,
+// transition events), so a reset machine is a freshly built one to every
+// reading, and an experiment that measures many points on fresh systems
+// resets one machine instead of building one per point.
+//
 // Every state mutation marks the machine stale, and one refresh per
 // simulated instant re-derives the rates: power, traffic, temperature, the
 // RAPL model's inputs and the per-thread counter rates. The refresh runs
@@ -171,7 +182,7 @@ type Machine struct {
 
 	// acEnergy integrates the true AC power; its power is the system
 	// power of the last refresh.
-	acEnergy *sim.EnergyIntegrator
+	acEnergy sim.EnergyIntegrator
 
 	// log holds the refresh instants the per-thread counters and the RAPL
 	// domains fold at.
@@ -213,6 +224,7 @@ type Machine struct {
 	pkgs             []pkgState
 	dirtyLo, dirtyHi int
 	inputsBuf        []power.CoreInput
+	floats           []float64 // the five float caches below, in one block
 	effBuf           []float64 // effective MHz of active cores (0 when idle)
 	raplWBuf         []float64 // RAPL estimate before model noise
 	wattsBuf         []float64 // power-model watts (power.Model.CoreWatts)
@@ -238,9 +250,9 @@ type pkgState struct {
 	mon smu.Monitor
 }
 
-// RefreshStats counts the machine's refresh work since New. Every core a
-// refresh re-derives is either derived or shared: the dirty cores, and the
-// active cores of a package whose cap alone moved.
+// RefreshStats counts the machine's refresh work since New or Reset. Every
+// core a refresh re-derives is either derived or shared: the dirty cores,
+// and the active cores of a package whose cap alone moved.
 type RefreshStats struct {
 	// Refreshes is the number of refreshes run.
 	Refreshes uint64
@@ -284,8 +296,9 @@ const (
 // RAPL domain up and starts over.
 const foldLogCap = 256
 
-// New builds and wires the system. All threads start idle in the deepest
-// C-state at the lowest P-state.
+// New builds and wires the system: it allocates what the topology sizes,
+// then Reset puts every piece of model state in place. All threads start
+// idle in the deepest C-state at the lowest P-state.
 func New(cfg Config) *Machine {
 	if err := cfg.IOD.Validate(); err != nil {
 		panic(err)
@@ -302,23 +315,22 @@ func New(cfg Config) *Machine {
 		Eng:  eng,
 		Top:  top,
 		cfg:  cfg,
-		iod:  cfg.IOD,
 		runs: make([]threadRun, top.NumThreads()),
 
-		// Every core starts dirty.
 		cls:             cls[:n:n],
 		part:            cls[n:],
 		pkgs:            make([]pkgState, len(top.Packages)),
-		dirtyHi:         n,
 		inputsBuf:       make([]power.CoreInput, n),
+		floats:          f,
 		effBuf:          f[:n:n],
 		raplWBuf:        f[n : 2*n : 2*n],
 		wattsBuf:        f[2*n : 3*n : 3*n],
 		ampsBuf:         f[3*n : 4*n : 4*n],
 		ccdGBs:          f[4*n:],
+		counters:        make([]coreCounters, n),
+		classes:         sim.NewClasses(n),
 		coresPerPackage: cfg.SoC.CoresPerPackage(),
 	}
-	m.markAllDirty()
 	m.flushEvent = m.onFlushEvent
 	m.log = sim.NewFoldLog(eng.Now(), foldLogCap, m.catchUp)
 	m.CStates = cstate.New(eng, top, cfg.CState)
@@ -326,15 +338,7 @@ func New(cfg Config) *Machine {
 	m.Power = power.NewModel(cfg.Power)
 	m.Thermal = power.NewThermal(cfg.Power)
 	m.RAPL = rapl.New(eng, top, cfg.RAPL, m.log)
-
-	m.acEnergy = sim.NewEnergyIntegrator(eng.Now(), 0)
-	m.counters = make([]coreCounters, n)
-	m.classes = sim.NewClasses(n)
-	start := sim.NewLazyIntegrator(m.log, eng.Now())
-	for c := range m.counters {
-		m.counters[c] = coreCounters{{start, start}, {start, start}}
-	}
-	m.shadow.init(m)
+	m.SMU = smu.New(eng, top, cfg.SMU, m.DVFS, (*activitySource)(m))
 
 	m.CStates.Dirty = m.markThreadDirty
 	m.CStates.AfterChange = m.changed
@@ -343,15 +347,55 @@ func New(cfg Config) *Machine {
 	m.DVFS.AfterChange = m.changed
 	m.RAPL.BeforeNoise = m.flush
 
-	m.SMU = smu.New(eng, top, cfg.SMU, m.DVFS, (*activitySource)(m))
+	m.Reset()
+	return m
+}
 
-	// Idle system: every thread parks in the deepest C-state.
-	for t := 0; t < top.NumThreads(); t++ {
-		m.CStates.EnterIdle(soc.ThreadID(t), cstate.C2)
+// Reset puts the machine back to exactly what New(m.Config()) returns, in
+// place: the same readings, event order, random streams and counts follow
+// from any later use. It rewinds the engine (sim.Engine.Reset) and resets
+// every layer New wires, in New's order: the fold log, the C-states (every
+// thread idle in C2, in one pass), the DVFS controller, the thermal model,
+// RAPL (whose noise stream it forks first and whose ticker it arms first),
+// the AC energy, the counters and their classes, and the SMU; then it
+// refreshes once, as New does. It keeps what New allocated: the engine's
+// event arena, the tables the topology sizes, the kernel table's capacity
+// and every bound closure (hooks, tickers, transition events). Anything
+// else attached to the old engine, such as an AC meter
+// (measure.NewPowerAnalyzer), is stopped for good: its ticker is stale.
+// Reset must not run from inside an engine event.
+func (m *Machine) Reset() {
+	m.Eng.Reset(m.cfg.Seed)
+	now := m.Eng.Now()
+	m.iod = m.cfg.IOD
+	clear(m.runs)
+	m.kernels = m.kernels[:0]
+	m.log.Reset(now)
+	m.CStates.Reset(cstate.C2)
+	m.DVFS.Reset()
+	m.Thermal.Reset()
+	m.RAPL.Reset()
+
+	m.acEnergy = sim.EnergyIntegrator{}
+	start := sim.NewLazyIntegrator(m.log, now)
+	for c := range m.counters {
+		m.counters[c] = coreCounters{{start, start}, {start, start}}
 	}
+	m.classes.Reset()
+	m.shadow.init(m)
+
+	m.SMU.Reset()
+
+	m.trafficGBs, m.inRefresh, m.stale, m.flushQueued = 0, false, false, false
+	m.stats = RefreshStats{}
+	clear(m.part)
+	clear(m.pkgs)
+	clear(m.inputsBuf)
+	clear(m.floats)
+	// Every core starts dirty, and the idle system refreshes once.
+	m.markAllDirty()
 	m.changed()
 	m.flush()
-	return m
 }
 
 // changed records a mutation: it marks the machine stale, wakes the SMU
@@ -867,7 +911,7 @@ func (m *Machine) setRates(c int) {
 	}
 }
 
-// RefreshStats returns the refresh counts since New.
+// RefreshStats returns the refresh counts since New or Reset.
 func (m *Machine) RefreshStats() RefreshStats {
 	s := m.stats
 	s.Splits = m.splits()

@@ -160,7 +160,15 @@ type Thermal struct {
 
 // NewThermal starts at ambient temperature.
 func NewThermal(cfg Config) *Thermal {
-	return &Thermal{cfg: cfg, tempC: cfg.AmbientC}
+	th := &Thermal{cfg: cfg}
+	th.Reset()
+	return th
+}
+
+// Reset puts the model back at ambient temperature with no time integrated,
+// as NewThermal does.
+func (th *Thermal) Reset() {
+	th.tempC, th.last, th.lastOK = th.cfg.AmbientC, 0, false
 }
 
 // Advance integrates the temperature to time now under the given system

@@ -250,28 +250,45 @@ func (m *Model) own(i int) {
 func New(eng *sim.Engine, top *soc.Topology, cfg Config, log *sim.FoldLog) *Model {
 	m := &Model{
 		eng: eng, top: top, cfg: cfg,
-		log:      log,
-		rng:      eng.RNG().Fork(),
-		fedNoise: 1,
+		log:     log,
+		rng:     new(sim.RNG),
+		doms:    make([]domain, len(top.Cores)+len(top.Packages)),
+		classes: sim.NewClasses(len(top.Cores)),
 	}
-	now := eng.Now()
-	m.doms = make([]domain, len(top.Cores)+len(top.Packages))
-	m.classes = sim.NewClasses(len(top.Cores))
+	if cfg.NoiseRel > 0 {
+		m.noiseTicker = eng.NewStoppedTicker(cfg.NoisePeriod, 0, m.stepNoise)
+	}
+	m.Reset()
+	return m
+}
+
+// Reset puts the model back to what New returns on its engine as it stands:
+// it forks the noise stream from the engine's RNG again, starts every
+// domain at zero energy and in its own class at the log's start and
+// re-arms the noise ticker; BeforeNoise stays set. The machine calls it
+// right after resetting the engine and the fold log.
+func (m *Model) Reset() {
+	m.eng.RNG().ForkInto(m.rng)
+	now := m.eng.Now()
 	for i := range m.doms {
 		m.doms[i] = domain{pos: m.log.End(), last: now}
 	}
+	m.classes.Reset()
+	m.noise, m.fedNoise, m.moves = 0, 1, m.moves[:0]
 	m.shadow.init(m)
-	if cfg.NoiseRel > 0 {
-		m.noiseTicker = eng.NewTicker(cfg.NoisePeriod, 0, func() {
-			if m.BeforeNoise != nil {
-				m.BeforeNoise()
-			}
-			// AR(1) slow drift: keeps block averages dispersed without
-			// whitening out over a measurement window.
-			m.noise = 0.9*m.noise + m.rng.Gaussian(0, cfg.NoiseRel)
-		})
+	if m.noiseTicker != nil {
+		m.noiseTicker.Start()
 	}
-	return m
+}
+
+// stepNoise is the noise ticker's callback.
+func (m *Model) stepNoise() {
+	if m.BeforeNoise != nil {
+		m.BeforeNoise()
+	}
+	// AR(1) slow drift: keeps block averages dispersed without
+	// whitening out over a measurement window.
+	m.noise = 0.9*m.noise + m.rng.Gaussian(0, m.cfg.NoiseRel)
 }
 
 // Stop halts the noise ticker.

@@ -24,10 +24,18 @@ type Classes struct {
 func NewClasses(n int) Classes {
 	buf := make([]int16, 2*n)
 	c := Classes{owner: buf[:n:n], nfollow: buf[n:]}
+	c.Reset()
+	return c
+}
+
+// Reset makes every slot own its state again and zeroes the split count,
+// as NewClasses does. It copies no state.
+func (c *Classes) Reset() {
 	for i := range c.owner {
 		c.owner[i] = int16(i)
 	}
-	return c
+	clear(c.nfollow)
+	c.followers, c.splits = 0, 0
 }
 
 // follow sets slot i's owner to o, keeping the follower counts.
@@ -47,8 +55,8 @@ func (c *Classes) Owner(i int) int { return int(c.owner[i]) }
 // Follows reports whether slot i follows another slot's state.
 func (c *Classes) Follows(i int) bool { return int(c.owner[i]) != i }
 
-// Splits counts the copies made since NewClasses: a slot that split out of
-// its class, or an owner's state handed to a follower.
+// Splits counts the copies made since NewClasses or Reset: a slot that
+// split out of its class, or an owner's state handed to a follower.
 func (c *Classes) Splits() uint64 { return c.splits }
 
 // Own makes slot i hold its state alone, ahead of a change made to it by

@@ -7,7 +7,8 @@ import "fmt"
 // integrator folds in power × elapsed-time on every change and on demand.
 //
 // This is the accounting primitive behind both the external AC power meter
-// model and the RAPL counters.
+// model and the RAPL counters. The zero value starts at time 0 with power
+// 0, as NewEnergyIntegrator(0, 0) does.
 type EnergyIntegrator struct {
 	lastUpdate Time
 	power      float64 // current power, W
@@ -70,12 +71,21 @@ func NewFoldLog(start Time, capacity int, catchUp func()) *FoldLog {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &FoldLog{
+	l := &FoldLog{
 		times:   make([]Time, 0, capacity),
 		secs:    make([]float64, 0, capacity),
-		last:    start,
 		catchUp: catchUp,
 	}
+	l.Reset(start)
+	return l
+}
+
+// Reset empties the log and starts it over at time start, as NewFoldLog
+// does, keeping its capacity and catch-up function. It folds nothing: the
+// integrators over the log must start over with it.
+func (l *FoldLog) Reset(start Time) {
+	l.times, l.secs = l.times[:0], l.secs[:0]
+	l.base, l.last = 0, start
 }
 
 // Record logs instant t. An instant equal to the latest one (or to the

@@ -22,10 +22,17 @@ const NormBound = 12.1
 // NewRNG returns a generator seeded with seed. Seed 0 is remapped so that
 // the all-zero state cannot occur.
 func NewRNG(seed uint64) *RNG {
+	r := new(RNG)
+	r.Seed(seed)
+	return r
+}
+
+// Seed puts the generator back to what NewRNG(seed) returns, in place.
+func (r *RNG) Seed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &RNG{state: seed}
+	*r = RNG{state: seed}
 }
 
 // Uint64 returns the next 64 random bits.
@@ -112,8 +119,13 @@ func (r *RNG) Gaussian(mean, stddev float64) float64 {
 // each component its own stream so adding a component does not perturb the
 // draws of the others.
 func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() | 1)
+	f := new(RNG)
+	r.ForkInto(f)
+	return f
 }
+
+// ForkInto reseeds f, in place, as the RNG Fork would return.
+func (r *RNG) ForkInto(f *RNG) { f.Seed(r.Uint64() | 1) }
 
 // DeriveSeed maps a (base seed, label) pair to an independent stream seed:
 // the label is FNV-1a-hashed, XORed into the seed, and passed through the

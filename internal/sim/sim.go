@@ -14,6 +14,11 @@
 // has warmed up. Cancellation is validated through generation-tagged
 // EventIDs and removes the event from the queue in place, so cancel-heavy
 // models cannot grow the queue with dead entries.
+//
+// Reset rewinds an engine to what NewEngine returns while keeping the
+// arena, heap and freelist capacity. Generations are not restarted, so an
+// EventID issued before a Reset never matches an event queued after it,
+// and a Ticker armed before it stays stopped until Start re-arms it.
 package sim
 
 import (
@@ -105,11 +110,33 @@ type Engine struct {
 	// parked is the ticker whose fires the engine emulates instead of
 	// queuing (Ticker.Park), nil when none is parked.
 	parked *Ticker
+
+	// epoch counts resets; a ticker armed in an earlier epoch is stale.
+	epoch uint64
 }
 
 // NewEngine returns an engine with its clock at zero and the given RNG seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	e := &Engine{rng: new(RNG)}
+	e.Reset(seed)
+	return e
+}
+
+// Reset rewinds the engine to what NewEngine(seed) returns: the clock, the
+// sequence and executed counts at zero, the queue empty, no ticker parked
+// and the RNG reseeded in place. It keeps the event arena's capacity and
+// every slot's generation, so a pre-reset EventID cancels nothing after
+// it, and every ticker armed before it is stopped (Ticker.Start re-arms
+// one). Reset must not run from inside an event.
+func (e *Engine) Reset(seed uint64) {
+	for _, idx := range e.heap {
+		e.slots[idx].pos = -1
+		e.release(idx)
+	}
+	e.heap = e.heap[:0]
+	e.now, e.seq, e.executed, e.parked = 0, 0, 0, nil
+	e.epoch++
+	e.rng.Seed(seed)
 }
 
 // Now returns the current virtual time.
@@ -337,7 +364,9 @@ func (e *Engine) PendingEvents() int { return len(e.heap) }
 // Ticker is a persistent periodic event: one pre-allocated fire closure
 // reschedules itself in place, so a steady-state tick allocates nothing.
 // Only arming finds the grid point (nextGridPoint); a tick reschedules one
-// period after its own. Construct with Engine.NewTicker.
+// period after its own. Construct with Engine.NewTicker, or with
+// Engine.NewStoppedTicker and arm with Start. A reset of the engine stops
+// every ticker armed before it: its Stop, Park and Wake touch nothing.
 //
 // A ticker whose callback has nothing to do until some later event can
 // Park: the engine then emulates its fires instead of queuing them. Each
@@ -361,16 +390,26 @@ type Ticker struct {
 	seq  uint64
 	// skipped counts the fires emulated since Park.
 	skipped uint64
+	// epoch is the engine's epoch when Start last armed the ticker.
+	epoch uint64
 }
 
 // NewTicker invokes fn every period, starting at the next multiple of period
 // plus phase (so independent tickers with the same period stay aligned to a
 // grid, which is exactly how the Zen 2 frequency-transition slots behave).
 func (e *Engine) NewTicker(period Duration, phase Duration, fn func()) *Ticker {
+	t := e.NewStoppedTicker(period, phase, fn)
+	t.Start()
+	return t
+}
+
+// NewStoppedTicker is NewTicker without arming: the ticker fires only
+// once Start arms it.
+func (e *Engine) NewStoppedTicker(period Duration, phase Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{e: e, period: period, phase: phase, fn: fn}
+	t := &Ticker{e: e, period: period, phase: phase, fn: fn, stopped: true}
 	t.fire = func() {
 		if t.stopped {
 			return
@@ -389,19 +428,41 @@ func (e *Engine) NewTicker(period Duration, phase Duration, fn func()) *Ticker {
 			t.id = e.ScheduleAt(at.Add(t.period), t.fire)
 		}
 	}
-	t.id = e.ScheduleAt(nextGridPoint(e.now, period, phase), t.fire)
 	return t
 }
+
+// Start arms the ticker as NewTicker does: its first tick at the next grid
+// point after now. An armed ticker is stopped first, so Start also re-arms
+// a ticker in place, one of a reset engine included. Starting a ticker
+// from inside its own callback panics.
+func (t *Ticker) Start() {
+	if t.firing && !t.stale() {
+		panic("sim: ticker started from its own callback")
+	}
+	t.Stop()
+	e := t.e
+	t.stopped, t.firing, t.skipped, t.epoch = false, false, 0, e.epoch
+	t.id = e.ScheduleAt(nextGridPoint(e.now, t.period, t.phase), t.fire)
+}
+
+// stale reports whether the engine was reset since Start armed the ticker:
+// its pending tick left the queue with the reset.
+func (t *Ticker) stale() bool { return t.epoch != t.e.epoch }
 
 // Stop disarms the ticker and cancels its pending tick. Stopping an
 // already-stopped ticker is a no-op; stopping from inside the ticker's own
 // callback suppresses the rescheduling of the next tick. A parked ticker
-// stops without waking.
+// stops without waking, and a stale one (see Engine.Reset) without
+// touching the engine.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
+	if t.stale() {
+		t.parked = false
+		return
+	}
 	if t.parked {
 		t.parked = false
 		t.e.parked = nil
@@ -416,7 +477,7 @@ func (t *Ticker) Stop() {
 // parked or stopped ticker is a no-op; parking a second ticker of the
 // engine panics.
 func (t *Ticker) Park() {
-	if t.parked || t.stopped {
+	if t.parked || t.stopped || t.stale() {
 		return
 	}
 	e := t.e
@@ -437,7 +498,7 @@ func (t *Ticker) Park() {
 // sequence number the fires emulated since Park left it, and returns how
 // many fires were emulated. Waking a ticker that is not parked returns 0.
 func (t *Ticker) Wake() uint64 {
-	if !t.parked {
+	if !t.Parked() {
 		return 0
 	}
 	t.parked = false
@@ -448,13 +509,13 @@ func (t *Ticker) Wake() uint64 {
 	return t.skipped
 }
 
-// Parked reports whether the ticker is parked.
-func (t *Ticker) Parked() bool { return t.parked }
+// Parked reports whether the ticker is parked. A stale ticker is not.
+func (t *Ticker) Parked() bool { return t.parked && !t.stale() }
 
 // Skipped returns how many fires have been emulated since Park, 0 when
 // the ticker is not parked.
 func (t *Ticker) Skipped() uint64 {
-	if !t.parked {
+	if !t.Parked() {
 		return 0
 	}
 	return t.skipped

@@ -151,11 +151,23 @@ type Manager struct {
 func New(eng *sim.Engine, top *soc.Topology, cfg Config, ctl *dvfs.Controller, src ActivitySource) *Manager {
 	m := &Manager{
 		eng: eng, top: top, cfg: cfg, ctl: ctl, src: src,
-		rng:            eng.RNG().Fork(),
+		rng:            new(sim.RNG),
 		throttledTicks: make([]uint64, len(top.Packages)),
 	}
-	m.ticker = eng.NewTicker(cfg.ControlPeriod, cfg.ControlPeriod/2, m.tick)
+	m.ticker = eng.NewStoppedTicker(cfg.ControlPeriod, cfg.ControlPeriod/2, m.tick)
+	m.Reset()
 	return m
+}
+
+// Reset puts the manager back to what New returns on its engine as it
+// stands: it forks the noise stream from the engine's RNG again, zeroes
+// its counts and re-arms the control ticker, a stopped one included. The
+// machine calls it right after resetting the engine.
+func (m *Manager) Reset() {
+	m.eng.RNG().ForkInto(m.rng)
+	m.calm, m.park, m.stats = false, parkShadow{}, Stats{}
+	clear(m.throttledTicks)
+	m.ticker.Start()
 }
 
 // Stop halts the control loop (for ablation experiments).
@@ -199,7 +211,7 @@ func (m *Manager) ThrottledTicks(pkg soc.PackageID) uint64 {
 	return m.throttledTicks[pkg]
 }
 
-// Stats counts the manager's control work since New.
+// Stats counts the manager's control work since New or Reset.
 type Stats struct {
 	// Ticks counts package control steps, one per package per period,
 	// emulated ones included.
@@ -213,7 +225,7 @@ type Stats struct {
 	Parked uint64
 }
 
-// Stats returns the control counts since New.
+// Stats returns the control counts since New or Reset.
 func (m *Manager) Stats() Stats {
 	s := m.stats
 	n := m.ticker.Skipped() * uint64(len(m.top.Packages))
